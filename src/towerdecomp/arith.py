@@ -3,7 +3,12 @@
 Elements live in a fixed multivariate rational function field Q(x, t1, ..., tn)
 backed by :mod:`sympy.polys.fields`.  Field elements (``FracElement``) are
 immutable, automatically cancelled and kept in a canonical form, so equality is
-structural.  On top of that this module provides recursive univariate views:
+structural.  Most field operations therefore run a multivariate gcd, the
+``cancel``.  The two kernels that every layer calls, :func:`substitute` here
+and ``Tower.diff``, build their numerator and denominator as plain
+polynomials (``PolyElement``) and cancel exactly once, in ``F.new``.
+
+On top of that this module provides recursive univariate views:
 a :class:`UniPoly` is a polynomial in one designated variable whose
 coefficients are field elements free of that variable.  All the classical
 univariate machinery (division, gcd, Yun squarefree decomposition, resultants)
@@ -397,19 +402,37 @@ def substitute(f, target_field, values):
 
     ``values`` must contain one element of target_field per generator of the
     source field.  Raises ZeroDivisionError if the denominator vanishes.
+
+    With values[i] = p_i/q_i and top_i the highest exponent of variable i in
+    f, each term c*prod(x_i^e_i) of f's numerator and of its denominator
+    becomes the polynomial c*prod(p_i^e_i * q_i^(top_i - e_i)).  Both sums
+    carry the same factor prod(q_i^top_i), so their quotient is the image,
+    reduced to lowest terms by one cancel.
     """
+    ring = target_field.ring
+    monos = f.numer.monoms() + f.denom.monoms()
+    top = [max(m[i] for m in monos) for i in range(len(values))]
+    powers = {}
+
+    def power(i, part, k):
+        key = (i, part, k)
+        if key not in powers:
+            powers[key] = getattr(values[i], part) ** k
+        return powers[key]
 
     def eval_poly(p):
-        out = target_field.zero
+        out = ring.zero
         for mono, c in p.terms():
-            term = ground(target_field, to_fraction(c))
+            term = ring.ground_new(c)
             for i, e in enumerate(mono):
                 if e:
-                    term *= values[i] ** e
+                    term *= power(i, "numer", e)
+                if top[i] > e and not values[i].denom.is_one:
+                    term *= power(i, "denom", top[i] - e)
             out += term
         return out
 
     den = eval_poly(f.denom)
     if not den:
         raise ZeroDivisionError("substitution maps denominator to zero")
-    return eval_poly(f.numer) / den
+    return target_field.new(eval_poly(f.numer), den)

@@ -78,7 +78,13 @@ def _build_parser():
 
 def _load_tower(args, out):
     with open(args.tower, "r", encoding="utf-8") as fh:
-        tower = parse_tower_file(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ExprSyntaxError(
+                f"{args.tower}: not UTF-8 text (byte {exc.start})"
+            ) from None
+    tower = parse_tower_file(text)
     if args.normalize:
         tower, shifts = normalize_generators(tower)
         for i, shift in shifts:

@@ -107,7 +107,7 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
         if prev_key is not None and not key < prev_key:
             raise InternalVerificationError("order key failed to decrease")
         prev_key = key
-        hd = head_data_value(T, cur)
+        hd = key.head
         M = hd.hm
         a = hd.hc
         m = indicator(M, n)

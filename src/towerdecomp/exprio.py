@@ -10,6 +10,8 @@ both, left associativity for - and /):
     power  := atom ["^" ["-"] integer]
     atom   := integer | name | "(" expr ")"
 
+Parentheses may nest at most ``MAX_DEPTH`` deep.
+
 Tower files are line oriented: a `var <name>` header, then one
 `gen <name> : log(<expr>)` or `gen <name> : prim <expr>` per generator,
 with `#` comments.  Rendering is canonical; parsing a rendered expression
@@ -28,13 +30,17 @@ NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()]))")
 
+# Parentheses nest through five parser frames each; this cap keeps the
+# recursion far below the interpreter's limit.
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, src, env, F):
         self.src = src
         self.env = env
         self.F = F
-        self.pos = 0
+        self.depth = 0
         self.tokens = []
         self._tokenize()
         self.idx = 0
@@ -106,11 +112,12 @@ class _Parser:
                 return value
 
     def factor(self):
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
+        negate = False
+        while self.peek()[:2] == ("op", "-"):
             self.next()
-            return -self.factor()
-        return self.power()
+            negate = not negate
+        value = self.power()
+        return -value if negate else value
 
     def power(self):
         value = self.atom()
@@ -141,8 +148,14 @@ class _Parser:
                 raise UnknownName(f"unknown name {text!r}", offset=off)
             return self.env[text]
         if kind == "op" and text == "(":
+            if self.depth == MAX_DEPTH:
+                raise ExprSyntaxError(
+                    f"parentheses nested deeper than {MAX_DEPTH}", offset=off
+                )
+            self.depth += 1
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ExprSyntaxError(
             f"unexpected {text!r}" if text else "unexpected end of input",

@@ -12,7 +12,7 @@ for the head monomial of the zero element (below everything).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arith import frac_to_unipair, split_proper_poly, unipoly_gcd
 from .errors import TowerDecompError
@@ -60,6 +60,8 @@ class OrderKey:
     den_degree: int
     hm_marker: int  # 0 for the zero element, 1 otherwise
     hm_rev: tuple  # reversed exponents, () for zero
+    # the head data the key was read from; None for the zero element
+    head: HeadData | None = field(default=None, compare=False, repr=False)
 
 
 def project_value(T: Tower, f) -> list:
@@ -155,10 +157,10 @@ def order_key_value(T: Tower, f) -> OrderKey:
     den_degree = f.denom.degree(T.n) if T.n else 0
     if den_degree < 0:
         den_degree = 0
-    hm = head_data_value(T, f).hm
-    if hm is None:
-        return OrderKey(den_degree, 0, ())
-    return OrderKey(den_degree, 1, mono_key(hm))
+    head = head_data_value(T, f)
+    if head.hm is None:
+        return OrderKey(den_degree, 0, (), head)
+    return OrderKey(den_degree, 1, mono_key(head.hm), head)
 
 
 def order_key(f: TowerElement) -> OrderKey:

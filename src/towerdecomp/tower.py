@@ -170,6 +170,12 @@ class Tower:
         self.generators: list[Generator] = []
         self.derivs = []  # derivative of generator i at index i-1
         self._validation = None
+        # L = lcm of the denominators b_i of t_i' = a_i/b_i, and one
+        # (i, a_i*L/b_i) per nonzero t_i'; L*p' is then a polynomial for
+        # every polynomial p.  Extended per generator, since the derivative
+        # of a logarithmic generator needs the derivation of those below it.
+        self._L = F.ring.one
+        self._multipliers = []
         for idx, (kind, payload) in enumerate(specs, start=1):
             if kind == LOG:
                 argument = payload
@@ -186,6 +192,12 @@ class Tower:
                 Generator(name=names[idx], kind=kind, derivative=deriv, argument=argument)
             )
             self.derivs.append(deriv)
+            if deriv:
+                L = self._L.lcm(deriv.denom)
+                scale = L.exquo(self._L)
+                self._multipliers = [(i, m * scale) for i, m in self._multipliers]
+                self._multipliers.append((idx, deriv.numer * L.exquo(deriv.denom)))
+                self._L = L
 
     def _check_level(self, value, idx, what):
         if not free_of(value, range(idx, self.n + 1)):
@@ -207,12 +219,24 @@ class Tower:
         return self.F.zero
 
     def diff(self, f):
-        """The tower derivation: d/dx plus the chain rule over generators."""
-        out = f.diff(self.gens[0])
-        for i, d in enumerate(self.derivs, start=1):
-            p = f.diff(self.gens[i])
-            if p:
-                out += p * d
+        """The tower derivation ' = d/dx + sum(t_i' * d/dt_i), with one cancel.
+
+        For f = N/D the numerator L*N'*D - N*L*D' and the denominator L*D^2
+        of f' (L*N' and L*D when D is a constant) are built as plain
+        polynomials and reduced to lowest terms once, by ``F.new``.
+        """
+        N, D = f.numer, f.denom
+        if D.is_ground:
+            return self.F.new(self._scaled_diff(N), self._L * D)
+        return self.F.new(
+            self._scaled_diff(N) * D - N * self._scaled_diff(D), self._L * D**2
+        )
+
+    def _scaled_diff(self, p):
+        """L*p' for a polynomial p, as a polynomial."""
+        out = p.diff(0) * self._L
+        for i, m in self._multipliers:
+            out += p.diff(i) * m
         return out
 
     def monomial_value(self, exps):
@@ -329,15 +353,4 @@ def _prefix_tower(names, specs, F) -> Tower:
     """Tower over the full field but with only the first len(specs) generators
     carrying derivatives; enough for differentiation of prefix elements."""
     padded = list(specs) + [(PRIM, F.zero)] * (len(names) - 1 - len(specs))
-    tower = Tower.__new__(Tower)
-    tower.F = F
-    tower.names = names
-    tower.gens = list(F.gens)
-    tower.n = len(names) - 1
-    tower.generators = [
-        Generator(name=names[i + 1], kind=kind, derivative=d)
-        for i, (kind, d) in enumerate(padded)
-    ]
-    tower.derivs = [d for _, d in padded]
-    tower._validation = None
-    return tower
+    return Tower(F, names, padded)

@@ -1,20 +1,28 @@
 import random
 
 import pytest
+from hypothesis import settings, strategies as st
 
 from towerdecomp import FormalProduct, TowerBuilder
 
+# Property tests draw from a fixed derandomized stream, so that every run of
+# the suite checks the same examples in bounded time.
+settings.register_profile(
+    "deterministic", derandomize=True, deadline=None, max_examples=25
+)
+settings.load_profile("deterministic")
 
-@pytest.fixture
-def tower_li():
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def li_tower():
     """log x, the logarithmic integral, log log x."""
     b = TowerBuilder(["t1", "t2", "t3"])
     t1 = b.gens[1]
     return b.log(b.x).prim(1 / t1).log(t1).build()
 
 
-@pytest.fixture
-def tower_nested():
+def nested_tower():
     """log x, log(x*t1), log((x+1)(t1+1)t2)."""
     b = TowerBuilder(["t1", "t2", "t3"])
     x, t1, t2 = b.x, b.gens[1], b.gens[2]
@@ -26,30 +34,56 @@ def tower_nested():
     )
 
 
-@pytest.fixture
-def tower_u():
+def u_tower():
     """log x, log(x+1), log u1."""
     b = TowerBuilder(["u1", "u2", "u3"])
     x, u1 = b.x, b.gens[1]
     return b.log(x).log(x + 1).log(u1).build()
 
 
+def coupled_tower():
+    """log x, log t1, log((x+1)*t1)."""
+    b = TowerBuilder(["t1", "t2", "t3"])
+    x, t1 = b.x, b.gens[1]
+    return b.log(x).log(t1).log(FormalProduct([(x + 1, 1), (t1, 1)])).build()
+
+
+@pytest.fixture
+def tower_li():
+    return li_tower()
+
+
+@pytest.fixture
+def tower_nested():
+    return nested_tower()
+
+
+@pytest.fixture
+def tower_u():
+    return u_tower()
+
+
 def random_element(T, rng, max_terms=3, max_exp=2, coeff_range=5):
     """Small random element: sparse numerator over a sparse denominator."""
-    gens = list(T.gens)
+    return random_fraction(T.F, rng, max_terms, max_exp, coeff_range)
+
+
+def random_fraction(F, rng, max_terms=3, max_exp=2, coeff_range=5):
+    """Small random element of the field F."""
+    gens = list(F.gens)
 
     def poly(allow_zero):
-        out = T.F.zero
+        out = F.zero
         for _ in range(rng.randint(1, max_terms)):
             c = rng.randint(-coeff_range, coeff_range)
             if not c:
                 continue
-            term = T.F.one * c
+            term = F.one * c
             for g in rng.sample(gens, rng.randint(0, min(2, len(gens)))):
                 term *= g ** rng.randint(1, max_exp)
             out += term
         if not allow_zero and not out:
-            out = T.F.one
+            out = F.one
         return out
 
     return poly(True) / poly(False)

@@ -1,7 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
+from sympy.polys.rings import PolyElement
 
+from towerdecomp import apply_homomorphism, embed_well_generated
 from towerdecomp.arith import (
     UniPoly,
     frac_to_unipair,
@@ -19,6 +23,8 @@ from towerdecomp.arith import (
     unipoly_resultant,
     unipoly_xgcd,
 )
+
+from conftest import nested_tower, random_element, random_fraction, seeds
 
 
 @pytest.fixture
@@ -126,3 +132,115 @@ def test_frac_to_unipair_lowest_terms(F2):
     num, den = frac_to_unipair((t1 + 1) / (x * t1), 1)
     assert num == UniPoly(F, 1, {1: F.one, 0: F.one})
     assert den == UniPoly(F, 1, {1: x * F.one})
+
+
+# -- property tests: substitute against term-by-term evaluation ---------------
+
+
+def termwise_substitute(f, target_field, values):
+    """Reference: every term evaluated as an auto-cancelled field element."""
+
+    def eval_poly(p):
+        out = target_field.zero
+        for mono, c in p.terms():
+            term = ground(target_field, to_fraction(c))
+            for i, e in enumerate(mono):
+                if e:
+                    term *= values[i] ** e
+            out += term
+        return out
+
+    den = eval_poly(f.denom)
+    if not den:
+        raise ZeroDivisionError("substitution maps denominator to zero")
+    return eval_poly(f.numer) / den
+
+
+def assert_same_substitution(f, target_field, values):
+    try:
+        expected = termwise_substitute(f, target_field, values)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            substitute(f, target_field, values)
+        return
+    got = substitute(f, target_field, values)
+    assert (got.numer, got.denom) == (expected.numer, expected.denom)
+
+
+SOURCE, _ = make_field(["x", "t1", "t2"])
+TARGET, _ = make_field(["x", "u1", "u2", "z"])
+
+
+@given(seed=seeds)
+def test_substitute_matches_termwise_on_rational_values(seed):
+    rng = random.Random(seed)
+    f = random_fraction(SOURCE, rng, max_terms=4, max_exp=3)
+    values = [random_fraction(TARGET, rng) for _ in SOURCE.gens]
+    assert_same_substitution(f, TARGET, values)
+
+
+@given(seed=seeds)
+def test_substitute_matches_termwise_on_shifted_generators(seed):
+    rng = random.Random(seed)
+    x, u1, u2, z = TARGET.gens
+    values = [x, u1 + random_fraction(TARGET, rng), u2 - z / (x + 1)]
+    f = random_fraction(SOURCE, rng, max_terms=4, max_exp=3)
+    assert_same_substitution(f, TARGET, values)
+
+
+@pytest.fixture(scope="module")
+def nested_embedding():
+    return embed_well_generated(nested_tower())
+
+
+@given(seed=seeds)
+def test_substitute_matches_termwise_on_embeddings(nested_embedding, seed):
+    E = nested_embedding
+    Ft = E.target.F
+    values = [Ft.gens[0]] + [img.value for img in E.images]
+    f = random_element(E.source, random.Random(seed))
+    assert_same_substitution(f, Ft, values)
+    assert apply_homomorphism(E, E.source.element(f)).value == substitute(f, Ft, values)
+
+
+@given(seed=seeds)
+def test_substitute_raises_when_the_denominator_vanishes(seed):
+    rng = random.Random(seed)
+    x, t1, t2 = SOURCE.gens
+    v = random_fraction(TARGET, rng)
+    if not v:
+        v = TARGET.one
+    num = random_fraction(SOURCE, rng) or SOURCE.one
+    for den, values in [
+        (t1 - t2, [TARGET.gens[0], v, v]),
+        (t1 * t2 - 1, [TARGET.gens[0], v, 1 / v]),
+        (x * t1**2 - t2, [v, 1 / v, 1 / v]),
+    ]:
+        with pytest.raises(ZeroDivisionError):
+            substitute(num / den, TARGET, values)
+        with pytest.raises(ZeroDivisionError):
+            termwise_substitute(num / den, TARGET, values)
+
+
+def test_substitute_cancels_once(monkeypatch):
+    rng = random.Random(5)
+    cases = [
+        (random_fraction(SOURCE, rng), [random_fraction(TARGET, rng) for _ in range(3)])
+        for _ in range(10)
+    ]
+    cases.append((SOURCE.zero, list(TARGET.gens[:3])))
+    calls = []
+    cancel = PolyElement.cancel
+
+    def counting(self, g):
+        calls.append(1)
+        return cancel(self, g)
+
+    monkeypatch.setattr(PolyElement, "cancel", counting)
+    for f, values in cases:
+        calls.clear()
+        try:
+            substitute(f, TARGET, values)
+        except ZeroDivisionError:
+            continue
+        assert len(calls) == 1

@@ -203,3 +203,22 @@ def test_render_latex_shape():
     T = parse_tower_file(LI_TOWER)
     x, t1 = T.gens[0], T.gens[1]
     assert render_latex(1 / t1**2, T.names) == "\\frac{1}{t1^{2}}"
+
+
+def test_exit_code_tower_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.tower"
+    path.write_bytes(b"var x\ngen t1 : log(x)  # \xe9\n")
+    assert main(["check", "--tower", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and "Traceback" not in err
+
+
+def test_exit_code_deeply_nested_expression(li_file, capsys):
+    depth = 5000
+    expr = "(" * depth + "x" + ")" * depth
+    assert main(["decomp", "--tower", li_file, "--expr", expr]) == 1
+    assert "nested deeper than" in capsys.readouterr().err
+    T = parse_tower_file(LI_TOWER)
+    x = T.gens[0]
+    assert parse_expression("(" * 100 + "x" + ")" * 100, T).value == x
+    assert parse_expression("-" * depth + "x", T).value == x

@@ -13,14 +13,12 @@ from towerdecomp import (
 )
 from towerdecomp.errors import NotLogarithmic, PreconditionCLIMI, TowerNotSPrimitive
 
-from conftest import random_element, random_log_tower
+from conftest import coupled_tower, random_element, random_log_tower
 
 
 @pytest.fixture
 def tower_coupled():
-    b = TowerBuilder(["t1", "t2", "t3"])
-    x, t1 = b.x, b.gens[1]
-    return b.log(x).log(t1).log(FormalProduct([(x + 1, 1), (t1, 1)])).build()
+    return coupled_tower()
 
 
 def test_associated_matrix_nested(tower_nested):

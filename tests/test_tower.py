@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
+from sympy.polys.rings import PolyElement
 
 from towerdecomp import (
     FormalProduct,
@@ -8,11 +11,25 @@ from towerdecomp import (
     TowerNotSPrimitive,
     ZeroArgument,
     differentiate,
+    embed_well_generated,
     log_derivative,
     normalize_generators,
+    normalize_tower,
     validate_s_primitive,
 )
 from towerdecomp.errors import HeadMonomialNotOne, TowerDecompError
+from towerdecomp.tower import PRIM, _prefix_tower
+
+from conftest import (
+    coupled_tower,
+    li_tower,
+    nested_tower,
+    random_element,
+    random_log_tower,
+    random_s_primitive_tower,
+    seeds,
+    u_tower,
+)
 
 
 def test_diff_on_li_tower(tower_li):
@@ -97,3 +114,89 @@ def test_differentiate_wrapper(tower_li):
     T = tower_li
     f = T.element(T.gens[1] ** 2)
     assert differentiate(f).value == 2 * T.gens[1] / T.gens[0]
+
+
+# -- property tests: Tower.diff against the chain rule ------------------------
+
+
+def chain_rule_diff(T, f):
+    """Reference derivation: d/dx plus one cancelled product per generator."""
+    out = f.diff(T.gens[0])
+    for i, d in enumerate(T.derivs, start=1):
+        p = f.diff(T.gens[i])
+        if p:
+            out += p * d
+    return out
+
+
+def assert_identical(a, b):
+    assert (a.numer, a.denom) == (b.numer, b.denom)
+
+
+PAPER_TOWERS = [li_tower(), nested_tower(), u_tower(), coupled_tower()]
+
+
+@pytest.fixture(scope="module")
+def embedding_targets():
+    """Targets of the nested tower and of two normalized random log towers,
+    with their generator derivatives as PRIM specs."""
+    rng = random.Random(7)
+    sources = [nested_tower()] + [
+        normalize_tower(random_log_tower(rng, n))[0] for n in (2, 3)
+    ]
+    targets = [embed_well_generated(T).target for T in sources]
+    return [(E, [(PRIM, d) for d in E.derivs]) for E in targets]
+
+
+@given(which=st.integers(0, len(PAPER_TOWERS) - 1), seed=seeds)
+def test_diff_matches_chain_rule_on_paper_towers(which, seed):
+    T = PAPER_TOWERS[which]
+    f = random_element(T, random.Random(seed), max_terms=4, max_exp=3)
+    assert_identical(T.diff(f), chain_rule_diff(T, f))
+
+
+@given(n=st.integers(1, 4), seed=seeds)
+def test_diff_matches_chain_rule_on_random_towers(n, seed):
+    rng = random.Random(seed)
+    T = random_s_primitive_tower(rng, n)
+    f = random_element(T, rng)
+    assert_identical(T.diff(f), chain_rule_diff(T, f))
+
+
+@given(data=st.data(), seed=seeds)
+def test_diff_matches_chain_rule_on_targets_and_prefixes(embedding_targets, data, seed):
+    E, specs = data.draw(st.sampled_from(embedding_targets))
+    k = data.draw(st.integers(0, E.n))
+    prefix = _prefix_tower(E.names, specs[:k], E.F)
+    f = random_element(E, random.Random(seed))
+    assert_identical(prefix.diff(f), chain_rule_diff(prefix, f))
+    if k == E.n:
+        assert_identical(prefix.diff(f), E.diff(f))
+
+
+@given(which=st.integers(0, len(PAPER_TOWERS) - 1), seed=seeds)
+def test_diff_obeys_leibniz_rule(which, seed):
+    T = PAPER_TOWERS[which]
+    rng = random.Random(seed)
+    f, g = random_element(T, rng), random_element(T, rng)
+    assert T.diff(f * g) == T.diff(f) * g + f * T.diff(g)
+    if g:
+        assert T.diff(f / g) == (T.diff(f) * g - f * T.diff(g)) / g**2
+
+
+def test_diff_cancels_once(monkeypatch, tower_nested, rng):
+    T = tower_nested
+    elements = [random_element(T, rng) for _ in range(10)] + [T.F.zero, T.F.one]
+    calls = []
+    cancel = PolyElement.cancel
+
+    def counting(self, g):
+        calls.append(1)
+        return cancel(self, g)
+
+    monkeypatch.setattr(PolyElement, "cancel", counting)
+    for f in elements:
+        calls.clear()
+        T.diff(f)
+        assert len(calls) == 1
+
