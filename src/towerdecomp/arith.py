@@ -109,9 +109,6 @@ class UniPoly:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash((self.v, tuple(sorted(self.coeffs.items(), key=lambda kv: kv[0]))))
-
     def __add__(self, other):
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
@@ -141,10 +138,6 @@ class UniPoly:
     def scale(self, c):
         """Multiply by a field element free of the main variable."""
         return UniPoly(self.F, self.v, {k: a * c for k, a in self.coeffs.items()})
-
-    def shift_mul(self, power: int):
-        """Multiply by v**power."""
-        return UniPoly(self.F, self.v, {k + power: c for k, c in self.coeffs.items()})
 
     def pow(self, e: int):
         out = UniPoly.constant(self.F, self.v, self.F.one)

@@ -100,6 +100,20 @@ def _render(value, T, latex=False):
     return (render_latex if latex else render_expression)(value, T.names)
 
 
+def _matrix_rows(matrix):
+    """The rendered entries of an associated matrix, one list per row, and
+    the plain-text line of each row."""
+    T = matrix.tower
+    rows = [
+        [
+            render_expression(matrix.entry(i, j).value, T.names)
+            for j in range(1, T.n + 1)
+        ]
+        for i in range(T.n)
+    ]
+    return rows, ["[ " + ", ".join(row) + " ]" for row in rows]
+
+
 def _emit(lines, payload, args):
     if args.as_json:
         print(json.dumps(payload, indent=2))
@@ -219,19 +233,12 @@ def _cmd_embed(args):
         out.append(f"phi({name}) = {rendered}")
         images_payload[name] = rendered
     if getattr(args, "show_matrix", False):
-        if args.as_latex:
-            out.append(render_matrix_latex(associated_matrix(normalized)))
-            out.append(render_matrix_latex(associated_matrix(emb.target)))
-        else:
-            for tower in (normalized, emb.target):
-                matrix = associated_matrix(tower)
-                for i in range(tower.n):
-                    row = [
-                        render_expression(matrix.entry(i, j).value, tower.names)
-                        for j in range(1, tower.n + 1)
-                    ]
-                    out.append("[ " + ", ".join(row) + " ]")
-                out.append("")
+        for tower in (normalized, emb.target):
+            matrix = associated_matrix(tower)
+            if args.as_latex:
+                out.append(render_matrix_latex(matrix))
+            else:
+                out += _matrix_rows(matrix)[1] + [""]
     payload = {
         "tower": render_tower_file(normalized),
         "target": render_tower_file(emb.target),
@@ -266,19 +273,8 @@ def _cmd_matrix(args):
     out = []
     T = _load_tower(args, out)
     matrix = associated_matrix(T)
-    rows = []
-    for i in range(T.n):
-        rows.append(
-            [
-                render_expression(matrix.entry(i, j).value, T.names)
-                for j in range(1, T.n + 1)
-            ]
-        )
-    if args.as_latex:
-        out.append(render_matrix_latex(matrix))
-    else:
-        for row in rows:
-            out.append("[ " + ", ".join(row) + " ]")
+    rows, lines = _matrix_rows(matrix)
+    out += [render_matrix_latex(matrix)] if args.as_latex else lines
     payload = {"tower": render_tower_file(T), "matrix": rows}
     _emit(out, payload, args)
     return 0

@@ -29,20 +29,17 @@ from .tower import Tower, TowerElement
 # -- constant-combination solver ------------------------------------------
 
 
-def _coeff_dict(e, den_frac):
-    """Coefficients of e*den_frac, a polynomial, as {monomial: Fraction}."""
-    p = e * den_frac
-    if not p.denom.is_ground:
-        raise InternalVerificationError("denominator clearing left a non-unit")
-    scale = to_fraction(p.denom.LC)
-    return {
-        mono: to_fraction(c) / scale for mono, c in p.numer.terms()
-    }
+def _coeff_dict(e, den):
+    """Coefficients of the polynomial e*den, as {monomial: Fraction}; den
+    must be a multiple of e's denominator."""
+    p = e.numer * den.exquo(e.denom)
+    return {mono: to_fraction(c) for mono, c in p.terms()}
 
 
 def solve_constant_combination_values(F, target, basis):
     """Rational constants (c_1, ..., c_k) with target = sum(c_j * basis_j),
-    or None.  Clears denominators and compares coefficients exactly."""
+    or None.  Clears denominators with their lcm and compares coefficients
+    exactly."""
     basis = list(basis)
     if not target:
         return [Fraction(0)] * len(basis)
@@ -50,10 +47,9 @@ def solve_constant_combination_values(F, target, basis):
         return None
     den = F.ring.one
     for e in [target] + basis:
-        den = den * e.denom
-    den_frac = F.raw_new(den, F.ring.one)
-    t_dict = _coeff_dict(target, den_frac)
-    b_dicts = [_coeff_dict(b, den_frac) for b in basis]
+        den = den.lcm(e.denom)
+    t_dict = _coeff_dict(target, den)
+    b_dicts = [_coeff_dict(b, den) for b in basis]
     monos = set(t_dict)
     for d in b_dicts:
         monos.update(d)
@@ -178,11 +174,13 @@ def _is_remainder_value(T, r):
     rest = r - pi_n
     if not rest:
         return True, ""
-    a = head_data_value(T, rest).hc
+    # pi_n(r) holds only the unit monomial, the lowest, so hm(rest) = hm(r)
+    head = head_data_value(T, rest)
+    a = head.hc
     ok, why = is_simple_value(T, a)
     if not ok:
         return False, f"head coefficient not simple: {why}"
-    m = indicator(head_data_value(T, r).hm, T.n)
+    m = indicator(head.hm, T.n)
     coeffs = solve_constant_combination_values(T.F, a, T.derivs[:m])
     if coeffs is not None and any(coeffs):
         return False, "head coefficient lies in the span of generator derivatives"

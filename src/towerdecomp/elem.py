@@ -31,8 +31,14 @@ from .arith import (
 )
 from .decomp import Decomposition, add_decomp_in_field, solve_constant_combination_values
 from .errors import InternalVerificationError, NotSimple
-from .hermite import tower_derivative_unipoly, _is_level_proper
-from .matryoshka import project_value
+from .hermite import tower_derivative_unipoly
+from .matryoshka import (
+    NOT_SQUAREFREE,
+    derivative_projections,
+    head_data_value,
+    not_simple_reason,
+    project_value,
+)
 from .tower import TowerElement
 
 YES = "yes"
@@ -52,14 +58,6 @@ class ElementaryVerdict:
     @property
     def remainder(self):
         return self.decomposition.r if self.decomposition else None
-
-
-def _check_level_simple(T, value, i):
-    if not _is_level_proper(T, value, i):
-        raise NotSimple(i)
-    _, den = frac_to_unipair(value, i)
-    if unipoly_gcd(den, den.formal_derivative()).degree > 0:
-        raise NotSimple(i, f"denominator not squarefree at level {i}")
 
 
 def _residue_analysis(T, value, i):
@@ -121,15 +119,11 @@ def _witness_from_roots(T, value, i, roots):
     p, q = frac_to_unipair(value, i)
     qd = tower_derivative_unipoly(T, q, i)
     items = []
-    combined = F.zero
     for c in roots:
         gk = unipoly_gcd(p - qd.scale(ground(F, c)), q)
-        if gk.degree <= 0:
-            continue
-        gfrac = gk.to_frac()
-        items.append((c, TowerElement(gfrac, T)))
-        combined += ground(F, c) * T.diff(gfrac) / gfrac
-    return items, combined
+        if gk.degree > 0:
+            items.append((c, TowerElement(gk.to_frac(), T)))
+    return items, T.diff_log_combination((arg.value, c) for c, arg in items)
 
 
 def recognize_log_derivative_combo(h: TowerElement, i: int):
@@ -140,7 +134,11 @@ def recognize_log_derivative_combo(h: TowerElement, i: int):
     T = h.tower
     if not h:
         return []
-    _check_level_simple(T, h.value, i)
+    why = not_simple_reason(T, h.value, i)
+    if why == NOT_SQUAREFREE:
+        raise NotSimple(i, f"denominator not squarefree at level {i}")
+    if why:
+        raise NotSimple(i)
     analysis = _residue_analysis(T, h.value, i)
     if analysis[0] == "nonconstant":
         return None
@@ -149,14 +147,6 @@ def recognize_log_derivative_combo(h: TowerElement, i: int):
     if combined == h.value:
         return items
     return UNDECIDED if not full else None
-
-
-def _significant_level(T, deriv):
-    proj = project_value(T, deriv)
-    for i in range(T.n, -1, -1):
-        if proj[i]:
-            return i
-    return -1
 
 
 def elementary_integrability(f: TowerElement) -> ElementaryVerdict:
@@ -168,8 +158,6 @@ def elementary_integrability(f: TowerElement) -> ElementaryVerdict:
     r = dec.r.value
     if not r:
         return ElementaryVerdict(YES, decomposition=dec)
-    from .matryoshka import head_data_value
-
     hm = head_data_value(T, r).hm
     if hm is not None and any(hm):
         return ElementaryVerdict(
@@ -178,7 +166,7 @@ def elementary_integrability(f: TowerElement) -> ElementaryVerdict:
             "of generator derivatives and logarithmic derivatives reaches it",
             decomposition=dec,
         )
-    sig = [_significant_level(T, d) for d in T.derivs]
+    cols, sig = derivative_projections(T)
     span = [Fraction(0)] * T.n
     witness = []
     leftover = r
@@ -187,7 +175,7 @@ def elementary_integrability(f: TowerElement) -> ElementaryVerdict:
         if not h:
             continue
         basis_idx = [j for j in range(T.n) if sig[j] == i]
-        basis_proj = [project_value(T, T.derivs[j])[i] for j in basis_idx]
+        basis_proj = [cols[j][i] for j in basis_idx]
 
         def try_span(target):
             nonlocal leftover
@@ -230,11 +218,9 @@ def elementary_integrability(f: TowerElement) -> ElementaryVerdict:
             )
     if leftover:
         raise InternalVerificationError("elementary residual did not vanish")
-    check = F.zero
+    check = T.diff_log_combination((arg.value, c) for c, arg in witness)
     for j, c in enumerate(span):
         check += ground(F, c) * T.derivs[j]
-    for c, arg in witness:
-        check += ground(F, c) * T.diff(arg.value) / arg.value
     if check != r:
         raise InternalVerificationError("elementary witness failed verification")
     return ElementaryVerdict(

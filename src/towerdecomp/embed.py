@@ -22,7 +22,7 @@ from .errors import (
     NotLogarithmic,
     PreconditionCLIMI,
 )
-from .matryoshka import project_value
+from .matryoshka import derivative_projections, project_value
 from .tower import (
     LOG,
     PRIM,
@@ -66,7 +66,7 @@ class Embedding:
 
 def associated_matrix(T: Tower) -> AssociatedMatrix:
     """Grid of projections of the generator derivatives."""
-    cols = [project_value(T, d) for d in T.derivs]
+    cols, _ = derivative_projections(T)
     rows = tuple(
         tuple(TowerElement(cols[j][i], T) for j in range(T.n))
         for i in range(T.n)
@@ -75,37 +75,45 @@ def associated_matrix(T: Tower) -> AssociatedMatrix:
 
 
 def significant_data(T: Tower) -> SignificantData:
-    sv = []
-    sc = []
-    for d in T.derivs:
-        proj = project_value(T, d)
-        level = max(i for i in range(T.n + 1) if proj[i])
-        sv.append(level)
-        sc.append(TowerElement(proj[level], T))
+    cols, sv = derivative_projections(T)
+    sc = (TowerElement(col[level], T) for col, level in zip(cols, sv))
     return SignificantData(tuple(sv), tuple(sc))
+
+
+def _scan_significant(T: Tower, cols, sv):
+    """First obstacle to well-generation among the significant components.
+
+    Returns (j, coeffs) for the first generator index j (0-based) whose
+    significant component is the constant combination coeffs of the earlier
+    ones; failing that (j, None) for the first j where the significant
+    vector decreases; None when there is neither.
+    """
+    sc = [col[level] for col, level in zip(cols, sv)]
+    for j in range(1, T.n):
+        coeffs = solve_constant_combination_values(T.F, sc[j], sc[:j])
+        if coeffs is not None:
+            return j, coeffs
+    for j in range(1, T.n):
+        if sv[j] < sv[j - 1]:
+            return j, None
+    return None
 
 
 def is_well_generated(T: Tower):
     """(ok, failing condition): Q-linear independence of the significant
     components, monotone significant vector, one nonzero entry per column."""
-    data = significant_data(T)
-    for j in range(1, T.n):
-        coeffs = solve_constant_combination_values(
-            T.F, data.sc[j].value, [s.value for s in data.sc[:j]]
-        )
+    cols, sv = derivative_projections(T)
+    found = _scan_significant(T, cols, sv)
+    if found is not None:
+        j, coeffs = found
         if coeffs is not None:
             return False, (
                 f"significant component of generator {j + 1} depends on "
                 "earlier ones"
             )
-    for j in range(1, T.n):
-        if data.sv[j] < data.sv[j - 1]:
-            return False, (
-                f"significant vector decreases at generator {j + 1}"
-            )
-    matrix = associated_matrix(T)
-    for j in range(1, T.n + 1):
-        count = sum(1 for i in range(T.n) if matrix.entry(i, j))
+        return False, f"significant vector decreases at generator {j + 1}"
+    for j, col in enumerate(cols, start=1):
+        count = sum(1 for i in range(T.n) if col[i])
         if count != 1:
             return False, f"column {j} has {count} nonzero entries, expected 1"
     return True, ""
@@ -139,59 +147,42 @@ def normalize_tower(T: Tower):
     current = T
     prev_sv = None
     while True:
-        data = significant_data(current)
-        if prev_sv is not None and not data.sv < prev_sv:
+        cols, sv = derivative_projections(current)
+        if prev_sv is not None and not sv < prev_sv:
             raise InternalVerificationError(
                 "significant vector failed to decrease"
             )
-        prev_sv = data.sv
-        dep = None
-        for j in range(1, current.n):
-            coeffs = solve_constant_combination_values(
-                current.F, data.sc[j].value, [s.value for s in data.sc[:j]]
-            )
-            if coeffs is not None:
-                dep = (j, coeffs)
-                break
-        if dep is not None:
-            j, coeffs = dep
-            # replace t_{j+1} by t_{j+1} - sum(c_k t_k); on arguments this is
-            # division by the corresponding powers
-            arg = current.generators[j].argument
-            for k, c in enumerate(coeffs):
-                if c:
-                    arg = arg.combine(current.generators[k].argument, -c)
-            names = [g.name for g in current.generators]
-            args = [g.argument for g in current.generators]
-            args[j] = arg
-            current = _rebuild(names, args, current.names[0])
-            current.ensure_s_primitive()
-            change_log.append(("eliminate", j + 1, tuple(coeffs)))
-            continue
-        swap = None
-        for j in range(1, current.n):
-            if data.sv[j] < data.sv[j - 1]:
-                swap = j
-                break
-        if swap is None:
+        prev_sv = sv
+        found = _scan_significant(current, cols, sv)
+        if found is None:
             break
+        j, coeffs = found
         names = [g.name for g in current.generators]
         args = [g.argument for g in current.generators]
-        names[swap - 1], names[swap] = names[swap], names[swap - 1]
-        args[swap - 1], args[swap] = args[swap], args[swap - 1]
-        # the swapped arguments live in the old coordinates; positions of the
-        # two generators trade places in the field as well
-        perm = list(current.F.gens)
-        perm[swap], perm[swap + 1] = perm[swap + 1], perm[swap]
-        args = [
-            FormalProduct(
-                [(substitute(base, current.F, perm), e) for base, e in a.factors]
-            )
-            for a in args
-        ]
+        if coeffs is not None:
+            # replace t_{j+1} by t_{j+1} - sum(c_k t_k); on arguments this is
+            # division by the corresponding powers
+            for k, c in enumerate(coeffs):
+                if c:
+                    args[j] = args[j].combine(args[k], -c)
+            step = ("eliminate", j + 1, tuple(coeffs))
+        else:
+            names[j - 1], names[j] = names[j], names[j - 1]
+            args[j - 1], args[j] = args[j], args[j - 1]
+            # the swapped arguments live in the old coordinates; positions of
+            # the two generators trade places in the field as well
+            perm = list(current.F.gens)
+            perm[j], perm[j + 1] = perm[j + 1], perm[j]
+            args = [
+                FormalProduct(
+                    [(substitute(base, current.F, perm), e) for base, e in a.factors]
+                )
+                for a in args
+            ]
+            step = ("swap", j)
         current = _rebuild(names, args, current.names[0])
         current.ensure_s_primitive()
-        change_log.append(("swap", swap))
+        change_log.append(step)
     return current, change_log
 
 
@@ -227,28 +218,24 @@ def embed_well_generated(T: Tower) -> Embedding:
     combination of earlier basis generators solving t_j' in the basis."""
     _require_logarithmic(T)
     T.ensure_s_primitive()
-    data = significant_data(T)
-    for j in range(1, T.n):
-        coeffs = solve_constant_combination_values(
-            T.F, data.sc[j].value, [s.value for s in data.sc[:j]]
-        )
-        if coeffs is not None:
+    cols, sv = derivative_projections(T)
+    found = _scan_significant(T, cols, sv)
+    if found is not None:
+        if found[1] is not None:
             raise PreconditionCLIMI(
                 "significant components are constant-linearly dependent; "
                 "run normalize_tower first"
             )
-        if data.sv[j] < data.sv[j - 1]:
-            raise PreconditionCLIMI(
-                "significant vector is not monotone; run normalize_tower first"
-            )
+        raise PreconditionCLIMI(
+            "significant vector is not monotone; run normalize_tower first"
+        )
     n = T.n
     F = T.F
-    matrix = [project_value(T, d) for d in T.derivs]  # matrix[j-1][i]
     basis = []
     position = {}  # (row, col) -> 1-based basis index
     for i in range(n):
         for j in range(i + 1, n + 1):
-            entry = matrix[j - 1][i]
+            entry = cols[j - 1][i]
             if not entry:
                 continue
             coeffs = solve_constant_combination_values(F, entry, basis)
@@ -260,7 +247,7 @@ def embed_well_generated(T: Tower) -> Embedding:
         raise InternalVerificationError("basis size out of range")
     ell = []
     for j in range(1, n + 1):
-        idx = position.get((data.sv[j - 1], j))
+        idx = position.get((sv[j - 1], j))
         if idx is None:
             raise InternalVerificationError(
                 "significant component did not enter the basis"
@@ -307,12 +294,8 @@ def embed_well_generated(T: Tower) -> Embedding:
             default=0,
         )
         arg = _recover_log_argument(prefix, val, level)
-        if arg is not None:
-            dval = Ft.zero
-            for base, e in arg.factors:
-                dval += ground(Ft, e) * prefix.diff(base) / base
-            if dval != val:
-                arg = None
+        if arg is not None and prefix.diff_log_combination(arg.factors) != val:
+            arg = None
         target_specs.append((LOG, arg) if arg is not None else (PRIM, val))
         prefix_specs.append((PRIM, val))
     target = Tower(Ft, [T.names[0]] + target_names, target_specs)

@@ -13,10 +13,10 @@ from __future__ import annotations
 from .arith import (
     UniPoly,
     frac_to_unipair,
+    free_of,
     ground,
     split_proper_poly,
     squarefree_decomposition,
-    unipoly_gcd,
     unipoly_xgcd,
 )
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     InternalVerificationError,
     NotProper,
 )
-from .arith import free_of
+from .matryoshka import NOT_SQUAREFREE, improper_reason, not_simple_reason
 from .tower import TowerElement
 
 
@@ -37,15 +37,6 @@ def tower_derivative_unipoly(T, p: UniPoly, level) -> UniPoly:
         d = T.F.one if level == 0 else T.derivs[level - 1]
         out = out + formal.scale(d)
     return out
-
-
-def _is_level_proper(T, f, level) -> bool:
-    if not f:
-        return True
-    if not free_of(f, range(level + 1, T.n + 1)):
-        return False
-    num, den = frac_to_unipair(f, level)
-    return num.degree < den.degree
 
 
 def hermite_reduce_proper_value(T, f, level):
@@ -70,7 +61,7 @@ def hermite_reduce_proper_value(T, f, level):
             g += c * x ** (k + 1) / (k + 1)
         gp, h = _hermite_core(T, proper, 0)
         return g + gp, h
-    if not _is_level_proper(T, f, level):
+    if improper_reason(T, f, level):
         raise NotProper(level)
     return _hermite_core(T, f, level)
 
@@ -110,11 +101,11 @@ def _hermite_core(T, f, level):
             A = A - U * tower_derivative_unipoly(T, B, level)
         D = U * V
     h = A.to_frac() / D.to_frac()
-    if h and not _is_level_proper(T, h, level):
-        raise InternalVerificationError("Hermite output is not proper")
-    _, hden = frac_to_unipair(h, level) if h else (None, None)
-    if h and unipoly_gcd(hden, hden.formal_derivative()).degree > 0:
+    why = not_simple_reason(T, h, level)
+    if why == NOT_SQUAREFREE:
         raise InternalVerificationError("Hermite output denominator not squarefree")
+    if why:
+        raise InternalVerificationError("Hermite output is not proper")
     return g, h
 
 

@@ -5,16 +5,18 @@ the i-th projection is a combination of monomials in the generators above
 level i whose coefficients are proper in t_i, and the 0-th projection is a
 polynomial in all generators over Q(x).  Head monomials, the element order
 used by the decomposition, and the simplicity predicate are all defined on
-top of these projections.  Monomials over t1..tn are exponent tuples; the
-comparison is pure lex with t1 below t2 below ... below tn, and None stands
-for the head monomial of the zero element (below everything).
+top of these projections; the level tests behind the predicate are shared
+with Hermite reduction and the residue method.  Monomials over t1..tn are
+exponent tuples; the comparison is pure lex with t1 below t2 below ...
+below tn, and None stands for the head monomial of the zero element (below
+everything).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arith import frac_to_unipair, split_proper_poly, unipoly_gcd
+from .arith import free_of, poly_to_unipoly, split_proper_poly, unipoly_gcd
 from .errors import TowerDecompError
 from .tower import Tower, TowerElement
 
@@ -22,6 +24,7 @@ LOWER = "lower"
 HIGHER = "higher"
 EQUAL = "equal"
 EQUAL_KEY = "equal-key"  # distinct elements sharing the same order key
+NOT_SQUAREFREE = "has a non-squarefree denominator"
 
 
 def mono_key(exps):
@@ -180,27 +183,55 @@ def compare_order(f: TowerElement, g: TowerElement) -> str:
     return EQUAL if f.value == g.value else EQUAL_KEY
 
 
+def improper_reason(T: Tower, f, level) -> str:
+    """Why f is not proper at its level, or "" when it is.
+
+    Proper at level i: free of t_{i+1}, ..., t_n, and the numerator's degree
+    in t_i below the denominator's (t_0 = x).  Zero is proper.
+    """
+    if not f:
+        return ""
+    if not free_of(f, range(level + 1, T.n + 1)):
+        return f"involves generators above level {level}"
+    if f.numer.degree(level) >= f.denom.degree(level):
+        return "is not proper at its level"
+    return ""
+
+
+def not_simple_reason(T: Tower, f, level) -> str:
+    """Why f is not simple at its level, or "" when it is.
+
+    Simple at level i: proper at level i (free of t_{i+1}, ..., t_n, and
+    proper in t_i) with a denominator squarefree in t_i.  Zero is simple.
+    """
+    why = improper_reason(T, f, level)
+    if why or not f:
+        return why
+    den = poly_to_unipoly(T.F, f.denom, level)
+    if unipoly_gcd(den, den.formal_derivative()).degree > 0:
+        return NOT_SQUAREFREE
+    return ""
+
+
 def is_simple_value(T: Tower, f):
-    """(ok, reason).  Simple means every projection is proper at its level
-    with a squarefree denominator there (t_0 = x)."""
-    proj = project_value(T, f)
-    for level, piece in enumerate(proj):
-        if not piece:
-            continue
-        higher = range(level + 1, T.n + 1)
-        for mono in list(piece.numer.monoms()) + list(piece.denom.monoms()):
-            if any(mono[i] for i in higher):
-                return False, (
-                    f"projection {level} involves generators above level {level}"
-                )
-        num, den = frac_to_unipair(piece, level)
-        if num.degree >= den.degree:
-            return False, f"projection {level} is not proper at its level"
-        dsqf = unipoly_gcd(den, den.formal_derivative())
-        if dsqf.degree > 0:
-            return False, f"projection {level} has a non-squarefree denominator"
+    """(ok, reason).  f is simple when each projection pi_i(f) is simple at
+    level i: free of t_{i+1}, ..., t_n, proper in t_i, and with a
+    denominator squarefree in t_i (t_0 = x)."""
+    for level, piece in enumerate(project_value(T, f)):
+        why = not_simple_reason(T, piece, level)
+        if why:
+            return False, f"projection {level} {why}"
     return True, ""
 
 
 def is_simple(f: TowerElement) -> bool:
     return is_simple_value(f.tower, f.value)[0]
+
+
+def derivative_projections(T: Tower):
+    """(cols, sv): cols[j-1] is project_value of t_j', and sv[j-1] its
+    significant level, the highest level with a nonzero projection (-1 when
+    t_j' = 0)."""
+    cols = [project_value(T, d) for d in T.derivs]
+    sv = [max((i for i, p in enumerate(col) if p), default=-1) for col in cols]
+    return cols, sv

@@ -181,9 +181,7 @@ class Tower:
                 argument = payload
                 for base, _ in argument.factors:
                     self._check_level(base, idx, f"argument of {names[idx]}")
-                deriv = self.F.zero
-                for base, exp in argument.factors:
-                    deriv += ground(self.F, exp) * self.diff(base) / base
+                deriv = self.diff_log_combination(argument.factors)
             else:
                 argument = None
                 deriv = payload
@@ -237,6 +235,13 @@ class Tower:
         out = p.diff(0) * self._L
         for i, m in self._multipliers:
             out += p.diff(i) * m
+        return out
+
+    def diff_log_combination(self, pairs):
+        """The derivative sum(c * b'/b) of sum(c * log b), for (b, c) pairs."""
+        out = self.F.zero
+        for base, exp in pairs:
+            out += ground(self.F, exp) * self.diff(base) / base
         return out
 
     def monomial_value(self, exps):

@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 from towerdecomp import (
     TowerBuilder,
@@ -11,10 +13,17 @@ from towerdecomp import (
     is_remainder,
     solve_constant_combination,
 )
+from towerdecomp.arith import solve_linear_system, to_fraction
 from towerdecomp.decomp import solve_constant_combination_values
 from towerdecomp.matryoshka import order_key, project
 
-from conftest import random_element, random_s_primitive_tower
+from conftest import (
+    li_tower,
+    random_element,
+    random_fraction,
+    random_s_primitive_tower,
+    seeds,
+)
 
 
 def test_solver_examples(tower_li):
@@ -32,6 +41,51 @@ def test_solver_examples(tower_li):
         T.element(3 / x - 2 / t1), [T.element(1 / x), T.element(1 / t1)]
     )
     assert got == [Fraction(3), Fraction(-2)]
+
+
+def _product_solver(F, target, basis):
+    """Reference solver: clears denominators with their full product, one
+    FracElement per element."""
+    basis = list(basis)
+    if not target:
+        return [Fraction(0)] * len(basis)
+    if not basis:
+        return None
+    den = F.ring.one
+    for e in [target] + basis:
+        den = den * e.denom
+    den_frac = F.raw_new(den, F.ring.one)
+
+    def coeffs(e):
+        p = e * den_frac
+        assert p.denom.is_ground
+        scale = to_fraction(p.denom.LC)
+        return {mono: to_fraction(c) / scale for mono, c in p.numer.terms()}
+
+    t_dict = coeffs(target)
+    b_dicts = [coeffs(b) for b in basis]
+    monos = sorted(set(t_dict).union(*b_dicts))
+    rows = [[d.get(m, Fraction(0)) for d in b_dicts] for m in monos]
+    rhs = [t_dict.get(m, Fraction(0)) for m in monos]
+    sol = solve_linear_system(rows, rhs)
+    return None if sol is None else [Fraction(c) for c in sol]
+
+
+@given(seed=seeds)
+def test_solver_matches_product_reference(seed):
+    rng = random.Random(seed)
+    F = li_tower().F
+    basis = [random_fraction(F, rng) for _ in range(rng.randint(1, 3))]
+    # a dependent element, so that free variables occur as well
+    basis.append(rng.randint(-3, 3) * basis[0] + rng.randint(-3, 3) * basis[-1])
+    rng.shuffle(basis)
+    combo = F.zero
+    for b in basis:
+        combo += Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * b
+    for target in (combo, random_fraction(F, rng), combo + basis[0] / 7):
+        got = solve_constant_combination_values(F, target, basis)
+        assert got == _product_solver(F, target, basis)
+    assert solve_constant_combination_values(F, combo, basis) is not None
 
 
 def test_running_example_decomposition(tower_li):

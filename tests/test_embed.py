@@ -119,6 +119,50 @@ def test_embed_requires_precondition(tower_coupled):
         embed_well_generated(tower_coupled)
 
 
+def test_non_monotone_significant_vector():
+    # log x, log t1, log(x+1): independent significant components, sv (0, 1, 0)
+    b = TowerBuilder(["t1", "t2", "t3"])
+    x, t1 = b.x, b.gens[1]
+    T = b.log(x).log(t1).log(x + 1).build()
+    assert T.validate_s_primitive().ok
+    assert significant_data(T).sv == (0, 1, 0)
+    assert is_well_generated(T) == (
+        False, "significant vector decreases at generator 3"
+    )
+    with pytest.raises(PreconditionCLIMI, match="not monotone"):
+        embed_well_generated(T)
+    T2, log = normalize_tower(T)
+    assert log == [("swap", 2)]
+    assert T2.names == ["x", "t1", "t3", "t2"]
+    assert significant_data(T2).sv == (0, 0, 1)
+    assert is_well_generated(T2) == (True, "")
+    E = embed_well_generated(T2)
+    assert [img.value for img in E.images] == list(E.target.gens[1:])
+
+
+def test_dependence_reported_before_decrease():
+    # sv (0, 1, 0, 1) decreases at generator 3, and the significant
+    # component 1/(x*t1) of generator 4 repeats that of generator 2
+    b = TowerBuilder(["t1", "t2", "t3", "t4"])
+    x, t1 = b.x, b.gens[1]
+    T = (
+        b.log(x).log(t1).log(x + 1)
+        .log(FormalProduct([(x + 2, 1), (t1, 1)]))
+        .build()
+    )
+    assert T.validate_s_primitive().ok
+    assert significant_data(T).sv == (0, 1, 0, 1)
+    assert is_well_generated(T) == (
+        False, "significant component of generator 4 depends on earlier ones"
+    )
+    with pytest.raises(PreconditionCLIMI, match="constant-linearly dependent"):
+        embed_well_generated(T)
+    T2, log = normalize_tower(T)
+    assert [step[0] for step in log] == ["eliminate", "swap", "swap"]
+    assert log[0] == ("eliminate", 4, (0, 1, 0))
+    assert is_well_generated(T2) == (True, "")
+
+
 def test_embed_identity_on_well_generated(tower_u):
     E = embed_well_generated(tower_u)
     assert E.w == 3
