@@ -8,11 +8,17 @@ structural.  Most field operations therefore run a multivariate gcd, the
 and ``Tower.diff``, build their numerator and denominator as plain
 polynomials (``PolyElement``) and cancel exactly once, in ``F.new``.
 
-On top of that this module provides recursive univariate views:
-a :class:`UniPoly` is a polynomial in one designated variable whose
-coefficients are field elements free of that variable.  All the classical
-univariate machinery (division, gcd, Yun squarefree decomposition, resultants)
-runs on these views with exact coefficient arithmetic.
+The univariate layer works the same way.  A :class:`UniPoly` is a
+polynomial in one designated variable v over the fraction field of the
+others, held as one fraction: a ring polynomial ``num`` over a ring polynomial
+``den`` free of v.  Division is pseudo-division of the numerators, with the
+power of the divisor's leading coefficient folded into the denominator, and
+one ``gcd`` reduces the pair after each division, ``monic`` or product, never
+per coefficient.  Yun's squarefree decomposition runs on the numerator with
+multivariate gcds and exact divisions, and the resultant is the
+fraction-free subresultant PRS on the numerators, divided by the
+denominators once.  Canonical field elements are built only for outputs,
+one ``F.new`` each.
 """
 
 from __future__ import annotations
@@ -57,118 +63,180 @@ def free_of(f, indices) -> bool:
     return True
 
 
-class UniPoly:
-    """Polynomial in one field variable with field-element coefficients.
+def _degree(p, v) -> int:
+    """Degree of the polynomial p in variable index v; -1 for zero."""
+    return p.degree(v) if p else -1
 
-    The coefficients must be free of the main variable; this is asserted at
-    construction.  Instances are treated as immutable.
+
+def _coeff(p, v, k):
+    """Coefficient of v**k in p, a polynomial free of v."""
+    return p.new({m[:v] + (0,) + m[v + 1:]: c for m, c in p.items() if m[v] == k})
+
+
+def _lc(p, v):
+    """Leading coefficient of p in v, a polynomial free of v."""
+    return _coeff(p, v, p.degree(v))
+
+
+def coeff_polys(p, v) -> dict:
+    """{k: coefficient of v**k in p}, each a polynomial free of v."""
+    buckets = {}
+    for mono, c in p.items():
+        buckets.setdefault(mono[v], {})[mono[:v] + (0,) + mono[v + 1:]] = c
+    return {k: p.new(d) for k, d in buckets.items()}
+
+
+def pseudo_divmod(N, D, v):
+    """Pseudo-division in v: (Q, R, L) with L*N = Q*D + R and deg_v R < deg_v D.
+
+    L is lc_v(D)**s for the number s of elimination steps, or 1 when lc_v(D)
+    is a rational constant, which divides exactly.  sympy's
+    ``PolyElement.pdiv`` and ``pquo`` return a wrong quotient for
+    multivariate input (for N = x*t2**3 + t1*t2 + 1, D = t1*t2**2 + x in t2
+    they give x*t1*t2 + 2*t1**2 where the quotient scaled by t1**2 =
+    lc_v(D)**(deg N - deg D + 1) is x*t1*t2), so the loop is written out
+    here; ``prem`` is correct.
+    """
+    ring = N.ring
+    dd = D.degree(v)
+    lc = _lc(D, v)
+    ground_lc = lc.is_ground
+    xv = ring.gens[v]
+    Q, R, L = ring.zero, N, ring.one
+    dr = _degree(R, v)
+    while dr >= dd:
+        lr = _coeff(R, v, dr)
+        if ground_lc:
+            term = lr.quo_ground(lc.LC) * xv ** (dr - dd)
+            Q += term
+            R -= term * D
+        else:
+            term = lr * xv ** (dr - dd)
+            Q = Q * lc + term
+            R = R * lc - term * D
+            L *= lc
+        dr = _degree(R, v)
+    return Q, R, L
+
+
+def _reduce(num, den):
+    """num/den in lowest terms, up to a rational constant: one gcd, skipped
+    when den is a constant."""
+    if not num:
+        return num, den.ring.one
+    if den.is_ground:
+        return num.quo_ground(den.LC), den.ring.one
+    _, num, den = num.cofactors(den)
+    return num, den
+
+
+class UniPoly:
+    """Polynomial in one field variable, held as one fraction num/den.
+
+    ``num`` is a polynomial of the field's ring and ``den`` a nonzero ring
+    polynomial free of the main variable ``v``; the UniPoly is num/den read as
+    a polynomial in v over the fraction field of the other variables.  The
+    pair need not be in lowest terms: sums and scalings keep the plain
+    cross-multiplied pair, while division, ``monic`` and products reduce it
+    with one ``gcd``.  ``coeffs``, ``lc`` and ``to_frac`` build
+    canonical field elements, one ``F.new`` each.  Instances are treated as
+    immutable.
     """
 
-    __slots__ = ("F", "v", "coeffs")
+    __slots__ = ("F", "v", "num", "den")
 
-    def __init__(self, F, v, coeffs=None):
+    def __init__(self, F, v, num, den=None):
         self.F = F
         self.v = v
-        cleaned = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if c:
-                    cleaned[k] = c
-        self.coeffs = cleaned
+        self.num = num
+        self.den = F.ring.one if den is None else den
 
     @classmethod
     def zero(cls, F, v):
-        return cls(F, v)
+        return cls(F, v, F.ring.zero)
 
     @classmethod
     def constant(cls, F, v, c):
-        return cls(F, v, {0: c})
+        """The constant polynomial c, a field element free of v."""
+        return cls(F, v, c.numer, c.denom)
 
     @classmethod
     def gen(cls, F, v):
-        return cls(F, v, {1: F.one})
+        return cls(F, v, F.ring.gens[v])
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def degree(self) -> int:
         # degree of the zero polynomial is -1 by convention
-        return max(self.coeffs) if self.coeffs else -1
+        return _degree(self.num, self.v)
+
+    @property
+    def coeffs(self) -> dict:
+        """{k: coefficient of v**k}, as canonical field elements."""
+        return {
+            k: self.F.new(c, self.den)
+            for k, c in coeff_polys(self.num, self.v).items()
+        }
 
     def lc(self):
-        return self.coeffs[self.degree] if self.coeffs else self.F.zero
+        if self.is_zero():
+            return self.F.zero
+        return self.F.new(_lc(self.num, self.v), self.den)
 
-    def coeff(self, k):
-        return self.coeffs.get(k, self.F.zero)
+    def _new(self, num, den):
+        return UniPoly(self.F, self.v, num, den)
 
     def __eq__(self, other):
         return (
             isinstance(other, UniPoly)
             and self.v == other.v
-            and self.coeffs == other.coeffs
+            and self.num * other.den == other.num * self.den
         )
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, self.F.zero) + c
-        return UniPoly(self.F, self.v, out)
+        if self.den == other.den:
+            return self._new(self.num + other.num, self.den)
+        return self._new(
+            self.num * other.den + other.num * self.den, self.den * other.den
+        )
 
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, self.F.zero) - c
-        return UniPoly(self.F, self.v, out)
+        return self + (-other)
 
     def __neg__(self):
-        return UniPoly(self.F, self.v, {k: -c for k, c in self.coeffs.items()})
+        return self._new(-self.num, self.den)
 
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
             return self.scale(other)
-        out = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                prod = c1 * c2
-                out[k] = out.get(k, self.F.zero) + prod
-        return UniPoly(self.F, self.v, out)
+        return self._new(*_reduce(self.num * other.num, self.den * other.den))
 
     def scale(self, c):
         """Multiply by a field element free of the main variable."""
-        return UniPoly(self.F, self.v, {k: a * c for k, a in self.coeffs.items()})
+        return self._new(self.num * c.numer, self.den * c.denom)
 
     def pow(self, e: int):
-        out = UniPoly.constant(self.F, self.v, self.F.one)
-        for _ in range(e):
-            out = out * self
-        return out
+        return self._new(self.num**e, self.den**e)
 
     def divmod(self, other):
-        """Exact euclidean division; coefficients live in a field."""
+        """Euclidean division over the coefficient field, as one
+        pseudo-division of the numerators: L*num = Q*other.num + R gives
+        quotient Q*other.den/(L*den) and remainder R/(L*den)."""
         if other.is_zero():
             raise ZeroDivisionError("UniPoly division by zero")
-        q = {}
-        rem = dict(self.coeffs)
-
-        def deg(d):
-            return max(d) if d else -1
-
-        dlc = other.lc()
-        dd = other.degree
-        while deg(rem) >= dd:
-            k = deg(rem)
-            c = rem[k] / dlc
-            q[k - dd] = c
-            for j, b in other.coeffs.items():
-                key = k - dd + j
-                val = rem.get(key, self.F.zero) - c * b
-                if val:
-                    rem[key] = val
-                elif key in rem:
-                    del rem[key]
-        return UniPoly(self.F, self.v, q), UniPoly(self.F, self.v, rem)
+        if other.degree == 0:
+            q = _reduce(self.num * other.den, self.den * other.num)
+            return self._new(*q), UniPoly.zero(self.F, self.v)
+        if self.degree < other.degree:
+            return UniPoly.zero(self.F, self.v), self
+        Q, R, L = pseudo_divmod(self.num, other.num, self.v)
+        den = L * self.den
+        return (
+            self._new(*_reduce(Q * other.den, den)),
+            self._new(*_reduce(R, den)),
+        )
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -179,25 +247,11 @@ class UniPoly:
     def monic(self):
         if self.is_zero():
             return self
-        inv = self.F.one / self.lc()
-        return self.scale(inv)
-
-    def formal_derivative(self):
-        """d/dv, ignoring any dependence of the coefficients on other variables."""
-        return UniPoly(
-            self.F, self.v, {k - 1: c * k for k, c in self.coeffs.items() if k}
-        )
-
-    def map_coeffs(self, fn):
-        return UniPoly(self.F, self.v, {k: fn(c) for k, c in self.coeffs.items()})
+        return self._new(*_reduce(self.num, _lc(self.num, self.v)))
 
     def to_frac(self):
         """Collapse back into a single field element."""
-        gen = self.F.gens[self.v]
-        out = self.F.zero
-        for k, c in self.coeffs.items():
-            out += c * gen**k
-        return out
+        return self.F.new(self.num, self.den)
 
     def __repr__(self):
         name = self.F.symbols[self.v]
@@ -209,23 +263,10 @@ class UniPoly:
         return " + ".join(parts)
 
 
-def poly_to_unipoly(F, p, v) -> UniPoly:
-    """View a sympy PolyElement as a UniPoly in variable index v."""
-    out = {}
-    for mono, c in p.terms():
-        k = mono[v]
-        rest = list(mono)
-        rest[v] = 0
-        coeff = F.ring.term_new(tuple(rest), c)
-        cur = out.get(k)
-        out[k] = (cur + coeff) if cur is not None else coeff
-    return UniPoly(F, v, {k: F.raw_new(c, F.ring.one) for k, c in out.items()})
-
-
 def frac_to_unipair(f, v):
     """Split a field element into (numerator, denominator) UniPolys in v."""
     F = f.field
-    return poly_to_unipoly(F, f.numer, v), poly_to_unipoly(F, f.denom, v)
+    return UniPoly(F, v, f.numer), UniPoly(F, v, f.denom)
 
 
 def split_proper_poly(f, v):
@@ -233,15 +274,16 @@ def split_proper_poly(f, v):
 
     ``proper`` is a field element whose numerator degree in v is below its
     denominator degree; ``poly`` is a UniPoly in v over the remaining
-    variables.  This is plain polynomial division of the univariate view.
+    variables.  One pseudo-division L*N = Q*D + R of f = N/D gives
+    proper = R/(L*D) and poly = Q/L; when D is free of v, poly = N/D.
     """
     F = f.field
-    num, den = frac_to_unipair(f, v)
-    if den.degree == 0:
-        return F.zero, num.scale(F.one / den.lc())
-    q, r = num.divmod(den)
-    proper = f - q.to_frac()
-    return proper, q
+    N, D = f.numer, f.denom
+    if D.degree(v) <= 0:
+        return F.zero, UniPoly(F, v, N, D)
+    Q, R, L = pseudo_divmod(N, D, v)
+    proper = F.new(R, L * D) if R else F.zero
+    return proper, UniPoly(F, v, Q, L)
 
 
 def poly_gcd(a, b, v):
@@ -258,10 +300,9 @@ def poly_gcd(a, b, v):
 def _as_unipoly(a, v) -> UniPoly:
     if isinstance(a, UniPoly):
         return a
-    num, den = frac_to_unipair(a, v)
-    if den.degree > 0:
+    if a.denom.degree(v) > 0:
         raise ValueError("denominator must be free of the gcd variable")
-    return num.scale(a.field.one / den.lc())
+    return UniPoly(a.field, v, a.numer, a.denom)
 
 
 def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -286,8 +327,8 @@ def unipoly_xgcd(a: UniPoly, b: UniPoly):
         t0, t1 = t1, t0 - q * t1
     if r0.is_zero():
         return r0, s0, t0
-    inv = F.one / r0.lc()
-    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
+    unit = UniPoly(F, v, _lc(r0.num, v), r0.den)
+    return r0 // unit, s0 // unit, t0 // unit
 
 
 def squarefree_decomposition(p, v):
@@ -295,59 +336,90 @@ def squarefree_decomposition(p, v):
 
     Returns a list of (monic factor, multiplicity) pairs with strictly
     increasing multiplicities such that p equals a unit times the product of
-    factor**multiplicity.  Rejects the zero polynomial.
+    factor**multiplicity.  Rejects the zero polynomial.  Runs on the
+    numerator polynomial with multivariate gcds and exact divisions: these
+    agree with the gcds over the coefficient field up to factors free of v,
+    so each factor is the same once made monic, at the end.
     """
-    poly = _as_unipoly(p, v)
-    if poly.is_zero():
+    u = _as_unipoly(p, v)
+    P = u.num
+    if not P:
         raise ValueError("squarefree decomposition of the zero polynomial")
-    poly = poly.monic()
-    if poly.degree == 0:
+    if P.degree(v) == 0:
         return []
-    dp = poly.formal_derivative()
-    g = unipoly_gcd(poly, dp)
-    out = []
-    if g.degree == 0:
-        return [(poly, 1)]
-    w = poly // g
-    y = dp // g
-    z = y - w.formal_derivative()
-    mult = 1
-    while not z.is_zero():
-        fac = unipoly_gcd(w, z)
-        if fac.degree > 0:
-            out.append((fac, mult))
-        w = w // fac
-        y = z // fac
-        z = y - w.formal_derivative()
-        mult += 1
-    if w.degree > 0:
-        out.append((w, mult))
-    return out
+    dP = P.diff(v)
+    g = P.gcd(dP)
+    w = P.exquo(g)
+    if g.degree(v) == 0:
+        out = [(w, 1)]
+    else:
+        out = []
+        z = dP.exquo(g) - w.diff(v)
+        mult = 1
+        while z:
+            fac = w.gcd(z)
+            if fac.degree(v) > 0:
+                out.append((fac, mult))
+            w = w.exquo(fac)
+            z = z.exquo(fac) - w.diff(v)
+            mult += 1
+        if w.degree(v) > 0:
+            out.append((w, mult))
+    return [(UniPoly(u.F, v, fac, _lc(fac, v)), m) for fac, m in out]
+
+
+def _subresultant(A, B, v):
+    """res_v(A, B) of two nonzero ring polynomials, by the subresultant
+    PRS (Cohen, *A Course in Computational Algebraic Number Theory*,
+    Alg. 3.3.7, without content removal); every division is exact.  sympy's
+    own top-level ``resultant(z - 1, z**3, z)`` gives -1 where the Sylvester
+    determinant gives 1, so it is not used."""
+    da, db = A.degree(v), B.degree(v)
+    s = 1
+    if da < db:
+        A, B, da, db = B, A, db, da
+        if da % 2 and db % 2:
+            s = -1
+    if db == 0:
+        return B**da * s
+    one = A.ring.one
+    g = h = one
+    while True:
+        delta = da - db
+        if da % 2 and db % 2:
+            s = -s
+        R = A.prem(B, v)
+        A, B = B, R.exquo(g * h**delta)
+        if not B:
+            return A.ring.zero
+        g = _lc(A, v)
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = (g**delta).exquo(h ** (delta - 1))
+        da, db = db, B.degree(v)
+        if db == 0:
+            break
+    # here deg B = 0 and da = deg A: h <- h^(1 - da) * lc(B)^da
+    res = B**da if da == 1 else (B**da).exquo(h ** (da - 1))
+    return res * s
 
 
 def unipoly_resultant(a: UniPoly, b: UniPoly):
-    """Resultant of two UniPolys via the euclidean recurrence.
+    """Resultant of two UniPolys, as a field element.
 
-    Coefficients live in a field, so plain remainder sequences are exact.
-    Returns a field element.
+    Fraction-free: the subresultant PRS runs on the numerators, and the
+    denominators come out once, res(a, b) = res(a.num, b.num) /
+    (a.den**deg b * b.den**deg a), with one cancel.
     """
     F = a.F
     da, db = a.degree, b.degree
     if da < 0 or db < 0:
         return F.zero
-    if da == 0 and db == 0:
-        return F.one
-    if da < db:
-        sign = F.one if (da * db) % 2 == 0 else -F.one
-        return sign * unipoly_resultant(b, a)
-    if db == 0:
-        return b.lc() ** da
-    r = a % b
-    dr = r.degree
-    if dr < 0:
+    res = _subresultant(a.num, b.num, a.v)
+    if not res:
         return F.zero
-    sign = F.one if (da * db) % 2 == 0 else -F.one
-    return sign * b.lc() ** (da - dr) * unipoly_resultant(b, r)
+    return F.new(res, a.den**db * b.den**da)
 
 
 def solve_linear_system(rows, rhs):

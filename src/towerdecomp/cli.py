@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 
+from .arith import substitute
 from .decomp import add_decomp_in_field, integrate_in_field
 from .elem import YES, elementary_integrability
 from .embed import (
@@ -18,6 +19,7 @@ from .embed import (
     associated_matrix,
     embed_well_generated,
     is_well_generated,
+    normalization_images,
     normalize_tower,
 )
 from .errors import (
@@ -77,6 +79,11 @@ def _build_parser():
 
 
 def _load_tower(args, out):
+    """(tower, read): the tower of the file, shifted when --normalize is
+    given, and read(expr), which parses an expression in the file's tower,
+    so that it means what the user wrote, and maps it into that tower.  The
+    shift replaced t_i by u_i = t_i - shift_i, so t_i goes to u_i + shift_i.
+    """
     with open(args.tower, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -84,16 +91,25 @@ def _load_tower(args, out):
             raise ExprSyntaxError(
                 f"{args.tower}: not UTF-8 text (byte {exc.start})"
             ) from None
-    tower = parse_tower_file(text)
+    user = parse_tower_file(text)
+    tower, images = user, None
     if args.normalize:
-        tower, shifts = normalize_generators(tower)
+        tower, shifts = normalize_generators(user)
+        images = [tower.gens[0]] + [tower.gens[i] + shift for i, shift in shifts]
         for i, shift in shifts:
             if shift:
                 out.append(
                     f"shift {tower.names[i]}: "
                     f"{render_expression(shift, tower.names)}"
                 )
-    return tower
+
+    def read(expr):
+        f = parse_expression(expr, user)
+        if images is None:
+            return f
+        return tower.element(substitute(f.value, tower.F, images))
+
+    return tower, read
 
 
 def _render(value, T, latex=False):
@@ -123,9 +139,9 @@ def _emit(lines, payload, args):
 
 def _cmd_decomp(args):
     out = []
-    T = _load_tower(args, out)
+    T, read = _load_tower(args, out)
     T.ensure_s_primitive()
-    f = parse_expression(args.expr, T)
+    f = read(args.expr)
     dec = add_decomp_in_field(f)
     if T.diff(dec.g.value) + dec.r.value != f.value:
         raise InternalVerificationError("printed decomposition failed to verify")
@@ -149,9 +165,9 @@ def _cmd_decomp(args):
 
 def _cmd_integrate(args):
     out = []
-    T = _load_tower(args, out)
+    T, read = _load_tower(args, out)
     T.ensure_s_primitive()
-    f = parse_expression(args.expr, T)
+    f = read(args.expr)
     res = integrate_in_field(f)
     if res.integrable:
         if T.diff(res.antiderivative.value) != f.value:
@@ -176,9 +192,9 @@ def _cmd_integrate(args):
 
 def _cmd_elementary(args):
     out = []
-    T = _load_tower(args, out)
+    T, read = _load_tower(args, out)
     T.ensure_s_primitive()
-    f = parse_expression(args.expr, T)
+    f = read(args.expr)
     verdict = elementary_integrability(f)
     out.append(f"elementary: {verdict.status}")
     witness_payload = []
@@ -215,7 +231,7 @@ def _cmd_elementary(args):
 
 def _cmd_embed(args):
     out = []
-    T = _load_tower(args, out)
+    T, read = _load_tower(args, out)
     T.ensure_s_primitive()
     normalized, change_log = normalize_tower(T)
     if change_log:
@@ -247,7 +263,10 @@ def _cmd_embed(args):
         "images": images_payload,
     }
     if args.expr is not None:
-        f = parse_expression(args.expr, normalized)
+        f = read(args.expr)
+        f = normalized.element(
+            substitute(f.value, normalized.F, normalization_images(normalized, change_log))
+        )
         image = apply_homomorphism(emb, f)
         dec = add_decomp_in_field(image)
         tgt = emb.target
@@ -271,7 +290,7 @@ def _cmd_embed(args):
 
 def _cmd_matrix(args):
     out = []
-    T = _load_tower(args, out)
+    T, _ = _load_tower(args, out)
     matrix = associated_matrix(T)
     rows, lines = _matrix_rows(matrix)
     out += [render_matrix_latex(matrix)] if args.as_latex else lines
@@ -282,7 +301,7 @@ def _cmd_matrix(args):
 
 def _cmd_check(args):
     out = []
-    T = _load_tower(args, out)
+    T, _ = _load_tower(args, out)
     result = T.validate_s_primitive()
     if result.ok:
         out.append("S-primitive: yes")

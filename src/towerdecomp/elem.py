@@ -19,11 +19,11 @@ import sympy
 
 from .arith import (
     UniPoly,
+    coeff_polys,
     frac_to_unipair,
     ground,
     is_ground,
     make_field,
-    poly_to_unipoly,
     substitute,
     to_fraction,
     unipoly_gcd,
@@ -72,12 +72,13 @@ def _residue_analysis(T, value, i):
     qd = tower_derivative_unipoly(T, q, i)
     Fz, zgens = make_field(T.names + ["_z"])
     z = zgens[-1]
-    lower = list(zgens[:-1])
 
     def lift(u):
-        return UniPoly(
-            Fz, u.v, {k: substitute(c, Fz, lower) for k, c in u.coeffs.items()}
-        )
+        # the ring of Fz is the ring of F with one more variable, last
+        def up(p):
+            return Fz.ring.from_dict({m + (0,): c for m, c in p.items()})
+
+        return UniPoly(Fz, u.v, up(u.num), up(u.den))
 
     P = lift(p) - lift(qd).scale(z)
     R = unipoly_resultant(P, lift(q))
@@ -85,15 +86,15 @@ def _residue_analysis(T, value, i):
         raise InternalVerificationError("residue resultant vanished")
     if any(mono[T.n + 1] for mono in R.denom.monoms()):
         raise InternalVerificationError("resultant denominator involves the root variable")
-    Rz = poly_to_unipoly(Fz, R.numer, T.n + 1)
-    lc = Rz.lc()
+    Rz = coeff_polys(R.numer, T.n + 1)
+    lc = Rz[max(Rz)]
     back = [g for g in F.gens] + [F.zero]  # the root variable never survives
     monic = {}
-    for k in range(Rz.degree + 1):
-        c = Rz.coeff(k) / lc
-        if not c:
+    for k in range(max(Rz) + 1):
+        if k not in Rz:
             monic[k] = Fraction(0)
             continue
+        c = Fz.new(Rz[k], lc)
         if not is_ground(c):
             cert = substitute(c, F, back)
             if not T.diff(cert):

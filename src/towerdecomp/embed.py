@@ -186,6 +186,39 @@ def normalize_tower(T: Tower):
     return current, change_log
 
 
+def normalization_images(normalized: Tower, change_log):
+    """The images in ``normalized`` of x, t_1, ..., t_n of the tower that
+    ``normalize_tower`` rewrote into it, a differential homomorphism.
+
+    An ("eliminate", j, coeffs) step replaced t_j by t_j - sum(c_k t_k), so
+    the old t_j goes to t_j + sum(c_k t_k); a ("swap", j) step exchanged the
+    generators at positions j and j + 1.  Both are linear, so the composite
+    sends each old generator to a rational combination of the new ones.
+    """
+    n = normalized.n
+    # rows[i][k]: coefficient of the current t_{k+1} in the image of t_{i+1}
+    rows = [[Fraction(int(i == k)) for k in range(n)] for i in range(n)]
+    for step in change_log:
+        if step[0] == "eliminate":
+            _, j, coeffs = step
+            for row in rows:
+                for k, c in enumerate(coeffs):
+                    row[k] += row[j - 1] * c
+        else:
+            j = step[1]
+            for row in rows:
+                row[j - 1], row[j] = row[j], row[j - 1]
+    F = normalized.F
+    images = [F.gens[0]]
+    for row in rows:
+        img = F.zero
+        for k, c in enumerate(row, start=1):
+            if c:
+                img += ground(F, c) * F.gens[k]
+        images.append(img)
+    return images
+
+
 def _recover_log_argument(prefix, value, level):
     """Try to express value as a combination of logarithmic derivatives; on
     success return the FormalProduct argument of the matching generator."""

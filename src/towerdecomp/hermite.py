@@ -29,14 +29,11 @@ from .tower import TowerElement
 
 
 def tower_derivative_unipoly(T, p: UniPoly, level) -> UniPoly:
-    """Derivation of a univariate view: coefficients differentiate in the
-    tower, the main variable contributes its generator derivative."""
-    out = p.map_coeffs(T.diff)
-    formal = p.formal_derivative()
-    if not formal.is_zero():
-        d = T.F.one if level == 0 else T.derivs[level - 1]
-        out = out + formal.scale(d)
-    return out
+    """Derivation of a univariate view in K_{level-1}[t_level]: the
+    coefficients differentiate in the tower, the main variable contributes
+    its generator derivative.  Built as one unreduced pair with the
+    derivation of K_level, whose denominator is free of t_level."""
+    return UniPoly(T.F, level, *T.diff_pair(p.num, p.den, level))
 
 
 def hermite_reduce_proper_value(T, f, level):
@@ -81,7 +78,7 @@ def _hermite_core(T, f, level):
         unit, rem = D.divmod(prod)
         if not rem.is_zero() or unit.degree != 0:
             raise InternalVerificationError("squarefree product mismatch")
-        A = A.scale(F.one / unit.lc())
+        A = A // unit
         D = prod
         if not sqf or sqf[-1][1] <= 1:
             break
@@ -96,11 +93,11 @@ def _hermite_core(T, f, level):
                     "repeated factor is not normal at its level"
                 )
             B = (sinv * (-(A % V))) % V
-            g += B.to_frac() / V.to_frac() ** j
+            g += F.new(B.num * V.den**j, B.den * V.num**j)
             A = (A + (B * U * Vd).scale(ground(F, j))) // V
             A = A - U * tower_derivative_unipoly(T, B, level)
         D = U * V
-    h = A.to_frac() / D.to_frac()
+    h = F.new(A.num * D.den, A.den * D.num)
     why = not_simple_reason(T, h, level)
     if why == NOT_SQUAREFREE:
         raise InternalVerificationError("Hermite output denominator not squarefree")

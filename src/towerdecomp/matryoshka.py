@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arith import free_of, poly_to_unipoly, split_proper_poly, unipoly_gcd
+from .arith import coeff_polys, free_of, pseudo_divmod
 from .errors import TowerDecompError
 from .tower import Tower, TowerElement
 
@@ -56,6 +56,8 @@ class HeadData:
     hm: tuple | None  # overall head monomial
     hc: object  # overall head coefficient (field element)
     index_set: frozenset
+    # the projections the head data was read from
+    proj: tuple = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True, order=True)
@@ -68,22 +70,44 @@ class OrderKey:
 
 
 def project_value(T: Tower, f) -> list:
-    """Projections (pi_0(f), ..., pi_n(f)) as raw field elements."""
-    n = T.n
-    proj = [T.F.zero for _ in range(n + 1)]
+    """Projections (pi_0(f), ..., pi_n(f)) as raw field elements.
 
-    def descend(e, level, mono):
+    The recursion runs on unreduced (numerator, denominator) pairs of
+    polynomials.  At level i one pseudo-division in t_i splits off the proper
+    part, and each coefficient of the quotient descends to level i - 1 over
+    the quotient's denominator, which is free of t_i.  Each level's pieces
+    are summed per distinct denominator as polynomials and become field
+    elements with one ``F.new`` per denominator.
+    """
+    F = T.F
+    gens = F.ring.gens
+    pieces = [{} for _ in range(T.n + 1)]  # per level: denominator -> numerator
+
+    def add(level, num, den):
+        acc = pieces[level]
+        acc[den] = acc[den] + num if den in acc else num
+
+    def descend(N, D, level, mono):
         if level == 0:
-            proj[0] += e * mono
+            add(0, N * mono, D)
             return
-        proper, poly = split_proper_poly(e, level)
-        if proper:
-            proj[level] += proper * mono
-        gen = T.gens[level]
-        for k, c in poly.coeffs.items():
-            descend(c, level - 1, mono * gen**k)
+        if D.degree(level) > 0:
+            Q, R, L = pseudo_divmod(N, D, level)
+            if R:
+                add(level, R * mono, L * D)
+            N, D = Q, L
+        for k, c in coeff_polys(N, level).items():
+            descend(c, D, level - 1, mono * gens[level] ** k)
 
-    descend(f, n, T.F.one)
+    if f:
+        descend(f.numer, f.denom, T.n, F.ring.one)
+    proj = []
+    for acc in pieces:
+        total = F.zero
+        for den, num in acc.items():
+            if num:
+                total += F.new(num, den)
+        proj.append(total)
     return proj
 
 
@@ -92,11 +116,13 @@ def project(f: TowerElement):
     return [TowerElement(p, T) for p in project_value(T, f.value)]
 
 
-def coefficient_map(T: Tower, piece, level) -> dict:
-    """Expand a projection at the given level into monomial -> coefficient.
+def _head_coefficient(T: Tower, piece, level):
+    """(head monomial, head coefficient) of a nonzero projection at level.
 
-    Keys are exponent tuples over t1..tn (entries at or below ``level`` are
-    zero); values are field elements free of the generators above ``level``.
+    The numerator's terms are keyed by their exponents of the generators
+    above ``level``; the head coefficient is the bucket of the highest key
+    over the projection's denominator, which must be free of those
+    generators.
     """
     n = T.n
     higher = range(level + 1, n + 1)
@@ -105,29 +131,22 @@ def coefficient_map(T: Tower, piece, level) -> dict:
             raise TowerDecompError(
                 "projection denominator involves higher generators"
             )
-    buckets = {}
-    ring = T.F.ring
+
+    def key(mono):
+        return tuple(mono[i] if i > level else 0 for i in range(1, n + 1))
+
+    top = max((key(m) for m in piece.numer.monoms()), key=mono_key)
+    if not any(top):
+        return top, piece
+    bucket = {}
     for mono, c in piece.numer.terms():
-        key = tuple(mono[i] if i in higher else 0 for i in range(1, n + 1))
-        low = list(mono)
-        for i in higher:
-            low[i] = 0
-        term = ring.term_new(tuple(low), c)
-        if key in buckets:
-            buckets[key] += term
-        else:
-            buckets[key] = term
-    den = piece.denom
-    out = {}
-    for key, num in buckets.items():
-        val = T.F.raw_new(num, ring.one) / T.F.raw_new(den, ring.one)
-        if val:
-            out[key] = val
-    return out
+        if key(mono) == top:
+            bucket[mono[: level + 1] + (0,) * (n - level)] = c
+    return top, T.F.new(piece.numer.new(bucket), piece.denom)
 
 
 def head_data_value(T: Tower, f) -> HeadData:
-    proj = project_value(T, f)
+    proj = tuple(project_value(T, f))
     hm_i = []
     hc_i = []
     for level, piece in enumerate(proj):
@@ -135,19 +154,18 @@ def head_data_value(T: Tower, f) -> HeadData:
             hm_i.append(None)
             hc_i.append(T.F.zero)
             continue
-        cmap = coefficient_map(T, piece, level)
-        top = max(cmap, key=mono_key)
+        top, hc = _head_coefficient(T, piece, level)
         hm_i.append(top)
-        hc_i.append(cmap[top])
+        hc_i.append(hc)
     present = [m for m in hm_i if m is not None]
     if not present:
-        return HeadData(tuple(hm_i), tuple(hc_i), None, T.F.zero, frozenset())
+        return HeadData(tuple(hm_i), tuple(hc_i), None, T.F.zero, frozenset(), proj)
     hm = max(present, key=mono_key)
     index_set = frozenset(i for i, m in enumerate(hm_i) if m == hm)
     hc = T.F.zero
     for i in index_set:
         hc += hc_i[i]
-    return HeadData(tuple(hm_i), tuple(hc_i), hm, hc, index_set)
+    return HeadData(tuple(hm_i), tuple(hc_i), hm, hc, index_set, proj)
 
 
 def head_data(f: TowerElement) -> HeadData:
@@ -207,8 +225,8 @@ def not_simple_reason(T: Tower, f, level) -> str:
     why = improper_reason(T, f, level)
     if why or not f:
         return why
-    den = poly_to_unipoly(T.F, f.denom, level)
-    if unipoly_gcd(den, den.formal_derivative()).degree > 0:
+    D = f.denom
+    if D.gcd(D.diff(level)).degree(level) > 0:
         return NOT_SQUAREFREE
     return ""
 

@@ -173,9 +173,10 @@ class Tower:
         # L = lcm of the denominators b_i of t_i' = a_i/b_i, and one
         # (i, a_i*L/b_i) per nonzero t_i'; L*p' is then a polynomial for
         # every polynomial p.  Extended per generator, since the derivative
-        # of a logarithmic generator needs the derivation of those below it.
-        self._L = F.ring.one
-        self._multipliers = []
+        # of a logarithmic generator needs the derivation of those below it;
+        # _levels[i] keeps the pair for t_1..t_i, free of t_i and above.
+        L, multipliers = F.ring.one, ()
+        self._levels = [(L, multipliers)]
         for idx, (kind, payload) in enumerate(specs, start=1):
             if kind == LOG:
                 argument = payload
@@ -191,11 +192,13 @@ class Tower:
             )
             self.derivs.append(deriv)
             if deriv:
-                L = self._L.lcm(deriv.denom)
-                scale = L.exquo(self._L)
-                self._multipliers = [(i, m * scale) for i, m in self._multipliers]
-                self._multipliers.append((idx, deriv.numer * L.exquo(deriv.denom)))
-                self._L = L
+                lcm = L.lcm(deriv.denom)
+                scale = lcm.exquo(L)
+                multipliers = tuple((i, m * scale) for i, m in multipliers) + (
+                    (idx, deriv.numer * lcm.exquo(deriv.denom)),
+                )
+                L = lcm
+            self._levels.append((L, multipliers))
 
     def _check_level(self, value, idx, what):
         if not free_of(value, range(idx, self.n + 1)):
@@ -217,25 +220,28 @@ class Tower:
         return self.F.zero
 
     def diff(self, f):
-        """The tower derivation ' = d/dx + sum(t_i' * d/dt_i), with one cancel.
+        """The tower derivation ' = d/dx + sum(t_i' * d/dt_i), with one cancel."""
+        return self.F.new(*self.diff_pair(f.numer, f.denom))
 
-        For f = N/D the numerator L*N'*D - N*L*D' and the denominator L*D^2
-        of f' (L*N' and L*D when D is a constant) are built as plain
-        polynomials and reduced to lowest terms once, by ``F.new``.
+    def diff_pair(self, N, D, level=None):
+        """(N/D)' as an unreduced pair of polynomials (num, den).
+
+        The numerator L*N'*D - N*L*D' and the denominator L*D^2 (L*N' and
+        L*D when D is a constant) are plain polynomials.  With ``level`` = i
+        the derivation of K_i is used, whose L is free of t_i and above; N/D
+        must then lie in K_i.
         """
-        N, D = f.numer, f.denom
-        if D.is_ground:
-            return self.F.new(self._scaled_diff(N), self._L * D)
-        return self.F.new(
-            self._scaled_diff(N) * D - N * self._scaled_diff(D), self._L * D**2
-        )
+        L, multipliers = self._levels[-1 if level is None else level]
 
-    def _scaled_diff(self, p):
-        """L*p' for a polynomial p, as a polynomial."""
-        out = p.diff(0) * self._L
-        for i, m in self._multipliers:
-            out += p.diff(i) * m
-        return out
+        def scaled(p):
+            out = p.diff(0) * L
+            for i, m in multipliers:
+                out += p.diff(i) * m
+            return out
+
+        if D.is_ground:
+            return scaled(N), L * D
+        return scaled(N) * D - N * scaled(D), L * D**2
 
     def diff_log_combination(self, pairs):
         """The derivative sum(c * b'/b) of sum(c * log b), for (b, c) pairs."""
@@ -322,7 +328,7 @@ def normalize_generators(T: Tower):
     the shifts expressed in the new coordinates.
     """
     from .hermite import hermite_reduce_proper_value
-    from .matryoshka import head_data_value, project_value
+    from .matryoshka import head_data_value
 
     builder = TowerBuilder(T.names[1:], base_name=T.names[0])
     shifts = []
@@ -339,10 +345,9 @@ def normalize_generators(T: Tower):
         hd = head_data_value(prefix, d_new)
         if hd.hm is not None and any(hd.hm):
             raise HeadMonomialNotOne(i)
-        proj = project_value(prefix, d_new)
         g_total = builder.F.zero
         h_total = builder.F.zero
-        for lvl, piece in enumerate(proj):
+        for lvl, piece in enumerate(hd.proj):
             if not piece:
                 continue
             b, h = hermite_reduce_proper_value(prefix, piece, lvl)

@@ -33,6 +33,12 @@ def F2():
     return F, gens
 
 
+def uni(f, v=1):
+    """The UniPoly in variable v of a field element whose denominator is
+    free of v."""
+    return UniPoly(f.field, v, f.numer, f.denom)
+
+
 def test_ground_and_fraction_conversion(F2):
     F, _ = F2
     v = ground(F, Fraction(3, 2))
@@ -52,19 +58,19 @@ def test_free_of(F2):
 def test_unipoly_divmod_and_gcd(F2):
     F, (x, t1, t2) = F2
     # (t1 - x)(t1 + 1) with remainder check against t1 - x
-    a = UniPoly(F, 1, {2: F.one, 1: 1 - x, 0: -x})
-    b = UniPoly(F, 1, {1: F.one, 0: -x})
+    a = uni(t1**2 + (1 - x) * t1 - x)
+    b = uni(t1 - x)
     q, r = a.divmod(b)
     assert r.is_zero()
-    assert q == UniPoly(F, 1, {1: F.one, 0: F.one})
+    assert q == uni(t1 + 1)
     g = unipoly_gcd(a, b)
     assert g == b.monic()
 
 
 def test_unipoly_xgcd_bezout(F2):
     F, (x, t1, t2) = F2
-    a = UniPoly(F, 1, {2: F.one, 0: -x})
-    b = UniPoly(F, 1, {1: F.one, 0: F.one})
+    a = uni(t1**2 - x)
+    b = uni(t1 + 1)
     g, s, t = unipoly_xgcd(a, b)
     assert (s * a + t * b) == g
     assert g.degree == 0 and g.lc() == F.one
@@ -87,7 +93,7 @@ def test_split_proper_poly(F2):
     f = t1 + x + 1 / (t1 - x)
     proper, poly = split_proper_poly(f, 1)
     assert proper == 1 / (t1 - x)
-    assert poly == UniPoly(F, 1, {1: F.one, 0: x * F.one})
+    assert poly == uni(t1 + x)
     # purely proper input
     proper2, poly2 = split_proper_poly(1 / t1, 1)
     assert proper2 == 1 / t1 and poly2.is_zero()
@@ -102,8 +108,8 @@ def test_poly_gcd_is_monic(F2):
 def test_resultant_of_linear_pair(F2):
     F, (x, t1, t2) = F2
     # res(t1 - a, t1 - b) = b - a up to the classical sign convention
-    a = UniPoly(F, 1, {1: F.one, 0: -x})
-    b = UniPoly(F, 1, {1: F.one, 0: x})
+    a = uni(t1 - x)
+    b = uni(t1 + x)
     res = unipoly_resultant(a, b)
     assert res == 2 * x
     # common root gives zero
@@ -130,8 +136,8 @@ def test_substitute(F2):
 def test_frac_to_unipair_lowest_terms(F2):
     F, (x, t1, t2) = F2
     num, den = frac_to_unipair((t1 + 1) / (x * t1), 1)
-    assert num == UniPoly(F, 1, {1: F.one, 0: F.one})
-    assert den == UniPoly(F, 1, {1: x * F.one})
+    assert num == uni(t1 + 1)
+    assert den == uni(x * t1)
 
 
 # -- property tests: substitute against term-by-term evaluation ---------------

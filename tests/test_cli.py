@@ -177,6 +177,32 @@ def test_normalize_flag(tmp_path, capsys):
     assert "g = t2" in out
 
 
+def test_normalize_flag_reads_expr_in_the_file_tower(tmp_path, capsys):
+    # the shift makes u2 = t2 + x/t1, so the file's t2 is u2 - x/t1
+    path = tmp_path / "ns.tower"
+    path.write_text("var x\ngen t1 : log(x)\ngen t2 : prim 1/t1^2\n")
+    args = ["decomp", "--tower", str(path), "--expr", "t2", "--normalize", "--json"]
+    assert main(args) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["input"] == "(-x + t1*t2)/(t1)"
+    assert payload["g"] == "x*t2" and payload["r"] == "(-2*x)/(t1)"
+
+
+def test_embed_expr_keeps_its_meaning_after_normalization(tmp_path, capsys):
+    # normalize_tower rewrites t3 = log((x+1)*t1) as t3 - t2 = log(x+1) and
+    # moves it below t2; --expr still means the file's generators
+    path = tmp_path / "coupled.tower"
+    path.write_text(
+        "var x\ngen t1 : log(x)\ngen t2 : log(t1)\ngen t3 : log((x+1)*t1)\n"
+    )
+    assert main(["embed", "--tower", str(path), "--expr", "t3"]) == 0
+    out = capsys.readouterr().out
+    assert "normalization steps: 2" in out
+    assert "phi(f) = u2 + u3" in out
+    assert main(["embed", "--tower", str(path), "--expr", "t3 - t2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["image"] == "u2"
+
+
 def test_latex_output(li_file, capsys):
     assert main(
         ["decomp", "--tower", li_file, "--expr", "1/t1^2", "--latex"]

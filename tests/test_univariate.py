@@ -1,0 +1,522 @@
+"""The univariate layer on polynomial numerators, against references.
+
+The reference implementations below are the earlier ones: a UniPoly whose
+coefficients are auto-cancelled field elements, plain field division, and
+projections built coefficient by coefficient.  Every kernel must agree with
+them exactly, numerator and denominator.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from sympy.polys.rings import PolyElement
+
+from towerdecomp.arith import (
+    UniPoly,
+    ground,
+    make_field,
+    pseudo_divmod,
+    split_proper_poly,
+    squarefree_decomposition,
+    unipoly_gcd,
+    unipoly_resultant,
+    unipoly_xgcd,
+)
+from towerdecomp.matryoshka import head_data_value, not_simple_reason, project_value
+from towerdecomp.tower import normalize_generators
+
+from conftest import (
+    coupled_tower,
+    li_tower,
+    nested_tower,
+    random_element,
+    random_log_tower,
+    seeds,
+    u_tower,
+)
+
+
+# -- reference: UniPoly over field-element coefficients ----------------------
+
+
+class RefUniPoly:
+    """Polynomial in one field variable with field-element coefficients."""
+
+    def __init__(self, F, v, coeffs=None):
+        self.F = F
+        self.v = v
+        self.coeffs = {k: c for k, c in (coeffs or {}).items() if c}
+
+    def is_zero(self):
+        return not self.coeffs
+
+    @property
+    def degree(self):
+        return max(self.coeffs) if self.coeffs else -1
+
+    def lc(self):
+        return self.coeffs[self.degree] if self.coeffs else self.F.zero
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, self.F.zero) + c
+        return RefUniPoly(self.F, self.v, out)
+
+    def __sub__(self, other):
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, self.F.zero) - c
+        return RefUniPoly(self.F, self.v, out)
+
+    def __mul__(self, other):
+        out = {}
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in other.coeffs.items():
+                out[k1 + k2] = out.get(k1 + k2, self.F.zero) + c1 * c2
+        return RefUniPoly(self.F, self.v, out)
+
+    def scale(self, c):
+        return RefUniPoly(self.F, self.v, {k: a * c for k, a in self.coeffs.items()})
+
+    def divmod(self, other):
+        q = {}
+        rem = dict(self.coeffs)
+        dlc, dd = other.lc(), other.degree
+        while rem and max(rem) >= dd:
+            k = max(rem)
+            c = rem[k] / dlc
+            q[k - dd] = c
+            for j, b in other.coeffs.items():
+                val = rem.get(k - dd + j, self.F.zero) - c * b
+                if val:
+                    rem[k - dd + j] = val
+                else:
+                    rem.pop(k - dd + j, None)
+        return RefUniPoly(self.F, self.v, q), RefUniPoly(self.F, self.v, rem)
+
+    def __floordiv__(self, other):
+        return self.divmod(other)[0]
+
+    def __mod__(self, other):
+        return self.divmod(other)[1]
+
+    def monic(self):
+        return self.scale(self.F.one / self.lc()) if self.coeffs else self
+
+    def formal_derivative(self):
+        return RefUniPoly(
+            self.F, self.v, {k - 1: c * k for k, c in self.coeffs.items() if k}
+        )
+
+
+def ref_poly_to_unipoly(F, p, v):
+    out = {}
+    for mono, c in p.terms():
+        rest = list(mono)
+        rest[v] = 0
+        term = F.ring.term_new(tuple(rest), c)
+        out[mono[v]] = out[mono[v]] + term if mono[v] in out else term
+    return RefUniPoly(F, v, {k: F.raw_new(c, F.ring.one) for k, c in out.items()})
+
+
+def ref_split_proper_poly(f, v):
+    F = f.field
+    num = ref_poly_to_unipoly(F, f.numer, v)
+    den = ref_poly_to_unipoly(F, f.denom, v)
+    if den.degree == 0:
+        return F.zero, num.scale(F.one / den.lc())
+    q, _ = num.divmod(den)
+    gen = F.gens[v]
+    qf = F.zero
+    for k, c in q.coeffs.items():
+        qf += c * gen**k
+    return f - qf, q
+
+
+def ref_unipoly_gcd(a, b):
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def ref_unipoly_xgcd(a, b):
+    F, v = a.F, a.v
+    one, zero = RefUniPoly(F, v, {0: F.one}), RefUniPoly(F, v)
+    r0, r1, s0, s1, t0, t1 = a, b, one, zero, zero, one
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0.is_zero():
+        return r0, s0, t0
+    inv = F.one / r0.lc()
+    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
+
+
+def ref_squarefree_decomposition(poly):
+    poly = poly.monic()
+    if poly.degree == 0:
+        return []
+    dp = poly.formal_derivative()
+    g = ref_unipoly_gcd(poly, dp)
+    if g.degree == 0:
+        return [(poly, 1)]
+    out = []
+    w = poly // g
+    z = dp // g - w.formal_derivative()
+    mult = 1
+    while not z.is_zero():
+        fac = ref_unipoly_gcd(w, z)
+        if fac.degree > 0:
+            out.append((fac, mult))
+        w = w // fac
+        z = z // fac - w.formal_derivative()
+        mult += 1
+    if w.degree > 0:
+        out.append((w, mult))
+    return out
+
+
+def ref_unipoly_resultant(a, b):
+    F = a.F
+    da, db = a.degree, b.degree
+    if da < 0 or db < 0:
+        return F.zero
+    if da == 0 and db == 0:
+        return F.one
+    sign = F.one if (da * db) % 2 == 0 else -F.one
+    if da < db:
+        return sign * ref_unipoly_resultant(b, a)
+    if db == 0:
+        return b.lc() ** da
+    r = a % b
+    if r.degree < 0:
+        return F.zero
+    return sign * b.lc() ** (da - r.degree) * ref_unipoly_resultant(b, r)
+
+
+def ref_project_value(T, f):
+    proj = [T.F.zero for _ in range(T.n + 1)]
+
+    def descend(e, level, mono):
+        if level == 0:
+            proj[0] += e * mono
+            return
+        proper, poly = ref_split_proper_poly(e, level)
+        if proper:
+            proj[level] += proper * mono
+        for k, c in poly.coeffs.items():
+            descend(c, level - 1, mono * T.gens[level] ** k)
+
+    descend(f, T.n, T.F.one)
+    return proj
+
+
+def ref_head_coefficients(T, f):
+    """(per-level head monomials, per-level head coefficients), the head
+    coefficient read from the map of every monomial to its coefficient."""
+    n = T.n
+    hm_i, hc_i = [], []
+    for level, piece in enumerate(ref_project_value(T, f)):
+        if not piece:
+            hm_i.append(None)
+            hc_i.append(T.F.zero)
+            continue
+        higher = range(level + 1, n + 1)
+        buckets = {}
+        for mono, c in piece.numer.terms():
+            key = tuple(mono[i] if i in higher else 0 for i in range(1, n + 1))
+            low = tuple(0 if i in higher else e for i, e in enumerate(mono))
+            term = T.F.ring.term_new(low, c)
+            buckets[key] = buckets[key] + term if key in buckets else term
+        cmap = {
+            key: T.F.raw_new(num, T.F.ring.one) / T.F.raw_new(piece.denom, T.F.ring.one)
+            for key, num in buckets.items()
+        }
+        top = max(cmap, key=lambda m: tuple(reversed(m)))
+        hm_i.append(top)
+        hc_i.append(cmap[top])
+    return hm_i, hc_i
+
+
+# -- helpers -----------------------------------------------------------------
+
+# The references are the slow implementations that the kernels replace, so
+# the comparisons that run them on whole towers or on Euclid sequences draw
+# fewer examples than the profile's default.
+REFERENCE_EXAMPLES = settings(max_examples=10)
+
+
+def exact(f):
+    return (f.numer, f.denom)
+
+
+def same_poly(new, ref):
+    """A UniPoly and a reference UniPoly hold the same canonical coefficients."""
+    got = {k: exact(c) for k, c in new.coeffs.items()}
+    return got == {k: exact(c) for k, c in ref.coeffs.items()}
+
+
+def ref_from(u):
+    """The reference view of a UniPoly."""
+    return RefUniPoly(u.F, u.v, u.coeffs)
+
+
+F3, (X, T1, T2) = make_field(["x", "t1", "t2"])
+
+
+def random_coeff(rng, v, allow_zero=True):
+    """A small random field element of F3 free of the variable v: a sparse
+    numerator of degree at most 1 in each variable over 1 or g + c."""
+    gens = [g for i, g in enumerate(F3.gens) if i != v]
+    num = F3.zero
+    for _ in range(rng.randint(1, 2)):
+        term = F3.one * rng.randint(-3, 3)
+        if rng.random() < 0.5:
+            term *= rng.choice(gens)
+        num += term
+    if not (num or allow_zero):
+        num = F3.one
+    if rng.random() < 0.5:
+        return num
+    return num / (rng.choice(gens) + rng.randint(1, 3))
+
+
+def random_unipoly(rng, v, degree):
+    gen = F3.gens[v]
+    f = F3.zero
+    for k in range(degree + 1):
+        f += random_coeff(rng, v, allow_zero=k < degree) * gen**k
+    if not f:
+        f = gen**degree
+    return UniPoly(F3, v, f.numer, f.denom)
+
+
+def paper_and_random_element(seed):
+    rng = random.Random(seed)
+    towers = [li_tower(), nested_tower(), u_tower(), coupled_tower()]
+    T = rng.choice(towers + [random_log_tower(rng, rng.randint(1, 3))])
+    return T, random_element(T, rng)
+
+
+# -- pseudo-division -----------------------------------------------------------
+
+
+def test_pseudo_division_counterexample():
+    # sympy's pquo gives x*t1*t2 + 2*t1**2 here; the quotient is x*t1*t2
+    N = (X * T2**3 + T1 * T2 + 1).numer
+    D = (T1 * T2**2 + X).numer
+    Q, R, L = pseudo_divmod(N, D, 2)
+    assert L * N == Q * D + R and R.degree(2) < D.degree(2)
+    # scaled to lc(D)**(deg N - deg D + 1) = t1**2 as in pquo's convention
+    assert Q * (T1**2).numer.exquo(L) == (X * T1 * T2).numer
+
+
+@given(seed=seeds)
+def test_pseudo_division_identity(seed):
+    rng = random.Random(seed)
+    v = rng.randint(0, 2)
+    N = random_unipoly(rng, v, rng.randint(0, 4)).num
+    D = random_unipoly(rng, v, rng.randint(1, 3)).num
+    Q, R, L = pseudo_divmod(N, D, v)
+    assert L * N == Q * D + R
+    assert (R.degree(v) if R else -1) < D.degree(v)
+    assert L.degree(v) <= 0 and Q.degree(v) <= max(N.degree(v) - D.degree(v), 0)
+
+
+# -- projections and splitting -----------------------------------------------
+
+
+@REFERENCE_EXAMPLES
+@given(seed=seeds)
+def test_split_proper_poly_matches_reference(seed):
+    T, f = paper_and_random_element(seed)
+    for f in [f, T.diff(f)]:
+        for v in range(T.n + 1):
+            proper, poly = split_proper_poly(f, v)
+            ref_proper, ref_poly = ref_split_proper_poly(f, v)
+            assert exact(proper) == exact(ref_proper)
+            assert same_poly(poly, ref_poly)
+
+
+@REFERENCE_EXAMPLES
+@given(seed=seeds)
+def test_projections_and_head_data_match_reference(seed):
+    T, f = paper_and_random_element(seed)
+    for f in [f, T.diff(f), f * T.gens[-1] ** 2]:
+        proj = project_value(T, f)
+        assert [exact(p) for p in proj] == [exact(p) for p in ref_project_value(T, f)]
+        hd = head_data_value(T, f)
+        hm_i, hc_i = ref_head_coefficients(T, f)
+        assert list(hd.hm_i) == hm_i
+        assert [exact(c) for c in hd.hc_i] == [exact(c) for c in hc_i]
+        assert [exact(p) for p in hd.proj] == [exact(p) for p in proj]
+
+
+# -- gcd, xgcd, squarefree decomposition and resultant ----------------------
+
+
+@REFERENCE_EXAMPLES
+@given(seed=seeds)
+def test_gcd_and_xgcd_match_reference(seed):
+    rng = random.Random(seed)
+    v = rng.randint(1, 2)
+    common = random_unipoly(rng, v, rng.randint(0, 1))
+    a = random_unipoly(rng, v, rng.randint(0, 2)) * common
+    b = random_unipoly(rng, v, rng.randint(0, 2)) * common
+    assert same_poly(unipoly_gcd(a, b), ref_unipoly_gcd(ref_from(a), ref_from(b)))
+    got = unipoly_xgcd(a, b)
+    ref = ref_unipoly_xgcd(ref_from(a), ref_from(b))
+    for u, r in zip(got, ref):
+        assert same_poly(u, r)
+    g, s, t = got
+    assert s * a + t * b == g
+
+
+@REFERENCE_EXAMPLES
+@given(seed=seeds)
+def test_squarefree_decomposition_matches_reference(seed):
+    rng = random.Random(seed)
+    v = rng.randint(1, 2)
+    p = UniPoly.constant(F3, v, random_coeff(rng, v, allow_zero=False))
+    for mult in rng.choice([[1], [2], [3], [1, 2], [1, 3], [2, 1]]):
+        p = p * random_unipoly(rng, v, 1).pow(mult)
+    got = squarefree_decomposition(p, v)
+    ref = ref_squarefree_decomposition(ref_from(p))
+    assert [m for _, m in got] == [m for _, m in ref]
+    for (fac, _), (ref_fac, _) in zip(got, ref):
+        assert same_poly(fac, ref_fac)
+
+
+def sylvester_resultant(a, b):
+    """Determinant of the Sylvester matrix, by elimination over the field."""
+    F = a.F
+    m, n = a.degree, b.degree
+    if m == 0 and n == 0:
+        return F.one
+    ca, cb = a.coeffs, b.coeffs
+    size = m + n
+    rows = [[ca.get(m - (c - r), F.zero) for c in range(size)] for r in range(n)]
+    rows += [[cb.get(n - (c - r), F.zero) for c in range(size)] for r in range(m)]
+    det = F.one
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            return F.zero
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, size):
+            if rows[r][col]:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def test_resultant_sign_of_degrees_one_and_three():
+    z = UniPoly.gen(F3, 2)
+    one = UniPoly.constant(F3, 2, F3.one)
+    a, b = z - one, z.pow(3)
+    assert unipoly_resultant(a, b) == F3.one == sylvester_resultant(a, b)
+    assert unipoly_resultant(b, a) == -F3.one == sylvester_resultant(b, a)
+
+
+@given(seed=seeds)
+def test_resultant_matches_reference_and_sylvester(seed):
+    rng = random.Random(seed)
+    v = rng.randint(1, 2)
+    a = random_unipoly(rng, v, rng.randint(0, 3))
+    b = random_unipoly(rng, v, rng.randint(0, 2))
+    if rng.random() < 0.2:
+        b = b * random_unipoly(rng, v, 1) if a.degree < 1 else a * b
+    res = unipoly_resultant(a, b)
+    assert exact(res) == exact(ref_unipoly_resultant(ref_from(a), ref_from(b)))
+    assert res == sylvester_resultant(a, b)
+
+
+# -- cancel counts -------------------------------------------------------------
+
+
+@pytest.fixture
+def cancels(monkeypatch):
+    calls = []
+    cancel = PolyElement.cancel
+
+    def counting(self, g):
+        calls.append(1)
+        return cancel(self, g)
+
+    monkeypatch.setattr(PolyElement, "cancel", counting)
+    return calls
+
+
+def test_squarefree_test_runs_no_cancel(cancels):
+    T = li_tower()
+    x, t1, t2, t3 = T.gens
+    cases = [
+        (1 / (t1 * t2), 2),
+        (1 / (t2 + x) ** 2, 2),
+        ((t1 + 1) / ((t1 - x) ** 3 * (t1 + 2)), 1),
+        (1 / (x**2 - 1), 0),
+        (1 / x**2, 0),
+    ]
+    reasons = []
+    for f, level in cases:
+        cancels.clear()
+        reasons.append(not_simple_reason(T, f, level))
+        assert not cancels
+    repeated = "has a non-squarefree denominator"
+    assert reasons == ["", repeated, repeated, "", repeated]
+
+
+def test_split_proper_poly_cancel_count(cancels):
+    rng = random.Random(7)
+    T = nested_tower()
+    for _ in range(20):
+        f = random_element(T, rng, max_terms=4, max_exp=3)
+        for v in range(T.n + 1):
+            cancels.clear()
+            _, poly = split_proper_poly(f, v)
+            coeffs = poly.coeffs
+            assert len(cancels) <= 1 + len(coeffs)
+
+
+def test_resultant_runs_one_cancel(cancels):
+    v = 2
+    a = UniPoly.constant(F3, v, 1 / X) * (UniPoly.gen(F3, v) - UniPoly.constant(F3, v, T1))
+    b = UniPoly(F3, v, (T2**3 + X * T2 + T1 / (X + 1)).numer, (X + 1).numer)
+    cancels.clear()
+    res = unipoly_resultant(a, b)
+    assert len(cancels) == 1
+    assert res == (T1**3 + X * T1 + T1 / (X + 1)) / X**3
+
+
+# -- normalize_generators projects each generator derivative once -----------
+
+
+@pytest.mark.parametrize("make", [li_tower, nested_tower])
+def test_normalize_generators_projects_once_per_generator(monkeypatch, make):
+    import towerdecomp.matryoshka as matryoshka
+
+    T = make()
+    calls = []
+    project = matryoshka.project_value
+
+    def counting(*args):
+        calls.append(1)
+        return project(*args)
+
+    monkeypatch.setattr(matryoshka, "project_value", counting)
+    normalize_generators(T)
+    assert len(calls) == T.n
+
+
+def test_ground_scaling_keeps_exact_coefficients():
+    u = UniPoly(F3, 1, (X * T1**2 + 1).numer, (X + 1).numer)
+    scaled = u.scale(ground(F3, Fraction(2, 3)))
+    assert scaled.coeffs == {2: 2 * X / (3 * X + 3), 0: 2 / (3 * X + 3)}
