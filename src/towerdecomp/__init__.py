@@ -1,22 +1,20 @@
 """Exact additive decomposition and integrability in primitive
-differential towers over Q(x)."""
+differential towers over Q(x).
+
+The package namespace holds the documented entry points, their types and
+the errors they raise.  The finer-grained layers live in their modules and
+take a tower and a raw field element, ``(T, f.value)``:
+``towerdecomp.hermite``, ``towerdecomp.matryoshka`` and the text I/O in
+``towerdecomp.exprio``.
+"""
 
 from .decomp import (
     Decomposition,
     InFieldIntegral,
     add_decomp_in_field,
     integrate_in_field,
-    is_remainder,
-    solve_constant_combination,
 )
-from .elem import (
-    NO,
-    UNDECIDED,
-    YES,
-    ElementaryVerdict,
-    elementary_integrability,
-    recognize_log_derivative_combo,
-)
+from .elem import NO, UNDECIDED, YES, ElementaryVerdict, elementary_integrability
 from .embed import (
     AssociatedMatrix,
     Embedding,
@@ -30,114 +28,46 @@ from .embed import (
 )
 from .errors import (
     ExprSyntaxError,
-    HeadMonomialNotOne,
-    HigherGeneratorPresent,
     InternalVerificationError,
     NotLogarithmic,
-    NotProper,
-    NotSimple,
     PreconditionCLIMI,
     TowerDecompError,
     TowerNotSPrimitive,
-    UnknownName,
     ZeroArgument,
 )
-from .exprio import (
-    parse_expression,
-    parse_tower_file,
-    render_expression,
-    render_latex,
-    render_tower_file,
-)
-from .hermite import hermite_reduce_proper, hermitian_part
-from .matryoshka import (
-    EQUAL,
-    EQUAL_KEY,
-    HIGHER,
-    LOWER,
-    HeadData,
-    OrderKey,
-    compare_order,
-    head_data,
-    is_simple,
-    order_key,
-    project,
-)
-from .tower import (
-    FormalProduct,
-    Generator,
-    Tower,
-    TowerBuilder,
-    TowerElement,
-    ValidationResult,
-    differentiate,
-    log_derivative,
-    normalize_generators,
-    validate_s_primitive,
-)
+from .tower import FormalProduct, Tower, TowerBuilder, TowerElement, differentiate
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "Decomposition",
-    "InFieldIntegral",
+    "TowerBuilder",
     "add_decomp_in_field",
     "integrate_in_field",
-    "is_remainder",
-    "solve_constant_combination",
-    "NO",
-    "UNDECIDED",
-    "YES",
-    "ElementaryVerdict",
     "elementary_integrability",
-    "recognize_log_derivative_combo",
-    "AssociatedMatrix",
-    "Embedding",
-    "SignificantData",
+    "normalize_tower",
+    "embed_well_generated",
     "apply_homomorphism",
     "associated_matrix",
-    "embed_well_generated",
-    "is_well_generated",
-    "normalize_tower",
     "significant_data",
-    "ExprSyntaxError",
-    "HeadMonomialNotOne",
-    "HigherGeneratorPresent",
-    "InternalVerificationError",
-    "NotLogarithmic",
-    "NotProper",
-    "NotSimple",
-    "PreconditionCLIMI",
-    "TowerDecompError",
-    "TowerNotSPrimitive",
-    "UnknownName",
-    "ZeroArgument",
-    "parse_expression",
-    "parse_tower_file",
-    "render_expression",
-    "render_latex",
-    "render_tower_file",
-    "hermite_reduce_proper",
-    "hermitian_part",
-    "HeadData",
-    "OrderKey",
-    "compare_order",
-    "EQUAL",
-    "EQUAL_KEY",
-    "HIGHER",
-    "LOWER",
-    "head_data",
-    "is_simple",
-    "order_key",
-    "project",
-    "FormalProduct",
-    "Generator",
+    "is_well_generated",
     "Tower",
-    "TowerBuilder",
     "TowerElement",
-    "ValidationResult",
+    "FormalProduct",
+    "Decomposition",
+    "InFieldIntegral",
+    "ElementaryVerdict",
+    "YES",
+    "NO",
+    "UNDECIDED",
+    "Embedding",
+    "AssociatedMatrix",
+    "SignificantData",
     "differentiate",
-    "log_derivative",
-    "normalize_generators",
-    "validate_s_primitive",
+    "TowerDecompError",
+    "ExprSyntaxError",
+    "ZeroArgument",
+    "TowerNotSPrimitive",
+    "NotLogarithmic",
+    "PreconditionCLIMI",
+    "InternalVerificationError",
 ]

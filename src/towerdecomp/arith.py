@@ -286,17 +286,6 @@ def split_proper_poly(f, v):
     return proper, UniPoly(F, v, Q, L)
 
 
-def poly_gcd(a, b, v):
-    """Monic gcd in variable v over the fraction field of the other variables.
-
-    Accepts field elements whose denominators are free of v (denominators in
-    the remaining variables are units here).  gcd(0, 0) = 0.
-    """
-    pa = _as_unipoly(a, v)
-    pb = _as_unipoly(b, v)
-    return unipoly_gcd(pa, pb).to_frac()
-
-
 def _as_unipoly(a, v) -> UniPoly:
     if isinstance(a, UniPoly):
         return a

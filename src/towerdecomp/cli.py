@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 parse error, 2 validation error, 3 internal
 verification failure.  Every printed decomposition has been verified by
-exact differentiation before output.
+exact differentiation in ``add_decomp_in_field`` before output.
 """
 
 from __future__ import annotations
@@ -143,8 +143,6 @@ def _cmd_decomp(args):
     T.ensure_s_primitive()
     f = read(args.expr)
     dec = add_decomp_in_field(f)
-    if T.diff(dec.g.value) + dec.r.value != f.value:
-        raise InternalVerificationError("printed decomposition failed to verify")
     integrable = not dec.r
     out += [
         f"g = {_render(dec.g.value, T, args.as_latex)}",
@@ -170,8 +168,6 @@ def _cmd_integrate(args):
     f = read(args.expr)
     res = integrate_in_field(f)
     if res.integrable:
-        if T.diff(res.antiderivative.value) != f.value:
-            raise InternalVerificationError("antiderivative failed to verify")
         out.append(f"integral = {_render(res.antiderivative.value, T, args.as_latex)}")
     else:
         out.append("not integrable in the tower")
@@ -270,8 +266,6 @@ def _cmd_embed(args):
         image = apply_homomorphism(emb, f)
         dec = add_decomp_in_field(image)
         tgt = emb.target
-        if tgt.diff(dec.g.value) + dec.r.value != image.value:
-            raise InternalVerificationError("embedded decomposition failed to verify")
         out.append(f"phi(f) = {_render(image.value, tgt, args.as_latex)}")
         out.append(f"g = {_render(dec.g.value, tgt, args.as_latex)}")
         out.append(f"r = {_render(dec.r.value, tgt, args.as_latex)}")

@@ -67,12 +67,6 @@ def solve_constant_combination_values(F, target, basis):
     return [Fraction(c) for c in sol]
 
 
-def solve_constant_combination(h: TowerElement, basis):
-    """Vector over Q with h = sum(c_j * basis_j), or None."""
-    values = [b.value if isinstance(b, TowerElement) else b for b in basis]
-    return solve_constant_combination_values(h.tower.F, h.value, values)
-
-
 # -- the decomposition ------------------------------------------------------
 
 
@@ -163,6 +157,7 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
 
 
 def _is_remainder_value(T, r):
+    """(ok, reason): whether r is already minimal modulo derivatives."""
     if not r:
         return True, ""
     proj = project_value(T, r)
@@ -185,13 +180,6 @@ def _is_remainder_value(T, r):
     if coeffs is not None and any(coeffs):
         return False, "head coefficient lies in the span of generator derivatives"
     return True, ""
-
-
-def is_remainder(r: TowerElement):
-    """(ok, reason): whether r is already minimal modulo derivatives."""
-    T = r.tower
-    T.ensure_s_primitive()
-    return _is_remainder_value(T, r.value)
 
 
 # -- in-field integration ---------------------------------------------------

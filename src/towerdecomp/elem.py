@@ -115,7 +115,8 @@ def _residue_analysis(T, value, i):
 
 def _witness_from_roots(T, value, i, roots):
     """Candidate combination of logarithmic derivatives for the given residues.
-    Returns (items, combined value)."""
+    Returns (items, combined value); items are (residue, argument) pairs of
+    raw field elements."""
     F = T.F
     p, q = frac_to_unipair(value, i)
     qd = tower_derivative_unipoly(T, q, i)
@@ -123,8 +124,8 @@ def _witness_from_roots(T, value, i, roots):
     for c in roots:
         gk = unipoly_gcd(p - qd.scale(ground(F, c)), q)
         if gk.degree > 0:
-            items.append((c, TowerElement(gk.to_frac(), T)))
-    return items, T.diff_log_combination((arg.value, c) for c, arg in items)
+            items.append((c, gk.to_frac()))
+    return items, T.diff_log_combination((arg, c) for c, arg in items)
 
 
 def recognize_log_derivative_combo(h: TowerElement, i: int):
@@ -146,7 +147,7 @@ def recognize_log_derivative_combo(h: TowerElement, i: int):
     _, roots, full = analysis
     items, combined = _witness_from_roots(T, h.value, i, roots)
     if combined == h.value:
-        return items
+        return [(c, TowerElement(arg, T)) for c, arg in items]
     return UNDECIDED if not full else None
 
 
@@ -219,14 +220,14 @@ def elementary_integrability(f: TowerElement) -> ElementaryVerdict:
             )
     if leftover:
         raise InternalVerificationError("elementary residual did not vanish")
-    check = T.diff_log_combination((arg.value, c) for c, arg in witness)
+    check = T.diff_log_combination((arg, c) for c, arg in witness)
     for j, c in enumerate(span):
         check += ground(F, c) * T.derivs[j]
     if check != r:
         raise InternalVerificationError("elementary witness failed verification")
     return ElementaryVerdict(
         YES,
-        witness=tuple(witness),
+        witness=tuple((c, TowerElement(arg, T)) for c, arg in witness),
         span_coeffs=tuple(span),
         decomposition=dec,
     )

@@ -221,7 +221,8 @@ def normalization_images(normalized: Tower, change_log):
 
 def _recover_log_argument(prefix, value, level):
     """Try to express value as a combination of logarithmic derivatives; on
-    success return the FormalProduct argument of the matching generator."""
+    success return the FormalProduct argument of the matching generator,
+    whose logarithmic derivative has been checked to equal value exactly."""
     from .elem import _residue_analysis, _witness_from_roots
 
     if value.denom.is_ground:
@@ -238,8 +239,7 @@ def _recover_log_argument(prefix, value, level):
     items, combined = _witness_from_roots(prefix, value, level, roots)
     if combined != value or not items:
         return None
-    product = FormalProduct([(arg.value, c) for c, arg in items])
-    return product
+    return FormalProduct([(arg, c) for c, arg in items])
 
 
 def embed_well_generated(T: Tower) -> Embedding:
@@ -327,8 +327,6 @@ def embed_well_generated(T: Tower) -> Embedding:
             default=0,
         )
         arg = _recover_log_argument(prefix, val, level)
-        if arg is not None and prefix.diff_log_combination(arg.factors) != val:
-            arg = None
         target_specs.append((LOG, arg) if arg is not None else (PRIM, val))
         prefix_specs.append((PRIM, val))
     target = Tower(Ft, [T.names[0]] + target_names, target_specs)

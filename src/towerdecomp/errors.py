@@ -22,7 +22,7 @@ class UnknownName(ExprSyntaxError):
 
 
 class ZeroArgument(TowerDecompError):
-    """log_derivative was called on the zero element."""
+    """A factor of a logarithm's argument is zero."""
 
 
 class NotProper(TowerDecompError):
@@ -39,10 +39,6 @@ class NotSimple(TowerDecompError):
     def __init__(self, level, message=None):
         super().__init__(message or f"input is not simple at level {level}")
         self.level = level
-
-
-class HigherGeneratorPresent(TowerDecompError):
-    """An element involves generators above the requested level."""
 
 
 class HeadMonomialNotOne(TowerDecompError):

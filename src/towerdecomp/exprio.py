@@ -176,12 +176,6 @@ def parse_expression(src: str, scope: Tower):
 # -- rendering ---------------------------------------------------------------
 
 
-def _render_coeff(c):
-    num = int(c.numerator)
-    den = int(c.denominator)
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
 def _render_poly(p, names, latex=False):
     if not p:
         return "0"
@@ -264,6 +258,22 @@ _VAR_RE = re.compile(r"var\s+([A-Za-z][A-Za-z0-9_]*)\s*$")
 _RESERVED = {"var", "gen", "log", "prim"}
 
 
+def _closing_paren(src):
+    """Index of the parenthesis closing the one that opens src, or None.
+
+    In ``log(x)*(x+1)`` it closes before the end: the factor (x+1) lies
+    outside the logarithm, so the line is rejected, not reread.
+    """
+    if not src.startswith("("):
+        return None
+    depth = 0
+    for k, ch in enumerate(src):
+        depth += (ch == "(") - (ch == ")")
+        if not depth:
+            return k
+    return None
+
+
 def parse_tower_file(text: str) -> Tower:
     """Build a tower from its file form."""
     decls = []
@@ -300,9 +310,9 @@ def parse_tower_file(text: str) -> Tower:
     for idx, (lineno, name, kind, rest) in enumerate(decls):
         try:
             if kind == "log":
-                if not (rest.startswith("(") and rest.endswith(")")):
+                if _closing_paren(rest) != len(rest) - 1:
                     raise ExprSyntaxError(
-                        "log argument must be parenthesized"
+                        "log argument must be one parenthesized expression"
                     )
                 value = _Parser(rest[1:-1], env, builder.F).parse()
                 if not value:

@@ -19,13 +19,8 @@ from .arith import (
     squarefree_decomposition,
     unipoly_xgcd,
 )
-from .errors import (
-    HigherGeneratorPresent,
-    InternalVerificationError,
-    NotProper,
-)
+from .errors import InternalVerificationError, NotProper
 from .matryoshka import NOT_SQUAREFREE, improper_reason, not_simple_reason
-from .tower import TowerElement
 
 
 def tower_derivative_unipoly(T, p: UniPoly, level) -> UniPoly:
@@ -105,27 +100,3 @@ def _hermite_core(T, f, level):
         raise InternalVerificationError("Hermite output is not proper")
     return g, h
 
-
-def hermite_reduce_proper(f: TowerElement, i: int):
-    """f = differentiate(g) + h with h simple at level i; returns (g, h)."""
-    T = f.tower
-    g, h = hermite_reduce_proper_value(T, f.value, i)
-    return TowerElement(g, T), TowerElement(h, T)
-
-
-def hermitian_part(f: TowerElement, i: int):
-    """Split f in K_{i-1}(t_i) as diff(g) + h + p with h simple at level i and
-    p polynomial in t_i.  Returns (h, g, p) with p as a TowerElement."""
-    T = f.tower
-    value = f.value
-    if not free_of(value, range(i + 1, T.n + 1)):
-        raise HigherGeneratorPresent(
-            f"element involves generators above level {i}"
-        )
-    proper, poly = split_proper_poly(value, i)
-    g, h = hermite_reduce_proper_value(T, proper, i)
-    return (
-        TowerElement(h, T),
-        TowerElement(g, T),
-        TowerElement(poly.to_frac(), T),
-    )

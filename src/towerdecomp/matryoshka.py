@@ -6,10 +6,11 @@ level i whose coefficients are proper in t_i, and the 0-th projection is a
 polynomial in all generators over Q(x).  Head monomials, the element order
 used by the decomposition, and the simplicity predicate are all defined on
 top of these projections; the level tests behind the predicate are shared
-with Hermite reduction and the residue method.  Monomials over t1..tn are
-exponent tuples; the comparison is pure lex with t1 below t2 below ...
-below tn, and None stands for the head monomial of the zero element (below
-everything).
+with Hermite reduction and the residue method.  The functions on elements
+take the tower and a raw field element (``T, f.value``).  Monomials over
+t1..tn are exponent tuples; the comparison is pure lex with t1 below t2
+below ... below tn, and None stands for the head monomial of the zero
+element.
 """
 
 from __future__ import annotations
@@ -18,27 +19,14 @@ from dataclasses import dataclass, field
 
 from .arith import coeff_polys, free_of, pseudo_divmod
 from .errors import TowerDecompError
-from .tower import Tower, TowerElement
+from .tower import Tower
 
-LOWER = "lower"
-HIGHER = "higher"
-EQUAL = "equal"
-EQUAL_KEY = "equal-key"  # distinct elements sharing the same order key
 NOT_SQUAREFREE = "has a non-squarefree denominator"
 
 
 def mono_key(exps):
     """Sort key for pure lex with the last generator most significant."""
     return tuple(reversed(exps))
-
-
-def mono_le(a, b) -> bool:
-    """a is not higher than b; None is the bottom element."""
-    if a is None:
-        return True
-    if b is None:
-        return False
-    return mono_key(a) <= mono_key(b)
 
 
 def indicator(exps, n: int) -> int:
@@ -111,11 +99,6 @@ def project_value(T: Tower, f) -> list:
     return proj
 
 
-def project(f: TowerElement):
-    T = f.tower
-    return [TowerElement(p, T) for p in project_value(T, f.value)]
-
-
 def _head_coefficient(T: Tower, piece, level):
     """(head monomial, head coefficient) of a nonzero projection at level.
 
@@ -168,10 +151,6 @@ def head_data_value(T: Tower, f) -> HeadData:
     return HeadData(tuple(hm_i), tuple(hc_i), hm, hc, index_set, proj)
 
 
-def head_data(f: TowerElement) -> HeadData:
-    return head_data_value(f.tower, f.value)
-
-
 def order_key_value(T: Tower, f) -> OrderKey:
     if not f:
         return OrderKey(0, 0, ())
@@ -182,23 +161,6 @@ def order_key_value(T: Tower, f) -> OrderKey:
     if head.hm is None:
         return OrderKey(den_degree, 0, (), head)
     return OrderKey(den_degree, 1, mono_key(head.hm), head)
-
-
-def order_key(f: TowerElement) -> OrderKey:
-    return order_key_value(f.tower, f.value)
-
-
-def compare_order(f: TowerElement, g: TowerElement) -> str:
-    """Compare two elements by (denominator degree in tn, head monomial)."""
-    if f.tower is not g.tower:
-        raise TowerDecompError("cannot compare elements of different towers")
-    kf = order_key(f)
-    kg = order_key(g)
-    if kf < kg:
-        return LOWER
-    if kf > kg:
-        return HIGHER
-    return EQUAL if f.value == g.value else EQUAL_KEY
 
 
 def improper_reason(T: Tower, f, level) -> str:
@@ -240,10 +202,6 @@ def is_simple_value(T: Tower, f):
         if why:
             return False, f"projection {level} {why}"
     return True, ""
-
-
-def is_simple(f: TowerElement) -> bool:
-    return is_simple_value(f.tower, f.value)[0]
 
 
 def derivative_projections(T: Tower):

@@ -107,9 +107,6 @@ class TowerElement:
     value: object  # FracElement
     tower: "Tower"
 
-    def diff(self) -> "TowerElement":
-        return TowerElement(self.tower.diff(self.value), self.tower)
-
     def __bool__(self):
         return bool(self.value)
 
@@ -215,10 +212,6 @@ class Tower:
             value = ground(self.F, value)
         return TowerElement(value, self)
 
-    @property
-    def zero(self):
-        return self.F.zero
-
     def diff(self, f):
         """The tower derivation ' = d/dx + sum(t_i' * d/dt_i), with one cancel."""
         return self.F.new(*self.diff_pair(f.numer, f.denom))
@@ -305,18 +298,7 @@ class Tower:
 
 
 def differentiate(f: TowerElement) -> TowerElement:
-    return f.diff()
-
-
-def log_derivative(arg: TowerElement) -> TowerElement:
-    """differentiate(arg)/arg; the logarithmic derivative of arg."""
-    if not arg.value:
-        raise ZeroArgument("logarithmic derivative of zero")
-    return TowerElement(arg.tower.diff(arg.value) / arg.value, arg.tower)
-
-
-def validate_s_primitive(T: Tower) -> ValidationResult:
-    return T.validate_s_primitive()
+    return TowerElement(f.tower.diff(f.value), f.tower)
 
 
 def normalize_generators(T: Tower):

@@ -13,7 +13,6 @@ from towerdecomp.arith import (
     ground,
     is_ground,
     make_field,
-    poly_gcd,
     solve_linear_system,
     split_proper_poly,
     squarefree_decomposition,
@@ -101,7 +100,7 @@ def test_split_proper_poly(F2):
 
 def test_poly_gcd_is_monic(F2):
     F, (x, t1, t2) = F2
-    g = poly_gcd(2 * t1**2 - 2 * x**2, 4 * t1 - 4 * x, 1)
+    g = unipoly_gcd(uni(2 * t1**2 - 2 * x**2), uni(4 * t1 - 4 * x)).to_frac()
     assert g == t1 - x
 
 

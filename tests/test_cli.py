@@ -248,3 +248,34 @@ def test_exit_code_deeply_nested_expression(li_file, capsys):
     x = T.gens[0]
     assert parse_expression("(" * 100 + "x" + ")" * 100, T).value == x
     assert parse_expression("-" * depth + "x", T).value == x
+
+
+def test_log_argument_must_be_one_parenthesized_expression(tmp_path, capsys):
+    # log(x)*(x+1) is not log(x*(x+1)): the factor lies outside the logarithm
+    path = tmp_path / "bad.tower"
+    path.write_text("var x\ngen t1 : log(x)*(x+1)\n")
+    assert main(["check", "--tower", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "line 2: log argument must be one parenthesized expression" in err
+    for rest in ["x", "(x))", "((x)", "(x)(x)"]:
+        with pytest.raises(ExprSyntaxError, match="one parenthesized"):
+            parse_tower_file(f"var x\ngen t1 : log{rest}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decomp", "--expr", "1/x"],
+        ["integrate", "--expr", "1/x"],
+        ["embed", "--expr", "t3/x"],
+    ],
+)
+def test_exit_code_internal_verification(argv, nested_file, monkeypatch, capsys):
+    # the library's remainder check is the one that guards printed results
+    monkeypatch.setattr(
+        "towerdecomp.decomp._is_remainder_value", lambda T, r: (False, "forced")
+    )
+    assert main(argv + ["--tower", nested_file]) == 3
+    captured = capsys.readouterr()
+    assert "internal error:" in captured.err and "forced" in captured.err
+    assert not captured.out

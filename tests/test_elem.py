@@ -8,8 +8,8 @@ from towerdecomp import (
     YES,
     TowerBuilder,
     elementary_integrability,
-    recognize_log_derivative_combo,
 )
+from towerdecomp.elem import recognize_log_derivative_combo
 from towerdecomp.errors import NotSimple
 
 

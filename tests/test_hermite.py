@@ -1,8 +1,7 @@
 import pytest
 
-from towerdecomp import differentiate, hermite_reduce_proper, hermitian_part
-from towerdecomp.arith import frac_to_unipair
-from towerdecomp.errors import HigherGeneratorPresent, NotProper
+from towerdecomp.arith import frac_to_unipair, split_proper_poly
+from towerdecomp.errors import NotProper
 from towerdecomp.hermite import hermite_reduce_proper_value
 from towerdecomp.matryoshka import is_simple_value
 
@@ -62,20 +61,15 @@ def test_not_proper_rejected(tower_li):
 def test_hermitian_part_splits_three_ways(tower_li):
     T = tower_li
     x, t1, t2, t3 = T.gens
-    h, g, p = hermitian_part(T.element(1 / t2**2 + t2), 2)
-    assert h.value == 1 / (x * t2)
-    assert g.value == -t1 / t2
-    assert p.value == t2
-    assert T.diff(g.value) + h.value + p.value == 1 / t2**2 + t2
-    with pytest.raises(HigherGeneratorPresent):
-        hermitian_part(T.element(t3 / t2), 2)
-
-
-def test_wrapper_returns_tower_elements(tower_li):
-    T = tower_li
-    t1 = T.gens[1]
-    g, h = hermite_reduce_proper(T.element(1 / t1**2), 1)
-    assert differentiate(g).value + h.value == 1 / t1**2
+    proper, poly = split_proper_poly(1 / t2**2 + t2, 2)
+    g, h = hermite_reduce_proper_value(T, proper, 2)
+    p = poly.to_frac()
+    assert h == 1 / (x * t2)
+    assert g == -t1 / t2
+    assert p == t2
+    assert T.diff(g) + h + p == 1 / t2**2 + t2
+    with pytest.raises(NotProper):
+        hermite_reduce_proper_value(T, t3 / t2, 2)
 
 
 def test_random_reconstruction(tower_li, rng):

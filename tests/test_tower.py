@@ -12,13 +12,10 @@ from towerdecomp import (
     ZeroArgument,
     differentiate,
     embed_well_generated,
-    log_derivative,
-    normalize_generators,
     normalize_tower,
-    validate_s_primitive,
 )
 from towerdecomp.errors import HeadMonomialNotOne, TowerDecompError
-from towerdecomp.tower import PRIM, _prefix_tower
+from towerdecomp.tower import PRIM, _prefix_tower, normalize_generators
 
 from conftest import (
     coupled_tower,
@@ -43,9 +40,9 @@ def test_diff_on_li_tower(tower_li):
 def test_log_derivative(tower_li):
     T = tower_li
     x, t1, t2, t3 = T.gens
-    assert log_derivative(T.element(x * t1)).value == (t1 + 1) / (x * t1)
+    assert T.diff_log_combination([(x * t1, 1)]) == (t1 + 1) / (x * t1)
     with pytest.raises(ZeroArgument):
-        log_derivative(T.element(0))
+        FormalProduct.single(T.F.zero)
 
 
 def test_formal_product_combine_and_collapse(tower_li):
@@ -60,7 +57,7 @@ def test_formal_product_combine_and_collapse(tower_li):
 
 
 def test_validation_accepts_li_tower(tower_li):
-    result = validate_s_primitive(tower_li)
+    result = tower_li.validate_s_primitive()
     assert result.ok
 
 
