@@ -17,13 +17,17 @@ one ``gcd`` reduces the pair after each division, ``monic`` or product, never
 per coefficient.  Yun's squarefree decomposition runs on the numerator with
 multivariate gcds and exact divisions, and the resultant is the
 fraction-free subresultant PRS on the numerators, divided by the
-denominators once.  Canonical field elements are built only for outputs,
-one ``F.new`` each.
+denominators once.  The extended gcd carries only the cofactor of its first
+argument, (g, s) with s*a = g (mod b), and makes both monic without a gcd.
+Canonical field elements are built only for outputs, one ``F.new`` each:
+``UniPoly.coeffs`` and ``to_frac``, the proper part of
+``split_proper_poly`` and the resultant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from sympy import QQ
 from sympy.polys.fields import field as _field
@@ -138,8 +142,8 @@ class UniPoly:
     a polynomial in v over the fraction field of the other variables.  The
     pair need not be in lowest terms: sums and scalings keep the plain
     cross-multiplied pair, while division, ``monic`` and products reduce it
-    with one ``gcd``.  ``coeffs``, ``lc`` and ``to_frac`` build
-    canonical field elements, one ``F.new`` each.  Instances are treated as
+    with one ``gcd``.  ``coeffs`` and ``to_frac`` build canonical field
+    elements, one ``F.new`` each.  Instances are treated as
     immutable.
     """
 
@@ -160,10 +164,6 @@ class UniPoly:
         """The constant polynomial c, a field element free of v."""
         return cls(F, v, c.numer, c.denom)
 
-    @classmethod
-    def gen(cls, F, v):
-        return cls(F, v, F.ring.gens[v])
-
     def is_zero(self) -> bool:
         return not self.num
 
@@ -179,11 +179,6 @@ class UniPoly:
             k: self.F.new(c, self.den)
             for k, c in coeff_polys(self.num, self.v).items()
         }
-
-    def lc(self):
-        if self.is_zero():
-            return self.F.zero
-        return self.F.new(_lc(self.num, self.v), self.den)
 
     def _new(self, num, den):
         return UniPoly(self.F, self.v, num, den)
@@ -290,7 +285,7 @@ def _as_unipoly(a, v) -> UniPoly:
     if isinstance(a, UniPoly):
         return a
     if a.denom.degree(v) > 0:
-        raise ValueError("denominator must be free of the gcd variable")
+        raise ValueError("denominator must be free of the main variable")
     return UniPoly(a.field, v, a.numer, a.denom)
 
 
@@ -302,22 +297,22 @@ def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def unipoly_xgcd(a: UniPoly, b: UniPoly):
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g, g monic."""
-    F, v = a.F, a.v
-    one = UniPoly.constant(F, v, F.one)
-    zero = UniPoly.zero(F, v)
+    """Half-extended gcd: (g, s) with s*a = g (mod b) and g monic, or g
+    zero when a and b are.  The cofactor of b is never formed; g and s are
+    made monic together by folding lc(g) into their denominators, without a
+    gcd."""
     r0, r1 = a, b
-    s0, s1 = one, zero
-    t0, t1 = zero, one
+    s0, s1 = UniPoly.constant(a.F, a.v, a.F.one), UniPoly.zero(a.F, a.v)
     while not r1.is_zero():
         q, r = r0.divmod(r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
     if r0.is_zero():
-        return r0, s0, t0
-    unit = UniPoly(F, v, _lc(r0.num, v), r0.den)
-    return r0 // unit, s0 // unit, t0 // unit
+        return r0, s0
+    # r0 = r0.num/r0.den with lc_v(r0) = lc/r0.den: dividing by it leaves
+    # r0.num/lc and s0 * r0.den/lc
+    lc = _lc(r0.num, r0.v)
+    return r0._new(r0.num, lc), s0._new(s0.num * r0.den, s0.den * lc)
 
 
 def squarefree_decomposition(p, v):
@@ -409,6 +404,14 @@ def unipoly_resultant(a: UniPoly, b: UniPoly):
     if not res:
         return F.zero
     return F.new(res, a.den**db * b.den**da)
+
+
+class ClearedBasis(NamedTuple):
+    """Field elements b_1, ..., b_k over one common denominator: ``den`` is
+    a polynomial and ``polys[j]`` the polynomial b_{j+1} * den."""
+
+    den: object
+    polys: tuple
 
 
 def solve_linear_system(rows, rhs):

@@ -13,13 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ground, solve_linear_system, to_fraction
+from sympy import QQ
+
+from .arith import ClearedBasis, ground, solve_linear_system, to_fraction
 from .errors import InternalVerificationError
 from .hermite import hermite_reduce_proper_value
 from .matryoshka import (
     head_data_value,
     indicator,
-    is_simple_value,
+    not_simple_reason,
     order_key_value,
     project_value,
 )
@@ -29,40 +31,48 @@ from .tower import Tower, TowerElement
 # -- constant-combination solver ------------------------------------------
 
 
-def _coeff_dict(e, den):
-    """Coefficients of the polynomial e*den, as {monomial: Fraction}; den
-    must be a multiple of e's denominator."""
-    p = e.numer * den.exquo(e.denom)
-    return {mono: to_fraction(c) for mono, c in p.terms()}
-
-
 def solve_constant_combination_values(F, target, basis):
     """Rational constants (c_1, ..., c_k) with target = sum(c_j * basis_j),
-    or None.  Clears denominators with their lcm and compares coefficients
-    exactly."""
-    basis = list(basis)
+    or None.
+
+    ``basis`` is a ClearedBasis (L, polys) with polys[j] = basis_j * L, such
+    as ``Tower.derivative_basis(m)``, or a sequence of field elements, which
+    is cleared here with the lcm of their denominators.  A target in the
+    span has a denominator dividing L, so one exact division rejects every
+    other target without a gcd.  Otherwise the coefficients of numer *
+    (L / denom) are compared with those of the polys exactly, and the
+    solution is checked as that polynomial identity.
+    """
+    if not isinstance(basis, ClearedBasis):
+        den = F.ring.one
+        for e in basis:
+            den = den.lcm(e.denom)
+        basis = ClearedBasis(den, tuple(e.numer * den.exquo(e.denom) for e in basis))
+    den, polys = basis
     if not target:
-        return [Fraction(0)] * len(basis)
-    if not basis:
+        return [Fraction(0)] * len(polys)
+    if not polys:
         return None
-    den = F.ring.one
-    for e in [target] + basis:
-        den = den.lcm(e.denom)
-    t_dict = _coeff_dict(target, den)
-    b_dicts = [_coeff_dict(b, den) for b in basis]
+    scale, rem = den.div(target.denom)
+    if rem:
+        return None
+    lhs = target.numer * scale
+    dicts = [{m: to_fraction(c) for m, c in p.terms()} for p in polys]
+    t_dict = {m: to_fraction(c) for m, c in lhs.terms()}
     monos = set(t_dict)
-    for d in b_dicts:
+    for d in dicts:
         monos.update(d)
     monos = sorted(monos)
-    rows = [[d.get(m, Fraction(0)) for d in b_dicts] for m in monos]
+    rows = [[d.get(m, Fraction(0)) for d in dicts] for m in monos]
     rhs = [t_dict.get(m, Fraction(0)) for m in monos]
     sol = solve_linear_system(rows, rhs)
     if sol is None:
         return None
-    acc = F.zero
-    for c, b in zip(sol, basis):
-        acc += ground(F, c) * b
-    if acc != target:
+    acc = lhs.ring.zero
+    for c, p in zip(sol, polys):
+        if c:
+            acc += p * QQ(c.numerator, c.denominator)
+    if acc != lhs:
         raise InternalVerificationError("combination solver self-check failed")
     return [Fraction(c) for c in sol]
 
@@ -102,7 +112,7 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
         a = hd.hc
         m = indicator(M, n)
         d = M[m - 1] if n else 0
-        span_basis = T.derivs[:m]
+        span_basis = T.derivative_basis(m)
         B = F.zero
         H = F.zero
         ctilde = Fraction(0)
@@ -160,23 +170,24 @@ def _is_remainder_value(T, r):
     """(ok, reason): whether r is already minimal modulo derivatives."""
     if not r:
         return True, ""
-    proj = project_value(T, r)
-    pi_n = proj[T.n]
-    if pi_n:
-        ok, why = is_simple_value(T, pi_n)
-        if not ok:
-            return False, f"top projection not simple: {why}"
+    n = T.n
+    pi_n = project_value(T, r)[n]
+    # pi_n(r) is its own only projection, and the head coefficient's
+    # projections are its per-level parts hc_i
+    why = not_simple_reason(T, pi_n, n)
+    if why:
+        return False, f"top projection not simple: projection {n} {why}"
     rest = r - pi_n
     if not rest:
         return True, ""
     # pi_n(r) holds only the unit monomial, the lowest, so hm(rest) = hm(r)
     head = head_data_value(T, rest)
-    a = head.hc
-    ok, why = is_simple_value(T, a)
-    if not ok:
-        return False, f"head coefficient not simple: {why}"
-    m = indicator(head.hm, T.n)
-    coeffs = solve_constant_combination_values(T.F, a, T.derivs[:m])
+    for i, c in sorted(head.hc_i.items()):
+        why = not_simple_reason(T, c, i)
+        if why:
+            return False, f"head coefficient not simple: projection {i} {why}"
+    m = indicator(head.hm, n)
+    coeffs = solve_constant_combination_values(T.F, head.hc, T.derivative_basis(m))
     if coeffs is not None and any(coeffs):
         return False, "head coefficient lies in the span of generator derivatives"
     return True, ""

@@ -172,21 +172,25 @@ def elementary_integrability(f: TowerElement) -> ElementaryVerdict:
     span = [Fraction(0)] * T.n
     witness = []
     leftover = r
+    proj = None  # the projections of leftover; None once leftover changes
     for i in range(T.n, -1, -1):
-        h = project_value(T, leftover)[i]
+        if proj is None:
+            proj = project_value(T, leftover)
+        h = proj[i]
         if not h:
             continue
         basis_idx = [j for j in range(T.n) if sig[j] == i]
         basis_proj = [cols[j][i] for j in basis_idx]
 
         def try_span(target):
-            nonlocal leftover
+            nonlocal leftover, proj
             coeffs = solve_constant_combination_values(F, target, basis_proj)
             if coeffs is None:
                 return False
             for j, c in zip(basis_idx, coeffs):
                 span[j] += c
                 leftover = leftover - ground(F, c) * T.derivs[j]
+            proj = None
             return True
 
         if try_span(h):
@@ -203,7 +207,8 @@ def elementary_integrability(f: TowerElement) -> ElementaryVerdict:
         items, combined = _witness_from_roots(T, h, i, roots)
         witness.extend(items)
         leftover = leftover - combined
-        rest = project_value(T, leftover)[i]
+        proj = project_value(T, leftover)
+        rest = proj[i]
         if rest and not try_span(rest):
             if not full:
                 return ElementaryVerdict(

@@ -134,8 +134,8 @@ class _Parser:
                 raise ExprSyntaxError("expected integer exponent", offset=off2)
             self.next()
             e = sign * int(text2)
-            if e < 0 and not value:
-                raise ExprSyntaxError("zero to a negative power", offset=off)
+            if e <= 0 and not value:
+                raise ExprSyntaxError("zero to a non-positive power", offset=off)
             value = value**e
         return value
 

@@ -59,14 +59,23 @@ def hermite_reduce_proper_value(T, f, level):
 
 
 def _hermite_core(T, f, level):
-    """Reduction of a proper element; denominator multiplicities drop to 1."""
+    """Reduction of a proper element; denominator multiplicities drop to 1.
+
+    When Yun's first gcd finds the denominator squarefree in t_level, f is
+    its own output, (0, f): that gcd is the squarefree half of the output
+    check, and ``improper_reason`` is the other half.
+    """
     F = T.F
     if not f:
         return F.zero, F.zero
     A, D = frac_to_unipair(f, level)
+    sqf = squarefree_decomposition(D, level)
+    if not sqf or sqf[-1][1] == 1:
+        if improper_reason(T, f, level):
+            raise InternalVerificationError("Hermite output is not proper")
+        return F.zero, f
     g = F.zero
     while True:
-        sqf = squarefree_decomposition(D, level)
         prod = UniPoly.constant(F, level, F.one)
         for fac, mult in sqf:
             prod = prod * fac.pow(mult)
@@ -75,14 +84,14 @@ def _hermite_core(T, f, level):
             raise InternalVerificationError("squarefree product mismatch")
         A = A // unit
         D = prod
-        if not sqf or sqf[-1][1] <= 1:
+        if sqf[-1][1] <= 1:
             break
         V, m = sqf[-1]
         U = D // V.pow(m)
         for j in range(m - 1, 0, -1):
             Vd = tower_derivative_unipoly(T, V, level)
             s = (U * Vd).scale(ground(F, j)) % V
-            gg, sinv, _ = unipoly_xgcd(s, V)
+            gg, sinv = unipoly_xgcd(s, V)
             if gg.degree != 0:
                 raise InternalVerificationError(
                     "repeated factor is not normal at its level"
@@ -92,6 +101,7 @@ def _hermite_core(T, f, level):
             A = (A + (B * U * Vd).scale(ground(F, j))) // V
             A = A - U * tower_derivative_unipoly(T, B, level)
         D = U * V
+        sqf = squarefree_decomposition(D, level)
     h = F.new(A.num * D.den, A.den * D.num)
     why = not_simple_reason(T, h, level)
     if why == NOT_SQUAREFREE:

@@ -6,8 +6,13 @@ level i whose coefficients are proper in t_i, and the 0-th projection is a
 polynomial in all generators over Q(x).  Head monomials, the element order
 used by the decomposition, and the simplicity predicate are all defined on
 top of these projections; the level tests behind the predicate are shared
-with Hermite reduction and the residue method.  The functions on elements
-take the tower and a raw field element (``T, f.value``).  Monomials over
+with Hermite reduction and the residue method.  Projections and head data
+come from one recursion on unreduced (numerator, denominator) pairs of
+polynomials: ``project_value`` builds each level with one ``F.new`` per
+distinct denominator, while ``head_data_value`` reads every level's head
+monomial from the monomials of the pairs and builds field elements only for
+the head coefficients of the index set.  The functions on elements take the
+tower and a raw field element (``T, f.value``).  Monomials over
 t1..tn are exponent tuples; the comparison is pure lex with t1 below t2
 below ... below tn, and None stands for the head monomial of the zero
 element.
@@ -18,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .arith import coeff_polys, free_of, pseudo_divmod
-from .errors import TowerDecompError
 from .tower import Tower
 
 NOT_SQUAREFREE = "has a non-squarefree denominator"
@@ -40,12 +44,10 @@ def indicator(exps, n: int) -> int:
 @dataclass(frozen=True)
 class HeadData:
     hm_i: tuple  # per-projection head monomials (exponent tuple or None)
-    hc_i: tuple  # per-projection head coefficients (field elements)
+    hc_i: dict  # level -> head coefficient (field element), for index_set
     hm: tuple | None  # overall head monomial
     hc: object  # overall head coefficient (field element)
     index_set: frozenset
-    # the projections the head data was read from
-    proj: tuple = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True, order=True)
@@ -57,98 +59,74 @@ class OrderKey:
     head: HeadData | None = field(default=None, compare=False, repr=False)
 
 
-def project_value(T: Tower, f) -> list:
-    """Projections (pi_0(f), ..., pi_n(f)) as raw field elements.
+def _level_pieces(T: Tower, f) -> list:
+    """Per level i, {higher monomial: (numerator, denominator)}: the
+    projection pi_i(f) is the sum of numerator/denominator * monomial, each
+    quotient proper in t_i and free of t_{i+1}, ..., t_n, each monomial an
+    exponent tuple over t1..tn in t_{i+1}, ..., t_n alone.
 
-    The recursion runs on unreduced (numerator, denominator) pairs of
-    polynomials.  At level i one pseudo-division in t_i splits off the proper
-    part, and each coefficient of the quotient descends to level i - 1 over
-    the quotient's denominator, which is free of t_i.  Each level's pieces
-    are summed per distinct denominator as polynomials and become field
-    elements with one ``F.new`` per denominator.
+    The recursion runs on unreduced pairs of polynomials.  At level i one
+    pseudo-division in t_i splits off the proper part, and each coefficient
+    of the quotient descends to level i - 1 over the quotient's denominator,
+    which is free of t_i.  The path down fixes the monomial, so each level
+    holds one pair per monomial.
     """
-    F = T.F
-    gens = F.ring.gens
-    pieces = [{} for _ in range(T.n + 1)]  # per level: denominator -> numerator
-
-    def add(level, num, den):
-        acc = pieces[level]
-        acc[den] = acc[den] + num if den in acc else num
+    pieces = [{} for _ in range(T.n + 1)]
 
     def descend(N, D, level, mono):
         if level == 0:
-            add(0, N * mono, D)
+            pieces[0][mono] = (N, D)
             return
         if D.degree(level) > 0:
             Q, R, L = pseudo_divmod(N, D, level)
             if R:
-                add(level, R * mono, L * D)
+                pieces[level][mono] = (R, L * D)
             N, D = Q, L
         for k, c in coeff_polys(N, level).items():
-            descend(c, D, level - 1, mono * gens[level] ** k)
+            descend(c, D, level - 1, mono[: level - 1] + (k,) + mono[level:])
 
     if f:
-        descend(f.numer, f.denom, T.n, F.ring.one)
+        descend(f.numer, f.denom, T.n, (0,) * T.n)
+    return pieces
+
+
+def project_value(T: Tower, f) -> list:
+    """Projections (pi_0(f), ..., pi_n(f)) as raw field elements.
+
+    Each level's pieces are summed per distinct denominator as polynomials
+    and become field elements with one ``F.new`` per denominator.
+    """
+    F = T.F
     proj = []
-    for acc in pieces:
+    for level in _level_pieces(T, f):
+        sums = {}  # denominator -> numerator
+        for mono, (num, den) in level.items():
+            term = num.mul_monom((0,) + mono)
+            sums[den] = sums[den] + term if den in sums else term
         total = F.zero
-        for den, num in acc.items():
-            if num:
-                total += F.new(num, den)
+        for den, num in sums.items():
+            total += F.new(num, den)
         proj.append(total)
     return proj
 
 
-def _head_coefficient(T: Tower, piece, level):
-    """(head monomial, head coefficient) of a nonzero projection at level.
-
-    The numerator's terms are keyed by their exponents of the generators
-    above ``level``; the head coefficient is the bucket of the highest key
-    over the projection's denominator, which must be free of those
-    generators.
-    """
-    n = T.n
-    higher = range(level + 1, n + 1)
-    for mono in piece.denom.monoms():
-        if any(mono[i] for i in higher):
-            raise TowerDecompError(
-                "projection denominator involves higher generators"
-            )
-
-    def key(mono):
-        return tuple(mono[i] if i > level else 0 for i in range(1, n + 1))
-
-    top = max((key(m) for m in piece.numer.monoms()), key=mono_key)
-    if not any(top):
-        return top, piece
-    bucket = {}
-    for mono, c in piece.numer.terms():
-        if key(mono) == top:
-            bucket[mono[: level + 1] + (0,) * (n - level)] = c
-    return top, T.F.new(piece.numer.new(bucket), piece.denom)
-
-
 def head_data_value(T: Tower, f) -> HeadData:
-    proj = tuple(project_value(T, f))
-    hm_i = []
-    hc_i = []
-    for level, piece in enumerate(proj):
-        if not piece:
-            hm_i.append(None)
-            hc_i.append(T.F.zero)
-            continue
-        top, hc = _head_coefficient(T, piece, level)
-        hm_i.append(top)
-        hc_i.append(hc)
+    """Head monomials of every projection, read from the monomials of the
+    unreduced level pieces, and head coefficients built (one ``F.new`` each)
+    only for the levels in the index set."""
+    F = T.F
+    pieces = _level_pieces(T, f)
+    hm_i = tuple(max(level, key=mono_key) if level else None for level in pieces)
     present = [m for m in hm_i if m is not None]
     if not present:
-        return HeadData(tuple(hm_i), tuple(hc_i), None, T.F.zero, frozenset(), proj)
+        return HeadData(hm_i, {}, None, F.zero, frozenset())
     hm = max(present, key=mono_key)
     index_set = frozenset(i for i, m in enumerate(hm_i) if m == hm)
-    hc = T.F.zero
-    for i in index_set:
-        hc += hc_i[i]
-    return HeadData(tuple(hm_i), tuple(hc_i), hm, hc, index_set, proj)
+    hc_i = {i: F.new(*pieces[i][hm]) for i in index_set}
+    hc = F.zero
+    for c in hc_i.values():
+        hc += c
+    return HeadData(hm_i, hc_i, hm, hc, index_set)
 
 
 def order_key_value(T: Tower, f) -> OrderKey:
@@ -207,7 +185,9 @@ def is_simple_value(T: Tower, f):
 def derivative_projections(T: Tower):
     """(cols, sv): cols[j-1] is project_value of t_j', and sv[j-1] its
     significant level, the highest level with a nonzero projection (-1 when
-    t_j' = 0)."""
-    cols = [project_value(T, d) for d in T.derivs]
-    sv = [max((i for i, p in enumerate(col) if p), default=-1) for col in cols]
-    return cols, sv
+    t_j' = 0).  Computed once per tower and cached on it."""
+    if T._derivative_projections is None:
+        cols = tuple(tuple(project_value(T, d)) for d in T.derivs)
+        sv = tuple(max((i for i, p in enumerate(col) if p), default=-1) for col in cols)
+        T._derivative_projections = (cols, sv)
+    return T._derivative_projections

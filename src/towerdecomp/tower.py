@@ -9,10 +9,10 @@ Towers are immutable once built; validation results are cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import free_of, ground, make_field, substitute
+from .arith import ClearedBasis, free_of, ground, make_field, substitute
 from .errors import (
     HeadMonomialNotOne,
     TowerDecompError,
@@ -167,6 +167,7 @@ class Tower:
         self.generators: list[Generator] = []
         self.derivs = []  # derivative of generator i at index i-1
         self._validation = None
+        self._derivative_projections = None
         # L = lcm of the denominators b_i of t_i' = a_i/b_i, and one
         # (i, a_i*L/b_i) per nonzero t_i'; L*p' is then a polynomial for
         # every polynomial p.  Extended per generator, since the derivative
@@ -236,6 +237,14 @@ class Tower:
             return scaled(N), L * D
         return scaled(N) * D - N * scaled(D), L * D**2
 
+    def derivative_basis(self, m):
+        """t_1', ..., t_m' over their common denominator L_m, the lcm of
+        their denominators: ClearedBasis(L_m, (t_1' * L_m, ..., t_m' * L_m))."""
+        L, multipliers = self._levels[m]
+        cleared = dict(multipliers)
+        zero = self.F.ring.zero
+        return ClearedBasis(L, tuple(cleared.get(j, zero) for j in range(1, m + 1)))
+
     def diff_log_combination(self, pairs):
         """The derivative sum(c * b'/b) of sum(c * log b), for (b, c) pairs."""
         out = self.F.zero
@@ -276,7 +285,7 @@ class Tower:
                 )
         for i in range(2, self.n + 1):
             coeffs = solve_constant_combination_values(
-                self.F, self.derivs[i - 1], self.derivs[: i - 1]
+                self.F, self.derivs[i - 1], self.derivative_basis(i - 1)
             )
             if coeffs is not None:
                 return ValidationResult(
@@ -306,11 +315,12 @@ def normalize_generators(T: Tower):
 
     Replaces t_i by u_i = t_i - g_i where t_i' = g_i' + h_i with h_i simple
     (level-by-level Hermite reduction).  Requires hm(t_i') = 1 for every
-    generator.  Returns the new tower and the list of (index, shift) pairs,
+    generator, that is, no projection pi_j(t_i') involving a generator above
+    t_j.  Returns the new tower and the list of (index, shift) pairs,
     the shifts expressed in the new coordinates.
     """
     from .hermite import hermite_reduce_proper_value
-    from .matryoshka import head_data_value
+    from .matryoshka import project_value
 
     builder = TowerBuilder(T.names[1:], base_name=T.names[0])
     shifts = []
@@ -324,12 +334,13 @@ def normalize_generators(T: Tower):
         ]
         values += list(builder.gens[i:])  # higher gens never occur in d_old
         d_new = substitute(d_old, builder.F, values)
-        hd = head_data_value(prefix, d_new)
-        if hd.hm is not None and any(hd.hm):
+        proj = project_value(prefix, d_new)
+        # a generator above level lvl in pi_lvl is a head monomial above 1
+        if not all(free_of(p, range(lvl + 1, T.n + 1)) for lvl, p in enumerate(proj)):
             raise HeadMonomialNotOne(i)
         g_total = builder.F.zero
         h_total = builder.F.zero
-        for lvl, piece in enumerate(hd.proj):
+        for lvl, piece in enumerate(proj):
             if not piece:
                 continue
             b, h = hermite_reduce_proper_value(prefix, piece, lvl)

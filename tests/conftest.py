@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import settings, strategies as st
+from sympy.polys.rings import PolyElement
 
 from towerdecomp import FormalProduct, TowerBuilder
 
@@ -135,3 +136,19 @@ def random_s_primitive_tower(rng, n):
 @pytest.fixture
 def rng():
     return random.Random(20250825)
+
+
+@pytest.fixture
+def gcds(monkeypatch):
+    """Counts of PolyElement.gcd, lcm, cancel and cofactors calls; every
+    multivariate gcd sympy runs goes through cofactors."""
+    counts = {}
+    for name in ["gcd", "lcm", "cancel", "cofactors"]:
+        orig = getattr(PolyElement, name)
+
+        def counting(self, *args, _orig=orig, _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(PolyElement, name, counting)
+    return counts

@@ -279,3 +279,23 @@ def test_exit_code_internal_verification(argv, nested_file, monkeypatch, capsys)
     captured = capsys.readouterr()
     assert "internal error:" in captured.err and "forced" in captured.err
     assert not captured.out
+
+
+def test_zero_to_the_zero_in_expr_exits_1(li_file, capsys):
+    assert main(["decomp", "--tower", li_file, "--expr", "0^0"]) == 1
+    err = capsys.readouterr().err
+    assert "zero to a non-positive power" in err and "Traceback" not in err
+    T = parse_tower_file(LI_TOWER)
+    for text in ["(x-x)^0", "0^-0", "0^-2"]:
+        with pytest.raises(ExprSyntaxError, match="non-positive power"):
+            parse_expression(text, T)
+    assert parse_expression("x^0 + 0^1", T).value == T.F.one
+
+
+def test_zero_to_the_zero_in_tower_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "zero.tower"
+    path.write_text("var x\ngen t1 : log(x+0^0)\n")
+    assert main(["check", "--tower", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "line 2:" in err and "zero to a non-positive power" in err
+    assert "Traceback" not in err

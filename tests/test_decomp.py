@@ -11,16 +11,20 @@ from towerdecomp import (
     differentiate,
     integrate_in_field,
 )
-from towerdecomp.arith import solve_linear_system, to_fraction
+from towerdecomp.arith import ground, solve_linear_system, to_fraction
 from towerdecomp.decomp import _is_remainder_value, solve_constant_combination_values
+from towerdecomp.errors import InternalVerificationError
 from towerdecomp.matryoshka import order_key_value, project_value
 
 from conftest import (
+    coupled_tower,
     li_tower,
+    nested_tower,
     random_element,
     random_fraction,
     random_s_primitive_tower,
     seeds,
+    u_tower,
 )
 
 
@@ -82,6 +86,81 @@ def test_solver_matches_product_reference(seed):
         got = solve_constant_combination_values(F, target, basis)
         assert got == _product_solver(F, target, basis)
     assert solve_constant_combination_values(F, combo, basis) is not None
+
+
+def _lcm_solver(F, target, basis):
+    """Reference: the earlier solver, which clears the target and the basis
+    with the lcm of all their denominators and checks its answer as a sum of
+    field elements."""
+    basis = list(basis)
+    if not target:
+        return [Fraction(0)] * len(basis)
+    if not basis:
+        return None
+    den = F.ring.one
+    for e in [target] + basis:
+        den = den.lcm(e.denom)
+
+    def coeffs(e):
+        p = e.numer * den.exquo(e.denom)
+        return {mono: to_fraction(c) for mono, c in p.terms()}
+
+    t_dict = coeffs(target)
+    b_dicts = [coeffs(b) for b in basis]
+    monos = sorted(set(t_dict).union(*b_dicts))
+    rows = [[d.get(m, Fraction(0)) for d in b_dicts] for m in monos]
+    rhs = [t_dict.get(m, Fraction(0)) for m in monos]
+    sol = solve_linear_system(rows, rhs)
+    if sol is None:
+        return None
+    acc = F.zero
+    for c, b in zip(sol, basis):
+        acc += ground(F, c) * b
+    if acc != target:
+        raise InternalVerificationError("combination solver self-check failed")
+    return [Fraction(c) for c in sol]
+
+
+@given(seed=seeds)
+def test_solver_on_tower_basis_matches_lcm_reference(seed):
+    rng = random.Random(seed)
+    towers = [li_tower, nested_tower, u_tower, coupled_tower]
+    if rng.random() < 0.4:
+        T = random_s_primitive_tower(rng, rng.randint(1, 3))
+    else:
+        T = rng.choice(towers)()
+    F = T.F
+    m = rng.randint(1, T.n)
+    basis = T.derivs[:m]
+    wanted = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in basis]
+    combo = F.zero
+    for c, b in zip(wanted, basis):
+        combo += ground(F, c) * b
+    other = random_element(T, rng)
+    # in the span, plus a random element (rarely in it), plus a pole the
+    # basis does not have, and a random element alone
+    targets = [combo, combo + other, combo + 1 / (T.gens[0] + 7), other]
+    for target in targets:
+        expected = _lcm_solver(F, target, basis)
+        assert solve_constant_combination_values(F, target, T.derivative_basis(m)) == expected
+        assert solve_constant_combination_values(F, target, basis) == expected
+    # an S-primitive tower's derivatives are independent over Q
+    assert solve_constant_combination_values(F, combo, T.derivative_basis(m)) == wanted
+
+
+def test_solver_rejects_a_foreign_denominator_without_a_gcd(tower_li, gcds):
+    T = tower_li
+    x, t1, t2, t3 = T.gens
+    # L_3 = x*t1 clears t1' = 1/x, t2' = 1/t1 and t3' = 1/(x*t1)
+    for target in [1 / (x + 1), 1 / t2, 1 / t1**2, (x + t1) / (x**2 * t1)]:
+        gcds.clear()
+        assert solve_constant_combination_values(T.F, target, T.derivative_basis(3)) is None
+        assert not gcds
+    # a target in the span costs no gcd either
+    target = 2 / x - 1 / (x * t1)
+    gcds.clear()
+    got = solve_constant_combination_values(T.F, target, T.derivative_basis(3))
+    assert got == [2, 0, -1] and not gcds
 
 
 def test_running_example_decomposition(tower_li):

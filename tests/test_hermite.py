@@ -2,7 +2,7 @@ import pytest
 
 from towerdecomp.arith import frac_to_unipair, split_proper_poly
 from towerdecomp.errors import NotProper
-from towerdecomp.hermite import hermite_reduce_proper_value
+from towerdecomp.hermite import _hermite_core, hermite_reduce_proper_value
 from towerdecomp.matryoshka import is_simple_value
 
 
@@ -107,3 +107,22 @@ def test_random_reconstruction(tower_li, rng):
             _, dh = frac_to_unipair(h, level)
             assert df.divmod(dh)[1].is_zero()
         count += 1
+
+
+def test_squarefree_denominator_costs_one_gcd_and_returns_f(tower_li, gcds):
+    T = tower_li
+    x, t1, t2, t3 = T.gens
+    cases = [
+        (1 / (x * t1), 1),
+        ((x + t1) / (t1 * (t1 + 1)), 1),
+        (1 / (t1 * t2), 2),
+        ((t1 * t2 + x) / (x * (t2**2 + t1)), 2),
+        (t2 / (x * t3 + 1), 3),
+        (1 / (x**2 - 1), 0),
+    ]
+    for f, level in cases:
+        gcds.clear()
+        g, h = _hermite_core(T, f, level)
+        assert not g and h is f
+        # the one gcd is Yun's gcd(D, dD/dt_level), found constant in t_level
+        assert gcds == {"gcd": 1, "cofactors": 1}
