@@ -12,13 +12,15 @@ The univariate layer works the same way.  A :class:`UniPoly` is a
 polynomial in one designated variable v over the fraction field of the
 others, held as one fraction: a ring polynomial ``num`` over a ring polynomial
 ``den`` free of v.  Division is pseudo-division of the numerators, with the
-power of the divisor's leading coefficient folded into the denominator, and
-one ``gcd`` reduces the pair after each division, ``monic`` or product, never
-per coefficient.  Yun's squarefree decomposition runs on the numerator with
+power of the divisor's leading coefficient folded into the denominator.  One
+``gcd`` reduces each pair that a division, ``monic`` or product returns,
+never per coefficient; ``%`` and ``//`` reduce only the part they return.
+Yun's squarefree decomposition runs on the numerator with
 multivariate gcds and exact divisions, and the resultant is the
 fraction-free subresultant PRS on the numerators, divided by the
 denominators once.  The extended gcd carries only the cofactor of its first
-argument, (g, s) with s*a = g (mod b), and makes both monic without a gcd.
+argument, (g, s) with s*a = g (mod b), stops at the first zero remainder, and
+makes both monic without a gcd.
 Canonical field elements are built only for outputs, one ``F.new`` each:
 ``UniPoly.coeffs`` and ``to_frac``, the proper part of
 ``split_proper_poly`` and the resultant.
@@ -215,29 +217,34 @@ class UniPoly:
     def pow(self, e: int):
         return self._new(self.num**e, self.den**e)
 
-    def divmod(self, other):
-        """Euclidean division over the coefficient field, as one
-        pseudo-division of the numerators: L*num = Q*other.num + R gives
-        quotient Q*other.den/(L*den) and remainder R/(L*den)."""
+    def _divide(self, other):
+        """Unreduced quotient and remainder pairs, ((qnum, qden), (rnum,
+        rden)): one pseudo-division of the numerators, L*num = Q*other.num +
+        R, gives quotient Q*other.den/(L*den) and remainder R/(L*den)."""
         if other.is_zero():
             raise ZeroDivisionError("UniPoly division by zero")
+        ring = self.num.ring
         if other.degree == 0:
-            q = _reduce(self.num * other.den, self.den * other.num)
-            return self._new(*q), UniPoly.zero(self.F, self.v)
-        if self.degree < other.degree:
-            return UniPoly.zero(self.F, self.v), self
+            return (self.num * other.den, self.den * other.num), (ring.zero, ring.one)
         Q, R, L = pseudo_divmod(self.num, other.num, self.v)
         den = L * self.den
-        return (
-            self._new(*_reduce(Q * other.den, den)),
-            self._new(*_reduce(R, den)),
-        )
+        return (Q * other.den, den), (R, den)
+
+    def divmod(self, other):
+        """Euclidean division over the coefficient field, each part reduced
+        with one gcd."""
+        if self.degree < other.degree:
+            return UniPoly.zero(self.F, self.v), self
+        q, r = self._divide(other)
+        return self._new(*_reduce(*q)), self._new(*_reduce(*r))
 
     def __floordiv__(self, other):
-        return self.divmod(other)[0]
+        return self._new(*_reduce(*self._divide(other)[0]))
 
     def __mod__(self, other):
-        return self.divmod(other)[1]
+        if self.degree < other.degree:
+            return self
+        return self._new(*_reduce(*self._divide(other)[1]))
 
     def monic(self):
         if self.is_zero():
@@ -256,6 +263,19 @@ class UniPoly:
             f"({c})*{name}^{k}" for k, c in sorted(self.coeffs.items(), reverse=True)
         ]
         return " + ".join(parts)
+
+
+def sum_pairs(F, pairs):
+    """The sum of unreduced (numerator, denominator) polynomial pairs as one
+    field element: numerators over the same denominator add as polynomials,
+    and each distinct denominator costs one ``F.new``."""
+    sums = {}
+    for num, den in pairs:
+        sums[den] = sums[den] + num if den in sums else num
+    total = F.zero
+    for den, num in sums.items():
+        total += F.new(num, den)
+    return total
 
 
 def frac_to_unipair(f, v):
@@ -298,14 +318,23 @@ def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 def unipoly_xgcd(a: UniPoly, b: UniPoly):
     """Half-extended gcd: (g, s) with s*a = g (mod b) and g monic, or g
-    zero when a and b are.  The cofactor of b is never formed; g and s are
-    made monic together by folding lc(g) into their denominators, without a
-    gcd."""
+    zero when a and b are.  The cofactor of b is never formed, and the loop
+    stops at the first zero remainder, before the quotient that would only
+    build the cofactor s with s*a = 0 (mod b); g and s are made monic
+    together by folding lc(g) into their denominators, without a gcd."""
     r0, r1 = a, b
     s0, s1 = UniPoly.constant(a.F, a.v, a.F.one), UniPoly.zero(a.F, a.v)
     while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
+        if r0.degree < r1.degree:
+            r0, r1 = r1, r0
+            s0, s1 = s1, s0
+            continue
+        (qnum, qden), (rnum, rden) = r0._divide(r1)
+        if not rnum:
+            r0, s0 = r1, s1
+            break
+        q = r0._new(*_reduce(qnum, qden))
+        r0, r1 = r1, r0._new(*_reduce(rnum, rden))
         s0, s1 = s1, s0 - q * s1
     if r0.is_zero():
         return r0, s0

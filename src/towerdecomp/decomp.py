@@ -5,7 +5,10 @@ coefficient is Hermite-reduced level by level, absorbable pieces (those that
 are constant combinations of generator derivatives) move into g via
 integration by parts, everything else times M joins the remainder.  The
 (denominator degree, head monomial) key strictly decreases each pass, which
-is the termination measure and is asserted.
+is the termination measure and is asserted.  Each pass builds its update of
+the current element as one polynomial pair over one denominator, with one
+``F.new``; g and r collect (numerator, denominator) terms and become field
+elements once, before the reconstruction check.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 
 from sympy import QQ
 
-from .arith import ClearedBasis, ground, solve_linear_system, to_fraction
+from .arith import ClearedBasis, ground, solve_linear_system, sum_pairs, to_fraction
 from .errors import InternalVerificationError
 from .hermite import hermite_reduce_proper_value
 from .matryoshka import (
@@ -97,10 +100,11 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
     T = f.tower
     T.ensure_s_primitive()
     F = T.F
+    R = F.ring
     n = T.n
     cur = f.value
-    g = F.zero
-    r = F.zero
+    g_terms = []  # (numerator, denominator) pairs of g, and of r
+    r_terms = []
     prev_key = None
     while cur:
         key = order_key_value(T, cur)
@@ -114,14 +118,16 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
         d = M[m - 1] if n else 0
         span_basis = T.derivative_basis(m)
         B = F.zero
+        B_poly = R.zero  # the c_j * t_j absorbed into B, kept apart
         H = F.zero
         ctilde = Fraction(0)
         unabsorbed = []
 
         def absorb(coeffs):
-            nonlocal B, ctilde
+            nonlocal B_poly, ctilde
             for j in range(m - 1):
-                B += ground(F, coeffs[j]) * T.gens[j + 1]
+                if coeffs[j]:
+                    B_poly += R.gens[j + 1] * ground(R, coeffs[j])
             ctilde += coeffs[m - 1]
 
         for i in sorted(hd.index_set):
@@ -132,6 +138,11 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
             coeffs = solve_constant_combination_values(F, h_i, span_basis)
             if coeffs is not None:
                 absorb(coeffs)
+            elif i == n and not any(M):
+                # head monomial 1: t_j' lies in K_{j-1}, so a nonzero level-n
+                # part never joins the span, and the remainder test reads
+                # the levels below n apart from it
+                H = h_i
             else:
                 unabsorbed.append(h_i)
         if unabsorbed:
@@ -143,21 +154,32 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
                 if coeffs is not None:
                     absorb(coeffs)
                 else:
-                    H = total
+                    H += total
 
-        Mval = T.monomial_value(M)
-        Nexp = list(M)
-        if d:
-            Nexp[m - 1] = 0
-        Nval = T.monomial_value(Nexp)
+        # cur - a*M - B*M' - cc*t_m^(d+1)*N' over one denominator, with M and
+        # N = M/t_m^d ring monomials and M', N' over the tower's L; the last
+        # two terms vanish on most passes, and L with them
+        Mpoly = R.one.mul_monom((0,) + M)
+        Mp, L = T.diff_pair(Mpoly, R.one)
+        Bnum, Bden = B.numer + B_poly * B.denom, B.denom
+        if Bnum:
+            g_terms.append((Bnum * Mpoly, Bden))
+        rest = Bnum * Mp  # (B*M' + cc*t_m^(d+1)*N') * Bden * L
         cc = Fraction(ctilde, d + 1)
-        g += B * Mval
-        r += H * Mval
-        cur = cur - a * Mval - B * T.diff(Mval)
         if cc:
-            tm = T.gens[m]
-            g += ground(F, cc) * tm * Mval
-            cur = cur - ground(F, cc) * tm ** (d + 1) * T.diff(Nval)
+            tm = R.gens[m]
+            Np, _ = T.diff_pair(Mpoly.exquo(tm**d), R.one)
+            rest += ground(R, cc) * tm ** (d + 1) * Np * Bden
+            g_terms.append((ground(R, cc) * tm * Mpoly, R.one))
+        num = cur.numer * a.denom - a.numer * Mpoly * cur.denom
+        den = cur.denom * a.denom
+        if rest:
+            num, den = num * Bden * L - rest * den, den * Bden * L
+        cur = F.new(num, den)
+        if H:
+            r_terms.append((H.numer * Mpoly, H.denom))
+    g = sum_pairs(F, g_terms)
+    r = sum_pairs(F, r_terms)
     if T.diff(g) + r != f.value:
         raise InternalVerificationError("decomposition does not reconstruct input")
     ok, why = _is_remainder_value(T, r)

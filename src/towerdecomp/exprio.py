@@ -10,7 +10,9 @@ both, left associativity for - and /):
     power  := atom ["^" ["-"] integer]
     atom   := integer | name | "(" expr ")"
 
-Parentheses may nest at most ``MAX_DEPTH`` deep.
+Parentheses may nest at most ``MAX_DEPTH`` deep, and a power or product
+whose degree in some variable could exceed ``MAX_DEGREE`` is rejected before
+it is formed.
 
 Tower files are line oriented: a `var <name>` header, then one
 `gen <name> : log(<expr>)` or `gen <name> : prim <expr>` per generator,
@@ -33,6 +35,21 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()]))")
 # Parentheses nest through five parser frames each; this cap keeps the
 # recursion far below the interpreter's limit.
 MAX_DEPTH = 100
+
+# Degree bound for powers and products, counted per variable over numerator
+# and denominator; far above any expression of the documented examples, and
+# low enough that no single power or product takes long to form.
+MAX_DEGREE = 1000
+
+
+def _degrees(value):
+    """Per variable, the larger of the numerator's and denominator's degree."""
+    return [max(a, b, 0) for a, b in zip(value.numer.degrees(), value.denom.degrees())]
+
+
+def _check_degree(degrees, off):
+    if max(degrees, default=0) > MAX_DEGREE:
+        raise ExprSyntaxError(f"degree above {MAX_DEGREE}", offset=off)
 
 
 class _Parser:
@@ -102,6 +119,9 @@ class _Parser:
             if kind == "op" and text in "*/":
                 self.next()
                 rhs = self.factor()
+                _check_degree(
+                    [a + b for a, b in zip(_degrees(value), _degrees(rhs))], off
+                )
                 if text == "*":
                     value = value * rhs
                 else:
@@ -136,6 +156,7 @@ class _Parser:
             e = sign * int(text2)
             if e <= 0 and not value:
                 raise ExprSyntaxError("zero to a non-positive power", offset=off)
+            _check_degree([abs(e) * k for k in _degrees(value)], off)
             value = value**e
         return value
 

@@ -1,14 +1,19 @@
 """Hermite reduction at a single tower level.
 
-At level i the derivation acts on K_{i-1}(t_i) with t_i primitive, so the
-classical iterated reduction over the squarefree decomposition of the
-denominator applies: each call strips one power off a repeated factor by
-solving a Bezout congruence.  Level 0 is Q(x) itself; there the polynomial
-part is integrated directly by the power rule, so any element of Q(x) is
-accepted.
+At level i the derivation acts on K_{i-1}(t_i) with t_i primitive, so
+Hermite reduction over the squarefree decomposition of the denominator
+applies (Bronstein, *Symbolic Integration I*, section 2.2).  It runs Yun's
+algorithm once.  For each factor V of multiplicity m >= 2, with D = U*V^m,
+one extended gcd gives the inverse of U*V' modulo V, and each of the m - 1
+steps j = m-1, ..., 1 strips one power of V with that inverse divided by j.
+The work is linear in the multiplicities.  Level 0 is Q(x) itself; there the
+polynomial part is integrated directly by the power rule, so any element of
+Q(x) is accepted.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .arith import (
     UniPoly,
@@ -63,7 +68,9 @@ def _hermite_core(T, f, level):
 
     When Yun's first gcd finds the denominator squarefree in t_level, f is
     its own output, (0, f): that gcd is the squarefree half of the output
-    check, and ``improper_reason`` is the other half.
+    check, and ``improper_reason`` is the other half.  Otherwise the
+    factors are stripped from the highest multiplicity down, so that the
+    highest power leaves D before the other factors' U = D/V^m are formed.
     """
     F = T.F
     if not f:
@@ -74,34 +81,34 @@ def _hermite_core(T, f, level):
         if improper_reason(T, f, level):
             raise InternalVerificationError("Hermite output is not proper")
         return F.zero, f
+    prod = UniPoly.constant(F, level, F.one)
+    for fac, mult in sqf:
+        prod = prod * fac.pow(mult)
+    unit, rem = D.divmod(prod)
+    if not rem.is_zero() or unit.degree != 0:
+        raise InternalVerificationError("squarefree product mismatch")
+    A = A // unit
+    D = prod
     g = F.zero
-    while True:
-        prod = UniPoly.constant(F, level, F.one)
-        for fac, mult in sqf:
-            prod = prod * fac.pow(mult)
-        unit, rem = D.divmod(prod)
-        if not rem.is_zero() or unit.degree != 0:
-            raise InternalVerificationError("squarefree product mismatch")
-        A = A // unit
-        D = prod
-        if sqf[-1][1] <= 1:
+    for V, m in reversed(sqf):
+        if m == 1:
             break
-        V, m = sqf[-1]
+        # A/(U*V^(j+1)) = (B/V^j)' + A_new/(U*V^j) when j*B*U*V' = -A (mod V),
+        # for j = m-1, ..., 1; one inverse of U*V' mod V serves every j
         U = D // V.pow(m)
+        Vd = tower_derivative_unipoly(T, V, level)
+        UVd = U * Vd
+        gg, inv = unipoly_xgcd(UVd % V, V)
+        if gg.degree != 0:
+            raise InternalVerificationError(
+                "repeated factor is not normal at its level"
+            )
         for j in range(m - 1, 0, -1):
-            Vd = tower_derivative_unipoly(T, V, level)
-            s = (U * Vd).scale(ground(F, j)) % V
-            gg, sinv = unipoly_xgcd(s, V)
-            if gg.degree != 0:
-                raise InternalVerificationError(
-                    "repeated factor is not normal at its level"
-                )
-            B = (sinv * (-(A % V))) % V
+            B = (inv * (-(A % V))).scale(ground(F, Fraction(1, j))) % V
             g += F.new(B.num * V.den**j, B.den * V.num**j)
-            A = (A + (B * U * Vd).scale(ground(F, j))) // V
+            A = (A + (B * UVd).scale(ground(F, j))) // V
             A = A - U * tower_derivative_unipoly(T, B, level)
         D = U * V
-        sqf = squarefree_decomposition(D, level)
     h = F.new(A.num * D.den, A.den * D.num)
     why = not_simple_reason(T, h, level)
     if why == NOT_SQUAREFREE:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arith import coeff_polys, free_of, pseudo_divmod
+from .arith import coeff_polys, free_of, pseudo_divmod, sum_pairs
 from .tower import Tower
 
 NOT_SQUAREFREE = "has a non-squarefree denominator"
@@ -96,18 +96,13 @@ def project_value(T: Tower, f) -> list:
     Each level's pieces are summed per distinct denominator as polynomials
     and become field elements with one ``F.new`` per denominator.
     """
-    F = T.F
-    proj = []
-    for level in _level_pieces(T, f):
-        sums = {}  # denominator -> numerator
-        for mono, (num, den) in level.items():
-            term = num.mul_monom((0,) + mono)
-            sums[den] = sums[den] + term if den in sums else term
-        total = F.zero
-        for den, num in sums.items():
-            total += F.new(num, den)
-        proj.append(total)
-    return proj
+    return [
+        sum_pairs(
+            T.F,
+            ((num.mul_monom((0,) + mono), den) for mono, (num, den) in level.items()),
+        )
+        for level in _level_pieces(T, f)
+    ]
 
 
 def head_data_value(T: Tower, f) -> HeadData:

@@ -252,14 +252,6 @@ class Tower:
             out += ground(self.F, exp) * self.diff(base) / base
         return out
 
-    def monomial_value(self, exps):
-        """Product of generator powers for an exponent tuple over t1..tn."""
-        out = self.F.one
-        for i, e in enumerate(exps, start=1):
-            if e:
-                out *= self.gens[i] ** e
-        return out
-
     # -- validation --------------------------------------------------------
 
     def validate_s_primitive(self) -> ValidationResult:

@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
 from towerdecomp.cli import main
 from towerdecomp.exprio import (
+    MAX_DEGREE,
     parse_expression,
     parse_tower_file,
     render_expression,
@@ -299,3 +301,54 @@ def test_zero_to_the_zero_in_tower_file_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 2:" in err and "zero to a non-positive power" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr", ["t1^5000", "(x+1)^200000"])
+def test_degree_above_cap_in_expr_exits_1_at_once(expr, li_file, capsys):
+    start = time.perf_counter()
+    assert main(["decomp", "--tower", li_file, "--expr", expr]) == 1
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert f"degree above {MAX_DEGREE}" in err and "Traceback" not in err
+
+
+def test_degree_cap_covers_products_and_tower_files(tmp_path, capsys):
+    T = parse_tower_file(LI_TOWER)
+    x, t1 = T.gens[:2]
+    half = MAX_DEGREE // 2 + 1
+    assert parse_expression(f"t1^{MAX_DEGREE}", T).value == t1**MAX_DEGREE
+    assert parse_expression(f"x^-{MAX_DEGREE}", T).value == x**-MAX_DEGREE
+    for text in [
+        f"t1^{MAX_DEGREE + 1}",
+        f"(x*t1)^-{MAX_DEGREE + 1}",
+        f"t1^{half}*t1^{half}",
+        f"x^{half}/x^{half}",
+        f"(t1^{half} + 1)*(t1 + x)^{half}",
+    ]:
+        with pytest.raises(ExprSyntaxError, match="degree above"):
+            parse_expression(text, T)
+    path = tmp_path / "deg.tower"
+    path.write_text("var x\ngen t1 : log(x)\ngen t2 : prim 1/t1^5000\n")
+    assert main(["check", "--tower", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "line 3:" in err and "degree above" in err
+
+
+@pytest.mark.parametrize("command", ["decomp", "integrate", "elementary"])
+def test_nested_readme_reproducer_exits_0(command, nested_file, capsys):
+    # f = 1/t3 + t3': in the pass for the head monomial 1 the level-3 part
+    # 1/t3 stays out of the span test on the levels below
+    expr = "1/t3 + 1/(x+1) + 1/(x*(t1+1)) + (1/x + 1/(x*t1))/t2"
+    assert main([command, "--tower", nested_file, "--expr", expr, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    T = parse_tower_file(NESTED_TOWER)
+    t3 = T.gens[3]
+    if command == "decomp":
+        assert parse_expression(payload["g"], T).value == t3
+        assert parse_expression(payload["r"], T).value == 1 / t3
+    elif command == "integrate":
+        assert payload["integrable"] is False
+        assert parse_expression(payload["remainder"], T).value == 1 / t3
+    else:
+        # 1/t3 has the non-constant residue 1/t3' at t3 = 0
+        assert payload["status"] == "no"

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from towerdecomp import (
     differentiate,
     integrate_in_field,
 )
+from towerdecomp import decomp
 from towerdecomp.arith import ground, solve_linear_system, to_fraction
 from towerdecomp.decomp import _is_remainder_value, solve_constant_combination_values
 from towerdecomp.errors import InternalVerificationError
@@ -269,3 +271,56 @@ def test_shift_by_derivative_keeps_projection_and_order(tower_li, rng):
         assert project_value(T, r1.value)[T.n] == project_value(T, r2.value)[T.n]
         assert order_key_value(T, r1.value) == order_key_value(T, r2.value)
         assert _is_remainder_value(T, r2.value)[0]
+
+
+@given(seed=seeds)
+def test_adding_generator_derivatives_never_raises(seed):
+    """f + sum(c_j * t_j') decomposes on every paper tower and on a random
+    S-primitive tower; on nested, the level-3 part of the pass for the head
+    monomial 1 once made the remainder test fail."""
+    rng = random.Random(seed)
+    towers = [li_tower(), nested_tower(), u_tower(), coupled_tower()]
+    towers.append(random_s_primitive_tower(rng, rng.randint(1, 3)))
+    for T in towers:
+        f = random_element(T, rng)
+        for d in T.derivs:
+            f += ground(T.F, Fraction(rng.randint(-3, 3), rng.randint(1, 3))) * d
+        dec = add_decomp_in_field(T.element(f))
+        assert _is_remainder_value(T, dec.r.value)[0]
+
+
+def test_nested_head_monomial_one_keeps_level_n_out_of_the_span(tower_nested):
+    T = tower_nested
+    x, t1, t2, t3 = T.gens
+    dec = add_decomp_in_field(T.element(1 / t3 + T.diff(t3)))
+    assert dec.g.value == t3 and dec.r.value == 1 / t3
+
+
+def test_one_field_element_per_pass_for_the_update(tower_li, tower_u, monkeypatch):
+    """The pass update is built as one polynomial pair; the only F.new that
+    add_decomp_in_field makes itself turns it into a field element."""
+    x, t1, t2, t3 = tower_li.gens
+    xu, u1, u2, u3 = tower_u.gens
+    for T, f in [
+        (tower_li, 1 / (t1 * t2) + (t2 - 2 * x * t1) / t1**2 + t3),
+        (tower_u, (u2 + u3) / (xu * u1) + u3**2 / (xu + 1)),
+    ]:
+        F = T.F
+        counts = {"new": 0, "passes": 0}
+        new = F.new
+
+        def counting_new(*args):
+            if sys._getframe(1).f_code is decomp.add_decomp_in_field.__code__:
+                counts["new"] += 1
+            return new(*args)
+
+        def counting_key(T, f, _key=decomp.order_key_value):
+            counts["passes"] += 1
+            return _key(T, f)
+
+        monkeypatch.setattr(F, "new", counting_new)
+        monkeypatch.setattr(decomp, "order_key_value", counting_key)
+        dec = add_decomp_in_field(T.element(f))
+        monkeypatch.undo()
+        assert counts["passes"] > 1 and counts["new"] == counts["passes"]
+        assert T.diff(dec.g.value) + dec.r.value == f

@@ -1,9 +1,31 @@
+import operator
+
 import pytest
 
-from towerdecomp.arith import frac_to_unipair, split_proper_poly
-from towerdecomp.errors import NotProper
-from towerdecomp.hermite import _hermite_core, hermite_reduce_proper_value
+from towerdecomp import hermite
+from towerdecomp.arith import (
+    UniPoly,
+    frac_to_unipair,
+    ground,
+    split_proper_poly,
+    squarefree_decomposition,
+    unipoly_xgcd,
+)
+from towerdecomp.errors import InternalVerificationError, NotProper
+from towerdecomp.hermite import (
+    _hermite_core,
+    hermite_reduce_proper_value,
+    tower_derivative_unipoly,
+)
 from towerdecomp.matryoshka import is_simple_value
+
+from conftest import (
+    coupled_tower,
+    li_tower,
+    nested_tower,
+    random_s_primitive_tower,
+    u_tower,
+)
 
 
 def _check(T, f, level):
@@ -126,3 +148,123 @@ def test_squarefree_denominator_costs_one_gcd_and_returns_f(tower_li, gcds):
         assert not g and h is f
         # the one gcd is Yun's gcd(D, dD/dt_level), found constant in t_level
         assert gcds == {"gcd": 1, "cofactors": 1}
+
+
+def _quadratic_hermite_core(T, f, level):
+    """Reference: the earlier multiplicity loop.  It strips the factor of
+    highest multiplicity one power at a time with a fresh Bezout inverse per
+    power, then rebuilds the denominator and runs Yun on it again."""
+    F = T.F
+    if not f:
+        return F.zero, F.zero
+    A, D = frac_to_unipair(f, level)
+    sqf = squarefree_decomposition(D, level)
+    if not sqf or sqf[-1][1] == 1:
+        return F.zero, f
+    g = F.zero
+    while True:
+        prod = UniPoly.constant(F, level, F.one)
+        for fac, mult in sqf:
+            prod = prod * fac.pow(mult)
+        unit, rem = D.divmod(prod)
+        assert rem.is_zero() and unit.degree == 0
+        A = A // unit
+        D = prod
+        if sqf[-1][1] <= 1:
+            break
+        V, m = sqf[-1]
+        U = D // V.pow(m)
+        for j in range(m - 1, 0, -1):
+            Vd = tower_derivative_unipoly(T, V, level)
+            s = (U * Vd).scale(ground(F, j)) % V
+            gg, sinv = unipoly_xgcd(s, V)
+            assert gg.degree == 0
+            B = (sinv * (-(A % V))) % V
+            g += F.new(B.num * V.den**j, B.den * V.num**j)
+            A = (A + (B * U * Vd).scale(ground(F, j))) // V
+            A = A - U * tower_derivative_unipoly(T, B, level)
+        D = U * V
+        sqf = squarefree_decomposition(D, level)
+    return g, F.new(A.num * D.den, A.den * D.num)
+
+
+def _repeated_proper(T, level, rng):
+    """A proper element at level whose denominator has one factor of
+    multiplicity 2-4 in t_level over K_{level-1}, and at most one other
+    factor of multiplicity 1-2 over Q, or None."""
+    F = T.F
+    v = T.gens[level]
+    lower = list(T.gens[:level]) + [F.one]
+    shift = rng.choice(lower) * rng.randint(-2, 2) + rng.randint(-2, 2)
+    den = (v + shift) ** rng.randint(2, 4)
+    den *= (v + rng.randint(-2, 2)) ** rng.randint(0, 2)
+    if den.denom != F.ring.one or den.numer.degree(level) < 2:
+        return None
+    num = F.zero
+    for k in range(den.numer.degree(level)):
+        num += rng.choice(lower) * rng.randint(-3, 3) * v**k
+    return num / den if num else None
+
+
+def test_linear_loop_matches_quadratic_reference(rng):
+    """(g, h) equal the earlier loop's exactly, at every level of the paper
+    towers and of random S-primitive towers."""
+    towers = [li_tower(), nested_tower(), u_tower(), coupled_tower()]
+    towers += [random_s_primitive_tower(rng, 3) for _ in range(3)]
+    for T in towers:
+        for level in range(T.n + 1):
+            f = None
+            while f is None:
+                f = _repeated_proper(T, level, rng)
+            assert _hermite_core(T, f, level) == _quadratic_hermite_core(T, f, level)
+
+
+def test_one_yun_and_one_inverse_per_repeated_factor(tower_li, monkeypatch):
+    T = tower_li
+    x, t1, t2, t3 = T.gens
+    calls = {"yun": 0, "xgcd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        hermite, "squarefree_decomposition", counted("yun", squarefree_decomposition)
+    )
+    monkeypatch.setattr(hermite, "unipoly_xgcd", counted("xgcd", unipoly_xgcd))
+    for f, level, repeated in [
+        ((x + t1) / (t1**2 * (t1 + 1) ** 3), 1, 2),
+        (t2 / (t2 + 1) ** 4, 2, 1),
+        ((t1 * t2 + x) / (x * t2**2 * (t2 + x) ** 3 * (t2 - 1) ** 4), 2, 3),
+        (1 / (x**2 * (x + 1) ** 3), 0, 2),
+    ]:
+        calls.update(yun=0, xgcd=0)
+        _hermite_core(T, f, level)
+        assert calls == {"yun": 1, "xgcd": repeated}
+
+
+def test_repeated_factor_that_is_not_normal_is_rejected(tower_li, monkeypatch):
+    T = tower_li
+    t1 = T.gens[1]
+    # a zero derivation makes U*V' vanish modulo V
+    zero = UniPoly.zero(T.F, 1)
+    monkeypatch.setattr(hermite, "tower_derivative_unipoly", lambda T, p, level: zero)
+    with pytest.raises(InternalVerificationError, match="not normal"):
+        _hermite_core(T, 1 / (t1 * (t1 + 1) ** 2), 1)
+
+
+def test_division_reduces_only_the_part_it_returns(tower_li, gcds):
+    T = tower_li
+    x, t1 = T.gens[:2]
+    a = UniPoly(T.F, 1, (t1**3 + x * t1 + 1).numer)
+    # lc x: pseudo-division folds a power of x into both denominators
+    b = UniPoly(T.F, 1, (x * t1 + 1).numer)
+    for op, reduced in [(operator.mod, 1), (operator.floordiv, 1), (UniPoly.divmod, 2)]:
+        gcds.clear()
+        op(a, b)
+        assert gcds == {"cofactors": reduced}
+    q, r = a.divmod(b)
+    assert a // b == q and a % b == r and q * b + r == a
