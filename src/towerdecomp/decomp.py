@@ -8,7 +8,16 @@ integration by parts, everything else times M joins the remainder.  The
 is the termination measure and is asserted.  Each pass builds its update of
 the current element as one polynomial pair over one denominator, with one
 ``F.new``; g and r collect (numerator, denominator) terms and become field
-elements once, before the reconstruction check.
+elements once, before the self-checks.
+
+Every result is checked exactly before it is returned.  The reconstruction
+check compares g' with f - r and cancels neither g' nor a sum with it:
+g' = P/Q is the unreduced pair of ``Tower.diff_pair`` and f - r = A/B is
+reduced, so P/Q = A/B exactly when B divides Q and P = A * (Q/B).  One
+exact division and one product replace the gcd of a cancel; the product
+A * (Q/B) is far smaller than the cross-multiplied P * B = A * Q, which
+costs more than the gcd.  The remainder test reads pi_n(r) and the head
+data of r - pi_n(r) from one level recursion on r.
 """
 
 from __future__ import annotations
@@ -22,11 +31,11 @@ from .arith import ClearedBasis, ground, solve_linear_system, sum_pairs, to_frac
 from .errors import InternalVerificationError
 from .hermite import hermite_reduce_proper_value
 from .matryoshka import (
-    head_data_value,
+    head_data_from_pieces,
     indicator,
+    level_pieces,
     not_simple_reason,
     order_key_value,
-    project_value,
 )
 from .tower import Tower, TowerElement
 
@@ -180,7 +189,12 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
             r_terms.append((H.numer * Mpoly, H.denom))
     g = sum_pairs(F, g_terms)
     r = sum_pairs(F, r_terms)
-    if T.diff(g) + r != f.value:
+    # g' = f - r with g' left unreduced; when they are equal, the reduced
+    # denominator of f - r divides that of g'
+    Pg, Qg = T.diff_pair(g.numer, g.denom)
+    target = f.value - r
+    scale, rem = Qg.div(target.denom)
+    if rem or Pg != target.numer * scale:
         raise InternalVerificationError("decomposition does not reconstruct input")
     ok, why = _is_remainder_value(T, r)
     if not ok:
@@ -189,21 +203,27 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
 
 
 def _is_remainder_value(T, r):
-    """(ok, reason): whether r is already minimal modulo derivatives."""
+    """(ok, reason): whether r is already minimal modulo derivatives.
+
+    One level recursion serves both reads: pi_n(r) is the single level-n
+    piece, and the levels below n are the pieces of r - pi_n(r).
+    """
     if not r:
         return True, ""
     n = T.n
-    pi_n = project_value(T, r)[n]
+    pieces = level_pieces(T, r)
+    top = pieces[n].get((0,) * n)
+    pi_n = T.F.new(*top) if top else T.F.zero
     # pi_n(r) is its own only projection, and the head coefficient's
     # projections are its per-level parts hc_i
     why = not_simple_reason(T, pi_n, n)
     if why:
         return False, f"top projection not simple: projection {n} {why}"
-    rest = r - pi_n
-    if not rest:
+    # pi_n(r) holds only the unit monomial, the lowest, so hm(r - pi_n(r))
+    # is read from the levels below n alone
+    head = head_data_from_pieces(T.F, pieces[:n])
+    if head.hm is None:
         return True, ""
-    # pi_n(r) holds only the unit monomial, the lowest, so hm(rest) = hm(r)
-    head = head_data_value(T, rest)
     for i, c in sorted(head.hc_i.items()):
         why = not_simple_reason(T, c, i)
         if why:

@@ -30,13 +30,12 @@ from .arith import (
     unipoly_resultant,
 )
 from .decomp import Decomposition, add_decomp_in_field, solve_constant_combination_values
-from .errors import InternalVerificationError, NotSimple
+from .errors import InternalVerificationError
 from .hermite import tower_derivative_unipoly
 from .matryoshka import (
-    NOT_SQUAREFREE,
     derivative_projections,
-    head_data_value,
-    not_simple_reason,
+    head_monomials,
+    level_pieces,
     project_value,
 )
 from .tower import TowerElement
@@ -60,6 +59,14 @@ class ElementaryVerdict:
         return self.decomposition.r if self.decomposition else None
 
 
+def residue_field(T):
+    """Q(x, t_1, ..., t_n, _z), the tower's field with the root variable of
+    the residue resultant last.  Built once per tower and cached on it."""
+    if T._residue_field is None:
+        T._residue_field = make_field(T.names + ["_z"])[0]
+    return T._residue_field
+
+
 def _residue_analysis(T, value, i):
     """Root structure of the residue resultant of a nonzero t_i-simple value.
 
@@ -70,8 +77,8 @@ def _residue_analysis(T, value, i):
     F = T.F
     p, q = frac_to_unipair(value, i)
     qd = tower_derivative_unipoly(T, q, i)
-    Fz, zgens = make_field(T.names + ["_z"])
-    z = zgens[-1]
+    Fz = residue_field(T)
+    z = Fz.gens[-1]
 
     def lift(u):
         # the ring of Fz is the ring of F with one more variable, last
@@ -97,7 +104,8 @@ def _residue_analysis(T, value, i):
         c = Fz.new(Rz[k], lc)
         if not is_ground(c):
             cert = substitute(c, F, back)
-            if not T.diff(cert):
+            # the numerator of cert' vanishes exactly when cert' does
+            if not T.diff_pair(cert.numer, cert.denom)[0]:
                 raise InternalVerificationError("non-ground coefficient is constant")
             return ("nonconstant", cert)
         monic[k] = to_fraction(c.numer.LC) / to_fraction(c.denom.LC)
@@ -128,29 +136,6 @@ def _witness_from_roots(T, value, i, roots):
     return items, T.diff_log_combination((arg, c) for c, arg in items)
 
 
-def recognize_log_derivative_combo(h: TowerElement, i: int):
-    """Write a t_i-simple h as a rational combination of logarithmic
-    derivatives.  Returns the witness list, None when a residue is provably
-    non-constant or verification fails, or UNDECIDED when irrational residues
-    block the rational method."""
-    T = h.tower
-    if not h:
-        return []
-    why = not_simple_reason(T, h.value, i)
-    if why == NOT_SQUAREFREE:
-        raise NotSimple(i, f"denominator not squarefree at level {i}")
-    if why:
-        raise NotSimple(i)
-    analysis = _residue_analysis(T, h.value, i)
-    if analysis[0] == "nonconstant":
-        return None
-    _, roots, full = analysis
-    items, combined = _witness_from_roots(T, h.value, i, roots)
-    if combined == h.value:
-        return [(c, TowerElement(arg, T)) for c, arg in items]
-    return UNDECIDED if not full else None
-
-
 def elementary_integrability(f: TowerElement) -> ElementaryVerdict:
     """Decide whether f has an elementary integral over its tower."""
     T = f.tower
@@ -160,7 +145,7 @@ def elementary_integrability(f: TowerElement) -> ElementaryVerdict:
     r = dec.r.value
     if not r:
         return ElementaryVerdict(YES, decomposition=dec)
-    hm = head_data_value(T, r).hm
+    hm = head_monomials(level_pieces(T, r))[1]
     if hm is not None and any(hm):
         return ElementaryVerdict(
             NO,

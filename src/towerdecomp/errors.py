@@ -33,14 +33,6 @@ class NotProper(TowerDecompError):
         self.level = level
 
 
-class NotSimple(TowerDecompError):
-    """A level operation requires a simple input and got a non-simple one."""
-
-    def __init__(self, level, message=None):
-        super().__init__(message or f"input is not simple at level {level}")
-        self.level = level
-
-
 class HeadMonomialNotOne(TowerDecompError):
     """A generator derivative carries a non-trivial monomial part, so the
     shift to a simple derivative is not defined."""

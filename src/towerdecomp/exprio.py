@@ -12,7 +12,9 @@ both, left associativity for - and /):
 
 Parentheses may nest at most ``MAX_DEPTH`` deep, and a power or product
 whose degree in some variable could exceed ``MAX_DEGREE`` is rejected before
-it is formed.
+it is formed.  Integer literals and the integer coefficients of every value
+the parser forms are bounded by ``MAX_DIGITS`` digits; a power whose
+coefficients could exceed it is rejected before it is formed.
 
 Tower files are line oriented: a `var <name>` header, then one
 `gen <name> : log(<expr>)` or `gen <name> : prim <expr>` per generator,
@@ -22,6 +24,7 @@ gives back the identical element.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .arith import ground
@@ -41,6 +44,13 @@ MAX_DEPTH = 100
 # low enough that no single power or product takes long to form.
 MAX_DEGREE = 1000
 
+# Digit bound for integer literals and for the integer coefficients of every
+# value the parser forms, numerators and denominators alike: Python's default
+# limit on converting between int and str, so that every accepted constant
+# can be read, and printed back, in base 10.
+MAX_DIGITS = 4300
+_DIGITS_LIMIT = 10**MAX_DIGITS
+
 
 def _degrees(value):
     """Per variable, the larger of the numerator's and denominator's degree."""
@@ -50,6 +60,37 @@ def _degrees(value):
 def _check_degree(degrees, off):
     if max(degrees, default=0) > MAX_DEGREE:
         raise ExprSyntaxError(f"degree above {MAX_DEGREE}", offset=off)
+
+
+def _too_many_digits(off):
+    return ExprSyntaxError(f"integer above {MAX_DIGITS} digits", offset=off)
+
+
+def _integer(text, off):
+    """The integer a literal token denotes, checked before ``int()`` reads it."""
+    if len(text) > MAX_DIGITS:
+        raise _too_many_digits(off)
+    return int(text)
+
+
+def _check_digits(value, off):
+    for p in (value.numer, value.denom):
+        for c in p.values():
+            if abs(c.numerator) >= _DIGITS_LIMIT or c.denominator >= _DIGITS_LIMIT:
+                raise _too_many_digits(off)
+
+
+def _check_power_digits(value, e, off):
+    """Reject value**e when its coefficients could exceed MAX_DIGITS digits.
+
+    The field keeps integer coefficients, and every coefficient of P**e is
+    at most s**e, s the sum of P's coefficients in absolute value.
+    """
+    norm = max(
+        sum(abs(c.numerator) for c in p.values()) for p in (value.numer, value.denom)
+    )
+    if norm > 1 and abs(e) > (MAX_DIGITS + 1) / math.log10(norm):
+        raise _too_many_digits(off)
 
 
 class _Parser:
@@ -104,11 +145,12 @@ class _Parser:
     def expr(self):
         value = self.term()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, off = self.peek()
             if kind == "op" and text in "+-":
                 self.next()
                 rhs = self.term()
                 value = value + rhs if text == "+" else value - rhs
+                _check_digits(value, off)
             else:
                 return value
 
@@ -128,6 +170,7 @@ class _Parser:
                     if not rhs:
                         raise ExprSyntaxError("division by zero", offset=off)
                     value = value / rhs
+                _check_digits(value, off)
             else:
                 return value
 
@@ -153,17 +196,19 @@ class _Parser:
             if kind2 != "int":
                 raise ExprSyntaxError("expected integer exponent", offset=off2)
             self.next()
-            e = sign * int(text2)
+            e = sign * _integer(text2, off2)
             if e <= 0 and not value:
                 raise ExprSyntaxError("zero to a non-positive power", offset=off)
             _check_degree([abs(e) * k for k in _degrees(value)], off)
+            _check_power_digits(value, e, off)
             value = value**e
+            _check_digits(value, off)
         return value
 
     def atom(self):
         kind, text, off = self.next()
         if kind == "int":
-            return ground(self.F, int(text))
+            return ground(self.F, _integer(text, off))
         if kind == "name":
             if text not in self.env:
                 raise UnknownName(f"unknown name {text!r}", offset=off)

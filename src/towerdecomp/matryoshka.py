@@ -9,9 +9,13 @@ top of these projections; the level tests behind the predicate are shared
 with Hermite reduction and the residue method.  Projections and head data
 come from one recursion on unreduced (numerator, denominator) pairs of
 polynomials: ``project_value`` builds each level with one ``F.new`` per
-distinct denominator, while ``head_data_value`` reads every level's head
-monomial from the monomials of the pairs and builds field elements only for
-the head coefficients of the index set.  The functions on elements take the
+distinct denominator, while ``head_monomials`` reads every level's head
+monomial from the monomials of the pairs without building a field element,
+and ``head_data_from_pieces`` builds field elements only for the head
+coefficients of the index set.  A caller that needs several of these reads
+runs the recursion once: the remainder test takes pi_n(r) from the single
+level-n piece and the head data of r - pi_n(r) from the levels below, with
+no projection and no subtraction.  The functions on elements take the
 tower and a raw field element (``T, f.value``).  Monomials over
 t1..tn are exponent tuples; the comparison is pure lex with t1 below t2
 below ... below tn, and None stands for the head monomial of the zero
@@ -59,7 +63,7 @@ class OrderKey:
     head: HeadData | None = field(default=None, compare=False, repr=False)
 
 
-def _level_pieces(T: Tower, f) -> list:
+def level_pieces(T: Tower, f) -> list:
     """Per level i, {higher monomial: (numerator, denominator)}: the
     projection pi_i(f) is the sum of numerator/denominator * monomial, each
     quotient proper in t_i and free of t_{i+1}, ..., t_n, each monomial an
@@ -101,27 +105,39 @@ def project_value(T: Tower, f) -> list:
             T.F,
             ((num.mul_monom((0,) + mono), den) for mono, (num, den) in level.items()),
         )
-        for level in _level_pieces(T, f)
+        for level in level_pieces(T, f)
     ]
 
 
-def head_data_value(T: Tower, f) -> HeadData:
-    """Head monomials of every projection, read from the monomials of the
-    unreduced level pieces, and head coefficients built (one ``F.new`` each)
-    only for the levels in the index set."""
-    F = T.F
-    pieces = _level_pieces(T, f)
+def head_monomials(pieces):
+    """(hm_i, hm, index_set) read from level pieces: the head monomial of
+    each level (None for an empty one), the overall head monomial (None when
+    every level is empty) and the levels that attain it.  No field element
+    is built."""
     hm_i = tuple(max(level, key=mono_key) if level else None for level in pieces)
     present = [m for m in hm_i if m is not None]
     if not present:
-        return HeadData(hm_i, {}, None, F.zero, frozenset())
+        return hm_i, None, frozenset()
     hm = max(present, key=mono_key)
-    index_set = frozenset(i for i, m in enumerate(hm_i) if m == hm)
+    return hm_i, hm, frozenset(i for i, m in enumerate(hm_i) if m == hm)
+
+
+def head_data_from_pieces(F, pieces) -> HeadData:
+    """Head data of the element whose level pieces are given, with one
+    ``F.new`` per head coefficient of the index set."""
+    hm_i, hm, index_set = head_monomials(pieces)
     hc_i = {i: F.new(*pieces[i][hm]) for i in index_set}
     hc = F.zero
     for c in hc_i.values():
         hc += c
     return HeadData(hm_i, hc_i, hm, hc, index_set)
+
+
+def head_data_value(T: Tower, f) -> HeadData:
+    """Head monomials of every projection, read from the monomials of the
+    unreduced level pieces, and head coefficients built only for the levels
+    in the index set."""
+    return head_data_from_pieces(T.F, level_pieces(T, f))
 
 
 def order_key_value(T: Tower, f) -> OrderKey:

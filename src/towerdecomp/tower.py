@@ -168,6 +168,7 @@ class Tower:
         self.derivs = []  # derivative of generator i at index i-1
         self._validation = None
         self._derivative_projections = None
+        self._residue_field = None
         # L = lcm of the denominators b_i of t_i' = a_i/b_i, and one
         # (i, a_i*L/b_i) per nonzero t_i'; L*p' is then a polynomial for
         # every polynomial p.  Extended per generator, since the derivative

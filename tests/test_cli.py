@@ -6,6 +6,7 @@ import pytest
 from towerdecomp.cli import main
 from towerdecomp.exprio import (
     MAX_DEGREE,
+    MAX_DIGITS,
     parse_expression,
     parse_tower_file,
     render_expression,
@@ -332,6 +333,42 @@ def test_degree_cap_covers_products_and_tower_files(tmp_path, capsys):
     assert main(["check", "--tower", str(path)]) == 1
     err = capsys.readouterr().err
     assert "line 3:" in err and "degree above" in err
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "9^5000",
+        "7" * 5000,
+        "x^" + "9" * 5000,
+        "2^-" + "9" * MAX_DIGITS,
+        "9^4000*9^4000",
+        "1/9^3000 + 1/7^3000",
+    ],
+    ids=["power", "literal", "exponent", "negative-exponent", "product", "sum"],
+)
+def test_constant_above_digit_cap_exits_1(expr, li_file, capsys):
+    start = time.perf_counter()
+    assert main(["decomp", "--tower", li_file, "--expr", expr]) == 1
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert f"integer above {MAX_DIGITS} digits" in err and "Traceback" not in err
+
+
+def test_digit_cap_admits_constants_up_to_the_cap(tmp_path, capsys):
+    T = parse_tower_file(LI_TOWER)
+    x = T.gens[0]
+    assert parse_expression("7" * MAX_DIGITS, T).value == int("7" * MAX_DIGITS)
+    # 2^14284 has 4300 digits, 2^14288 has 4301
+    assert parse_expression("2^-14284", T).value == T.F.one / 2**14284
+    with pytest.raises(ExprSyntaxError, match="digits"):
+        parse_expression("2^14288", T)
+    assert parse_expression("1^" + "9" * MAX_DIGITS + " + x", T).value == x + 1
+    path = tmp_path / "big.tower"
+    path.write_text("var x\ngen t1 : log(x + 9^5000)\n")
+    assert main(["check", "--tower", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "line 2:" in err and "digits" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["decomp", "integrate", "elementary"])

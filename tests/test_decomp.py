@@ -16,7 +16,13 @@ from towerdecomp import decomp
 from towerdecomp.arith import ground, solve_linear_system, to_fraction
 from towerdecomp.decomp import _is_remainder_value, solve_constant_combination_values
 from towerdecomp.errors import InternalVerificationError
-from towerdecomp.matryoshka import order_key_value, project_value
+from towerdecomp.matryoshka import (
+    head_data_value,
+    indicator,
+    not_simple_reason,
+    order_key_value,
+    project_value,
+)
 
 from conftest import (
     coupled_tower,
@@ -324,3 +330,88 @@ def test_one_field_element_per_pass_for_the_update(tower_li, tower_u, monkeypatc
         monkeypatch.undo()
         assert counts["passes"] > 1 and counts["new"] == counts["passes"]
         assert T.diff(dec.g.value) + dec.r.value == f
+
+
+@pytest.mark.parametrize("which", ["g", "r"])
+def test_tampered_output_fails_the_reconstruction_check(which, tower_li, monkeypatch):
+    """g + t1 keeps the denominator of g' and fails the product; r + 1/(x+7)
+    puts a factor into f - r that does not divide it and fails the
+    division."""
+    T = tower_li
+    x, t1, t2, t3 = T.gens
+    extra = {"g": t1, "r": 1 / (x + 7)}[which]
+    sums = []
+
+    def tampered(F, pairs, _sum=decomp.sum_pairs):
+        # g's terms are summed first, then r's
+        sums.append("gr"[len(sums)])
+        return _sum(F, pairs) + (extra if sums[-1] == which else 0)
+
+    monkeypatch.setattr(decomp, "sum_pairs", tampered)
+    f = 1 / (t1 * t2) + (t2 - 2 * x * t1) / t1**2 + t3
+    with pytest.raises(InternalVerificationError, match="does not reconstruct"):
+        add_decomp_in_field(T.element(f))
+    assert sums == ["g", "r"]
+
+
+def test_readme_decomposition_cancel_count(tower_li, gcds):
+    """The README decomposition cancels 25 times once the tower's caches are
+    warm: 19 in its passes, four to sum g and r, and two in the checks, for
+    f - r and for the head coefficient the remainder test reads; g' is never
+    cancelled.  A check that canonicalizes more fails here."""
+    T = tower_li
+    x, t1, t2, t3 = T.gens
+    f = T.element(1 / (t1 * t2) + (t2 - 2 * x * t1) / t1**2 + t3)
+    add_decomp_in_field(f)
+    gcds.clear()
+    add_decomp_in_field(f)
+    assert gcds["cancel"] == 25
+
+
+def _reference_is_remainder(T, r):
+    """The remainder test as project -> subtract -> head data: pi_n(r) from
+    all projections, then a second level recursion on r - pi_n(r)."""
+    if not r:
+        return True, ""
+    n = T.n
+    pi_n = project_value(T, r)[n]
+    why = not_simple_reason(T, pi_n, n)
+    if why:
+        return False, f"top projection not simple: projection {n} {why}"
+    rest = r - pi_n
+    if not rest:
+        return True, ""
+    head = head_data_value(T, rest)
+    for i, c in sorted(head.hc_i.items()):
+        why = not_simple_reason(T, c, i)
+        if why:
+            return False, f"head coefficient not simple: projection {i} {why}"
+    m = indicator(head.hm, n)
+    coeffs = solve_constant_combination_values(T.F, head.hc, T.derivative_basis(m))
+    if coeffs is not None and any(coeffs):
+        return False, "head coefficient lies in the span of generator derivatives"
+    return True, ""
+
+
+@given(seed=seeds)
+def test_remainder_test_matches_project_subtract_reference(seed):
+    """One level recursion gives the same verdict and reason as projecting,
+    subtracting pi_n and recomputing head data, on random elements, on the
+    same without their top projection, and on generator-derivative
+    combinations with a simple level-n part added."""
+    rng = random.Random(seed)
+    for T in [li_tower(), nested_tower(), u_tower(), coupled_tower()]:
+        F, n = T.F, T.n
+        f = random_element(T, rng)
+        span = F.zero
+        for d in T.derivs:
+            span += ground(F, Fraction(rng.randint(-2, 2), rng.randint(1, 2))) * d
+        top = F.gens[n]
+        for r in [
+            f,
+            f - project_value(T, f)[n],
+            span,
+            span + ground(F, rng.randint(1, 3)) / (top + rng.randint(0, 2)),
+            add_decomp_in_field(T.element(f)).r.value,
+        ]:
+            assert _is_remainder_value(T, r) == _reference_is_remainder(T, r)

@@ -9,8 +9,8 @@ from towerdecomp import (
     TowerBuilder,
     elementary_integrability,
 )
-from towerdecomp.elem import recognize_log_derivative_combo
-from towerdecomp.errors import NotSimple
+from towerdecomp import elem
+from towerdecomp.errors import InternalVerificationError
 
 
 def _verify(T, verdict, f):
@@ -26,37 +26,52 @@ def _verify(T, verdict, f):
 def test_recognizer_single_log(tower_li):
     T = tower_li
     x, t1, t2, t3 = T.gens
-    w = recognize_log_derivative_combo(T.element(1 / (t1 * t2)), 2)
-    assert [(c, a.value) for c, a in w] == [(Fraction(1), t2)]
+    verdict = elementary_integrability(T.element(1 / (t1 * t2)))
+    assert verdict.status == YES
+    assert [(c, a.value) for c, a in verdict.witness] == [(Fraction(1), t2)]
+    assert not any(verdict.span_coeffs)
 
 
 def test_recognizer_nonconstant_residue():
     b = TowerBuilder(["t1"])
     T = b.log(b.x).build()
-    t1 = T.gens[1]
-    assert recognize_log_derivative_combo(T.element(1 / t1), 1) is None
+    x, t1 = T.gens
+    verdict = elementary_integrability(T.element(1 / t1))
+    assert verdict.status == NO and "non-constant residue" in verdict.reason
+    # the residue of 1/t1 at t1 = 0 is 1/t1' = x: the monic residue
+    # polynomial z - x has the non-constant coefficient -x
+    assert verdict.certificate.value == -x
 
 
 def test_recognizer_zero_and_simple_precondition(tower_li):
     T = tower_li
-    t1 = T.gens[1]
-    assert recognize_log_derivative_combo(T.element(0), 1) == []
-    with pytest.raises(NotSimple):
-        recognize_log_derivative_combo(T.element(1 / t1**2), 1)
+    x, t1, t2, t3 = T.gens
+    zero = elementary_integrability(T.element(0))
+    assert zero.status == YES and not zero.witness and not zero.span_coeffs
+    # a non-simple input is reduced first, not rejected:
+    # 1/t1^2 = (-x/t1)' + 1/t1 and 1/t1 = t2'
+    verdict = elementary_integrability(T.element(1 / t1**2))
+    assert verdict.status == YES and not verdict.witness
+    assert verdict.decomposition.g.value == t2 - x / t1
+    assert not verdict.remainder
 
 
 def test_recognizer_rational_residues(tower_li):
     T = tower_li
     x = T.gens[0]
-    w = recognize_log_derivative_combo(T.element(1 / (x**2 - 1)), 0)
-    combos = sorted((c, a.value) for c, a in w)
+    f = 1 / (x**2 - 1)
+    verdict = elementary_integrability(T.element(f))
+    assert verdict.status == YES
+    combos = sorted((c, a.value) for c, a in verdict.witness)
     assert combos == [(Fraction(-1, 2), x + 1), (Fraction(1, 2), x - 1)]
+    _verify(T, verdict, f)
 
 
 def test_recognizer_irrational_residues(tower_li):
     T = tower_li
     x = T.gens[0]
-    assert recognize_log_derivative_combo(T.element(1 / (x**2 - 2)), 0) == UNDECIDED
+    verdict = elementary_integrability(T.element(1 / (x**2 - 2)))
+    assert verdict.status == UNDECIDED and "irrational" in verdict.reason
 
 
 def test_elementary_running_example(tower_li):
@@ -116,3 +131,28 @@ def test_elementary_mixed_span_and_logs(tower_li):
     verdict = elementary_integrability(T.element(f))
     assert verdict.status == YES
     _verify(T, verdict, f)
+
+
+def test_constant_certificate_is_an_internal_error(monkeypatch):
+    b = TowerBuilder(["t1"])
+    T = b.log(b.x).build()
+    t1 = T.gens[1]
+    monkeypatch.setattr(elem, "substitute", lambda c, F, values: F.one * 3)
+    with pytest.raises(InternalVerificationError, match="non-ground coefficient is constant"):
+        elementary_integrability(T.element(1 / t1))
+
+
+def test_true_no_cancel_count(tower_li, gcds):
+    """1/(t1 + x) has the non-constant residue at t1 = -x; once the tower's
+    caches are warm its verdict cancels 9 times: 5 in the decomposition
+    and its checks, one projection, and 3 in the residue analysis (the
+    resultant, the monic coefficient and the certificate, whose derivative
+    is never cancelled).  A check that canonicalizes more fails here."""
+    T = tower_li
+    x, t1, t2, t3 = T.gens
+    f = T.element(1 / (t1 + x))
+    elementary_integrability(f)
+    gcds.clear()
+    verdict = elementary_integrability(f)
+    assert gcds["cancel"] == 9
+    assert verdict.status == NO and verdict.certificate.value == -x / (x + 1)

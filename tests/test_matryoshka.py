@@ -1,9 +1,7 @@
-from fractions import Fraction
-
 import pytest
 
-from towerdecomp.elem import recognize_log_derivative_combo
-from towerdecomp.errors import InternalVerificationError, NotProper, NotSimple
+from towerdecomp import NO, YES, elementary_integrability
+from towerdecomp.errors import InternalVerificationError, NotProper
 from towerdecomp.hermite import _hermite_core, hermite_reduce_proper_value
 from towerdecomp.matryoshka import (
     NOT_SQUAREFREE,
@@ -105,7 +103,7 @@ def _outcome(call):
     """The result of call(), or (exception class, message) when it raises."""
     try:
         return call()
-    except (NotProper, NotSimple, InternalVerificationError) as exc:
+    except (NotProper, InternalVerificationError) as exc:
         return type(exc), str(exc)
 
 
@@ -113,38 +111,38 @@ def _level_one_table():
     """One element per row of the level tests, each at level 1 of the li
     tower, with what every caller of the shared tests makes of it."""
     T = li_tower()
-    x, t1, t2, _ = T.gens
+    x, t1, t2, t3 = T.gens
     zero = T.F.zero
     above = "involves generators above level 1"
     improper = "is not proper at its level"
-    not_simple = (NotSimple, "input is not simple at level 1")
     not_proper = (NotProper, "input is not proper at level 1")
     output_improper = (InternalVerificationError, "Hermite output is not proper")
     # columns: element, improper_reason, not_simple_reason, is_simple_value,
-    # recognize_log_derivative_combo (as (c, argument) pairs),
-    # hermite_reduce_proper_value, _hermite_core
+    # elementary_integrability (as status and g; it decomposes first, so no
+    # level test rejects its input), hermite_reduce_proper_value, _hermite_core
     rows = [
-        (zero, "", "", (True, ""), [], (zero, zero), (zero, zero)),
+        (zero, "", "", (True, ""), (YES, zero), (zero, zero), (zero, zero)),
+        # 1/(x*t1) = t3'
         (
-            1 / (x * t1), "", "", (True, ""), [(Fraction(1), t1)],
+            1 / (x * t1), "", "", (True, ""), (YES, t3),
             (zero, 1 / (x * t1)), (zero, 1 / (x * t1)),
         ),
         # projecting splits t1/(t1+1) into 1, not proper at level 0, and
         # -1/(t1+1)
         (
             t1 / (t1 + 1), improper, improper,
-            (False, f"projection 0 {improper}"), not_simple, not_proper,
+            (False, f"projection 0 {improper}"), (NO, x), not_proper,
             output_improper,
         ),
         (
             1 / t1**2, "", NOT_SQUAREFREE,
             (False, "projection 1 has a non-squarefree denominator"),
-            (NotSimple, "denominator not squarefree at level 1"),
+            (YES, t2 - x / t1),
             (-x / t1, 1 / t1), (-x / t1, 1 / t1),
         ),
         (
             t2 / t1, above, above, (False, f"projection 1 {above}"),
-            not_simple, not_proper, output_improper,
+            (YES, t2**2 / 2), not_proper, output_improper,
         ),
     ]
     return T, rows
@@ -153,13 +151,11 @@ def _level_one_table():
 @pytest.mark.parametrize("row", range(5))
 def test_level_tests_agree_across_callers(row):
     T, rows = _level_one_table()
-    f, improper, not_simple, simple, combo, reduced, core = rows[row]
+    f, improper, not_simple, simple, verdict, reduced, core = rows[row]
     assert improper_reason(T, f, 1) == improper
     assert not_simple_reason(T, f, 1) == not_simple
     assert is_simple_value(T, f) == simple
-    got = _outcome(lambda: recognize_log_derivative_combo(T.element(f), 1))
-    if isinstance(got, list):
-        got = [(c, arg.value) for c, arg in got]
-    assert got == combo
+    got = elementary_integrability(T.element(f))
+    assert (got.status, got.decomposition.g.value) == verdict
     assert _outcome(lambda: hermite_reduce_proper_value(T, f, 1)) == reduced
     assert _outcome(lambda: _hermite_core(T, f, 1)) == core
