@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 parse error, 2 validation error, 3 internal
-verification failure.  Every printed decomposition has been verified by
-exact differentiation in ``add_decomp_in_field`` before output.
+Exit codes: 0 success, 1 parse, file or usage error, 2 validation error, 3
+internal verification failure.  Every printed decomposition has been
+verified by exact differentiation in ``add_decomp_in_field`` before output.
+
+Every command runs one path: load the tower, validate it, read ``--expr``,
+run the command, emit its lines or its JSON payload.
 """
 
 from __future__ import annotations
@@ -32,50 +35,9 @@ from .exprio import (
     parse_tower_file,
     render_expression,
     render_latex,
-    render_matrix_latex,
     render_tower_file,
 )
 from .tower import normalize_generators
-
-
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="towerdecomp",
-        description="Additive decomposition and integrability in "
-        "primitive differential towers over Q(x).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_expr in [
-        ("decomp", True),
-        ("integrate", True),
-        ("elementary", True),
-        ("embed", False),
-        ("matrix", False),
-        ("check", False),
-    ]:
-        p = sub.add_parser(name)
-        p.add_argument("--tower", required=True, help="tower file path")
-        p.add_argument(
-            "--expr",
-            required=needs_expr,
-            default=None,
-            help="expression over the tower variables",
-        )
-        p.add_argument("--json", action="store_true", dest="as_json")
-        p.add_argument("--latex", action="store_true", dest="as_latex")
-        p.add_argument(
-            "--normalize",
-            action="store_true",
-            help="shift generators to simple derivatives before validating",
-        )
-        if name == "embed":
-            p.add_argument(
-                "--matrix",
-                action="store_true",
-                dest="show_matrix",
-                help="also print both associated matrices",
-            )
-    return parser
 
 
 def _load_tower(args, out):
@@ -116,65 +78,32 @@ def _render(value, T, latex=False):
     return (render_latex if latex else render_expression)(value, T.names)
 
 
-def _matrix_rows(matrix):
-    """The rendered entries of an associated matrix, one list per row, and
-    the plain-text line of each row."""
-    T = matrix.tower
-    rows = [
-        [
-            render_expression(matrix.entry(i, j).value, T.names)
-            for j in range(1, T.n + 1)
-        ]
-        for i in range(T.n)
-    ]
-    return rows, ["[ " + ", ".join(row) + " ]" for row in rows]
-
-
-def _emit(lines, payload, args):
-    if args.as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(lines))
-
-
-def _cmd_decomp(args):
-    out = []
-    T, read = _load_tower(args, out)
-    T.ensure_s_primitive()
-    f = read(args.expr)
+def _decomp(T, f, args, read):
     dec = add_decomp_in_field(f)
     integrable = not dec.r
-    out += [
+    lines = [
         f"g = {_render(dec.g.value, T, args.as_latex)}",
         f"r = {_render(dec.r.value, T, args.as_latex)}",
         f"integrable: {'yes' if integrable else 'no'}",
     ]
-    payload = {
-        "tower": render_tower_file(T),
-        "input": render_expression(f.value, T.names),
+    return lines, {
         "g": render_expression(dec.g.value, T.names),
         "r": render_expression(dec.r.value, T.names),
         "integrable": integrable,
         "verified": True,
     }
-    _emit(out, payload, args)
-    return 0
 
 
-def _cmd_integrate(args):
-    out = []
-    T, read = _load_tower(args, out)
-    T.ensure_s_primitive()
-    f = read(args.expr)
+def _integrate(T, f, args, read):
     res = integrate_in_field(f)
     if res.integrable:
-        out.append(f"integral = {_render(res.antiderivative.value, T, args.as_latex)}")
+        lines = [f"integral = {_render(res.antiderivative.value, T, args.as_latex)}"]
     else:
-        out.append("not integrable in the tower")
-        out.append(f"remainder = {_render(res.certificate.value, T, args.as_latex)}")
-    payload = {
-        "tower": render_tower_file(T),
-        "input": render_expression(f.value, T.names),
+        lines = [
+            "not integrable in the tower",
+            f"remainder = {_render(res.certificate.value, T, args.as_latex)}",
+        ]
+    return lines, {
         "integrable": res.integrable,
         "integral": render_expression(res.antiderivative.value, T.names)
         if res.integrable
@@ -182,134 +111,108 @@ def _cmd_integrate(args):
         "remainder": render_expression(res.certificate.value, T.names),
         "verified": True,
     }
-    _emit(out, payload, args)
-    return 0
 
 
-def _cmd_elementary(args):
-    out = []
-    T, read = _load_tower(args, out)
-    T.ensure_s_primitive()
-    f = read(args.expr)
+def _elementary(T, f, args, read):
     verdict = elementary_integrability(f)
-    out.append(f"elementary: {verdict.status}")
-    witness_payload = []
+    lines = [f"elementary: {verdict.status}"]
+    witness = []
     if verdict.status == YES:
         for j, c in enumerate(verdict.span_coeffs):
             if c:
-                out.append(f"  {c} * {T.names[j + 1]}")
+                lines.append(f"  {c} * {T.names[j + 1]}")
         for c, arg in verdict.witness:
-            out.append(f"  {c} * log({_render(arg.value, T, args.as_latex)})")
-            witness_payload.append(
-                {
-                    "coefficient": str(c),
-                    "argument": render_expression(arg.value, T.names),
-                }
+            lines.append(f"  {c} * log({_render(arg.value, T, args.as_latex)})")
+            witness.append(
+                {"coefficient": str(c), "argument": render_expression(arg.value, T.names)}
             )
     elif verdict.reason:
-        out.append(f"reason: {verdict.reason}")
+        lines.append(f"reason: {verdict.reason}")
         if verdict.certificate is not None:
-            out.append(
+            lines.append(
                 "certificate (non-constant residue): "
                 f"{_render(verdict.certificate.value, T, args.as_latex)}"
             )
-    payload = {
-        "tower": render_tower_file(T),
-        "input": render_expression(f.value, T.names),
+    return lines, {
         "status": verdict.status,
-        "witness": witness_payload,
+        "witness": witness,
         "span_coeffs": [str(c) for c in verdict.span_coeffs],
         "reason": verdict.reason,
     }
-    _emit(out, payload, args)
-    return 0
 
 
-def _cmd_embed(args):
-    out = []
-    T, read = _load_tower(args, out)
-    T.ensure_s_primitive()
+def _embed(T, f, args, read):
     normalized, change_log = normalize_tower(T)
-    if change_log:
-        out.append(f"normalization steps: {len(change_log)}")
+    lines = [f"normalization steps: {len(change_log)}"] if change_log else []
     emb = embed_well_generated(normalized)
+    tgt = emb.target
     if emb.w == normalized.n and all(
-        emb.images[j].value == emb.target.gens[j + 1] for j in range(normalized.n)
+        emb.images[j].value == tgt.gens[j + 1] for j in range(normalized.n)
     ):
-        out.append("already well generated; identity embedding")
-    out.append(render_tower_file(emb.target).rstrip())
-    images_payload = {}
+        lines.append("already well generated; identity embedding")
+    lines.append(render_tower_file(tgt).rstrip())
+    images = {}
     for j, img in enumerate(emb.images):
         name = normalized.names[j + 1]
-        rendered = render_expression(img.value, emb.target.names)
-        out.append(f"phi({name}) = {rendered}")
-        images_payload[name] = rendered
-    if getattr(args, "show_matrix", False):
-        for tower in (normalized, emb.target):
-            matrix = associated_matrix(tower)
-            if args.as_latex:
-                out.append(render_matrix_latex(matrix))
-            else:
-                out += _matrix_rows(matrix)[1] + [""]
-    payload = {
+        images[name] = render_expression(img.value, tgt.names)
+        lines.append(f"phi({name}) = {images[name]}")
+    if args.show_matrix:
+        for tower in (normalized, tgt):
+            # a blank line closes each plain matrix, not the LaTeX one
+            lines += _matrix(tower, None, args, None)[0] + ([] if args.as_latex else [""])
+    # the payload reports the normalized tower in place of T
+    fields = {
         "tower": render_tower_file(normalized),
-        "target": render_tower_file(emb.target),
+        "target": render_tower_file(tgt),
         "w": emb.w,
         "ell": list(emb.ell),
-        "images": images_payload,
+        "images": images,
     }
     if args.expr is not None:
-        f = read(args.expr)
+        images_of_file = normalization_images(normalized, change_log)
         f = normalized.element(
-            substitute(f.value, normalized.F, normalization_images(normalized, change_log))
+            substitute(read(args.expr).value, normalized.F, images_of_file)
         )
         image = apply_homomorphism(emb, f)
         dec = add_decomp_in_field(image)
-        tgt = emb.target
-        out.append(f"phi(f) = {_render(image.value, tgt, args.as_latex)}")
-        out.append(f"g = {_render(dec.g.value, tgt, args.as_latex)}")
-        out.append(f"r = {_render(dec.r.value, tgt, args.as_latex)}")
-        payload.update(
-            {
-                "input": render_expression(f.value, normalized.names),
-                "image": render_expression(image.value, tgt.names),
-                "g": render_expression(dec.g.value, tgt.names),
-                "r": render_expression(dec.r.value, tgt.names),
-                "verified": True,
-            }
+        lines.append(f"phi(f) = {_render(image.value, tgt, args.as_latex)}")
+        lines.append(f"g = {_render(dec.g.value, tgt, args.as_latex)}")
+        lines.append(f"r = {_render(dec.r.value, tgt, args.as_latex)}")
+        fields.update(
+            input=render_expression(f.value, normalized.names),
+            image=render_expression(image.value, tgt.names),
+            g=render_expression(dec.g.value, tgt.names),
+            r=render_expression(dec.r.value, tgt.names),
+            verified=True,
         )
-    _emit(out, payload, args)
-    return 0
+    return lines, fields
 
 
-def _cmd_matrix(args):
-    out = []
-    T, _ = _load_tower(args, out)
-    matrix = associated_matrix(T)
-    rows, lines = _matrix_rows(matrix)
-    out += [render_matrix_latex(matrix)] if args.as_latex else lines
-    payload = {"tower": render_tower_file(T), "matrix": rows}
-    _emit(out, payload, args)
-    return 0
+def _matrix(T, f, args, read):
+    """The associated matrix of T, printed in plain text or LaTeX; the
+    payload holds its entries in plain text."""
+    M = associated_matrix(T)
+    cells = [[M.entry(i, j).value for j in range(1, T.n + 1)] for i in range(T.n)]
+    rows = [[render_expression(v, T.names) for v in row] for row in cells]
+    if not args.as_latex:
+        return ["[ " + ", ".join(row) + " ]" for row in rows], {"matrix": rows}
+    body = " \\\\\n".join(" & ".join(_render(v, T, True) for v in row) for row in cells)
+    return [f"\\begin{{pmatrix}}\n{body}\n\\end{{pmatrix}}"], {"matrix": rows}
 
 
-def _cmd_check(args):
-    out = []
-    T, _ = _load_tower(args, out)
+def _check(T, f, args, read):
     result = T.validate_s_primitive()
     if result.ok:
-        out.append("S-primitive: yes")
+        lines = ["S-primitive: yes"]
     else:
-        out.append(f"S-primitive: no ({result.reason})")
+        lines = [f"S-primitive: no ({result.reason})"]
         if result.certificate is not None:
-            out.append(f"dependence certificate: {result.certificate}")
+            lines.append(f"dependence certificate: {result.certificate}")
     well = None
     if result.ok and T.is_logarithmic:
-        ok, why = is_well_generated(T)
-        well = ok
-        out.append(f"well generated: {'yes' if ok else 'no (' + why + ')'}")
-    payload = {
-        "tower": render_tower_file(T),
+        well, why = is_well_generated(T)
+        lines.append(f"well generated: {'yes' if well else 'no (' + why + ')'}")
+    return lines, {
         "s_primitive": result.ok,
         "reason": result.reason,
         "certificate": [str(c) for c in result.certificate]
@@ -317,37 +220,109 @@ def _cmd_check(args):
         else None,
         "well_generated": well,
     }
-    _emit(out, payload, args)
-    return 0
 
 
+# name -> (command, validate the tower first, read --expr first).  A command
+# takes the tower, the element read from --expr or None, the arguments and
+# the reader, and returns its printed lines and its payload fields.  --expr
+# is required exactly where the pipeline reads it.
 _COMMANDS = {
-    "decomp": _cmd_decomp,
-    "integrate": _cmd_integrate,
-    "elementary": _cmd_elementary,
-    "embed": _cmd_embed,
-    "matrix": _cmd_matrix,
-    "check": _cmd_check,
+    "decomp": (_decomp, True, True),
+    "integrate": (_integrate, True, True),
+    "elementary": (_elementary, True, True),
+    "embed": (_embed, True, False),
+    "matrix": (_matrix, False, False),
+    "check": (_check, False, False),
+}
+
+# exception -> (exit code, message prefix); the most specific class decides
+_EXITS = {
+    ExprSyntaxError: (1, "error"),
+    OSError: (1, "error"),
+    InternalVerificationError: (3, "internal error"),
+    TowerDecompError: (2, "error"),
 }
 
 
+def _build_parser():
+    parser = argparse.ArgumentParser(
+        prog="towerdecomp",
+        description="Additive decomposition and integrability in "
+        "primitive differential towers over Q(x).",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, _, reads) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        p.add_argument("--tower", required=True, help="tower file path")
+        p.add_argument(
+            "--expr",
+            required=reads,
+            default=None,
+            help="expression over the tower variables",
+        )
+        p.add_argument("--json", action="store_true", dest="as_json")
+        p.add_argument("--latex", action="store_true", dest="as_latex")
+        p.add_argument(
+            "--normalize",
+            action="store_true",
+            help="shift generators to simple derivatives before validating",
+        )
+        if name == "embed":
+            p.add_argument(
+                "--matrix",
+                action="store_true",
+                dest="show_matrix",
+                help="also print both associated matrices",
+            )
+    return parser
+
+
+def _fold_expr(argv):
+    """argv with each "--expr", v pair written "--expr=v", so that an
+    expression that starts with "-" is not taken for an option."""
+    out, rest = [], iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg == "--expr" else None
+        out.append(arg if value is None else f"--expr={value}")
+    return out
+
+
+def _run(args):
+    command, validates, reads = _COMMANDS[args.command]
+    out = []
+    T, read = _load_tower(args, out)
+    if validates:
+        T.ensure_s_primitive()
+    f = read(args.expr) if reads else None
+    lines, fields = command(T, f, args, read)
+    if args.as_json:
+        head = {"tower": render_tower_file(T)}
+        if f is not None:
+            head["input"] = render_expression(f.value, T.names)
+        # a command's own "tower" keeps the key's place and replaces the value
+        print(json.dumps({**head, **fields}, indent=2))
+    else:
+        print("\n".join(out + lines))
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # printed results keep every digit; the parser caps constants itself
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit(0)
     try:
-        return _COMMANDS[args.command](args)
-    except ExprSyntaxError as exc:
-        where = f" at offset {exc.offset}" if exc.offset is not None else ""
-        print(f"error: {exc}{where}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InternalVerificationError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
-    except TowerDecompError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _run(_build_parser().parse_args(_fold_expr(sys.argv[1:] if argv is None else argv)))
+        return 0
+    except SystemExit as exc:  # argparse has printed the usage or the help
+        return 1 if exc.code else 0
+    except tuple(_EXITS) as exc:
+        code, prefix = next(_EXITS[k] for k in type(exc).__mro__ if k in _EXITS)
+        offset = getattr(exc, "offset", None)
+        where = f" at offset {offset}" if offset is not None else ""
+        print(f"{prefix}: {exc}{where}", file=sys.stderr)
+        return code
+    finally:
+        set_limit(limit)
 
 
 if __name__ == "__main__":

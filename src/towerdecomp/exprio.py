@@ -299,20 +299,6 @@ def render_latex(value, names) -> str:
     )
 
 
-def render_matrix_latex(matrix) -> str:
-    """The associated matrix in the row/column layout of the tower grid."""
-    names = matrix.tower.names
-    lines = []
-    n = matrix.tower.n
-    for i in range(n):
-        cells = [
-            render_latex(matrix.entry(i, j).value, names) for j in range(1, n + 1)
-        ]
-        lines.append(" & ".join(cells))
-    body = " \\\\\n".join(lines)
-    return f"\\begin{{pmatrix}}\n{body}\n\\end{{pmatrix}}"
-
-
 # -- tower files -------------------------------------------------------------
 
 

@@ -1,7 +1,13 @@
+import contextlib
+import decimal
+import io
 import json
+import re
+import sys
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from towerdecomp.cli import main
 from towerdecomp.exprio import (
@@ -389,3 +395,98 @@ def test_nested_readme_reproducer_exits_0(command, nested_file, capsys):
     else:
         # 1/t3 has the non-constant residue 1/t3' at t3 = 0
         assert payload["status"] == "no"
+
+
+def test_expr_may_start_with_minus(li_file, capsys):
+    assert main(["integrate", "--tower", li_file, "--expr", "-x"]) == 0
+    assert capsys.readouterr().out == "integral = (-x^2)/(2)\n"
+    assert main(["integrate", "--tower", li_file, "--expr", "-1/t1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["integral"] == "-t2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decomp", "--expr", "1/x"],
+        ["decomp", "--tower", "li.tower", "--expr"],
+        ["differentiate", "--tower", "li.tower"],
+        [],
+    ],
+    ids=["missing-tower", "missing-expr-value", "unknown-command", "no-command"],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert "{decomp,integrate,elementary,embed,matrix,check}" in out
+    assert main(["embed", "--help"]) == 0
+    out = capsys.readouterr().out
+    for flag in ["--tower", "--expr", "--json", "--latex", "--normalize", "--matrix"]:
+        assert flag in out
+
+
+def test_results_above_the_digit_limit_print_in_full(li_file, capsys):
+    # r = c^2/(x + c) has 6 000 digits, above the interpreter's int/str
+    # limit; main lifts that limit for its command and restores it
+    c = int("7" * 3000)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert main(["decomp", "--tower", li_file, "--expr", f"x^2/(x + {'7' * 3000})", "--json"]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    payload = json.loads(capsys.readouterr().out)
+    # Decimal prints an int without the int/str limit
+    assert payload["r"] == f"{decimal.Decimal(c * c)}/(x + {'7' * 3000})"
+
+
+SHIFT_TOWER = "var x\ngen t1 : log(x)\ngen t2 : prim 1/t1 + 1/t1^2\n"
+
+# names, digits, operators, a space and two characters outside the grammar;
+# an exponent keeps one digit (see _one_digit_exponents)
+_FUZZ_TOKENS = ["x", "t1", "t2", "t3", *"0123456789", *"+-*/^()", " ", "@", "q"]
+
+
+def _one_digit_exponents(text):
+    return re.sub(r"(\^\s*-?\s*\d)\d+", r"\1", text)
+
+
+fuzz_texts = (
+    st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=12)
+    .map("".join)
+    .map(_one_digit_exponents)
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_argvs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    files = {}
+    for name, text in [("li", LI_TOWER), ("nested", NESTED_TOWER), ("shift", SHIFT_TOWER)]:
+        files[name] = str(directory / f"{name}.tower")
+        (directory / f"{name}.tower").write_text(text)
+    argvs = [
+        [cmd, "--tower", files[name]]
+        for cmd in ("decomp", "integrate", "elementary")
+        for name in ("li", "nested")
+    ]
+    argvs.append(["embed", "--tower", files["nested"]])
+    argvs.append(["decomp", "--tower", files["shift"], "--normalize"])
+    return argvs
+
+
+@given(text=fuzz_texts, minus=st.booleans())
+def test_cli_text_ends_with_exit_0_or_1(text, minus, fuzz_argvs):
+    """Any short text over the grammar's alphabet, with or without a leading
+    "-", ends every command with exit 0 or 1 and no escaping exception.
+
+    This checks exit codes only, not ROADMAP 5's time bound: with no cap on
+    the number of terms, 1/(t1+x)^100 on li still runs past 100 s in decomp
+    and 1/(t3+x)^9 on nested past 60 s, so exponents here keep one digit and
+    the derandomized examples stay fast.
+    """
+    expr = "-" + text if minus else text
+    for argv in fuzz_argvs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv + ["--expr", expr]) in (0, 1), (argv, expr)

@@ -264,19 +264,28 @@ def test_derivative_oracle_random(rng):
         assert not T.diff(dec.g.value - g)
 
 
-def test_shift_by_derivative_keeps_projection_and_order(tower_li, rng):
-    """Remainders of f and f + g' share the top projection and order key."""
-    T = tower_li
-    x, t1, t2, t3 = T.gens
-    f = T.element(1 / (t1 * t2) + (t2 - 2 * x * t1) / t1**2 + t3)
-    r1 = add_decomp_in_field(f).r
-    for _ in range(5):
-        g = random_element(T, rng)
-        shifted = T.element(f.value + T.diff(g))
-        r2 = add_decomp_in_field(shifted).r
-        assert project_value(T, r1.value)[T.n] == project_value(T, r2.value)[T.n]
-        assert order_key_value(T, r1.value) == order_key_value(T, r2.value)
-        assert _is_remainder_value(T, r2.value)[0]
+def test_shift_by_derivative_keeps_projection_and_order(rng):
+    """Remainders of f and f + g' share the top projection and order key,
+    and they differ by a rational combination of t_1', ..., t_n'."""
+    li = li_tower()
+    x, t1, t2, t3 = li.gens
+    # the README's element, and one whose remainders differ by -t2'
+    cases = [
+        (li, 1 / (t1 * t2) + (t2 - 2 * x * t1) / t1**2 + t3, []),
+        (li, 1 / t1 + 1 / (x * (t1 + 1)), [x * t3 - t2]),
+    ]
+    for T in [li, nested_tower(), u_tower(), coupled_tower()]:
+        cases += [(T, random_element(T, rng), []) for _ in range(3)]
+    for T, f, gs in cases:
+        r1 = add_decomp_in_field(T.element(f)).r
+        for g in gs or [random_element(T, rng) for _ in range(4)]:
+            r2 = add_decomp_in_field(T.element(f + T.diff(g))).r
+            assert project_value(T, r1.value)[T.n] == project_value(T, r2.value)[T.n]
+            assert order_key_value(T, r1.value) == order_key_value(T, r2.value)
+            assert _is_remainder_value(T, r2.value)[0]
+            difference = r2.value - r1.value
+            basis = T.derivative_basis(T.n)
+            assert solve_constant_combination_values(T.F, difference, basis) is not None
 
 
 @given(seed=seeds)
