@@ -1,12 +1,27 @@
 """Exact arithmetic foundation.
 
 Elements live in a fixed multivariate rational function field Q(x, t1, ..., tn)
-backed by :mod:`sympy.polys.fields`.  Field elements (``FracElement``) are
+backed by :mod:`sympy.polys.fields`, as sympy's ``FracField`` over ZZ: every
+numerator and denominator is a polynomial in Z[x, t1, ..., tn], and no
+coefficient is ever a rational number.  Field elements (``FracElement``) are
 immutable, automatically cancelled and kept in a canonical form, so equality is
-structural.  Most field operations therefore run a multivariate gcd, the
-``cancel``.  The two kernels that every layer calls, :func:`substitute` here
-and ``Tower.diff``, build their numerator and denominator as plain
-polynomials (``PolyElement``) and cancel exactly once, in ``F.new``.
+structural: numerator and denominator are coprime in Z[x, t1, ..., tn],
+integer content included, and the denominator's leading coefficient is
+positive.  That is the form sympy's field over QQ keeps too, so elements
+print and compare as they would there.  Rational constants enter through
+:func:`ground`, as a numerator over a positive integer denominator.
+Most field operations run a multivariate gcd, the ``cancel``, which goes
+straight to the integer heuristic gcd.  The two kernels that every layer
+calls, :func:`substitute` here and ``Tower.diff``, build their numerator and
+denominator as plain polynomials (``PolyElement``) and cancel exactly once,
+in ``F.new``.
+
+Divisibility over Q is decided over Z on primitive parts: by Gauss's lemma
+an integer polynomial divides another in Q[x, t1, ..., tn] exactly when its
+primitive part divides the other in Z[x, t1, ..., tn].  A constant divides
+exactly only when it is +1 or -1; every other constant leading coefficient
+or denominator goes through pseudo-division or a gcd, and no ground
+coefficient is ever divided in Q.
 
 The univariate layer works the same way.  A :class:`UniPoly` is a
 polynomial in one designated variable v over the fraction field of the
@@ -28,32 +43,31 @@ Canonical field elements are built only for outputs, one ``F.new`` each:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from sympy import QQ
+from sympy import ZZ
 from sympy.polys.fields import field as _field
 
 
 def make_field(names):
-    """Create the rational function field Q(names[0], names[1], ...).
+    """Create the rational function field Q(names[0], names[1], ...), held
+    as sympy's fraction field over ZZ: numerators and denominators are
+    polynomials with integer coefficients.
 
     Returns (field, list of generator elements).
     """
-    created = _field(list(names), QQ)
+    created = _field(list(names), ZZ)
     return created[0], list(created[1:])
 
 
 def ground(F, value):
-    """Embed a rational constant into the field F."""
-    if isinstance(value, Fraction):
-        return F.ground_new(QQ(value.numerator, value.denominator))
-    return F.ground_new(QQ(value))
-
-
-def to_fraction(coeff) -> Fraction:
-    """Convert a ground coefficient (mpq / PythonRational) to Fraction."""
-    return Fraction(int(coeff.numerator), int(coeff.denominator))
+    """Embed a rational constant (int or Fraction) into the field F.  A
+    Fraction is already in lowest terms with a positive denominator, the
+    canonical form, so no cancel runs."""
+    value = Fraction(value)
+    return F.raw_new(F.ring(value.numerator), F.ring(value.denominator))
 
 
 def is_ground(f) -> bool:
@@ -96,7 +110,9 @@ def pseudo_divmod(N, D, v):
     """Pseudo-division in v: (Q, R, L) with L*N = Q*D + R and deg_v R < deg_v D.
 
     L is lc_v(D)**s for the number s of elimination steps, or 1 when lc_v(D)
-    is a rational constant, which divides exactly.  sympy's
+    is a unit, +1 or -1, the only constants that divide every integer
+    polynomial exactly; any other constant leading coefficient takes the
+    pseudo-division steps, with L a power of it.  sympy's
     ``PolyElement.pdiv`` and ``pquo`` return a wrong quotient for
     multivariate input (for N = x*t2**3 + t1*t2 + 1, D = t1*t2**2 + x in t2
     they give x*t1*t2 + 2*t1**2 where the quotient scaled by t1**2 =
@@ -106,14 +122,14 @@ def pseudo_divmod(N, D, v):
     ring = N.ring
     dd = D.degree(v)
     lc = _lc(D, v)
-    ground_lc = lc.is_ground
+    unit_lc = lc.is_ground and abs(lc.LC) == 1
     xv = ring.gens[v]
     Q, R, L = ring.zero, N, ring.one
     dr = _degree(R, v)
     while dr >= dd:
         lr = _coeff(R, v, dr)
-        if ground_lc:
-            term = lr.quo_ground(lc.LC) * xv ** (dr - dd)
+        if unit_lc:
+            term = lr.mul_ground(lc.LC) * xv ** (dr - dd)
             Q += term
             R -= term * D
         else:
@@ -126,12 +142,13 @@ def pseudo_divmod(N, D, v):
 
 
 def _reduce(num, den):
-    """num/den in lowest terms, up to a rational constant: one gcd, skipped
-    when den is a constant."""
+    """num/den in lowest terms, up to sign: one gcd, skipped when den is +1
+    or -1.  A denominator with one term, a constant among them, takes
+    sympy's monomial gcd, which runs no polynomial gcd."""
     if not num:
         return num, den.ring.one
-    if den.is_ground:
-        return num.quo_ground(den.LC), den.ring.one
+    if den.is_ground and abs(den.LC) == 1:
+        return num.mul_ground(den.LC), den.ring.one
     _, num, den = num.cofactors(den)
     return num, den
 
@@ -267,14 +284,20 @@ class UniPoly:
 
 def sum_pairs(F, pairs):
     """The sum of unreduced (numerator, denominator) polynomial pairs as one
-    field element: numerators over the same denominator add as polynomials,
-    and each distinct denominator costs one ``F.new``."""
-    sums = {}
+    field element: denominators with the same primitive part share the lcm
+    of their integer contents, numerators over it add as polynomials, and
+    each distinct primitive part costs one ``F.new``."""
+    groups = {}
     for num, den in pairs:
-        sums[den] = sums[den] + num if den in sums else num
+        content, prim = den.primitive()
+        groups.setdefault(prim, []).append((num, content))
     total = F.zero
-    for den, num in sums.items():
-        total += F.new(num, den)
+    for prim, terms in groups.items():
+        k = math.lcm(*(c for _, c in terms))
+        num = prim.ring.zero
+        for n, c in terms:
+            num += n.mul_ground(k // c)
+        total += F.new(num, prim.mul_ground(k))
     return total
 
 
@@ -352,7 +375,8 @@ def squarefree_decomposition(p, v):
     factor**multiplicity.  Rejects the zero polynomial.  Runs on the
     numerator polynomial with multivariate gcds and exact divisions: these
     agree with the gcds over the coefficient field up to factors free of v,
-    so each factor is the same once made monic, at the end.
+    so each factor is the same once made monic, at the end.  Each ``exquo``
+    divides by a gcd over Z of its argument, so it is exact in Z[x, t].
     """
     u = _as_unipoly(p, v)
     P = u.num
@@ -384,7 +408,8 @@ def squarefree_decomposition(p, v):
 def _subresultant(A, B, v):
     """res_v(A, B) of two nonzero ring polynomials, by the subresultant
     PRS (Cohen, *A Course in Computational Algebraic Number Theory*,
-    Alg. 3.3.7, without content removal); every division is exact.  sympy's
+    Alg. 3.3.7, without content removal); every division is exact in
+    Z[x, t], since the PRS runs over any integral domain.  sympy's
     own top-level ``resultant(z - 1, z**3, z)`` gives -1 where the Sylvester
     determinant gives 1, so it is not used."""
     da, db = A.degree(v), B.degree(v)

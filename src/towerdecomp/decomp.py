@@ -8,7 +8,11 @@ integration by parts, everything else times M joins the remainder.  The
 is the termination measure and is asserted.  Each pass builds its update of
 the current element as one polynomial pair over one denominator, with one
 ``F.new``; g and r collect (numerator, denominator) terms and become field
-elements once, before the self-checks.
+elements once, before the self-checks.  The span coefficients c_j that a
+pass absorbs are rational constants, but the field's polynomials have
+integer coefficients: the pass multiplies the absorbed sum(c_j * t_j) and
+the term c_m/(d + 1) * t_m through by the lcm of their denominators and puts
+that integer into its one denominator, so g gains one pair per pass.
 
 Every result is checked exactly before it is returned.  The reconstruction
 check compares g' with f - r and cancels neither g' nor a sum with it:
@@ -22,12 +26,11 @@ data of r - pi_n(r) from one level recursion on r.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import QQ
-
-from .arith import ClearedBasis, ground, solve_linear_system, sum_pairs, to_fraction
+from .arith import ClearedBasis, solve_linear_system, sum_pairs
 from .errors import InternalVerificationError
 from .hermite import hermite_reduce_proper_value
 from .matryoshka import (
@@ -50,14 +53,19 @@ def solve_constant_combination_values(F, target, basis):
     ``basis`` is a ClearedBasis (L, polys) with polys[j] = basis_j * L, such
     as ``Tower.derivative_basis(m)``, or a sequence of field elements, which
     is cleared here with the lcm of their denominators.  A target in the
-    span has a denominator dividing L, so one exact division rejects every
-    other target without a gcd.  Otherwise the coefficients of numer *
-    (L / denom) are compared with those of the polys exactly, and the
-    solution is checked as that polynomial identity.
+    span has a denominator dividing L over Q, which by Gauss's lemma is the
+    primitive part of target.denom dividing L over Z: one exact division
+    rejects every other target without a gcd.  The integer content of
+    target.denom moves into the right-hand side: the coefficients of numer
+    * (L / primitive part), each divided by that content, are compared with
+    those of the polys exactly.  The solution is checked as a polynomial
+    identity over Z, both sides multiplied through by the content and by
+    the lcm of the coefficients' denominators.
     """
     if not isinstance(basis, ClearedBasis):
         den = F.ring.one
         for e in basis:
+            # the lcm over Z is a multiple of each denominator in Z[x, t]
             den = den.lcm(e.denom)
         basis = ClearedBasis(den, tuple(e.numer * den.exquo(e.denom) for e in basis))
     den, polys = basis
@@ -65,28 +73,28 @@ def solve_constant_combination_values(F, target, basis):
         return [Fraction(0)] * len(polys)
     if not polys:
         return None
-    scale, rem = den.div(target.denom)
+    content, prim = target.denom.primitive()
+    scale, rem = den.div(prim)
     if rem:
         return None
     lhs = target.numer * scale
-    dicts = [{m: to_fraction(c) for m, c in p.terms()} for p in polys]
-    t_dict = {m: to_fraction(c) for m, c in lhs.terms()}
-    monos = set(t_dict)
-    for d in dicts:
-        monos.update(d)
+    monos = set(lhs.keys())
+    for p in polys:
+        monos.update(p.keys())
     monos = sorted(monos)
-    rows = [[d.get(m, Fraction(0)) for d in dicts] for m in monos]
-    rhs = [t_dict.get(m, Fraction(0)) for m in monos]
+    rows = [[p.get(m, 0) for p in polys] for m in monos]
+    rhs = [Fraction(lhs.get(m, 0), content) for m in monos]
     sol = solve_linear_system(rows, rhs)
     if sol is None:
         return None
+    common = math.lcm(*(c.denominator for c in sol))
     acc = lhs.ring.zero
     for c, p in zip(sol, polys):
         if c:
-            acc += p * QQ(c.numerator, c.denominator)
-    if acc != lhs:
+            acc += p.mul_ground(content * c.numerator * (common // c.denominator))
+    if acc != lhs.mul_ground(common):
         raise InternalVerificationError("combination solver self-check failed")
-    return [Fraction(c) for c in sol]
+    return sol
 
 
 # -- the decomposition ------------------------------------------------------
@@ -127,17 +135,13 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
         d = M[m - 1] if n else 0
         span_basis = T.derivative_basis(m)
         B = F.zero
-        B_poly = R.zero  # the c_j * t_j absorbed into B, kept apart
+        absorbed = [Fraction(0)] * m  # span coefficients of t_1', ..., t_m'
         H = F.zero
-        ctilde = Fraction(0)
         unabsorbed = []
 
         def absorb(coeffs):
-            nonlocal B_poly, ctilde
-            for j in range(m - 1):
-                if coeffs[j]:
-                    B_poly += R.gens[j + 1] * ground(R, coeffs[j])
-            ctilde += coeffs[m - 1]
+            for j, c in enumerate(coeffs):
+                absorbed[j] += c
 
         for i in sorted(hd.index_set):
             b_i, h_i = hermite_reduce_proper_value(T, hd.hc_i[i], i)
@@ -167,19 +171,29 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
 
         # cur - a*M - B*M' - cc*t_m^(d+1)*N' over one denominator, with M and
         # N = M/t_m^d ring monomials and M', N' over the tower's L; the last
-        # two terms vanish on most passes, and L with them
+        # two terms vanish on most passes, and L with them.  B is the Hermite
+        # part plus sum(c_j * t_j, j < m), and cc = c_m/(d + 1); the rational
+        # constants share the integer denominator k, so B = Bnum/Bden with
+        # Bden = B.denom * k and k*cc an integer
+        cc = absorbed[m - 1] / (d + 1) if m else Fraction(0)
+        k = math.lcm(cc.denominator, *(c.denominator for c in absorbed[: m - 1]))
+        B_poly = R.zero
+        for j, c in enumerate(absorbed[: m - 1], start=1):
+            if c:
+                B_poly += R.gens[j].mul_ground(c.numerator * (k // c.denominator))
         Mpoly = R.one.mul_monom((0,) + M)
         Mp, L = T.diff_pair(Mpoly, R.one)
-        Bnum, Bden = B.numer + B_poly * B.denom, B.denom
-        if Bnum:
-            g_terms.append((Bnum * Mpoly, Bden))
+        Bnum, Bden = B.numer * k + B_poly * B.denom, B.denom * k
         rest = Bnum * Mp  # (B*M' + cc*t_m^(d+1)*N') * Bden * L
-        cc = Fraction(ctilde, d + 1)
+        gnum = Bnum  # (B + cc*t_m) * Bden
         if cc:
             tm = R.gens[m]
+            ccB = B.denom.mul_ground(cc.numerator * (k // cc.denominator))
             Np, _ = T.diff_pair(Mpoly.exquo(tm**d), R.one)
-            rest += ground(R, cc) * tm ** (d + 1) * Np * Bden
-            g_terms.append((ground(R, cc) * tm * Mpoly, R.one))
+            rest += ccB * tm ** (d + 1) * Np
+            gnum += ccB * tm
+        if gnum:
+            g_terms.append((gnum * Mpoly, Bden))
         num = cur.numer * a.denom - a.numer * Mpoly * cur.denom
         den = cur.denom * a.denom
         if rest:
@@ -190,7 +204,8 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
     g = sum_pairs(F, g_terms)
     r = sum_pairs(F, r_terms)
     # g' = f - r with g' left unreduced; when they are equal, the reduced
-    # denominator of f - r divides that of g'
+    # denominator of f - r divides that of g' in Z[x, t]: f - r is coprime
+    # over Z, content included, so the division over Z is exact
     Pg, Qg = T.diff_pair(g.numer, g.denom)
     target = f.value - r
     scale, rem = Qg.div(target.denom)

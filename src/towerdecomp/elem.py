@@ -25,7 +25,6 @@ from .arith import (
     is_ground,
     make_field,
     substitute,
-    to_fraction,
     unipoly_gcd,
     unipoly_resultant,
 )
@@ -108,7 +107,7 @@ def _residue_analysis(T, value, i):
             if not T.diff_pair(cert.numer, cert.denom)[0]:
                 raise InternalVerificationError("non-ground coefficient is constant")
             return ("nonconstant", cert)
-        monic[k] = to_fraction(c.numer.LC) / to_fraction(c.denom.LC)
+        monic[k] = Fraction(c.numer.LC, c.denom.LC)
     zz = sympy.Symbol("z")
     poly = sympy.Poly(
         sum(sympy.Rational(c) * zz**k for k, c in monic.items()), zz, domain="QQ"

@@ -76,7 +76,7 @@ def _integer(text, off):
 def _check_digits(value, off):
     for p in (value.numer, value.denom):
         for c in p.values():
-            if abs(c.numerator) >= _DIGITS_LIMIT or c.denominator >= _DIGITS_LIMIT:
+            if abs(c) >= _DIGITS_LIMIT:
                 raise _too_many_digits(off)
 
 
@@ -87,7 +87,7 @@ def _check_power_digits(value, e, off):
     at most s**e, s the sum of P's coefficients in absolute value.
     """
     norm = max(
-        sum(abs(c.numerator) for c in p.values()) for p in (value.numer, value.denom)
+        sum(abs(c) for c in p.values()) for p in (value.numer, value.denom)
     )
     if norm > 1 and abs(e) > (MAX_DIGITS + 1) / math.log10(norm):
         raise _too_many_digits(off)
@@ -257,18 +257,10 @@ def _render_poly(p, names, latex=False):
                 factors.append(f"{names[i]}^{{{e}}}")
             else:
                 factors.append(f"{names[i]}^{e}")
-        num = int(coeff.numerator)
-        den = int(coeff.denominator)
-        sign = "-" if num < 0 else "+"
-        num = abs(num)
-        if den != 1 and latex:
-            body = "\\cdot ".join(factors)
-            text = f"\\frac{{{num}}}{{{den}}}" + (f"\\, {body}" if body else "")
-        else:
-            if num != 1 or den != 1 or not factors:
-                factors = [f"{num}/{den}" if den != 1 else str(num)] + factors
-            text = ("\\cdot " if latex else "*").join(factors)
-        parts.append((sign, text))
+        sign = "-" if coeff < 0 else "+"
+        if abs(coeff) != 1 or not factors:
+            factors = [str(abs(coeff))] + factors
+        parts.append((sign, ("\\cdot " if latex else "*").join(factors)))
     first_sign, first = parts[0]
     out = ("-" if first_sign == "-" else "") + first
     for sign, text in parts[1:]:

@@ -191,6 +191,8 @@ class Tower:
             )
             self.derivs.append(deriv)
             if deriv:
+                # sympy's lcm over Z carries the lcm of the integer contents,
+                # so L and the denominator divide it exactly in Z[x, t]
                 lcm = L.lcm(deriv.denom)
                 scale = lcm.exquo(L)
                 multipliers = tuple((i, m * scale) for i, m in multipliers) + (

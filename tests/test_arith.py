@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from sympy import QQ, Rational
+from sympy.polys.fields import field as sympy_field
 from sympy.polys.rings import PolyElement
 
-from towerdecomp import apply_homomorphism, embed_well_generated
+from towerdecomp import add_decomp_in_field, apply_homomorphism, embed_well_generated
 from towerdecomp.arith import (
     UniPoly,
     frac_to_unipair,
@@ -17,13 +19,21 @@ from towerdecomp.arith import (
     split_proper_poly,
     squarefree_decomposition,
     substitute,
-    to_fraction,
     unipoly_gcd,
     unipoly_resultant,
     unipoly_xgcd,
 )
 
-from conftest import nested_tower, random_element, random_fraction, seeds
+from conftest import (
+    coupled_tower,
+    li_tower,
+    nested_tower,
+    random_element,
+    random_fraction,
+    random_s_primitive_tower,
+    seeds,
+    u_tower,
+)
 
 
 @pytest.fixture
@@ -41,7 +51,7 @@ def uni(f, v=1):
 def test_ground_and_fraction_conversion(F2):
     F, _ = F2
     v = ground(F, Fraction(3, 2))
-    assert to_fraction(v.numer.LC) == 3
+    assert (v.numer, v.denom) == (F.ring(3), F.ring(2))
     assert is_ground(v)
     assert not is_ground(F.gens[0])
 
@@ -148,7 +158,7 @@ def termwise_substitute(f, target_field, values):
     def eval_poly(p):
         out = target_field.zero
         for mono, c in p.terms():
-            term = ground(target_field, to_fraction(c))
+            term = ground(target_field, Fraction(c))
             for i, e in enumerate(mono):
                 if e:
                     term *= values[i] ** e
@@ -249,3 +259,86 @@ def test_substitute_cancels_once(monkeypatch):
         except ZeroDivisionError:
             continue
         assert len(calls) == 1
+
+
+# -- the canonical form over Z is the one over Q --------------------------------
+
+
+def _coeffs(p):
+    """{monomial: (numerator, denominator)} of a polynomial's coefficients."""
+    return {m: (int(c.numerator), int(c.denominator)) for m, c in p.items()}
+
+
+def _qq_form(value, G):
+    """Numerator and denominator of the same fraction, cancelled by sympy's
+    own field G over QQ."""
+    ring = G.ring
+    ref = G.new(
+        ring.from_dict({m: QQ(c) for m, c in value.numer.items()}),
+        ring.from_dict({m: QQ(c) for m, c in value.denom.items()}),
+    )
+    return _coeffs(ref.numer), _coeffs(ref.denom)
+
+
+def _parallel_fraction(F, G, rng):
+    """One random element with rational constants, built by the same
+    operations in F and in G."""
+
+    def poly():
+        a, b = F.zero, G.zero
+        for _ in range(rng.randint(1, 3)):
+            c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            ta, tb = ground(F, c), G.one * QQ(c.numerator, c.denominator)
+            for i in rng.sample(range(len(F.gens)), rng.randint(0, 2)):
+                e = rng.randint(1, 2)
+                ta *= F.gens[i] ** e
+                tb *= G.gens[i] ** e
+            a, b = a + ta, b + tb
+        return a, b
+
+    (na, nb), (da, db) = poly(), poly()
+    if not da:
+        da, db = F.one, G.one
+    return na / da, nb / db
+
+
+@given(seed=seeds)
+def test_canonical_form_matches_the_rational_field(seed):
+    """Every element keeps the numerator and denominator, coefficient for
+    coefficient, that sympy's field over QQ keeps: coprime integer
+    polynomials with a positive leading coefficient below.  Rendered
+    answers, and so the benchmark's digests, read exactly these."""
+    rng = random.Random(seed)
+    towers = [li_tower(), nested_tower(), u_tower(), coupled_tower()]
+    towers.append(random_s_primitive_tower(rng, rng.randint(2, 3)))
+    for T in towers:
+        G = sympy_field(T.names, QQ)[0]
+        a, b = _parallel_fraction(T.F, G, rng)
+        assert (_coeffs(a.numer), _coeffs(a.denom)) == (_coeffs(b.numer), _coeffs(b.denom))
+        for value in (a, T.diff(a)):
+            assert (_coeffs(value.numer), _coeffs(value.denom)) == _qq_form(value, G)
+    T = rng.choice(towers)
+    G = sympy_field(T.names, QQ)[0]
+    dec = add_decomp_in_field(T.element(random_element(T, rng)))
+    for value in (dec.g.value, dec.r.value):
+        assert (_coeffs(value.numer), _coeffs(value.denom)) == _qq_form(value, G)
+
+
+def test_ground_builds_canonical_constants_without_a_cancel(F2, monkeypatch):
+    F, _ = F2
+    calls = []
+    cancel = PolyElement.cancel
+
+    def counting(self, g):
+        calls.append(1)
+        return cancel(self, g)
+
+    monkeypatch.setattr(PolyElement, "cancel", counting)
+    cases = [Fraction(-6, 4), Fraction(5, 10), Fraction(0), 7, -3, Fraction(12, 3)]
+    values = [ground(F, c) for c in cases]
+    assert not calls
+    monkeypatch.undo()
+    for c, v in zip(cases, values):
+        c = Fraction(c)
+        assert (v.numer, v.denom) == (F.ring(c.numerator), F.ring(c.denominator))
+        assert v == F.from_expr(Rational(c.numerator, c.denominator))

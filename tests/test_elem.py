@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from sympy.polys.rings import PolyElement
 
 from towerdecomp import (
     NO,
     UNDECIDED,
     YES,
     TowerBuilder,
+    add_decomp_in_field,
     elementary_integrability,
 )
 from towerdecomp import elem
@@ -156,3 +158,36 @@ def test_true_no_cancel_count(tower_li, gcds):
     verdict = elementary_integrability(f)
     assert gcds["cancel"] == 9
     assert verdict.status == NO and verdict.certificate.value == -x / (x + 1)
+
+
+def test_content_bearing_denominators_are_elementary(tower_nested):
+    """1/(2*x) + 1/(3*x*t1) = ((t1 + 2*t2)/6)' on nested: both denominators
+    carry integer content that the span step must divide out."""
+    T = tower_nested
+    x, t1, t2, t3 = T.gens
+    f = 1 / (2 * x) + 1 / (3 * x * t1)
+    verdict = elementary_integrability(T.element(f))
+    assert verdict.status == YES
+    dec = verdict.decomposition
+    assert dec.g.value == (t1 + 2 * t2) / 6 and not dec.r
+
+
+def test_readme_input_never_leaves_the_integers(tower_li, monkeypatch):
+    """No gcd over QQ and no clearing of rational denominators: every
+    polynomial the decomposition and the verdict build has integer
+    coefficients."""
+    T = tower_li
+    x, t1, t2, t3 = T.gens
+    counts = {"_gcd_QQ": 0, "clear_denoms": 0}
+    for name in counts:
+        orig = getattr(PolyElement, name)
+
+        def counting(self, *args, _orig=orig, _name=name):
+            counts[_name] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(PolyElement, name, counting)
+    f = T.element(1 / (t1 * t2) + (t2 - 2 * x * t1) / t1**2 + t3)
+    add_decomp_in_field(f)
+    assert elementary_integrability(f).status == YES
+    assert counts == {"_gcd_QQ": 0, "clear_denoms": 0}

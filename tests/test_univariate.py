@@ -316,6 +316,18 @@ def test_pseudo_division_counterexample():
     assert Q * (T1**2).numer.exquo(L) == (X * T1 * T2).numer
 
 
+def test_pseudo_division_by_a_non_unit_constant_leading_coefficient():
+    """lc_t2(2*t2 + x) = 2 does not divide over Z, so the steps scale by it:
+    L = 2**s, and L*N = Q*D + R holds over Z with integer quotient and
+    remainder; a leading coefficient of -1 divides exactly, with L = 1."""
+    N = (X * T2**3 + T1 * T2 + 1).numer
+    for D, unit in [((2 * T2 + X).numer, False), ((X - T2).numer, True)]:
+        Q, R, L = pseudo_divmod(N, D, 2)
+        assert L * N == Q * D + R and R.degree(2) < D.degree(2)
+        assert L == (1 if unit else 2**3)
+        assert all(isinstance(c, int) for p in (Q, R, L) for c in p.values())
+
+
 @given(seed=seeds)
 def test_pseudo_division_identity(seed):
     rng = random.Random(seed)
