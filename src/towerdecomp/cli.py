@@ -202,12 +202,14 @@ def _matrix(T, f, args, read):
 
 def _check(T, f, args, read):
     result = T.validate_s_primitive()
+    certificate = None
     if result.ok:
         lines = ["S-primitive: yes"]
     else:
         lines = [f"S-primitive: no ({result.reason})"]
         if result.certificate is not None:
-            lines.append(f"dependence certificate: {result.certificate}")
+            certificate = [str(c) for c in result.certificate]
+            lines.append(f"dependence certificate: {', '.join(certificate)}")
     well = None
     if result.ok and T.is_logarithmic:
         well, why = is_well_generated(T)
@@ -215,9 +217,7 @@ def _check(T, f, args, read):
     return lines, {
         "s_primitive": result.ok,
         "reason": result.reason,
-        "certificate": [str(c) for c in result.certificate]
-        if result.certificate
-        else None,
+        "certificate": certificate or None,
         "well_generated": well,
     }
 

@@ -135,6 +135,26 @@ def test_check_reports_dependence(tmp_path, capsys):
     assert "certificate" in out
 
 
+@pytest.mark.parametrize(
+    "tower, printed",
+    [
+        ("var x\ngen t1 : log(x)\ngen t2 : prim 2/x\n", "2"),
+        (
+            "var x\ngen t1 : log(x)\ngen t2 : log(x+1)\n"
+            "gen t3 : prim 1/(2*x) - 3/(x+1)\n",
+            "1/2, -3",
+        ),
+    ],
+)
+def test_check_prints_the_certificate_as_json_does(tower, printed, tmp_path, capsys):
+    path = tmp_path / "dep.tower"
+    path.write_text(tower)
+    assert main(["check", "--tower", str(path)]) == 0
+    assert f"dependence certificate: {printed}\n" in capsys.readouterr().out
+    assert main(["check", "--tower", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"] == printed.split(", ")
+
+
 def test_matrix_command(li_file, capsys):
     assert main(["matrix", "--tower", li_file]) == 0
     out = capsys.readouterr().out
