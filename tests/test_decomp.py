@@ -16,6 +16,7 @@ from towerdecomp import decomp
 from towerdecomp.arith import ground, solve_linear_system
 from towerdecomp.decomp import _is_remainder_value, solve_constant_combination_values
 from towerdecomp.errors import InternalVerificationError
+from towerdecomp.exprio import parse_expression
 from towerdecomp.matryoshka import (
     head_data_value,
     indicator,
@@ -180,33 +181,24 @@ def test_solver_divides_by_the_primitive_part_of_the_denominator(tower_li):
 
 
 # Denominators with integer content (Gauss's lemma): each answer holds with
-# the field over Q, and must hold with its integer numerators and
-# denominators.  Entries: f, g or None when only r is pinned, r.
+# the field over Q, and must hold with integer numerators and denominators.
+# Entries: f, g (None when only r is pinned), r.
 GAUSS_CASES = [
-    (lambda x, t1, t2, t3: 1 / (2 * x), lambda x, t1, t2, t3: t1 / 2, 0),
-    (
-        lambda x, t1, t2, t3: 3 / (4 * x * t1) + 1 / (6 * t1),
-        lambda x, t1, t2, t3: (2 * t2 + 9 * t3) / 12,
-        0,
-    ),
-    (lambda x, t1, t2, t3: 1 / (2 * t1) / (3 * x) + t3 / 5, None, 0),
-    (
-        lambda x, t1, t2, t3: 1 / (t1 * t2) / 7 + 2 / (3 * t1**2),
-        None,
-        lambda x, t1, t2, t3: 1 / (7 * t1 * t2),
-    ),
+    ("1/(2*x)", "t1/2", "0"),
+    ("3/(4*x*t1) + 1/(6*t1)", "(2*t2 + 9*t3)/12", "0"),
+    ("1/(2*t1)/(3*x) + t3/5", None, "0"),
+    ("1/(t1*t2)/7 + 2/(3*t1^2)", None, "1/(7*t1*t2)"),
 ]
 
 
-@pytest.mark.parametrize("case", range(len(GAUSS_CASES)))
-def test_content_bearing_denominators(case, tower_li):
+@pytest.mark.parametrize("f, g, r", GAUSS_CASES)
+def test_content_bearing_denominators(f, g, r, tower_li):
     T = tower_li
-    f, g, r = GAUSS_CASES[case]
-    f = f(*T.gens)
+    f = parse_expression(f, T).value
     dec = add_decomp_in_field(T.element(f))
-    assert dec.r.value == (r(*T.gens) if callable(r) else r)
+    assert dec.r.value == parse_expression(r, T).value
     if g is not None:
-        assert dec.g.value == g(*T.gens)
+        assert dec.g.value == parse_expression(g, T).value
     assert T.diff(dec.g.value) + dec.r.value == f
 
 
