@@ -10,8 +10,12 @@ integer content included, and the denominator's leading coefficient is
 positive.  That is the form sympy's field over QQ keeps too, so elements
 print and compare as they would there.  Rational constants enter through
 :func:`ground`, as a numerator over a positive integer denominator.
-Most field operations run a multivariate gcd, the ``cancel``, which goes
-straight to the integer heuristic gcd.  The two kernels that every layer
+Most field operations run a multivariate gcd, the ``cancel``.  sympy's
+``cancel``, ``cofactors`` and ``deflate`` and its one-term shortcut still
+run in front of every gcd, but the field's polynomials are a ``PolyElement``
+subclass whose integer gcd is the ring-free heuristic gcd of
+:mod:`towerdecomp.gcdheu`, which builds no polynomial ring for the smaller
+variable sets it evaluates down to.  The two kernels that every layer
 calls, :func:`substitute` here and ``Tower.diff``, build their numerator and
 denominator as plain polynomials (``PolyElement``) and cancel exactly once,
 in ``F.new``.
@@ -48,18 +52,65 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from sympy import ZZ
-from sympy.polys.fields import field as _field
+from sympy.polys.fields import FracElement, FracField
+from sympy.polys.orderings import lex
+from sympy.polys.rings import PolyElement, PolyRing
+
+from . import gcdheu
+
+
+class _TowerPoly(PolyElement):
+    """A polynomial of the tower field's ring; its integer gcd is the
+    ring-free heuristic gcd, behind sympy's ``cofactors``."""
+
+    def _gcd_ZZ(f, g):
+        return gcdheu.cofactors(f, g)
+
+
+def _rebind_gens(obj, gens):
+    """Replace obj.gens by gens, and each attribute named after a generator
+    that held the old one."""
+    for symbol, old, new in zip(obj.symbols, obj.gens, gens):
+        if obj.__dict__.get(symbol.name) is old:
+            setattr(obj, symbol.name, new)
+    obj.gens = gens
+
+
+class _TowerPolyRing(PolyRing):
+    """sympy's ``PolyRing`` whose elements are ``_TowerPoly``.  The class
+    name is part of a ring's hash, so these rings stay apart from sympy's."""
+
+    def __new__(cls, symbols, domain, order=lex):
+        obj = super().__new__(cls, symbols, domain, order)
+        obj.dtype = _TowerPoly(obj, ()).new
+        _rebind_gens(obj, obj._gens())
+        obj._gens_set = set(obj.gens)
+        return obj
+
+
+class _TowerFracField(FracField):
+    """sympy's ``FracField`` over a ``_TowerPolyRing``."""
+
+    def __new__(cls, symbols, domain, order=lex):
+        obj = super().__new__(cls, symbols, domain, order)
+        obj.ring = _TowerPolyRing(obj.symbols, obj.domain, obj.order)
+        obj.dtype = FracElement(obj, obj.ring.zero).raw_new
+        obj.zero = obj.dtype(obj.ring.zero)
+        obj.one = obj.dtype(obj.ring.one)
+        _rebind_gens(obj, obj._gens())
+        return obj
 
 
 def make_field(names):
     """Create the rational function field Q(names[0], names[1], ...), held
     as sympy's fraction field over ZZ: numerators and denominators are
-    polynomials with integer coefficients.
+    polynomials with integer coefficients, whose gcd is
+    :func:`towerdecomp.gcdheu.cofactors`.
 
     Returns (field, list of generator elements).
     """
-    created = _field(list(names), ZZ)
-    return created[0], list(created[1:])
+    F = _TowerFracField(list(names), ZZ)
+    return F, list(F.gens)
 
 
 def ground(F, value):
