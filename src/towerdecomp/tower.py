@@ -313,6 +313,10 @@ def normalize_generators(T: Tower):
     generator, that is, no projection pi_j(t_i') involving a generator above
     t_j.  Returns the new tower and the list of (index, shift) pairs,
     the shifts expressed in the new coordinates.
+
+    A logarithm that needs no shift stays a logarithm, its argument
+    rewritten through the shifts below it; every other generator becomes
+    an explicit primitive with derivative h_i.
     """
     from .hermite import hermite_reduce_proper_value
     from .matryoshka import project_value
@@ -342,7 +346,14 @@ def normalize_generators(T: Tower):
             g_total += b
             h_total += h
         shifts.append((i, g_total))
-        new_specs.append((PRIM, h_total))
+        argument = T.generators[i - 1].argument
+        if argument is not None and not g_total:
+            argument = FormalProduct(
+                [(substitute(b, builder.F, values), e) for b, e in argument.factors]
+            )
+            new_specs.append((LOG, argument))
+        else:
+            new_specs.append((PRIM, h_total))
     T2 = Tower(builder.F, T.names, new_specs)
     return T2, shifts
 

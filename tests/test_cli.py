@@ -217,6 +217,18 @@ def test_normalize_flag_reads_expr_in_the_file_tower(tmp_path, capsys):
     assert payload["g"] == "x*t2" and payload["r"] == "(-2*x)/(t1)"
 
 
+@pytest.mark.parametrize("command", ["embed", "check"])
+def test_normalize_keeps_a_log_tower_logarithmic(nested_file, capsys, command):
+    """The nested tower needs no shift, so --normalize changes nothing."""
+    argv = [command, "--tower", nested_file]
+    if command == "embed":
+        argv += ["--expr", "t3/x"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--normalize"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_embed_expr_keeps_its_meaning_after_normalization(tmp_path, capsys):
     # normalize_tower rewrites t3 = log((x+1)*t1) as t3 - t2 = log(x+1) and
     # moves it below t2; --expr still means the file's generators

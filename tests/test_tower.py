@@ -93,6 +93,40 @@ def test_normalize_generators_shift():
     assert T2.validate_s_primitive().ok
 
 
+def _kept(T):
+    T2, shifts = normalize_generators(T)
+    assert all(not shift for _, shift in shifts)
+    assert [(g.kind, g.argument) for g in T2.generators] == [
+        (g.kind, g.argument) for g in T.generators
+    ]
+    assert T2.derivs == T.derivs
+
+
+@pytest.mark.parametrize("make", [li_tower, nested_tower, u_tower, coupled_tower])
+def test_normalize_generators_keeps_the_paper_towers(make):
+    """A tower whose derivatives are already simple comes back as it was:
+    its logarithms stay logarithms, with the same arguments."""
+    _kept(make())
+
+
+@given(seeds)
+def test_normalize_generators_keeps_simple_log_towers(seed):
+    rng = random.Random(seed)
+    _kept(random_log_tower(rng, rng.randint(1, 3)))
+
+
+def test_normalize_generators_rewrites_log_arguments_through_lower_shifts():
+    b = TowerBuilder(["t1", "t2", "t3"])
+    x, t1, t2 = b.x, b.gens[1], b.gens[2]
+    T = b.log(x).prim(1 / t1**2).log(t2).build()
+    T2, shifts = normalize_generators(T)
+    x2, u1, u2, u3 = T2.gens
+    assert shifts[1] == (2, -x2 / u1) and not shifts[2][1]
+    assert [g.kind for g in T2.generators] == ["log", PRIM, "log"]
+    assert T2.generators[2].argument == FormalProduct.single(u2 - x2 / u1)
+    assert T2.validate_s_primitive().ok
+
+
 def test_normalize_generators_rejects_monomial_head():
     b = TowerBuilder(["t1", "t2"])
     t1 = b.gens[1]
