@@ -95,10 +95,10 @@ def _residue_analysis(T, value, i):
     Rz = coeff_polys(R.numer, T.n + 1)
     lc = Rz[max(Rz)]
     back = [g for g in F.gens] + [F.zero]  # the root variable never survives
-    monic = {}
+    monic = []  # the monic residue polynomial's coefficients, z^0 first
     for k in range(max(Rz) + 1):
         if k not in Rz:
-            monic[k] = Fraction(0)
+            monic.append(sympy.QQ.zero)
             continue
         c = Fz.new(Rz[k], lc)
         if not is_ground(c):
@@ -107,11 +107,8 @@ def _residue_analysis(T, value, i):
             if not T.diff_pair(cert.numer, cert.denom)[0]:
                 raise InternalVerificationError("non-ground coefficient is constant")
             return ("nonconstant", cert)
-        monic[k] = Fraction(c.numer.LC, c.denom.LC)
-    zz = sympy.Symbol("z")
-    poly = sympy.Poly(
-        sum(sympy.Rational(c) * zz**k for k, c in monic.items()), zz, domain="QQ"
-    )
+        monic.append(sympy.QQ(c.numer.LC, c.denom.LC))
+    poly = sympy.Poly.from_list(monic[::-1], sympy.Symbol("z"), domain=sympy.QQ)
     ground_roots = poly.ground_roots()
     total_mult = sum(ground_roots.values())
     roots = sorted(
