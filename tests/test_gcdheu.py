@@ -1,5 +1,6 @@
 """The ring-free heuristic gcd of the tower field against sympy's heugcd."""
 
+import pytest
 from hypothesis import given, strategies as st
 from sympy import ZZ
 from sympy.core.cache import clear_cache
@@ -22,10 +23,11 @@ def names(n):
 
 @st.composite
 def poly_pairs(draw):
-    """(n, f, g) as term dicts in n variables: f = c*a*k and g = c*b*k with
-    a shared factor c, an integer content k and, at times, every exponent
-    scaled by a common step (deflatable), b = -a (equal up to sign), c = 1
-    (coprime, in general) or a negative leading coefficient."""
+    """(n, f, g), polynomials in n variables: f = k*c*a and g = m*c*b with
+    a shared factor c, integer contents k and m (negative ones flip the
+    leading coefficient) and, at times, every exponent scaled by a common
+    step (deflatable), b = -a (equal up to sign) or c = 1 (coprime, in
+    general)."""
     n = draw(st.integers(1, 5))
     step = draw(st.sampled_from([1, 1, 2, 3]))
     R = ring(names(n), ZZ)[0]
@@ -51,7 +53,8 @@ def poly_pairs(draw):
     a = poly(4)
     b = -a if kind == "equal" else poly(4)
     k = draw(st.sampled_from([1, 2, 6, -4]))
-    return n, (c * a).mul_ground(k), (c * b).mul_ground(draw(st.sampled_from([1, 3, -2])))
+    m = draw(st.sampled_from([1, 3, -2]))
+    return n, (c * a).mul_ground(k), (c * b).mul_ground(m)
 
 
 @given(poly_pairs())
@@ -84,20 +87,17 @@ def test_a_failed_heuristic_falls_back_to_sympy(monkeypatch):
 
     monkeypatch.setattr(gcdheu, "HEU_GCD_MAX", 0)
     monkeypatch.setattr(gcdheu, "sympy_heugcd", counting)
-    try:
+    with pytest.raises(HeuristicGCDFailed):
         gcdheu.heugcd(f, g, 2)
-    except HeuristicGCDFailed:
-        pass
-    else:
-        raise AssertionError("no evaluation point may be tried")
     assert gcdheu.cofactors(f, g) == ((x + t1).numer, (x - 2).numer, (t1 + 3).numer)
     assert fallback == [(f, g)]
 
 
 def test_tower_rings_are_apart_from_sympys():
     F, (x, t1) = make_field(["x", "t1"])
-    R, y, u1 = ring("x,t1", ZZ)
-    assert type(R) is PolyRing and type(y) is PolyElement and type(R.one) is PolyElement
+    R, y, _ = ring("x,t1", ZZ)
+    assert type(R) is PolyRing
+    assert type(y) is PolyElement and type(R.one) is PolyElement
     assert type(F.ring) is not PolyRing and isinstance(F.ring, PolyRing)
     tower_poly = type(x.numer)
     assert tower_poly is not PolyElement and issubclass(tower_poly, PolyElement)
@@ -110,7 +110,8 @@ def test_tower_rings_are_apart_from_sympys():
 def test_a_request_builds_no_ring(monkeypatch):
     """sympy's heugcd drops one variable per recursion into a new ring,
     rebuilt whenever sympy's cache is empty; the tower field's gcd builds
-    none.  The parent of this test built rings in 3, 2 and 1 variables."""
+    none.  With sympy's heugcd this request builds rings in 3, 2 and 1
+    variables."""
     T = nested_tower()
     f = parse_expression(README_INPUT, T)
     built = []
