@@ -11,8 +11,9 @@ shortened exponent tuples; sympy evaluates into a ring with that variable
 dropped, which it builds anew whenever its cache is empty.  Nothing here
 builds a ring, and nothing is memoized.
 
-When the heuristic fails, sympy's own ``heugcd`` runs on the same input,
-so no input fails here that does not fail there.
+When no evaluation point succeeds, ``HeuristicGCDFailed`` propagates, as
+it does from sympy's own ``_gcd_ZZ``: the steps are sympy's, so sympy's
+``heugcd`` fails on exactly the same inputs.
 """
 
 from __future__ import annotations
@@ -21,17 +22,13 @@ from math import gcd, isqrt
 from operator import add, sub
 
 from sympy.polys.heuristicgcd import HEU_GCD_MAX
-from sympy.polys.heuristicgcd import heugcd as sympy_heugcd
 from sympy.polys.polyerrors import HeuristicGCDFailed
 
 
 def cofactors(f, g):
     """(h, cff, cfg) with h = gcd(f, g), f = h*cff and g = h*cfg, for two
     nonzero polynomials of one lex-ordered ring over ZZ."""
-    try:
-        h, cff, cfg = heugcd(f, g, f.ring.ngens)
-    except HeuristicGCDFailed:
-        return sympy_heugcd(f, g)
+    h, cff, cfg = heugcd(f, g, f.ring.ngens)
     return f.new(h), f.new(cff), f.new(cfg)
 
 

@@ -1,11 +1,9 @@
 """The ring-free heuristic gcd of the tower field against sympy's heugcd."""
 
-import pytest
 from hypothesis import given, strategies as st
 from sympy import ZZ
 from sympy.core.cache import clear_cache
 from sympy.polys.heuristicgcd import heugcd as sympy_heugcd
-from sympy.polys.polyerrors import HeuristicGCDFailed
 from sympy.polys.rings import PolyElement, PolyRing, ring
 
 from towerdecomp import elementary_integrability, gcdheu
@@ -74,23 +72,6 @@ def test_tower_cofactors_match_sympys(pair):
     got = tf.cofactors(tg)
     assert all(type(p) is type(tf) for p in got)
     assert tuple(dict(p) for p in got) == tuple(dict(p) for p in f.cofactors(g))
-
-
-def test_a_failed_heuristic_falls_back_to_sympy(monkeypatch):
-    F, (x, t1) = make_field(["x", "t1"])
-    f, g = ((x + t1) * (x - 2)).numer, ((x + t1) * (t1 + 3)).numer
-    fallback = []
-
-    def counting(a, b):
-        fallback.append((a, b))
-        return sympy_heugcd(a, b)
-
-    monkeypatch.setattr(gcdheu, "HEU_GCD_MAX", 0)
-    monkeypatch.setattr(gcdheu, "sympy_heugcd", counting)
-    with pytest.raises(HeuristicGCDFailed):
-        gcdheu.heugcd(f, g, 2)
-    assert gcdheu.cofactors(f, g) == ((x + t1).numer, (x - 2).numer, (t1 + 3).numer)
-    assert fallback == [(f, g)]
 
 
 def test_tower_rings_are_apart_from_sympys():
