@@ -1,24 +1,19 @@
 """Exact arithmetic foundation.
 
-Elements live in a fixed multivariate rational function field Q(x, t1, ..., tn)
-backed by :mod:`sympy.polys.fields`, as sympy's ``FracField`` over ZZ: every
+Elements live in a fixed multivariate rational function field Q(x, t1, ..., tn),
+the package's own fraction field over Z (:mod:`towerdecomp.polys`): every
 numerator and denominator is a polynomial in Z[x, t1, ..., tn], and no
-coefficient is ever a rational number.  Field elements (``FracElement``) are
-immutable, automatically cancelled and kept in a canonical form, so equality is
+coefficient is ever a rational number.  Field elements are immutable,
+automatically cancelled and kept in a canonical form, so equality is
 structural: numerator and denominator are coprime in Z[x, t1, ..., tn],
 integer content included, and the denominator's leading coefficient is
-positive.  That is the form sympy's field over QQ keeps too, so elements
-print and compare as they would there.  Rational constants enter through
-:func:`ground`, as a numerator over a positive integer denominator.
-Most field operations run a multivariate gcd, the ``cancel``.  sympy's
-``cancel``, ``cofactors`` and ``deflate`` and its one-term shortcut still
-run in front of every gcd, but the field's polynomials are a ``PolyElement``
-subclass whose integer gcd is the ring-free heuristic gcd of
-:mod:`towerdecomp.gcdheu`, which builds no polynomial ring for the smaller
-variable sets it evaluates down to.  The two kernels that every layer
-calls, :func:`substitute` here and ``Tower.diff``, build their numerator and
-denominator as plain polynomials (``PolyElement``) and cancel exactly once,
-in ``F.new``.
+positive.  That is the form sympy's field over QQ keeps too.  Rational
+constants enter through :func:`ground`, as a numerator over a positive
+integer denominator.  Most field operations run a multivariate gcd, the
+``cancel``, whose integer gcd is the heuristic gcd of
+:mod:`towerdecomp.gcdheu`.  The two kernels that every layer calls,
+:func:`substitute` here and ``Tower.diff``, build their numerator and
+denominator as plain polynomials and cancel exactly once, in ``F.new``.
 
 Divisibility over Q is decided over Z on primitive parts: by Gauss's lemma
 an integer polynomial divides another in Q[x, t1, ..., tn] exactly when its
@@ -51,65 +46,22 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from sympy import ZZ
-from sympy.polys.fields import FracElement, FracField
-from sympy.polys.orderings import lex
-from sympy.polys.rings import PolyElement, PolyRing
+from .polys import FracField
 
-from . import gcdheu
-
-
-class _TowerPoly(PolyElement):
-    """A polynomial of the tower field's ring; its integer gcd is the
-    ring-free heuristic gcd, behind sympy's ``cofactors``."""
-
-    def _gcd_ZZ(f, g):
-        return gcdheu.cofactors(f, g)
-
-
-def _rebind_gens(obj, gens):
-    """Replace obj.gens by gens, and each attribute named after a generator
-    that held the old one."""
-    for symbol, old, new in zip(obj.symbols, obj.gens, gens):
-        if obj.__dict__.get(symbol.name) is old:
-            setattr(obj, symbol.name, new)
-    obj.gens = gens
-
-
-class _TowerPolyRing(PolyRing):
-    """sympy's ``PolyRing`` whose elements are ``_TowerPoly``.  The class
-    name is part of a ring's hash, so these rings stay apart from sympy's."""
-
-    def __new__(cls, symbols, domain, order=lex):
-        obj = super().__new__(cls, symbols, domain, order)
-        obj.dtype = _TowerPoly(obj, ()).new
-        _rebind_gens(obj, obj._gens())
-        obj._gens_set = set(obj.gens)
-        return obj
-
-
-class _TowerFracField(FracField):
-    """sympy's ``FracField`` over a ``_TowerPolyRing``."""
-
-    def __new__(cls, symbols, domain, order=lex):
-        obj = super().__new__(cls, symbols, domain, order)
-        obj.ring = _TowerPolyRing(obj.symbols, obj.domain, obj.order)
-        obj.dtype = FracElement(obj, obj.ring.zero).raw_new
-        obj.zero = obj.dtype(obj.ring.zero)
-        obj.one = obj.dtype(obj.ring.one)
-        _rebind_gens(obj, obj._gens())
-        return obj
+_FIELDS = {}
 
 
 def make_field(names):
-    """Create the rational function field Q(names[0], names[1], ...), held
-    as sympy's fraction field over ZZ: numerators and denominators are
-    polynomials with integer coefficients, whose gcd is
-    :func:`towerdecomp.gcdheu.cofactors`.
+    """The rational function field Q(names[0], names[1], ...), held as
+    fractions of integer polynomials (:class:`towerdecomp.polys.FracField`).
+    One field per tuple of names, so that equal fields are the same object.
 
     Returns (field, list of generator elements).
     """
-    F = _TowerFracField(list(names), ZZ)
+    names = tuple(names)
+    F = _FIELDS.get(names)
+    if F is None:
+        F = _FIELDS[names] = FracField(names)
     return F, list(F.gens)
 
 
@@ -139,14 +91,9 @@ def _degree(p, v) -> int:
     return p.degree(v) if p else -1
 
 
-def _coeff(p, v, k):
-    """Coefficient of v**k in p, a polynomial free of v."""
-    return p.new({m[:v] + (0,) + m[v + 1:]: c for m, c in p.items() if m[v] == k})
-
-
 def _lc(p, v):
     """Leading coefficient of p in v, a polynomial free of v."""
-    return _coeff(p, v, p.degree(v))
+    return p.coeff_wrt(v, p.degree(v))
 
 
 def coeff_polys(p, v) -> dict:
@@ -163,12 +110,7 @@ def pseudo_divmod(N, D, v):
     L is lc_v(D)**s for the number s of elimination steps, or 1 when lc_v(D)
     is a unit, +1 or -1, the only constants that divide every integer
     polynomial exactly; any other constant leading coefficient takes the
-    pseudo-division steps, with L a power of it.  sympy's
-    ``PolyElement.pdiv`` and ``pquo`` return a wrong quotient for
-    multivariate input (for N = x*t2**3 + t1*t2 + 1, D = t1*t2**2 + x in t2
-    they give x*t1*t2 + 2*t1**2 where the quotient scaled by t1**2 =
-    lc_v(D)**(deg N - deg D + 1) is x*t1*t2), so the loop is written out
-    here; ``prem`` is correct.
+    pseudo-division steps, with L a power of it.
     """
     ring = N.ring
     dd = D.degree(v)
@@ -178,7 +120,7 @@ def pseudo_divmod(N, D, v):
     Q, R, L = ring.zero, N, ring.one
     dr = _degree(R, v)
     while dr >= dd:
-        lr = _coeff(R, v, dr)
+        lr = R.coeff_wrt(v, dr)
         if unit_lc:
             term = lr.mul_ground(lc.LC) * xv ** (dr - dd)
             Q += term
@@ -195,7 +137,7 @@ def pseudo_divmod(N, D, v):
 def _reduce(num, den):
     """num/den in lowest terms, up to sign: one gcd, skipped when den is +1
     or -1.  A denominator with one term, a constant among them, takes
-    sympy's monomial gcd, which runs no polynomial gcd."""
+    the ring's monomial gcd, which runs no polynomial gcd."""
     if not num:
         return num, den.ring.one
     if den.is_ground and abs(den.LC) == 1:
@@ -324,7 +266,7 @@ class UniPoly:
         return self.F.new(self.num, self.den)
 
     def __repr__(self):
-        name = self.F.symbols[self.v]
+        name = self.F.names[self.v]
         if self.is_zero():
             return "0"
         parts = [
@@ -460,9 +402,7 @@ def _subresultant(A, B, v):
     """res_v(A, B) of two nonzero ring polynomials, by the subresultant
     PRS (Cohen, *A Course in Computational Algebraic Number Theory*,
     Alg. 3.3.7, without content removal); every division is exact in
-    Z[x, t], since the PRS runs over any integral domain.  sympy's
-    own top-level ``resultant(z - 1, z**3, z)`` gives -1 where the Sylvester
-    determinant gives 1, so it is not used."""
+    Z[x, t], since the PRS runs over any integral domain."""
     da, db = A.degree(v), B.degree(v)
     s = 1
     if da < db:
@@ -509,6 +449,147 @@ def unipoly_resultant(a: UniPoly, b: UniPoly):
     if not res:
         return F.zero
     return F.new(res, a.den**db * b.den**da)
+
+
+def rational_roots(coeffs) -> dict:
+    """{root: multiplicity} of the rational roots of sum(coeffs[k] * z**k),
+    for rational coeffs (ints or Fractions) whose last entry is nonzero.
+
+    Exact, with no floats and no factoring.  The root 0 counts the vanishing
+    low coefficients.  The others are the roots of the squarefree part S =
+    P/gcd(P, P') of what is left, P, taken with integer coefficients and a
+    = lc(S) > 0: a rational root z of S makes y = a*z an integer root of a
+    monic integer polynomial, found by Hensel lifting
+    (:func:`_scaled_integer_roots`).  The multiplicity of a root is the
+    number of times z - root divides P.
+    """
+    P = [Fraction(c) for c in coeffs]
+    zeros = 0
+    while not P[zeros]:
+        zeros += 1
+    roots = {Fraction(0): zeros} if zeros else {}
+    P = P[zeros:]
+    if len(P) == 1:
+        return roots
+    S = _dense_quo(P, _dense_gcd(P, [k * c for k, c in enumerate(P)][1:]))
+    den = math.lcm(*(c.denominator for c in S))
+    S = [int(c * den) for c in S]
+    if S[-1] < 0:
+        S = [-c for c in S]
+    for y in _scaled_integer_roots(S):
+        z = Fraction(y, S[-1])
+        m = 0
+        while len(P) > 1:
+            # P = (z - root) * Q + rem, Q by Horner from the top
+            Q = [P[-1]]
+            for c in reversed(P[1:-1]):
+                Q.append(c + z * Q[-1])
+            if P[0] + z * Q[-1]:
+                break
+            P = Q[::-1]
+            m += 1
+        roots[z] = m
+    return roots
+
+
+def _dense_rem(a, b):
+    """Remainder of dense rational polynomials, z^0 first, b nonzero."""
+    a = list(a)
+    db = len(b) - 1
+    while len(a) > db:
+        c = a[-1] / b[-1]
+        k = len(a) - 1 - db
+        for i in range(db):
+            a[k + i] -= c * b[i]
+        a.pop()
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _dense_gcd(a, b):
+    while b:
+        a, b = b, _dense_rem(a, b)
+    return a
+
+
+def _dense_quo(a, b):
+    """a / b for dense rational polynomials when b divides a."""
+    a = list(a)
+    db = len(b) - 1
+    q = [Fraction(0)] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + db] / b[-1]
+        for i in range(db + 1):
+            a[k + i] -= c * b[i]
+    return q
+
+
+def _eval_mod(poly, y, m):
+    """poly(y) mod m for integer coefficients, z^0 first."""
+    h = 0
+    for c in reversed(poly):
+        h = (h * y + c) % m
+    return h
+
+
+def _gf_squarefree(a, b, p):
+    """Whether gcd(a, b) is a constant over GF(p), for a monic a."""
+    a = [c % p for c in a]
+    b = [c % p for c in b]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c = a[-1] * inv % p
+            k = len(a) - len(b)
+            for i, x in enumerate(b):
+                a[k + i] = (a[k + i] - c * x) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _scaled_integer_roots(S):
+    """The integers y with S(y/a) = 0, a = lc(S) > 0, for a squarefree
+    integer polynomial S (z^0 first) of degree >= 1.
+
+    They are the integer roots of the monic Q(y) = a**(n-1) * S(y/a), each
+    within Fujiwara's bound 2 * max |q_k|**(1/(n-k)), taken as a power of
+    two.  For the smallest prime p modulo which Q stays squarefree, each
+    root of Q mod p lifts by Newton's iteration (Hensel's lemma) to one root
+    modulo some p**e above twice the bound; an integer root of Q is the
+    symmetric residue of one of these lifts, and each is tested exactly.
+    """
+    n = len(S) - 1
+    a = S[-1]
+    Q = [c * a ** (n - 1 - k) for k, c in enumerate(S[:-1])] + [1]
+    dQ = [k * c for k, c in enumerate(Q)][1:]
+    bound = 2 * max(
+        1 << -(-abs(c).bit_length() // (n - k)) for k, c in enumerate(Q[:-1])
+    )
+    p = 2
+    while not _gf_squarefree(Q, dQ, p):
+        p += 1
+        while any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            p += 1
+    roots = []
+    for r in range(p):
+        if _eval_mod(Q, r, p):
+            continue
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            r = (r - _eval_mod(Q, r, m) * pow(_eval_mod(dQ, r, m), -1, m)) % m
+        y = r - m if r > m // 2 else r
+        value = 0
+        for c in reversed(Q):
+            value = value * y + c
+        if not value:
+            roots.append(y)
+    return roots
 
 
 class ClearedBasis(NamedTuple):

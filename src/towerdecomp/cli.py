@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 parse, file or usage error, 2 validation error, 3
-internal verification failure.  Every printed decomposition has been
+internal verification failure or a heuristic gcd that found no evaluation
+point.  Every printed decomposition has been
 verified by exact differentiation in ``add_decomp_in_field`` before output.
 
 Every command runs one path: load the tower, validate it, read ``--expr``,
@@ -27,6 +28,7 @@ from .embed import (
 )
 from .errors import (
     ExprSyntaxError,
+    HeuristicGCDFailed,
     InternalVerificationError,
     TowerDecompError,
 )
@@ -240,6 +242,7 @@ _EXITS = {
     ExprSyntaxError: (1, "error"),
     OSError: (1, "error"),
     InternalVerificationError: (3, "internal error"),
+    HeuristicGCDFailed: (3, "internal error"),
     TowerDecompError: (2, "error"),
 }
 

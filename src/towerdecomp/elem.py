@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .arith import (
     UniPoly,
     coeff_polys,
@@ -24,6 +22,7 @@ from .arith import (
     ground,
     is_ground,
     make_field,
+    rational_roots,
     substitute,
     unipoly_gcd,
     unipoly_resultant,
@@ -98,7 +97,7 @@ def _residue_analysis(T, value, i):
     monic = []  # the monic residue polynomial's coefficients, z^0 first
     for k in range(max(Rz) + 1):
         if k not in Rz:
-            monic.append(sympy.QQ.zero)
+            monic.append(0)
             continue
         c = Fz.new(Rz[k], lc)
         if not is_ground(c):
@@ -107,14 +106,10 @@ def _residue_analysis(T, value, i):
             if not T.diff_pair(cert.numer, cert.denom)[0]:
                 raise InternalVerificationError("non-ground coefficient is constant")
             return ("nonconstant", cert)
-        monic.append(sympy.QQ(c.numer.LC, c.denom.LC))
-    poly = sympy.Poly.from_list(monic[::-1], sympy.Symbol("z"), domain=sympy.QQ)
-    ground_roots = poly.ground_roots()
-    total_mult = sum(ground_roots.values())
-    roots = sorted(
-        Fraction(sympy.Rational(root)) for root in ground_roots if root != 0
-    )
-    return ("constant", roots, total_mult == poly.degree())
+        monic.append(Fraction(c.numer.LC, c.denom.LC))
+    found = rational_roots(monic)
+    roots = sorted(root for root in found if root)
+    return ("constant", roots, sum(found.values()) == len(monic) - 1)
 
 
 def _witness_from_roots(T, value, i, roots):

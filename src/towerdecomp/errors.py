@@ -59,3 +59,8 @@ class PreconditionCLIMI(TowerDecompError):
 
 class InternalVerificationError(TowerDecompError):
     """An exact self-check failed; indicates a bug, never bad user input."""
+
+
+class HeuristicGCDFailed(TowerDecompError):
+    """The heuristic gcd of two polynomials found no evaluation point that
+    succeeds; the gcd is not computed, and no answer is given."""

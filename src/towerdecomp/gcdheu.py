@@ -1,19 +1,18 @@
 """Heuristic gcd (GCDHEU) on integer polynomials held as plain dicts.
 
 The tower field's polynomials are dicts ``{exponent tuple: int}`` in lex
-order.  :func:`cofactors` computes their gcd by the heuristic of Char,
-Geddes and Gonnet (J. Symbolic Comput., 1989) in the form of sympy's
-``heugcd`` (Liao and Fateman, ISSAC 1995), step for step: the same content
+order.  :func:`heugcd` computes their gcd by the heuristic of Char, Geddes
+and Gonnet (J. Symbolic Comput., 1989) in the form of sympy's ``heugcd``
+(Liao and Fateman, ISSAC 1995), step for step: the same content
 extraction, evaluation points, growth rule, symmetric-remainder
 interpolation and trial divisions, so it returns the same (h, cff, cfg).
 It evaluates the first variable and recurses on dicts keyed by the
-shortened exponent tuples; sympy evaluates into a ring with that variable
-dropped, which it builds anew whenever its cache is empty.  Nothing here
-builds a ring, and nothing is memoized.
+shortened exponent tuples.  Nothing here builds a ring, and nothing is
+memoized.
 
-When no evaluation point succeeds, ``HeuristicGCDFailed`` propagates, as
-it does from sympy's own ``_gcd_ZZ``: the steps are sympy's, so sympy's
-``heugcd`` fails on exactly the same inputs.
+When none of ``HEU_GCD_MAX`` evaluation points succeeds,
+``HeuristicGCDFailed`` propagates, with sympy's bound, so the heuristic
+fails on exactly the inputs on which sympy's fails.
 """
 
 from __future__ import annotations
@@ -21,15 +20,10 @@ from __future__ import annotations
 from math import gcd, isqrt
 from operator import add, sub
 
-from sympy.polys.heuristicgcd import HEU_GCD_MAX
-from sympy.polys.polyerrors import HeuristicGCDFailed
+from .errors import HeuristicGCDFailed
 
-
-def cofactors(f, g):
-    """(h, cff, cfg) with h = gcd(f, g), f = h*cff and g = h*cfg, for two
-    nonzero polynomials of one lex-ordered ring over ZZ."""
-    h, cff, cfg = heugcd(f, g, f.ring.ngens)
-    return f.new(h), f.new(cff), f.new(cfg)
+# evaluation points tried before giving up, as in sympy.polys.heuristicgcd
+HEU_GCD_MAX = 6
 
 
 def heugcd(f, g, n):
@@ -81,7 +75,9 @@ def heugcd(f, g, n):
 
         x = 73794 * x * isqrt(isqrt(x)) // 27011
 
-    raise HeuristicGCDFailed("no luck")
+    raise HeuristicGCDFailed(
+        f"heuristic gcd found no evaluation point in {HEU_GCD_MAX} tries"
+    )
 
 
 def _content(f):

@@ -1,0 +1,813 @@
+"""Sparse integer polynomials and their fractions: the tower field's types.
+
+A :class:`Poly` is a dict ``{exponent tuple: int}`` without zero values, in
+the variables of its :class:`PolyRing`, ordered lex with the first variable
+most significant, so that the leading monomial is ``max(p)``.  A
+:class:`Frac` of a :class:`FracField` is a numerator over a denominator,
+two polynomials of the field's ring.  Every field ``+ - * /`` returns it in
+canonical form, with one ``cancel``: numerator and denominator coprime in
+Z[x, t1, ..., tn], integer content included, and the denominator's leading
+coefficient positive.  Equality is then structural.
+
+The operations follow sympy 1.14's ``PolyElement`` and ``FracElement`` step
+for step: the same ``cofactors`` front (zero check, one-term gcd,
+deflation) ahead of the heuristic gcd of :mod:`towerdecomp.gcdheu`, the
+same division, pseudo-remainder, lcm, content and powers, so that every
+gcd and every canonical form is the one sympy gives.  Each ring builds its
+monomial operations for its own number of variables, as sympy's generated
+``monomial_mul`` is, and its polynomials are a subclass that holds the
+ring as a class attribute.  Nothing here imports sympy, except
+:meth:`FracField.from_expr` and :attr:`FracField.symbols`, for callers
+that hold sympy expressions.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import reduce
+from math import factorial, gcd, lcm
+from operator import add, mul
+
+from .gcdheu import heugcd
+
+_NINF = float("-inf")
+
+
+class ExactQuotientFailed(ArithmeticError):
+    """A polynomial does not divide another exactly over Z."""
+
+
+def _monomial_ops(n):
+    """Monomial product, quotient (``ldiv``, no check), checked quotient
+    (``div``, None when not divisible), gcd and A + k*B, written out for
+    exponent tuples of length n."""
+    a = [f"a{i}" for i in range(n)]
+    b = [f"b{i}" for i in range(n)]
+    head = f"    ({', '.join(a)},) = A\n    ({', '.join(b)},) = B\n"
+
+    def tup(parts):
+        return f"({', '.join(parts)},)"
+
+    src = (
+        f"def mul(A, B):\n{head}    return {tup(f'{x} + {y}' for x, y in zip(a, b))}\n"
+        f"def ldiv(A, B):\n{head}    return {tup(f'{x} - {y}' for x, y in zip(a, b))}\n"
+        f"def div(A, B):\n{head}"
+        + "".join(f"    c{i} = {x} - {y}\n" for i, (x, y) in enumerate(zip(a, b)))
+        + f"    if {' and '.join(f'c{i} >= 0' for i in range(n))}:\n"
+        f"        return {tup(f'c{i}' for i in range(n))}\n"
+        f"    return None\n"
+        f"def mgcd(A, B):\n{head}    return {tup(f'min({x}, {y})' for x, y in zip(a, b))}\n"
+        f"def mulpow(A, B, k):\n{head}    return {tup(f'{x} + {y}*k' for x, y in zip(a, b))}\n"
+    )
+    namespace = {}
+    exec(src, namespace)
+    return namespace
+
+
+class PolyRing:
+    """Z[names], sparse and lex-ordered; its elements are of ``self.dtype``,
+    a :class:`Poly` subclass bound to the ring."""
+
+    def __init__(self, names):
+        self.names = tuple(names)
+        self.ngens = n = len(self.names)
+        if not n:
+            raise ValueError("a polynomial ring needs at least one variable")
+        self.zero_monom = (0,) * n
+        self.dtype = type("Poly", (Poly,), {"__slots__": (), "ring": self})
+        ops = _monomial_ops(n)
+        self.monomial_mul = ops["mul"]
+        self.monomial_ldiv = ops["ldiv"]
+        self.monomial_div = ops["div"]
+        self.monomial_gcd = ops["mgcd"]
+        self.monomial_mulpow = ops["mulpow"]
+        self.gens = tuple(
+            self.dtype({self.zero_monom[:i] + (1,) + self.zero_monom[i + 1:]: 1})
+            for i in range(n)
+        )
+
+    def __repr__(self):
+        return f"PolyRing({list(self.names)})"
+
+    @property
+    def zero(self):
+        return self.dtype()
+
+    @property
+    def one(self):
+        return self.dtype({self.zero_monom: 1})
+
+    def __call__(self, element):
+        """The polynomial of a polynomial of this ring, a dict of terms or
+        an integer."""
+        if isinstance(element, Poly):
+            if element.ring is not self:
+                raise ValueError("polynomial of another ring")
+            return element
+        if isinstance(element, dict):
+            return self.from_dict(element)
+        return self.ground_new(element)
+
+    def from_dict(self, terms):
+        return self.dtype({m: c for m, c in terms.items() if c})
+
+    def ground_new(self, coeff):
+        return self.term_new(self.zero_monom, coeff)
+
+    def term_new(self, monom, coeff):
+        if not isinstance(coeff, int):
+            raise TypeError(f"integer coefficient expected, got {coeff!r}")
+        return self.dtype({monom: coeff} if coeff else ())
+
+
+class Poly(dict):
+    """A polynomial of a :class:`PolyRing`: ``{exponent tuple: nonzero int}``.
+
+    Treated as immutable once built; every operation returns a new one.
+    """
+
+    __slots__ = ()
+    ring: PolyRing = None
+
+    def new(self, init):
+        return self.ring.dtype(init)
+
+    def copy(self):
+        return self.ring.dtype(self)
+
+    def __hash__(self):
+        return hash((self.ring, frozenset(self.items())))
+
+    def __repr__(self):
+        return self._str()
+
+    __str__ = __repr__
+
+    def _str(self):
+        if not self:
+            return "0"
+        out = ""
+        for mono, c in self.terms():
+            factors = [
+                name if e == 1 else f"{name}**{e}"
+                for name, e in zip(self.ring.names, mono)
+                if e
+            ]
+            if abs(c) != 1 or not factors:
+                factors.insert(0, str(abs(c)))
+            sign = "-" if c < 0 else "+"
+            term = "*".join(factors)
+            out = (f"-{term}" if sign == "-" else term) if not out else f"{out} {sign} {term}"
+        return out
+
+    # -- comparison ---------------------------------------------------------
+
+    def __eq__(p1, p2):
+        if not p2:
+            return not p1
+        if isinstance(p2, Poly):
+            return dict.__eq__(p1, p2)
+        if len(p1) > 1:
+            return False
+        return p1.get(p1.ring.zero_monom) == p2
+
+    def __ne__(p1, p2):
+        return not p1 == p2
+
+    # -- structure ----------------------------------------------------------
+
+    @property
+    def is_ground(self):
+        return not self or (len(self) == 1 and self.ring.zero_monom in self)
+
+    @property
+    def is_one(self):
+        return len(self) == 1 and self.get(self.ring.zero_monom) == 1
+
+    @property
+    def LC(self):
+        return self[max(self)] if self else 0
+
+    def degree(self, i=0):
+        """Degree in variable index i; -inf for zero."""
+        if not self:
+            return _NINF
+        return max(m[i] for m in self)
+
+    def degrees(self):
+        if not self:
+            return (_NINF,) * self.ring.ngens
+        return tuple(map(max, zip(*self)))
+
+    def terms(self):
+        """(monomial, coefficient) pairs, leading term first."""
+        return sorted(self.items(), reverse=True)
+
+    def monoms(self):
+        return [m for m, _ in self.terms()]
+
+    def coeff_wrt(self, i, deg):
+        """The coefficient of x_i**deg, a polynomial free of x_i."""
+        return self.ring.dtype(
+            {m[:i] + (0,) + m[i + 1:]: c for m, c in self.items() if m[i] == deg}
+        )
+
+    # -- ring operations ----------------------------------------------------
+
+    def __neg__(self):
+        return self.ring.dtype({m: -c for m, c in self.items()})
+
+    def __add__(p1, p2):
+        if not isinstance(p2, Poly):
+            return NotImplemented
+        p = p1.copy()
+        get = p.get
+        for k, v in p2.items():
+            v = get(k, 0) + v
+            if v:
+                p[k] = v
+            else:
+                del p[k]
+        return p
+
+    def __sub__(p1, p2):
+        if not isinstance(p2, Poly):
+            return NotImplemented
+        p = p1.copy()
+        get = p.get
+        for k, v in p2.items():
+            v = get(k, 0) - v
+            if v:
+                p[k] = v
+            else:
+                del p[k]
+        return p
+
+    def __mul__(p1, p2):
+        ring = p1.ring
+        if isinstance(p2, Poly):
+            p = ring.dtype()
+            if not p1 or not p2:
+                return p
+            get = p.get
+            monomial_mul = ring.monomial_mul
+            p2it = list(p2.items())
+            for exp1, v1 in p1.items():
+                for exp2, v2 in p2it:
+                    exp = monomial_mul(exp1, exp2)
+                    p[exp] = get(exp, 0) + v1 * v2
+            return p._strip_zero()
+        if isinstance(p2, int):
+            return p1.mul_ground(p2)
+        return NotImplemented
+
+    def _strip_zero(p):
+        for k in [k for k, v in p.items() if not v]:
+            del p[k]
+        return p
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            raise TypeError(f"exponent must be an integer, got {n}")
+        if n < 0:
+            raise ValueError(f"exponent must be a non-negative integer, got {n}")
+        ring = self.ring
+        if not n:
+            if self:
+                return ring.one
+            raise ValueError("0**0")
+        if len(self) == 1:
+            (monom, coeff), = self.items()
+            return ring.dtype({tuple(e * n for e in monom): coeff if coeff == 1 else coeff**n})
+        if n == 1:
+            return self.copy()
+        if n == 2:
+            return self.square()
+        if n == 3:
+            return self * self.square()
+        if len(self) <= 5:
+            return self._pow_multinomial(n)
+        return self._pow_generic(n)
+
+    def _pow_generic(self, n):
+        p = self.ring.one
+        c = self
+        while True:
+            if n & 1:
+                p = p * c
+                n -= 1
+                if not n:
+                    break
+            c = c.square()
+            n = n // 2
+        return p
+
+    def _pow_multinomial(self, n):
+        ring = self.ring
+        mulpow = ring.monomial_mulpow
+        terms = list(self.items())
+        poly = ring.dtype()
+        for exps, multinomial in _multinomial_coefficients(len(terms), n):
+            monom = ring.zero_monom
+            coeff = multinomial
+            for exp, (m, c) in zip(exps, terms):
+                if exp:
+                    monom = mulpow(monom, m, exp)
+                    coeff *= c**exp
+            coeff = poly.get(monom, 0) + coeff
+            if coeff:
+                poly[monom] = coeff
+            elif monom in poly:
+                del poly[monom]
+        return poly
+
+    def square(self):
+        ring = self.ring
+        p = ring.dtype()
+        get = p.get
+        keys = list(self.keys())
+        monomial_mul = ring.monomial_mul
+        for i in range(len(keys)):
+            k1 = keys[i]
+            pk = self[k1]
+            for j in range(i):
+                k2 = keys[j]
+                exp = monomial_mul(k1, k2)
+                p[exp] = get(exp, 0) + pk * self[k2]
+        for k in p:
+            p[k] *= 2
+        for k, v in self.items():
+            k2 = monomial_mul(k, k)
+            p[k2] = get(k2, 0) + v**2
+        return p._strip_zero()
+
+    def mul_ground(self, x):
+        if not x:
+            return self.ring.dtype()
+        return self.ring.dtype({m: c * x for m, c in self.items()})
+
+    def mul_monom(self, monom):
+        monomial_mul = self.ring.monomial_mul
+        return self.ring.dtype({monomial_mul(m, monom): c for m, c in self.items()})
+
+    def quo_ground(self, x):
+        if not x:
+            raise ZeroDivisionError("polynomial division")
+        if not self or x == 1:
+            return self
+        return self.ring.dtype({m: c // x for m, c in self.items() if not c % x})
+
+    def content(self):
+        """gcd of the coefficients, nonnegative."""
+        cont = 0
+        for c in self.values():
+            cont = gcd(cont, c)
+        return cont
+
+    def primitive(self):
+        """(content, primitive part); the part keeps the sign of f."""
+        cont = self.content()
+        if not cont:
+            return cont, self
+        return cont, self.quo_ground(cont)
+
+    def diff(self, i):
+        """Partial derivative in variable index i."""
+        g = self.ring.dtype()
+        for expv, coeff in self.items():
+            e = expv[i]
+            if e:
+                g[expv[:i] + (e - 1,) + expv[i + 1:]] = coeff * e
+        return g
+
+    # -- division -----------------------------------------------------------
+
+    def div(self, g):
+        """(q, r) of the division algorithm by one divisor over Z: r = 0
+        exactly when g divides self in Z[x, t]."""
+        ring = self.ring
+        if not g:
+            raise ZeroDivisionError("polynomial division")
+        q, r = ring.dtype(), ring.dtype()
+        if not self:
+            return q, r
+        p = self.copy()
+        g_lm = max(g)
+        g_lc = g[g_lm]
+        g_terms = list(g.items())
+        monomial_div = ring.monomial_div
+        monomial_mul = ring.monomial_mul
+        zm = ring.zero_monom
+        while p:
+            expv = max(p)
+            c = p[expv]
+            m = expv if g_lm == zm else monomial_div(expv, g_lm)
+            if m is None or c % g_lc:
+                v = r.get(expv, 0) + c
+                if v:
+                    r[expv] = v
+                else:
+                    del r[expv]
+                del p[expv]
+                continue
+            c //= g_lc
+            v = q.get(m, 0) + c
+            if v:
+                q[m] = v
+            else:
+                del q[m]
+            get = p.get
+            for mg, cg in g_terms:
+                k = monomial_mul(mg, m)
+                v = get(k, 0) - cg * c
+                if v:
+                    p[k] = v
+                else:
+                    del p[k]
+        return q, r
+
+    def exquo(self, g):
+        q, r = self.div(g)
+        if r:
+            raise ExactQuotientFailed(f"{g} does not divide {self}")
+        return q
+
+    def prem(self, g, i=0):
+        """Pseudo-remainder in variable index i:
+        lc_i(g)**(deg_i f - deg_i g + 1) * f reduced modulo g."""
+        f = self
+        df = f.degree(i)
+        dg = g.degree(i)
+        if dg < 0:
+            raise ZeroDivisionError("polynomial division")
+        r, dr = f, df
+        if df < dg:
+            return r
+        N = df - dg + 1
+        lc_g = g.coeff_wrt(i, dg)
+        xp = f.ring.gens[i]
+        while True:
+            lc_r = r.coeff_wrt(i, dr)
+            j, N = dr - dg, N - 1
+            R = r * lc_g
+            G = g * lc_r * xp**j
+            r = R - G
+            dr = r.degree(i)
+            if dr < dg:
+                break
+        return r * lc_g**N
+
+    # -- gcd ----------------------------------------------------------------
+
+    def gcd(self, g):
+        return self.cofactors(g)[0]
+
+    def lcm(self, g):
+        """lcm over Z: the lcm of the primitive parts times the lcm of the
+        integer contents."""
+        fc, f = self.primitive()
+        gc, g = g.primitive()
+        c = lcm(fc, gc)
+        h = (f * g).div(f.gcd(g))[0]
+        return h.mul_ground(c)
+
+    def cofactors(f, g):
+        """(h, cff, cfg) with h = gcd(f, g), f = h*cff and g = h*cfg."""
+        if not f and not g:
+            zero = f.ring.zero
+            return zero, zero, zero
+        if not f:
+            return f._gcd_zero(g)
+        if not g:
+            h, cfg, cff = g._gcd_zero(f)
+            return h, cff, cfg
+        if len(f) == 1:
+            return f._gcd_monom(g)
+        if len(g) == 1:
+            h, cfg, cff = g._gcd_monom(f)
+            return h, cff, cfg
+        J, (f, g) = f.deflate(g)
+        h, cff, cfg = f._gcd(g)
+        return h.inflate(J), cff.inflate(J), cfg.inflate(J)
+
+    def _gcd_zero(f, g):
+        one, zero = f.ring.one, f.ring.zero
+        if g.LC >= 0:
+            return g, zero, one
+        return -g, zero, -one
+
+    def _gcd_monom(f, g):
+        ring = f.ring
+        monomial_gcd = ring.monomial_gcd
+        monomial_ldiv = ring.monomial_ldiv
+        (mf, cf), = f.items()
+        _mgcd, _cgcd = mf, cf
+        for mg, cg in g.items():
+            _mgcd = monomial_gcd(_mgcd, mg)
+            _cgcd = gcd(_cgcd, cg)
+        h = ring.dtype({_mgcd: _cgcd})
+        cff = ring.dtype({monomial_ldiv(mf, _mgcd): cf // _cgcd})
+        cfg = ring.dtype({monomial_ldiv(mg, _mgcd): cg // _cgcd for mg, cg in g.items()})
+        return h, cff, cfg
+
+    def _gcd(f, g):
+        dtype = f.ring.dtype
+        h, cff, cfg = heugcd(f, g, f.ring.ngens)
+        return dtype(h), dtype(cff), dtype(cfg)
+
+    def deflate(f, g):
+        """(J, [f, g] with every exponent of variable i divided by J[i]),
+        J[i] the gcd of those exponents (1 when there are none)."""
+        ring = f.ring
+        polys = [f, g]
+        J = [0] * ring.ngens
+        for p in polys:
+            for monom in p:
+                for i, m in enumerate(monom):
+                    J[i] = gcd(J[i], m)
+        J = tuple(b or 1 for b in J)
+        if all(b == 1 for b in J):
+            return J, polys
+        return J, [
+            ring.dtype({tuple(i // j for i, j in zip(m, J)): c for m, c in p.items()})
+            for p in polys
+        ]
+
+    def inflate(f, J):
+        return f.ring.dtype({tuple(i * j for i, j in zip(m, J)): c for m, c in f.items()})
+
+    def cancel(self, g):
+        """(p, q) with p/q = self/g in lowest terms over Z and lc(q) > 0."""
+        f = self
+        if not f:
+            return f, f.ring.one
+        _, p, q = f.cofactors(g)
+        if q.LC < 0:
+            p, q = -p, -q
+        return p, q
+
+    def set_ring(self, ring):
+        """The same polynomial in a ring whose variables include every
+        variable that occurs in it, matched by name."""
+        if ring is self.ring:
+            return self
+        index = {name: i for i, name in enumerate(ring.names)}
+        moves = []
+        for i, name in enumerate(self.ring.names):
+            if name in index:
+                moves.append((i, index[name]))
+            elif any(m[i] for m in self):
+                raise ValueError(f"{name} is not a variable of {ring}")
+        out = ring.dtype()
+        for m, c in self.items():
+            e = [0] * ring.ngens
+            for i, j in moves:
+                e[j] = m[i]
+            out[tuple(e)] = c
+        return out
+
+
+def _multinomial_coefficients(m, n):
+    """(exponent tuple, multinomial coefficient) for every way of writing n
+    as an ordered sum of m nonnegative integers."""
+    top = factorial(n)
+
+    def parts(left, k):
+        if k == 1:
+            yield (left,)
+            return
+        for e in range(left, -1, -1):
+            for rest in parts(left - e, k - 1):
+                yield (e,) + rest
+
+    for exps in parts(n, m):
+        coeff = top
+        for e in exps:
+            coeff //= factorial(e)
+        yield exps, coeff
+
+
+class FracField:
+    """Q(names) as fractions of Z[names]; its elements are of ``self.dtype``,
+    a :class:`Frac` subclass bound to the field."""
+
+    def __init__(self, names):
+        self.names = tuple(names)
+        self.ring = ring = PolyRing(self.names)
+        self.ngens = ring.ngens
+        self.dtype = type("Frac", (Frac,), {"__slots__": (), "field": self})
+        one = ring.one
+        self.zero = self.dtype(ring.zero, one)
+        self.one = self.dtype(ring.one, one)
+        self.gens = tuple(self.dtype(g, one) for g in ring.gens)
+
+    def __repr__(self):
+        return f"FracField({list(self.names)})"
+
+    @property
+    def symbols(self):
+        """The variables as sympy Symbols; imports sympy."""
+        from sympy import Symbol
+
+        return tuple(Symbol(name) for name in self.names)
+
+    def raw_new(self, numer, denom=None):
+        """numer/denom as given, with no cancel."""
+        return self.dtype(numer, denom)
+
+    def new(self, numer, denom=None):
+        """numer/denom in canonical form, with one cancel."""
+        if denom is None:
+            denom = self.ring.one
+        return self.dtype(*numer.cancel(denom))
+
+    def from_expr(self, expr):
+        """The element of a sympy expression in ``self.symbols``, built by
+        the field's own operations; imports sympy."""
+        from sympy import S, sympify
+
+        mapping = dict(zip(self.symbols, self.gens))
+
+        def rebuild(e):
+            g = mapping.get(e)
+            if g is not None:
+                return g
+            if e.is_Add:
+                return reduce(add, map(rebuild, e.args))
+            if e.is_Mul:
+                return reduce(mul, map(rebuild, e.args))
+            if e.is_Pow:
+                b, k = e.as_base_exp()
+                if k.is_Integer and k is not S.One:
+                    return rebuild(b) ** int(k)
+            if e.is_Rational:
+                return Fraction(int(e.p), int(e.q))
+            raise ValueError(
+                f"expected a rational function in {', '.join(self.names)}, got {e}"
+            )
+
+        value = rebuild(sympify(expr))
+        return value if isinstance(value, Frac) else self.one * value
+
+
+def _extract_ground(c):
+    """(1, c, None) for an int, (-1, numerator, denominator) for a Fraction,
+    (0, None, None) for anything else."""
+    if isinstance(c, int):
+        return 1, c, None
+    if isinstance(c, Fraction):
+        return -1, c.numerator, c.denominator
+    return 0, None, None
+
+
+class Frac:
+    """An element of a :class:`FracField`: ``numer/denom``."""
+
+    __slots__ = ("numer", "denom")
+    field: FracField = None
+
+    def __init__(self, numer, denom=None):
+        if denom is None:
+            denom = self.field.ring.one
+        elif not denom:
+            raise ZeroDivisionError("zero denominator")
+        self.numer = numer
+        self.denom = denom
+
+    def raw_new(f, numer, denom=None):
+        return f.__class__(numer, denom)
+
+    def new(f, numer, denom):
+        return f.__class__(*numer.cancel(denom))
+
+    def set_field(self, field):
+        """The same element in a field whose variables include its own,
+        matched by name, with one cancel."""
+        if field is self.field:
+            return self
+        return field.new(self.numer.set_ring(field.ring), self.denom.set_ring(field.ring))
+
+    def __hash__(self):
+        return hash((self.field, self.numer, self.denom))
+
+    def __repr__(self):
+        if self.denom.is_one:
+            return str(self.numer)
+        return f"({self.numer})/({self.denom})"
+
+    __str__ = __repr__
+
+    def __eq__(f, g):
+        if isinstance(g, Frac) and g.field is f.field:
+            return f.numer == g.numer and f.denom == g.denom
+        return f.numer == g and f.denom.is_one
+
+    def __ne__(f, g):
+        return not f == g
+
+    def __bool__(f):
+        return bool(f.numer)
+
+    def __neg__(f):
+        return f.raw_new(-f.numer, f.denom)
+
+    def __add__(f, g):
+        if isinstance(g, Frac) and g.field is f.field:
+            if not g:
+                return f
+            if not f:
+                return g
+            if f.denom == g.denom:
+                return f.new(f.numer + g.numer, f.denom)
+            return f.new(f.numer * g.denom + f.denom * g.numer, f.denom * g.denom)
+        if not isinstance(g, (int, Fraction)):
+            return NotImplemented
+        if not g:
+            return f
+        return f.__radd__(g)
+
+    def __radd__(f, c):
+        op, c_numer, c_denom = _extract_ground(c)
+        if op == 1:
+            return f.new(f.numer + f.denom * c_numer, f.denom)
+        if not op:
+            return NotImplemented
+        return f.new(f.numer * c_denom + f.denom * c_numer, f.denom * c_denom)
+
+    def __sub__(f, g):
+        if isinstance(g, Frac) and g.field is f.field:
+            if not g:
+                return f
+            if not f:
+                return -g
+            if f.denom == g.denom:
+                return f.new(f.numer - g.numer, f.denom)
+            return f.new(f.numer * g.denom - f.denom * g.numer, f.denom * g.denom)
+        op, g_numer, g_denom = _extract_ground(g)
+        if not op:
+            return NotImplemented
+        if not g:
+            return f
+        if op == 1:
+            return f.new(f.numer - f.denom * g_numer, f.denom)
+        return f.new(f.numer * g_denom - f.denom * g_numer, f.denom * g_denom)
+
+    def __rsub__(f, c):
+        op, c_numer, c_denom = _extract_ground(c)
+        if op == 1:
+            return f.new(-f.numer + f.denom * c_numer, f.denom)
+        if not op:
+            return NotImplemented
+        return f.new(-f.numer * c_denom + f.denom * c_numer, f.denom * c_denom)
+
+    def __mul__(f, g):
+        if isinstance(g, Frac) and g.field is f.field:
+            if not f or not g:
+                return f.field.zero
+            return f.new(f.numer * g.numer, f.denom * g.denom)
+        if not isinstance(g, (int, Fraction)):
+            return NotImplemented
+        if not f or not g:
+            return f.field.zero
+        return f.__rmul__(g)
+
+    def __rmul__(f, c):
+        op, c_numer, c_denom = _extract_ground(c)
+        if op == 1:
+            return f.new(f.numer * c_numer, f.denom)
+        if not op:
+            return NotImplemented
+        return f.new(f.numer * c_numer, f.denom * c_denom)
+
+    def __truediv__(f, g):
+        if isinstance(g, Frac) and g.field is f.field:
+            if not g:
+                raise ZeroDivisionError
+            return f.new(f.numer * g.denom, f.denom * g.numer)
+        op, g_numer, g_denom = _extract_ground(g)
+        if not op:
+            return NotImplemented
+        if not g:
+            raise ZeroDivisionError
+        if op == 1:
+            return f.new(f.numer, f.denom * g_numer)
+        return f.new(f.numer * g_denom, f.denom * g_numer)
+
+    def __rtruediv__(f, c):
+        if not f:
+            raise ZeroDivisionError
+        op, c_numer, c_denom = _extract_ground(c)
+        if op == 1:
+            return f.new(f.denom * c_numer, f.numer)
+        if not op:
+            return NotImplemented
+        return f.new(f.denom * c_numer, f.numer * c_denom)
+
+    def __pow__(f, n):
+        """f**n with no cancel; a negative power swaps numerator and
+        denominator as they are, as sympy's ``FracElement`` does."""
+        if n >= 0:
+            return f.raw_new(f.numer**n, f.denom**n)
+        if not f:
+            raise ZeroDivisionError
+        return f.raw_new(f.denom**-n, f.numer**-n)

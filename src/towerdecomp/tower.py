@@ -86,7 +86,7 @@ class FormalProduct:
 class Generator:
     name: str
     kind: str  # LOG or PRIM
-    derivative: object  # FracElement of the tower field
+    derivative: object  # element of the tower field
     argument: FormalProduct | None = None
 
 
@@ -104,7 +104,7 @@ class ValidationResult:
 
 @dataclass(frozen=True)
 class TowerElement:
-    value: object  # FracElement
+    value: object  # element of the tower field
     tower: "Tower"
 
     def __bool__(self):
@@ -191,7 +191,7 @@ class Tower:
             )
             self.derivs.append(deriv)
             if deriv:
-                # sympy's lcm over Z carries the lcm of the integer contents,
+                # the ring's lcm over Z carries the lcm of the integer contents,
                 # so L and the denominator divide it exactly in Z[x, t]
                 lcm = L.lcm(deriv.denom)
                 scale = lcm.exquo(L)

@@ -1,10 +1,13 @@
+import contextlib
+import os
 import random
+import sys
 
 import pytest
 from hypothesis import settings, strategies as st
-from sympy.polys.rings import PolyElement
 
 from towerdecomp import FormalProduct, TowerBuilder
+from towerdecomp.polys import Poly
 
 # Property tests draw from a fixed derandomized stream, so that every run of
 # the suite checks the same examples in bounded time.
@@ -140,15 +143,35 @@ def rng():
 
 @pytest.fixture
 def gcds(monkeypatch):
-    """Counts of PolyElement.gcd, lcm, cancel and cofactors calls; every
-    multivariate gcd sympy runs goes through cofactors."""
+    """Counts of the tower polynomials' gcd, lcm, cancel and cofactors
+    calls; every multivariate gcd goes through cofactors."""
     counts = {}
     for name in ["gcd", "lcm", "cancel", "cofactors"]:
-        orig = getattr(PolyElement, name)
+        orig = getattr(Poly, name)
 
         def counting(self, *args, _orig=orig, _name=name):
             counts[_name] = counts.get(_name, 0) + 1
             return _orig(self, *args)
 
-        monkeypatch.setattr(PolyElement, name, counting)
+        monkeypatch.setattr(Poly, name, counting)
     return counts
+
+
+@contextlib.contextmanager
+def sympy_calls():
+    """The names of the Python functions of sympy's package that
+    run while the block does, recorded by a profile hook."""
+    import sympy
+
+    root = os.path.dirname(sympy.__file__) + os.sep
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(None)

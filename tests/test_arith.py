@@ -1,11 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from sympy import QQ, Rational
+from hypothesis import given, strategies as st
+from sympy import QQ, Poly as SympyPoly, Rational, Symbol
 from sympy.polys.fields import field as sympy_field
-from sympy.polys.rings import PolyElement
 
 from towerdecomp import add_decomp_in_field, apply_homomorphism, embed_well_generated
 from towerdecomp.arith import (
@@ -15,6 +15,7 @@ from towerdecomp.arith import (
     ground,
     is_ground,
     make_field,
+    rational_roots,
     solve_linear_system,
     split_proper_poly,
     squarefree_decomposition,
@@ -23,6 +24,7 @@ from towerdecomp.arith import (
     unipoly_resultant,
     unipoly_xgcd,
 )
+from towerdecomp.polys import Poly
 
 from conftest import (
     coupled_tower,
@@ -245,13 +247,13 @@ def test_substitute_cancels_once(monkeypatch):
     ]
     cases.append((SOURCE.zero, list(TARGET.gens[:3])))
     calls = []
-    cancel = PolyElement.cancel
+    cancel = Poly.cancel
 
     def counting(self, g):
         calls.append(1)
         return cancel(self, g)
 
-    monkeypatch.setattr(PolyElement, "cancel", counting)
+    monkeypatch.setattr(Poly, "cancel", counting)
     for f, values in cases:
         calls.clear()
         try:
@@ -327,13 +329,13 @@ def test_canonical_form_matches_the_rational_field(seed):
 def test_ground_builds_canonical_constants_without_a_cancel(F2, monkeypatch):
     F, _ = F2
     calls = []
-    cancel = PolyElement.cancel
+    cancel = Poly.cancel
 
     def counting(self, g):
         calls.append(1)
         return cancel(self, g)
 
-    monkeypatch.setattr(PolyElement, "cancel", counting)
+    monkeypatch.setattr(Poly, "cancel", counting)
     cases = [Fraction(-6, 4), Fraction(5, 10), Fraction(0), 7, -3, Fraction(12, 3)]
     values = [ground(F, c) for c in cases]
     assert not calls
@@ -342,3 +344,56 @@ def test_ground_builds_canonical_constants_without_a_cancel(F2, monkeypatch):
         c = Fraction(c)
         assert (v.numer, v.denom) == (F.ring(c.numerator), F.ring(c.denominator))
         assert v == F.from_expr(Rational(c.numerator, c.denominator))
+
+
+# -- rational roots against sympy's ground_roots --------------------------------
+
+
+def _times(a, b):
+    """Product of dense polynomials, z^0 first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def root_polys(draw):
+    """Coefficients, z^0 first, of c * z^k * prod (q*z - p)^m * prod
+    (z^2 + b*z + d) with irreducible quadratics, rational c, and integers
+    of up to 30 digits."""
+    big = draw(st.sampled_from([9, 10**6, 10**30]))
+    ints = st.integers(-big, big)
+    poly = [0] * draw(st.integers(0, 2)) + [1]
+    for _ in range(draw(st.integers(0, 3))):
+        p, q = draw(ints), draw(st.integers(1, big))
+        for _ in range(draw(st.integers(1, 2))):
+            poly = _times(poly, [-p, q])
+    for _ in range(draw(st.integers(0, 1))):
+        b, d = draw(ints), draw(ints)
+        disc = b * b - 4 * d
+        if disc < 0 or math.isqrt(disc) ** 2 != disc:
+            poly = _times(poly, [d, b, 1])
+    c = Fraction(draw(ints.filter(bool)), draw(st.integers(1, big)))
+    return [c * a for a in poly]
+
+
+def _sympy_roots(coeffs):
+    ground = SympyPoly(coeffs[::-1], Symbol("z"), domain=QQ).ground_roots()
+    return {Fraction(int(r.p), int(r.q)): m for r, m in ground.items()}
+
+
+@given(root_polys())
+def test_rational_roots_match_sympys_ground_roots(coeffs):
+    assert rational_roots(coeffs) == _sympy_roots(coeffs)
+
+
+def test_rational_roots_examples():
+    assert rational_roots([Fraction(-1, 4), 0, 1]) == {Fraction(1, 2): 1, Fraction(-1, 2): 1}
+    assert rational_roots([-2, 0, 1]) == {}
+    assert rational_roots([0, 0, 0, 5]) == {0: 3}
+    assert rational_roots([7]) == {}
+    # (z + 1)^2 * (3z - 2) * z
+    coeffs = _times(_times(_times([1, 1], [1, 1]), [-2, 3]), [0, 1])
+    assert rational_roots(coeffs) == {-1: 2, Fraction(2, 3): 1, 0: 1}

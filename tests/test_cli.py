@@ -2,13 +2,17 @@ import contextlib
 import decimal
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from towerdecomp import gcdheu
 from towerdecomp.cli import main
 from towerdecomp.exprio import (
     MAX_DEGREE,
@@ -193,6 +197,35 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert main(["decomp", "--tower", str(path), "--expr", "1/x"]) == 2
     err = capsys.readouterr().err
     assert "not S-primitive" in err and "depend" in err
+
+
+README_INPUT = "1/(t1*t2) + (t2 - 2*x*t1)/t1^2 + t3"
+
+
+def test_failed_heuristic_gcd_exits_3(nested_file, monkeypatch, capsys):
+    # with no evaluation point to try, the first gcd of two polynomials of
+    # more than one term fails (on li every gcd of this input has a
+    # one-term argument and never reaches the heuristic)
+    monkeypatch.setattr(gcdheu, "HEU_GCD_MAX", 0)
+    assert main(["decomp", "--tower", nested_file, "--expr", README_INPUT]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: heuristic gcd") and "Traceback" not in err
+
+
+def test_a_command_loads_no_sympy_module(li_file):
+    """Importing the package and running a command leave sympy unloaded."""
+    script = (
+        "import sys, towerdecomp, towerdecomp.cli\n"
+        f"code = towerdecomp.cli.main(['decomp', '--tower', {li_file!r}, '--expr', {README_INPUT!r}])\n"
+        "loaded = [m for m in sys.modules if m == 'sympy' or m.startswith('sympy.')]\n"
+        "print(code, loaded)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out.splitlines()[-1] == "0 []"
 
 
 def test_normalize_flag(tmp_path, capsys):

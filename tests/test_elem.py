@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from sympy.polys.rings import PolyElement
 
 from towerdecomp import (
     NO,
@@ -13,6 +12,8 @@ from towerdecomp import (
 )
 from towerdecomp import elem
 from towerdecomp.errors import InternalVerificationError
+
+from conftest import sympy_calls
 
 
 def _verify(T, verdict, f):
@@ -172,22 +173,17 @@ def test_content_bearing_denominators_are_elementary(tower_nested):
     assert dec.g.value == (t1 + 2 * t2) / 6 and not dec.r
 
 
-def test_readme_input_never_leaves_the_integers(tower_li, monkeypatch):
-    """No gcd over QQ and no clearing of rational denominators: every
-    polynomial the decomposition and the verdict build has integer
-    coefficients."""
+def test_readme_input_never_leaves_the_integers(tower_li):
+    """No sympy function runs, and every polynomial of the decomposition
+    and of the verdict's witness has integer coefficients."""
     T = tower_li
     x, t1, t2, t3 = T.gens
-    counts = {"_gcd_QQ": 0, "clear_denoms": 0}
-    for name in counts:
-        orig = getattr(PolyElement, name)
-
-        def counting(self, *args, _orig=orig, _name=name):
-            counts[_name] += 1
-            return _orig(self, *args)
-
-        monkeypatch.setattr(PolyElement, name, counting)
     f = T.element(1 / (t1 * t2) + (t2 - 2 * x * t1) / t1**2 + t3)
-    add_decomp_in_field(f)
-    assert elementary_integrability(f).status == YES
-    assert counts == {"_gcd_QQ": 0, "clear_denoms": 0}
+    with sympy_calls() as calls:
+        dec = add_decomp_in_field(f)
+        verdict = elementary_integrability(f)
+    assert calls == [] and verdict.status == YES
+    values = [dec.g.value, dec.r.value] + [arg.value for _, arg in verdict.witness]
+    for value in values:
+        for p in (value.numer, value.denom):
+            assert all(type(c) is int for c in p.values())

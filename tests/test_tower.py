@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
-from sympy.polys.rings import PolyElement
 
 from towerdecomp import (
     FormalProduct,
@@ -15,6 +14,7 @@ from towerdecomp import (
     normalize_tower,
 )
 from towerdecomp.errors import HeadMonomialNotOne, TowerDecompError
+from towerdecomp.polys import Poly
 from towerdecomp.tower import PRIM, _prefix_tower, normalize_generators
 
 from conftest import (
@@ -150,11 +150,17 @@ def test_differentiate_wrapper(tower_li):
 # -- property tests: Tower.diff against the chain rule ------------------------
 
 
+def partial(f, i):
+    """The partial derivative of f in variable index i, cancelled."""
+    N, D = f.numer, f.denom
+    return f.field.new(N.diff(i) * D - N * D.diff(i), D**2)
+
+
 def chain_rule_diff(T, f):
     """Reference derivation: d/dx plus one cancelled product per generator."""
-    out = f.diff(T.gens[0])
+    out = partial(f, 0)
     for i, d in enumerate(T.derivs, start=1):
-        p = f.diff(T.gens[i])
+        p = partial(f, i)
         if p:
             out += p * d
     return out
@@ -219,13 +225,13 @@ def test_diff_cancels_once(monkeypatch, tower_nested, rng):
     T = tower_nested
     elements = [random_element(T, rng) for _ in range(10)] + [T.F.zero, T.F.one]
     calls = []
-    cancel = PolyElement.cancel
+    cancel = Poly.cancel
 
     def counting(self, g):
         calls.append(1)
         return cancel(self, g)
 
-    monkeypatch.setattr(PolyElement, "cancel", counting)
+    monkeypatch.setattr(Poly, "cancel", counting)
     for f in elements:
         calls.clear()
         T.diff(f)

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from sympy.polys.rings import PolyElement
 
 from towerdecomp.arith import (
     UniPoly,
@@ -25,6 +24,7 @@ from towerdecomp.arith import (
     unipoly_xgcd,
 )
 from towerdecomp.matryoshka import head_data_value, not_simple_reason, project_value
+from towerdecomp.polys import Poly
 from towerdecomp.tower import normalize_generators
 
 from conftest import (
@@ -458,13 +458,13 @@ def test_resultant_matches_reference_and_sylvester(seed):
 @pytest.fixture
 def cancels(monkeypatch):
     calls = []
-    cancel = PolyElement.cancel
+    cancel = Poly.cancel
 
     def counting(self, g):
         calls.append(1)
         return cancel(self, g)
 
-    monkeypatch.setattr(PolyElement, "cancel", counting)
+    monkeypatch.setattr(Poly, "cancel", counting)
     return calls
 
 
