@@ -6,9 +6,10 @@ and Gonnet (J. Symbolic Comput., 1989) in the form of sympy's ``heugcd``
 (Liao and Fateman, ISSAC 1995), step for step: the same content
 extraction, evaluation points, growth rule, symmetric-remainder
 interpolation and trial divisions, so it returns the same (h, cff, cfg).
-It evaluates the first variable and recurses on dicts keyed by the
-shortened exponent tuples.  Nothing here builds a ring, and nothing is
-memoized.
+A trial division takes sympy's steps; only its lookup of each leading term
+differs (see :func:`_exquo`).  It evaluates the first variable and recurses
+on dicts keyed by the shortened exponent tuples.  Nothing here builds a
+ring, and nothing is memoized.
 
 When none of ``HEU_GCD_MAX`` evaluation points succeeds,
 ``HeuristicGCDFailed`` propagates, with sympy's bound, so the heuristic
@@ -17,6 +18,7 @@ fails on exactly the inputs on which sympy's fails.
 
 from __future__ import annotations
 
+from bisect import insort
 from math import gcd, isqrt
 from operator import add, sub
 
@@ -134,25 +136,37 @@ def _interpolate(h, x, n):
 
 def _exquo(f, g):
     """f / g when g divides f exactly over Z, else None: the division
-    algorithm, stopped at the first leading term that g's does not divide."""
+    algorithm, stopped at the first leading term that g's does not divide.
+
+    The steps are sympy's; only the lookup of each leading term differs,
+    from the remainder's monomials kept sorted as in
+    :meth:`towerdecomp.polys.Poly.div`."""
     g_lm = max(g)
     g_lc = g[g_lm]
-    terms = list(g.items())
+    tail = [(mg, b) for mg, b in g.items() if mg != g_lm]
     p = dict(f)
+    order = sorted(p)
     q = {}
-    while p:
-        m = max(p)
-        a = p[m]
+    while order:
+        m = order.pop()
+        a = p.pop(m, 0)
+        if not a:
+            continue
         d = tuple(map(sub, m, g_lm))
         if min(d) < 0 or a % g_lc:
             return None
         a //= g_lc
         q[d] = a
-        for mg, b in terms:
+        for mg, b in tail:
             k = tuple(map(add, d, mg))
-            v = p.get(k, 0) - a * b
-            if v:
-                p[k] = v
+            v = p.get(k)
+            if v is None:
+                p[k] = -a * b
+                insort(order, k)
             else:
-                del p[k]
+                v -= a * b
+                if v:
+                    p[k] = v
+                else:
+                    del p[k]
     return q

@@ -13,7 +13,11 @@ The operations follow sympy 1.14's ``PolyElement`` and ``FracElement`` step
 for step: the same ``cofactors`` front (zero check, one-term gcd,
 deflation) ahead of the heuristic gcd of :mod:`towerdecomp.gcdheu`, the
 same division, pseudo-remainder, lcm, content and powers, so that every
-gcd and every canonical form is the one sympy gives.  Each ring builds its
+gcd and every canonical form is the one sympy gives.  The division takes
+sympy's steps; only its lookup of each leading term differs, from a sorted
+list of the remainder's monomials instead of a scan of the remainder.  A
+negative power of a fraction is made canonical, where sympy's keeps the
+sign of the swapped denominator.  Each ring builds its
 monomial operations for its own number of variables, as sympy's generated
 ``monomial_mul`` is, and its polynomials are a subclass that holds the
 ring as a class attribute.  Nothing here imports sympy, except
@@ -23,6 +27,7 @@ that hold sympy expressions.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd, lcm
@@ -384,46 +389,52 @@ class Poly(dict):
 
     def div(self, g):
         """(q, r) of the division algorithm by one divisor over Z: r = 0
-        exactly when g divides self in Z[x, t]."""
+        exactly when g divides self in Z[x, t].
+
+        The steps are sympy's ``PolyElement.div``; only the lookup of the
+        leading term differs.  The remainder's monomials are kept in one
+        ascending list and the leading one is popped from its end; each
+        monomial a step creates is inserted in order, and a popped monomial
+        whose coefficient has since cancelled is skipped.  A step only
+        creates monomials below the one it removes, so each is popped once
+        with a coefficient."""
         ring = self.ring
         if not g:
             raise ZeroDivisionError("polynomial division")
         q, r = ring.dtype(), ring.dtype()
         if not self:
             return q, r
-        p = self.copy()
+        p = dict(self)
+        order = sorted(p)
         g_lm = max(g)
         g_lc = g[g_lm]
-        g_terms = list(g.items())
+        g_tail = [(mg, cg) for mg, cg in g.items() if mg != g_lm]
         monomial_div = ring.monomial_div
         monomial_mul = ring.monomial_mul
         zm = ring.zero_monom
-        while p:
-            expv = max(p)
-            c = p[expv]
+        while order:
+            expv = order.pop()
+            c = p.pop(expv, 0)
+            if not c:
+                continue
             m = expv if g_lm == zm else monomial_div(expv, g_lm)
             if m is None or c % g_lc:
-                v = r.get(expv, 0) + c
-                if v:
-                    r[expv] = v
-                else:
-                    del r[expv]
-                del p[expv]
+                r[expv] = c
                 continue
             c //= g_lc
-            v = q.get(m, 0) + c
-            if v:
-                q[m] = v
-            else:
-                del q[m]
-            get = p.get
-            for mg, cg in g_terms:
+            q[m] = c
+            for mg, cg in g_tail:
                 k = monomial_mul(mg, m)
-                v = get(k, 0) - cg * c
-                if v:
-                    p[k] = v
+                v = p.get(k)
+                if v is None:
+                    p[k] = -cg * c
+                    insort(order, k)
                 else:
-                    del p[k]
+                    v -= cg * c
+                    if v:
+                        p[k] = v
+                    else:
+                        del p[k]
         return q, r
 
     def exquo(self, g):
@@ -464,12 +475,14 @@ class Poly(dict):
 
     def lcm(self, g):
         """lcm over Z: the lcm of the primitive parts times the lcm of the
-        integer contents."""
+        integer contents.  The lcm of the parts is f*(g/gcd), which equals
+        sympy's f*g/gcd, with g/gcd the cofactor ``cofactors`` returns."""
+        if not self and not g:
+            raise ZeroDivisionError("lcm(0, 0)")
         fc, f = self.primitive()
         gc, g = g.primitive()
         c = lcm(fc, gc)
-        h = (f * g).div(f.gcd(g))[0]
-        return h.mul_ground(c)
+        return (f * f.cofactors(g)[2]).mul_ground(c)
 
     def cofactors(f, g):
         """(h, cff, cfg) with h = gcd(f, g), f = h*cff and g = h*cfg."""
@@ -517,23 +530,21 @@ class Poly(dict):
 
     def deflate(f, g):
         """(J, [f, g] with every exponent of variable i divided by J[i]),
-        J[i] the gcd of those exponents (1 when there are none)."""
-        ring = f.ring
-        polys = [f, g]
-        J = [0] * ring.ngens
-        for p in polys:
-            for monom in p:
-                for i, m in enumerate(monom):
-                    J[i] = gcd(J[i], m)
-        J = tuple(b or 1 for b in J)
+        J[i] the gcd of those exponents (1 when there are none), for f and
+        g not both zero; [f, g] themselves when J is all ones."""
+        J = tuple(gcd(*column) or 1 for column in zip(*f, *g))
         if all(b == 1 for b in J):
-            return J, polys
+            return J, [f, g]
         return J, [
-            ring.dtype({tuple(i // j for i, j in zip(m, J)): c for m, c in p.items()})
-            for p in polys
+            f.ring.dtype({tuple(i // j for i, j in zip(m, J)): c for m, c in p.items()})
+            for p in (f, g)
         ]
 
     def inflate(f, J):
+        """f with every exponent of variable i multiplied by J[i]; f itself
+        when J is all ones."""
+        if all(b == 1 for b in J):
+            return f
         return f.ring.dtype({tuple(i * j for i, j in zip(m, J)): c for m, c in f.items()})
 
     def cancel(self, g):
@@ -804,10 +815,15 @@ class Frac:
         return f.new(f.denom * c_numer, f.numer * c_denom)
 
     def __pow__(f, n):
-        """f**n with no cancel; a negative power swaps numerator and
-        denominator as they are, as sympy's ``FracElement`` does."""
+        """f**n with no cancel.  A negative power swaps numerator and
+        denominator and negates both when the new denominator's leading
+        coefficient is negative, so a canonical f gives a canonical power;
+        sympy's ``FracElement`` keeps ``1/(-x)``."""
         if n >= 0:
             return f.raw_new(f.numer**n, f.denom**n)
         if not f:
             raise ZeroDivisionError
-        return f.raw_new(f.denom**-n, f.numer**-n)
+        numer, denom = f.denom**-n, f.numer**-n
+        if denom.LC < 0:
+            numer, denom = -numer, -denom
+        return f.raw_new(numer, denom)

@@ -78,6 +78,20 @@ def test_render_round_trip_random(rng):
         assert parse_expression(text, T).value == f
 
 
+def test_negative_power_round_trip(li_file, capsys):
+    """A negative power of a polynomial with a negative leading coefficient
+    parses to the canonical element, whose text parses back to the same
+    numerator and denominator."""
+    T = parse_tower_file(LI_TOWER)
+    for src in ["(0-x)^-1", "(1 - x*t1)^-2", "(-t2)^-3", "(0-2)^-1"]:
+        f = parse_expression(src, T).value
+        assert f.denom.LC > 0
+        back = parse_expression(render_expression(f, T.names), T).value
+        assert (back.numer, back.denom) == (f.numer, f.denom)
+    assert main(["decomp", "--tower", li_file, "--expr", "(0-x)^-1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["input"] == "(-1)/(x)"
+
+
 def test_decomp_command_text(li_file, capsys):
     code = main(
         ["decomp", "--tower", li_file, "--expr", "1/(t1*t2) + (t2 - 2*x*t1)/t1^2 + t3"]

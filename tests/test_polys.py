@@ -1,0 +1,233 @@
+"""The tower field's sparse division, lcm and deflation against sympy's
+``PolyElement``, and its negative powers."""
+
+import pytest
+from hypothesis import given, strategies as st
+from sympy import ZZ
+from sympy.polys.rings import ring
+
+from towerdecomp import gcdheu
+from towerdecomp.polys import ExactQuotientFailed, FracField, PolyRing
+
+
+def names(n):
+    return ["x"] + [f"t{i}" for i in range(1, n)]
+
+
+def rings(n):
+    """Our ring and sympy's over the same variables."""
+    return PolyRing(names(n)), ring(names(n), ZZ)[0]
+
+
+def draw_poly(draw, S, max_terms, monoms=None, min_terms=1):
+    """A sympy polynomial of S with min_terms to max_terms terms of distinct
+    monomials drawn from monoms (by default, exponents 0 to 3)."""
+    if monoms is None:
+        monoms = st.tuples(*[st.integers(0, 3)] * S.ngens)
+    terms = draw(
+        st.lists(
+            st.tuples(monoms, st.integers(-9, 9).filter(bool)),
+            min_size=min_terms,
+            max_size=max_terms,
+            unique_by=lambda term: term[0],
+        )
+    )
+    return S(dict(terms))
+
+
+@st.composite
+def division_pairs(draw):
+    """(n, f, g) in sympy's ring: g a general, constant or one-term divisor;
+    f an exact multiple a*g, a multiple plus stray terms, or any
+    polynomial."""
+    n = draw(st.integers(1, 4))
+    _, S = rings(n)
+    divisor = draw(st.sampled_from(["general", "constant", "one-term"]))
+    if divisor == "constant":
+        g = S(draw(st.sampled_from([1, -1, 2, -3, 6])))
+    elif divisor == "one-term":
+        g = draw_poly(draw, S, 1)
+    else:
+        g = draw_poly(draw, S, 4)
+    dividend = draw(st.sampled_from(["exact", "stray", "any"]))
+    if dividend == "any":
+        f = draw_poly(draw, S, 6)
+    else:
+        f = draw_poly(draw, S, 4) * g
+        if dividend == "stray":
+            f += draw_poly(draw, S, 2)
+    return n, f, g
+
+
+@given(division_pairs())
+def test_div_and_exquo_match_sympys_div(pair):
+    n, f, g = pair
+    R, _ = rings(n)
+    tf, tg = R(dict(f)), R(dict(g))
+    q, r = tf.div(tg)
+    sq, sr = f.div(g)
+    assert (dict(q), dict(r)) == (dict(sq), dict(sr))
+    assert type(q) is type(r) is type(tf)
+    if sr:
+        with pytest.raises(ExactQuotientFailed):
+            tf.exquo(tg)
+    else:
+        assert dict(tf.exquo(tg)) == dict(sq)
+
+
+@given(division_pairs())
+def test_trial_division_is_exact_division(pair):
+    """``_exquo`` gives up exactly when sympy's remainder is nonzero."""
+    _, f, g = pair
+    sq, sr = f.div(g)
+    q = gcdheu._exquo(dict(f), dict(g))
+    if sr:
+        assert q is None
+    else:
+        assert q == dict(sq)
+
+
+def test_div_matches_sympys_on_longer_divisors(rng):
+    """Divisors of up to six terms in three variables, which create several
+    monomials a step, against exact products with and without stray
+    terms."""
+    R, S = rings(3)
+
+    def poly(k):
+        return S({tuple(rng.randint(0, 3) for _ in range(3)): rng.randint(-5, 5) for _ in range(k)})
+
+    for _ in range(100):
+        g = poly(rng.randint(2, 6)) or S.one
+        f = poly(rng.randint(1, 6)) * g + poly(rng.randint(0, 3))
+        q, r = R(dict(f)).div(R(dict(g)))
+        sq, sr = f.div(g)
+        assert (dict(q), dict(r)) == (dict(sq), dict(sr))
+        assert gcdheu._exquo(dict(f), dict(g)) == (None if sr else dict(sq))
+
+
+def test_division_past_a_cancelled_and_recreated_monomial():
+    """Dividing 3x^3 + 3x by -x^2 + 2x - 1, the first step cancels x and
+    the second creates it again, so the sorted list of monomials holds x
+    twice and the second copy is popped after its term has left."""
+    R, S = rings(1)
+    x = S.gens[0]
+    f, g = 3 * x**3 + 3 * x, -(x**2) + 2 * x - 1
+    q, r = R(dict(f)).div(R(dict(g)))
+    assert (dict(q), dict(r)) == (dict(-3 * x - 6), dict(12 * x - 6))
+    assert (dict(q), dict(r)) == tuple(map(dict, f.div(g)))
+    assert gcdheu._exquo(dict(f), dict(g)) is None
+    assert gcdheu._exquo(dict(f * g), dict(g)) == dict(f)
+
+
+def test_division_takes_the_leading_term_before_newer_ones():
+    """Dividing -2x^2*t1 by -x + t1^2 - 1, the first step creates x*t1^3
+    and then x*t1; the larger one must be taken next, though it was made
+    first."""
+    R, S = rings(2)
+    x, t1 = S.gens
+    f, g = -2 * x**2 * t1, -x + t1**2 - 1
+    q, r = R(dict(f)).div(R(dict(g)))
+    assert dict(q) == dict(2 * x * t1 + 2 * t1**3 - 2 * t1)
+    assert dict(r) == dict(-2 * t1**5 + 4 * t1**3 - 2 * t1)
+    assert (dict(q), dict(r)) == tuple(map(dict, f.div(g)))
+
+
+@st.composite
+def lcm_pairs(draw):
+    """(n, f, g): a common factor, contents of either sign, and at times a
+    zero operand."""
+    n = draw(st.integers(1, 4))
+    _, S = rings(n)
+    c = draw_poly(draw, S, 3)
+    f = c * draw_poly(draw, S, 3) * draw(st.sampled_from([1, 2, -4, 6]))
+    g = c * draw_poly(draw, S, 3) * draw(st.sampled_from([1, -3, 9, -2]))
+    zero = draw(st.sampled_from([None, None, None, "f", "g"]))
+    if zero == "f":
+        f = S.zero
+    elif zero == "g":
+        g = S.zero
+    return n, f, g
+
+
+@given(lcm_pairs())
+def test_lcm_matches_sympys(pair):
+    n, f, g = pair
+    R, _ = rings(n)
+    assert dict(R(dict(f)).lcm(R(dict(g)))) == dict(f.lcm(g))
+
+
+def test_lcm_of_zeros_raises_as_sympys_does():
+    R, S = rings(2)
+    with pytest.raises(ZeroDivisionError):
+        S.zero.lcm(S.zero)
+    with pytest.raises(ZeroDivisionError):
+        R.zero.lcm(R.zero)
+
+
+@st.composite
+def deflatable_pairs(draw):
+    """(n, f, g, J), f and g with at least two terms each, a common factor
+    and J the deflation they share: in variable i either 1, as the variable
+    occurs in neither, or a common exponent step k; in every other variable
+    1, as each occurs to the first power in the common factor."""
+    n = draw(st.integers(2, 4))
+    _, S = rings(n)
+    i = draw(st.integers(0, n - 1))
+    k = draw(st.sampled_from([0, 2, 3]))
+    exps = st.integers(0, 3)
+    monoms = st.tuples(*[exps] * i, exps.map(lambda e: e * k), *[exps] * (n - i - 1))
+    c = draw_poly(draw, S, 2, monoms)
+    if k:
+        c *= S.gens[i] ** k + 1
+    for j in range(n):
+        if j != i:
+            c *= S.gens[j] + 1
+    f = c * draw_poly(draw, S, 3, monoms, min_terms=2)
+    g = c * draw_poly(draw, S, 3, monoms, min_terms=2)
+    J = tuple((k or 1) if j == i else 1 for j in range(n))
+    return n, f, g, J
+
+
+@given(deflatable_pairs())
+def test_cofactors_through_deflation_match_sympys(pair):
+    """With a variable absent or stepped, and the outputs fresh: changing
+    one changes neither input."""
+    n, f, g, J = pair
+    R, _ = rings(n)
+    tf, tg = R(dict(f)), R(dict(g))
+    assert tf.deflate(tg)[0] == J
+    before = dict(tf), dict(tg)
+    got = tf.cofactors(tg)
+    assert tuple(map(dict, got)) == tuple(map(dict, f.cofactors(g)))
+    for p in got:
+        assert p is not tf and p is not tg
+        p[R.zero_monom] = p.get(R.zero_monom, 0) + 7
+    assert (dict(tf), dict(tg)) == before
+
+
+def test_deflate_and_inflate_examples():
+    """Nothing to deflate returns the inputs themselves; a step in x only
+    deflates x."""
+    R = PolyRing(["x", "t1"])
+    x, t1 = R.gens
+    f, g = x**2 + x, x + R.one
+    J, polys = f.deflate(g)
+    assert J == (1, 1)
+    assert polys[0] is f and polys[1] is g
+    assert f.inflate(J) is f
+    J, (f2, g2) = (x**4 + t1 * x**2).deflate(x**2 - R.one)
+    assert J == (2, 1)
+    assert (f2, g2) == (x**2 + t1 * x, x - R.one)
+    assert f2.inflate(J) == x**4 + t1 * x**2
+
+
+def test_negative_power_is_canonical():
+    F = FracField(["x", "t1"])
+    x, t1 = F.gens
+    value = (F.zero - x) ** -1
+    assert value.denom.LC > 0
+    assert (value.numer, value.denom) == ((-F.one).numer, x.numer)
+    assert (x - t1**2) ** -2 == 1 / (x - t1**2) ** 2
+    value = (t1 - x**2) ** -3
+    assert value.denom.LC > 0
+    assert value == F.one / (t1 - x**2) ** 3
