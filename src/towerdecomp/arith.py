@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .polys import FracField
@@ -336,8 +337,11 @@ def unipoly_xgcd(a: UniPoly, b: UniPoly):
     """Half-extended gcd: (g, s) with s*a = g (mod b) and g monic, or g
     zero when a and b are.  The cofactor of b is never formed, and the loop
     stops at the first zero remainder, before the quotient that would only
-    build the cofactor s with s*a = 0 (mod b); g and s are made monic
-    together by folding lc(g) into their denominators, without a gcd."""
+    build the cofactor s with s*a = 0 (mod b).  g is made monic by folding
+    lc(g) into its denominator, without a gcd.  s is returned in lowest
+    terms, with one gcd: the loop's sums leave it cross-multiplied, several
+    times the size of its reduced pair, and a caller multiplies by s once
+    per power it strips (``hermite``), each product with a gcd of its own."""
     r0, r1 = a, b
     s0, s1 = UniPoly.constant(a.F, a.v, a.F.one), UniPoly.zero(a.F, a.v)
     while not r1.is_zero():
@@ -357,7 +361,7 @@ def unipoly_xgcd(a: UniPoly, b: UniPoly):
     # r0 = r0.num/r0.den with lc_v(r0) = lc/r0.den: dividing by it leaves
     # r0.num/lc and s0 * r0.den/lc
     lc = _lc(r0.num, r0.v)
-    return r0._new(r0.num, lc), s0._new(s0.num * r0.den, s0.den * lc)
+    return r0._new(r0.num, lc), s0._new(*_reduce(s0.num * r0.den, s0.den * lc))
 
 
 def squarefree_decomposition(p, v):
@@ -601,42 +605,56 @@ class ClearedBasis(NamedTuple):
 
 
 def solve_linear_system(rows, rhs):
-    """Solve A c = rhs exactly over Q by Gaussian elimination.
+    """Solve A c = rhs exactly over Q by Gauss-Jordan elimination.
 
-    ``rows`` is a list of lists of Fractions (one list per equation), ``rhs``
-    a list of Fractions.  Returns a solution as a list of Fractions (free
-    variables set to zero) or None when the system is inconsistent.
+    ``rows`` is a list of lists of Fractions or ints (one list per
+    equation), ``rhs`` a list of the same.  Returns a solution as a list of
+    Fractions (free variables set to zero) or None when the system is
+    inconsistent.
+
+    The rows are eliminated one at a time, in order: each is reduced by the
+    pivot rows found so far; a row that reduces to 0 = b returns None at once
+    when b is nonzero and is dropped otherwise, and any other row becomes a
+    pivot row, clearing its pivot column from the others.  Once every column
+    has a pivot, the rows read span the row space, so their reduced form is
+    the reduced row echelon form of the whole matrix and the solution is
+    fixed: each remaining row is only checked by substitution, over the
+    integers when its entries are integers, with no row operation.
     """
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    aug = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots = []
-    prow = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(prow, m):
-            if aug[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[prow], aug[pivot] = aug[pivot], aug[prow]
-        pv = aug[prow][col]
-        aug[prow] = [a / pv for a in aug[prow]]
-        for r in range(m):
-            if r != prow and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[prow])]
-        pivots.append(col)
-        prow += 1
-        if prow == m:
+    ncols = len(rows[0]) if rows else 0
+    pivots = {}  # pivot column -> reduced row, 1 at its column, rhs last
+    done = 0
+    for row, b in zip(rows, rhs):
+        if len(pivots) == ncols:
             break
-    for r in range(prow, m):
-        if aug[r][ncols]:
-            return None
+        done += 1
+        r = list(map(Fraction, row))
+        r.append(Fraction(b))
+        for col, p in pivots.items():
+            f = r[col]
+            if f:
+                r = [a - f * c for a, c in zip(r, p)]
+        lead = next((col for col in range(ncols) if r[col]), None)
+        if lead is None:
+            if r[ncols]:
+                return None
+            continue
+        pv = r[lead]
+        r = [a / pv for a in r]
+        for col, p in pivots.items():
+            f = p[lead]
+            if f:
+                pivots[col] = [a - f * c for a, c in zip(p, r)]
+        pivots[lead] = r
     sol = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols]
+    for col, p in pivots.items():
+        sol[col] = p[ncols]
+    # sol = nums / common over one integer denominator
+    common = math.lcm(*(c.denominator for c in sol))
+    nums = [c.numerator * (common // c.denominator) for c in sol]
+    for row, b in zip(rows[done:], rhs[done:]):
+        if sum(map(mul, row, nums)) != b * common:
+            return None
     return sol
 
 

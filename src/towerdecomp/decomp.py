@@ -55,12 +55,20 @@ def solve_constant_combination_values(F, target, basis):
     is cleared here with the lcm of their denominators.  A target in the
     span has a denominator dividing L over Q, which by Gauss's lemma is the
     primitive part of target.denom dividing L over Z: one exact division
-    rejects every other target without a gcd.  The integer content of
-    target.denom moves into the right-hand side: the coefficients of numer
-    * (L / primitive part), each divided by that content, are compared with
-    those of the polys exactly.  The solution is checked as a polynomial
-    identity over Z, both sides multiplied through by the content and by
-    the lcm of the coefficients' denominators.
+    rejects every other target without a gcd.  With lhs = numer * (L /
+    primitive part), the system sum(c'_j * polys_j) = lhs has one integer
+    row per monomial, and c = c' / content, the content of target.denom.
+
+    The basis has k <= n elements and usually many more monomials.  The
+    rows are eliminated in monomial order only until the columns reach full
+    rank, at the k-th pivot row when the basis is independent, as a
+    tower's derivatives are; each later row is checked by substitution with integer
+    products and no row operation, and a row that contradicts the solution
+    means the target is not in the span (``solve_linear_system``).  A
+    dependent basis has all its rows eliminated, and its free variables are
+    zero.  The solution is then checked as a polynomial identity over Z,
+    both sides multiplied through by the lcm of the denominators of the
+    c'_j: it must hold, so a mismatch is an internal error.
     """
     if not isinstance(basis, ClearedBasis):
         den = F.ring.one
@@ -83,18 +91,17 @@ def solve_constant_combination_values(F, target, basis):
         monos.update(p.keys())
     monos = sorted(monos)
     rows = [[p.get(m, 0) for p in polys] for m in monos]
-    rhs = [Fraction(lhs.get(m, 0), content) for m in monos]
-    sol = solve_linear_system(rows, rhs)
+    sol = solve_linear_system(rows, [lhs.get(m, 0) for m in monos])
     if sol is None:
         return None
     common = math.lcm(*(c.denominator for c in sol))
     acc = lhs.ring.zero
     for c, p in zip(sol, polys):
         if c:
-            acc += p.mul_ground(content * c.numerator * (common // c.denominator))
+            acc += p.mul_ground(c.numerator * (common // c.denominator))
     if acc != lhs.mul_ground(common):
         raise InternalVerificationError("combination solver self-check failed")
-    return sol
+    return [c / content for c in sol]
 
 
 # -- the decomposition ------------------------------------------------------

@@ -3,12 +3,15 @@
 The tower field's polynomials are dicts ``{exponent tuple: int}`` in lex
 order.  :func:`heugcd` computes their gcd by the heuristic of Char, Geddes
 and Gonnet (J. Symbolic Comput., 1989) in the form of sympy's ``heugcd``
-(Liao and Fateman, ISSAC 1995), step for step: the same content
-extraction, evaluation points, growth rule, symmetric-remainder
-interpolation and trial divisions, so it returns the same (h, cff, cfg).
-A trial division takes sympy's steps; only its lookup of each leading term
-differs (see :func:`_exquo`).  It evaluates the first variable and recurses
-on dicts keyed by the shortened exponent tuples.  Nothing here builds a
+(Liao and Fateman, ISSAC 1995): the same content extraction, evaluation
+points, growth rule, symmetric-remainder interpolation and trial
+divisions, so it returns the same (h, cff, cfg).  A trial division takes
+sympy's steps, with two differences that leave its quotient unchanged
+(see :func:`_exquo`): each leading term is looked up in a sorted list,
+and a division by the constant 1, which is most trial divisions of a
+coprime pair, returns a copy of the dividend without a step.  It
+evaluates the first variable and recurses on dicts keyed by the
+shortened exponent tuples.  Nothing here builds a
 ring, and nothing is memoized.
 
 When none of ``HEU_GCD_MAX`` evaluation points succeeds,
@@ -140,9 +143,12 @@ def _exquo(f, g):
 
     The steps are sympy's; only the lookup of each leading term differs,
     from the remainder's monomials kept sorted as in
-    :meth:`towerdecomp.polys.Poly.div`."""
+    :meth:`towerdecomp.polys.Poly.div`.  When g is the constant 1, the
+    quotient is a copy of f, returned without the steps."""
     g_lm = max(g)
     g_lc = g[g_lm]
+    if g_lc == 1 and len(g) == 1 and not any(g_lm):
+        return dict(f)
     tail = [(mg, b) for mg, b in g.items() if mg != g_lm]
     p = dict(f)
     order = sorted(p)

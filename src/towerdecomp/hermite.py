@@ -6,9 +6,14 @@ applies (Bronstein, *Symbolic Integration I*, section 2.2).  It runs Yun's
 algorithm once.  For each factor V of multiplicity m >= 2, with D = U*V^m,
 one extended gcd gives the inverse of U*V' modulo V, and each of the m - 1
 steps j = m-1, ..., 1 strips one power of V with that inverse divided by j.
-The work is linear in the multiplicities.  Level 0 is Q(x) itself; there the
-polynomial part is integrated directly by the power rule, so any element of
-Q(x) is accepted.
+The work is linear in the multiplicities.  The extended gcd returns the
+inverse in lowest terms, reduced once per repeated factor: its loop leaves
+the numerator and denominator cross-multiplied, often several times their
+reduced size (310/223 terms against 46/43 on a level-3 factor of the
+nested tower), and each step multiplies by the inverse and cancels the
+product with a gcd, whose cost grows with the operands.  Level 0 is Q(x)
+itself; there the polynomial part is integrated directly by the power
+rule, so any element of Q(x) is accepted.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -13,7 +14,7 @@ from towerdecomp import (
     integrate_in_field,
 )
 from towerdecomp import decomp
-from towerdecomp.arith import ground, solve_linear_system
+from towerdecomp.arith import ClearedBasis, ground, solve_linear_system
 from towerdecomp.decomp import _is_remainder_value, solve_constant_combination_values
 from towerdecomp.errors import InternalVerificationError
 from towerdecomp.exprio import parse_expression
@@ -155,6 +156,154 @@ def test_solver_on_tower_basis_matches_lcm_reference(seed):
         assert solve_constant_combination_values(F, target, basis) == expected
     # an S-primitive tower's derivatives are independent over Q
     assert solve_constant_combination_values(F, combo, T.derivative_basis(m)) == wanted
+
+
+def _gauss_jordan(rows, rhs):
+    """Reference: full Gauss-Jordan elimination over every row, column by
+    column; free variables are zero."""
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    aug = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    prow = 0
+    pivots = []
+    for col in range(ncols):
+        pivot = next((r for r in range(prow, m) if aug[r][col]), None)
+        if pivot is None:
+            continue
+        aug[prow], aug[pivot] = aug[pivot], aug[prow]
+        aug[prow] = [a / aug[prow][col] for a in aug[prow]]
+        for r in range(m):
+            if r != prow and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[prow])]
+        pivots.append(col)
+        prow += 1
+    if any(aug[r][ncols] for r in range(prow, m)):
+        return None
+    sol = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        sol[col] = aug[r][ncols]
+    return sol
+
+
+def _full_elimination_solver(F, target, basis):
+    """Reference: the span solver's clearing, with every monomial's row
+    eliminated by ``_gauss_jordan`` and the solution checked as a polynomial
+    identity."""
+    den, polys = basis
+    if not target:
+        return [Fraction(0)] * len(polys)
+    content, prim = target.denom.primitive()
+    scale, rem = den.div(prim)
+    if rem:
+        return None
+    lhs = target.numer * scale
+    monos = sorted(set(lhs.keys()).union(*(p.keys() for p in polys)))
+    rows = [[p.get(m, 0) for p in polys] for m in monos]
+    sol = _gauss_jordan(rows, [Fraction(lhs.get(m, 0), content) for m in monos])
+    if sol is None:
+        return None
+    common = math.lcm(*(c.denominator for c in sol))
+    acc = lhs.ring.zero
+    for c, p in zip(sol, polys):
+        acc += p.mul_ground(content * c.numerator * (common // c.denominator))
+    assert acc == lhs.mul_ground(common)
+    return sol
+
+
+def _random_matrix(rng, nrows, ncols):
+    rows = [
+        [rng.choice([0, 0, 0, rng.randint(-3, 3)]) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    if ncols > 1 and rng.random() < 0.5:
+        # a dependent column, so that free variables occur
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = a * row[0] + b * row[-1]
+    return rows
+
+
+@given(seed=seeds)
+def test_linear_system_matches_full_elimination(seed):
+    """Many more rows than columns, dependent columns, and right-hand sides
+    that are consistent, consistent but for one late row, or random."""
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 4)
+    rows = _random_matrix(rng, rng.randint(ncols, 40), ncols)
+    c = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ncols)]
+    consistent = [sum(a * x for a, x in zip(row, c)) for row in rows]
+    late = list(consistent)
+    late[-1] += 1
+    noise = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in rows]
+    for rhs in (consistent, late, noise):
+        want = _gauss_jordan(rows, rhs)
+        assert solve_linear_system(rows, rhs) == want
+        assert solve_linear_system([[Fraction(a) for a in r] for r in rows], rhs) == want
+    assert solve_linear_system(rows, consistent) is not None
+    assert solve_linear_system(rows, late) is None
+
+
+def _pivot_first_basis(F, rng, k):
+    """k polynomials over a common denominator: the first k monomials in the
+    solver's row order, 1, x, ..., x^(k-1), are a unit matrix, and each
+    polynomial has up to 12 random terms of x-degree >= k after them."""
+    R = F.ring
+    x, t1, t2, t3 = R.gens
+    polys = []
+    for j in range(k):
+        p = x**j
+        for _ in range(rng.randint(4, 12)):
+            e = (k + rng.randint(0, 2),) + tuple(rng.randint(0, 3) for _ in range(3))
+            p += R({e: rng.randint(-4, 4) or 1})
+        polys.append(p)
+    den = rng.choice([R.one, (x + R.one).mul_ground(6), x * t1])
+    return ClearedBasis(den, tuple(polys))
+
+
+@given(seed=seeds)
+def test_span_solver_matches_full_elimination(seed):
+    """Cleared bases with many more monomials than elements, at times a
+    dependent element, against every row eliminated."""
+    rng = random.Random(seed)
+    F = li_tower().F
+    k = rng.randint(1, 3)
+    den, polys = _pivot_first_basis(F, rng, k)
+    if rng.random() < 0.5:
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        polys += (polys[0].mul_ground(a) + polys[-1].mul_ground(b),)
+        polys = tuple(rng.sample(polys, len(polys)))
+    basis = ClearedBasis(den, polys)
+    c = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in polys]
+    combo = F.zero
+    for cj, p in zip(c, polys):
+        combo += ground(F, cj) * F.new(p, den)
+    other = F.new(polys[0] + F.ring.gens[3] ** 3, den)
+    for target in (combo, combo + other, combo / 5, other):
+        want = _full_elimination_solver(F, target, basis)
+        assert solve_constant_combination_values(F, target, basis) == want
+    assert solve_constant_combination_values(F, combo, basis) is not None
+
+
+@given(seed=seeds)
+def test_span_solver_rejects_a_mismatch_past_the_pivot_rows(seed):
+    """A target that agrees with a combination on the first k rows, which
+    already have full rank, and differs on the last monomial is not in the
+    span: None, not a failed self-check."""
+    rng = random.Random(seed)
+    F = li_tower().F
+    k = rng.randint(1, 3)
+    basis = _pivot_first_basis(F, rng, k)
+    den, polys = basis
+    num = F.ring.zero
+    for p in polys:
+        num += p.mul_ground(rng.randint(-4, 4))
+    last = max(set().union(*(p.keys() for p in polys)))
+    num += F.ring({last: 1})
+    target = F.new(num, den)
+    assert _full_elimination_solver(F, target, basis) is None
+    assert solve_constant_combination_values(F, target, basis) is None
 
 
 def test_solver_rejects_a_foreign_denominator_without_a_gcd(tower_li, gcds):

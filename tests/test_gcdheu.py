@@ -20,7 +20,7 @@ def names(n):
 
 
 @st.composite
-def poly_pairs(draw):
+def poly_pairs(draw, kinds=("common", "coprime", "equal")):
     """(n, f, g), polynomials in n variables: f = k*c*a and g = m*c*b with
     a shared factor c, integer contents k and m (negative ones flip the
     leading coefficient) and, at times, every exponent scaled by a common
@@ -46,7 +46,7 @@ def poly_pairs(draw):
             p += R({tuple(e * step for e in mono): c})
         return p or R.one
 
-    kind = draw(st.sampled_from(["common", "coprime", "equal"]))
+    kind = draw(st.sampled_from(kinds))
     c = R.one if kind == "coprime" else poly(3)
     a = poly(4)
     b = -a if kind == "equal" else poly(4)
@@ -61,6 +61,36 @@ def test_kernel_matches_sympy_heugcd(pair):
     R = f.ring
     h, cff, cfg = gcdheu.heugcd(f, g, n)
     assert (R(h), R(cff), R(cfg)) == sympy_heugcd(f, g)
+
+
+def test_exquo_by_one_returns_a_copy():
+    for n in (1, 3):
+        f = {(2,) + (0,) * (n - 1): -3, (0,) * n: 5}
+        q = gcdheu._exquo(f, {(0,) * n: 1})
+        assert q == f and q is not f
+
+
+@given(poly_pairs(kinds=("coprime",)))
+def test_coprime_pairs_divide_by_one_and_match_sympy_heugcd(pair):
+    """A coprime pair's gcd interpolates to 1, so its trial divisions are
+    divisions by 1; the kernel still returns sympy's (h, cff, cfg)."""
+    n, f, g = pair
+    R = f.ring
+    by_one = []
+    exquo = gcdheu._exquo
+
+    def spy(p, q):
+        by_one.append(q == {(0,) * n: 1})
+        return exquo(p, q)
+
+    gcdheu._exquo = spy
+    try:
+        h, cff, cfg = gcdheu.heugcd(f, g, n)
+    finally:
+        gcdheu._exquo = exquo
+    assert (R(h), R(cff), R(cfg)) == sympy_heugcd(f, g)
+    if R(h) == R.one:
+        assert any(by_one)
 
 
 @given(poly_pairs())

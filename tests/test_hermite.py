@@ -268,3 +268,39 @@ def test_division_reduces_only_the_part_it_returns(tower_li, gcds):
         assert gcds == {"cofactors": reduced}
     q, r = a.divmod(b)
     assert a // b == q and a % b == r and q * b + r == a
+
+
+def test_inverse_is_reduced_before_the_products(monkeypatch):
+    """The derivative of (5*t3 - x^2*t3^2)/(-2*t3^2 + 2*t2*t3 + 5*t2^2) on
+    the nested tower has a repeated factor in t3 whose Bezout inverse the
+    extended gcd's sums leave at 310/223 terms over a reduced pair of
+    46/43.  Every product by the inverse takes it in lowest terms, and the
+    output is the earlier loop's."""
+    T = nested_tower()
+    x, t1, t2, t3 = T.gens
+    f = T.diff(((5 * t3 - x**2 * t3**2) / (-2 * t3**2 + 2 * t2 * t3 + 5 * t2**2)))
+    proper, _ = split_proper_poly(f, 3)
+    inverses, operands = [], []
+    product = UniPoly.__mul__
+
+    def xgcd(a, b):
+        gg, s = unipoly_xgcd(a, b)
+        inverses.append(s)
+        return gg, s
+
+    def mul(self, other):
+        operands.append((self, other))
+        return product(self, other)
+
+    monkeypatch.setattr(hermite, "unipoly_xgcd", xgcd)
+    monkeypatch.setattr(UniPoly, "__mul__", mul)
+    g, h = _hermite_core(T, proper, 3)
+    monkeypatch.undo()
+    assert len(inverses) == 1
+    inv = inverses[0]
+    used = [p for pair in operands for p in pair if isinstance(p, UniPoly) and p == inv]
+    assert used
+    for p in used:
+        common = p.num.gcd(p.den)
+        assert common.is_ground, f"a common factor of {len(common)} terms"
+    assert (g, h) == _quadratic_hermite_core(T, proper, 3)
