@@ -14,18 +14,6 @@ from .decomp import (
     add_decomp_in_field,
     integrate_in_field,
 )
-from .elem import NO, UNDECIDED, YES, ElementaryVerdict, elementary_integrability
-from .embed import (
-    AssociatedMatrix,
-    Embedding,
-    SignificantData,
-    apply_homomorphism,
-    associated_matrix,
-    embed_well_generated,
-    is_well_generated,
-    normalize_tower,
-    significant_data,
-)
 from .errors import (
     ExprSyntaxError,
     InternalVerificationError,
@@ -36,6 +24,48 @@ from .errors import (
     ZeroArgument,
 )
 from .tower import FormalProduct, Tower, TowerBuilder, TowerElement, differentiate
+
+# Every command needs the modules above.  The elementary decision and the
+# embeddings load on first use of their module or of one of their names, so
+# that a command which runs neither does not compile them.
+_LAZY = {
+    **dict.fromkeys(
+        ("elem", "elementary_integrability", "ElementaryVerdict", "YES", "NO", "UNDECIDED"),
+        "elem",
+    ),
+    **dict.fromkeys(
+        (
+            "embed",
+            "normalize_tower",
+            "embed_well_generated",
+            "apply_homomorphism",
+            "associated_matrix",
+            "significant_data",
+            "is_well_generated",
+            "Embedding",
+            "AssociatedMatrix",
+            "SignificantData",
+        ),
+        "embed",
+    ),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import statement's own path, which -X importtime reports; it binds
+    # the submodule in this namespace
+    __import__(f"{__name__}.{module}")
+    if name != module:
+        globals()[name] = getattr(globals()[module], name)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "1.0.0"
 

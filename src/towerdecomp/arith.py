@@ -81,9 +81,10 @@ def is_ground(f) -> bool:
 
 def free_of(f, indices) -> bool:
     """True iff the field element involves none of the given variable indices."""
-    for mono in list(f.numer.monoms()) + list(f.denom.monoms()):
-        if any(mono[i] for i in indices):
-            return False
+    for p in (f.numer, f.denom):
+        for mono in p:
+            if any(mono[i] for i in indices):
+                return False
     return True
 
 
@@ -676,7 +677,7 @@ def substitute(f, target_field, values):
     reduced to lowest terms by one cancel.
     """
     ring = target_field.ring
-    monos = f.numer.monoms() + f.denom.monoms()
+    monos = [*f.numer, *f.denom]
     top = [max(m[i] for m in monos) for i in range(len(values))]
     powers = {}
 

@@ -5,8 +5,9 @@ internal verification failure or a heuristic gcd that found no evaluation
 point.  Every printed decomposition has been
 verified by exact differentiation in ``add_decomp_in_field`` before output.
 
-Every command runs one path: load the tower, validate it, read ``--expr``,
-run the command, emit its lines or its JSON payload.
+Every command runs one path: import the layer it runs beyond ``decomp``
+(``elem`` or ``embed``, and no other), load the tower, validate it, read
+``--expr``, run the command, emit its lines or its JSON payload.
 """
 
 from __future__ import annotations
@@ -17,15 +18,6 @@ import sys
 
 from .arith import substitute
 from .decomp import add_decomp_in_field, integrate_in_field
-from .elem import YES, elementary_integrability
-from .embed import (
-    apply_homomorphism,
-    associated_matrix,
-    embed_well_generated,
-    is_well_generated,
-    normalization_images,
-    normalize_tower,
-)
 from .errors import (
     ExprSyntaxError,
     HeuristicGCDFailed,
@@ -116,6 +108,8 @@ def _integrate(T, f, args, read):
 
 
 def _elementary(T, f, args, read):
+    from .elem import YES, elementary_integrability
+
     verdict = elementary_integrability(f)
     lines = [f"elementary: {verdict.status}"]
     witness = []
@@ -144,6 +138,13 @@ def _elementary(T, f, args, read):
 
 
 def _embed(T, f, args, read):
+    from .embed import (
+        apply_homomorphism,
+        embed_well_generated,
+        normalization_images,
+        normalize_tower,
+    )
+
     normalized, change_log = normalize_tower(T)
     lines = [f"normalization steps: {len(change_log)}"] if change_log else []
     emb = embed_well_generated(normalized)
@@ -193,6 +194,8 @@ def _embed(T, f, args, read):
 def _matrix(T, f, args, read):
     """The associated matrix of T, printed in plain text or LaTeX; the
     payload holds its entries in plain text."""
+    from .embed import associated_matrix
+
     M = associated_matrix(T)
     cells = [[M.entry(i, j).value for j in range(1, T.n + 1)] for i in range(T.n)]
     rows = [[render_expression(v, T.names) for v in row] for row in cells]
@@ -203,6 +206,8 @@ def _matrix(T, f, args, read):
 
 
 def _check(T, f, args, read):
+    from .embed import is_well_generated
+
     result = T.validate_s_primitive()
     certificate = None
     if result.ok:
@@ -224,17 +229,18 @@ def _check(T, f, args, read):
     }
 
 
-# name -> (command, validate the tower first, read --expr first).  A command
-# takes the tower, the element read from --expr or None, the arguments and
-# the reader, and returns its printed lines and its payload fields.  --expr
-# is required exactly where the pipeline reads it.
+# name -> (command, validate the tower first, read --expr first, the module
+# of the package it runs beyond decomp, or None).  A command takes the tower,
+# the element read from --expr or None, the arguments and the reader, and
+# returns its printed lines and its payload fields.  --expr is required
+# exactly where the pipeline reads it.
 _COMMANDS = {
-    "decomp": (_decomp, True, True),
-    "integrate": (_integrate, True, True),
-    "elementary": (_elementary, True, True),
-    "embed": (_embed, True, False),
-    "matrix": (_matrix, False, False),
-    "check": (_check, False, False),
+    "decomp": (_decomp, True, True, None),
+    "integrate": (_integrate, True, True, None),
+    "elementary": (_elementary, True, True, "elem"),
+    "embed": (_embed, True, False, "embed"),
+    "matrix": (_matrix, False, False, "embed"),
+    "check": (_check, False, False, "embed"),
 }
 
 # exception -> (exit code, message prefix); the most specific class decides
@@ -254,7 +260,7 @@ def _build_parser():
         "primitive differential towers over Q(x).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, reads) in _COMMANDS.items():
+    for name, (_, _, reads, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--tower", required=True, help="tower file path")
         p.add_argument(
@@ -291,7 +297,11 @@ def _fold_expr(argv):
 
 
 def _run(args):
-    command, validates, reads = _COMMANDS[args.command]
+    command, validates, reads, module = _COMMANDS[args.command]
+    if module is not None:
+        # loaded here, before any work, and only for the commands that run it;
+        # an import statement's path, which -X importtime reports
+        __import__(f"{__package__}.{module}")
     out = []
     T, read = _load_tower(args, out)
     if validates:

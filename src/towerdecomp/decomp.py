@@ -27,7 +27,6 @@ data of r - pi_n(r) from one level recursion on r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import ClearedBasis, solve_linear_system, sum_pairs
@@ -40,7 +39,7 @@ from .matryoshka import (
     not_simple_reason,
     order_key_value,
 )
-from .tower import Tower, TowerElement
+from .tower import Record, Tower, TowerElement
 
 
 # -- constant-combination solver ------------------------------------------
@@ -107,11 +106,13 @@ def solve_constant_combination_values(F, target, basis):
 # -- the decomposition ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    g: TowerElement
-    r: TowerElement
-    input: TowerElement
+class Decomposition(Record):
+    __slots__ = ("g", "r", "input")
+
+    def __init__(self, g, r, input):
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "input", input)
 
     @property
     def tower(self) -> Tower:
@@ -260,10 +261,13 @@ def _is_remainder_value(T, r):
 # -- in-field integration ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InFieldIntegral:
-    antiderivative: TowerElement | None
-    certificate: TowerElement  # the remainder; zero exactly when integrable
+class InFieldIntegral(Record):
+    __slots__ = ("antiderivative", "certificate")
+
+    def __init__(self, antiderivative, certificate):
+        object.__setattr__(self, "antiderivative", antiderivative)  # or None
+        # the remainder; zero exactly when integrable
+        object.__setattr__(self, "certificate", certificate)
 
     @property
     def integrable(self) -> bool:

@@ -12,7 +12,6 @@ outside exact rational arithmetic and give a three-valued Undecided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
@@ -27,7 +26,7 @@ from .arith import (
     unipoly_gcd,
     unipoly_resultant,
 )
-from .decomp import Decomposition, add_decomp_in_field, solve_constant_combination_values
+from .decomp import add_decomp_in_field, solve_constant_combination_values
 from .errors import InternalVerificationError
 from .hermite import tower_derivative_unipoly
 from .matryoshka import (
@@ -36,21 +35,28 @@ from .matryoshka import (
     level_pieces,
     project_value,
 )
-from .tower import TowerElement
+from .tower import Record, TowerElement
 
 YES = "yes"
 NO = "no"
 UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class ElementaryVerdict:
-    status: str  # YES, NO or UNDECIDED
-    witness: tuple = ()  # pairs (rational coefficient, argument TowerElement)
-    span_coeffs: tuple = ()  # rational coefficients over t_1', ..., t_n'
-    reason: str = ""
-    certificate: TowerElement | None = None  # non-constant residue, when NO
-    decomposition: Decomposition | None = None
+class ElementaryVerdict(Record):
+    __slots__ = ("status", "witness", "span_coeffs", "reason", "certificate", "decomposition")
+
+    def __init__(
+        self, status, witness=(), span_coeffs=(), reason="", certificate=None, decomposition=None
+    ):
+        object.__setattr__(self, "status", status)  # YES, NO or UNDECIDED
+        # pairs (rational coefficient, argument TowerElement)
+        object.__setattr__(self, "witness", witness)
+        # rational coefficients over t_1', ..., t_n'
+        object.__setattr__(self, "span_coeffs", span_coeffs)
+        object.__setattr__(self, "reason", reason)
+        # non-constant residue as a TowerElement, when NO
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "decomposition", decomposition)
 
     @property
     def remainder(self):
@@ -89,7 +95,7 @@ def _residue_analysis(T, value, i):
     R = unipoly_resultant(P, lift(q))
     if not R:
         raise InternalVerificationError("residue resultant vanished")
-    if any(mono[T.n + 1] for mono in R.denom.monoms()):
+    if any(mono[T.n + 1] for mono in R.denom):
         raise InternalVerificationError("resultant denominator involves the root variable")
     Rz = coeff_polys(R.numer, T.n + 1)
     lc = Rz[max(Rz)]

@@ -12,7 +12,6 @@ matrix has exactly one nonzero entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import free_of, ground, substitute
@@ -27,6 +26,7 @@ from .tower import (
     LOG,
     PRIM,
     FormalProduct,
+    Record,
     Tower,
     TowerBuilder,
     TowerElement,
@@ -34,30 +34,40 @@ from .tower import (
 )
 
 
-@dataclass(frozen=True)
-class AssociatedMatrix:
-    tower: Tower
-    entries: tuple  # rows 0..n-1 of tuples; entry (i, j-1) = projection i of t_j'
+class AssociatedMatrix(Record):
+    __slots__ = ("tower", "entries")
+
+    def __init__(self, tower, entries):
+        object.__setattr__(self, "tower", tower)
+        # rows 0..n-1 of tuples; entry (i, j-1) = projection i of t_j'
+        object.__setattr__(self, "entries", entries)
 
     def entry(self, i, j):
         """Row i (0-based level), column j (1-based generator)."""
         return self.entries[i][j - 1]
 
 
-@dataclass(frozen=True)
-class SignificantData:
-    sv: tuple  # significant index of each generator derivative
-    sc: tuple  # the projection of t_j' at level sv_j, as TowerElement
+class SignificantData(Record):
+    __slots__ = ("sv", "sc")
+
+    def __init__(self, sv, sc):
+        object.__setattr__(self, "sv", sv)  # significant index of each generator derivative
+        # the projection of t_j' at level sv_j, as TowerElement
+        object.__setattr__(self, "sc", sc)
 
 
-@dataclass(frozen=True)
-class Embedding:
-    source: Tower
-    target: Tower
-    basis: tuple  # b_1..b_w as TowerElement of the source
-    ell: tuple  # ell_j = basis index (1-based) of sc_j; strictly increasing
-    coeffs: tuple  # per generator j, tuple of c_{j,k} for k < ell_j
-    images: tuple  # phi(t_j) as TowerElement of the target
+class Embedding(Record):
+    __slots__ = ("source", "target", "basis", "ell", "coeffs", "images")
+
+    def __init__(self, source, target, basis, ell, coeffs, images):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "basis", basis)  # b_1..b_w as TowerElement of the source
+        # ell_j = basis index (1-based) of sc_j; strictly increasing
+        object.__setattr__(self, "ell", ell)
+        # per generator j, tuple of c_{j,k} for k < ell_j
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "images", images)  # phi(t_j) as TowerElement of the target
 
     @property
     def w(self):
@@ -286,9 +296,10 @@ def embed_well_generated(T: Tower) -> Embedding:
                 "significant component did not enter the basis"
             )
         ell.append(idx)
-    if ell[0] != 1 or ell[-1] != w or any(
+    # a tower with no generators has the identity embedding, w = 0
+    if ell and (ell[0] != 1 or ell[-1] != w or any(
         a >= b for a, b in zip(ell, ell[1:])
-    ):
+    )):
         raise InternalVerificationError("basis positions are not staircase")
     coeffs_per_gen = []
     for j in range(1, n + 1):

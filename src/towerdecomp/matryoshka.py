@@ -24,10 +24,10 @@ element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import total_ordering
 
 from .arith import coeff_polys, free_of, pseudo_divmod, sum_pairs
-from .tower import Tower
+from .tower import Record, Tower
 
 NOT_SQUAREFREE = "has a non-squarefree denominator"
 
@@ -45,22 +45,46 @@ def indicator(exps, n: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class HeadData:
-    hm_i: tuple  # per-projection head monomials (exponent tuple or None)
-    hc_i: dict  # level -> head coefficient (field element), for index_set
-    hm: tuple | None  # overall head monomial
-    hc: object  # overall head coefficient (field element)
-    index_set: frozenset
+class HeadData(Record):
+    __slots__ = ("hm_i", "hc_i", "hm", "hc", "index_set")
+
+    def __init__(self, hm_i, hc_i, hm, hc, index_set):
+        # per-projection head monomials (exponent tuple or None)
+        object.__setattr__(self, "hm_i", hm_i)
+        # level -> head coefficient (field element), for index_set
+        object.__setattr__(self, "hc_i", hc_i)
+        object.__setattr__(self, "hm", hm)  # overall head monomial, or None
+        object.__setattr__(self, "hc", hc)  # overall head coefficient (field element)
+        object.__setattr__(self, "index_set", index_set)
 
 
-@dataclass(frozen=True, order=True)
-class OrderKey:
-    den_degree: int
-    hm_marker: int  # 0 for the zero element, 1 otherwise
-    hm_rev: tuple  # reversed exponents, () for zero
-    # the head data the key was read from; None for the zero element
-    head: HeadData | None = field(default=None, compare=False, repr=False)
+@total_ordering
+class OrderKey(Record):
+    """Ordered by (den_degree, hm_marker, hm_rev); head is carried along and
+    takes no part in equality, hash, order or repr."""
+
+    __slots__ = ("den_degree", "hm_marker", "hm_rev", "head")
+
+    def __init__(self, den_degree, hm_marker, hm_rev, head=None):
+        object.__setattr__(self, "den_degree", den_degree)
+        object.__setattr__(self, "hm_marker", hm_marker)  # 0 for the zero element, 1 otherwise
+        object.__setattr__(self, "hm_rev", hm_rev)  # reversed exponents, () for zero
+        # the head data the key was read from; None for the zero element
+        object.__setattr__(self, "head", head)
+
+    def _key(self):
+        return (self.den_degree, self.hm_marker, self.hm_rev)
+
+    def __repr__(self):
+        return (
+            f"OrderKey(den_degree={self.den_degree!r}, "
+            f"hm_marker={self.hm_marker!r}, hm_rev={self.hm_rev!r})"
+        )
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() < other._key()
+        return NotImplemented
 
 
 def level_pieces(T: Tower, f) -> list:

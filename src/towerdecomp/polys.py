@@ -208,9 +208,6 @@ class Poly(dict):
         """(monomial, coefficient) pairs, leading term first."""
         return sorted(self.items(), reverse=True)
 
-    def monoms(self):
-        return [m for m, _ in self.terms()]
-
     def coeff_wrt(self, i, deg):
         """The coefficient of x_i**deg, a polynomial free of x_i."""
         return self.ring.dtype(

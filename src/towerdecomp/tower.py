@@ -9,7 +9,6 @@ Towers are immutable once built; validation results are cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import ClearedBasis, free_of, ground, make_field, substitute
@@ -82,30 +81,74 @@ class FormalProduct:
         return " * ".join(f"({b})^{e}" for b, e in self.factors) or "1"
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    kind: str  # LOG or PRIM
-    derivative: object  # element of the tower field
-    argument: FormalProduct | None = None
+class Record:
+    """Base of the package's immutable records.
+
+    A record names its fields in ``__slots__`` and sets them in its own
+    ``__init__`` with ``object.__setattr__``; afterwards no field can be
+    assigned or deleted.  Two records are equal when they have the same class
+    and equal fields, and hash and repr read the fields in slot order.
+    """
+
+    __slots__ = ()
+
+    def _key(self):
+        """The fields that equality, hash and order compare."""
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    status: str  # S_PRIMITIVE or REJECTED
-    reason: str = ""
-    generator: int | None = None
-    certificate: tuple | None = None  # dependence coefficients, when applicable
+class Generator(Record):
+    __slots__ = ("name", "kind", "derivative", "argument")
+
+    def __init__(self, name, kind, derivative, argument=None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)  # LOG or PRIM
+        object.__setattr__(self, "derivative", derivative)  # element of the tower field
+        object.__setattr__(self, "argument", argument)  # FormalProduct, for LOG
+
+
+class ValidationResult(Record):
+    __slots__ = ("status", "reason", "generator", "certificate")
+
+    def __init__(self, status, reason="", generator=None, certificate=None):
+        object.__setattr__(self, "status", status)  # S_PRIMITIVE or REJECTED
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "generator", generator)
+        # dependence coefficients, when applicable
+        object.__setattr__(self, "certificate", certificate)
 
     @property
     def ok(self):
         return self.status == S_PRIMITIVE
 
 
-@dataclass(frozen=True)
-class TowerElement:
-    value: object  # element of the tower field
-    tower: "Tower"
+class TowerElement(Record):
+    __slots__ = ("value", "tower")
+
+    def __init__(self, value, tower):
+        object.__setattr__(self, "value", value)  # element of the tower field
+        object.__setattr__(self, "tower", tower)
 
     def __bool__(self):
         return bool(self.value)
@@ -114,6 +157,9 @@ class TowerElement:
         if isinstance(other, TowerElement):
             return self.tower is other.tower and self.value == other.value
         return self.value == other
+
+    def __hash__(self):
+        return hash((self.value, self.tower))
 
     def __repr__(self):
         return f"TowerElement({self.value})"

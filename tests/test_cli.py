@@ -226,6 +226,17 @@ def test_failed_heuristic_gcd_exits_3(nested_file, monkeypatch, capsys):
     assert err.startswith("internal error: heuristic gcd") and "Traceback" not in err
 
 
+def _last_line_of(script, *flags):
+    """The last printed line of script, run in a fresh interpreter that
+    imports towerdecomp from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    return out.splitlines()[-1]
+
+
 def test_a_command_loads_no_sympy_module(li_file):
     """Importing the package and running a command leave sympy unloaded."""
     script = (
@@ -234,12 +245,106 @@ def test_a_command_loads_no_sympy_module(li_file):
         "loaded = [m for m in sys.modules if m == 'sympy' or m.startswith('sympy.')]\n"
         "print(code, loaded)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
-    ).stdout
-    assert out.splitlines()[-1] == "0 []"
+    assert _last_line_of(script) == "0 []"
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        ("decomp", []),
+        ("integrate", []),
+        ("elementary", ["towerdecomp.elem"]),
+        ("embed", ["towerdecomp.elem", "towerdecomp.embed"]),
+        ("matrix", ["towerdecomp.embed"]),
+        ("check", ["towerdecomp.embed"]),
+    ],
+)
+def test_a_command_loads_only_the_layers_it_runs(command, loaded, li_file, nested_file):
+    """elem and embed load only for the commands that call them (embed
+    --expr recovers log arguments through elem's residues)."""
+    argv = ["--tower", nested_file if command == "embed" else li_file, "--expr", "1/(x*t1)"]
+    script = (
+        "import sys, towerdecomp.cli\n"
+        f"code = towerdecomp.cli.main([{command!r}] + {argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m in ('towerdecomp.elem', 'towerdecomp.embed')))\n"
+    )
+    assert _last_line_of(script) == f"0 {loaded}"
+
+
+def test_no_module_loads_dataclasses():
+    """With the site hooks off, importing every module of the package
+    leaves the standard library's dataclasses unloaded."""
+    modules = sorted(p.stem for p in Path(gcdheu.__file__).parent.glob("*.py") if p.stem != "__init__")
+    assert {"cli", "elem", "embed", "tower"} <= set(modules)
+    script = (
+        "import importlib, sys\n"
+        f"for m in {modules!r}: importlib.import_module('towerdecomp.' + m)\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    assert _last_line_of(script, "-S") == "False"
+
+
+def test_package_names_resolve_on_first_use():
+    """The package loads elem and embed when one of their names is first
+    read, and still exports every name of __all__ to every kind of lookup."""
+    script = (
+        "import sys, towerdecomp as td\n"
+        "def loaded(): return sorted(m for m in sys.modules if m in ('towerdecomp.elem', 'towerdecomp.embed'))\n"
+        "assert loaded() == []\n"
+        "assert set(td.__all__) <= set(dir(td)) and loaded() == []\n"
+        "assert td.YES == 'yes' and loaded() == ['towerdecomp.elem']\n"
+        "namespace = {}\n"
+        "exec('from towerdecomp import *', namespace)\n"
+        "namespace.pop('__builtins__')\n"
+        "assert sorted(namespace) == sorted(td.__all__)\n"
+        "assert namespace['embed_well_generated'] is sys.modules['towerdecomp.embed'].embed_well_generated\n"
+        "assert td.elem.ElementaryVerdict is td.ElementaryVerdict\n"
+        "assert td.embed.normalize_tower is td.normalize_tower\n"
+        "assert all(getattr(td, name) is not None for name in td.__all__)\n"
+        "try:\n"
+        "    td.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc)\n"
+        "else:\n"
+        "    raise AssertionError('no AttributeError')\n"
+        "print(len(namespace))\n"
+    )
+    assert _last_line_of(script) == "30"
+
+
+# towers with at most one generator, and an expression over each
+DEGENERATE_TOWERS = {
+    "base-only": ("var x\n", "1/x + x"),
+    "one-log": ("var x\ngen t1 : log(x)\n", "1/(x*t1) + t1"),
+    "one-prim": ("var x\ngen t1 : prim 1/(x^2 + 1)\n", "t1/(x^2 + 1)"),
+}
+
+
+@pytest.mark.parametrize("tower", sorted(DEGENERATE_TOWERS))
+@pytest.mark.parametrize("command", ["decomp", "integrate", "elementary", "embed", "matrix", "check"])
+def test_every_command_is_total_on_degenerate_towers(tower, command, tmp_path):
+    text, expr = DEGENERATE_TOWERS[tower]
+    path = tmp_path / f"{tower}.tower"
+    path.write_text(text)
+    for flags in ([], ["--json"], ["--latex"], ["--normalize"]):
+        argv = [command, "--tower", str(path), "--expr", expr, *flags]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue(), (argv, code)
+
+
+def test_embed_a_tower_without_generators(tmp_path, capsys):
+    path = str(tmp_path / "x.tower")
+    Path(path).write_text("var x\n")
+    for extra in ([], ["--expr", "1/x"], ["--latex"], ["--matrix"]):
+        assert main(["embed", "--tower", path, *extra]) == 0, extra
+        out = capsys.readouterr().out
+        assert out.startswith("already well generated; identity embedding\nvar x\n")
+    assert main(["embed", "--tower", path, "--expr", "1/x", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["w"] == 0 and payload["ell"] == [] and payload["images"] == {}
+    assert payload["target"] == "var x\n" and payload["r"] == "1/(x)"
 
 
 def test_normalize_flag(tmp_path, capsys):

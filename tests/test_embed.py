@@ -176,6 +176,16 @@ def test_embed_single_generator():
     assert E.w == 1 and E.ell == (1,)
 
 
+def test_embed_tower_without_generators_is_the_identity():
+    T = TowerBuilder([]).build()
+    E = embed_well_generated(T)
+    assert E.w == 0 and E.ell == () and E.images == () and E.basis == ()
+    assert E.target.n == 0 and E.target.names == T.names
+    f = T.element(1 / T.gens[0])
+    assert apply_homomorphism(E, f).value == E.target.element(1 / E.target.gens[0]).value
+    assert normalize_tower(T)[1] == []
+
+
 def test_apply_homomorphism_images(tower_nested):
     T = tower_nested
     x, t1, t2, t3 = T.gens
