@@ -253,36 +253,52 @@ _EXITS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, given its arguments only when argparse picks it to
+    parse the rest of the command line: all six names are registered, so the
+    usage, the help and an invalid choice read as before, but a run builds
+    the arguments of one command."""
+
+    def __init__(self, command, **kwargs):
+        self.command = command
+        super().__init__(**kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.add_argument("--tower", required=True, help="tower file path")
+        self.add_argument(
+            "--expr",
+            required=_COMMANDS[self.command][2],
+            default=None,
+            help="expression over the tower variables",
+        )
+        self.add_argument("--json", action="store_true", dest="as_json")
+        self.add_argument("--latex", action="store_true", dest="as_latex")
+        self.add_argument(
+            "--normalize",
+            action="store_true",
+            help="shift generators to simple derivatives before validating",
+        )
+        if self.command == "embed":
+            self.add_argument(
+                "--matrix",
+                action="store_true",
+                dest="show_matrix",
+                help="also print both associated matrices",
+            )
+        return super().parse_known_args(args, namespace)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="towerdecomp",
         description="Additive decomposition and integrability in "
         "primitive differential towers over Q(x).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, reads, _) in _COMMANDS.items():
-        p = sub.add_parser(name)
-        p.add_argument("--tower", required=True, help="tower file path")
-        p.add_argument(
-            "--expr",
-            required=reads,
-            default=None,
-            help="expression over the tower variables",
-        )
-        p.add_argument("--json", action="store_true", dest="as_json")
-        p.add_argument("--latex", action="store_true", dest="as_latex")
-        p.add_argument(
-            "--normalize",
-            action="store_true",
-            help="shift generators to simple derivatives before validating",
-        )
-        if name == "embed":
-            p.add_argument(
-                "--matrix",
-                action="store_true",
-                dest="show_matrix",
-                help="also print both associated matrices",
-            )
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_CommandParser
+    )
+    for name in _COMMANDS:
+        sub.add_parser(name, command=name)
     return parser
 
 

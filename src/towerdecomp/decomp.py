@@ -16,12 +16,16 @@ that integer into its one denominator, so g gains one pair per pass.
 
 Every result is checked exactly before it is returned.  The reconstruction
 check compares g' with f - r and cancels neither g' nor a sum with it:
-g' = P/Q is the unreduced pair of ``Tower.diff_pair`` and f - r = A/B is
-reduced, so P/Q = A/B exactly when B divides Q and P = A * (Q/B).  One
-exact division and one product replace the gcd of a cancel; the product
-A * (Q/B) is far smaller than the cross-multiplied P * B = A * Q, which
-costs more than the gcd.  The remainder test reads pi_n(r) and the head
-data of r - pi_n(r) from one level recursion on r.
+g' = P/Q is the unreduced pair of ``Tower.diff_pair_radical`` and f - r =
+A/B is reduced, so P/Q = A/B exactly when B divides Q and P = A * (Q/B).
+One exact division and one product replace the gcd of a cancel; the
+product A * (Q/B) is far smaller than the cross-multiplied P * B = A * Q,
+which costs more than the gcd.  Q is L * D * R, with D the denominator of
+g and R = D / gcd(D, L * D'), not L * D^2: Hermite reduction leaves D with
+repeated factors, so R is about the size of D's radical, and on such a D
+one gcd of D with L * D' costs far less than squaring D and dividing by B.
+The remainder test reads pi_n(r) and the head data of r - pi_n(r) from one
+level recursion on r.
 """
 
 from __future__ import annotations
@@ -214,7 +218,7 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
     # g' = f - r with g' left unreduced; when they are equal, the reduced
     # denominator of f - r divides that of g' in Z[x, t]: f - r is coprime
     # over Z, content included, so the division over Z is exact
-    Pg, Qg = T.diff_pair(g.numer, g.denom)
+    Pg, Qg = T.diff_pair_radical(g.numer, g.denom)
     target = f.value - r
     scale, rem = Qg.div(target.denom)
     if rem or Pg != target.numer * scale:

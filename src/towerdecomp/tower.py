@@ -274,6 +274,31 @@ class Tower:
         the derivation of K_i is used, whose L is free of t_i and above; N/D
         must then lie in K_i.
         """
+        scaled, L = self._scaled_derivation(level)
+        if D.is_ground:
+            return scaled(N), L * D
+        return scaled(N) * D - N * scaled(D), L * D**2
+
+    def diff_pair_radical(self, N, D, level=None):
+        """(N/D)' as an unreduced pair (num, den) over L*D*R, not L*D^2.
+
+        With Dm = gcd(D, L*D'), R = D/Dm and E = L*D'/Dm, one ``cofactors``
+        call gives (Dm, R, E), and (N/D)' = (L*N'*R - N*E)/(L*D*R).  Both
+        divisions are exact, so the pair equals ``diff_pair``'s as a
+        fraction.  When D has repeated factors, as a denominator left by
+        Hermite reduction does, R is about the size of D's radical and the
+        pair is far smaller than L*D^2; the gcd is the price.  A ground D
+        gives ``diff_pair``'s pair, and ``level`` means the same.
+        """
+        scaled, L = self._scaled_derivation(level)
+        if D.is_ground:
+            return scaled(N), L * D
+        _, R, E = D.cofactors(scaled(D))
+        return scaled(N) * R - N * E, L * D * R
+
+    def _scaled_derivation(self, level):
+        """(p -> L*p', L) for polynomials p, with the L of K_level, or of the
+        whole tower when ``level`` is None."""
         L, multipliers = self._levels[-1 if level is None else level]
 
         def scaled(p):
@@ -282,9 +307,7 @@ class Tower:
                 out += p.diff(i) * m
             return out
 
-        if D.is_ground:
-            return scaled(N), L * D
-        return scaled(N) * D - N * scaled(D), L * D**2
+        return scaled, L
 
     def derivative_basis(self, m):
         """t_1', ..., t_m' over their common denominator L_m, the lcm of

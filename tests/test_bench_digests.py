@@ -1,8 +1,9 @@
 """The benchmark's committed answers, checked in the test suite.
 
 ``perfbench/digests.json`` holds the sha256 of every pool request's exact
-answer.  This rebuilds the paper-mix and embed-finer pools, and the
+answer.  This rebuilds the paper-mix and embed-finer pools, the
 degree-ladder rungs that took under 0.1 s when the digests were recorded,
+and the two quadratic k3 decomposition rungs named in ``SLOW_RUNGS``,
 from ``perfbench/workloads.py`` in this process, and compares each answer's
 digest with the committed one.  A speedup that changes an answer then fails
 here, not only when the benchmark runs.  Nothing under ``perfbench/`` is
@@ -17,6 +18,9 @@ import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 FAST_RUNG_S = 0.1
+# recorded far above FAST_RUNG_S, now about 0.3 s together: their
+# reconstruction check differentiates g over L*D*R, not L*D^2
+SLOW_RUNGS = {"li/quadratic/k3/decomp", "u/quadratic/k3/decomp"}
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +39,7 @@ def test_answers_match_committed_digests(name, bench):
     table = committed[name]
     if name == "degree-ladder":
         keys = {k for k, e in table.items() if e["status"] == "ok" and e["parent_s"] < FAST_RUNG_S}
+        keys |= SLOW_RUNGS
     else:
         keys = set(table)
     setup, pool, _ = workloads.WORKLOADS[name]

@@ -613,6 +613,26 @@ def test_help_exits_0(capsys):
         assert flag in out
 
 
+def test_a_run_adds_options_to_its_own_command_only(li_file, monkeypatch, capsys):
+    """All six commands are registered, but only the one that runs gets its
+    options."""
+    from towerdecomp import cli
+
+    seen = []
+    add = cli._CommandParser.add_argument
+
+    def recording(self, *names, **kwargs):
+        seen.append((self.command, names[0]))
+        return add(self, *names, **kwargs)
+
+    monkeypatch.setattr(cli._CommandParser, "add_argument", recording)
+    assert main(["check", "--tower", str(li_file)]) == 0
+    assert {c for c, _ in seen} == set(cli._COMMANDS)
+    assert [(c, name) for c, name in seen if name != "-h"] == [
+        ("check", name) for name in ["--tower", "--expr", "--json", "--latex", "--normalize"]
+    ]
+
+
 def test_results_above_the_digit_limit_print_in_full(li_file, capsys):
     # r = c^2/(x + c) has 6 000 digits, above the interpreter's int/str
     # limit; main lifts that limit for its command and restores it

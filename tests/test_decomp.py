@@ -521,26 +521,36 @@ def test_one_field_element_per_pass_for_the_update(tower_li, tower_u, monkeypatc
         assert T.diff(dec.g.value) + dec.r.value == f
 
 
-@pytest.mark.parametrize("which", ["g", "r"])
-def test_tampered_output_fails_the_reconstruction_check(which, tower_li, monkeypatch):
-    """g + t1 keeps the denominator of g' and fails the product; r + 1/(x+7)
-    puts a factor into f - r that does not divide it and fails the
-    division."""
-    T = tower_li
-    x, t1, t2, t3 = T.gens
-    extra = {"g": t1, "r": 1 / (x + 7)}[which]
+@pytest.mark.parametrize("which", ["g", "r", "g-over-a-power"])
+def test_tampered_output_fails_the_reconstruction_check(which, monkeypatch):
+    """On li, g + t1 keeps the denominator of g' and fails the product;
+    r + 1/(x+7) puts a factor into f - r that does not divide it and fails
+    the division.  On nested 1/(t3+x)^3, g's denominator D is
+    2*(t3+x)^2*Q^3, so g' is taken over L*D*R with R smaller than D, and
+    g + 1/(x+7)^2 brings a repeated factor of its own; it fails the product."""
+    if which == "g-over-a-power":
+        T = nested_tower()
+        x, t3 = T.gens[0], T.gens[3]
+        f, extra = 1 / (t3 + x) ** 3, 1 / (x + 7) ** 2
+    else:
+        T = li_tower()
+        x, t1, t2, t3 = T.gens
+        f = 1 / (t1 * t2) + (t2 - 2 * x * t1) / t1**2 + t3
+        extra = {"g": t1, "r": 1 / (x + 7)}[which]
     sums = []
 
     def tampered(F, pairs, _sum=decomp.sum_pairs):
         # g's terms are summed first, then r's
-        sums.append("gr"[len(sums)])
-        return _sum(F, pairs) + (extra if sums[-1] == which else 0)
+        sums.append(_sum(F, pairs))
+        return sums[-1] + (extra if "gr"[len(sums) - 1] == which[0] else 0)
 
     monkeypatch.setattr(decomp, "sum_pairs", tampered)
-    f = 1 / (t1 * t2) + (t2 - 2 * x * t1) / t1**2 + t3
     with pytest.raises(InternalVerificationError, match="does not reconstruct"):
         add_decomp_in_field(T.element(f))
-    assert sums == ["g", "r"]
+    assert len(sums) == 2
+    if which == "g-over-a-power":
+        D = sums[0].denom
+        assert D.cofactors(D.diff(3))[0].degree(3) == 1
 
 
 def test_readme_decomposition_cancel_count(tower_li, gcds):

@@ -237,3 +237,41 @@ def test_diff_cancels_once(monkeypatch, tower_nested, rng):
         T.diff(f)
         assert len(calls) == 1
 
+
+# -- Tower.diff_pair_radical: the same derivative over L*D*R ------------------
+
+
+@given(which=st.sampled_from([0, 1]), k=st.integers(2, 4), seed=seeds)
+def test_diff_pair_radical_equals_diff_pair(which, k, seed):
+    """On li and nested, an element divided by a random factor to the power
+    k: the pair over L*D*R equals diff_pair's over L*D^2 as a fraction, and
+    its denominator is no larger in any variable's degree."""
+    T = PAPER_TOWERS[which]
+    rng = random.Random(seed)
+    f = random_element(T, rng)
+    h = random_element(T, rng, max_terms=2) + rng.choice(T.gens)
+    if h:
+        f /= h**k
+    P, Q = T.diff_pair(f.numer, f.denom)
+    P2, Q2 = T.diff_pair_radical(f.numer, f.denom)
+    assert P * Q2 == P2 * Q
+    assert all(a <= b for a, b in zip(Q2.degrees(), Q.degrees()))
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_diff_pair_radical_keeps_a_ground_denominator(which):
+    T = PAPER_TOWERS[which]
+    x, t1, t2, t3 = T.gens
+    for f in [(x * t3 + t1**2) / 6, x - 3 * t2, T.F.one * 5, T.F.zero]:
+        assert T.diff_pair_radical(f.numer, f.denom) == T.diff_pair(f.numer, f.denom)
+
+
+def test_diff_pair_radical_shrinks_a_repeated_factor(tower_nested):
+    """(t3 + x)^k: L*D*R has t3-degree k + 1 where L*D^2 has 2k."""
+    T = tower_nested
+    x, t3 = T.gens[0], T.gens[3]
+    for k in (2, 3, 4):
+        f = 1 / (t3 + x) ** k
+        _, Q = T.diff_pair(f.numer, f.denom)
+        _, Q2 = T.diff_pair_radical(f.numer, f.denom)
+        assert (Q.degree(3), Q2.degree(3)) == (2 * k, k + 1)
