@@ -85,8 +85,8 @@ def solve_constant_combination_values(F, target, basis):
     if not polys:
         return None
     content, prim = target.denom.primitive()
-    scale, rem = den.div(prim)
-    if rem:
+    scale = den.exact_quo(prim)
+    if scale is None:
         return None
     lhs = target.numer * scale
     monos = set(lhs.keys())
@@ -220,8 +220,8 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
     # over Z, content included, so the division over Z is exact
     Pg, Qg = T.diff_pair_radical(g.numer, g.denom)
     target = f.value - r
-    scale, rem = Qg.div(target.denom)
-    if rem or Pg != target.numer * scale:
+    scale = Qg.exact_quo(target.denom)
+    if scale is None or Pg != target.numer * scale:
         raise InternalVerificationError("decomposition does not reconstruct input")
     ok, why = _is_remainder_value(T, r)
     if not ok:

@@ -1,18 +1,18 @@
-"""Heuristic gcd (GCDHEU) on integer polynomials held as plain dicts.
+"""Heuristic gcd (GCDHEU) and exact division on integer polynomials held
+as plain dicts.
 
 The tower field's polynomials are dicts ``{exponent tuple: int}`` in lex
 order.  :func:`heugcd` computes their gcd by the heuristic of Char, Geddes
 and Gonnet (J. Symbolic Comput., 1989) in the form of sympy's ``heugcd``
 (Liao and Fateman, ISSAC 1995): the same content extraction, evaluation
 points, growth rule, symmetric-remainder interpolation and trial
-divisions, so it returns the same (h, cff, cfg).  A trial division takes
-sympy's steps, with two differences that leave its quotient unchanged
-(see :func:`_exquo`): each leading term is looked up in a sorted list,
-and a division by the constant 1, which is most trial divisions of a
-coprime pair, returns a copy of the dividend without a step.  It
-evaluates the first variable and recurses on dicts keyed by the
-shortened exponent tuples.  Nothing here builds a
-ring, and nothing is memoized.
+divisions, so it returns the same (h, cff, cfg).  It evaluates the first
+variable and recurses on dicts keyed by the shortened exponent tuples.
+
+:func:`_exquo` is the one exact division of the package: the gcd's trial
+divisions and :meth:`towerdecomp.polys.Poly.exact_quo` both run it.  Its
+monomial arithmetic is :func:`monomial_ops`, generated once per number of
+variables and shared with :class:`towerdecomp.polys.PolyRing`.
 
 When none of ``HEU_GCD_MAX`` evaluation points succeeds,
 ``HeuristicGCDFailed`` propagates, with sympy's bound, so the heuristic
@@ -22,13 +22,38 @@ fails on exactly the inputs on which sympy's fails.
 from __future__ import annotations
 
 from bisect import insort
+from functools import cache
 from math import gcd, isqrt
-from operator import add, sub
 
 from .errors import HeuristicGCDFailed
 
 # evaluation points tried before giving up, as in sympy.polys.heuristicgcd
 HEU_GCD_MAX = 6
+
+
+@cache
+def monomial_ops(n):
+    """Monomial product ``mul``, checked quotient ``quo`` (None when not
+    divisible) and ``mgcd``, written out for exponent tuples of length n."""
+    a = [f"a{i}" for i in range(n)]
+    b = [f"b{i}" for i in range(n)]
+    head = f"    ({', '.join(a)},) = A\n    ({', '.join(b)},) = B\n"
+
+    def tup(parts):
+        return f"({', '.join(parts)},)"
+
+    src = (
+        f"def mul(A, B):\n{head}    return {tup(f'{x} + {y}' for x, y in zip(a, b))}\n"
+        f"def quo(A, B):\n{head}"
+        + "".join(f"    c{i} = {x} - {y}\n" for i, (x, y) in enumerate(zip(a, b)))
+        + f"    if {' and '.join(f'c{i} >= 0' for i in range(n))}:\n"
+        f"        return {tup(f'c{i}' for i in range(n))}\n"
+        f"    return None\n"
+        f"def mgcd(A, B):\n{head}    return {tup(f'min({x}, {y})' for x, y in zip(a, b))}\n"
+    )
+    namespace = {}
+    exec(src, namespace)
+    return namespace
 
 
 def heugcd(f, g, n):
@@ -58,23 +83,23 @@ def heugcd(f, g, n):
                 h, cff, cfg = heugcd(ff, gg, n - 1)
 
             h = _primitive(_interpolate(h, x, n))
-            cff_ = _exquo(f, h)
+            cff_ = _exquo(f, h, n)
             if cff_ is not None:
-                cfg_ = _exquo(g, h)
+                cfg_ = _exquo(g, h, n)
                 if cfg_ is not None:
                     return _scale(h, c), cff_, cfg_
 
             cff = _interpolate(cff, x, n)
-            h = _exquo(f, cff)
+            h = _exquo(f, cff, n)
             if h is not None:
-                cfg_ = _exquo(g, h)
+                cfg_ = _exquo(g, h, n)
                 if cfg_ is not None:
                     return _scale(h, c), cff, cfg_
 
             cfg = _interpolate(cfg, x, n)
-            h = _exquo(g, cfg)
+            h = _exquo(g, cfg, n)
             if h is not None:
-                cff_ = _exquo(f, h)
+                cff_ = _exquo(f, h, n)
                 if cff_ is not None:
                     return _scale(h, c), cff_, cfg
 
@@ -137,18 +162,24 @@ def _interpolate(h, x, n):
     return out
 
 
-def _exquo(f, g):
-    """f / g when g divides f exactly over Z, else None: the division
-    algorithm, stopped at the first leading term that g's does not divide.
+def _exquo(f, g, n):
+    """f / g for nonzero g in n variables when g divides f exactly over Z,
+    else None: the division algorithm, stopped at the first leading term
+    that g's does not divide.
 
-    The steps are sympy's; only the lookup of each leading term differs,
-    from the remainder's monomials kept sorted as in
-    :meth:`towerdecomp.polys.Poly.div`.  When g is the constant 1, the
+    The remainder's monomials are kept in one ascending list and the
+    leading one is popped from its end; each monomial a step creates is
+    inserted in order, and a popped monomial whose coefficient has since
+    cancelled is skipped.  A step only creates monomials below the one it
+    removes, so each is popped once with a coefficient.  When g is the
+    constant 1, which is most trial divisions of a coprime pair, the
     quotient is a copy of f, returned without the steps."""
     g_lm = max(g)
     g_lc = g[g_lm]
     if g_lc == 1 and len(g) == 1 and not any(g_lm):
         return dict(f)
+    ops = monomial_ops(n)
+    mquo, mmul = ops["quo"], ops["mul"]
     tail = [(mg, b) for mg, b in g.items() if mg != g_lm]
     p = dict(f)
     order = sorted(p)
@@ -158,13 +189,13 @@ def _exquo(f, g):
         a = p.pop(m, 0)
         if not a:
             continue
-        d = tuple(map(sub, m, g_lm))
-        if min(d) < 0 or a % g_lc:
+        d = mquo(m, g_lm)
+        if d is None or a % g_lc:
             return None
         a //= g_lc
         q[d] = a
         for mg, b in tail:
-            k = tuple(map(add, d, mg))
+            k = mmul(d, mg)
             v = p.get(k)
             if v is None:
                 p[k] = -a * b

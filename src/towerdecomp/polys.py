@@ -9,64 +9,35 @@ canonical form, with one ``cancel``: numerator and denominator coprime in
 Z[x, t1, ..., tn], integer content included, and the denominator's leading
 coefficient positive.  Equality is then structural.
 
-The operations follow sympy 1.14's ``PolyElement`` and ``FracElement`` step
-for step: the same ``cofactors`` front (zero check, one-term gcd,
-deflation) ahead of the heuristic gcd of :mod:`towerdecomp.gcdheu`, the
-same division, pseudo-remainder, lcm, content and powers, so that every
-gcd and every canonical form is the one sympy gives.  The division takes
-sympy's steps; only its lookup of each leading term differs, from a sorted
-list of the remainder's monomials instead of a scan of the remainder.  A
+The arithmetic only has to be exact and canonical.  The gcd is unique once
+its leading coefficient is positive, so ``cofactors`` (a zero check and a
+one-term shortcut ahead of the heuristic gcd of :mod:`towerdecomp.gcdheu`)
+returns the (h, cff, cfg) sympy 1.14's ``PolyElement`` gives, and so every
+canonical form is sympy's.  The one division is exact: ``exact_quo`` runs
+the gcd's own trial division, :func:`towerdecomp.gcdheu._exquo`.  A
 negative power of a fraction is made canonical, where sympy's keeps the
-sign of the swapped denominator.  Each ring builds its
-monomial operations for its own number of variables, as sympy's generated
-``monomial_mul`` is, and its polynomials are a subclass that holds the
-ring as a class attribute.  Nothing here imports sympy, except
+sign of the swapped denominator.  Each ring takes the monomial operations
+that :func:`towerdecomp.gcdheu.monomial_ops` generates for its number of
+variables, and its polynomials are a subclass that holds the ring as a
+class attribute.  Nothing here imports sympy, except
 :meth:`FracField.from_expr` and :attr:`FracField.symbols`, for callers
 that hold sympy expressions.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
 from functools import reduce
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from operator import add, mul
 
-from .gcdheu import heugcd
+from .gcdheu import _exquo, heugcd, monomial_ops
 
 _NINF = float("-inf")
 
 
 class ExactQuotientFailed(ArithmeticError):
     """A polynomial does not divide another exactly over Z."""
-
-
-def _monomial_ops(n):
-    """Monomial product, quotient (``ldiv``, no check), checked quotient
-    (``div``, None when not divisible), gcd and A + k*B, written out for
-    exponent tuples of length n."""
-    a = [f"a{i}" for i in range(n)]
-    b = [f"b{i}" for i in range(n)]
-    head = f"    ({', '.join(a)},) = A\n    ({', '.join(b)},) = B\n"
-
-    def tup(parts):
-        return f"({', '.join(parts)},)"
-
-    src = (
-        f"def mul(A, B):\n{head}    return {tup(f'{x} + {y}' for x, y in zip(a, b))}\n"
-        f"def ldiv(A, B):\n{head}    return {tup(f'{x} - {y}' for x, y in zip(a, b))}\n"
-        f"def div(A, B):\n{head}"
-        + "".join(f"    c{i} = {x} - {y}\n" for i, (x, y) in enumerate(zip(a, b)))
-        + f"    if {' and '.join(f'c{i} >= 0' for i in range(n))}:\n"
-        f"        return {tup(f'c{i}' for i in range(n))}\n"
-        f"    return None\n"
-        f"def mgcd(A, B):\n{head}    return {tup(f'min({x}, {y})' for x, y in zip(a, b))}\n"
-        f"def mulpow(A, B, k):\n{head}    return {tup(f'{x} + {y}*k' for x, y in zip(a, b))}\n"
-    )
-    namespace = {}
-    exec(src, namespace)
-    return namespace
 
 
 class PolyRing:
@@ -80,12 +51,10 @@ class PolyRing:
             raise ValueError("a polynomial ring needs at least one variable")
         self.zero_monom = (0,) * n
         self.dtype = type("Poly", (Poly,), {"__slots__": (), "ring": self})
-        ops = _monomial_ops(n)
+        ops = monomial_ops(n)
         self.monomial_mul = ops["mul"]
-        self.monomial_ldiv = ops["ldiv"]
-        self.monomial_div = ops["div"]
+        self.monomial_quo = ops["quo"]
         self.monomial_gcd = ops["mgcd"]
-        self.monomial_mulpow = ops["mulpow"]
         self.gens = tuple(
             self.dtype({self.zero_monom[:i] + (1,) + self.zero_monom[i + 1:]: 1})
             for i in range(n)
@@ -283,45 +252,13 @@ class Poly(dict):
             return ring.dtype({tuple(e * n for e in monom): coeff if coeff == 1 else coeff**n})
         if n == 1:
             return self.copy()
-        if n == 2:
-            return self.square()
-        if n == 3:
-            return self * self.square()
-        if len(self) <= 5:
-            return self._pow_multinomial(n)
-        return self._pow_generic(n)
-
-    def _pow_generic(self, n):
-        p = self.ring.one
-        c = self
-        while True:
-            if n & 1:
-                p = p * c
-                n -= 1
-                if not n:
-                    break
-            c = c.square()
-            n = n // 2
+        # square-and-multiply from the leading bit, starting at the base
+        p = self
+        for bit in bin(n)[3:]:
+            p = p.square()
+            if bit == "1":
+                p = p * self
         return p
-
-    def _pow_multinomial(self, n):
-        ring = self.ring
-        mulpow = ring.monomial_mulpow
-        terms = list(self.items())
-        poly = ring.dtype()
-        for exps, multinomial in _multinomial_coefficients(len(terms), n):
-            monom = ring.zero_monom
-            coeff = multinomial
-            for exp, (m, c) in zip(exps, terms):
-                if exp:
-                    monom = mulpow(monom, m, exp)
-                    coeff *= c**exp
-            coeff = poly.get(monom, 0) + coeff
-            if coeff:
-                poly[monom] = coeff
-            elif monom in poly:
-                del poly[monom]
-        return poly
 
     def square(self):
         ring = self.ring
@@ -352,13 +289,6 @@ class Poly(dict):
         monomial_mul = self.ring.monomial_mul
         return self.ring.dtype({monomial_mul(m, monom): c for m, c in self.items()})
 
-    def quo_ground(self, x):
-        if not x:
-            raise ZeroDivisionError("polynomial division")
-        if not self or x == 1:
-            return self
-        return self.ring.dtype({m: c // x for m, c in self.items() if not c % x})
-
     def content(self):
         """gcd of the coefficients, nonnegative."""
         cont = 0
@@ -369,9 +299,9 @@ class Poly(dict):
     def primitive(self):
         """(content, primitive part); the part keeps the sign of f."""
         cont = self.content()
-        if not cont:
+        if cont < 2:
             return cont, self
-        return cont, self.quo_ground(cont)
+        return cont, self.ring.dtype({m: c // cont for m, c in self.items()})
 
     def diff(self, i):
         """Partial derivative in variable index i."""
@@ -384,59 +314,16 @@ class Poly(dict):
 
     # -- division -----------------------------------------------------------
 
-    def div(self, g):
-        """(q, r) of the division algorithm by one divisor over Z: r = 0
-        exactly when g divides self in Z[x, t].
-
-        The steps are sympy's ``PolyElement.div``; only the lookup of the
-        leading term differs.  The remainder's monomials are kept in one
-        ascending list and the leading one is popped from its end; each
-        monomial a step creates is inserted in order, and a popped monomial
-        whose coefficient has since cancelled is skipped.  A step only
-        creates monomials below the one it removes, so each is popped once
-        with a coefficient."""
-        ring = self.ring
+    def exact_quo(self, g):
+        """self / g when g divides self exactly in Z[x, t], else None."""
         if not g:
             raise ZeroDivisionError("polynomial division")
-        q, r = ring.dtype(), ring.dtype()
-        if not self:
-            return q, r
-        p = dict(self)
-        order = sorted(p)
-        g_lm = max(g)
-        g_lc = g[g_lm]
-        g_tail = [(mg, cg) for mg, cg in g.items() if mg != g_lm]
-        monomial_div = ring.monomial_div
-        monomial_mul = ring.monomial_mul
-        zm = ring.zero_monom
-        while order:
-            expv = order.pop()
-            c = p.pop(expv, 0)
-            if not c:
-                continue
-            m = expv if g_lm == zm else monomial_div(expv, g_lm)
-            if m is None or c % g_lc:
-                r[expv] = c
-                continue
-            c //= g_lc
-            q[m] = c
-            for mg, cg in g_tail:
-                k = monomial_mul(mg, m)
-                v = p.get(k)
-                if v is None:
-                    p[k] = -cg * c
-                    insort(order, k)
-                else:
-                    v -= cg * c
-                    if v:
-                        p[k] = v
-                    else:
-                        del p[k]
-        return q, r
+        q = _exquo(self, g, self.ring.ngens)
+        return None if q is None else self.ring.dtype(q)
 
     def exquo(self, g):
-        q, r = self.div(g)
-        if r:
+        q = self.exact_quo(g)
+        if q is None:
             raise ExactQuotientFailed(f"{g} does not divide {self}")
         return q
 
@@ -496,9 +383,9 @@ class Poly(dict):
         if len(g) == 1:
             h, cfg, cff = g._gcd_monom(f)
             return h, cff, cfg
-        J, (f, g) = f.deflate(g)
-        h, cff, cfg = f._gcd(g)
-        return h.inflate(J), cff.inflate(J), cfg.inflate(J)
+        dtype = f.ring.dtype
+        h, cff, cfg = heugcd(f, g, f.ring.ngens)
+        return dtype(h), dtype(cff), dtype(cfg)
 
     def _gcd_zero(f, g):
         one, zero = f.ring.one, f.ring.zero
@@ -509,40 +396,16 @@ class Poly(dict):
     def _gcd_monom(f, g):
         ring = f.ring
         monomial_gcd = ring.monomial_gcd
-        monomial_ldiv = ring.monomial_ldiv
+        monomial_quo = ring.monomial_quo
         (mf, cf), = f.items()
         _mgcd, _cgcd = mf, cf
         for mg, cg in g.items():
             _mgcd = monomial_gcd(_mgcd, mg)
             _cgcd = gcd(_cgcd, cg)
         h = ring.dtype({_mgcd: _cgcd})
-        cff = ring.dtype({monomial_ldiv(mf, _mgcd): cf // _cgcd})
-        cfg = ring.dtype({monomial_ldiv(mg, _mgcd): cg // _cgcd for mg, cg in g.items()})
+        cff = ring.dtype({monomial_quo(mf, _mgcd): cf // _cgcd})
+        cfg = ring.dtype({monomial_quo(mg, _mgcd): cg // _cgcd for mg, cg in g.items()})
         return h, cff, cfg
-
-    def _gcd(f, g):
-        dtype = f.ring.dtype
-        h, cff, cfg = heugcd(f, g, f.ring.ngens)
-        return dtype(h), dtype(cff), dtype(cfg)
-
-    def deflate(f, g):
-        """(J, [f, g] with every exponent of variable i divided by J[i]),
-        J[i] the gcd of those exponents (1 when there are none), for f and
-        g not both zero; [f, g] themselves when J is all ones."""
-        J = tuple(gcd(*column) or 1 for column in zip(*f, *g))
-        if all(b == 1 for b in J):
-            return J, [f, g]
-        return J, [
-            f.ring.dtype({tuple(i // j for i, j in zip(m, J)): c for m, c in p.items()})
-            for p in (f, g)
-        ]
-
-    def inflate(f, J):
-        """f with every exponent of variable i multiplied by J[i]; f itself
-        when J is all ones."""
-        if all(b == 1 for b in J):
-            return f
-        return f.ring.dtype({tuple(i * j for i, j in zip(m, J)): c for m, c in f.items()})
 
     def cancel(self, g):
         """(p, q) with p/q = self/g in lowest terms over Z and lc(q) > 0."""
@@ -573,26 +436,6 @@ class Poly(dict):
                 e[j] = m[i]
             out[tuple(e)] = c
         return out
-
-
-def _multinomial_coefficients(m, n):
-    """(exponent tuple, multinomial coefficient) for every way of writing n
-    as an ordered sum of m nonnegative integers."""
-    top = factorial(n)
-
-    def parts(left, k):
-        if k == 1:
-            yield (left,)
-            return
-        for e in range(left, -1, -1):
-            for rest in parts(left - e, k - 1):
-                yield (e,) + rest
-
-    for exps in parts(n, m):
-        coeff = top
-        for e in exps:
-            coeff //= factorial(e)
-        yield exps, coeff
 
 
 class FracField:

@@ -194,8 +194,8 @@ def _full_elimination_solver(F, target, basis):
     if not target:
         return [Fraction(0)] * len(polys)
     content, prim = target.denom.primitive()
-    scale, rem = den.div(prim)
-    if rem:
+    scale = den.exact_quo(prim)
+    if scale is None:
         return None
     lhs = target.numer * scale
     monos = sorted(set(lhs.keys()).union(*(p.keys() for p in polys)))
@@ -524,8 +524,8 @@ def test_one_field_element_per_pass_for_the_update(tower_li, tower_u, monkeypatc
 @pytest.mark.parametrize("which", ["g", "r", "g-over-a-power"])
 def test_tampered_output_fails_the_reconstruction_check(which, monkeypatch):
     """On li, g + t1 keeps the denominator of g' and fails the product;
-    r + 1/(x+7) puts a factor into f - r that does not divide it and fails
-    the division.  On nested 1/(t3+x)^3, g's denominator D is
+    r + 1/(x+7) puts a factor into the denominator of f - r that the
+    denominator Q of g' lacks, so the exact division of Q by it fails.  On nested 1/(t3+x)^3, g's denominator D is
     2*(t3+x)^2*Q^3, so g' is taken over L*D*R with R smaller than D, and
     g + 1/(x+7)^2 brings a repeated factor of its own; it fails the product."""
     if which == "g-over-a-power":
@@ -548,6 +548,10 @@ def test_tampered_output_fails_the_reconstruction_check(which, monkeypatch):
     with pytest.raises(InternalVerificationError, match="does not reconstruct"):
         add_decomp_in_field(T.element(f))
     assert len(sums) == 2
+    if which == "r":
+        g, r = sums[0], sums[1] + extra
+        _, Q = T.diff_pair_radical(g.numer, g.denom)
+        assert Q.exact_quo((f - r).denom) is None
     if which == "g-over-a-power":
         D = sums[0].denom
         assert D.cofactors(D.diff(3))[0].degree(3) == 1

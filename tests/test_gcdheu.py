@@ -66,7 +66,7 @@ def test_kernel_matches_sympy_heugcd(pair):
 def test_exquo_by_one_returns_a_copy():
     for n in (1, 3):
         f = {(2,) + (0,) * (n - 1): -3, (0,) * n: 5}
-        q = gcdheu._exquo(f, {(0,) * n: 1})
+        q = gcdheu._exquo(f, {(0,) * n: 1}, n)
         assert q == f and q is not f
 
 
@@ -79,9 +79,9 @@ def test_coprime_pairs_divide_by_one_and_match_sympy_heugcd(pair):
     by_one = []
     exquo = gcdheu._exquo
 
-    def spy(p, q):
+    def spy(p, q, m):
         by_one.append(q == {(0,) * n: 1})
-        return exquo(p, q)
+        return exquo(p, q, m)
 
     gcdheu._exquo = spy
     try:

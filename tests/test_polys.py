@@ -1,4 +1,4 @@
-"""The tower field's sparse division, lcm and deflation against sympy's
+"""The tower field's exact division, lcm, gcd and powers against sympy's
 ``PolyElement``, and its negative powers."""
 
 import pytest
@@ -61,26 +61,35 @@ def division_pairs(draw):
 
 @given(division_pairs())
 def test_div_and_exquo_match_sympys_div(pair):
+    """``exact_quo`` is sympy's quotient when sympy's remainder is 0 and
+    None otherwise; ``exquo`` raises in its place."""
     n, f, g = pair
     R, _ = rings(n)
     tf, tg = R(dict(f)), R(dict(g))
-    q, r = tf.div(tg)
+    q = tf.exact_quo(tg)
     sq, sr = f.div(g)
-    assert (dict(q), dict(r)) == (dict(sq), dict(sr))
-    assert type(q) is type(r) is type(tf)
     if sr:
+        assert q is None
         with pytest.raises(ExactQuotientFailed):
             tf.exquo(tg)
     else:
+        assert dict(q) == dict(sq)
+        assert type(q) is type(tf)
         assert dict(tf.exquo(tg)) == dict(sq)
+
+
+def test_exact_division_by_zero_raises():
+    R, _ = rings(2)
+    with pytest.raises(ZeroDivisionError):
+        R.gens[0].exact_quo(R.zero)
 
 
 @given(division_pairs())
 def test_trial_division_is_exact_division(pair):
     """``_exquo`` gives up exactly when sympy's remainder is nonzero."""
-    _, f, g = pair
+    n, f, g = pair
     sq, sr = f.div(g)
-    q = gcdheu._exquo(dict(f), dict(g))
+    q = gcdheu._exquo(dict(f), dict(g), n)
     if sr:
         assert q is None
     else:
@@ -96,40 +105,41 @@ def test_div_matches_sympys_on_longer_divisors(rng):
     def poly(k):
         return S({tuple(rng.randint(0, 3) for _ in range(3)): rng.randint(-5, 5) for _ in range(k)})
 
+    exact = 0
     for _ in range(100):
         g = poly(rng.randint(2, 6)) or S.one
         f = poly(rng.randint(1, 6)) * g + poly(rng.randint(0, 3))
-        q, r = R(dict(f)).div(R(dict(g)))
+        q = R(dict(f)).exact_quo(R(dict(g)))
         sq, sr = f.div(g)
-        assert (dict(q), dict(r)) == (dict(sq), dict(sr))
-        assert gcdheu._exquo(dict(f), dict(g)) == (None if sr else dict(sq))
+        assert (None if q is None else dict(q)) == (None if sr else dict(sq))
+        assert gcdheu._exquo(dict(f), dict(g), 3) == (None if sr else dict(sq))
+        exact += not sr
+    assert 0 < exact < 100
 
 
 def test_division_past_a_cancelled_and_recreated_monomial():
-    """Dividing 3x^3 + 3x by -x^2 + 2x - 1, the first step cancels x and
-    the second creates it again, so the sorted list of monomials holds x
-    twice and the second copy is popped after its term has left."""
-    R, S = rings(1)
-    x = S.gens[0]
-    f, g = 3 * x**3 + 3 * x, -(x**2) + 2 * x - 1
-    q, r = R(dict(f)).div(R(dict(g)))
-    assert (dict(q), dict(r)) == (dict(-3 * x - 6), dict(12 * x - 6))
-    assert (dict(q), dict(r)) == tuple(map(dict, f.div(g)))
-    assert gcdheu._exquo(dict(f), dict(g)) is None
-    assert gcdheu._exquo(dict(f * g), dict(g)) == dict(f)
+    """Dividing (x^2 + x + 2)*g by g = -x^2 + 2x - 1, the first step
+    cancels x^2 and the second creates it again, so the sorted list of
+    monomials holds x^2 twice and the second copy is popped after its term
+    has left.  3x^3 + 3x takes the same two steps on x and is no
+    multiple of g."""
+    R = PolyRing(["x"])
+    x = R.gens[0]
+    q, g = x**2 + x + R(2), -(x**2) + x * 2 - R.one
+    assert (q * g).exact_quo(g) == q
+    assert gcdheu._exquo(dict(q * g), dict(g), 1) == dict(q)
+    assert (x**3 * 3 + x * 3).exact_quo(g) is None
 
 
 def test_division_takes_the_leading_term_before_newer_ones():
-    """Dividing -2x^2*t1 by -x + t1^2 - 1, the first step creates x*t1^3
-    and then x*t1; the larger one must be taken next, though it was made
-    first."""
-    R, S = rings(2)
-    x, t1 = S.gens
-    f, g = -2 * x**2 * t1, -x + t1**2 - 1
-    q, r = R(dict(f)).div(R(dict(g)))
-    assert dict(q) == dict(2 * x * t1 + 2 * t1**3 - 2 * t1)
-    assert dict(r) == dict(-2 * t1**5 + 4 * t1**3 - 2 * t1)
-    assert (dict(q), dict(r)) == tuple(map(dict, f.div(g)))
+    """Dividing (2x*t1 + 2t1^3 - 2t1)*g by g = -x + t1^2 - 1, the first
+    step creates x*t1^3 and then x*t1; the larger one must be taken next,
+    though it was made first."""
+    R = PolyRing(["x", "t1"])
+    x, t1 = R.gens
+    q, g = x * t1 * 2 + t1**3 * 2 - t1 * 2, -x + t1**2 - R.one
+    assert (q * g).exact_quo(g) == q
+    assert (x**2 * t1 * -2).exact_quo(g) is None
 
 
 @st.composite
@@ -166,10 +176,9 @@ def test_lcm_of_zeros_raises_as_sympys_does():
 
 @st.composite
 def deflatable_pairs(draw):
-    """(n, f, g, J), f and g with at least two terms each, a common factor
-    and J the deflation they share: in variable i either 1, as the variable
-    occurs in neither, or a common exponent step k; in every other variable
-    1, as each occurs to the first power in the common factor."""
+    """(n, f, g), f and g with at least two terms each and a common factor,
+    whose exponents in variable i are all 0 or all multiples of a common
+    step k: pairs sympy deflates ahead of its gcd."""
     n = draw(st.integers(2, 4))
     _, S = rings(n)
     i = draw(st.integers(0, n - 1))
@@ -184,18 +193,16 @@ def deflatable_pairs(draw):
             c *= S.gens[j] + 1
     f = c * draw_poly(draw, S, 3, monoms, min_terms=2)
     g = c * draw_poly(draw, S, 3, monoms, min_terms=2)
-    J = tuple((k or 1) if j == i else 1 for j in range(n))
-    return n, f, g, J
+    return n, f, g
 
 
 @given(deflatable_pairs())
 def test_cofactors_through_deflation_match_sympys(pair):
-    """With a variable absent or stepped, and the outputs fresh: changing
-    one changes neither input."""
-    n, f, g, J = pair
+    """With a variable absent or stepped, which the gcd takes as it is, and
+    the outputs fresh: changing one changes neither input."""
+    n, f, g = pair
     R, _ = rings(n)
     tf, tg = R(dict(f)), R(dict(g))
-    assert tf.deflate(tg)[0] == J
     before = dict(tf), dict(tg)
     got = tf.cofactors(tg)
     assert tuple(map(dict, got)) == tuple(map(dict, f.cofactors(g)))
@@ -205,20 +212,19 @@ def test_cofactors_through_deflation_match_sympys(pair):
     assert (dict(tf), dict(tg)) == before
 
 
-def test_deflate_and_inflate_examples():
-    """Nothing to deflate returns the inputs themselves; a step in x only
-    deflates x."""
-    R = PolyRing(["x", "t1"])
-    x, t1 = R.gens
-    f, g = x**2 + x, x + R.one
-    J, polys = f.deflate(g)
-    assert J == (1, 1)
-    assert polys[0] is f and polys[1] is g
-    assert f.inflate(J) is f
-    J, (f2, g2) = (x**4 + t1 * x**2).deflate(x**2 - R.one)
-    assert J == (2, 1)
-    assert (f2, g2) == (x**2 + t1 * x, x - R.one)
-    assert f2.inflate(J) == x**4 + t1 * x**2
+@st.composite
+def power_cases(draw):
+    """(n, p, k): p of 1 to 7 terms in n variables and 0 <= k <= 8."""
+    n = draw(st.integers(1, 4))
+    _, S = rings(n)
+    return n, draw_poly(draw, S, 7), draw(st.integers(0, 8))
+
+
+@given(power_cases())
+def test_power_matches_sympys(case):
+    n, p, k = case
+    R, _ = rings(n)
+    assert dict(R(dict(p)) ** k) == dict(p**k)
 
 
 def test_negative_power_is_canonical():
