@@ -3,8 +3,9 @@
 ``perfbench/digests.json`` holds the sha256 of every pool request's exact
 answer.  This rebuilds the paper-mix and embed-finer pools, the
 degree-ladder rungs that took under 0.1 s when the digests were recorded,
-and the two quadratic k3 decomposition rungs named in ``SLOW_RUNGS``,
-from ``perfbench/workloads.py`` in this process, and compares each answer's
+and the slower rungs named in ``SLOW_RUNGS``, which run the residue
+resultant (``prem`` and the subresultant PRS) on larger operands, from
+``perfbench/workloads.py`` in this process, and compares each answer's
 digest with the committed one.  A speedup that changes an answer then fails
 here, not only when the benchmark runs.  Nothing under ``perfbench/`` is
 written.
@@ -18,9 +19,23 @@ import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 FAST_RUNG_S = 0.1
-# recorded far above FAST_RUNG_S, now about 0.3 s together: their
-# reconstruction check differentiates g over L*D*R, not L*D^2
-SLOW_RUNGS = {"li/quadratic/k3/decomp", "u/quadratic/k3/decomp"}
+# recorded above FAST_RUNG_S but finishing today: the two quadratic k3
+# decompositions (about 0.3 s together, since their reconstruction check
+# differentiates g over L*D*R, not L*D^2) and every other rung but the two
+# quadratic k3 elementary ones, which take seconds each
+SLOW_RUNGS = {
+    "li/linear/k3/decomp",
+    "li/linear/k3/elementary",
+    "li/quadratic/k2/decomp",
+    "li/quadratic/k2/elementary",
+    "li/quadratic/k3/decomp",
+    "u/linear/k2/elementary",
+    "u/linear/k3/decomp",
+    "u/linear/k3/elementary",
+    "u/quadratic/k2/decomp",
+    "u/quadratic/k2/elementary",
+    "u/quadratic/k3/decomp",
+}
 
 
 @pytest.fixture(scope="module")
