@@ -47,6 +47,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
+from .gcdheu import FIELD
 from .polys import FracField
 
 _FIELDS = {}
@@ -81,11 +82,9 @@ def is_ground(f) -> bool:
 
 def free_of(f, indices) -> bool:
     """True iff the field element involves none of the given variable indices."""
-    for p in (f.numer, f.denom):
-        for mono in p:
-            if any(mono[i] for i in indices):
-                return False
-    return True
+    shifts = f.field.ring.shifts
+    mask = sum(FIELD << shifts[i] for i in indices)
+    return not any(m & mask for p in (f.numer, f.denom) for m in p)
 
 
 def _degree(p, v) -> int:
@@ -100,9 +99,11 @@ def _lc(p, v):
 
 def coeff_polys(p, v) -> dict:
     """{k: coefficient of v**k in p}, each a polynomial free of v."""
+    s = p.ring.shifts[v]
+    clear = ~(FIELD << s)
     buckets = {}
-    for mono, c in p.items():
-        buckets.setdefault(mono[v], {})[mono[:v] + (0,) + mono[v + 1:]] = c
+    for m, c in p.items():
+        buckets.setdefault(m >> s & FIELD, {})[m & clear] = c
     return {k: p.new(d) for k, d in buckets.items()}
 
 
@@ -118,17 +119,17 @@ def pseudo_divmod(N, D, v):
     dd = D.degree(v)
     lc = _lc(D, v)
     unit_lc = lc.is_ground and abs(lc.LC) == 1
-    xv = ring.gens[v]
+    s = ring.shifts[v]
     Q, R, L = ring.zero, N, ring.one
     dr = _degree(R, v)
     while dr >= dd:
         lr = R.coeff_wrt(v, dr)
         if unit_lc:
-            term = lr.mul_ground(lc.LC) * xv ** (dr - dd)
+            term = lr.mul_ground(lc.LC).mul_monom((dr - dd) << s)
             Q += term
             R -= term * D
         else:
-            term = lr * xv ** (dr - dd)
+            term = lr.mul_monom((dr - dd) << s)
             Q = Q * lc + term
             R = R * lc - term * D
             L *= lc
@@ -677,8 +678,7 @@ def substitute(f, target_field, values):
     reduced to lowest terms by one cancel.
     """
     ring = target_field.ring
-    monos = [*f.numer, *f.denom]
-    top = [max(m[i] for m in monos) for i in range(len(values))]
+    top = [max(a, b) for a, b in zip(f.numer.degrees(), f.denom.degrees())]
     powers = {}
 
     def power(i, part, k):

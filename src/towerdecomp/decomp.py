@@ -193,7 +193,7 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
         for j, c in enumerate(absorbed[: m - 1], start=1):
             if c:
                 B_poly += R.gens[j].mul_ground(c.numerator * (k // c.denominator))
-        Mpoly = R.one.mul_monom((0,) + M)
+        Mpoly = R.term_new((0,) + M, 1)
         Mp, L = T.diff_pair(Mpoly, R.one)
         Bnum, Bden = B.numer * k + B_poly * B.denom, B.denom * k
         rest = Bnum * Mp  # (B*M' + cc*t_m^(d+1)*N') * Bden * L

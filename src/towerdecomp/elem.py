@@ -28,6 +28,7 @@ from .arith import (
 )
 from .decomp import add_decomp_in_field, solve_constant_combination_values
 from .errors import InternalVerificationError
+from .gcdheu import W
 from .hermite import tower_derivative_unipoly
 from .matryoshka import (
     derivative_projections,
@@ -85,9 +86,10 @@ def _residue_analysis(T, value, i):
     z = Fz.gens[-1]
 
     def lift(u):
-        # the ring of Fz is the ring of F with one more variable, last
+        # the ring of Fz is the ring of F with one more variable, last, in
+        # the lowest field
         def up(p):
-            return Fz.ring.from_dict({m + (0,): c for m, c in p.items()})
+            return Fz.ring.dtype({m << W: c for m, c in p.items()})
 
         return UniPoly(Fz, u.v, up(u.num), up(u.den))
 
@@ -95,7 +97,7 @@ def _residue_analysis(T, value, i):
     R = unipoly_resultant(P, lift(q))
     if not R:
         raise InternalVerificationError("residue resultant vanished")
-    if any(mono[T.n + 1] for mono in R.denom):
+    if R.denom.degree(T.n + 1) > 0:
         raise InternalVerificationError("resultant denominator involves the root variable")
     Rz = coeff_polys(R.numer, T.n + 1)
     lc = Rz[max(Rz)]

@@ -64,3 +64,8 @@ class InternalVerificationError(TowerDecompError):
 class HeuristicGCDFailed(TowerDecompError):
     """The heuristic gcd of two polynomials found no evaluation point that
     succeeds; the gcd is not computed, and no answer is given."""
+
+
+class ExponentOverflow(TowerDecompError):
+    """An exponent of a polynomial would reach 2**15, past the field that a
+    packed monomial gives each variable."""

@@ -246,7 +246,7 @@ def _render_poly(p, names, latex=False):
     if not p:
         return "0"
     parts = []
-    for mono, coeff in sorted(p.terms(), reverse=True):
+    for mono, coeff in p.terms():
         factors = []
         for i, e in enumerate(mono):
             if not e:

@@ -1,18 +1,26 @@
 """Heuristic gcd (GCDHEU) and exact division on integer polynomials held
 as plain dicts.
 
-The tower field's polynomials are dicts ``{exponent tuple: int}`` in lex
-order.  :func:`heugcd` computes their gcd by the heuristic of Char, Geddes
-and Gonnet (J. Symbolic Comput., 1989) in the form of sympy's ``heugcd``
-(Liao and Fateman, ISSAC 1995): the same content extraction, evaluation
-points, growth rule, symmetric-remainder interpolation and trial
-divisions, so it returns the same (h, cff, cfg).  It evaluates the first
-variable and recurses on dicts keyed by the shortened exponent tuples.
+The tower field's polynomials are dicts ``{monomial: int}`` whose
+monomials are packed exponent vectors: one int per monomial, ``W`` = 16
+bits per variable, 15 exponent bits below a guard bit, with the first
+variable in the highest field, so that int order is lex order and
+``max(f)`` is the leading monomial (Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007).  A monomial product is a sum of ints; ``m - g`` with no guard bit
+set means that g divides m, since a field that borrows sets its guard bit.
+Every exponent stays below ``2**15``; a product that would reach it sets a
+guard bit, which the polynomial ring checks once per result.
+
+:func:`heugcd` computes the gcd by the heuristic of Char, Geddes and
+Gonnet (J. Symbolic Comput., 1989) in the form of sympy's ``heugcd`` (Liao
+and Fateman, ISSAC 1995): the same content extraction, evaluation points,
+growth rule, symmetric-remainder interpolation and trial divisions, so it
+returns the same (h, cff, cfg).  It evaluates the first variable, the top
+field, and recurses on dicts keyed by the fields below it.
 
 :func:`_exquo` is the one exact division of the package: the gcd's trial
-divisions and :meth:`towerdecomp.polys.Poly.exact_quo` both run it.  Its
-monomial arithmetic is :func:`monomial_ops`, generated once per number of
-variables and shared with :class:`towerdecomp.polys.PolyRing`.
+divisions and :meth:`towerdecomp.polys.Poly.exact_quo` both run it.
 
 When none of ``HEU_GCD_MAX`` evaluation points succeeds,
 ``HeuristicGCDFailed`` propagates, with sympy's bound, so the heuristic
@@ -30,30 +38,16 @@ from .errors import HeuristicGCDFailed
 # evaluation points tried before giving up, as in sympy.polys.heuristicgcd
 HEU_GCD_MAX = 6
 
+# bits per variable in a packed monomial, the top one the field's guard bit
+W = 16
+FIELD = (1 << W) - 1
+EMAX = (1 << W - 1) - 1
+
 
 @cache
-def monomial_ops(n):
-    """Monomial product ``mul``, checked quotient ``quo`` (None when not
-    divisible) and ``mgcd``, written out for exponent tuples of length n."""
-    a = [f"a{i}" for i in range(n)]
-    b = [f"b{i}" for i in range(n)]
-    head = f"    ({', '.join(a)},) = A\n    ({', '.join(b)},) = B\n"
-
-    def tup(parts):
-        return f"({', '.join(parts)},)"
-
-    src = (
-        f"def mul(A, B):\n{head}    return {tup(f'{x} + {y}' for x, y in zip(a, b))}\n"
-        f"def quo(A, B):\n{head}"
-        + "".join(f"    c{i} = {x} - {y}\n" for i, (x, y) in enumerate(zip(a, b)))
-        + f"    if {' and '.join(f'c{i} >= 0' for i in range(n))}:\n"
-        f"        return {tup(f'c{i}' for i in range(n))}\n"
-        f"    return None\n"
-        f"def mgcd(A, B):\n{head}    return {tup(f'min({x}, {y})' for x, y in zip(a, b))}\n"
-    )
-    namespace = {}
-    exec(src, namespace)
-    return namespace
+def guard_mask(n):
+    """The guard bits of a monomial in n variables."""
+    return ((1 << W * n) - 1) // FIELD << W - 1
 
 
 def heugcd(f, g, n):
@@ -128,16 +122,18 @@ def _scale(f, c):
 
 def _evaluate(f, x, n):
     """f at first variable = x: an int for n == 1, else a dict in n - 1
-    variables without zero coefficients."""
+    variables, the fields below the first, without zero coefficients."""
+    s = W * (n - 1)
     powers = [1]
-    for _ in range(max(m[0] for m in f)):
+    for _ in range(max(f) >> s):
         powers.append(powers[-1] * x)
     if n == 1:
-        return sum(a * powers[m[0]] for m, a in f.items())
+        return sum(a * powers[m] for m, a in f.items())
+    low = (1 << s) - 1
     out = {}
     for m, a in f.items():
-        rest = m[1:]
-        out[rest] = out.get(rest, 0) + a * powers[m[0]]
+        rest = m & low
+        out[rest] = out.get(rest, 0) + a * powers[m >> s]
     return {m: a for m, a in out.items() if a}
 
 
@@ -147,16 +143,16 @@ def _interpolate(h, x, n):
     n - 1 variables), made to have a positive leading coefficient."""
     out = {}
     half = x // 2
-    for rest, a in (((), h),) if n == 1 else h.items():
-        i = 0
+    step = 1 << W * (n - 1)
+    for m, a in ((0, h),) if n == 1 else h.items():
         while a:
             r = a % x
             if r > half:
                 r -= x
             if r:
-                out[(i,) + rest] = r
+                out[m] = r
             a = (a - r) // x
-            i += 1
+            m += step
     if out and out[max(out)] < 0:
         return {m: -a for m, a in out.items()}
     return out
@@ -173,13 +169,21 @@ def _exquo(f, g, n):
     cancelled is skipped.  A step only creates monomials below the one it
     removes, so each is popped once with a coefficient.  When g is the
     constant 1, which is most trial divisions of a coprime pair, the
-    quotient is a copy of f, returned without the steps."""
+    quotient is a copy of f, returned without the steps.
+
+    A remainder monomial may pass 2**15 in a field, into its guard bit, but
+    never carries into the next field, and every quotient monomial has its
+    guard bits clear.  Neither happens on the way to an exact quotient q,
+    since every monomial of q times one of g stays within f's degrees.  The
+    first exponent of a g that the gcd interpolates may pass the field;
+    such a g divides nothing."""
     g_lm = max(g)
     g_lc = g[g_lm]
-    if g_lc == 1 and len(g) == 1 and not any(g_lm):
+    if g_lc == 1 and len(g) == 1 and not g_lm:
         return dict(f)
-    ops = monomial_ops(n)
-    mquo, mmul = ops["quo"], ops["mul"]
+    if g_lm >> W * n - 1:
+        return None
+    guard = guard_mask(n)
     tail = [(mg, b) for mg, b in g.items() if mg != g_lm]
     p = dict(f)
     order = sorted(p)
@@ -189,13 +193,13 @@ def _exquo(f, g, n):
         a = p.pop(m, 0)
         if not a:
             continue
-        d = mquo(m, g_lm)
-        if d is None or a % g_lc:
+        d = m - g_lm
+        if d & guard or a % g_lc:
             return None
         a //= g_lc
         q[d] = a
         for mg, b in tail:
-            k = mmul(d, mg)
+            k = d + mg
             v = p.get(k)
             if v is None:
                 p[k] = -a * b

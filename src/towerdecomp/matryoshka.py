@@ -124,10 +124,11 @@ def project_value(T: Tower, f) -> list:
     Each level's pieces are summed per distinct denominator as polynomials
     and become field elements with one ``F.new`` per denominator.
     """
+    pack = T.F.ring.pack
     return [
         sum_pairs(
             T.F,
-            ((num.mul_monom((0,) + mono), den) for mono, (num, den) in level.items()),
+            ((num.mul_monom(pack((0,) + mono)), den) for mono, (num, den) in level.items()),
         )
         for level in level_pieces(T, f)
     ]

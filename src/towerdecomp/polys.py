@@ -1,13 +1,21 @@
 """Sparse integer polynomials and their fractions: the tower field's types.
 
-A :class:`Poly` is a dict ``{exponent tuple: int}`` without zero values, in
-the variables of its :class:`PolyRing`, ordered lex with the first variable
-most significant, so that the leading monomial is ``max(p)``.  A
-:class:`Frac` of a :class:`FracField` is a numerator over a denominator,
-two polynomials of the field's ring.  Every field ``+ - * /`` returns it in
-canonical form, with one ``cancel``: numerator and denominator coprime in
-Z[x, t1, ..., tn], integer content included, and the denominator's leading
-coefficient positive.  Equality is then structural.
+A :class:`Poly` is a dict ``{monomial: int}`` without zero values, in the
+variables of its :class:`PolyRing`.  A monomial is one int, a packed
+exponent vector (:mod:`towerdecomp.gcdheu`): ``W`` = 16 bits per variable,
+15 exponent bits below a guard bit, with the first variable in the highest
+field.  Int order is then lex order with the first variable most
+significant, so the leading monomial is ``max(p)``; a product of monomials
+is their sum, and a degree is a shift and a mask.  An exponent that would
+reach 2**15 raises ``ExponentOverflow``: every product and power checks
+its result's guard bits once.  Exponent tuples are the interface at the
+boundary only: ``terms()`` yields them, and ``from_dict``, ``term_new`` and
+calling the ring with a dict take them.  A :class:`Frac` of a
+:class:`FracField` is a numerator over a denominator, two polynomials of
+the field's ring.  Every field ``+ - * /`` returns it in canonical form,
+with one ``cancel``: numerator and denominator coprime in Z[x, t1, ...,
+tn], integer content included, and the denominator's leading coefficient
+positive.  Equality is then structural.
 
 The arithmetic only has to be exact and canonical.  The gcd is unique once
 its leading coefficient is positive, so ``cofactors`` (a zero check and a
@@ -16,10 +24,8 @@ returns the (h, cff, cfg) sympy 1.14's ``PolyElement`` gives, and so every
 canonical form is sympy's.  The one division is exact: ``exact_quo`` runs
 the gcd's own trial division, :func:`towerdecomp.gcdheu._exquo`.  A
 negative power of a fraction is made canonical, where sympy's keeps the
-sign of the swapped denominator.  Each ring takes the monomial operations
-that :func:`towerdecomp.gcdheu.monomial_ops` generates for its number of
-variables, and its polynomials are a subclass that holds the ring as a
-class attribute.  Nothing here imports sympy, except
+sign of the swapped denominator.  A ring's polynomials are a subclass that
+holds the ring as a class attribute.  Nothing here imports sympy, except
 :meth:`FracField.from_expr` and :attr:`FracField.symbols`, for callers
 that hold sympy expressions.
 """
@@ -29,15 +35,28 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, mul, or_
 
-from .gcdheu import _exquo, heugcd, monomial_ops
+from .errors import ExponentOverflow
+from .gcdheu import EMAX, FIELD, W, _exquo, guard_mask, heugcd
 
 _NINF = float("-inf")
 
 
 class ExactQuotientFailed(ArithmeticError):
     """A polynomial does not divide another exactly over Z."""
+
+
+def _overflow():
+    return ExponentOverflow(f"an exponent would pass {EMAX}")
+
+
+def _monomial_min(a, b, guard):
+    """The field-wise minimum of two packed monomials: (a | guard) - b keeps
+    a field's guard bit exactly where a's exponent is at least b's, and
+    those fields take b's."""
+    ge = ((a | guard) - b) & guard
+    return a ^ ((a ^ b) & (ge - (ge >> W - 1)))
 
 
 class PolyRing:
@@ -49,16 +68,11 @@ class PolyRing:
         self.ngens = n = len(self.names)
         if not n:
             raise ValueError("a polynomial ring needs at least one variable")
-        self.zero_monom = (0,) * n
+        # the bit offset of each variable's field, the first one highest
+        self.shifts = tuple(W * (n - 1 - i) for i in range(n))
+        self.guard = guard_mask(n)
         self.dtype = type("Poly", (Poly,), {"__slots__": (), "ring": self})
-        ops = monomial_ops(n)
-        self.monomial_mul = ops["mul"]
-        self.monomial_quo = ops["quo"]
-        self.monomial_gcd = ops["mgcd"]
-        self.gens = tuple(
-            self.dtype({self.zero_monom[:i] + (1,) + self.zero_monom[i + 1:]: 1})
-            for i in range(n)
-        )
+        self.gens = tuple(self.dtype({1 << s: 1}) for s in self.shifts)
 
     def __repr__(self):
         return f"PolyRing({list(self.names)})"
@@ -69,11 +83,11 @@ class PolyRing:
 
     @property
     def one(self):
-        return self.dtype({self.zero_monom: 1})
+        return self.dtype({0: 1})
 
     def __call__(self, element):
-        """The polynomial of a polynomial of this ring, a dict of terms or
-        an integer."""
+        """The polynomial of a polynomial of this ring, a dict of terms keyed
+        by exponent tuples or an integer."""
         if isinstance(element, Poly):
             if element.ring is not self:
                 raise ValueError("polynomial of another ring")
@@ -82,20 +96,43 @@ class PolyRing:
             return self.from_dict(element)
         return self.ground_new(element)
 
+    def pack(self, monom):
+        """The packed monomial of an exponent tuple."""
+        if len(monom) != self.ngens:
+            raise ValueError(f"{self.ngens} exponents expected, got {monom!r}")
+        m = 0
+        for e in monom:
+            if e < 0:
+                raise ValueError(f"negative exponent in {monom!r}")
+            if e > EMAX:
+                raise _overflow()
+            m = m << W | e
+        return m
+
+    def unpack(self, m):
+        """The exponent tuple of a packed monomial."""
+        return tuple(m >> s & FIELD for s in self.shifts)
+
     def from_dict(self, terms):
-        return self.dtype({m: c for m, c in terms.items() if c})
+        """The polynomial of ``{exponent tuple: int}``."""
+        pack = self.pack
+        return self.dtype({pack(m): c for m, c in terms.items() if c})
 
     def ground_new(self, coeff):
-        return self.term_new(self.zero_monom, coeff)
+        return self._term(0, coeff)
 
     def term_new(self, monom, coeff):
+        """The term ``coeff * x**monom`` of an exponent tuple."""
+        return self._term(self.pack(monom), coeff)
+
+    def _term(self, m, coeff):
         if not isinstance(coeff, int):
             raise TypeError(f"integer coefficient expected, got {coeff!r}")
-        return self.dtype({monom: coeff} if coeff else ())
+        return self.dtype({m: coeff} if coeff else ())
 
 
 class Poly(dict):
-    """A polynomial of a :class:`PolyRing`: ``{exponent tuple: nonzero int}``.
+    """A polynomial of a :class:`PolyRing`: ``{packed monomial: nonzero int}``.
 
     Treated as immutable once built; every operation returns a new one.
     """
@@ -143,7 +180,7 @@ class Poly(dict):
             return dict.__eq__(p1, p2)
         if len(p1) > 1:
             return False
-        return p1.get(p1.ring.zero_monom) == p2
+        return p1.get(0) == p2
 
     def __ne__(p1, p2):
         return not p1 == p2
@@ -152,11 +189,11 @@ class Poly(dict):
 
     @property
     def is_ground(self):
-        return not self or (len(self) == 1 and self.ring.zero_monom in self)
+        return not self or (len(self) == 1 and 0 in self)
 
     @property
     def is_one(self):
-        return len(self) == 1 and self.get(self.ring.zero_monom) == 1
+        return len(self) == 1 and self.get(0) == 1
 
     @property
     def LC(self):
@@ -166,21 +203,27 @@ class Poly(dict):
         """Degree in variable index i; -inf for zero."""
         if not self:
             return _NINF
-        return max(m[i] for m in self)
+        s = self.ring.shifts[i]
+        if not i:
+            return max(self) >> s
+        return max(m >> s & FIELD for m in self)
 
     def degrees(self):
         if not self:
             return (_NINF,) * self.ring.ngens
-        return tuple(map(max, zip(*self)))
+        return tuple(max(m >> s & FIELD for m in self) for s in self.ring.shifts)
 
     def terms(self):
-        """(monomial, coefficient) pairs, leading term first."""
-        return sorted(self.items(), reverse=True)
+        """(exponent tuple, coefficient) pairs, leading term first."""
+        unpack = self.ring.unpack
+        return [(unpack(m), c) for m, c in sorted(self.items(), reverse=True)]
 
     def coeff_wrt(self, i, deg):
         """The coefficient of x_i**deg, a polynomial free of x_i."""
+        s = self.ring.shifts[i]
+        mask, target = FIELD << s, deg << s
         return self.ring.dtype(
-            {m[:i] + (0,) + m[i + 1:]: c for m, c in self.items() if m[i] == deg}
+            {m - target: c for m, c in self.items() if m & mask == target}
         )
 
     # -- ring operations ----------------------------------------------------
@@ -221,16 +264,23 @@ class Poly(dict):
             if not p1 or not p2:
                 return p
             get = p.get
-            monomial_mul = ring.monomial_mul
             p2it = list(p2.items())
             for exp1, v1 in p1.items():
                 for exp2, v2 in p2it:
-                    exp = monomial_mul(exp1, exp2)
+                    exp = exp1 + exp2
                     p[exp] = get(exp, 0) + v1 * v2
-            return p._strip_zero()
+            return p._strip_zero()._checked()
         if isinstance(p2, int):
             return p1.mul_ground(p2)
         return NotImplemented
+
+    def _checked(p):
+        """p, whose monomials are sums of two valid ones, so that no field
+        has carried into the next; raises if one has reached its guard
+        bit."""
+        if reduce(or_, p, 0) & p.ring.guard:
+            raise _overflow()
+        return p
 
     def _strip_zero(p):
         for k in [k for k, v in p.items() if not v]:
@@ -249,7 +299,11 @@ class Poly(dict):
             raise ValueError("0**0")
         if len(self) == 1:
             (monom, coeff), = self.items()
-            return ring.dtype({tuple(e * n for e in monom): coeff if coeff == 1 else coeff**n})
+            # monom * n carries from a field that passes 2**16, so the
+            # exponents are checked before the product
+            if monom and max(ring.unpack(monom)) * n > EMAX:
+                raise _overflow()
+            return ring.dtype({monom * n: coeff if coeff == 1 else coeff**n})
         if n == 1:
             return self.copy()
         # square-and-multiply from the leading bit, starting at the base
@@ -265,20 +319,19 @@ class Poly(dict):
         p = ring.dtype()
         get = p.get
         keys = list(self.keys())
-        monomial_mul = ring.monomial_mul
         for i in range(len(keys)):
             k1 = keys[i]
             pk = self[k1]
             for j in range(i):
                 k2 = keys[j]
-                exp = monomial_mul(k1, k2)
+                exp = k1 + k2
                 p[exp] = get(exp, 0) + pk * self[k2]
         for k in p:
             p[k] *= 2
         for k, v in self.items():
-            k2 = monomial_mul(k, k)
+            k2 = k + k
             p[k2] = get(k2, 0) + v**2
-        return p._strip_zero()
+        return p._strip_zero()._checked()
 
     def mul_ground(self, x):
         if not x:
@@ -286,8 +339,8 @@ class Poly(dict):
         return self.ring.dtype({m: c * x for m, c in self.items()})
 
     def mul_monom(self, monom):
-        monomial_mul = self.ring.monomial_mul
-        return self.ring.dtype({monomial_mul(m, monom): c for m, c in self.items()})
+        """self times the packed monomial monom."""
+        return self.ring.dtype({m + monom: c for m, c in self.items()})._checked()
 
     def content(self):
         """gcd of the coefficients, nonnegative."""
@@ -305,11 +358,13 @@ class Poly(dict):
 
     def diff(self, i):
         """Partial derivative in variable index i."""
+        s = self.ring.shifts[i]
+        one = 1 << s
         g = self.ring.dtype()
-        for expv, coeff in self.items():
-            e = expv[i]
+        for m, coeff in self.items():
+            e = m >> s & FIELD
             if e:
-                g[expv[:i] + (e - 1,) + expv[i + 1:]] = coeff * e
+                g[m - one] = coeff * e
         return g
 
     # -- division -----------------------------------------------------------
@@ -340,12 +395,12 @@ class Poly(dict):
             return r
         N = df - dg + 1
         lc_g = g.coeff_wrt(i, dg)
-        xp = f.ring.gens[i]
+        s = f.ring.shifts[i]
         while True:
             lc_r = r.coeff_wrt(i, dr)
             j, N = dr - dg, N - 1
             R = r * lc_g
-            G = g * lc_r * xp**j
+            G = (g * lc_r).mul_monom(j << s)
             r = R - G
             dr = r.degree(i)
             if dr < dg:
@@ -395,16 +450,15 @@ class Poly(dict):
 
     def _gcd_monom(f, g):
         ring = f.ring
-        monomial_gcd = ring.monomial_gcd
-        monomial_quo = ring.monomial_quo
+        guard = ring.guard
         (mf, cf), = f.items()
         _mgcd, _cgcd = mf, cf
         for mg, cg in g.items():
-            _mgcd = monomial_gcd(_mgcd, mg)
+            _mgcd = _monomial_min(_mgcd, mg, guard)
             _cgcd = gcd(_cgcd, cg)
         h = ring.dtype({_mgcd: _cgcd})
-        cff = ring.dtype({monomial_quo(mf, _mgcd): cf // _cgcd})
-        cfg = ring.dtype({monomial_quo(mg, _mgcd): cg // _cgcd for mg, cg in g.items()})
+        cff = ring.dtype({mf - _mgcd: cf // _cgcd})
+        cfg = ring.dtype({mg - _mgcd: cg // _cgcd for mg, cg in g.items()})
         return h, cff, cfg
 
     def cancel(self, g):
@@ -424,18 +478,14 @@ class Poly(dict):
             return self
         index = {name: i for i, name in enumerate(ring.names)}
         moves = []
-        for i, name in enumerate(self.ring.names):
+        for s, name in zip(self.ring.shifts, self.ring.names):
             if name in index:
-                moves.append((i, index[name]))
-            elif any(m[i] for m in self):
+                moves.append((s, ring.shifts[index[name]]))
+            elif any(m >> s & FIELD for m in self):
                 raise ValueError(f"{name} is not a variable of {ring}")
-        out = ring.dtype()
-        for m, c in self.items():
-            e = [0] * ring.ngens
-            for i, j in moves:
-                e[j] = m[i]
-            out[tuple(e)] = c
-        return out
+        return ring.dtype(
+            {sum((m >> a & FIELD) << b for a, b in moves): c for m, c in self.items()}
+        )
 
 
 class FracField:

@@ -136,6 +136,12 @@ def random_s_primitive_tower(rng, n):
             return T
 
 
+def sympy_dict(p):
+    """A towerdecomp polynomial as sympy's ``PolyElement`` holds it: a dict
+    from exponent tuples, not packed monomials, to ints."""
+    return dict(p.terms())
+
+
 @pytest.fixture
 def rng():
     return random.Random(20250825)

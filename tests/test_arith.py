@@ -34,6 +34,7 @@ from conftest import (
     random_fraction,
     random_s_primitive_tower,
     seeds,
+    sympy_dict,
     u_tower,
 )
 
@@ -268,6 +269,8 @@ def test_substitute_cancels_once(monkeypatch):
 
 def _coeffs(p):
     """{monomial: (numerator, denominator)} of a polynomial's coefficients."""
+    if isinstance(p, Poly):
+        p = sympy_dict(p)
     return {m: (int(c.numerator), int(c.denominator)) for m, c in p.items()}
 
 
@@ -276,8 +279,8 @@ def _qq_form(value, G):
     own field G over QQ."""
     ring = G.ring
     ref = G.new(
-        ring.from_dict({m: QQ(c) for m, c in value.numer.items()}),
-        ring.from_dict({m: QQ(c) for m, c in value.denom.items()}),
+        ring.from_dict({m: QQ(c) for m, c in sympy_dict(value.numer).items()}),
+        ring.from_dict({m: QQ(c) for m, c in sympy_dict(value.denom).items()}),
     )
     return _coeffs(ref.numer), _coeffs(ref.denom)
 

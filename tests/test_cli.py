@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from towerdecomp import gcdheu
+from towerdecomp import gcdheu, polys
 from towerdecomp.cli import main
 from towerdecomp.exprio import (
     MAX_DEGREE,
@@ -224,6 +224,15 @@ def test_failed_heuristic_gcd_exits_3(nested_file, monkeypatch, capsys):
     assert main(["decomp", "--tower", nested_file, "--expr", README_INPUT]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: heuristic gcd") and "Traceback" not in err
+
+
+def test_exponent_overflow_exits_2(li_file, monkeypatch, capsys):
+    # the parser's degree cap keeps every quick input far below 2**15, so
+    # the bound is narrowed to 3, which the parser's x^5 then passes
+    monkeypatch.setattr(polys, "EMAX", 3)
+    assert main(["decomp", "--tower", li_file, "--expr", "1/x^5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: an exponent would pass 3") and "Traceback" not in err
 
 
 def _last_line_of(script, *flags):

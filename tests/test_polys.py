@@ -7,7 +7,10 @@ from sympy import ZZ
 from sympy.polys.rings import ring
 
 from towerdecomp import gcdheu
+from towerdecomp.errors import ExponentOverflow
 from towerdecomp.polys import ExactQuotientFailed, FracField, PolyRing
+
+from conftest import sympy_dict
 
 
 def names(n):
@@ -73,9 +76,9 @@ def test_div_and_exquo_match_sympys_div(pair):
         with pytest.raises(ExactQuotientFailed):
             tf.exquo(tg)
     else:
-        assert dict(q) == dict(sq)
+        assert sympy_dict(q) == dict(sq)
         assert type(q) is type(tf)
-        assert dict(tf.exquo(tg)) == dict(sq)
+        assert sympy_dict(tf.exquo(tg)) == dict(sq)
 
 
 def test_exact_division_by_zero_raises():
@@ -88,12 +91,13 @@ def test_exact_division_by_zero_raises():
 def test_trial_division_is_exact_division(pair):
     """``_exquo`` gives up exactly when sympy's remainder is nonzero."""
     n, f, g = pair
+    R, _ = rings(n)
     sq, sr = f.div(g)
-    q = gcdheu._exquo(dict(f), dict(g), n)
+    q = gcdheu._exquo(R(dict(f)), R(dict(g)), n)
     if sr:
         assert q is None
     else:
-        assert q == dict(sq)
+        assert sympy_dict(R.dtype(q)) == dict(sq)
 
 
 def test_div_matches_sympys_on_longer_divisors(rng):
@@ -111,8 +115,9 @@ def test_div_matches_sympys_on_longer_divisors(rng):
         f = poly(rng.randint(1, 6)) * g + poly(rng.randint(0, 3))
         q = R(dict(f)).exact_quo(R(dict(g)))
         sq, sr = f.div(g)
-        assert (None if q is None else dict(q)) == (None if sr else dict(sq))
-        assert gcdheu._exquo(dict(f), dict(g), 3) == (None if sr else dict(sq))
+        assert (None if q is None else sympy_dict(q)) == (None if sr else dict(sq))
+        q = gcdheu._exquo(R(dict(f)), R(dict(g)), 3)
+        assert (None if q is None else sympy_dict(R.dtype(q))) == (None if sr else dict(sq))
         exact += not sr
     assert 0 < exact < 100
 
@@ -163,7 +168,7 @@ def lcm_pairs(draw):
 def test_lcm_matches_sympys(pair):
     n, f, g = pair
     R, _ = rings(n)
-    assert dict(R(dict(f)).lcm(R(dict(g)))) == dict(f.lcm(g))
+    assert sympy_dict(R(dict(f)).lcm(R(dict(g)))) == dict(f.lcm(g))
 
 
 def test_lcm_of_zeros_raises_as_sympys_does():
@@ -205,10 +210,10 @@ def test_cofactors_through_deflation_match_sympys(pair):
     tf, tg = R(dict(f)), R(dict(g))
     before = dict(tf), dict(tg)
     got = tf.cofactors(tg)
-    assert tuple(map(dict, got)) == tuple(map(dict, f.cofactors(g)))
+    assert tuple(map(sympy_dict, got)) == tuple(map(dict, f.cofactors(g)))
     for p in got:
         assert p is not tf and p is not tg
-        p[R.zero_monom] = p.get(R.zero_monom, 0) + 7
+        p[0] = p.get(0, 0) + 7
     assert (dict(tf), dict(tg)) == before
 
 
@@ -224,7 +229,7 @@ def power_cases(draw):
 def test_power_matches_sympys(case):
     n, p, k = case
     R, _ = rings(n)
-    assert dict(R(dict(p)) ** k) == dict(p**k)
+    assert sympy_dict(R(dict(p)) ** k) == dict(p**k)
 
 
 def test_negative_power_is_canonical():
@@ -237,3 +242,73 @@ def test_negative_power_is_canonical():
     value = (t1 - x**2) ** -3
     assert value.denom.LC > 0
     assert value == F.one / (t1 - x**2) ** 3
+
+
+@st.composite
+def wide_polys(draw):
+    """(R, p): p a sympy polynomial of 1 to 6 terms in 1 to 7 variables with
+    exponents up to 2**15 - 1, the largest a packed field holds, and R our
+    ring over the same variables."""
+    n = draw(st.integers(1, 7))
+    R, S = rings(n)
+    monoms = st.tuples(*[st.integers(0, 2**15 - 1)] * n)
+    return R, draw_poly(draw, S, 6, monoms)
+
+
+@given(wide_polys())
+def test_terms_and_leading_monomial_match_sympys(case):
+    """Packed monomials order as sympy's lex order and unpack to its
+    exponent tuples."""
+    R, p = case
+    ours = R(dict(p))
+    assert ours.terms() == p.terms()
+    assert R.unpack(max(ours)) == p.LM
+
+
+def test_exponents_past_the_field_raise():
+    R = PolyRing(["x"])
+    x = R.gens[0]
+    big = x**20000
+    with pytest.raises(ExponentOverflow):
+        big * big
+    with pytest.raises(ExponentOverflow):
+        x**40000
+    with pytest.raises(ExponentOverflow):
+        big.square()
+    with pytest.raises(ExponentOverflow):
+        big.mul_monom(R.pack((20000,)))
+    with pytest.raises(ExponentOverflow):
+        R.term_new((2**15,), 1)
+    assert (x**16383 * x**16384).degree() == 2**15 - 1
+
+
+def test_an_overflow_in_a_low_field_raises():
+    """A sum in t1's field that reaches its guard bit, or would carry into
+    x's, raises rather than give a wrong monomial."""
+    R = PolyRing(["x", "t1"])
+    x, t1 = R.gens
+    big = t1**20000
+    with pytest.raises(ExponentOverflow):
+        big * big
+    with pytest.raises(ExponentOverflow):
+        (big * x) * (big + R.one)
+    with pytest.raises(ExponentOverflow):
+        t1**30000 * t1**2768
+    with pytest.raises(ExponentOverflow):
+        big**4
+    with pytest.raises(ExponentOverflow):
+        (big + x) ** 4
+    with pytest.raises(ExponentOverflow):
+        x.mul_monom(R.pack((0, 30000))).mul_monom(R.pack((0, 30000)))
+
+
+def test_exact_quotient_across_a_borrow_is_none():
+    """A field of the divisor's leading monomial above the dividend's
+    borrows from the next field or out of the top one; either is no
+    quotient."""
+    R = PolyRing(["x", "t1"])
+    x, t1 = R.gens
+    assert x.exact_quo(x**2) is None
+    assert x.exact_quo(t1) is None
+    assert (x * t1).exact_quo(t1**2) is None
+    assert (x**2 * t1).exact_quo(x * t1) == x
