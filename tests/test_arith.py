@@ -117,6 +117,27 @@ def test_poly_gcd_is_monic(F2):
     assert g == t1 - x
 
 
+def test_unipoly_gcd_drops_factors_free_of_the_main_variable(F2):
+    F, (x, t1, t2) = F2
+    a = uni((x + 1) * (t1 - x) * (t1 + 2))
+    b = uni((x + 1) * (t1 - x) ** 2)
+    assert unipoly_gcd(a, b).to_frac() == t1 - x
+    assert unipoly_gcd(b, a).to_frac() == t1 - x
+    # denominators free of t1 are units of the coefficient field
+    c = uni((t1 - x) * (t1 + 1) / (x**2 + 3))
+    assert unipoly_gcd(c, uni((t2 - 1) * (t1 - x) / x)).to_frac() == t1 - x
+    assert unipoly_gcd(a, uni(x + 1)).to_frac() == 1
+
+
+def test_unipoly_gcd_of_zero_operands(F2):
+    F, (x, t1, t2) = F2
+    zero = UniPoly.zero(F, 1)
+    b = uni(2 * x * t1**2 - 6 * t1 + x)
+    assert unipoly_gcd(zero, b).to_frac() == b.monic().to_frac()
+    assert unipoly_gcd(b, zero).to_frac() == b.monic().to_frac()
+    assert unipoly_gcd(zero, zero).is_zero()
+
+
 def test_resultant_of_linear_pair(F2):
     F, (x, t1, t2) = F2
     # res(t1 - a, t1 - b) = b - a up to the classical sign convention
@@ -347,6 +368,44 @@ def test_ground_builds_canonical_constants_without_a_cancel(F2, monkeypatch):
         c = Fraction(c)
         assert (v.numer, v.denom) == (F.ring(c.numerator), F.ring(c.denominator))
         assert v == F.from_expr(Rational(c.numerator, c.denominator))
+
+
+GROUND_OPS = {
+    "f+c": lambda f, c: f + c,
+    "c+f": lambda f, c: c + f,
+    "f-c": lambda f, c: f - c,
+    "c-f": lambda f, c: c - f,
+    "f*c": lambda f, c: f * c,
+    "c*f": lambda f, c: c * f,
+    "f/c": lambda f, c: f / c,
+    "c/f": lambda f, c: c / f,
+}
+
+
+@given(seed=seeds)
+def test_ground_operands_act_as_their_field_elements(seed):
+    """An int or a Fraction operand gives, in either order, the numerator
+    and denominator that its ``ground`` element gives; a str, or an element
+    of another field, raises TypeError."""
+    rng = random.Random(seed)
+    other = make_field(["x", "s"])[0].gens[1]
+    for T in (li_tower(), nested_tower(), u_tower(), coupled_tower()):
+        F = T.F
+        f = rng.choice([F.zero, random_element(T, rng)])
+        c = rng.choice(
+            [0, Fraction(0), rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6))]
+        )
+        for name, op in GROUND_OPS.items():
+            if (name == "f/c" and not c) or (name == "c/f" and not f):
+                with pytest.raises(ZeroDivisionError):
+                    op(f, c)
+                continue
+            got, want = op(f, c), op(f, ground(F, c))
+            assert type(got) is type(want) is F.dtype
+            assert (got.numer, got.denom) == (want.numer, want.denom), name
+            for bad in ("1", other):
+                with pytest.raises(TypeError):
+                    op(f, bad)
 
 
 # -- rational roots against sympy's ground_roots --------------------------------
