@@ -29,12 +29,16 @@ others, held as one fraction: a ring polynomial ``num`` over a ring polynomial
 power of the divisor's leading coefficient folded into the denominator.  One
 ``gcd`` reduces each pair that a division, ``monic`` or product returns,
 never per coefficient; ``%`` and ``//`` reduce only the part they return.
-Yun's squarefree decomposition runs on the numerator with
-multivariate gcds and exact divisions, and the resultant is the
+Every gcd is the ring's heuristic gcd (``Poly.gcd`` and ``cofactors``), with
+exact divisions: the monic gcd over the coefficient field is the gcd of the
+numerators made monic, Yun's squarefree decomposition runs on the
+numerator, and the squarefree part and root multiplicities of
+:func:`rational_roots` are taken in Z[z].  The resultant is the
 fraction-free subresultant PRS on the numerators, divided by the
-denominators once.  The extended gcd carries only the cofactor of its first
-argument, (g, s) with s*a = g (mod b), stops at the first zero remainder, and
-makes both monic without a gcd.
+denominators once.  The extended gcd is the one Euclidean loop over the
+field, beside the squarefree test modulo a prime of the root finder; it
+carries only the cofactor of its first argument, (g, s) with s*a = g (mod
+b), stops at the first zero remainder, and makes both monic without a gcd.
 Canonical field elements are built only for outputs, one ``F.new`` each:
 ``UniPoly.coeffs`` and ``to_frac``, the proper part of
 ``split_proper_poly`` and the resultant.
@@ -48,9 +52,12 @@ from operator import mul
 from typing import NamedTuple
 
 from .gcdheu import FIELD
-from .polys import FracField
+from .polys import FracField, PolyRing
 
 _FIELDS = {}
+
+# the ring Z[z] of rational_roots
+_ZRING = PolyRing(["z"])
 
 
 def make_field(names):
@@ -68,11 +75,9 @@ def make_field(names):
 
 
 def ground(F, value):
-    """Embed a rational constant (int or Fraction) into the field F.  A
-    Fraction is already in lowest terms with a positive denominator, the
-    canonical form, so no cancel runs."""
-    value = Fraction(value)
-    return F.raw_new(F.ring(value.numerator), F.ring(value.denominator))
+    """Embed a rational constant (int or Fraction) into the field F, with no
+    cancel (:meth:`towerdecomp.polys.FracField.ground`)."""
+    return F.ground(Fraction(value))
 
 
 def is_ground(f) -> bool:
@@ -320,19 +325,11 @@ def split_proper_poly(f, v):
     return proper, UniPoly(F, v, Q, L)
 
 
-def _as_unipoly(a, v) -> UniPoly:
-    if isinstance(a, UniPoly):
-        return a
-    if a.denom.degree(v) > 0:
-        raise ValueError("denominator must be free of the main variable")
-    return UniPoly(a.field, v, a.numer, a.denom)
-
-
 def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Euclidean gcd over field coefficients, normalized monic."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd over the coefficient field.  The gcd of the numerators in
+    Z[x, t] is the gcd over the field times a factor free of v, and
+    ``monic`` divides that factor out with the leading coefficient."""
+    return UniPoly(a.F, a.v, a.num.gcd(b.num)).monic()
 
 
 def unipoly_xgcd(a: UniPoly, b: UniPoly):
@@ -377,8 +374,7 @@ def squarefree_decomposition(p, v):
     so each factor is the same once made monic, at the end.  Each ``exquo``
     divides by a gcd over Z of its argument, so it is exact in Z[x, t].
     """
-    u = _as_unipoly(p, v)
-    P = u.num
+    P = p.num
     if not P:
         raise ValueError("squarefree decomposition of the zero polynomial")
     if P.degree(v) == 0:
@@ -401,7 +397,7 @@ def squarefree_decomposition(p, v):
             mult += 1
         if w.degree(v) > 0:
             out.append((w, mult))
-    return [(UniPoly(u.F, v, fac, _lc(fac, v)), m) for fac, m in out]
+    return [(UniPoly(p.F, v, fac, _lc(fac, v)), m) for fac, m in out]
 
 
 def _subresultant(A, B, v):
@@ -466,69 +462,32 @@ def rational_roots(coeffs) -> dict:
     P/gcd(P, P') of what is left, P, taken with integer coefficients and a
     = lc(S) > 0: a rational root z of S makes y = a*z an integer root of a
     monic integer polynomial, found by Hensel lifting
-    (:func:`_scaled_integer_roots`).  The multiplicity of a root is the
-    number of times z - root divides P.
+    (:func:`_scaled_integer_roots`).  The multiplicity of a root p/q is the
+    number of times q*z - p divides P, exactly in Z[z] by Gauss's lemma.
     """
     P = [Fraction(c) for c in coeffs]
     zeros = 0
     while not P[zeros]:
         zeros += 1
     roots = {Fraction(0): zeros} if zeros else {}
-    P = P[zeros:]
-    if len(P) == 1:
+    den = math.lcm(*(c.denominator for c in P))
+    # z**k is the packed monomial k in the one-variable ring
+    P = _ZRING.dtype(
+        {k: c.numerator * (den // c.denominator) for k, c in enumerate(P[zeros:]) if c}
+    )
+    if not P.degree():
         return roots
-    S = _dense_quo(P, _dense_gcd(P, [k * c for k, c in enumerate(P)][1:]))
-    den = math.lcm(*(c.denominator for c in S))
-    S = [int(c * den) for c in S]
-    if S[-1] < 0:
-        S = [-c for c in S]
-    for y in _scaled_integer_roots(S):
-        z = Fraction(y, S[-1])
+    S = P.cofactors(P.diff(0))[1]
+    if S.LC < 0:
+        S = -S
+    for y in _scaled_integer_roots([S.get(k, 0) for k in range(S.degree() + 1)]):
+        z = Fraction(y, S.LC)
+        linear = _ZRING.dtype({1: z.denominator, 0: -z.numerator})
         m = 0
-        while len(P) > 1:
-            # P = (z - root) * Q + rem, Q by Horner from the top
-            Q = [P[-1]]
-            for c in reversed(P[1:-1]):
-                Q.append(c + z * Q[-1])
-            if P[0] + z * Q[-1]:
-                break
-            P = Q[::-1]
-            m += 1
+        while (Q := P.exact_quo(linear)) is not None:
+            P, m = Q, m + 1
         roots[z] = m
     return roots
-
-
-def _dense_rem(a, b):
-    """Remainder of dense rational polynomials, z^0 first, b nonzero."""
-    a = list(a)
-    db = len(b) - 1
-    while len(a) > db:
-        c = a[-1] / b[-1]
-        k = len(a) - 1 - db
-        for i in range(db):
-            a[k + i] -= c * b[i]
-        a.pop()
-        while a and not a[-1]:
-            a.pop()
-    return a
-
-
-def _dense_gcd(a, b):
-    while b:
-        a, b = b, _dense_rem(a, b)
-    return a
-
-
-def _dense_quo(a, b):
-    """a / b for dense rational polynomials when b divides a."""
-    a = list(a)
-    db = len(b) - 1
-    q = [Fraction(0)] * (len(a) - db)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = a[k + db] / b[-1]
-        for i in range(db + 1):
-            a[k + i] -= c * b[i]
-    return q
 
 
 def _eval_mod(poly, y, m):

@@ -111,12 +111,9 @@ def solve_constant_combination_values(F, target, basis):
 
 
 class Decomposition(Record):
-    __slots__ = ("g", "r", "input")
+    """``input`` = differentiate(``g``) + ``r``, all three TowerElements."""
 
-    def __init__(self, g, r, input):
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "input", input)
+    __slots__ = ("g", "r", "input")
 
     @property
     def tower(self) -> Tower:
@@ -266,12 +263,10 @@ def _is_remainder_value(T, r):
 
 
 class InFieldIntegral(Record):
-    __slots__ = ("antiderivative", "certificate")
+    """The ``antiderivative``, or None, and the remainder as
+    ``certificate``, zero exactly when integrable."""
 
-    def __init__(self, antiderivative, certificate):
-        object.__setattr__(self, "antiderivative", antiderivative)  # or None
-        # the remainder; zero exactly when integrable
-        object.__setattr__(self, "certificate", certificate)
+    __slots__ = ("antiderivative", "certificate")
 
     @property
     def integrable(self) -> bool:

@@ -44,20 +44,19 @@ UNDECIDED = "undecided"
 
 
 class ElementaryVerdict(Record):
-    __slots__ = ("status", "witness", "span_coeffs", "reason", "certificate", "decomposition")
+    """The ``status``, YES, NO or UNDECIDED.  ``witness`` holds (rational
+    coefficient, argument TowerElement) pairs, ``span_coeffs`` the rational
+    coefficients over t_1', ..., t_n', and ``certificate``, when NO, a
+    non-constant residue as a TowerElement."""
 
-    def __init__(
-        self, status, witness=(), span_coeffs=(), reason="", certificate=None, decomposition=None
-    ):
-        object.__setattr__(self, "status", status)  # YES, NO or UNDECIDED
-        # pairs (rational coefficient, argument TowerElement)
-        object.__setattr__(self, "witness", witness)
-        # rational coefficients over t_1', ..., t_n'
-        object.__setattr__(self, "span_coeffs", span_coeffs)
-        object.__setattr__(self, "reason", reason)
-        # non-constant residue as a TowerElement, when NO
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "decomposition", decomposition)
+    __slots__ = ("status", "witness", "span_coeffs", "reason", "certificate", "decomposition")
+    _defaults = {
+        "witness": (),
+        "span_coeffs": (),
+        "reason": "",
+        "certificate": None,
+        "decomposition": None,
+    }
 
     @property
     def remainder(self):

@@ -35,12 +35,10 @@ from .tower import (
 
 
 class AssociatedMatrix(Record):
-    __slots__ = ("tower", "entries")
+    """The ``tower`` and its ``entries``, rows 0..n-1 of tuples: entry
+    (i, j-1) is projection i of t_j'."""
 
-    def __init__(self, tower, entries):
-        object.__setattr__(self, "tower", tower)
-        # rows 0..n-1 of tuples; entry (i, j-1) = projection i of t_j'
-        object.__setattr__(self, "entries", entries)
+    __slots__ = ("tower", "entries")
 
     def entry(self, i, j):
         """Row i (0-based level), column j (1-based generator)."""
@@ -48,26 +46,20 @@ class AssociatedMatrix(Record):
 
 
 class SignificantData(Record):
-    __slots__ = ("sv", "sc")
+    """``sv``, the significant index of each generator derivative, and
+    ``sc``, the projection of t_j' at level sv_j as a TowerElement."""
 
-    def __init__(self, sv, sc):
-        object.__setattr__(self, "sv", sv)  # significant index of each generator derivative
-        # the projection of t_j' at level sv_j, as TowerElement
-        object.__setattr__(self, "sc", sc)
+    __slots__ = ("sv", "sc")
 
 
 class Embedding(Record):
-    __slots__ = ("source", "target", "basis", "ell", "coeffs", "images")
+    """phi from ``source`` into ``target``.  ``basis`` holds b_1..b_w as
+    TowerElements of the source; ``ell_j`` is the 1-based basis index of
+    sc_j, strictly increasing; ``coeffs`` per generator j the tuple of
+    c_{j,k} for k < ell_j; and ``images`` phi(t_j) as TowerElements of the
+    target."""
 
-    def __init__(self, source, target, basis, ell, coeffs, images):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "basis", basis)  # b_1..b_w as TowerElement of the source
-        # ell_j = basis index (1-based) of sc_j; strictly increasing
-        object.__setattr__(self, "ell", ell)
-        # per generator j, tuple of c_{j,k} for k < ell_j
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "images", images)  # phi(t_j) as TowerElement of the target
+    __slots__ = ("source", "target", "basis", "ell", "coeffs", "images")
 
     @property
     def w(self):

@@ -242,53 +242,22 @@ def parse_expression(src: str, scope: Tower):
 # -- rendering ---------------------------------------------------------------
 
 
-def _render_poly(p, names, latex=False):
-    if not p:
-        return "0"
-    parts = []
-    for mono, coeff in p.terms():
-        factors = []
-        for i, e in enumerate(mono):
-            if not e:
-                continue
-            if e == 1:
-                factors.append(names[i])
-            elif latex:
-                factors.append(f"{names[i]}^{{{e}}}")
-            else:
-                factors.append(f"{names[i]}^{e}")
-        sign = "-" if coeff < 0 else "+"
-        if abs(coeff) != 1 or not factors:
-            factors = [str(abs(coeff))] + factors
-        parts.append((sign, ("\\cdot " if latex else "*").join(factors)))
-    first_sign, first = parts[0]
-    out = ("-" if first_sign == "-" else "") + first
-    for sign, text in parts[1:]:
-        out += f" {sign} {text}"
-    return out
-
-
 def render_expression(value, names) -> str:
     """Canonical text form; parsing it back yields the identical element."""
     num, den = value.numer, value.denom
-    if den == value.field.ring.one:
-        return _render_poly(num, names)
-    num_s = _render_poly(num, names)
-    den_s = _render_poly(den, names)
-    if len(num.terms()) > 1 or num_s.startswith("-"):
+    num_s = num.render(names)
+    if den.is_one:
+        return num_s
+    if len(num) > 1 or num_s.startswith("-"):
         num_s = f"({num_s})"
-    den_s = f"({den_s})"
-    return f"{num_s}/{den_s}"
+    return f"{num_s}/({den.render(names)})"
 
 
 def render_latex(value, names) -> str:
     num, den = value.numer, value.denom
-    if den == value.field.ring.one:
-        return _render_poly(num, names, latex=True)
-    return (
-        f"\\frac{{{_render_poly(num, names, latex=True)}}}"
-        f"{{{_render_poly(den, names, latex=True)}}}"
-    )
+    if den.is_one:
+        return num.render(names, latex=True)
+    return f"\\frac{{{num.render(names, latex=True)}}}{{{den.render(names, latex=True)}}}"
 
 
 # -- tower files -------------------------------------------------------------

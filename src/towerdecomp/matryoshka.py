@@ -46,31 +46,24 @@ def indicator(exps, n: int) -> int:
 
 
 class HeadData(Record):
-    __slots__ = ("hm_i", "hc_i", "hm", "hc", "index_set")
+    """Head data of an element: per projection the head monomial ``hm_i``,
+    an exponent tuple or None; ``hc_i``, level -> head coefficient (a field
+    element) over ``index_set``; and the overall head monomial ``hm``, or
+    None, with its head coefficient ``hc``."""
 
-    def __init__(self, hm_i, hc_i, hm, hc, index_set):
-        # per-projection head monomials (exponent tuple or None)
-        object.__setattr__(self, "hm_i", hm_i)
-        # level -> head coefficient (field element), for index_set
-        object.__setattr__(self, "hc_i", hc_i)
-        object.__setattr__(self, "hm", hm)  # overall head monomial, or None
-        object.__setattr__(self, "hc", hc)  # overall head coefficient (field element)
-        object.__setattr__(self, "index_set", index_set)
+    __slots__ = ("hm_i", "hc_i", "hm", "hc", "index_set")
 
 
 @total_ordering
 class OrderKey(Record):
-    """Ordered by (den_degree, hm_marker, hm_rev); head is carried along and
-    takes no part in equality, hash, order or repr."""
+    """Ordered by (den_degree, hm_marker, hm_rev): ``hm_marker`` is 0 for
+    the zero element and 1 otherwise, and ``hm_rev`` the reversed exponents,
+    () for zero.  ``head``, the head data the key was read from (None for
+    zero), is carried along and takes no part in equality, hash, order or
+    repr."""
 
     __slots__ = ("den_degree", "hm_marker", "hm_rev", "head")
-
-    def __init__(self, den_degree, hm_marker, hm_rev, head=None):
-        object.__setattr__(self, "den_degree", den_degree)
-        object.__setattr__(self, "hm_marker", hm_marker)  # 0 for the zero element, 1 otherwise
-        object.__setattr__(self, "hm_rev", hm_rev)  # reversed exponents, () for zero
-        # the head data the key was read from; None for the zero element
-        object.__setattr__(self, "head", head)
+    _defaults = {"head": None}
 
     def _key(self):
         return (self.den_degree, self.hm_marker, self.hm_rev)

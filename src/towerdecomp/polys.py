@@ -150,25 +150,29 @@ class Poly(dict):
         return hash((self.ring, frozenset(self.items())))
 
     def __repr__(self):
-        return self._str()
+        return self.render(self.ring.names)
 
     __str__ = __repr__
 
-    def _str(self):
+    def render(self, names, latex=False):
+        """The text of the polynomial in the variable names ``names``,
+        leading term first: ``2*x^2*t1 - 1``, or LaTeX with ``latex``."""
         if not self:
             return "0"
         out = ""
         for mono, c in self.terms():
             factors = [
-                name if e == 1 else f"{name}**{e}"
-                for name, e in zip(self.ring.names, mono)
+                name if e == 1 else f"{name}^{{{e}}}" if latex else f"{name}^{e}"
+                for name, e in zip(names, mono)
                 if e
             ]
             if abs(c) != 1 or not factors:
                 factors.insert(0, str(abs(c)))
-            sign = "-" if c < 0 else "+"
-            term = "*".join(factors)
-            out = (f"-{term}" if sign == "-" else term) if not out else f"{out} {sign} {term}"
+            term = ("\\cdot " if latex else "*").join(factors)
+            if not out:
+                out = f"-{term}" if c < 0 else term
+            else:
+                out += f" - {term}" if c < 0 else f" + {term}"
         return out
 
     # -- comparison ---------------------------------------------------------
@@ -516,6 +520,15 @@ class FracField:
         """numer/denom as given, with no cancel."""
         return self.dtype(numer, denom)
 
+    def ground(self, c):
+        """The element of an int or a Fraction c, its numerator over its
+        denominator, which is canonical with no cancel; None for any other
+        c."""
+        if isinstance(c, (int, Fraction)):
+            ring = self.ring
+            return self.dtype(ring.ground_new(c.numerator), ring.ground_new(c.denominator))
+        return None
+
     def new(self, numer, denom=None):
         """numer/denom in canonical form, with one cancel."""
         if denom is None:
@@ -551,18 +564,13 @@ class FracField:
         return value if isinstance(value, Frac) else self.one * value
 
 
-def _extract_ground(c):
-    """(1, c, None) for an int, (-1, numerator, denominator) for a Fraction,
-    (0, None, None) for anything else."""
-    if isinstance(c, int):
-        return 1, c, None
-    if isinstance(c, Fraction):
-        return -1, c.numerator, c.denominator
-    return 0, None, None
-
-
 class Frac:
-    """An element of a :class:`FracField`: ``numer/denom``."""
+    """An element of a :class:`FracField`: ``numer/denom``.
+
+    An int or a Fraction operand of ``== + - * /`` acts as its element
+    ``field.ground(c)``; any other operand that is not of the same field's
+    class, an element of another field included, is NotImplemented.
+    """
 
     __slots__ = ("numer", "denom")
     field: FracField = None
@@ -599,12 +607,9 @@ class Frac:
     __str__ = __repr__
 
     def __eq__(f, g):
-        if isinstance(g, Frac) and g.field is f.field:
-            return f.numer == g.numer and f.denom == g.denom
-        return f.numer == g and f.denom.is_one
-
-    def __ne__(f, g):
-        return not f == g
+        if g.__class__ is not f.__class__ and (g := f.field.ground(g)) is None:
+            return NotImplemented
+        return f.numer == g.numer and f.denom == g.denom
 
     def __bool__(f):
         return bool(f.numer)
@@ -613,96 +618,54 @@ class Frac:
         return f.raw_new(-f.numer, f.denom)
 
     def __add__(f, g):
-        if isinstance(g, Frac) and g.field is f.field:
-            if not g:
-                return f
-            if not f:
-                return g
-            if f.denom == g.denom:
-                return f.new(f.numer + g.numer, f.denom)
-            return f.new(f.numer * g.denom + f.denom * g.numer, f.denom * g.denom)
-        if not isinstance(g, (int, Fraction)):
+        if g.__class__ is not f.__class__ and (g := f.field.ground(g)) is None:
             return NotImplemented
         if not g:
             return f
-        return f.__radd__(g)
+        if not f:
+            return g
+        if f.denom == g.denom:
+            return f.new(f.numer + g.numer, f.denom)
+        return f.new(f.numer * g.denom + f.denom * g.numer, f.denom * g.denom)
 
-    def __radd__(f, c):
-        op, c_numer, c_denom = _extract_ground(c)
-        if op == 1:
-            return f.new(f.numer + f.denom * c_numer, f.denom)
-        if not op:
-            return NotImplemented
-        return f.new(f.numer * c_denom + f.denom * c_numer, f.denom * c_denom)
+    __radd__ = __add__
 
     def __sub__(f, g):
-        if isinstance(g, Frac) and g.field is f.field:
-            if not g:
-                return f
-            if not f:
-                return -g
-            if f.denom == g.denom:
-                return f.new(f.numer - g.numer, f.denom)
-            return f.new(f.numer * g.denom - f.denom * g.numer, f.denom * g.denom)
-        op, g_numer, g_denom = _extract_ground(g)
-        if not op:
+        if g.__class__ is not f.__class__ and (g := f.field.ground(g)) is None:
             return NotImplemented
         if not g:
             return f
-        if op == 1:
-            return f.new(f.numer - f.denom * g_numer, f.denom)
-        return f.new(f.numer * g_denom - f.denom * g_numer, f.denom * g_denom)
+        if not f:
+            return -g
+        if f.denom == g.denom:
+            return f.new(f.numer - g.numer, f.denom)
+        return f.new(f.numer * g.denom - f.denom * g.numer, f.denom * g.denom)
 
     def __rsub__(f, c):
-        op, c_numer, c_denom = _extract_ground(c)
-        if op == 1:
-            return f.new(-f.numer + f.denom * c_numer, f.denom)
-        if not op:
+        if (c := f.field.ground(c)) is None:
             return NotImplemented
-        return f.new(-f.numer * c_denom + f.denom * c_numer, f.denom * c_denom)
+        return c - f
 
     def __mul__(f, g):
-        if isinstance(g, Frac) and g.field is f.field:
-            if not f or not g:
-                return f.field.zero
-            return f.new(f.numer * g.numer, f.denom * g.denom)
-        if not isinstance(g, (int, Fraction)):
+        if g.__class__ is not f.__class__ and (g := f.field.ground(g)) is None:
             return NotImplemented
         if not f or not g:
             return f.field.zero
-        return f.__rmul__(g)
+        return f.new(f.numer * g.numer, f.denom * g.denom)
 
-    def __rmul__(f, c):
-        op, c_numer, c_denom = _extract_ground(c)
-        if op == 1:
-            return f.new(f.numer * c_numer, f.denom)
-        if not op:
-            return NotImplemented
-        return f.new(f.numer * c_numer, f.denom * c_denom)
+    __rmul__ = __mul__
 
     def __truediv__(f, g):
-        if isinstance(g, Frac) and g.field is f.field:
-            if not g:
-                raise ZeroDivisionError
-            return f.new(f.numer * g.denom, f.denom * g.numer)
-        op, g_numer, g_denom = _extract_ground(g)
-        if not op:
+        if g.__class__ is not f.__class__ and (g := f.field.ground(g)) is None:
             return NotImplemented
         if not g:
             raise ZeroDivisionError
-        if op == 1:
-            return f.new(f.numer, f.denom * g_numer)
-        return f.new(f.numer * g_denom, f.denom * g_numer)
+        return f.new(f.numer * g.denom, f.denom * g.numer)
 
     def __rtruediv__(f, c):
-        if not f:
-            raise ZeroDivisionError
-        op, c_numer, c_denom = _extract_ground(c)
-        if op == 1:
-            return f.new(f.denom * c_numer, f.numer)
-        if not op:
+        if (c := f.field.ground(c)) is None:
             return NotImplemented
-        return f.new(f.denom * c_numer, f.numer * c_denom)
+        return c / f
 
     def __pow__(f, n):
         """f**n with no cancel.  A negative power swaps numerator and

@@ -77,6 +77,9 @@ class FormalProduct:
     def __eq__(self, other):
         return isinstance(other, FormalProduct) and self.factors == other.factors
 
+    def __hash__(self):
+        return hash(self.factors)
+
     def __repr__(self):
         return " * ".join(f"({b})^{e}" for b, e in self.factors) or "1"
 
@@ -84,13 +87,32 @@ class FormalProduct:
 class Record:
     """Base of the package's immutable records.
 
-    A record names its fields in ``__slots__`` and sets them in its own
-    ``__init__`` with ``object.__setattr__``; afterwards no field can be
-    assigned or deleted.  Two records are equal when they have the same class
-    and equal fields, and hash and repr read the fields in slot order.
+    A record names its fields in ``__slots__`` and the defaults of trailing
+    fields in ``_defaults``.  It is built from its fields by position or by
+    keyword, and a missing, extra or unknown field raises TypeError;
+    afterwards no field can be assigned or deleted.  Two records are equal
+    when they have the same class and equal fields, and hash and repr read
+    the fields in slot order.
     """
 
     __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        kind = type(self).__name__
+        if len(args) > len(names):
+            raise TypeError(f"{kind} has {len(names)} fields, got {len(args)} values")
+        fields = dict(self._defaults)
+        fields.update(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in names[: len(args)]:
+                raise TypeError(f"{kind} got an unknown or repeated field {name!r}")
+            fields[name] = value
+        for name in names:
+            if name not in fields:
+                raise TypeError(f"{kind} is missing the field {name!r}")
+            object.__setattr__(self, name, fields[name])
 
     def _key(self):
         """The fields that equality, hash and order compare."""
@@ -119,24 +141,22 @@ class Record:
 
 
 class Generator(Record):
-    __slots__ = ("name", "kind", "derivative", "argument")
+    """A generator of a tower: its ``name``, its ``kind`` (LOG or PRIM), its
+    ``derivative``, an element of the tower field, and for LOG its
+    ``argument``, a FormalProduct."""
 
-    def __init__(self, name, kind, derivative, argument=None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "kind", kind)  # LOG or PRIM
-        object.__setattr__(self, "derivative", derivative)  # element of the tower field
-        object.__setattr__(self, "argument", argument)  # FormalProduct, for LOG
+    __slots__ = ("name", "kind", "derivative", "argument")
+    _defaults = {"argument": None}
 
 
 class ValidationResult(Record):
-    __slots__ = ("status", "reason", "generator", "certificate")
+    """The ``status`` of a tower's validation, S_PRIMITIVE or REJECTED; for
+    REJECTED the ``reason``, the index of the ``generator`` at fault and,
+    when its derivative depends on earlier ones, the dependence coefficients
+    as ``certificate``."""
 
-    def __init__(self, status, reason="", generator=None, certificate=None):
-        object.__setattr__(self, "status", status)  # S_PRIMITIVE or REJECTED
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "generator", generator)
-        # dependence coefficients, when applicable
-        object.__setattr__(self, "certificate", certificate)
+    __slots__ = ("status", "reason", "generator", "certificate")
+    _defaults = {"reason": "", "generator": None, "certificate": None}
 
     @property
     def ok(self):
@@ -144,11 +164,9 @@ class ValidationResult(Record):
 
 
 class TowerElement(Record):
-    __slots__ = ("value", "tower")
+    """A ``value``, an element of the tower field, with its ``tower``."""
 
-    def __init__(self, value, tower):
-        object.__setattr__(self, "value", value)  # element of the tower field
-        object.__setattr__(self, "tower", tower)
+    __slots__ = ("value", "tower")
 
     def __bool__(self):
         return bool(self.value)

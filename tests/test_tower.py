@@ -13,6 +13,7 @@ from towerdecomp import (
     embed_well_generated,
     normalize_tower,
 )
+from towerdecomp.arith import ground
 from towerdecomp.errors import HeadMonomialNotOne, TowerDecompError
 from towerdecomp.polys import Poly
 from towerdecomp.tower import PRIM, _prefix_tower, normalize_generators
@@ -54,6 +55,28 @@ def test_formal_product_combine_and_collapse(tower_li):
     assert q.collapse() == t1
     half = FormalProduct([(x, Fraction(1, 2))])
     assert half.collapse() is None
+
+
+def test_equal_log_generators_hash_equal():
+    T, U = li_tower(), nested_tower()
+    assert T.generators[0] == U.generators[0]
+    assert hash(T.generators[0]) == hash(U.generators[0])
+    assert T.generators[2] != U.generators[2]
+    x, t1 = T.gens[0], T.gens[1]
+    p, q = FormalProduct([(x, 1), (t1, 2)]), FormalProduct([(x, Fraction(1)), (t1, 2)])
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q, FormalProduct.single(x)}) == 2
+
+
+def test_elements_equal_their_rational_constants(tower_li):
+    T = tower_li
+    half = Fraction(1, 2)
+    for value in (ground(T.F, half), T.element(half)):
+        assert value == half and half == value
+        assert value != Fraction(1, 3) and Fraction(-1, 2) != value
+        assert value != 1 and value != T.gens[0] / 2
+    assert T.element(3) == 3 == T.element(Fraction(3))
+    assert T.element(T.gens[0]) != half
 
 
 def test_validation_accepts_li_tower(tower_li):
