@@ -364,7 +364,7 @@ def unipoly_xgcd(a: UniPoly, b: UniPoly):
 
 
 def squarefree_decomposition(p, v):
-    """Yun's algorithm in characteristic zero.
+    """Yun's algorithm in characteristic zero, for a UniPoly p in v.
 
     Returns a list of (monic factor, multiplicity) pairs with strictly
     increasing multiplicities such that p equals a unit times the product of
