@@ -1,17 +1,17 @@
 """Exact arithmetic foundation.
 
-Elements live in a fixed multivariate rational function field Q(x, t1, ..., tn),
-the package's own fraction field over Z (:mod:`towerdecomp.polys`): every
-numerator and denominator is a polynomial in Z[x, t1, ..., tn], and no
-coefficient is ever a rational number.  Field elements are immutable,
-automatically cancelled and kept in a canonical form, so equality is
-structural: numerator and denominator are coprime in Z[x, t1, ..., tn],
-integer content included, and the denominator's leading coefficient is
-positive.  That is the form sympy's field over QQ keeps too.  Rational
-constants enter through :func:`ground`, as a numerator over a positive
-integer denominator.  Most field operations run a multivariate gcd, the
-``cancel``, whose integer gcd is the heuristic gcd of
-:mod:`towerdecomp.gcdheu`.  The two kernels that every layer calls,
+Elements live in a fixed multivariate rational function field Q(x, t1, ...,
+tn), the package's own fraction field over Z (:mod:`towerdecomp.polys`):
+every numerator and denominator is a polynomial in Z[x, t1, ..., tn], read
+only through its methods, and no coefficient is ever a rational number.
+Field elements are immutable, automatically cancelled and kept in a
+canonical form, so equality is structural: numerator and denominator are
+coprime in Z[x, t1, ..., tn], integer content included, and the
+denominator's leading coefficient is positive.  That is the form sympy's
+field over QQ keeps too.  Rational constants enter through :func:`ground`,
+as a numerator over a positive integer denominator.  Most field operations
+run a multivariate gcd, the ``cancel``, whose integer gcd is the heuristic
+gcd of :mod:`towerdecomp.gcdheu`.  The two kernels that every layer calls,
 :func:`substitute` here and ``Tower.diff``, build their numerator and
 denominator as plain polynomials and cancel exactly once, in ``F.new``.
 
@@ -51,10 +51,9 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .gcdheu import FIELD
 from .polys import FracField, PolyRing
 
-_FIELDS = {}
+_fields = {}
 
 # the ring Z[z] of rational_roots
 _ZRING = PolyRing(["z"])
@@ -68,9 +67,9 @@ def make_field(names):
     Returns (field, list of generator elements).
     """
     names = tuple(names)
-    F = _FIELDS.get(names)
+    F = _fields.get(names)
     if F is None:
-        F = _FIELDS[names] = FracField(names)
+        F = _fields[names] = FracField(names)
     return F, list(F.gens)
 
 
@@ -87,9 +86,7 @@ def is_ground(f) -> bool:
 
 def free_of(f, indices) -> bool:
     """True iff the field element involves none of the given variable indices."""
-    shifts = f.field.ring.shifts
-    mask = sum(FIELD << shifts[i] for i in indices)
-    return not any(m & mask for p in (f.numer, f.denom) for m in p)
+    return f.numer.free_of(indices) and f.denom.free_of(indices)
 
 
 def _degree(p, v) -> int:
@@ -100,16 +97,6 @@ def _degree(p, v) -> int:
 def _lc(p, v):
     """Leading coefficient of p in v, a polynomial free of v."""
     return p.coeff_wrt(v, p.degree(v))
-
-
-def coeff_polys(p, v) -> dict:
-    """{k: coefficient of v**k in p}, each a polynomial free of v."""
-    s = p.ring.shifts[v]
-    clear = ~(FIELD << s)
-    buckets = {}
-    for m, c in p.items():
-        buckets.setdefault(m >> s & FIELD, {})[m & clear] = c
-    return {k: p.new(d) for k, d in buckets.items()}
 
 
 def pseudo_divmod(N, D, v):
@@ -124,17 +111,16 @@ def pseudo_divmod(N, D, v):
     dd = D.degree(v)
     lc = _lc(D, v)
     unit_lc = lc.is_ground and abs(lc.LC) == 1
-    s = ring.shifts[v]
     Q, R, L = ring.zero, N, ring.one
     dr = _degree(R, v)
     while dr >= dd:
         lr = R.coeff_wrt(v, dr)
         if unit_lc:
-            term = lr.mul_ground(lc.LC).mul_monom((dr - dd) << s)
+            term = lr.mul_ground(lc.LC).mul_gen(v, dr - dd)
             Q += term
             R -= term * D
         else:
-            term = lr.mul_monom((dr - dd) << s)
+            term = lr.mul_gen(v, dr - dd)
             Q = Q * lc + term
             R = R * lc - term * D
             L *= lc
@@ -197,7 +183,7 @@ class UniPoly:
         """{k: coefficient of v**k}, as canonical field elements."""
         return {
             k: self.F.new(c, self.den)
-            for k, c in coeff_polys(self.num, self.v).items()
+            for k, c in self.num.coeff_polys(self.v).items()
         }
 
     def _new(self, num, den):
@@ -224,8 +210,6 @@ class UniPoly:
         return self._new(-self.num, self.den)
 
     def __mul__(self, other):
-        if not isinstance(other, UniPoly):
-            return self.scale(other)
         return self._new(*_reduce(self.num * other.num, self.den * other.den))
 
     def scale(self, c):
@@ -251,8 +235,6 @@ class UniPoly:
     def divmod(self, other):
         """Euclidean division over the coefficient field, each part reduced
         with one gcd."""
-        if self.degree < other.degree:
-            return UniPoly.zero(self.F, self.v), self
         q, r = self._divide(other)
         return self._new(*_reduce(*q)), self._new(*_reduce(*r))
 
@@ -471,18 +453,18 @@ def rational_roots(coeffs) -> dict:
         zeros += 1
     roots = {Fraction(0): zeros} if zeros else {}
     den = math.lcm(*(c.denominator for c in P))
-    # z**k is the packed monomial k in the one-variable ring
-    P = _ZRING.dtype(
-        {k: c.numerator * (den // c.denominator) for k, c in enumerate(P[zeros:]) if c}
+    P = _ZRING.from_dict(
+        {(k,): c.numerator * (den // c.denominator) for k, c in enumerate(P[zeros:])}
     )
     if not P.degree():
         return roots
     S = P.cofactors(P.diff(0))[1]
     if S.LC < 0:
         S = -S
-    for y in _scaled_integer_roots([S.get(k, 0) for k in range(S.degree() + 1)]):
+    Sk = {k: c for (k,), c in S.terms()}
+    for y in _scaled_integer_roots([Sk.get(k, 0) for k in range(S.degree() + 1)]):
         z = Fraction(y, S.LC)
-        linear = _ZRING.dtype({1: z.denominator, 0: -z.numerator})
+        linear = _ZRING.from_dict({(1,): z.denominator, (0,): -z.numerator})
         m = 0
         while (Q := P.exact_quo(linear)) is not None:
             P, m = Q, m + 1

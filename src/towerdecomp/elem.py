@@ -4,7 +4,9 @@ A function integrates in elementary terms exactly when its remainder is a
 constant combination of generator derivatives plus a constant combination of
 logarithmic derivatives.  The recognizer for the logarithmic part is a
 residue computation: for h = p/q simple at level i, the roots of
-res_{t_i}(p - z*q', q) in z are the residues of h at its level-i poles.
+res_{t_i}(p - z*q', q) in z are the residues of h at its level-i poles,
+computed in ``make_field``'s Q(x, t_1, ..., t_n, _z), which operands enter
+and a certificate leaves by ``Poly.set_ring``, by position.
 Constant rational roots yield an exact witness; a non-constant root is a
 proof that no elementary integral exists; irrational constant residues fall
 outside exact rational arithmetic and give a three-valued Undecided.
@@ -16,19 +18,16 @@ from fractions import Fraction
 
 from .arith import (
     UniPoly,
-    coeff_polys,
     frac_to_unipair,
     ground,
     is_ground,
     make_field,
     rational_roots,
-    substitute,
     unipoly_gcd,
     unipoly_resultant,
 )
 from .decomp import add_decomp_in_field, solve_constant_combination_values
 from .errors import InternalVerificationError
-from .gcdheu import W
 from .hermite import tower_derivative_unipoly
 from .matryoshka import (
     derivative_projections,
@@ -63,14 +62,6 @@ class ElementaryVerdict(Record):
         return self.decomposition.r if self.decomposition else None
 
 
-def residue_field(T):
-    """Q(x, t_1, ..., t_n, _z), the tower's field with the root variable of
-    the residue resultant last.  Built once per tower and cached on it."""
-    if T._residue_field is None:
-        T._residue_field = make_field(T.names + ["_z"])[0]
-    return T._residue_field
-
-
 def _residue_analysis(T, value, i):
     """Root structure of the residue resultant of a nonzero t_i-simple value.
 
@@ -79,28 +70,21 @@ def _residue_analysis(T, value, i):
     rational roots and full says whether they account for the whole degree.
     """
     F = T.F
-    p, q = frac_to_unipair(value, i)
-    qd = tower_derivative_unipoly(T, q, i)
-    Fz = residue_field(T)
-    z = Fz.gens[-1]
-
-    def lift(u):
-        # the ring of Fz is the ring of F with one more variable, last, in
-        # the lowest field
-        def up(p):
-            return Fz.ring.dtype({m << W: c for m, c in p.items()})
-
-        return UniPoly(Fz, u.v, up(u.num), up(u.den))
-
-    P = lift(p) - lift(qd).scale(z)
-    R = unipoly_resultant(P, lift(q))
+    # Q(x, t_1, ..., t_n, _z), the root variable last; the ring change goes
+    # by position, so a generator may itself be named _z
+    Fz = make_field(T.names + ["_z"])[0]
+    ring = Fz.ring
+    # value = p/q and p - _z*q' with q' = dn/dd, moved into the ring of Fz
+    dn, dd = T.diff_pair(value.denom, F.ring.one, i)
+    dd = dd.set_ring(ring)
+    P = value.numer.set_ring(ring) * dd - dn.set_ring(ring).mul_gen(T.n + 1, 1)
+    R = unipoly_resultant(UniPoly(Fz, i, P, dd), UniPoly(Fz, i, value.denom.set_ring(ring)))
     if not R:
         raise InternalVerificationError("residue resultant vanished")
     if R.denom.degree(T.n + 1) > 0:
         raise InternalVerificationError("resultant denominator involves the root variable")
-    Rz = coeff_polys(R.numer, T.n + 1)
+    Rz = R.numer.coeff_polys(T.n + 1)
     lc = Rz[max(Rz)]
-    back = [g for g in F.gens] + [F.zero]  # the root variable never survives
     monic = []  # the monic residue polynomial's coefficients, z^0 first
     for k in range(max(Rz) + 1):
         if k not in Rz:
@@ -108,7 +92,8 @@ def _residue_analysis(T, value, i):
             continue
         c = Fz.new(Rz[k], lc)
         if not is_ground(c):
-            cert = substitute(c, F, back)
+            # c is canonical and free of _z, and so is its image in F
+            cert = F.raw_new(c.numer.set_ring(F.ring), c.denom.set_ring(F.ring))
             # the numerator of cert' vanishes exactly when cert' does
             if not T.diff_pair(cert.numer, cert.denom)[0]:
                 raise InternalVerificationError("non-ground coefficient is constant")

@@ -130,10 +130,7 @@ def _rebuild(names, args, base_name):
     builder = TowerBuilder(names, base_name=base_name)
     values = list(builder.F.gens)
     for arg in args:
-        lifted = FormalProduct(
-            [(substitute(base, builder.F, values), e) for base, e in arg.factors]
-        )
-        builder.log(lifted)
+        builder.log(arg.substitute(builder.F, values))
     return builder.build()
 
 
@@ -175,12 +172,7 @@ def normalize_tower(T: Tower):
             # the two generators trade places in the field as well
             perm = list(current.F.gens)
             perm[j], perm[j + 1] = perm[j + 1], perm[j]
-            args = [
-                FormalProduct(
-                    [(substitute(base, current.F, perm), e) for base, e in a.factors]
-                )
-                for a in args
-            ]
+            args = [a.substitute(current.F, perm) for a in args]
             step = ("swap", j)
         current = _rebuild(names, args, current.names[0])
         current.ensure_s_primitive()

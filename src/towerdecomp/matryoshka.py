@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import total_ordering
 
-from .arith import coeff_polys, free_of, pseudo_divmod, sum_pairs
+from .arith import free_of, pseudo_divmod, sum_pairs
 from .tower import Record, Tower
 
 NOT_SQUAREFREE = "has a non-squarefree denominator"
@@ -103,7 +103,7 @@ def level_pieces(T: Tower, f) -> list:
             if R:
                 pieces[level][mono] = (R, L * D)
             N, D = Q, L
-        for k, c in coeff_polys(N, level).items():
+        for k, c in N.coeff_polys(level).items():
             descend(c, D, level - 1, mono[: level - 1] + (k,) + mono[level:])
 
     if f:
@@ -161,13 +161,8 @@ def head_data_value(T: Tower, f) -> HeadData:
 def order_key_value(T: Tower, f) -> OrderKey:
     if not f:
         return OrderKey(0, 0, ())
-    den_degree = f.denom.degree(T.n) if T.n else 0
-    if den_degree < 0:
-        den_degree = 0
     head = head_data_value(T, f)
-    if head.hm is None:
-        return OrderKey(den_degree, 0, (), head)
-    return OrderKey(den_degree, 1, mono_key(head.hm), head)
+    return OrderKey(f.denom.degree(T.n) if T.n else 0, 1, mono_key(head.hm), head)
 
 
 def improper_reason(T: Tower, f, level) -> str:

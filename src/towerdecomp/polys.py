@@ -8,14 +8,19 @@ field.  Int order is then lex order with the first variable most
 significant, so the leading monomial is ``max(p)``; a product of monomials
 is their sum, and a degree is a shift and a mask.  An exponent that would
 reach 2**15 raises ``ExponentOverflow``: every product and power checks
-its result's guard bits once.  Exponent tuples are the interface at the
-boundary only: ``terms()`` yields them, and ``from_dict``, ``term_new`` and
-calling the ring with a dict take them.  A :class:`Frac` of a
+its result's guard bits once.  The layout is private to this module and
+:mod:`towerdecomp.gcdheu`; other modules use the methods, and exponent
+tuples at the boundary: ``terms()`` yields them, and ``from_dict``,
+``term_new``, ``pack`` and calling the ring with a dict take them.
+``set_ring`` goes by position when one ring's names begin with the
+other's, as the residue ring's Q(x, t1, ..., tn, _z) do even for a
+generator named ``_z``, and by name otherwise.  A :class:`Frac` of a
 :class:`FracField` is a numerator over a denominator, two polynomials of
 the field's ring.  Every field ``+ - * /`` returns it in canonical form,
 with one ``cancel``: numerator and denominator coprime in Z[x, t1, ...,
 tn], integer content included, and the denominator's leading coefficient
-positive.  Equality is then structural.
+positive.  Equality is then structural, and a constant compares and hashes
+as its int or Fraction.
 
 The arithmetic only has to be exact and canonical.  The gcd is unique once
 its leading coefficient is positive, so ``cofactors`` (a zero check and a
@@ -140,14 +145,14 @@ class Poly(dict):
     __slots__ = ()
     ring: PolyRing = None
 
-    def new(self, init):
-        return self.ring.dtype(init)
-
     def copy(self):
         return self.ring.dtype(self)
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.items())))
+        # the ring takes no part, as in ``==``; a constant hashes as its int
+        if self.is_ground:
+            return hash(self.get(0, 0))
+        return hash(frozenset(self.items()))
 
     def __repr__(self):
         return self.render(self.ring.names)
@@ -229,6 +234,21 @@ class Poly(dict):
         return self.ring.dtype(
             {m - target: c for m, c in self.items() if m & mask == target}
         )
+
+    def coeff_polys(self, i):
+        """{k: coefficient of x_i**k}, each a polynomial free of x_i."""
+        s = self.ring.shifts[i]
+        clear = ~(FIELD << s)
+        buckets = {}
+        for m, c in self.items():
+            buckets.setdefault(m >> s & FIELD, {})[m & clear] = c
+        return {k: self.ring.dtype(d) for k, d in buckets.items()}
+
+    def free_of(self, indices):
+        """True iff none of the variables of the given indices occurs."""
+        shifts = self.ring.shifts
+        mask = sum(FIELD << shifts[i] for i in indices)
+        return not any(m & mask for m in self)
 
     # -- ring operations ----------------------------------------------------
 
@@ -343,8 +363,12 @@ class Poly(dict):
         return self.ring.dtype({m: c * x for m, c in self.items()})
 
     def mul_monom(self, monom):
-        """self times the packed monomial monom."""
+        """self times the packed monomial monom (``ring.pack``)."""
         return self.ring.dtype({m + monom: c for m, c in self.items()})._checked()
+
+    def mul_gen(self, i, k):
+        """self times x_i**k."""
+        return self.mul_monom(k << self.ring.shifts[i])
 
     def content(self):
         """gcd of the coefficients, nonnegative."""
@@ -399,12 +423,11 @@ class Poly(dict):
             return r
         N = df - dg + 1
         lc_g = g.coeff_wrt(i, dg)
-        s = f.ring.shifts[i]
         while True:
             lc_r = r.coeff_wrt(i, dr)
             j, N = dr - dg, N - 1
             R = r * lc_g
-            G = (g * lc_r).mul_monom(j << s)
+            G = (g * lc_r).mul_gen(i, j)
             r = R - G
             dr = r.degree(i)
             if dr < dg:
@@ -477,9 +500,19 @@ class Poly(dict):
 
     def set_ring(self, ring):
         """The same polynomial in a ring whose variables include every
-        variable that occurs in it, matched by name."""
+        variable that occurs in it: matched by position when one ring's
+        names begin with the other's, so that each monomial moves by one
+        shift, and otherwise by name."""
         if ring is self.ring:
             return self
+        a, b = self.ring.names, ring.names
+        if a == b[: len(a)] or b == a[: len(b)]:
+            k = W * (len(b) - len(a))
+            if k >= 0:
+                return ring.dtype({m << k: c for m, c in self.items()})
+            if any(m & ((1 << -k) - 1) for m in self):
+                raise ValueError(f"{self} involves a variable beyond {ring}")
+            return ring.dtype({m >> -k: c for m, c in self.items()})
         index = {name: i for i, name in enumerate(ring.names)}
         moves = []
         for s, name in zip(self.ring.shifts, self.ring.names):
@@ -597,7 +630,11 @@ class Frac:
         return field.new(self.numer.set_ring(field.ring), self.denom.set_ring(field.ring))
 
     def __hash__(self):
-        return hash((self.field, self.numer, self.denom))
+        # a constant hashes as its Fraction, as it compares
+        numer, denom = self.numer, self.denom
+        if numer.is_ground and denom.is_ground:
+            return hash(Fraction(numer.LC, denom.LC))
+        return hash((numer, denom))
 
     def __repr__(self):
         if self.denom.is_one:
@@ -633,13 +670,7 @@ class Frac:
     def __sub__(f, g):
         if g.__class__ is not f.__class__ and (g := f.field.ground(g)) is None:
             return NotImplemented
-        if not g:
-            return f
-        if not f:
-            return -g
-        if f.denom == g.denom:
-            return f.new(f.numer - g.numer, f.denom)
-        return f.new(f.numer * g.denom - f.denom * g.numer, f.denom * g.denom)
+        return f + -g
 
     def __rsub__(f, c):
         if (c := f.field.ground(c)) is None:

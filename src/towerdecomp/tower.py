@@ -62,6 +62,10 @@ class FormalProduct:
                 merged.append((base, exp * coeff))
         return FormalProduct(merged)
 
+    def substitute(self, F, values):
+        """The product with each base mapped into F by ``arith.substitute``."""
+        return FormalProduct([(substitute(b, F, values), e) for b, e in self.factors])
+
     def collapse(self):
         """The product as a single field element, or None for fractional exponents."""
         if not self.factors:
@@ -177,7 +181,8 @@ class TowerElement(Record):
         return self.value == other
 
     def __hash__(self):
-        return hash((self.value, self.tower))
+        # as ``==``, which compares a raw value or an int with the value
+        return hash(self.value)
 
     def __repr__(self):
         return f"TowerElement({self.value})"
@@ -232,7 +237,6 @@ class Tower:
         self.derivs = []  # derivative of generator i at index i-1
         self._validation = None
         self._derivative_projections = None
-        self._residue_field = None
         # L = lcm of the denominators b_i of t_i' = a_i/b_i, and one
         # (i, a_i*L/b_i) per nonzero t_i'; L*p' is then a polynomial for
         # every polynomial p.  Extended per generator, since the derivative
@@ -435,10 +439,7 @@ def normalize_generators(T: Tower):
         shifts.append((i, g_total))
         argument = T.generators[i - 1].argument
         if argument is not None and not g_total:
-            argument = FormalProduct(
-                [(substitute(b, builder.F, values), e) for b, e in argument.factors]
-            )
-            new_specs.append((LOG, argument))
+            new_specs.append((LOG, argument.substitute(builder.F, values)))
         else:
             new_specs.append((PRIM, h_total))
     T2 = Tower(builder.F, T.names, new_specs)

@@ -139,6 +139,15 @@ def test_elementary_command(li_file, capsys):
     assert "1 * log(t2)" in out
 
 
+def test_elementary_command_spans_after_the_witness(tmp_path, capsys):
+    path = tmp_path / "prim.tower"
+    path.write_text("var x\ngen t1 : prim 1/(x^2-2)\n")
+    assert main(["elementary", "--tower", str(path), "--expr", "1/x + 1/(x^2-2)"]) == 0
+    out = capsys.readouterr().out
+    assert "elementary: yes" in out
+    assert "1 * t1" in out and "1 * log(x)" in out
+
+
 def test_check_command(li_file, capsys):
     assert main(["check", "--tower", li_file]) == 0
     assert "S-primitive: yes" in capsys.readouterr().out

@@ -139,25 +139,28 @@ def test_elementary_mixed_span_and_logs(tower_li):
 def test_constant_certificate_is_an_internal_error(monkeypatch):
     b = TowerBuilder(["t1"])
     T = b.log(b.x).build()
-    t1 = T.gens[1]
-    monkeypatch.setattr(elem, "substitute", lambda c, F, values: F.one * 3)
+    x, t1 = T.gens
+    # the first residue coefficient of 1/(x*t1) is -1, so the certificate
+    # that a patched is_ground lets through is constant
+    monkeypatch.setattr(elem, "is_ground", lambda c: False)
     with pytest.raises(InternalVerificationError, match="non-ground coefficient is constant"):
-        elementary_integrability(T.element(1 / t1))
+        elementary_integrability(T.element(1 / (x * t1)))
 
 
 def test_true_no_cancel_count(tower_li, gcds):
     """1/(t1 + x) has the non-constant residue at t1 = -x; once the tower's
-    caches are warm its verdict cancels 9 times: 5 in the decomposition
-    and its checks, one projection, and 3 in the residue analysis (the
-    resultant, the monic coefficient and the certificate, whose derivative
-    is never cancelled).  A check that canonicalizes more fails here."""
+    caches are warm its verdict cancels 8 times: 5 in the decomposition
+    and its checks, one projection, and 2 in the residue analysis (the
+    resultant and the monic coefficient; the certificate is that
+    coefficient moved out of the residue ring, and its derivative is never
+    cancelled).  A check that canonicalizes more fails here."""
     T = tower_li
     x, t1, t2, t3 = T.gens
     f = T.element(1 / (t1 + x))
     elementary_integrability(f)
     gcds.clear()
     verdict = elementary_integrability(f)
-    assert gcds["cancel"] == 9
+    assert gcds["cancel"] == 8
     assert verdict.status == NO and verdict.certificate.value == -x / (x + 1)
 
 
@@ -187,3 +190,51 @@ def test_readme_input_never_leaves_the_integers(tower_li):
     for value in values:
         for p in (value.numer, value.denom):
             assert all(type(c) is int for c in p.values())
+
+
+def test_span_after_a_failed_residue_step():
+    """On t1 = log x, t2 = log(t1*(x + 1)), 1/(x*t1) = t2' - 1/(x + 1): the
+    span step at level 0 fails, the residue step finds -1 at x = -1, and
+    the second span step takes t2' for the rest."""
+    b = TowerBuilder(["t1", "t2"])
+    x, t1, t2 = b.gens
+    T = b.log(x).log(t1 * (x + 1)).build()
+    verdict = elementary_integrability(T.element(1 / (x * t1)))
+    assert verdict.status == YES
+    assert verdict.span_coeffs == (0, 1)
+    assert [(c, a.value) for c, a in verdict.witness] == [(-1, x + 1)]
+    _verify(T, verdict, None)
+
+
+def test_span_after_the_witness_at_level_zero():
+    """t1' = 1/(x^2 - 2): 1/x + 1/(x^2 - 2) is t1' plus log(x)', reached by
+    the span step after the witness."""
+    b = TowerBuilder(["t1"])
+    x, t1 = b.gens
+    T = b.prim(1 / (x**2 - 2)).build()
+    verdict = elementary_integrability(T.element(1 / x + 1 / (x**2 - 2)))
+    assert verdict.status == YES
+    assert verdict.span_coeffs == (1,)
+    assert [(c, a.value) for c, a in verdict.witness] == [(1, x)]
+    _verify(T, verdict, None)
+
+
+@pytest.mark.parametrize(
+    "make, status, witness, certificate",
+    [
+        (lambda x, t: 1 / (t + x), NO, [], "(-x)/(x + 1)"),
+        (lambda x, t: 1 / (x * t), YES, [(1, "t")], None),
+        (lambda x, t: 1 / (x * (t + 1)) + 2 / x, YES, [(1, "t + 1")], None),
+    ],
+)
+def test_a_generator_named_like_the_root_variable(make, status, witness, certificate):
+    """A generator t = log x named _z, as the residue ring's root variable
+    is, gets the verdict, witness and certificate of one named t1."""
+    for name in ["t1", "_z"]:
+        b = TowerBuilder([name])
+        x, t = b.gens
+        T = b.log(x).build()
+        verdict = elementary_integrability(T.element(make(x, t)))
+        assert verdict.status == status
+        assert [(c, str(a.value).replace(name, "t")) for c, a in verdict.witness] == witness
+        assert (verdict.certificate and str(verdict.certificate.value)) == certificate

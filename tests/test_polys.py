@@ -1,6 +1,9 @@
 """The tower field's exact division, lcm, gcd and powers against sympy's
 ``PolyElement``, and its negative powers."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 from sympy import ZZ
@@ -312,3 +315,37 @@ def test_exact_quotient_across_a_borrow_is_none():
     assert x.exact_quo(t1) is None
     assert (x * t1).exact_quo(t1**2) is None
     assert (x**2 * t1).exact_quo(x * t1) == x
+
+
+def _layout_readers(path):
+    """(module, line) of each import of the gcd kernel, each read of a
+    ring's field offsets or guard bits, and each ``.dtype(...)`` call,
+    which builds a polynomial from packed monomials."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            bad = any(m.rsplit(".", 1)[-1] == "gcdheu" for m in modules)
+        elif isinstance(node, ast.Attribute):
+            bad = node.attr in ("shifts", "guard")
+        elif isinstance(node, ast.Call):
+            bad = isinstance(node.func, ast.Attribute) and node.func.attr == "dtype"
+        else:
+            bad = False
+        if bad:
+            found.append((path.stem, node.lineno))
+    return found
+
+
+def test_the_monomial_layout_stays_in_polys():
+    """The packed-monomial layout is private: only polys imports gcdheu,
+    and no module besides the two reads it."""
+    src = Path(gcdheu.__file__).parent
+    found = [
+        where
+        for path in sorted(src.glob("*.py"))
+        if path.stem not in ("polys", "gcdheu")
+        for where in _layout_readers(path)
+    ]
+    assert found == []
+    assert _layout_readers(src / "polys.py")

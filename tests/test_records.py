@@ -2,9 +2,11 @@
 immutability, field by field."""
 
 import copy
+from fractions import Fraction
 
 import pytest
 
+from towerdecomp.arith import ground
 from towerdecomp.decomp import Decomposition, InFieldIntegral
 from towerdecomp.elem import ElementaryVerdict
 from towerdecomp.embed import AssociatedMatrix, Embedding, SignificantData
@@ -93,12 +95,30 @@ def test_tower_element_equality_is_by_tower_identity():
     T, U = li_tower(), li_tower()
     x = T.gens[0]
     a, b = TowerElement(x, T), TowerElement(x, T)
-    assert a == b and hash(a) == hash(b) == hash((x, T))
+    assert a == b and hash(a) == hash(b) == hash(x)
     assert a != TowerElement(U.gens[0], U)  # equal text, another tower
     assert a != TowerElement(T.gens[1], T)
     assert a == x and a != T.gens[1]  # a raw value compares with the value
     assert TowerElement(T.F.zero, T) == 0
     assert not TowerElement(T.F.zero, T) and TowerElement(x, T)
+
+
+def test_equal_constants_hash_alike():
+    """A constant compares equal to its int or Fraction and so hashes as
+    it: a set holds one of each pair."""
+    T = li_tower()
+    F = T.F
+    half = Fraction(1, 2)
+    pairs = [
+        (F.one * 3, 3),
+        (ground(F, half), half),
+        (T.element(3), 3),
+        (T.element(3), F.one * 3),
+        (F.ring.ground_new(3), 3),
+        (F.ring.zero, 0),
+    ]
+    for a, b in pairs:
+        assert a == b and len({a, b}) == 1
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
