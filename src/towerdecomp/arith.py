@@ -222,9 +222,9 @@ class UniPoly:
     def _divide(self, other):
         """Unreduced quotient and remainder pairs, ((qnum, qden), (rnum,
         rden)): one pseudo-division of the numerators, L*num = Q*other.num +
-        R, gives quotient Q*other.den/(L*den) and remainder R/(L*den)."""
-        if other.is_zero():
-            raise ZeroDivisionError("UniPoly division by zero")
+        R, gives quotient Q*other.den/(L*den) and remainder R/(L*den).
+        Every divisor is nonzero: a squarefree factor, their product or a
+        unit."""
         ring = self.num.ring
         if other.degree == 0:
             return (self.num * other.den, self.den * other.num), (ring.zero, ring.one)
@@ -254,15 +254,6 @@ class UniPoly:
     def to_frac(self):
         """Collapse back into a single field element."""
         return self.F.new(self.num, self.den)
-
-    def __repr__(self):
-        name = self.F.names[self.v]
-        if self.is_zero():
-            return "0"
-        parts = [
-            f"({c})*{name}^{k}" for k, c in sorted(self.coeffs.items(), reverse=True)
-        ]
-        return " + ".join(parts)
 
 
 def sum_pairs(F, pairs):
@@ -315,8 +306,8 @@ def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def unipoly_xgcd(a: UniPoly, b: UniPoly):
-    """Half-extended gcd: (g, s) with s*a = g (mod b) and g monic, or g
-    zero when a and b are.  The cofactor of b is never formed, and the loop
+    """Half-extended gcd: (g, s) with s*a = g (mod b) and g monic, for a
+    nonzero b.  The cofactor of b is never formed, and the loop
     stops at the first zero remainder, before the quotient that would only
     build the cofactor s with s*a = 0 (mod b).  g is made monic by folding
     lc(g) into its denominator, without a gcd.  s is returned in lowest
@@ -337,8 +328,6 @@ def unipoly_xgcd(a: UniPoly, b: UniPoly):
         q = r0._new(*_reduce(qnum, qden))
         r0, r1 = r1, r0._new(*_reduce(rnum, rden))
         s0, s1 = s1, s0 - q * s1
-    if r0.is_zero():
-        return r0, s0
     # r0 = r0.num/r0.den with lc_v(r0) = lc/r0.den: dividing by it leaves
     # r0.num/lc and s0 * r0.den/lc
     lc = _lc(r0.num, r0.v)
@@ -350,17 +339,13 @@ def squarefree_decomposition(p, v):
 
     Returns a list of (monic factor, multiplicity) pairs with strictly
     increasing multiplicities such that p equals a unit times the product of
-    factor**multiplicity.  Rejects the zero polynomial.  Runs on the
+    factor**multiplicity, for p of degree at least 1 in v.  Runs on the
     numerator polynomial with multivariate gcds and exact divisions: these
     agree with the gcds over the coefficient field up to factors free of v,
     so each factor is the same once made monic, at the end.  Each ``exquo``
     divides by a gcd over Z of its argument, so it is exact in Z[x, t].
     """
     P = p.num
-    if not P:
-        raise ValueError("squarefree decomposition of the zero polynomial")
-    if P.degree(v) == 0:
-        return []
     dP = P.diff(v)
     g = P.gcd(dP)
     w = P.exquo(g)
@@ -419,7 +404,7 @@ def _subresultant(A, B, v):
 
 
 def unipoly_resultant(a: UniPoly, b: UniPoly):
-    """Resultant of two UniPolys, as a field element.
+    """Resultant of two nonzero UniPolys, as a field element.
 
     Fraction-free: the subresultant PRS runs on the numerators, and the
     denominators come out once, res(a, b) = res(a.num, b.num) /
@@ -427,8 +412,6 @@ def unipoly_resultant(a: UniPoly, b: UniPoly):
     """
     F = a.F
     da, db = a.degree, b.degree
-    if da < 0 or db < 0:
-        return F.zero
     res = _subresultant(a.num, b.num, a.v)
     if not res:
         return F.zero

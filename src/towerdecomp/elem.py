@@ -185,12 +185,9 @@ def elementary_integrability(f: TowerElement) -> ElementaryVerdict:
                     "residues beyond exact rational arithmetic",
                     decomposition=dec,
                 )
-            return ElementaryVerdict(
-                NO,
-                reason=f"projection at level {i} is not reachable by generator "
-                "derivatives and logarithmic derivatives with rational residues",
-                decomposition=dec,
-            )
+            # every residue is rational and the witness has taken each one,
+            # so rest is simple at level i with all residues zero: it is zero
+            raise InternalVerificationError("a rational residue outlived its witness")
     if leftover:
         raise InternalVerificationError("elementary residual did not vanish")
     check = T.diff_log_combination((arg, c) for c, arg in witness)

@@ -214,26 +214,18 @@ def normalization_images(normalized: Tower, change_log):
 
 
 def _recover_log_argument(prefix, value, level):
-    """Try to express value as a combination of logarithmic derivatives; on
-    success return the FormalProduct argument of the matching generator,
-    whose logarithmic derivative has been checked to equal value exactly."""
+    """The FormalProduct argument whose logarithmic derivative is value,
+    checked exactly.  value, a basis entry, is a projection of a generator
+    derivative, so it is a rational combination of logarithmic derivatives
+    at its level, and its residues are its coefficients."""
     from .elem import _residue_analysis, _witness_from_roots
 
-    if value.denom.is_ground:
-        return None
-    try:
-        analysis = _residue_analysis(prefix, value, level)
-    except InternalVerificationError:
-        return None
-    if analysis[0] != "constant":
-        return None
-    _, roots, full = analysis
-    if not full:
-        return None
-    items, combined = _witness_from_roots(prefix, value, level, roots)
-    if combined != value or not items:
-        return None
-    return FormalProduct([(arg, c) for c, arg in items])
+    analysis = _residue_analysis(prefix, value, level)
+    if analysis[0] == "constant":
+        items, combined = _witness_from_roots(prefix, value, level, analysis[1])
+        if combined == value:
+            return FormalProduct([(arg, c) for c, arg in items])
+    raise InternalVerificationError("basis entry is not a logarithmic derivative")
 
 
 def embed_well_generated(T: Tower) -> Embedding:
@@ -321,8 +313,7 @@ def embed_well_generated(T: Tower) -> Embedding:
             (i for i, p in enumerate(project_value(prefix, val)) if p),
             default=0,
         )
-        arg = _recover_log_argument(prefix, val, level)
-        target_specs.append((LOG, arg) if arg is not None else (PRIM, val))
+        target_specs.append((LOG, _recover_log_argument(prefix, val, level)))
         prefix_specs.append((PRIM, val))
     target = Tower(Ft, [T.names[0]] + target_names, target_specs)
     target.ensure_s_primitive()

@@ -57,9 +57,8 @@ def hermite_reduce_proper_value(T, f, level):
         proper, poly = split_proper_poly(f, 0)
         g = F.zero
         x = T.gens[0]
+        # f lies in Q(x), so each coefficient c is a rational constant
         for k, c in poly.coeffs.items():
-            if not (c.numer.is_ground and c.denom.is_ground):
-                raise NotProper(0, "polynomial part must have constant coefficients")
             g += c * x ** (k + 1) / (k + 1)
         gp, h = _hermite_core(T, proper, 0)
         return g + gp, h
@@ -82,7 +81,7 @@ def _hermite_core(T, f, level):
         return F.zero, F.zero
     A, D = frac_to_unipair(f, level)
     sqf = squarefree_decomposition(D, level)
-    if not sqf or sqf[-1][1] == 1:
+    if sqf[-1][1] == 1:
         if improper_reason(T, f, level):
             raise InternalVerificationError("Hermite output is not proper")
         return F.zero, f

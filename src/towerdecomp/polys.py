@@ -71,8 +71,6 @@ class PolyRing:
     def __init__(self, names):
         self.names = tuple(names)
         self.ngens = n = len(self.names)
-        if not n:
-            raise ValueError("a polynomial ring needs at least one variable")
         # the bit offset of each variable's field, the first one highest
         self.shifts = tuple(W * (n - 1 - i) for i in range(n))
         self.guard = guard_mask(n)
@@ -91,12 +89,8 @@ class PolyRing:
         return self.dtype({0: 1})
 
     def __call__(self, element):
-        """The polynomial of a polynomial of this ring, a dict of terms keyed
-        by exponent tuples or an integer."""
-        if isinstance(element, Poly):
-            if element.ring is not self:
-                raise ValueError("polynomial of another ring")
-            return element
+        """The polynomial of a dict of terms keyed by exponent tuples or of
+        an integer."""
         if isinstance(element, dict):
             return self.from_dict(element)
         return self.ground_new(element)
@@ -412,15 +406,12 @@ class Poly(dict):
 
     def prem(self, g, i=0):
         """Pseudo-remainder in variable index i:
-        lc_i(g)**(deg_i f - deg_i g + 1) * f reduced modulo g."""
+        lc_i(g)**(deg_i f - deg_i g + 1) * f reduced modulo g, for
+        deg_i f >= deg_i g >= 1, as the subresultant PRS orders them."""
         f = self
         df = f.degree(i)
         dg = g.degree(i)
-        if dg < 0:
-            raise ZeroDivisionError("polynomial division")
         r, dr = f, df
-        if df < dg:
-            return r
         N = df - dg + 1
         lc_g = g.coeff_wrt(i, dg)
         while True:
@@ -503,8 +494,6 @@ class Poly(dict):
         variable that occurs in it: matched by position when one ring's
         names begin with the other's, so that each monomial moves by one
         shift, and otherwise by name."""
-        if ring is self.ring:
-            return self
         a, b = self.ring.names, ring.names
         if a == b[: len(a)] or b == a[: len(b)]:
             k = W * (len(b) - len(a))
@@ -549,7 +538,7 @@ class FracField:
 
         return tuple(Symbol(name) for name in self.names)
 
-    def raw_new(self, numer, denom=None):
+    def raw_new(self, numer, denom):
         """numer/denom as given, with no cancel."""
         return self.dtype(numer, denom)
 
@@ -562,10 +551,8 @@ class FracField:
             return self.dtype(ring.ground_new(c.numerator), ring.ground_new(c.denominator))
         return None
 
-    def new(self, numer, denom=None):
+    def new(self, numer, denom):
         """numer/denom in canonical form, with one cancel."""
-        if denom is None:
-            denom = self.ring.one
         return self.dtype(*numer.cancel(denom))
 
     def from_expr(self, expr):
@@ -608,15 +595,13 @@ class Frac:
     __slots__ = ("numer", "denom")
     field: FracField = None
 
-    def __init__(self, numer, denom=None):
-        if denom is None:
-            denom = self.field.ring.one
-        elif not denom:
+    def __init__(self, numer, denom):
+        if not denom:
             raise ZeroDivisionError("zero denominator")
         self.numer = numer
         self.denom = denom
 
-    def raw_new(f, numer, denom=None):
+    def raw_new(f, numer, denom):
         return f.__class__(numer, denom)
 
     def new(f, numer, denom):

@@ -67,9 +67,8 @@ class FormalProduct:
         return FormalProduct([(substitute(b, F, values), e) for b, e in self.factors])
 
     def collapse(self):
-        """The product as a single field element, or None for fractional exponents."""
-        if not self.factors:
-            return None
+        """The product as a single field element, or None for fractional
+        exponents.  A generator's argument has at least one factor."""
         F = self.factors[0][0].field
         out = F.one
         for base, exp in self.factors:
@@ -278,10 +277,14 @@ class Tower:
     # -- basic differential structure -------------------------------------
 
     def element(self, value) -> TowerElement:
+        """value as an element of the tower: a TowerElement as it is, an int,
+        a Fraction or an element of the tower's field ``F``."""
         if isinstance(value, TowerElement):
             return value
         if isinstance(value, (int, Fraction)):
             value = ground(self.F, value)
+        elif not isinstance(value, self.F.dtype):
+            raise TypeError(f"expected an element of {self.F!r}, got {value!r}")
         return TowerElement(value, self)
 
     def diff(self, f):

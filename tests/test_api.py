@@ -53,6 +53,10 @@ def test_all_is_the_documented_api():
     assert len(towerdecomp.__all__) == len(API) == 30
 
 
+def test_dir_lists_the_names_not_yet_loaded():
+    assert set(towerdecomp.__all__) <= set(dir(towerdecomp))
+
+
 def test_every_exported_name_resolves():
     for name in towerdecomp.__all__:
         assert getattr(towerdecomp, name) is not None, name

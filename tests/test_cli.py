@@ -430,6 +430,28 @@ def test_tower_file_errors():
         parse_tower_file("var x\ngen t1 : log(t1)\n")
 
 
+INPUT_ERRORS = {
+    "division-by-zero": (LI_TOWER, "1/0", 1, "division by zero at offset 1"),
+    "non-integer-exponent": (LI_TOWER, "x^t1", 1, "expected integer exponent at offset 2"),
+    "reserved-name": ("var x\ngen log : log(x)\n", "x", 1, "line 2: reserved name 'log'"),
+    "empty-file": ("", "x", 1, "empty tower file: missing 'var <name>' header"),
+    "comment-only-file": ("# nothing\n\n", "x", 1, "empty tower file"),
+    "base-name-reused": ("var x\ngen x : log(x)\n", "x", 1, "duplicate variable names in tower file"),
+    "log-of-zero": ("var x\ngen t1 : log(0)\n", "x", 1, "line 2: logarithm of zero"),
+    "zero-derivative": ("var x\ngen t1 : prim 0\n", "x", 2, "derivative of t1 is zero"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_errors_exit_with_their_message(case, tmp_path, capsys):
+    text, expr, code, message = INPUT_ERRORS[case]
+    path = tmp_path / "case.tower"
+    path.write_text(text)
+    assert main(["decomp", "--tower", str(path), "--expr", expr]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_tower_file_round_trip():
     T = parse_tower_file(NESTED_TOWER)
     T2 = parse_tower_file(render_tower_file(T))
@@ -619,6 +641,16 @@ def test_expr_may_start_with_minus(li_file, capsys):
 def test_usage_errors_exit_1(argv, capsys):
     assert main(argv) == 1
     assert "usage:" in capsys.readouterr().err
+
+
+def test_the_module_run_exits_with_mains_code(tmp_path):
+    """``python -m towerdecomp.cli`` passes main's exit code to the shell."""
+    path = tmp_path / "dep.tower"
+    path.write_text("var x\ngen t1 : log(x)\ngen t2 : prim 2/x\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-m", "towerdecomp.cli", "decomp", "--tower", str(path), "--expr", "1/x"]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert out.returncode == 2 and "not S-primitive" in out.stderr
 
 
 def test_help_exits_0(capsys):

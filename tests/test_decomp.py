@@ -557,6 +557,31 @@ def test_tampered_output_fails_the_reconstruction_check(which, monkeypatch):
         assert D.cofactors(D.diff(3))[0].degree(3) == 1
 
 
+def test_a_wrong_solution_fails_the_solver_self_check(tower_li, monkeypatch):
+    """The combination is checked as a polynomial identity over Z: 2 * (1/x)
+    is not 1/x."""
+    x = tower_li.gens[0]
+    monkeypatch.setattr(decomp, "solve_linear_system", lambda rows, rhs: [Fraction(2)])
+    with pytest.raises(InternalVerificationError, match="^combination solver self-check failed$"):
+        solve_constant_combination_values(tower_li.F, 1 / x, [1 / x])
+
+
+def test_an_order_key_that_does_not_decrease_is_an_internal_error(tower_li, monkeypatch):
+    """Each pass must lower the order key; the README input takes more than
+    one pass, and here every pass reads the first pass's key."""
+    x, t1, t2, t3 = tower_li.gens
+    keys = []
+
+    def frozen(T, value, _key=decomp.order_key_value):
+        keys.append(_key(T, value))
+        return keys[0]
+
+    monkeypatch.setattr(decomp, "order_key_value", frozen)
+    with pytest.raises(InternalVerificationError, match="^order key failed to decrease$"):
+        add_decomp_in_field(tower_li.element(1 / (t1 * t2) + (t2 - 2 * x * t1) / t1**2 + t3))
+    assert len(keys) == 2
+
+
 def test_readme_decomposition_cancel_count(tower_li, gcds):
     """The README decomposition cancels 21 times once the tower's caches are
     warm: 15 in its passes, four to sum g and r, and two in the checks, for

@@ -238,3 +238,48 @@ def test_a_generator_named_like_the_root_variable(make, status, witness, certifi
         assert verdict.status == status
         assert [(c, str(a.value).replace(name, "t")) for c, a in verdict.witness] == witness
         assert (verdict.certificate and str(verdict.certificate.value)) == certificate
+
+
+def _doubled_witness(T, value, i, roots, _witness=elem._witness_from_roots):
+    items, combined = _witness(T, value, i, roots)
+    return [(2 * c, arg) for c, arg in items], combined
+
+
+# (name patched in elem, its stand-in, the input on li, the check's message);
+# each stand-in breaks one step, and the check after it must fire
+TAMPERED_STEPS = {
+    "vanishing-resultant": (
+        "unipoly_resultant", lambda a, b: a.F.zero, lambda x, t1: 1 / (t1 + x),
+        "^residue resultant vanished$",
+    ),
+    "root-variable-in-the-denominator": (
+        "unipoly_resultant", lambda a, b: 1 / a.F.gens[-1], lambda x, t1: 1 / (t1 + x),
+        "^resultant denominator involves the root variable$",
+    ),
+    "projections-read-as-zero": (
+        "project_value", lambda T, value: [T.F.zero] * (T.n + 1), lambda x, t1: 1 / (t1 + x),
+        "^elementary residual did not vanish$",
+    ),
+    "witness-coefficients-doubled": (
+        "_witness_from_roots", _doubled_witness, lambda x, t1: 1 / (x * (t1 + 1)),
+        "^elementary witness failed verification$",
+    ),
+    "witness-dropped": (
+        "_witness_from_roots", lambda T, value, i, roots: ([], T.F.zero),
+        lambda x, t1: 1 / (x * (t1 + 1)),
+        "^a rational residue outlived its witness$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED_STEPS))
+def test_a_tampered_step_fails_its_check(case, tower_li, monkeypatch):
+    """On li, 1/(t1 + x) gets a residue analysis and 1/(x*(t1 + 1)) the
+    witness 1*log(t1 + 1), whose residue 1 is the whole residue polynomial.
+    Dropping that witness would leave a nonzero level-1 projection with no
+    residue left to certify a no."""
+    name, stand_in, make, message = TAMPERED_STEPS[case]
+    x, t1 = tower_li.gens[:2]
+    monkeypatch.setattr(elem, name, stand_in)
+    with pytest.raises(InternalVerificationError, match=message):
+        elementary_integrability(tower_li.element(make(x, t1)))

@@ -11,7 +11,13 @@ from towerdecomp import (
     normalize_tower,
     significant_data,
 )
-from towerdecomp.errors import NotLogarithmic, PreconditionCLIMI, TowerNotSPrimitive
+from towerdecomp import elem, embed
+from towerdecomp.errors import (
+    InternalVerificationError,
+    NotLogarithmic,
+    PreconditionCLIMI,
+    TowerNotSPrimitive,
+)
 
 from conftest import coupled_tower, random_element, random_log_tower
 
@@ -238,3 +244,97 @@ def test_w_bound_on_random_towers(rng):
         m = normalized.n
         assert m <= E.w <= m * (m + 1) // 2
         assert is_well_generated(E.target)[0]
+
+
+def _moved_significant_vector(sv):
+    """Report the significant vector sv for the real matrix, past the
+    precondition scan that would reject it first."""
+
+    def tamper(monkeypatch, T):
+        cols = embed.derivative_projections(T)[0]
+        monkeypatch.setattr(embed, "_scan_significant", lambda T, cols, sv: None)
+        monkeypatch.setattr(embed, "derivative_projections", lambda T: (cols, sv))
+
+    return tamper
+
+
+def _no_basis(monkeypatch, T):
+    monkeypatch.setattr(embed, "_scan_significant", lambda T, cols, sv: None)
+    monkeypatch.setattr(embed, "solve_constant_combination_values", lambda F, target, basis: [])
+
+
+def _leaky_substitute(monkeypatch, T):
+    def leaky(f, F, values, _substitute=embed.substitute):
+        return _substitute(f, F, values) + F.gens[-1]
+
+    monkeypatch.setattr(embed, "substitute", leaky)
+
+
+def _shifted_images(monkeypatch, T):
+    """The w target derivatives are honest, the n images' are off by 1."""
+    w, calls = embed_well_generated(T).w, []
+
+    def shifted(f, F, values, _substitute=embed.substitute):
+        calls.append(f)
+        return _substitute(f, F, values) + (len(calls) > w)
+
+    monkeypatch.setattr(embed, "substitute", shifted)
+
+
+def _patch(module, name, stand_in):
+    return lambda monkeypatch, T: monkeypatch.setattr(module, name, stand_in)
+
+
+# on the nested tower (w = 5, ell = (1, 3, 5), significant vector (0, 1, 2)),
+# each tamper breaks one step of the embedding, and the check after it fires
+TAMPERED_EMBEDDINGS = {
+    "no-basis-entry": (_no_basis, "^basis size out of range$"),
+    "significant-component-outside-the-basis": (
+        _moved_significant_vector((0, 0, 2)),
+        "^significant component did not enter the basis$",
+    ),
+    "positions-not-staircase": (
+        _moved_significant_vector((0, 1, 0)),
+        "^basis positions are not staircase$",
+    ),
+    "no-combination-found": (
+        _patch(embed, "solve_constant_combination_values", lambda F, target, basis: None),
+        "^generator derivative not spanned by earlier basis entries$",
+    ),
+    "target-derivative-with-later-generators": (
+        _leaky_substitute, "^target derivative involves later generators$"
+    ),
+    "non-constant-residue": (
+        _patch(elem, "_residue_analysis", lambda T, value, i: ("nonconstant", value)),
+        "^basis entry is not a logarithmic derivative$",
+    ),
+    "witness-short-of-the-entry": (
+        _patch(elem, "_witness_from_roots", lambda T, value, i, roots: ([], T.F.zero)),
+        "^basis entry is not a logarithmic derivative$",
+    ),
+    "target-not-well-generated": (
+        _patch(embed, "is_well_generated", lambda T: (False, "forced")),
+        "^target not well generated: forced$",
+    ),
+    "images-off-by-one": (
+        _shifted_images, "^homomorphism does not commute with derivation$"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED_EMBEDDINGS))
+def test_a_tampered_embedding_fails_its_check(case, tower_nested, monkeypatch):
+    tamper, message = TAMPERED_EMBEDDINGS[case]
+    tamper(monkeypatch, tower_nested)
+    with pytest.raises(InternalVerificationError, match=message):
+        embed_well_generated(tower_nested)
+
+
+def test_a_normalization_step_that_changes_nothing_is_an_internal_error(
+    tower_coupled, monkeypatch
+):
+    """Every step must lower the significant vector; a rebuild that gives
+    back the same tower does not."""
+    monkeypatch.setattr(embed, "_rebuild", lambda names, args, base: tower_coupled)
+    with pytest.raises(InternalVerificationError, match="^significant vector failed to decrease$"):
+        normalize_tower(tower_coupled)

@@ -77,6 +77,14 @@ def test_exquo_by_one_returns_a_copy():
         assert q == f and q is not f
 
 
+def test_exquo_by_a_divisor_past_the_top_field_is_none():
+    """A divisor that the gcd interpolates may have a first exponent of
+    2**15 or more, in the top field's guard bit; it divides nothing."""
+    for n in (1, 2):
+        x = 1 << gcdheu.W * (n - 1)
+        assert gcdheu._exquo({x: 1}, {x << gcdheu.W - 1: 1, 1: 1}, n) is None
+
+
 @given(poly_pairs(kinds=("coprime",)))
 def test_coprime_pairs_divide_by_one_and_match_sympy_heugcd(pair):
     """A coprime pair's gcd interpolates to 1, so its trial divisions are

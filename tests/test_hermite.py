@@ -256,6 +256,34 @@ def test_repeated_factor_that_is_not_normal_is_rejected(tower_li, monkeypatch):
         _hermite_core(T, 1 / (t1 * (t1 + 1) ** 2), 1)
 
 
+def test_a_wrong_squarefree_decomposition_is_rejected(tower_li, monkeypatch):
+    """The product of the factors must divide the denominator with a unit
+    quotient; t1^3 does not divide t1^2."""
+    t1 = tower_li.gens[1]
+
+    def bumped(p, v, _sqf=squarefree_decomposition):
+        return [(fac, m + 1) for fac, m in _sqf(p, v)]
+
+    monkeypatch.setattr(hermite, "squarefree_decomposition", bumped)
+    with pytest.raises(InternalVerificationError, match="^squarefree product mismatch$"):
+        hermite_reduce_proper_value(tower_li, 1 / t1**2, 1)
+
+
+@pytest.mark.parametrize(
+    "why, message",
+    [
+        (hermite.NOT_SQUAREFREE, "^Hermite output denominator not squarefree$"),
+        ("forced", "^Hermite output is not proper$"),
+    ],
+)
+def test_an_output_that_is_not_simple_is_rejected(why, message, tower_li, monkeypatch):
+    """After stripping a repeated factor, the output h must be simple."""
+    t1 = tower_li.gens[1]
+    monkeypatch.setattr(hermite, "not_simple_reason", lambda T, h, level: why)
+    with pytest.raises(InternalVerificationError, match=message):
+        hermite_reduce_proper_value(tower_li, 1 / t1**2, 1)
+
+
 def test_division_reduces_only_the_part_it_returns(tower_li, gcds):
     T = tower_li
     x, t1 = T.gens[:2]

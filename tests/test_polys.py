@@ -2,6 +2,7 @@
 ``PolyElement``, and its negative powers."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,62 @@ def test_exact_division_by_zero_raises():
     R, _ = rings(2)
     with pytest.raises(ZeroDivisionError):
         R.gens[0].exact_quo(R.zero)
+
+
+R2 = PolyRing(["x", "t1"])
+F2 = FracField(["x", "t1"])
+x2, t12 = R2.gens
+
+# the checks that stop a silent wrong result: without the first,
+# x**-3 would be x**7, since bin(-3)[3:] is '11'
+ARGUMENT_ERRORS = {
+    "negative-power": (lambda: x2**-3, ValueError, "non-negative integer, got -3"),
+    "non-int-power": (lambda: x2**1.5, TypeError, "must be an integer, got 1.5"),
+    "zero-to-the-zero": (lambda: R2.zero**0, ValueError, r"^0\*\*0$"),
+    "pack-negative": (lambda: R2.pack((1, -1)), ValueError, r"negative exponent in \(1, -1\)"),
+    "pack-length": (lambda: R2.pack((1,)), ValueError, r"^2 exponents expected, got \(1,\)$"),
+    "non-int-coefficient": (
+        lambda: R2.term_new((1, 0), Fraction(1, 2)),
+        TypeError,
+        r"integer coefficient expected, got Fraction\(1, 2\)",
+    ),
+    "zero-denominator": (lambda: F2.raw_new(x2, 0), ZeroDivisionError, "^zero denominator$"),
+    "zero-to-a-negative-power": (lambda: F2.zero**-1, ZeroDivisionError, "^$"),
+    "set-ring-by-name": (
+        lambda: t12.set_ring(PolyRing(["x", "u1"])),
+        ValueError,
+        r"^t1 is not a variable of PolyRing\(\['x', 'u1'\]\)$",
+    ),
+    "set-ring-below-a-used-variable": (
+        lambda: t12.set_ring(PolyRing(["x"])),
+        ValueError,
+        r"^t1 involves a variable beyond PolyRing\(\['x'\]\)$",
+    ),
+    "from-expr": (
+        lambda: F2.from_expr("sin(x)"),
+        ValueError,
+        r"^expected a rational function in x, t1, got sin\(x\)$",
+    ),
+    "poly-plus-str": (lambda: x2 + "a", TypeError, "unsupported operand"),
+    "poly-minus-str": (lambda: x2 - "a", TypeError, "unsupported operand"),
+    "poly-times-str": (lambda: x2 * "a", TypeError, "can't multiply"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARGUMENT_ERRORS))
+def test_argument_checks_raise(case):
+    call, error, message = ARGUMENT_ERRORS[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_comparisons_with_other_types():
+    """A polynomial of several terms is no int; a fraction compared with a
+    str is NotImplemented both ways, so it is unequal."""
+    assert (x2 + R2.one == 1) is False and x2 + R2.one != 1
+    assert (F2.one == "1") is False and F2.one != "1"
+    assert repr(F2) == "FracField(['x', 't1'])"
+    assert repr(R2) == "PolyRing(['x', 't1'])"
 
 
 @given(division_pairs())

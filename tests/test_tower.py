@@ -13,7 +13,7 @@ from towerdecomp import (
     embed_well_generated,
     normalize_tower,
 )
-from towerdecomp.arith import ground
+from towerdecomp.arith import ground, make_field
 from towerdecomp.errors import HeadMonomialNotOne, TowerDecompError
 from towerdecomp.polys import Poly
 from towerdecomp.tower import PRIM, _prefix_tower, normalize_generators
@@ -55,6 +55,7 @@ def test_formal_product_combine_and_collapse(tower_li):
     assert q.collapse() == t1
     half = FormalProduct([(x, Fraction(1, 2))])
     assert half.collapse() is None
+    assert repr(p) == "(x)^2 * (t1)^1"
 
 
 def test_equal_log_generators_hash_equal():
@@ -162,6 +163,35 @@ def test_generator_levels_enforced():
     b = TowerBuilder(["t1", "t2"])
     with pytest.raises(TowerDecompError):
         b.log(b.gens[2]).log(b.x).build()
+
+
+def test_builder_rejects_duplicate_names_and_a_wrong_declaration_count():
+    with pytest.raises(TowerDecompError, match="^duplicate variable names in tower$"):
+        TowerBuilder(["t1", "x"])
+    b = TowerBuilder(["t1", "t2"])
+    with pytest.raises(TowerDecompError, match="^expected 2 generator declarations, got 1$"):
+        b.log(b.x).build()
+
+
+FIVE = make_field(["x", "t1", "t2", "t3", "t4"])[1]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [make_field(["x", "t1"])[1][0], FIVE[0], FIVE[4], "x"],
+    ids=["x-of-Q(x,t1)", "x-of-five-variables", "t4-of-five-variables", "str"],
+)
+def test_element_rejects_a_value_of_another_field(value, tower_li):
+    """The call names the field; without the check, the three elements
+    would fail deep in an entry point, in Poly.degree, the reconstruction
+    check or Hermite reduction."""
+    with pytest.raises(TypeError, match=r"^expected an element of FracField\(\['x', 't1', 't2', 't3'\]\), got "):
+        tower_li.element(value)
+
+
+def test_element_keeps_a_tower_element(tower_li):
+    f = tower_li.element(tower_li.gens[1])
+    assert tower_li.element(f) is f
 
 
 def test_differentiate_wrapper(tower_li):
