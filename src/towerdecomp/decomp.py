@@ -42,6 +42,7 @@ from .matryoshka import (
     level_pieces,
     not_simple_reason,
     order_key_value,
+    own_piece,
 )
 from .tower import Record, Tower, TowerElement
 
@@ -237,7 +238,10 @@ def _is_remainder_value(T, r):
     n = T.n
     pieces = level_pieces(T, r)
     top = pieces[n].get((0,) * n)
-    pi_n = T.F.new(*top) if top else T.F.zero
+    if own_piece(T, r, pieces[n]):
+        pi_n = r  # r lies in level n alone
+    else:
+        pi_n = T.F.new(*top) if top else T.F.zero
     # pi_n(r) is its own only projection, and the head coefficient's
     # projections are its per-level parts hc_i
     why = not_simple_reason(T, pi_n, n)

@@ -4,12 +4,19 @@ A function integrates in elementary terms exactly when its remainder is a
 constant combination of generator derivatives plus a constant combination of
 logarithmic derivatives.  The recognizer for the logarithmic part is a
 residue computation: for h = p/q simple at level i, the roots of
-res_{t_i}(p - z*q', q) in z are the residues of h at its level-i poles,
-computed in ``make_field``'s Q(x, t_1, ..., t_n, _z), which operands enter
-and a certificate leaves by ``Poly.set_ring``, by position.
-Constant rational roots yield an exact witness; a non-constant root is a
-proof that no elementary integral exists; irrational constant residues fall
-outside exact rational arithmetic and give a three-valued Undecided.
+res_{t_i}(p - z*q', q) in z are the residues of h at its level-i poles.
+Only the monic residue polynomial matters, and it is read from the
+primitive part q0 = q/c of q in t_i: the resultant runs on q0 with the
+root variable scaled by the content c, so c never rides through the
+subresultant steps, and each coefficient is divided by the matching power
+of c in ``F``, with no gcd when it is a rational constant.  The resultant
+is computed in ``make_field``'s Q(x, t_1, ..., t_n, _z), which operands
+enter and coefficients leave by ``Poly.set_ring``, by position.
+Constant rational roots yield an exact witness; a non-constant coefficient
+is a proof that no elementary integral exists, and that it is not constant
+is checked by one exact division (``Tower.is_constant_pair``); irrational
+constant residues fall outside exact rational arithmetic and give a
+three-valued Undecided.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from fractions import Fraction
 from .arith import (
     UniPoly,
     frac_to_unipair,
+    free_of,
     ground,
     is_ground,
     make_field,
@@ -29,12 +37,7 @@ from .arith import (
 from .decomp import add_decomp_in_field, solve_constant_combination_values
 from .errors import InternalVerificationError
 from .hermite import tower_derivative_unipoly
-from .matryoshka import (
-    derivative_projections,
-    head_monomials,
-    level_pieces,
-    project_value,
-)
+from .matryoshka import derivative_projections, project_value
 from .tower import Record, TowerElement
 
 YES = "yes"
@@ -68,40 +71,78 @@ def _residue_analysis(T, value, i):
     Returns ("nonconstant", certificate) when some residue is provably not a
     constant, or ("constant", roots, full) where roots are the nonzero
     rational roots and full says whether they account for the whole degree.
+    The certificate is the first non-constant coefficient of the monic
+    residue polynomial, z^0 first.
+    """
+    monic = []
+    for coeff in _residue_polynomial(T, value, i):
+        if not is_ground(coeff):
+            if T.is_constant_pair(coeff.numer, coeff.denom):
+                raise InternalVerificationError("non-ground coefficient is constant")
+            return ("nonconstant", coeff)
+        monic.append(Fraction(coeff.numer.LC, coeff.denom.LC))
+    found = rational_roots(monic)
+    roots = sorted(root for root in found if root)
+    return ("constant", roots, sum(found.values()) == len(monic) - 1)
+
+
+def _residue_polynomial(T, value, i):
+    """The coefficients of the monic residue polynomial of a nonzero
+    t_i-simple value p/q, z^0 first, as canonical elements of ``T.F``,
+    each built when it is asked for.
+
+    With c the content of q in t_i and q0 = q/c, the residues at the roots
+    of q0 are sigma/c, where sigma = p*dd/dn there and dn/dd = D(q0), as
+    D(q) = c*D(q0) at a root of q0.  So the PRS runs on R(w) =
+    res_{t_i}(p*dd - w*dn, q0), whose roots are the sigmas, and coefficient
+    k is R_k/(R_d*c^(d-k)); neither c nor dd enters the PRS.
     """
     F = T.F
+    p, q = value.numer, value.denom
+    c = _content(q, i)
+    q = q.exquo(c)
     # Q(x, t_1, ..., t_n, _z), the root variable last; the ring change goes
     # by position, so a generator may itself be named _z
     Fz = make_field(T.names + ["_z"])[0]
     ring = Fz.ring
-    # value = p/q and p - _z*q' with q' = dn/dd, moved into the ring of Fz
-    dn, dd = T.diff_pair(value.denom, F.ring.one, i)
-    dd = dd.set_ring(ring)
-    P = value.numer.set_ring(ring) * dd - dn.set_ring(ring).mul_gen(T.n + 1, 1)
-    R = unipoly_resultant(UniPoly(Fz, i, P, dd), UniPoly(Fz, i, value.denom.set_ring(ring)))
+    dn, dd = T.diff_pair(q, F.ring.one, i)
+    P = p.set_ring(ring) * dd.set_ring(ring) - dn.set_ring(ring).mul_gen(T.n + 1, 1)
+    R = unipoly_resultant(UniPoly(Fz, i, P), UniPoly(Fz, i, q.set_ring(ring)))
     if not R:
         raise InternalVerificationError("residue resultant vanished")
     if R.denom.degree(T.n + 1) > 0:
         raise InternalVerificationError("resultant denominator involves the root variable")
-    Rz = R.numer.coeff_polys(T.n + 1)
-    lc = Rz[max(Rz)]
-    monic = []  # the monic residue polynomial's coefficients, z^0 first
-    for k in range(max(Rz) + 1):
-        if k not in Rz:
-            monic.append(0)
-            continue
-        c = Fz.new(Rz[k], lc)
-        if not is_ground(c):
-            # c is canonical and free of _z, and so is its image in F
-            cert = F.raw_new(c.numer.set_ring(F.ring), c.denom.set_ring(F.ring))
-            # the numerator of cert' vanishes exactly when cert' does
-            if not T.diff_pair(cert.numer, cert.denom)[0]:
-                raise InternalVerificationError("non-ground coefficient is constant")
-            return ("nonconstant", cert)
-        monic.append(Fraction(c.numer.LC, c.denom.LC))
-    found = rational_roots(monic)
-    roots = sorted(root for root in found if root)
-    return ("constant", roots, sum(found.values()) == len(monic) - 1)
+    Rz = {k: r.set_ring(F.ring) for k, r in R.numer.coeff_polys(T.n + 1).items()}
+    d = max(Rz)
+    dens = [Rz[d]]  # R_d*c^(d-k) for k = d, d-1, ..., 0
+    for _ in range(d):
+        dens.append(dens[-1] * c)
+    for k in range(d + 1):
+        yield _quotient(F, Rz[k], dens[d - k]) if k in Rz else F.zero
+
+
+def _content(q, i):
+    """The content of q in t_i, the gcd of its coefficients, or 1 when that
+    gcd is an integer.  A coefficient that the gcd so far divides costs one
+    exact division, not a gcd."""
+    c = None
+    for a in sorted(q.coeff_polys(i).values(), key=len):
+        if c is None:
+            c = a
+        elif a.exact_quo(c) is None:
+            c = c.gcd(a)
+        if c.is_ground:
+            return q.ring.one
+    return c
+
+
+def _quotient(F, num, den):
+    """num/den in canonical form: a rational constant, read off the leading
+    coefficients with no gcd, when num is a constant multiple of den."""
+    a, b = den.LC, num.LC
+    if num.mul_ground(a) == den.mul_ground(b):
+        return F.ground(Fraction(b, a))
+    return F.new(num, den)
 
 
 def _witness_from_roots(T, value, i, roots):
@@ -128,8 +169,10 @@ def elementary_integrability(f: TowerElement) -> ElementaryVerdict:
     r = dec.r.value
     if not r:
         return ElementaryVerdict(YES, decomposition=dec)
-    hm = head_monomials(level_pieces(T, r))[1]
-    if hm is not None and any(hm):
+    # pi_i(r) involves a generator above t_i exactly when r has a head
+    # monomial above 1
+    proj = project_value(T, r)  # the projections of leftover; None once it changes
+    if any(not free_of(p, range(i + 1, T.n + 1)) for i, p in enumerate(proj)):
         return ElementaryVerdict(
             NO,
             reason="remainder has a generator monomial above 1; no combination "
@@ -140,7 +183,6 @@ def elementary_integrability(f: TowerElement) -> ElementaryVerdict:
     span = [Fraction(0)] * T.n
     witness = []
     leftover = r
-    proj = None  # the projections of leftover; None once leftover changes
     for i in range(T.n, -1, -1):
         if proj is None:
             proj = project_value(T, leftover)

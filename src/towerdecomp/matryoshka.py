@@ -90,7 +90,9 @@ def level_pieces(T: Tower, f) -> list:
     pseudo-division in t_i splits off the proper part, and each coefficient
     of the quotient descends to level i - 1 over the quotient's denominator,
     which is free of t_i.  The path down fixes the monomial, so each level
-    holds one pair per monomial.
+    holds one pair per monomial.  A pair that no division has touched is
+    passed on as the same objects, so f that lies in one level is held
+    there as f's own numerator and denominator (``own_piece``).
     """
     pieces = [{} for _ in range(T.n + 1)]
 
@@ -101,10 +103,13 @@ def level_pieces(T: Tower, f) -> list:
         if D.degree(level) > 0:
             Q, R, L = pseudo_divmod(N, D, level)
             if R:
-                pieces[level][mono] = (R, L * D)
+                pieces[level][mono] = (R, D if L.is_one else L * D)
             N, D = Q, L
-        for k, c in N.coeff_polys(level).items():
-            descend(c, D, level - 1, mono[: level - 1] + (k,) + mono[level:])
+        if N.degree(level) > 0:
+            for k, c in N.coeff_polys(level).items():
+                descend(c, D, level - 1, mono[: level - 1] + (k,) + mono[level:])
+        elif N:
+            descend(N, D, level - 1, mono)
 
     if f:
         descend(f.numer, f.denom, T.n, (0,) * T.n)
@@ -115,16 +120,27 @@ def project_value(T: Tower, f) -> list:
     """Projections (pi_0(f), ..., pi_n(f)) as raw field elements.
 
     Each level's pieces are summed per distinct denominator as polynomials
-    and become field elements with one ``F.new`` per denominator.
+    and become field elements with one ``F.new`` per denominator; f that
+    lies in one level is its own projection there, with no ``F.new``.
     """
     pack = T.F.ring.pack
     return [
-        sum_pairs(
+        f
+        if own_piece(T, f, level)
+        else sum_pairs(
             T.F,
             ((num.mul_monom(pack((0,) + mono)), den) for mono, (num, den) in level.items()),
         )
         for level in level_pieces(T, f)
     ]
+
+
+def own_piece(T: Tower, f, level) -> bool:
+    """Whether the level holds f's own numerator and denominator at the
+    unit monomial, as ``level_pieces`` hands them on when f lies in that
+    level alone: the level's projection is then f, canonical already."""
+    pair = level.get((0,) * T.n)
+    return pair is not None and pair[0] is f.numer and pair[1] is f.denom
 
 
 def head_monomials(pieces):

@@ -16,11 +16,15 @@ tuples at the boundary: ``terms()`` yields them, and ``from_dict``,
 other's, as the residue ring's Q(x, t1, ..., tn, _z) do even for a
 generator named ``_z``, and by name otherwise.  A :class:`Frac` of a
 :class:`FracField` is a numerator over a denominator, two polynomials of
-the field's ring.  Every field ``+ - * /`` returns it in canonical form,
-with one ``cancel``: numerator and denominator coprime in Z[x, t1, ...,
-tn], integer content included, and the denominator's leading coefficient
-positive.  Equality is then structural, and a constant compares and hashes
-as its int or Fraction.
+the field's ring.  Every field ``+ - * /`` returns it in canonical form:
+numerator and denominator coprime in Z[x, t1, ..., tn], integer content
+included, and the denominator's leading coefficient positive.  Equality is
+then structural, and a constant compares and hashes as its int or
+Fraction.  ``* /`` and a sum over one denominator take one ``cancel``; a
+sum over two denominators b and d adds as Henrici does (Knuth, TAOCP
+vol. 2, 4.5.1): with e = gcd(b, d) from one ``cofactors``, a/b + c/d =
+(a*(d/e) + c*(b/e))/(b*(d/e)), whose numerator shares no factor with
+b/e or d/e, so it is cancelled only against e, and not at all when e = 1.
 
 The arithmetic only has to be exact and canonical.  The gcd is unique once
 its leading coefficient is positive, so ``cofactors`` (a zero check and a
@@ -484,6 +488,8 @@ class Poly(dict):
         f = self
         if not f:
             return f, f.ring.one
+        if g.is_one:
+            return f, g
         _, p, q = f.cofactors(g)
         if q.LC < 0:
             p, q = -p, -q
@@ -648,7 +654,14 @@ class Frac:
             return g
         if f.denom == g.denom:
             return f.new(f.numer + g.numer, f.denom)
-        return f.new(f.numer * g.denom + f.denom * g.numer, f.denom * g.denom)
+        # Henrici: with e = gcd(b, d), a/b + c/d = (a*(d/e) + c*(b/e))/(b*(d/e)),
+        # and that numerator can share a factor only with e
+        e, b1, d1 = f.denom.cofactors(g.denom)
+        numer = f.numer * d1 + g.numer * b1
+        if e.is_one:
+            return f.raw_new(numer, f.denom * d1)
+        _, numer, e1 = numer.cofactors(e)
+        return f.raw_new(numer, b1 * d1 * e1)
 
     __radd__ = __add__
 

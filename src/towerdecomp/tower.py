@@ -276,10 +276,19 @@ class Tower:
 
     # -- basic differential structure -------------------------------------
 
+    def __repr__(self):
+        derivs = ", ".join(f"{g.name}' = {g.derivative}" for g in self.generators)
+        return f"Tower({self.names[0]}; {derivs})"
+
     def element(self, value) -> TowerElement:
-        """value as an element of the tower: a TowerElement as it is, an int,
-        a Fraction or an element of the tower's field ``F``."""
+        """value as an element of the tower: a TowerElement of this tower as
+        it is, an int, a Fraction or an element of the tower's field ``F``.
+        A TowerElement of another tower is a TypeError, even when the two
+        share a field: its value would be read with this tower's
+        derivation."""
         if isinstance(value, TowerElement):
+            if value.tower is not self:
+                raise TypeError(f"expected an element of {self!r}, got one of {value.tower!r}")
             return value
         if isinstance(value, (int, Fraction)):
             value = ground(self.F, value)
@@ -320,6 +329,15 @@ class Tower:
             return scaled(N), L * D
         _, R, E = D.cofactors(scaled(D))
         return scaled(N) * R - N * E, L * D * R
+
+    def is_constant_pair(self, N, D):
+        """True iff (N/D)' = 0, for N/D in lowest terms.  As N and D are
+        coprime, L*N'*D = N*L*D' holds exactly when D divides L*D' and L*N'
+        = N*(L*D'/D): one exact division and one product, where
+        ``diff_pair`` takes two products of size N*D."""
+        scaled, _ = self._scaled_derivation(None)
+        E = scaled(D).exact_quo(D)
+        return E is not None and scaled(N) == N * E
 
     def _scaled_derivation(self, level):
         """(p -> L*p', L) for polynomials p, with the L of K_level, or of the

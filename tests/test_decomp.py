@@ -583,18 +583,23 @@ def test_an_order_key_that_does_not_decrease_is_an_internal_error(tower_li, monk
 
 
 def test_readme_decomposition_cancel_count(tower_li, gcds):
-    """The README decomposition cancels 21 times once the tower's caches are
-    warm: 15 in its passes, four to sum g and r, and two in the checks, for
-    f - r and for the head coefficient the remainder test reads; g' is never
-    cancelled, and no rational constant is cancelled on its way into the
-    field.  A check that canonicalizes more fails here."""
+    """The README decomposition cancels 18 times once the tower's caches are
+    warm: 14 in its passes, three to sum g and r, and one in the checks, for
+    the head coefficient the remainder test reads.  A sum over two
+    denominators is Henrici's and runs no cancel: f - r in the
+    reconstruction check, one sum of head coefficients and one sum of g's
+    pieces.  g' is never cancelled, and no rational constant is cancelled
+    on its way into the field.  It runs 32 gcds (``cofactors``), those
+    behind the cancels among them.  A check that canonicalizes more fails
+    here."""
     T = tower_li
     x, t1, t2, t3 = T.gens
     f = T.element(1 / (t1 * t2) + (t2 - 2 * x * t1) / t1**2 + t3)
     add_decomp_in_field(f)
     gcds.clear()
     add_decomp_in_field(f)
-    assert gcds["cancel"] == 21
+    assert gcds["cancel"] == 18
+    assert gcds["cofactors"] == 32
 
 
 def _reference_is_remainder(T, r):

@@ -1,6 +1,10 @@
+import importlib
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
 
 from towerdecomp import (
     NO,
@@ -11,9 +15,21 @@ from towerdecomp import (
     elementary_integrability,
 )
 from towerdecomp import elem
+from towerdecomp.arith import UniPoly, free_of, make_field, unipoly_resultant
 from towerdecomp.errors import InternalVerificationError
+from towerdecomp.matryoshka import not_simple_reason, project_value
+from towerdecomp.tower import Tower
 
-from conftest import sympy_calls
+from conftest import (
+    coupled_tower,
+    li_tower,
+    nested_tower,
+    random_element,
+    random_s_primitive_tower,
+    seeds,
+    sympy_calls,
+    u_tower,
+)
 
 
 def _verify(T, verdict, f):
@@ -149,18 +165,19 @@ def test_constant_certificate_is_an_internal_error(monkeypatch):
 
 def test_true_no_cancel_count(tower_li, gcds):
     """1/(t1 + x) has the non-constant residue at t1 = -x; once the tower's
-    caches are warm its verdict cancels 8 times: 5 in the decomposition
-    and its checks, one projection, and 2 in the residue analysis (the
-    resultant and the monic coefficient; the certificate is that
-    coefficient moved out of the residue ring, and its derivative is never
-    cancelled).  A check that canonicalizes more fails here."""
+    caches are warm its verdict cancels 7 times: 5 in the decomposition
+    and its checks, and 2 in the residue analysis (the resultant, over the
+    denominator 1, and the certificate -x/(x + 1), the monic residue
+    polynomial's z^0 coefficient; its derivative is never formed).  The
+    remainder lies in one level and is its own projection, with no cancel.
+    A check that canonicalizes more fails here."""
     T = tower_li
     x, t1, t2, t3 = T.gens
     f = T.element(1 / (t1 + x))
     elementary_integrability(f)
     gcds.clear()
     verdict = elementary_integrability(f)
-    assert gcds["cancel"] == 8
+    assert gcds["cancel"] == 7
     assert verdict.status == NO and verdict.certificate.value == -x / (x + 1)
 
 
@@ -283,3 +300,126 @@ def test_a_tampered_step_fails_its_check(case, tower_li, monkeypatch):
     monkeypatch.setattr(elem, name, stand_in)
     with pytest.raises(InternalVerificationError, match=message):
         elementary_integrability(tower_li.element(make(x, t1)))
+
+
+# -- the residue polynomial against the resultant on the whole denominator ----
+
+
+def reference_residue_polynomial(T, value, i):
+    """The monic residue polynomial of a t_i-simple value p/q, z^0 first:
+    res_{t_i}(p - z*q', q) on the whole denominator q, content included,
+    made monic in Q(x, t_1, ..., t_n, _z) with one cancel per coefficient
+    and moved into ``T.F``."""
+    F = T.F
+    Fz = make_field(T.names + ["_z"])[0]
+    ring = Fz.ring
+    dn, dd = T.diff_pair(value.denom, F.ring.one, i)
+    dd = dd.set_ring(ring)
+    P = value.numer.set_ring(ring) * dd - dn.set_ring(ring).mul_gen(T.n + 1, 1)
+    R = unipoly_resultant(UniPoly(Fz, i, P, dd), UniPoly(Fz, i, value.denom.set_ring(ring)))
+    Rz = R.numer.coeff_polys(T.n + 1)
+    lc = Rz[max(Rz)]
+    out = []
+    for k in range(max(Rz) + 1):
+        c = Fz.new(Rz.get(k, ring.zero), lc)
+        out.append(F.raw_new(c.numer.set_ring(F.ring), c.denom.set_ring(F.ring)))
+    return out
+
+
+def simple_projections(T, r):
+    """(level, projection) for each nonzero projection of r that lies in
+    its own level and is simple there, as the residue analysis takes it."""
+    for i, h in enumerate(project_value(T, r)):
+        if h and free_of(h, range(i + 1, T.n + 1)) and not not_simple_reason(T, h, i):
+            yield i, h
+
+
+def assert_residue_polynomial_matches(T, h, i):
+    got = list(elem._residue_polynomial(T, h, i))
+    assert got == reference_residue_polynomial(T, h, i)
+    for c in got:
+        assert c.field is T.F
+
+
+def _log_x():
+    b = TowerBuilder(["t1"])
+    return b.log(b.x).build()
+
+
+# (tower, value, level, the content of the denominator in t_level, verdict)
+RESIDUE_CASES = {
+    # q = x*t1: the content x is not ground; the one residue is 1
+    "non-ground-content": (_log_x, lambda x, t1: 1 / (x * t1), 1, "x", "constant"),
+    # q = 2*t1 + 2*x: the content 2 is ground and left in the PRS; the
+    # residue x/(2*(x + 1)) is not constant
+    "ground-content-2": (_log_x, lambda x, t1: 1 / (2 * t1 + 2 * x), 1, "1", "nonconstant"),
+    # q = x*(x + 1)*(t1^2 - 1): the content x^2 + x, residues +-1/(2*(x + 1))
+    # and the monic residue polynomial z^2 - 1/(4*(x + 1)^2), whose z^1
+    # coefficient is 0
+    "quadratic-over-a-content": (
+        _log_x, lambda x, t1: 1 / (x * (x + 1) * (t1**2 - 1)), 1, "x^2 + x", "nonconstant",
+    ),
+    # q = x*(t1^2 - 1): the residue 1/2 at both t1 = 1 and t1 = -1, so the
+    # monic residue polynomial is (z - 1/2)^2
+    "two-rational-residues": (
+        _log_x, lambda x, t1: t1 / (x * (t1**2 - 1)), 1, "x", "constant",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESIDUE_CASES))
+def test_residue_polynomial_on_named_contents(case):
+    make_tower, make, i, content, verdict = RESIDUE_CASES[case]
+    T = make_tower()
+    h = make(*T.gens)
+    assert str(elem._content(h.denom, i)) == content
+    assert_residue_polynomial_matches(T, h, i)
+    assert elem._residue_analysis(T, h, i)[0] == verdict
+
+
+def test_residue_polynomial_on_the_paper_mix_pool(monkeypatch):
+    """Every simple projection of the remainder of every element the
+    benchmark's paper-mix pool asks about, on the four paper towers."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    workloads = importlib.import_module("workloads")
+    setup, pool, _ = workloads.WORKLOADS["paper-mix"]
+    wl = pool(setup(workloads.POOL_SEED), workloads.POOL_SEED)
+    asked = []
+
+    class Asked(Exception):
+        pass
+
+    def record(T, value):
+        asked.append((T, value))
+        raise Asked
+
+    # each request turns its input into a TowerElement first: record it
+    # there and run nothing more
+    with monkeypatch.context() as m:
+        m.setattr(Tower, "element", record)
+        for request in wl.requests:
+            with pytest.raises(Asked):
+                request.call()
+    seen = set()  # (content ground?, verdict)
+    for T, value in asked:
+        r = add_decomp_in_field(T.element(value)).r.value
+        for i, h in simple_projections(T, r):
+            assert_residue_polynomial_matches(T, h, i)
+            seen.add((elem._content(h.denom, i).is_ground, elem._residue_analysis(T, h, i)[0]))
+    assert len(asked) == len(wl.requests)
+    # the pool reaches both verdicts over a ground and a non-ground content
+    assert seen == {(g, v) for g in (True, False) for v in ("constant", "nonconstant")}
+
+
+@given(seed=seeds)
+def test_residue_polynomial_on_random_towers(seed):
+    rng = random.Random(seed)
+    towers = [li_tower, nested_tower, u_tower, coupled_tower]
+    if rng.random() < 0.6:
+        T = random_s_primitive_tower(rng, rng.randint(1, 3))
+    else:
+        T = rng.choice(towers)()
+    r = add_decomp_in_field(T.element(random_element(T, rng))).r.value
+    for i, h in simple_projections(T, r):
+        assert_residue_polynomial_matches(T, h, i)

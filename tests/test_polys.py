@@ -1,5 +1,6 @@
 """The tower field's exact division, lcm, gcd and powers against sympy's
-``PolyElement``, and its negative powers."""
+``PolyElement``, its negative powers, and Henrici addition against the
+cancelled cross product."""
 
 import ast
 from fractions import Fraction
@@ -406,3 +407,65 @@ def test_the_monomial_layout_stays_in_polys():
     ]
     assert found == []
     assert _layout_readers(src / "polys.py")
+
+
+# -- Henrici addition ---------------------------------------------------------
+
+
+@st.composite
+def fraction_pairs(draw):
+    """(F, f, g): canonical fractions of Q(x, t1, t2) whose denominators
+    share a drawn polynomial factor, an integer content, both, or nothing
+    (coprime but for chance); or g = u - f for a drawn u, so that the sum
+    cancels what the denominators share."""
+    F = FracField(names(3))
+    monoms = st.tuples(*[st.integers(0, 2)] * 3)
+
+    def poly(max_terms):
+        terms = draw(
+            st.lists(
+                st.tuples(monoms, st.integers(-6, 6).filter(bool)),
+                min_size=1,
+                max_size=max_terms,
+                unique_by=lambda term: term[0],
+            )
+        )
+        return F.ring.from_dict(dict(terms))
+
+    shared = draw(st.sampled_from(["factor", "content", "both", "coprime", "cancelling"]))
+    common = poly(3) if shared in ("factor", "both", "cancelling") else F.ring.one
+    if shared in ("content", "both", "cancelling"):
+        common = common.mul_ground(draw(st.sampled_from([2, 3, 6, -4])))
+    f = F.new(poly(3), poly(3) * common)
+    if shared == "cancelling":
+        return F, f, F.new(poly(3), poly(3)) - f
+    g = F.new(poly(3), poly(3) * common)
+    return F, f, g
+
+
+@given(fraction_pairs())
+def test_henrici_sum_is_the_cancelled_cross_product(pair):
+    """a/b + c/d, cancelled only against gcd(b, d), is F.new(a*d + c*b, b*d)
+    in numerator and denominator, and so is a difference."""
+    F, f, g = pair
+    for h, c in ((f + g, g.numer), (f - g, -g.numer)):
+        ref = F.new(f.numer * g.denom + c * f.denom, f.denom * g.denom)
+        assert (h.numer, h.denom) == (ref.numer, ref.denom)
+
+
+def test_henrici_sum_cancels_only_against_the_common_factor(gcds):
+    """1/(x*(x+1)) + 1/(x*(x-1)) = 2/((x+1)*(x-1)): gcd(b, d) = x, and the
+    numerator 2*x cancels against it, with no cancel of the cross product;
+    coprime denominators take the one gcd of b and d."""
+    F = FracField(names(1))
+    x = F.gens[0]
+    f, g = 1 / (x * (x + 1)), 1 / (x * (x - 1))
+    gcds.clear()
+    h = f + g
+    assert gcds == {"cofactors": 2}
+    assert (h.numer, h.denom) == ((2 * F.one).numer, (x**2 - 1).numer)
+    f, g = 1 / (x + 1), 1 / (x - 1)
+    gcds.clear()
+    h = f + g
+    assert gcds == {"cofactors": 1}
+    assert (h.numer, h.denom) == ((2 * x).numer, (x**2 - 1).numer)

@@ -194,6 +194,26 @@ def test_element_keeps_a_tower_element(tower_li):
     assert tower_li.element(f) is f
 
 
+def test_element_rejects_an_element_of_another_tower(tower_li, tower_nested):
+    """li and nested share one field, as their variable names agree, but
+    their t3 differ: 1/t3 of nested taken into li would be decomposed with
+    nested's derivation.  The error names both towers by their generator
+    derivatives; a raw value of the shared field is li's to read."""
+    li, nested = tower_li, tower_nested
+    assert li.F is nested.F
+    t3 = nested.gens[3]
+    f = nested.element(1 / t3)
+    expected = (
+        "expected an element of Tower(x; t1' = (1)/(x), t2' = (1)/(t1), "
+        "t3' = (1)/(x*t1)), got one of Tower(x; t1' = (1)/(x), t2' = (t1 + 1)/(x*t1), "
+    )
+    with pytest.raises(TypeError) as info:
+        li.element(f)
+    assert str(info.value).startswith(expected)
+    assert li.element(f.value).tower is li
+    assert nested.element(f) is f
+
+
 def test_differentiate_wrapper(tower_li):
     T = tower_li
     f = T.element(T.gens[1] ** 2)
