@@ -146,11 +146,11 @@ class UniPoly:
     ``num`` is a polynomial of the field's ring and ``den`` a nonzero ring
     polynomial free of the main variable ``v``; the UniPoly is num/den read as
     a polynomial in v over the fraction field of the other variables.  The
-    pair need not be in lowest terms: sums and scalings keep the plain
-    cross-multiplied pair, while division, ``monic`` and products reduce it
-    with one ``gcd``.  ``coeffs`` and ``to_frac`` build canonical field
-    elements, one ``F.new`` each.  Instances are treated as
-    immutable.
+    pair need not be in lowest terms: a sum over denominators b != d is over
+    b*(d/gcd(b, d)), one ``cofactors``, its numerator uncancelled; scalings
+    cross-multiply; division, ``monic`` and products reduce with one
+    ``gcd``.  ``coeffs`` and ``to_frac`` build canonical field elements, one
+    ``F.new`` each.  Instances are treated as immutable.
     """
 
     __slots__ = ("F", "v", "num", "den")
@@ -199,9 +199,9 @@ class UniPoly:
     def __add__(self, other):
         if self.den == other.den:
             return self._new(self.num + other.num, self.den)
-        return self._new(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        # Henrici: a/b + c/d = (a*(d/e) + c*(b/e))/(b*(d/e)), e = gcd(b, d)
+        _, b1, d1 = self.den.cofactors(other.den)
+        return self._new(self.num * d1 + other.num * b1, self.den * d1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -307,13 +307,13 @@ def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 def unipoly_xgcd(a: UniPoly, b: UniPoly):
     """Half-extended gcd: (g, s) with s*a = g (mod b) and g monic, for a
-    nonzero b.  The cofactor of b is never formed, and the loop
-    stops at the first zero remainder, before the quotient that would only
-    build the cofactor s with s*a = 0 (mod b).  g is made monic by folding
-    lc(g) into its denominator, without a gcd.  s is returned in lowest
-    terms, with one gcd: the loop's sums leave it cross-multiplied, several
-    times the size of its reduced pair, and a caller multiplies by s once
-    per power it strips (``hermite``), each product with a gcd of its own."""
+    nonzero b.  The cofactor of b is never formed, and the loop stops at the
+    first zero remainder, before the quotient that would only build the
+    cofactor s with s*a = 0 (mod b).  g is made monic by folding lc(g) into
+    its denominator, without a gcd.  s is returned in lowest terms, with one
+    gcd: the sums s0 - q*s1 leave its numerator uncancelled, several times
+    its reduced size, and a caller multiplies by s once per power it strips
+    (``hermite``), each product with a gcd of its own."""
     r0, r1 = a, b
     s0, s1 = UniPoly.constant(a.F, a.v, a.F.one), UniPoly.zero(a.F, a.v)
     while not r1.is_zero():

@@ -92,10 +92,10 @@ def _residue_polynomial(T, value, i):
     each built when it is asked for.
 
     With c the content of q in t_i and q0 = q/c, the residues at the roots
-    of q0 are sigma/c, where sigma = p*dd/dn there and dn/dd = D(q0), as
-    D(q) = c*D(q0) at a root of q0.  So the PRS runs on R(w) =
-    res_{t_i}(p*dd - w*dn, q0), whose roots are the sigmas, and coefficient
-    k is R_k/(R_d*c^(d-k)); neither c nor dd enters the PRS.
+    of q0 are sigma/c, where sigma = p*dd/dn there and dn/dd = D(q0) in
+    lowest terms (x + 1 cancels on u), as D(q) = c*D(q0) at a root of q0.
+    So the PRS runs on R(w) = res_{t_i}(p*dd - w*dn, q0), whose roots are
+    the sigmas, and coefficient k is R_k/(R_d*c^(d-k)).
     """
     F = T.F
     p, q = value.numer, value.denom
@@ -106,6 +106,7 @@ def _residue_polynomial(T, value, i):
     Fz = make_field(T.names + ["_z"])[0]
     ring = Fz.ring
     dn, dd = T.diff_pair(q, F.ring.one, i)
+    _, dn, dd = dn.cofactors(dd)
     P = p.set_ring(ring) * dd.set_ring(ring) - dn.set_ring(ring).mul_gen(T.n + 1, 1)
     R = unipoly_resultant(UniPoly(Fz, i, P), UniPoly(Fz, i, q.set_ring(ring)))
     if not R:

@@ -5,15 +5,13 @@ Hermite reduction over the squarefree decomposition of the denominator
 applies (Bronstein, *Symbolic Integration I*, section 2.2).  It runs Yun's
 algorithm once.  For each factor V of multiplicity m >= 2, with D = U*V^m,
 one extended gcd gives the inverse of U*V' modulo V, and each of the m - 1
-steps j = m-1, ..., 1 strips one power of V with that inverse divided by j.
-The work is linear in the multiplicities.  The extended gcd returns the
-inverse in lowest terms, reduced once per repeated factor: its loop leaves
-the numerator and denominator cross-multiplied, often several times their
-reduced size (310/223 terms against 46/43 on a level-3 factor of the
-nested tower), and each step multiplies by the inverse and cancels the
-product with a gcd, whose cost grows with the operands.  Level 0 is Q(x)
-itself; there the polynomial part is integrated directly by the power
-rule, so any element of Q(x) is accepted.
+steps j = m-1, ..., 1 strips one power of V with that inverse divided by j,
+so the work is linear in the multiplicities.  The inverse is reduced once
+per repeated factor: the extended gcd leaves its numerator uncancelled,
+often several times the reduced size (310/223 terms against 46/43 on a
+level-3 factor of the nested tower), and every step multiplies by it.  The
+steps add over Henrici's denominators and differentiate over L*D*R, not
+L*D^2.  At level 0, Q(x), the polynomial part integrates by the power rule.
 """
 
 from __future__ import annotations
@@ -37,8 +35,10 @@ def tower_derivative_unipoly(T, p: UniPoly, level) -> UniPoly:
     """Derivation of a univariate view in K_{level-1}[t_level]: the
     coefficients differentiate in the tower, the main variable contributes
     its generator derivative.  Built as one unreduced pair with the
-    derivation of K_level, whose denominator is free of t_level."""
-    return UniPoly(T.F, level, *T.diff_pair(p.num, p.den, level))
+    derivation of K_level over L*D*R (``Tower.diff_pair_radical``): a step's
+    B has repeated factors in its denominator D, where L*D^2 is far larger
+    (763 terms against 290 on nested 1/(t3 + x)^3)."""
+    return UniPoly(T.F, level, *T.diff_pair_radical(p.num, p.den, level))
 
 
 def hermite_reduce_proper_value(T, f, level):

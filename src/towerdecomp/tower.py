@@ -317,12 +317,11 @@ class Tower:
         """(N/D)' as an unreduced pair (num, den) over L*D*R, not L*D^2.
 
         With Dm = gcd(D, L*D'), R = D/Dm and E = L*D'/Dm, one ``cofactors``
-        call gives (Dm, R, E), and (N/D)' = (L*N'*R - N*E)/(L*D*R).  Both
-        divisions are exact, so the pair equals ``diff_pair``'s as a
-        fraction.  When D has repeated factors, as a denominator left by
-        Hermite reduction does, R is about the size of D's radical and the
-        pair is far smaller than L*D^2; the gcd is the price.  A ground D
-        gives ``diff_pair``'s pair, and ``level`` means the same.
+        call gives (Dm, R, E), and (N/D)' = (L*N'*R - N*E)/(L*D*R), equal to
+        ``diff_pair``'s pair as a fraction.  Its callers, the reconstruction
+        check and Hermite's steps, see D with repeated factors, where R is
+        about D's radical and L*D^2 far larger; ``diff`` does not pay the gcd
+        on squarefree denominators.  A ground D gives ``diff_pair``'s pair.
         """
         scaled, L = self._scaled_derivation(level)
         if D.is_ground:

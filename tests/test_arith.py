@@ -173,6 +173,78 @@ def test_frac_to_unipair_lowest_terms(F2):
     assert den == uni(x * t1)
 
 
+# -- Henrici sums of UniPolys ---------------------------------------------------
+
+
+@st.composite
+def unipoly_pairs(draw):
+    """(F, a, b): unreduced UniPolys in t1 over Q(x, t2) whose denominators
+    share a drawn factor, an integer content, both, nothing (coprime but
+    for chance), or are equal; or one denominator is a ground integer; or
+    b = c - a as a cross-multiplied pair, so that a + b cancels to c."""
+    F, _ = make_field(["x", "t1", "t2"])
+    ring = F.ring
+
+    def poly(max_terms, free_of_t1=False):
+        exps = st.integers(0, 2)
+        monoms = st.tuples(exps, st.just(0) if free_of_t1 else exps, exps)
+        terms = draw(
+            st.lists(
+                st.tuples(monoms, st.integers(-6, 6).filter(bool)),
+                min_size=1,
+                max_size=max_terms,
+                unique_by=lambda term: term[0],
+            )
+        )
+        return ring.from_dict(dict(terms))
+
+    shared = draw(
+        st.sampled_from(["factor", "content", "both", "coprime", "equal", "ground", "cancelling"])
+    )
+    common = poly(2, True) if shared in ("factor", "both", "cancelling") else ring.one
+    if shared in ("content", "both", "cancelling"):
+        common = common.mul_ground(draw(st.sampled_from([2, 3, 6, -4])))
+    a = UniPoly(F, 1, poly(3), poly(2, True) * common)
+    if shared == "equal":
+        return F, a, UniPoly(F, 1, poly(3), a.den)
+    if shared == "ground":
+        return F, a, UniPoly(F, 1, poly(3), ring(draw(st.sampled_from([1, 3, -2]))))
+    if shared == "cancelling":
+        c = UniPoly(F, 1, poly(2), poly(1, True)) if draw(st.booleans()) else UniPoly.zero(F, 1)
+        return F, a, UniPoly(F, 1, c.num * a.den - a.num * c.den, c.den * a.den)
+    return F, a, UniPoly(F, 1, poly(3), poly(2, True) * common)
+
+
+@given(unipoly_pairs())
+def test_unipoly_sum_is_the_cross_multiplied_pair(pair):
+    """a + b and a - b, added over b.den*(d/gcd(b.den, d)) with the
+    numerator left uncancelled, collapse to the cross-multiplied pair's
+    field element."""
+    F, a, b = pair
+    for total, other in ((a + b, b), (a - b, -b)):
+        assert total.den.free_of([1])
+        assert (a.den * other.den).exact_quo(total.den) is not None
+        ref = F.new(a.num * other.den + other.num * a.den, a.den * other.den)
+        assert total.to_frac() == ref
+
+
+def test_unipoly_sum_runs_one_gcd_of_the_denominators(F2, gcds):
+    """Different denominators cost one ``cofactors``, of the two
+    denominators, and the sum is over their lcm; equal ones cost none."""
+    F, (x, t1, t2) = F2
+    a, b = uni(t1 / (x * (x + 1))), uni(1 / (x * t2))
+    gcds.clear()
+    total = a + b
+    assert gcds == {"cofactors": 1}
+    assert total.den == (x**2 * t2 + x * t2).numer
+    assert total.num == (t1 * t2 + x + 1).numer
+    b = uni((t1 + 1) / (x * (x + 1)))
+    gcds.clear()
+    total = a - b
+    assert gcds == {}
+    assert (total.num, total.den) == (-F.ring.one, a.den)
+
+
 # -- property tests: substitute against term-by-term evaluation ---------------
 
 

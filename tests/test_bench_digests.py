@@ -5,8 +5,8 @@ answer that finished when the digests were recorded.  This rebuilds the
 paper-mix, embed-finer and degree-ladder pools from
 ``perfbench/workloads.py`` in this process, runs every request that has a
 committed digest (every degree-ladder rung but
-``u/quadratic/k3/elementary``, the slowest, at about 0.2 s) and compares
-each answer's digest with the committed one.  A speedup that changes an
+``u/quadratic/k3/elementary``, which timed out when the digests were
+recorded) and compares each answer's digest with the committed one.  A speedup that changes an
 answer then fails here, not only when the benchmark runs.  Nothing under
 ``perfbench/`` is written.
 """

@@ -377,6 +377,43 @@ def test_residue_polynomial_on_named_contents(case):
     assert elem._residue_analysis(T, h, i)[0] == verdict
 
 
+# tower -> gcd of the derivative pair (dn, dd) = (L*q0', L) of q0 = t3^2 +
+# t1*t3 + x at level 3, where L is the lcm of the generator derivatives'
+# denominators up to t3
+RESIDUE_PAIR_CASES = {
+    # L = x*(x + 1)*u1 carries u2' = 1/(x + 1), and L*q0' keeps that factor
+    "u-shares-x+1": (u_tower, "x + 1"),
+    # L = x*t1 and L*q0' = 2*t3 + t1*t3 + t1 + x*t1 are coprime
+    "li-coprime": (li_tower, "1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESIDUE_PAIR_CASES))
+def test_residue_polynomial_on_a_reduced_derivative_pair(case, monkeypatch):
+    """The PRS gets p*dd - w*dn with dn/dd = D(q0) in lowest terms.  A
+    factor that dn and dd share scales every coefficient of R(w) alike, so
+    the monic coefficients are the reference's either way."""
+    make_tower, common = RESIDUE_PAIR_CASES[case]
+    T = make_tower()
+    x, t1, _, t3 = T.gens
+    h = 1 / (t3**2 + t1 * t3 + x)
+    dn, dd = T.diff_pair(h.denom, T.F.ring.one, 3)
+    assert str(dn.cofactors(dd)[0]) == common
+    firsts = []
+    resultant = elem.unipoly_resultant
+
+    def recording(a, b):
+        firsts.append(a.num)
+        return resultant(a, b)
+
+    monkeypatch.setattr(elem, "unipoly_resultant", recording)
+    assert_residue_polynomial_matches(T, h, 3)
+    # p = 1, so the w^0 and w^1 coefficients of the PRS's input are dd and -dn
+    (P,) = firsts
+    dd0, dn1 = (P.coeff_wrt(T.n + 1, k) for k in (0, 1))
+    assert dd0.gcd(dn1).is_ground
+
+
 def test_residue_polynomial_on_the_paper_mix_pool(monkeypatch):
     """Every simple projection of the remainder of every element the
     benchmark's paper-mix pool asks about, on the four paper towers."""

@@ -1,6 +1,8 @@
 import operator
+import random
 
 import pytest
+from hypothesis import given
 
 from towerdecomp import hermite
 from towerdecomp.arith import (
@@ -24,6 +26,7 @@ from conftest import (
     li_tower,
     nested_tower,
     random_s_primitive_tower,
+    seeds,
     u_tower,
 )
 
@@ -332,3 +335,44 @@ def test_inverse_is_reduced_before_the_products(monkeypatch):
         common = p.num.gcd(p.den)
         assert common.is_ground, f"a common factor of {len(common)} terms"
     assert (g, h) == _quadratic_hermite_core(T, proper, 3)
+
+
+# -- the univariate derivative over L*D*R ---------------------------------------
+
+
+def _random_poly(T, rng, level):
+    """A small random ring polynomial in x, t_1, ..., t_level."""
+    gens = T.gens[: level + 1]
+    out = T.F.zero
+    for _ in range(rng.randint(1, 3)):
+        term = T.F.one * rng.randint(-4, 4)
+        for g in rng.sample(gens, rng.randint(0, min(2, len(gens)))):
+            term *= g ** rng.randint(1, 2)
+        out += term
+    return out.numer
+
+
+@given(seed=seeds)
+def test_univariate_derivative_is_diff_pairs_fraction(seed):
+    """At every level of the paper towers and of a random S-primitive
+    tower, the derivative of num/(a^2*b), with a and b free of t_level,
+    equals ``Tower.diff_pair``'s L*D^2 pair as a fraction.  Its
+    denominator L*D*R divides L*D^2, and when a is not a constant the
+    quotient D/R is not one either."""
+    rng = random.Random(seed)
+    towers = [li_tower(), nested_tower(), u_tower(), coupled_tower()]
+    for T in towers + [random_s_primitive_tower(rng, 3)]:
+        for level in range(T.n + 1):
+            num = _random_poly(T, rng, level)
+            a = _random_poly(T, rng, level - 1) if level else T.F.ring.one
+            b = _random_poly(T, rng, level - 1) if level else T.F.ring(rng.randint(1, 5))
+            if not (a and b):
+                continue
+            p = UniPoly(T.F, level, num, a**2 * b)
+            got = tower_derivative_unipoly(T, p, level)
+            dn, dd = T.diff_pair(p.num, p.den, level)
+            assert got.to_frac() == T.F.new(dn, dd)
+            assert got.den.free_of(range(level, T.n + 1))
+            quotient = dd.exact_quo(got.den)
+            assert quotient is not None
+            assert a.is_ground or not quotient.is_ground
