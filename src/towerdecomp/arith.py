@@ -8,7 +8,7 @@ Field elements are immutable, automatically cancelled and kept in a
 canonical form, so equality is structural: numerator and denominator are
 coprime in Z[x, t1, ..., tn], integer content included, and the
 denominator's leading coefficient is positive.  That is the form sympy's
-field over QQ keeps too.  Rational constants enter through :func:`ground`,
+field over QQ keeps too.  Rational constants enter through ``F.ground``,
 as a numerator over a positive integer denominator.  Most field operations
 run a multivariate gcd, the ``cancel``, whose integer gcd is the heuristic
 gcd of :mod:`towerdecomp.gcdheu`.  The two kernels that every layer calls,
@@ -34,14 +34,15 @@ exact divisions: the monic gcd over the coefficient field is the gcd of the
 numerators made monic, Yun's squarefree decomposition runs on the
 numerator, and the squarefree part and root multiplicities of
 :func:`rational_roots` are taken in Z[z].  The resultant is the
-fraction-free subresultant PRS on the numerators, divided by the
-denominators once.  The extended gcd is the one Euclidean loop over the
-field, beside the squarefree test modulo a prime of the root finder; it
-carries only the cofactor of its first argument, (g, s) with s*a = g (mod
-b), stops at the first zero remainder, and makes both monic without a gcd.
-Canonical field elements are built only for outputs, one ``F.new`` each:
-``UniPoly.coeffs`` and ``to_frac``, the proper part of
-``split_proper_poly`` and the resultant.
+fraction-free subresultant PRS on two ring polynomials, itself a ring
+polynomial: ``elem``'s residue polynomial, and the discriminant whose
+smallest non-dividing prime is the root finder's Hensel prime.  The
+extended gcd is the one Euclidean loop over the field, and the one
+exception to the heuristic gcd; it carries only the cofactor of its first
+argument, (g, s) with s*a = g (mod b), stops at the first zero remainder,
+and makes both monic without a gcd.  Canonical field elements are built
+only for outputs, one ``F.new`` each: ``UniPoly.coeffs`` and ``to_frac``
+and the proper part of ``split_proper_poly``.
 """
 
 from __future__ import annotations
@@ -71,12 +72,6 @@ def make_field(names):
     if F is None:
         F = _fields[names] = FracField(names)
     return F, list(F.gens)
-
-
-def ground(F, value):
-    """Embed a rational constant (int or Fraction) into the field F, with no
-    cancel (:meth:`towerdecomp.polys.FracField.ground`)."""
-    return F.ground(Fraction(value))
 
 
 def is_ground(f) -> bool:
@@ -162,10 +157,6 @@ class UniPoly:
         self.den = F.ring.one if den is None else den
 
     @classmethod
-    def zero(cls, F, v):
-        return cls(F, v, F.ring.zero)
-
-    @classmethod
     def constant(cls, F, v, c):
         """The constant polynomial c, a field element free of v."""
         return cls(F, v, c.numer, c.denom)
@@ -188,13 +179,6 @@ class UniPoly:
 
     def _new(self, num, den):
         return UniPoly(self.F, self.v, num, den)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UniPoly)
-            and self.v == other.v
-            and self.num * other.den == other.num * self.den
-        )
 
     def __add__(self, other):
         if self.den == other.den:
@@ -275,12 +259,6 @@ def sum_pairs(F, pairs):
     return total
 
 
-def frac_to_unipair(f, v):
-    """Split a field element into (numerator, denominator) UniPolys in v."""
-    F = f.field
-    return UniPoly(F, v, f.numer), UniPoly(F, v, f.denom)
-
-
 def split_proper_poly(f, v):
     """Write f = proper + poly with respect to variable index v.
 
@@ -315,7 +293,7 @@ def unipoly_xgcd(a: UniPoly, b: UniPoly):
     its reduced size, and a caller multiplies by s once per power it strips
     (``hermite``), each product with a gcd of its own."""
     r0, r1 = a, b
-    s0, s1 = UniPoly.constant(a.F, a.v, a.F.one), UniPoly.zero(a.F, a.v)
+    s0, s1 = UniPoly.constant(a.F, a.v, a.F.one), UniPoly(a.F, a.v, a.F.ring.zero)
     while not r1.is_zero():
         if r0.degree < r1.degree:
             r0, r1 = r1, r0
@@ -367,11 +345,11 @@ def squarefree_decomposition(p, v):
     return [(UniPoly(p.F, v, fac, _lc(fac, v)), m) for fac, m in out]
 
 
-def _subresultant(A, B, v):
-    """res_v(A, B) of two nonzero ring polynomials, by the subresultant
-    PRS (Cohen, *A Course in Computational Algebraic Number Theory*,
-    Alg. 3.3.7, without content removal); every division is exact in
-    Z[x, t], since the PRS runs over any integral domain."""
+def unipoly_resultant(A, B, v):
+    """res_v(A, B) of two nonzero ring polynomials, as a ring polynomial,
+    by the subresultant PRS (Cohen, *A Course in Computational Algebraic
+    Number Theory*, Alg. 3.3.7, without content removal); every division is
+    exact in Z[x, t], since the PRS runs over any integral domain."""
     da, db = A.degree(v), B.degree(v)
     s = 1
     if da < db:
@@ -401,21 +379,6 @@ def _subresultant(A, B, v):
     # here deg B = 0 and da = deg A: h <- h^(1 - da) * lc(B)^da
     res = B**da if da == 1 else (B**da).exquo(h ** (da - 1))
     return res * s
-
-
-def unipoly_resultant(a: UniPoly, b: UniPoly):
-    """Resultant of two nonzero UniPolys, as a field element.
-
-    Fraction-free: the subresultant PRS runs on the numerators, and the
-    denominators come out once, res(a, b) = res(a.num, b.num) /
-    (a.den**deg b * b.den**deg a), with one cancel.
-    """
-    F = a.F
-    da, db = a.degree, b.degree
-    res = _subresultant(a.num, b.num, a.v)
-    if not res:
-        return F.zero
-    return F.new(res, a.den**db * b.den**da)
 
 
 def rational_roots(coeffs) -> dict:
@@ -463,35 +426,17 @@ def _eval_mod(poly, y, m):
     return h
 
 
-def _gf_squarefree(a, b, p):
-    """Whether gcd(a, b) is a constant over GF(p), for a monic a."""
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    while b and not b[-1]:
-        b.pop()
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            c = a[-1] * inv % p
-            k = len(a) - len(b)
-            for i, x in enumerate(b):
-                a[k + i] = (a[k + i] - c * x) % p
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) == 1
-
-
 def _scaled_integer_roots(S):
     """The integers y with S(y/a) = 0, a = lc(S) > 0, for a squarefree
     integer polynomial S (z^0 first) of degree >= 1.
 
     They are the integer roots of the monic Q(y) = a**(n-1) * S(y/a), each
     within Fujiwara's bound 2 * max |q_k|**(1/(n-k)), taken as a power of
-    two.  For the smallest prime p modulo which Q stays squarefree, each
-    root of Q mod p lifts by Newton's iteration (Hensel's lemma) to one root
-    modulo some p**e above twice the bound; an integer root of Q is the
-    symmetric residue of one of these lifts, and each is tested exactly.
+    two.  Q stays squarefree modulo a prime p exactly when p does not divide
+    res(Q, Q'), which is +-disc(Q) as Q is monic.  For the smallest such
+    p, each root of Q mod p lifts by Newton's iteration (Hensel's lemma) to
+    one root modulo some p**e above twice the bound; an integer root of Q is
+    the symmetric residue of one of these lifts, and each is tested exactly.
     """
     n = len(S) - 1
     a = S[-1]
@@ -500,8 +445,10 @@ def _scaled_integer_roots(S):
     bound = 2 * max(
         1 << -(-abs(c).bit_length() // (n - k)) for k, c in enumerate(Q[:-1])
     )
+    ZQ = _ZRING.from_dict({(k,): c for k, c in enumerate(Q)})
+    disc = unipoly_resultant(ZQ, ZQ.diff(0), 0).LC
     p = 2
-    while not _gf_squarefree(Q, dQ, p):
+    while not disc % p:
         p += 1
         while any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             p += 1

@@ -10,8 +10,9 @@ primitive part q0 = q/c of q in t_i: the resultant runs on q0 with the
 root variable scaled by the content c, so c never rides through the
 subresultant steps, and each coefficient is divided by the matching power
 of c in ``F``, with no gcd when it is a rational constant.  The resultant
-is computed in ``make_field``'s Q(x, t_1, ..., t_n, _z), which operands
-enter and coefficients leave by ``Poly.set_ring``, by position.
+is a polynomial of the ring Z[x, t_1, ..., t_n, _z] of ``make_field``'s
+Q(x, t_1, ..., t_n, _z), with no denominator, which operands enter and
+coefficients leave by ``Poly.set_ring``, by position.
 Constant rational roots yield an exact witness; a non-constant coefficient
 is a proof that no elementary integral exists, and that it is not constant
 is checked by one exact division (``Tower.is_constant_pair``); irrational
@@ -25,9 +26,7 @@ from fractions import Fraction
 
 from .arith import (
     UniPoly,
-    frac_to_unipair,
     free_of,
-    ground,
     is_ground,
     make_field,
     rational_roots,
@@ -101,19 +100,16 @@ def _residue_polynomial(T, value, i):
     p, q = value.numer, value.denom
     c = _content(q, i)
     q = q.exquo(c)
-    # Q(x, t_1, ..., t_n, _z), the root variable last; the ring change goes
+    # Z[x, t_1, ..., t_n, _z], the root variable last; the ring change goes
     # by position, so a generator may itself be named _z
-    Fz = make_field(T.names + ["_z"])[0]
-    ring = Fz.ring
+    ring = make_field(T.names + ["_z"])[0].ring
     dn, dd = T.diff_pair(q, F.ring.one, i)
     _, dn, dd = dn.cofactors(dd)
     P = p.set_ring(ring) * dd.set_ring(ring) - dn.set_ring(ring).mul_gen(T.n + 1, 1)
-    R = unipoly_resultant(UniPoly(Fz, i, P), UniPoly(Fz, i, q.set_ring(ring)))
+    R = unipoly_resultant(P, q.set_ring(ring), i)
     if not R:
         raise InternalVerificationError("residue resultant vanished")
-    if R.denom.degree(T.n + 1) > 0:
-        raise InternalVerificationError("resultant denominator involves the root variable")
-    Rz = {k: r.set_ring(F.ring) for k, r in R.numer.coeff_polys(T.n + 1).items()}
+    Rz = {k: r.set_ring(F.ring) for k, r in R.coeff_polys(T.n + 1).items()}
     d = max(Rz)
     dens = [Rz[d]]  # R_d*c^(d-k) for k = d, d-1, ..., 0
     for _ in range(d):
@@ -151,11 +147,11 @@ def _witness_from_roots(T, value, i, roots):
     Returns (items, combined value); items are (residue, argument) pairs of
     raw field elements."""
     F = T.F
-    p, q = frac_to_unipair(value, i)
+    p, q = UniPoly(F, i, value.numer), UniPoly(F, i, value.denom)
     qd = tower_derivative_unipoly(T, q, i)
     items = []
     for c in roots:
-        gk = unipoly_gcd(p - qd.scale(ground(F, c)), q)
+        gk = unipoly_gcd(p - qd.scale(F.ground(c)), q)
         if gk.degree > 0:
             items.append((c, gk.to_frac()))
     return items, T.diff_log_combination((arg, c) for c, arg in items)
@@ -200,7 +196,7 @@ def elementary_integrability(f: TowerElement) -> ElementaryVerdict:
                 return False
             for j, c in zip(basis_idx, coeffs):
                 span[j] += c
-                leftover = leftover - ground(F, c) * T.derivs[j]
+                leftover = leftover - F.ground(c) * T.derivs[j]
             proj = None
             return True
 
@@ -235,7 +231,7 @@ def elementary_integrability(f: TowerElement) -> ElementaryVerdict:
         raise InternalVerificationError("elementary residual did not vanish")
     check = T.diff_log_combination((arg, c) for c, arg in witness)
     for j, c in enumerate(span):
-        check += ground(F, c) * T.derivs[j]
+        check += F.ground(c) * T.derivs[j]
     if check != r:
         raise InternalVerificationError("elementary witness failed verification")
     return ElementaryVerdict(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import free_of, ground, substitute
+from .arith import free_of, substitute
 from .decomp import solve_constant_combination_values
 from .errors import (
     InternalVerificationError,
@@ -208,7 +208,7 @@ def normalization_images(normalized: Tower, change_log):
         img = F.zero
         for k, c in enumerate(row, start=1):
             if c:
-                img += ground(F, c) * F.gens[k]
+                img += F.ground(c) * F.gens[k]
         images.append(img)
     return images
 
@@ -297,7 +297,7 @@ def embed_well_generated(T: Tower) -> Embedding:
         img = Ft.gens[ell[j - 1]]
         for k, c in enumerate(coeffs_per_gen[j - 1], start=1):
             if c:
-                img += ground(Ft, c) * Ft.gens[k]
+                img += Ft.ground(c) * Ft.gens[k]
         images.append(img)
     sub_values = [Ft.gens[0]] + images
     target_specs = []

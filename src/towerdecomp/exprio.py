@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import re
 
-from .arith import ground
 from .errors import ExprSyntaxError, UnknownName
 from .tower import LOG, Tower, TowerBuilder
 
@@ -208,7 +207,7 @@ class _Parser:
     def atom(self):
         kind, text, off = self.next()
         if kind == "int":
-            return ground(self.F, _integer(text, off))
+            return self.F.ground(_integer(text, off))
         if kind == "name":
             if text not in self.env:
                 raise UnknownName(f"unknown name {text!r}", offset=off)

@@ -20,9 +20,7 @@ from fractions import Fraction
 
 from .arith import (
     UniPoly,
-    frac_to_unipair,
     free_of,
-    ground,
     split_proper_poly,
     squarefree_decomposition,
     unipoly_xgcd,
@@ -79,7 +77,7 @@ def _hermite_core(T, f, level):
     F = T.F
     if not f:
         return F.zero, F.zero
-    A, D = frac_to_unipair(f, level)
+    A, D = UniPoly(F, level, f.numer), UniPoly(F, level, f.denom)
     sqf = squarefree_decomposition(D, level)
     if sqf[-1][1] == 1:
         if improper_reason(T, f, level):
@@ -108,9 +106,9 @@ def _hermite_core(T, f, level):
                 "repeated factor is not normal at its level"
             )
         for j in range(m - 1, 0, -1):
-            B = (inv * (-(A % V))).scale(ground(F, Fraction(1, j))) % V
+            B = (inv * (-(A % V))).scale(F.ground(Fraction(1, j))) % V
             g += F.new(B.num * V.den**j, B.den * V.num**j)
-            A = (A + (B * UVd).scale(ground(F, j))) // V
+            A = (A + (B * UVd).scale(F.ground(j))) // V
             A = A - U * tower_derivative_unipoly(T, B, level)
         D = U * V
     h = F.new(A.num * D.den, A.den * D.num)

@@ -181,13 +181,11 @@ class Poly(dict):
     # -- comparison ---------------------------------------------------------
 
     def __eq__(p1, p2):
-        if not p2:
-            return not p1
         if isinstance(p2, Poly):
             return dict.__eq__(p1, p2)
-        if len(p1) > 1:
-            return False
-        return p1.get(0) == p2
+        if not isinstance(p2, (int, Fraction)):
+            return NotImplemented
+        return p1.is_ground and p1.get(0, 0) == p2
 
     def __ne__(p1, p2):
         return not p1 == p2

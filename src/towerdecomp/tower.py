@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import ClearedBasis, free_of, ground, make_field, substitute
+from .arith import ClearedBasis, free_of, make_field, substitute
 from .errors import (
     HeadMonomialNotOne,
     TowerDecompError,
@@ -68,7 +68,9 @@ class FormalProduct:
 
     def collapse(self):
         """The product as a single field element, or None for fractional
-        exponents.  A generator's argument has at least one factor."""
+        exponents or for no factor, whose field is unknown."""
+        if not self.factors:
+            return None
         F = self.factors[0][0].field
         out = F.one
         for base, exp in self.factors:
@@ -291,7 +293,7 @@ class Tower:
                 raise TypeError(f"expected an element of {self!r}, got one of {value.tower!r}")
             return value
         if isinstance(value, (int, Fraction)):
-            value = ground(self.F, value)
+            value = self.F.ground(value)
         elif not isinstance(value, self.F.dtype):
             raise TypeError(f"expected an element of {self.F!r}, got {value!r}")
         return TowerElement(value, self)
@@ -363,7 +365,7 @@ class Tower:
         """The derivative sum(c * b'/b) of sum(c * log b), for (b, c) pairs."""
         out = self.F.zero
         for base, exp in pairs:
-            out += ground(self.F, exp) * self.diff(base) / base
+            out += self.F.ground(exp) * self.diff(base) / base
         return out
 
     # -- validation --------------------------------------------------------

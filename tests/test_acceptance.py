@@ -18,7 +18,7 @@ from towerdecomp import (
     is_well_generated,
     significant_data,
 )
-from towerdecomp.arith import frac_to_unipair
+from towerdecomp.arith import UniPoly
 from towerdecomp.decomp import _is_remainder_value
 from towerdecomp.hermite import hermite_reduce_proper_value
 from towerdecomp.matryoshka import is_simple_value, order_key_value
@@ -228,8 +228,7 @@ def test_criterion_09_hermite_reduction_reconstructs_inputs(rng):
         if h:
             ok, why = is_simple_value(T, h)
             assert ok, why
-            _, df = frac_to_unipair(f, level)
-            _, dh = frac_to_unipair(h, level)
+            df, dh = UniPoly(T.F, level, f.denom), UniPoly(T.F, level, h.denom)
             assert df.divmod(dh)[1].is_zero()
         count += 1
     assert count >= 200

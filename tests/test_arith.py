@@ -3,16 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
-from sympy import QQ, Poly as SympyPoly, Rational, Symbol
+from hypothesis import assume, example, given, strategies as st
+from sympy import QQ, Poly as SympyPoly, Rational, Symbol, nextprime
 from sympy.polys.fields import field as sympy_field
 
-from towerdecomp import add_decomp_in_field, apply_homomorphism, embed_well_generated
+from towerdecomp import add_decomp_in_field, apply_homomorphism, arith, embed_well_generated
 from towerdecomp.arith import (
     UniPoly,
-    frac_to_unipair,
     free_of,
-    ground,
     is_ground,
     make_field,
     rational_roots,
@@ -24,7 +22,7 @@ from towerdecomp.arith import (
     unipoly_resultant,
     unipoly_xgcd,
 )
-from towerdecomp.polys import Poly
+from towerdecomp.polys import Poly, PolyRing
 
 from conftest import (
     coupled_tower,
@@ -53,7 +51,7 @@ def uni(f, v=1):
 
 def test_ground_and_fraction_conversion(F2):
     F, _ = F2
-    v = ground(F, Fraction(3, 2))
+    v = F.ground(Fraction(3, 2))
     assert (v.numer, v.denom) == (F.ring(3), F.ring(2))
     assert is_ground(v)
     assert not is_ground(F.gens[0])
@@ -74,9 +72,9 @@ def test_unipoly_divmod_and_gcd(F2):
     b = uni(t1 - x)
     q, r = a.divmod(b)
     assert r.is_zero()
-    assert q == uni(t1 + 1)
+    assert q.to_frac() == t1 + 1
     g = unipoly_gcd(a, b)
-    assert g == b.monic()
+    assert g.to_frac() == b.monic().to_frac()
 
 
 def test_unipoly_xgcd_bezout(F2):
@@ -85,7 +83,7 @@ def test_unipoly_xgcd_bezout(F2):
     b = uni(t1 + 1)
     g, s = unipoly_xgcd(a, b)
     assert ((s * a - g) % b).is_zero()
-    assert g.degree == 0 and g == uni(F.one)
+    assert g.degree == 0 and g.to_frac() == 1
 
 
 def test_squarefree_decomposition(F2):
@@ -97,7 +95,7 @@ def test_squarefree_decomposition(F2):
     recomposed = UniPoly.constant(F, 1, F.one)
     for fac, m in sqf:
         recomposed = recomposed * fac.pow(m)
-    assert recomposed == p.monic()
+    assert recomposed.to_frac() == p.monic().to_frac()
 
 
 def test_split_proper_poly(F2):
@@ -105,7 +103,7 @@ def test_split_proper_poly(F2):
     f = t1 + x + 1 / (t1 - x)
     proper, poly = split_proper_poly(f, 1)
     assert proper == 1 / (t1 - x)
-    assert poly == uni(t1 + x)
+    assert poly.to_frac() == t1 + x
     # purely proper input
     proper2, poly2 = split_proper_poly(1 / t1, 1)
     assert proper2 == 1 / t1 and poly2.is_zero()
@@ -131,7 +129,7 @@ def test_unipoly_gcd_drops_factors_free_of_the_main_variable(F2):
 
 def test_unipoly_gcd_of_zero_operands(F2):
     F, (x, t1, t2) = F2
-    zero = UniPoly.zero(F, 1)
+    zero = UniPoly(F, 1, F.ring.zero)
     b = uni(2 * x * t1**2 - 6 * t1 + x)
     assert unipoly_gcd(zero, b).to_frac() == b.monic().to_frac()
     assert unipoly_gcd(b, zero).to_frac() == b.monic().to_frac()
@@ -140,13 +138,12 @@ def test_unipoly_gcd_of_zero_operands(F2):
 
 def test_resultant_of_linear_pair(F2):
     F, (x, t1, t2) = F2
-    # res(t1 - a, t1 - b) = b - a up to the classical sign convention
-    a = uni(t1 - x)
-    b = uni(t1 + x)
-    res = unipoly_resultant(a, b)
-    assert res == 2 * x
+    # res(t1 - a, t1 - b) = a - b, the second polynomial at t1 = a
+    a = (t1 - x).numer
+    b = (t1 + x).numer
+    assert unipoly_resultant(a, b, 1) == (2 * x).numer
     # common root gives zero
-    assert not unipoly_resultant(a, a * b)
+    assert not unipoly_resultant(a, a * b, 1)
 
 
 def test_solve_linear_system_exact():
@@ -164,13 +161,6 @@ def test_substitute(F2):
     G, (y, u1, u2, z) = make_field(["x", "u1", "u2", "z"])
     val = substitute((t1 + x) / t2, G, [y, u1 + z, u2])
     assert val == (u1 + z + y) / u2
-
-
-def test_frac_to_unipair_lowest_terms(F2):
-    F, (x, t1, t2) = F2
-    num, den = frac_to_unipair((t1 + 1) / (x * t1), 1)
-    assert num == uni(t1 + 1)
-    assert den == uni(x * t1)
 
 
 # -- Henrici sums of UniPolys ---------------------------------------------------
@@ -210,7 +200,7 @@ def unipoly_pairs(draw):
     if shared == "ground":
         return F, a, UniPoly(F, 1, poly(3), ring(draw(st.sampled_from([1, 3, -2]))))
     if shared == "cancelling":
-        c = UniPoly(F, 1, poly(2), poly(1, True)) if draw(st.booleans()) else UniPoly.zero(F, 1)
+        c = UniPoly(F, 1, poly(2), poly(1, True)) if draw(st.booleans()) else UniPoly(F, 1, ring.zero)
         return F, a, UniPoly(F, 1, c.num * a.den - a.num * c.den, c.den * a.den)
     return F, a, UniPoly(F, 1, poly(3), poly(2, True) * common)
 
@@ -254,7 +244,7 @@ def termwise_substitute(f, target_field, values):
     def eval_poly(p):
         out = target_field.zero
         for mono, c in p.terms():
-            term = ground(target_field, Fraction(c))
+            term = target_field.ground(c)
             for i, e in enumerate(mono):
                 if e:
                     term *= values[i] ** e
@@ -386,7 +376,7 @@ def _parallel_fraction(F, G, rng):
         a, b = F.zero, G.zero
         for _ in range(rng.randint(1, 3)):
             c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            ta, tb = ground(F, c), G.one * QQ(c.numerator, c.denominator)
+            ta, tb = F.ground(c), G.one * QQ(c.numerator, c.denominator)
             for i in rng.sample(range(len(F.gens)), rng.randint(0, 2)):
                 e = rng.randint(1, 2)
                 ta *= F.gens[i] ** e
@@ -433,7 +423,7 @@ def test_ground_builds_canonical_constants_without_a_cancel(F2, monkeypatch):
 
     monkeypatch.setattr(Poly, "cancel", counting)
     cases = [Fraction(-6, 4), Fraction(5, 10), Fraction(0), 7, -3, Fraction(12, 3)]
-    values = [ground(F, c) for c in cases]
+    values = [F.ground(c) for c in cases]
     assert not calls
     monkeypatch.undo()
     for c, v in zip(cases, values):
@@ -472,7 +462,7 @@ def test_ground_operands_act_as_their_field_elements(seed):
                 with pytest.raises(ZeroDivisionError):
                     op(f, c)
                 continue
-            got, want = op(f, c), op(f, ground(F, c))
+            got, want = op(f, c), op(f, F.ground(c))
             assert type(got) is type(want) is F.dtype
             assert (got.numer, got.denom) == (want.numer, want.denom), name
             for bad in ("1", other):
@@ -531,3 +521,79 @@ def test_rational_roots_examples():
     # (z + 1)^2 * (3z - 2) * z
     coeffs = _times(_times(_times([1, 1], [1, 1]), [-2, 3]), [0, 1])
     assert rational_roots(coeffs) == {-1: 2, Fraction(2, 3): 1, 0: 1}
+
+
+# -- the Hensel prime of the root finder ---------------------------------------
+
+
+def _gf_squarefree(a, b, p):
+    """Whether gcd(a, b) is a constant over GF(p), for a monic a (z^0
+    first), by the Euclidean algorithm modulo p."""
+    a = [c % p for c in a]
+    b = [c % p for c in b]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c = a[-1] * inv % p
+            k = len(a) - len(b)
+            for i, x in enumerate(b):
+                a[k + i] = (a[k + i] - c * x) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+@st.composite
+def squarefree_polys(draw):
+    """Coefficients, z^0 first, of a squarefree integer polynomial with a
+    positive leading coefficient: distinct integer roots in [-30, 30] times
+    a cofactor with coefficients in [-50, 50], or the monic G(z^p) + p*H(z)
+    for a prime p, which p divides the degree and the derivative of."""
+    coeffs = st.integers(-50, 50)
+    if draw(st.booleans()):
+        poly = draw(st.lists(coeffs, max_size=3)) + [draw(st.integers(1, 50))]
+        for r in draw(st.lists(st.integers(-30, 30), max_size=4, unique=True)):
+            poly = _times(poly, [-r, 1])
+    else:
+        p = draw(st.sampled_from([2, 3, 5]))
+        G = draw(st.lists(coeffs, min_size=1, max_size=2)) + [1]
+        poly = [0] * (p * (len(G) - 1) + 1)
+        for k, c in enumerate(G):
+            poly[p * k] = c
+        for k, c in enumerate(draw(st.lists(coeffs, max_size=len(poly) - 1))):
+            poly[k] += p * c
+    S = PolyRing(["z"]).from_dict({(k,): c for k, c in enumerate(poly)})
+    assume(S.degree() >= 1 and S.gcd(S.diff(0)).degree() == 0)
+    return poly
+
+
+@given(squarefree_polys())
+@example([3, 2, 1])  # z^2 + 2z + 3: z' = 2z + 2 vanishes mod 2, so p = 3
+@example([9, 3, 3, 1])  # (z + 1)^3 + 8: not squarefree mod 2 or mod 3, so p = 5
+def test_hensel_prime_is_the_smallest_keeping_q_squarefree(S):
+    """The prime that ``_scaled_integer_roots`` lifts from, read off its
+    first evaluation modulo p, is the smallest prime modulo which the monic
+    Q(y) = a**(n-1) * S(y/a) stays squarefree, by a gcd over GF(p)."""
+    n, a = len(S) - 1, S[-1]
+    Q = [c * a ** (n - 1 - k) for k, c in enumerate(S[:-1])] + [1]
+    dQ = [k * c for k, c in enumerate(Q)][1:]
+    want = 2
+    while not _gf_squarefree(Q, dQ, want):
+        want = nextprime(want)
+    moduli = []
+    eval_mod = arith._eval_mod
+
+    def recording(poly, y, m):
+        moduli.append(m)
+        return eval_mod(poly, y, m)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(arith, "_eval_mod", recording)
+        roots = arith._scaled_integer_roots(S)
+    assert moduli[0] == want
+    assert sorted(roots) == sorted(
+        Fraction(r) * a for r in _sympy_roots(S) if (Fraction(r) * a).denominator == 1
+    )

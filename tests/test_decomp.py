@@ -14,7 +14,7 @@ from towerdecomp import (
     integrate_in_field,
 )
 from towerdecomp import decomp
-from towerdecomp.arith import ClearedBasis, ground, solve_linear_system
+from towerdecomp.arith import ClearedBasis, solve_linear_system
 from towerdecomp.decomp import _is_remainder_value, solve_constant_combination_values
 from towerdecomp.errors import InternalVerificationError
 from towerdecomp.exprio import parse_expression
@@ -125,7 +125,7 @@ def _lcm_solver(F, target, basis):
         return None
     acc = F.zero
     for c, b in zip(sol, basis):
-        acc += ground(F, c) * b
+        acc += F.ground(c) * b
     if acc != target:
         raise InternalVerificationError("combination solver self-check failed")
     return [Fraction(c) for c in sol]
@@ -145,7 +145,7 @@ def test_solver_on_tower_basis_matches_lcm_reference(seed):
     wanted = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in basis]
     combo = F.zero
     for c, b in zip(wanted, basis):
-        combo += ground(F, c) * b
+        combo += F.ground(c) * b
     other = random_element(T, rng)
     # in the span, plus a random element (rarely in it), plus a pole the
     # basis does not have, and a random element alone
@@ -278,7 +278,7 @@ def test_span_solver_matches_full_elimination(seed):
     c = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in polys]
     combo = F.zero
     for cj, p in zip(c, polys):
-        combo += ground(F, cj) * F.new(p, den)
+        combo += F.ground(cj) * F.new(p, den)
     other = F.new(polys[0] + F.ring.gens[3] ** 3, den)
     for target in (combo, combo + other, combo / 5, other):
         want = _full_elimination_solver(F, target, basis)
@@ -479,7 +479,7 @@ def test_adding_generator_derivatives_never_raises(seed):
     for T in towers:
         f = random_element(T, rng)
         for d in T.derivs:
-            f += ground(T.F, Fraction(rng.randint(-3, 3), rng.randint(1, 3))) * d
+            f += T.F.ground(Fraction(rng.randint(-3, 3), rng.randint(1, 3))) * d
         dec = add_decomp_in_field(T.element(f))
         assert _is_remainder_value(T, dec.r.value)[0]
 
@@ -639,13 +639,13 @@ def test_remainder_test_matches_project_subtract_reference(seed):
         f = random_element(T, rng)
         span = F.zero
         for d in T.derivs:
-            span += ground(F, Fraction(rng.randint(-2, 2), rng.randint(1, 2))) * d
+            span += F.ground(Fraction(rng.randint(-2, 2), rng.randint(1, 2))) * d
         top = F.gens[n]
         for r in [
             f,
             f - project_value(T, f)[n],
             span,
-            span + ground(F, rng.randint(1, 3)) / (top + rng.randint(0, 2)),
+            span + F.ground(rng.randint(1, 3)) / (top + rng.randint(0, 2)),
             add_decomp_in_field(T.element(f)).r.value,
         ]:
             assert _is_remainder_value(T, r) == _reference_is_remainder(T, r)

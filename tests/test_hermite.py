@@ -7,8 +7,6 @@ from hypothesis import given
 from towerdecomp import hermite
 from towerdecomp.arith import (
     UniPoly,
-    frac_to_unipair,
-    ground,
     split_proper_poly,
     squarefree_decomposition,
     unipoly_xgcd,
@@ -128,8 +126,7 @@ def test_random_reconstruction(tower_li, rng):
             assert ok, why
             # denominator divisibility holds per level: coefficients of the
             # Bezout solutions may bring in lower-variable denominators
-            _, df = frac_to_unipair(f, level)
-            _, dh = frac_to_unipair(h, level)
+            df, dh = UniPoly(T.F, level, f.denom), UniPoly(T.F, level, h.denom)
             assert df.divmod(dh)[1].is_zero()
         count += 1
 
@@ -160,7 +157,7 @@ def _quadratic_hermite_core(T, f, level):
     F = T.F
     if not f:
         return F.zero, F.zero
-    A, D = frac_to_unipair(f, level)
+    A, D = UniPoly(F, level, f.numer), UniPoly(F, level, f.denom)
     sqf = squarefree_decomposition(D, level)
     if not sqf or sqf[-1][1] == 1:
         return F.zero, f
@@ -179,12 +176,12 @@ def _quadratic_hermite_core(T, f, level):
         U = D // V.pow(m)
         for j in range(m - 1, 0, -1):
             Vd = tower_derivative_unipoly(T, V, level)
-            s = (U * Vd).scale(ground(F, j)) % V
+            s = (U * Vd).scale(F.ground(j)) % V
             gg, sinv = unipoly_xgcd(s, V)
             assert gg.degree == 0
             B = (sinv * (-(A % V))) % V
             g += F.new(B.num * V.den**j, B.den * V.num**j)
-            A = (A + (B * U * Vd).scale(ground(F, j))) // V
+            A = (A + (B * U * Vd).scale(F.ground(j))) // V
             A = A - U * tower_derivative_unipoly(T, B, level)
         D = U * V
         sqf = squarefree_decomposition(D, level)
@@ -253,7 +250,7 @@ def test_repeated_factor_that_is_not_normal_is_rejected(tower_li, monkeypatch):
     T = tower_li
     t1 = T.gens[1]
     # a zero derivation makes U*V' vanish modulo V
-    zero = UniPoly.zero(T.F, 1)
+    zero = UniPoly(T.F, 1, T.F.ring.zero)
     monkeypatch.setattr(hermite, "tower_derivative_unipoly", lambda T, p, level: zero)
     with pytest.raises(InternalVerificationError, match="not normal"):
         _hermite_core(T, 1 / (t1 * (t1 + 1) ** 2), 1)
@@ -298,7 +295,8 @@ def test_division_reduces_only_the_part_it_returns(tower_li, gcds):
         op(a, b)
         assert gcds == {"cofactors": reduced}
     q, r = a.divmod(b)
-    assert a // b == q and a % b == r and q * b + r == a
+    assert (a // b).to_frac() == q.to_frac() and (a % b).to_frac() == r.to_frac()
+    assert (q * b + r).to_frac() == a.to_frac()
 
 
 def test_inverse_is_reduced_before_the_products(monkeypatch):
@@ -329,7 +327,12 @@ def test_inverse_is_reduced_before_the_products(monkeypatch):
     monkeypatch.undo()
     assert len(inverses) == 1
     inv = inverses[0]
-    used = [p for pair in operands for p in pair if isinstance(p, UniPoly) and p == inv]
+    used = [
+        p
+        for pair in operands
+        for p in pair
+        if isinstance(p, UniPoly) and p.num * inv.den == inv.num * p.den
+    ]
     assert used
     for p in used:
         common = p.num.gcd(p.den)

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from towerdecomp.arith import ground
 from towerdecomp.decomp import Decomposition, InFieldIntegral
 from towerdecomp.elem import ElementaryVerdict
 from towerdecomp.embed import AssociatedMatrix, Embedding, SignificantData
@@ -111,7 +110,7 @@ def test_equal_constants_hash_alike():
     half = Fraction(1, 2)
     pairs = [
         (F.one * 3, 3),
-        (ground(F, half), half),
+        (F.ground(half), half),
         (T.element(3), 3),
         (T.element(3), F.one * 3),
         (F.ring.ground_new(3), 3),

@@ -13,8 +13,9 @@ from towerdecomp import (
     embed_well_generated,
     normalize_tower,
 )
-from towerdecomp.arith import ground, make_field
+from towerdecomp.arith import make_field
 from towerdecomp.errors import HeadMonomialNotOne, TowerDecompError
+from towerdecomp.exprio import parse_tower_file, render_tower_file
 from towerdecomp.polys import Poly
 from towerdecomp.tower import PRIM, _prefix_tower, normalize_generators
 
@@ -58,6 +59,23 @@ def test_formal_product_combine_and_collapse(tower_li):
     assert repr(p) == "(x)^2 * (t1)^1"
 
 
+@pytest.mark.parametrize(
+    "factors, line",
+    [([(0, 0)], "gen t1 : prim 0"), ([(0, 1), (0, -1)], "gen t1 : log(1)")],
+)
+def test_a_logarithm_of_one_renders_and_parses_back(factors, line):
+    """log of a product with no factor left, (x)^0, renders as its
+    derivative 0, and log((x)^1 * (x)^-1) as log(1); each file parses back
+    to a tower that validation rejects as the original is."""
+    b = TowerBuilder(["t1"])
+    T = b.log(FormalProduct([(b.gens[k], e) for k, e in factors])).build()
+    text = render_tower_file(T)
+    assert text.splitlines() == ["var x", line]
+    for tower in (T, parse_tower_file(text)):
+        result = tower.validate_s_primitive()
+        assert (result.ok, result.reason) == (False, "derivative of t1 is zero")
+
+
 def test_equal_log_generators_hash_equal():
     T, U = li_tower(), nested_tower()
     assert T.generators[0] == U.generators[0]
@@ -72,7 +90,7 @@ def test_equal_log_generators_hash_equal():
 def test_elements_equal_their_rational_constants(tower_li):
     T = tower_li
     half = Fraction(1, 2)
-    for value in (ground(T.F, half), T.element(half)):
+    for value in (T.F.ground(half), T.element(half)):
         assert value == half and half == value
         assert value != Fraction(1, 3) and Fraction(-1, 2) != value
         assert value != 1 and value != T.gens[0] / 2

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 
 from towerdecomp.arith import (
     UniPoly,
-    ground,
     make_field,
     pseudo_divmod,
     split_proper_poly,
@@ -405,13 +404,14 @@ def test_squarefree_decomposition_matches_reference(seed):
         assert same_poly(fac, ref_fac)
 
 
-def sylvester_resultant(a, b):
-    """Determinant of the Sylvester matrix, by elimination over the field."""
-    F = a.F
-    m, n = a.degree, b.degree
+def sylvester_resultant(A, B, v):
+    """Determinant of the Sylvester matrix of two ring polynomials in v, by
+    elimination over their fraction field, as a ring polynomial."""
+    F = make_field(A.ring.names)[0]
+    m, n = A.degree(v), B.degree(v)
     if m == 0 and n == 0:
-        return F.one
-    ca, cb = a.coeffs, b.coeffs
+        return A.ring.one
+    ca, cb = UniPoly(F, v, A).coeffs, UniPoly(F, v, B).coeffs
     size = m + n
     rows = [[ca.get(m - (c - r), F.zero) for c in range(size)] for r in range(n)]
     rows += [[cb.get(n - (c - r), F.zero) for c in range(size)] for r in range(m)]
@@ -419,7 +419,7 @@ def sylvester_resultant(a, b):
     for col in range(size):
         pivot = next((r for r in range(col, size) if rows[r][col]), None)
         if pivot is None:
-            return F.zero
+            return A.ring.zero
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
             det = -det
@@ -428,28 +428,46 @@ def sylvester_resultant(a, b):
             if rows[r][col]:
                 factor = rows[r][col] / rows[col][col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det
+    assert det.denom.is_one
+    return det.numer
+
+
+FZ = make_field(["z"])[0]
+
+
+def random_ring_poly(rng, F, v, degree):
+    """A random polynomial of degree ``degree`` in v: the numerator of a
+    random UniPoly of F3, or an integer polynomial of Z[z] with
+    coefficients in [-5, 5]."""
+    if F is F3:
+        return random_unipoly(rng, v, degree).num
+    coeffs = [rng.randint(-5, 5) for _ in range(degree)] + [rng.choice([-3, -1, 1, 2, 5])]
+    return FZ.ring.from_dict({(k,): c for k, c in enumerate(coeffs)})
 
 
 def test_resultant_sign_of_degrees_one_and_three():
-    z = UniPoly(F3, 2, T2.numer)
-    one = UniPoly.constant(F3, 2, F3.one)
-    a, b = z - one, z.pow(3)
-    assert unipoly_resultant(a, b) == F3.one == sylvester_resultant(a, b)
-    assert unipoly_resultant(b, a) == -F3.one == sylvester_resultant(b, a)
+    for F, v in ((F3, 2), (FZ, 0)):
+        z, one = F.gens[v].numer, F.ring.one
+        a, b = z - one, z**3
+        assert unipoly_resultant(a, b, v) == one == sylvester_resultant(a, b, v)
+        assert unipoly_resultant(b, a, v) == -one == sylvester_resultant(b, a, v)
 
 
 @given(seed=seeds)
 def test_resultant_matches_reference_and_sylvester(seed):
+    """The resultant of two ring polynomials in Z[x, t1, t2] or Z[z] is the
+    Euclidean reference's over the fraction field, with denominator 1, and
+    the Sylvester determinant."""
     rng = random.Random(seed)
-    v = rng.randint(1, 2)
-    a = random_unipoly(rng, v, rng.randint(0, 3))
-    b = random_unipoly(rng, v, rng.randint(0, 2))
+    F, v = (FZ, 0) if rng.random() < 0.3 else (F3, rng.randint(1, 2))
+    a = random_ring_poly(rng, F, v, rng.randint(0, 3))
+    b = random_ring_poly(rng, F, v, rng.randint(0, 2))
     if rng.random() < 0.2:
-        b = b * random_unipoly(rng, v, 1) if a.degree < 1 else a * b
-    res = unipoly_resultant(a, b)
-    assert exact(res) == exact(ref_unipoly_resultant(ref_from(a), ref_from(b)))
-    assert res == sylvester_resultant(a, b)
+        b = b * random_ring_poly(rng, F, v, 1) if a.degree(v) < 1 else a * b
+    res = unipoly_resultant(a, b, v)
+    ref = ref_unipoly_resultant(ref_from(UniPoly(F, v, a)), ref_from(UniPoly(F, v, b)))
+    assert exact(ref) == (res, F.ring.one)
+    assert res == sylvester_resultant(a, b, v)
 
 
 # -- cancel counts -------------------------------------------------------------
@@ -499,16 +517,6 @@ def test_split_proper_poly_cancel_count(cancels):
             assert len(cancels) <= 1 + len(coeffs)
 
 
-def test_resultant_runs_one_cancel(cancels):
-    v = 2
-    a = UniPoly.constant(F3, v, 1 / X) * (UniPoly(F3, v, T2.numer) - UniPoly.constant(F3, v, T1))
-    b = UniPoly(F3, v, (T2**3 + X * T2 + T1 / (X + 1)).numer, (X + 1).numer)
-    cancels.clear()
-    res = unipoly_resultant(a, b)
-    assert len(cancels) == 1
-    assert res == (T1**3 + X * T1 + T1 / (X + 1)) / X**3
-
-
 # -- normalize_generators projects each generator derivative once -----------
 
 
@@ -531,5 +539,5 @@ def test_normalize_generators_projects_once_per_generator(monkeypatch, make):
 
 def test_ground_scaling_keeps_exact_coefficients():
     u = UniPoly(F3, 1, (X * T1**2 + 1).numer, (X + 1).numer)
-    scaled = u.scale(ground(F3, Fraction(2, 3)))
+    scaled = u.scale(F3.ground(Fraction(2, 3)))
     assert scaled.coeffs == {2: 2 * X / (3 * X + 3), 0: 2 / (3 * X + 3)}
