@@ -11,9 +11,11 @@ denominator's leading coefficient is positive.  That is the form sympy's
 field over QQ keeps too.  Rational constants enter through ``F.ground``,
 as a numerator over a positive integer denominator.  Most field operations
 run a multivariate gcd, the ``cancel``, whose integer gcd is the heuristic
-gcd of :mod:`towerdecomp.gcdheu`.  The two kernels that every layer calls,
-:func:`substitute` here and ``Tower.diff``, build their numerator and
-denominator as plain polynomials and cancel exactly once, in ``F.new``.
+gcd of :mod:`towerdecomp.gcdheu`.  The two kernels that every layer calls
+build their numerator and denominator as plain polynomials:
+:func:`substitute` here cancels once, in ``F.new``, and ``Tower.diff``
+cancels its numerator only against L*gcd(D, L*D'), the one factor that
+the derivative of N/D can share with its numerator.
 
 Divisibility over Q is decided over Z on primitive parts: by Gauss's lemma
 an integer polynomial divides another in Q[x, t1, ..., tn] exactly when its
@@ -100,26 +102,26 @@ def pseudo_divmod(N, D, v):
     L is lc_v(D)**s for the number s of elimination steps, or 1 when lc_v(D)
     is a unit, +1 or -1, the only constants that divide every integer
     polynomial exactly; any other constant leading coefficient takes the
-    pseudo-division steps, with L a power of it.
+    pseudo-division steps, with L a power of it.  Each step updates the
+    reductums alone, R <- red(R)*lc - red(D)*lc(R)*v**j, as ``Poly.prem``
+    does: the leading terms, which cancel, are never multiplied.
     """
-    ring = N.ring
-    dd = D.degree(v)
-    lc = _lc(D, v)
-    unit_lc = lc.is_ground and abs(lc.LC) == 1
-    Q, R, L = ring.zero, N, ring.one
-    dr = _degree(R, v)
+    dd, lc, red = D.lead_wrt(v)
+    unit = lc.LC if lc.is_ground and abs(lc.LC) == 1 else 0
+    Q, R, L = N.ring.zero, N, N.ring.one
+    dr, lr, rest = R.lead_wrt(v)
     while dr >= dd:
-        lr = R.coeff_wrt(v, dr)
-        if unit_lc:
-            term = lr.mul_ground(lc.LC).mul_gen(v, dr - dd)
-            Q += term
-            R -= term * D
+        j = dr - dd
+        if unit:
+            # lr*v**j/lc = lr*lc*v**j, since lc*lc = 1
+            lr = lr.mul_ground(unit)
+            Q += lr.mul_gen(v, j)
+            R = rest - (red * lr).mul_gen(v, j)
         else:
-            term = lr.mul_gen(v, dr - dd)
-            Q = Q * lc + term
-            R = R * lc - term * D
+            Q = Q * lc + lr.mul_gen(v, j)
+            R = rest * lc - (red * lr).mul_gen(v, j)
             L *= lc
-        dr = _degree(R, v)
+        dr, lr, rest = R.lead_wrt(v)
     return Q, R, L
 
 

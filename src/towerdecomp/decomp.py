@@ -8,7 +8,10 @@ integration by parts, everything else times M joins the remainder.  The
 is the termination measure and is asserted.  Each pass builds its update of
 the current element as one polynomial pair over one denominator, with one
 ``F.new``; g and r collect (numerator, denominator) terms and become field
-elements once, before the self-checks.  The span coefficients c_j that a
+elements once, before the self-checks.  A pass at the unit monomial with
+no span term adds its Hermite part to g and its remainder to r as the
+canonical elements they are, so a lone such piece is not cancelled
+again.  The span coefficients c_j that a
 pass absorbs are rational constants, but the field's polynomials have
 integer coefficients: the pass multiplies the absorbed sum(c_j * t_j) and
 the term c_m/(d + 1) * t_m through by the lcm of their denominators and puts
@@ -130,7 +133,7 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
     R = F.ring
     n = T.n
     cur = f.value
-    g_terms = []  # (numerator, denominator) pairs of g, and of r
+    g_terms = []  # the pieces of g, and of r, for _sum_pieces
     r_terms = []
     prev_key = None
     while cur:
@@ -192,27 +195,29 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
             if c:
                 B_poly += R.gens[j].mul_ground(c.numerator * (k // c.denominator))
         Mpoly = R.term_new((0,) + M, 1)
-        Mp, L = T.diff_pair(Mpoly, R.one)
+        Mp, L = T.diff_pair(Mpoly)
         Bnum, Bden = B.numer * k + B_poly * B.denom, B.denom * k
         rest = Bnum * Mp  # (B*M' + cc*t_m^(d+1)*N') * Bden * L
         gnum = Bnum  # (B + cc*t_m) * Bden
         if cc:
             tm = R.gens[m]
             ccB = B.denom.mul_ground(cc.numerator * (k // cc.denominator))
-            Np, _ = T.diff_pair(Mpoly.exquo(tm**d), R.one)
+            Np, _ = T.diff_pair(Mpoly.exquo(tm**d))
             rest += ccB * tm ** (d + 1) * Np
             gnum += ccB * tm
+        unit = not any(M)
         if gnum:
-            g_terms.append((gnum * Mpoly, Bden))
+            # at the unit monomial with no span term, gnum/Bden is B itself
+            g_terms.append(B if unit and not any(absorbed) else (gnum * Mpoly, Bden))
         num = cur.numer * a.denom - a.numer * Mpoly * cur.denom
         den = cur.denom * a.denom
         if rest:
             num, den = num * Bden * L - rest * den, den * Bden * L
         cur = F.new(num, den)
         if H:
-            r_terms.append((H.numer * Mpoly, H.denom))
-    g = sum_pairs(F, g_terms)
-    r = sum_pairs(F, r_terms)
+            r_terms.append(H if unit else (H.numer * Mpoly, H.denom))
+    g = _sum_pieces(F, g_terms)
+    r = _sum_pieces(F, r_terms)
     # g' = f - r with g' left unreduced; when they are equal, the reduced
     # denominator of f - r divides that of g' in Z[x, t]: f - r is coprime
     # over Z, content included, so the division over Z is exact
@@ -225,6 +230,15 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
     if not ok:
         raise InternalVerificationError(f"output fails the remainder test: {why}")
     return Decomposition(TowerElement(g, T), TowerElement(r, T), f)
+
+
+def _sum_pieces(F, pieces):
+    """The sum of g's or r's pieces: unreduced (numerator, denominator)
+    pairs and canonical field elements.  A lone field element is the sum as
+    it is, with no cancel; otherwise ``sum_pairs`` adds them all."""
+    if len(pieces) == 1 and isinstance(pieces[0], F.dtype):
+        return pieces[0]
+    return sum_pairs(F, [(p.numer, p.denom) if isinstance(p, F.dtype) else p for p in pieces])
 
 
 def _is_remainder_value(T, r):

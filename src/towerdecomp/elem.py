@@ -103,7 +103,7 @@ def _residue_polynomial(T, value, i):
     # Z[x, t_1, ..., t_n, _z], the root variable last; the ring change goes
     # by position, so a generator may itself be named _z
     ring = make_field(T.names + ["_z"])[0].ring
-    dn, dd = T.diff_pair(q, F.ring.one, i)
+    dn, dd = T.diff_pair(q, i)
     _, dn, dd = dn.cofactors(dd)
     P = p.set_ring(ring) * dd.set_ring(ring) - dn.set_ring(ring).mul_gen(T.n + 1, 1)
     R = unipoly_resultant(P, q.set_ring(ring), i)

@@ -183,6 +183,9 @@ class Poly(dict):
     def __eq__(p1, p2):
         if isinstance(p2, Poly):
             return dict.__eq__(p1, p2)
+        if isinstance(p2, dict):
+            # else Python falls back to dict.__eq__, and {} == zero
+            return False
         if not isinstance(p2, (int, Fraction)):
             return NotImplemented
         return p1.is_ground and p1.get(0, 0) == p2
@@ -230,6 +233,24 @@ class Poly(dict):
         return self.ring.dtype(
             {m - target: c for m, c in self.items() if m & mask == target}
         )
+
+    def lead_wrt(self, i):
+        """(d, lc, red): the degree d in x_i, the coefficient lc of x_i**d,
+        free of x_i, and the reductum red = self - lc*x_i**d, split in one
+        pass; d is -inf for zero."""
+        d = self.degree(i)
+        dtype = self.ring.dtype
+        if not self:
+            return d, dtype(), dtype()
+        s = self.ring.shifts[i]
+        mask, top = FIELD << s, d << s
+        lc, red = {}, {}
+        for m, c in self.items():
+            if m & mask == top:
+                lc[m - top] = c
+            else:
+                red[m] = c
+        return d, dtype(lc), dtype(red)
 
     def coeff_polys(self, i):
         """{k: coefficient of x_i**k}, each a polynomial free of x_i."""
@@ -391,6 +412,27 @@ class Poly(dict):
                 g[m - one] = coeff * e
         return g
 
+    def derivation(self, multipliers):
+        """sum(m_i * d(self)/dx_i) over the (i, m_i) pairs, each m_i a
+        polynomial, accumulated into one dict: no partial derivative,
+        product or partial sum is built on its own."""
+        ring = self.ring
+        out = ring.dtype()
+        get = out.get
+        for i, mult in multipliers:
+            s = ring.shifts[i]
+            one = 1 << s
+            mult = list(mult.items())
+            for m, c in self.items():
+                e = m >> s & FIELD
+                if e:
+                    m -= one
+                    c *= e
+                    for mm, cm in mult:
+                        k = m + mm
+                        out[k] = get(k, 0) + c * cm
+        return out._strip_zero()._checked()
+
     # -- division -----------------------------------------------------------
 
     def exact_quo(self, g):
@@ -409,22 +451,17 @@ class Poly(dict):
     def prem(self, g, i=0):
         """Pseudo-remainder in variable index i:
         lc_i(g)**(deg_i f - deg_i g + 1) * f reduced modulo g, for
-        deg_i f >= deg_i g >= 1, as the subresultant PRS orders them."""
-        f = self
-        df = f.degree(i)
-        dg = g.degree(i)
-        r, dr = f, df
-        N = df - dg + 1
-        lc_g = g.coeff_wrt(i, dg)
-        while True:
-            lc_r = r.coeff_wrt(i, dr)
-            j, N = dr - dg, N - 1
-            R = r * lc_g
-            G = (g * lc_r).mul_gen(i, j)
-            r = R - G
-            dr = r.degree(i)
-            if dr < dg:
-                break
+        deg_i f >= deg_i g >= 1, as the subresultant PRS orders them.
+        Each step forms r <- red(r)*lc(g) - red(g)*lc(r)*x_i**j on the
+        reductums (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R): the leading
+        terms, which cancel, are never multiplied."""
+        dg, lc_g, red_g = g.lead_wrt(i)
+        dr, lc_r, red_r = self.lead_wrt(i)
+        N = dr - dg + 1
+        while dr >= dg:
+            r = red_r * lc_g - (red_g * lc_r).mul_gen(i, dr - dg)
+            N -= 1
+            dr, lc_r, red_r = r.lead_wrt(i)
         return r * lc_g**N
 
     # -- gcd ----------------------------------------------------------------

@@ -299,59 +299,60 @@ class Tower:
         return TowerElement(value, self)
 
     def diff(self, f):
-        """The tower derivation ' = d/dx + sum(t_i' * d/dt_i), with one cancel."""
-        return self.F.new(*self.diff_pair(f.numer, f.denom))
+        """The tower derivation ' = d/dx + sum(t_i' * d/dt_i), canonical.
 
-    def diff_pair(self, N, D, level=None):
-        """(N/D)' as an unreduced pair of polynomials (num, den).
-
-        The numerator L*N'*D - N*L*D' and the denominator L*D^2 (L*N' and
-        L*D when D is a constant) are plain polynomials.  With ``level`` = i
-        the derivation of K_i is used, whose L is free of t_i and above; N/D
-        must then lie in K_i.
+        f' = P/(L*h*R^2) by ``_quotient_rule``.  Every prime factor of R
+        divides D, so it divides neither N, coprime to D, nor E, coprime to
+        R; P = -N*E modulo it, so P is coprime to R and its gcd with
+        L*h*R^2 is its gcd with the small L*h (Bronstein, *Symbolic
+        Integration I*, ch. 2).  Two gcds, of D with L*D' and of P with
+        L*h, make the pair canonical, with no cancel against L*D^2; a
+        ground D takes the second alone.  L, h, R and every gcd have
+        positive leading coefficients, so the new denominator has one too.
         """
-        scaled, L = self._scaled_derivation(level)
-        if D.is_ground:
-            return scaled(N), L * D
-        return scaled(N) * D - N * scaled(D), L * D**2
+        P, L, h, R = self._quotient_rule(f.numer, f.denom, None)
+        if not P:
+            return self.F.zero
+        _, P, den = P.cofactors(L * h)
+        return self.F.raw_new(P, den * R**2)
+
+    def diff_pair(self, p, level=None):
+        """(L*p', L): the derivative of the polynomial p over the tower's L,
+        a polynomial pair with no gcd, in one ``Poly.derivation`` pass,
+        L*dp/dx + sum(t_i'*L * dp/dt_i).  With ``level`` = i the derivation
+        of K_i is used, whose L is free of t_i and above; p must then lie in
+        K_i."""
+        L, multipliers = self._levels[-1 if level is None else level]
+        return p.derivation(((0, L),) + multipliers), L
 
     def diff_pair_radical(self, N, D, level=None):
         """(N/D)' as an unreduced pair (num, den) over L*D*R, not L*D^2.
 
-        With Dm = gcd(D, L*D'), R = D/Dm and E = L*D'/Dm, one ``cofactors``
-        call gives (Dm, R, E), and (N/D)' = (L*N'*R - N*E)/(L*D*R), equal to
-        ``diff_pair``'s pair as a fraction.  Its callers, the reconstruction
-        check and Hermite's steps, see D with repeated factors, where R is
-        about D's radical and L*D^2 far larger; ``diff`` does not pay the gcd
-        on squarefree denominators.  A ground D gives ``diff_pair``'s pair.
+        With ``_quotient_rule``'s P and R, the pair is (P, L*D*R), equal to
+        (L*N'*D - N*L*D')/(L*D^2) as a fraction; its callers, the
+        reconstruction check and Hermite's steps, see D with repeated
+        factors, where R is about D's radical and L*D^2 far larger.  A
+        ground D gives (L*N', L*D).  ``level`` is as for ``diff_pair``.
         """
-        scaled, L = self._scaled_derivation(level)
+        P, L, _, R = self._quotient_rule(N, D, level)
+        return P, L * D * R
+
+    def _quotient_rule(self, N, D, level):
+        """(P, L, h, R) with (N/D)' = P/(L*h*R^2) and D = h*R: one
+        ``cofactors`` gives (h, R, E) with h = gcd(D, L*D'), R = D/h and E =
+        L*D'/h, and P = L*N'*R - N*E.  A ground D gives h = D and R = 1."""
+        dN, L = self.diff_pair(N, level)
         if D.is_ground:
-            return scaled(N), L * D
-        _, R, E = D.cofactors(scaled(D))
-        return scaled(N) * R - N * E, L * D * R
+            return dN, L, D, D.ring.one
+        h, R, E = D.cofactors(self.diff_pair(D, level)[0])
+        return dN * R - N * E, L, h, R
 
     def is_constant_pair(self, N, D):
         """True iff (N/D)' = 0, for N/D in lowest terms.  As N and D are
         coprime, L*N'*D = N*L*D' holds exactly when D divides L*D' and L*N'
-        = N*(L*D'/D): one exact division and one product, where
-        ``diff_pair`` takes two products of size N*D."""
-        scaled, _ = self._scaled_derivation(None)
-        E = scaled(D).exact_quo(D)
-        return E is not None and scaled(N) == N * E
-
-    def _scaled_derivation(self, level):
-        """(p -> L*p', L) for polynomials p, with the L of K_level, or of the
-        whole tower when ``level`` is None."""
-        L, multipliers = self._levels[-1 if level is None else level]
-
-        def scaled(p):
-            out = p.diff(0) * L
-            for i, m in multipliers:
-                out += p.diff(i) * m
-            return out
-
-        return scaled, L
+        = N*(L*D'/D): one exact division and one product, and no gcd."""
+        E = self.diff_pair(D)[0].exact_quo(D)
+        return E is not None and self.diff_pair(N)[0] == N * E
 
     def derivative_basis(self, m):
         """t_1', ..., t_m' over their common denominator L_m, the lcm of

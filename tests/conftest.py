@@ -136,6 +136,14 @@ def random_s_primitive_tower(rng, n):
             return T
 
 
+def quotient_rule_pair(T, N, D, level=None):
+    """Reference derivative of N/D: the unreduced quotient rule
+    (L*N'*D - N*L*D', L*D^2), with L*N' and L*D' from ``Tower.diff_pair``."""
+    dN, L = T.diff_pair(N, level)
+    dD, _ = T.diff_pair(D, level)
+    return dN * D - N * dD, L * D**2
+
+
 def sympy_dict(p):
     """A towerdecomp polynomial as sympy's ``PolyElement`` holds it: a dict
     from exponent tuples, not packed monomials, to ints."""
@@ -160,6 +168,28 @@ def gcds(monkeypatch):
             return _orig(self, *args)
 
         monkeypatch.setattr(Poly, name, counting)
+    return counts
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The count of monomial products that the tower polynomials' products
+    and squares form: len(p)*len(q) for p*q, len(p)*(len(p) + 1)/2 for a
+    square, and none for a product with an int."""
+    counts = {"monomials": 0}
+    mul, square = Poly.__mul__, Poly.square
+
+    def counting_mul(p, q):
+        if isinstance(q, Poly):
+            counts["monomials"] += len(p) * len(q)
+        return mul(p, q)
+
+    def counting_square(p):
+        counts["monomials"] += len(p) * (len(p) + 1) // 2
+        return square(p)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    monkeypatch.setattr(Poly, "square", counting_square)
     return counts
 
 

@@ -23,6 +23,7 @@ from conftest import (
     coupled_tower,
     li_tower,
     nested_tower,
+    quotient_rule_pair,
     random_s_primitive_tower,
     seeds,
     u_tower,
@@ -359,7 +360,7 @@ def _random_poly(T, rng, level):
 def test_univariate_derivative_is_diff_pairs_fraction(seed):
     """At every level of the paper towers and of a random S-primitive
     tower, the derivative of num/(a^2*b), with a and b free of t_level,
-    equals ``Tower.diff_pair``'s L*D^2 pair as a fraction.  Its
+    equals the quotient rule's L*D^2 pair as a fraction.  Its
     denominator L*D*R divides L*D^2, and when a is not a constant the
     quotient D/R is not one either."""
     rng = random.Random(seed)
@@ -373,7 +374,7 @@ def test_univariate_derivative_is_diff_pairs_fraction(seed):
                 continue
             p = UniPoly(T.F, level, num, a**2 * b)
             got = tower_derivative_unipoly(T, p, level)
-            dn, dd = T.diff_pair(p.num, p.den, level)
+            dn, dd = quotient_rule_pair(T, p.num, p.den, level)
             assert got.to_frac() == T.F.new(dn, dd)
             assert got.den.free_of(range(level, T.n + 1))
             quotient = dd.exact_quo(got.den)

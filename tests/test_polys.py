@@ -143,7 +143,8 @@ def test_comparisons_with_other_types():
     """A polynomial of several terms is no int; a fraction compared with a
     str is NotImplemented both ways, so it is unequal.  A polynomial equals
     only a polynomial, an int or a Fraction: the zero polynomial is not
-    None, an empty str or an empty list."""
+    None, an empty str or an empty list, and no polynomial is a plain dict,
+    although a polynomial is a dict subclass."""
     assert (x2 + R2.one == 1) is False and x2 + R2.one != 1
     assert R2.zero == 0 and R2.zero == Fraction(0) and R2(3) == 3
     assert R2.ground_new(2) != Fraction(1, 2) and R2.zero != 1
@@ -152,6 +153,9 @@ def test_comparisons_with_other_types():
         assert (R2.zero == other) is False and R2.zero != other
         assert (other == R2.zero) is False and other != R2.zero
     assert R2.zero.__eq__(None) is NotImplemented
+    for poly, other in ((R2.zero, {}), (R2.one, {0: 1}), (x2, dict(x2))):
+        assert (poly == other) is False and poly != other
+        assert (other == poly) is False and other != poly
     assert (F2.one == "1") is False and F2.one != "1"
     assert repr(F2) == "FracField(['x', 't1'])"
     assert repr(R2) == "PolyRing(['x', 't1'])"

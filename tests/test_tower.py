@@ -16,13 +16,13 @@ from towerdecomp import (
 from towerdecomp.arith import make_field
 from towerdecomp.errors import HeadMonomialNotOne, TowerDecompError
 from towerdecomp.exprio import parse_tower_file, render_tower_file
-from towerdecomp.polys import Poly
 from towerdecomp.tower import PRIM, _prefix_tower, normalize_generators
 
 from conftest import (
     coupled_tower,
     li_tower,
     nested_tower,
+    quotient_rule_pair,
     random_element,
     random_log_tower,
     random_s_primitive_tower,
@@ -312,21 +312,42 @@ def test_diff_obeys_leibniz_rule(which, seed):
         assert T.diff(f / g) == (T.diff(f) * g - f * T.diff(g)) / g**2
 
 
-def test_diff_cancels_once(monkeypatch, tower_nested, rng):
+def test_diff_cancels_once(tower_nested, rng, gcds):
+    """No ``cancel``: a non-ground denominator takes two ``cofactors``, D's
+    with L*D' and the numerator's with L*h, a ground one only the second,
+    and a zero derivative none."""
     T = tower_nested
+    x, t3 = T.gens[0], T.gens[3]
     elements = [random_element(T, rng) for _ in range(10)] + [T.F.zero, T.F.one]
-    calls = []
-    cancel = Poly.cancel
-
-    def counting(self, g):
-        calls.append(1)
-        return cancel(self, g)
-
-    monkeypatch.setattr(Poly, "cancel", counting)
+    elements += [1 / (t3 + x) ** 3, (x + 1) / (2 * t3**2)]
     for f in elements:
-        calls.clear()
+        gcds.clear()
         T.diff(f)
-        assert len(calls) == 1
+        if not f.denom.is_ground:
+            assert gcds == {"cofactors": 2}
+        else:
+            assert gcds == ({} if f.numer.is_ground else {"cofactors": 1})
+
+
+@given(which=st.integers(0, len(PAPER_TOWERS)), k=st.integers(1, 3), seed=seeds)
+def test_diff_equals_the_cancelled_quotient_rule(which, k, seed):
+    """Tower.diff through the radical equals the cancelled quotient rule
+    over L*D^2, on the paper towers and on random S-primitive towers, for
+    denominators with repeated factors and factors shared with L: x^2*t1 on
+    li, (t3 + x)^3 on nested, and a random factor to the power k."""
+    rng = random.Random(seed)
+    if which < len(PAPER_TOWERS):
+        T = PAPER_TOWERS[which]
+        x, t1, t2, t3 = T.gens
+        named = [x**2 * t1, (t3 + x) ** 3, x**2 * (x + 1) * t1**2, (t3 + x) ** 2 * t1][which]
+    else:
+        T = random_s_primitive_tower(rng, 3)
+        x, t1 = T.gens[:2]
+        named = x**2 * t1
+    f = random_element(T, rng)
+    h = random_element(T, rng, max_terms=2) + rng.choice(T.gens)
+    for g in (f, f / named, f / h**k if h else f / named**k):
+        assert_identical(T.diff(g), T.F.new(*quotient_rule_pair(T, g.numer, g.denom)))
 
 
 # -- Tower.diff_pair_radical: the same derivative over L*D*R ------------------
@@ -335,15 +356,15 @@ def test_diff_cancels_once(monkeypatch, tower_nested, rng):
 @given(which=st.sampled_from([0, 1]), k=st.integers(2, 4), seed=seeds)
 def test_diff_pair_radical_equals_diff_pair(which, k, seed):
     """On li and nested, an element divided by a random factor to the power
-    k: the pair over L*D*R equals diff_pair's over L*D^2 as a fraction, and
-    its denominator is no larger in any variable's degree."""
+    k: the pair over L*D*R equals the quotient rule's over L*D^2 as a
+    fraction, and its denominator is no larger in any variable's degree."""
     T = PAPER_TOWERS[which]
     rng = random.Random(seed)
     f = random_element(T, rng)
     h = random_element(T, rng, max_terms=2) + rng.choice(T.gens)
     if h:
         f /= h**k
-    P, Q = T.diff_pair(f.numer, f.denom)
+    P, Q = quotient_rule_pair(T, f.numer, f.denom)
     P2, Q2 = T.diff_pair_radical(f.numer, f.denom)
     assert P * Q2 == P2 * Q
     assert all(a <= b for a, b in zip(Q2.degrees(), Q.degrees()))
@@ -354,7 +375,8 @@ def test_diff_pair_radical_keeps_a_ground_denominator(which):
     T = PAPER_TOWERS[which]
     x, t1, t2, t3 = T.gens
     for f in [(x * t3 + t1**2) / 6, x - 3 * t2, T.F.one * 5, T.F.zero]:
-        assert T.diff_pair_radical(f.numer, f.denom) == T.diff_pair(f.numer, f.denom)
+        dN, L = T.diff_pair(f.numer)
+        assert T.diff_pair_radical(f.numer, f.denom) == (dN, L * f.denom)
 
 
 def test_diff_pair_radical_shrinks_a_repeated_factor(tower_nested):
@@ -363,6 +385,6 @@ def test_diff_pair_radical_shrinks_a_repeated_factor(tower_nested):
     x, t3 = T.gens[0], T.gens[3]
     for k in (2, 3, 4):
         f = 1 / (t3 + x) ** k
-        _, Q = T.diff_pair(f.numer, f.denom)
+        _, Q = quotient_rule_pair(T, f.numer, f.denom)
         _, Q2 = T.diff_pair_radical(f.numer, f.denom)
         assert (Q.degree(3), Q2.degree(3)) == (2 * k, k + 1)

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from towerdecomp.arith import (
     UniPoly,
@@ -337,6 +337,86 @@ def test_pseudo_division_identity(seed):
     assert L * N == Q * D + R
     assert (R.degree(v) if R else -1) < D.degree(v)
     assert L.degree(v) <= 0 and Q.degree(v) <= max(N.degree(v) - D.degree(v), 0)
+
+
+def reference_pseudo_divmod(N, D, v):
+    """Pseudo-division as it was before reductums: each step multiplies the
+    whole remainder and the whole divisor, leading terms included."""
+    dd = D.degree(v)
+    lc = D.coeff_wrt(v, dd)
+    unit_lc = lc.is_ground and abs(lc.LC) == 1
+    Q, R, L = N.ring.zero, N, N.ring.one
+    dr = R.degree(v) if R else -1
+    while dr >= dd:
+        lr = R.coeff_wrt(v, dr)
+        if unit_lc:
+            term = lr.mul_ground(lc.LC).mul_gen(v, dr - dd)
+            Q += term
+            R -= term * D
+        else:
+            term = lr.mul_gen(v, dr - dd)
+            Q = Q * lc + term
+            R = R * lc - term * D
+            L *= lc
+        dr = R.degree(v) if R else -1
+    return Q, R, L
+
+
+def reference_prem(f, g, i):
+    """The pseudo-remainder as it was before reductums."""
+    dg = g.degree(i)
+    r, dr = f, f.degree(i)
+    N = dr - dg + 1
+    lc_g = g.coeff_wrt(i, dg)
+    while True:
+        lc_r = r.coeff_wrt(i, dr)
+        N -= 1
+        r = r * lc_g - (g * lc_r).mul_gen(i, dr - dg)
+        dr = r.degree(i)
+        if dr < dg:
+            break
+    return r * lc_g**N
+
+
+@given(seed=seeds, lead=st.sampled_from([None, 1, -1, 2, -3]))
+def test_division_on_reductums_equals_the_whole_polynomial_loops(seed, lead):
+    """``prem`` and ``pseudo_divmod`` equal the loops above for a divisor
+    whose leading coefficient is a polynomial (None), a unit or a non-unit
+    constant, for a dividend of any degree, for one that the divisor
+    divides exactly, and for one of lower degree (pseudo_divmod alone:
+    prem requires deg_v f >= deg_v g)."""
+    rng = random.Random(seed)
+    v = rng.randint(0, 2)
+    dd = rng.randint(1, 3)
+    D = random_unipoly(rng, v, dd).num
+    if lead is not None:
+        red = random_unipoly(rng, v, dd - 1).num
+        D = F3.ring(lead).mul_gen(v, dd) + red
+    exact = D * random_unipoly(rng, v, rng.randint(0, 2)).num
+    for N in (random_unipoly(rng, v, rng.randint(0, 5)).num, exact,
+              random_unipoly(rng, v, dd - 1).num):
+        assert pseudo_divmod(N, D, v) == reference_pseudo_divmod(N, D, v)
+        if N.degree(v) >= dd:
+            assert N.prem(D, v) == reference_prem(N, D, v)
+    assert not pseudo_divmod(exact, D, v)[1] and not exact.prem(D, v)
+
+
+def test_division_on_reductums_saves_the_leading_products(products):
+    """Monic f = t2^2 + (x + 1)*t2 + t1 (4 terms) by g = a*t2 + b, with a
+    of 10 terms and b of 9: the loops above form 603 monomial products in
+    ``prem`` and 685 in ``pseudo_divmod``, the reductum updates 303 and
+    385: the 300 products of leading terms, which cancel, are gone."""
+    a = ((X + T1 + 2) ** 3).numer
+    b = ((X * T1 - 3 * X + T1 + 1) ** 2).numer
+    g = a * T2.numer + b
+    f = (T2**2 + (X + 1) * T2 + T1).numer
+    counts = []
+    for divide in (lambda: f.prem(g, 2), lambda: reference_prem(f, g, 2),
+                   lambda: pseudo_divmod(f, g, 2), lambda: reference_pseudo_divmod(f, g, 2)):
+        products["monomials"] = 0
+        divide()
+        counts.append(products["monomials"])
+    assert counts == [303, 603, 385, 685]
 
 
 # -- projections and splitting -----------------------------------------------
