@@ -5,9 +5,10 @@ internal verification failure or a heuristic gcd that found no evaluation
 point.  Every printed decomposition has been
 verified by exact differentiation in ``add_decomp_in_field`` before output.
 
-Every command runs one path: import the layer it runs beyond ``decomp``
-(``elem`` or ``embed``, and no other), load the tower, validate it, read
-``--expr``, run the command, emit its lines or its JSON payload.
+Every command runs one path: load the tower, validate it, read ``--expr``,
+run the command, emit its lines or its JSON payload.  A command that runs a
+layer beyond ``decomp`` (``elem`` or ``embed``, and no other) imports it
+itself.
 """
 
 from __future__ import annotations
@@ -229,18 +230,17 @@ def _check(T, f, args, read):
     }
 
 
-# name -> (command, validate the tower first, read --expr first, the module
-# of the package it runs beyond decomp, or None).  A command takes the tower,
-# the element read from --expr or None, the arguments and the reader, and
-# returns its printed lines and its payload fields.  --expr is required
-# exactly where the pipeline reads it.
+# name -> (command, validate the tower first, read --expr first).  A command
+# takes the tower, the element read from --expr or None, the arguments and
+# the reader, and returns its printed lines and its payload fields.  --expr
+# is required exactly where the pipeline reads it.
 _COMMANDS = {
-    "decomp": (_decomp, True, True, None),
-    "integrate": (_integrate, True, True, None),
-    "elementary": (_elementary, True, True, "elem"),
-    "embed": (_embed, True, False, "embed"),
-    "matrix": (_matrix, False, False, "embed"),
-    "check": (_check, False, False, "embed"),
+    "decomp": (_decomp, True, True),
+    "integrate": (_integrate, True, True),
+    "elementary": (_elementary, True, True),
+    "embed": (_embed, True, False),
+    "matrix": (_matrix, False, False),
+    "check": (_check, False, False),
 }
 
 # exception -> (exit code, message prefix); the most specific class decides
@@ -313,11 +313,7 @@ def _fold_expr(argv):
 
 
 def _run(args):
-    command, validates, reads, module = _COMMANDS[args.command]
-    if module is not None:
-        # loaded here, before any work, and only for the commands that run it;
-        # an import statement's path, which -X importtime reports
-        __import__(f"{__package__}.{module}")
+    command, validates, reads = _COMMANDS[args.command]
     out = []
     T, read = _load_tower(args, out)
     if validates:

@@ -21,7 +21,7 @@ from .errors import (
     NotLogarithmic,
     PreconditionCLIMI,
 )
-from .matryoshka import derivative_projections, project_value
+from .matryoshka import derivative_projections
 from .tower import (
     LOG,
     PRIM,
@@ -30,7 +30,6 @@ from .tower import (
     Tower,
     TowerBuilder,
     TowerElement,
-    _prefix_tower,
 )
 
 
@@ -175,7 +174,7 @@ def normalize_tower(T: Tower):
             args = [a.substitute(current.F, perm) for a in args]
             step = ("swap", j)
         current = _rebuild(names, args, current.names[0])
-        current.ensure_s_primitive()
+        _require_built_s_primitive(current, "rebuilt tower")
         change_log.append(step)
     return current, change_log
 
@@ -213,19 +212,26 @@ def normalization_images(normalized: Tower, change_log):
     return images
 
 
-def _recover_log_argument(prefix, value, level):
+def _recover_log_argument(T, value, level):
     """The FormalProduct argument whose logarithmic derivative is value,
     checked exactly.  value, a basis entry, is a projection of a generator
     derivative, so it is a rational combination of logarithmic derivatives
     at its level, and its residues are its coefficients."""
     from .elem import _residue_analysis, _witness_from_roots
 
-    analysis = _residue_analysis(prefix, value, level)
+    analysis = _residue_analysis(T, value, level)
     if analysis[0] == "constant":
-        items, combined = _witness_from_roots(prefix, value, level, analysis[1])
+        items, combined = _witness_from_roots(T, value, level, analysis[1])
         if combined == value:
             return FormalProduct([(arg, c) for c, arg in items])
     raise InternalVerificationError("basis entry is not a logarithmic derivative")
+
+
+def _require_built_s_primitive(T, what):
+    """A tower built here from a validated one fails validation only by a bug."""
+    result = T.validate_s_primitive()
+    if not result.ok:
+        raise InternalVerificationError(f"{what} is not S-primitive: {result.reason}")
 
 
 def embed_well_generated(T: Tower) -> Embedding:
@@ -233,8 +239,12 @@ def embed_well_generated(T: Tower) -> Embedding:
 
     The basis is collected scanning the matrix row by row, left to right
     within a row, keeping entries that are Q-linearly independent of those
-    already kept.  Each generator image is u_{ell_j} plus the constant
-    combination of earlier basis generators solving t_j' in the basis."""
+    already kept.  The scan also yields each entry's coordinates, the
+    solver's coefficients or a new element's unit vector, whose column sums
+    are t_j' over the basis; each element's source row; and ell_j, the index
+    of entry (sv_j, j).  Rows above sv_j are zero and rows below it come
+    before b_{ell_j}, so t_j' = b_{ell_j} + sum of c_{j,k} b_k, k < ell_j,
+    and phi(t_j) = u_{ell_j} + sum of c_{j,k} u_k."""
     _require_logarithmic(T)
     T.ensure_s_primitive()
     cols, sv = derivative_projections(T)
@@ -249,74 +259,62 @@ def embed_well_generated(T: Tower) -> Embedding:
             "significant vector is not monotone; run normalize_tower first"
         )
     n = T.n
-    F = T.F
-    basis = []
-    position = {}  # (row, col) -> 1-based basis index
+    basis, rows, ell = [], [], [None] * n  # b_k and its source row
+    # t_j' over b_1, b_2, ...: at most one basis element per entry i < j
+    coords = [[Fraction(0)] * (n * (n + 1) // 2) for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n + 1):
             entry = cols[j - 1][i]
             if not entry:
                 continue
-            coeffs = solve_constant_combination_values(F, entry, basis)
-            if coeffs is None:
+            c = solve_constant_combination_values(T.F, entry, basis)
+            if c is None:
+                c = [0] * len(basis) + [1]
                 basis.append(entry)
-                position[(i, j)] = len(basis)
+                rows.append(i)
+                if i == sv[j - 1]:
+                    ell[j - 1] = len(basis)
+            for k, ck in enumerate(c):
+                coords[j - 1][k] += ck
     w = len(basis)
     if not n <= w <= n * (n + 1) // 2:
         raise InternalVerificationError("basis size out of range")
-    ell = []
-    for j in range(1, n + 1):
-        idx = position.get((sv[j - 1], j))
-        if idx is None:
-            raise InternalVerificationError(
-                "significant component did not enter the basis"
-            )
-        ell.append(idx)
+    if None in ell:
+        raise InternalVerificationError(
+            "significant component did not enter the basis"
+        )
     # a tower with no generators has the identity embedding, w = 0
     if ell and (ell[0] != 1 or ell[-1] != w or any(
         a >= b for a, b in zip(ell, ell[1:])
     )):
         raise InternalVerificationError("basis positions are not staircase")
-    coeffs_per_gen = []
-    for j in range(1, n + 1):
-        lj = ell[j - 1]
-        rest = T.derivs[j - 1] - basis[lj - 1]
-        c = solve_constant_combination_values(F, rest, basis[: lj - 1])
-        if c is None:
-            raise InternalVerificationError(
-                "generator derivative not spanned by earlier basis entries"
-            )
-        coeffs_per_gen.append(tuple(c))
+    coeffs_per_gen = [tuple(vec[: lj - 1]) for vec, lj in zip(coords, ell)]
 
-    target_names = [f"u{k}" for k in range(1, w + 1)]
-    builder = TowerBuilder(target_names, base_name=T.names[0])
-    Ft = builder.F
-    # phi(t_j) = u_{ell_j} + sum of c_{j,k} u_k
+    names = [T.names[0]] + [f"u{k}" for k in range(1, w + 1)]
+    Ft = TowerBuilder(names[1:], base_name=names[0]).F
     images = []
-    for j in range(1, n + 1):
-        img = Ft.gens[ell[j - 1]]
-        for k, c in enumerate(coeffs_per_gen[j - 1], start=1):
+    for lj, coeffs in zip(ell, coeffs_per_gen):
+        img = Ft.gens[lj]
+        for k, c in enumerate(coeffs, start=1):
             if c:
                 img += Ft.ground(c) * Ft.gens[k]
         images.append(img)
     sub_values = [Ft.gens[0]] + images
-    target_specs = []
-    prefix_specs = []  # PRIM-only view for differentiating during the build
-    for k in range(1, w + 1):
-        val = substitute(basis[k - 1], Ft, sub_values)
+    derivs = [substitute(b, Ft, sub_values) for b in basis]
+    for k, val in enumerate(derivs, start=1):
         if not free_of(val, range(k, w + 1)):
             raise InternalVerificationError(
                 "target derivative involves later generators"
             )
-        prefix = _prefix_tower([T.names[0]] + target_names, prefix_specs, Ft)
-        level = max(
-            (i for i, p in enumerate(project_value(prefix, val)) if p),
-            default=0,
-        )
-        target_specs.append((LOG, _recover_log_argument(prefix, val, level)))
-        prefix_specs.append((PRIM, val))
-    target = Tower(Ft, [T.names[0]] + target_names, target_specs)
-    target.ensure_s_primitive()
+    # phi(b_k) needs no log argument, so one primitive tower carries the
+    # derivation of every level; phi sends t_i to u_{ell_i} plus earlier
+    # u_k, so an entry of source row i lies at target level ell_i
+    prim = Tower(Ft, names, [(PRIM, val) for val in derivs])
+    target = Tower(Ft, names, [
+        (LOG, _recover_log_argument(prim, val, ell[i - 1] if i else 0))
+        for val, i in zip(derivs, rows)
+    ])
+    _require_built_s_primitive(target, "target")
     ok, why = is_well_generated(target)
     if not ok:
         raise InternalVerificationError(f"target not well generated: {why}")

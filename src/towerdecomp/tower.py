@@ -189,6 +189,16 @@ class TowerElement(Record):
         return f"TowerElement({self.value})"
 
 
+def _in_field(F, value):
+    """value as an element of the field F: an int or a Fraction through
+    ``F.ground``, an element of F as it is, anything else a TypeError."""
+    if isinstance(value, (int, Fraction)):
+        return F.ground(value)
+    if not isinstance(value, F.dtype):
+        raise TypeError(f"expected an element of {F!r}, got {value!r}")
+    return value
+
+
 class TowerBuilder:
     """Incremental construction: the field exists up front so that generator
     arguments can be written in terms of earlier generators."""
@@ -206,15 +216,16 @@ class TowerBuilder:
         return self.gens[0]
 
     def log(self, argument):
-        """Declare the next generator as log(argument)."""
+        """Declare the next generator as log(argument), each base by ``_in_field``."""
         if not isinstance(argument, FormalProduct):
             argument = FormalProduct.single(argument)
-        self._specs.append((LOG, argument))
+        factors = [(_in_field(self.F, b), e) for b, e in argument.factors]
+        self._specs.append((LOG, FormalProduct(factors)))
         return self
 
     def prim(self, derivative):
-        """Declare the next generator with an explicit derivative."""
-        self._specs.append((PRIM, derivative))
+        """Declare the next generator with an explicit derivative, by ``_in_field``."""
+        self._specs.append((PRIM, _in_field(self.F, derivative)))
         return self
 
     def build(self) -> "Tower":
@@ -227,9 +238,11 @@ class TowerBuilder:
 
 
 class Tower:
-    """An ordered primitive tower.  Use :class:`TowerBuilder` to construct."""
+    """An ordered primitive tower.  Use :class:`TowerBuilder` to construct.
+    ``specs`` may be a prefix; the generators past it get derivative zero."""
 
     def __init__(self, F, names, specs):
+        specs = list(specs) + [(PRIM, F.zero)] * (len(names) - 1 - len(specs))
         self.F = F
         self.names = names
         self.gens = list(F.gens)
@@ -292,11 +305,7 @@ class Tower:
             if value.tower is not self:
                 raise TypeError(f"expected an element of {self!r}, got one of {value.tower!r}")
             return value
-        if isinstance(value, (int, Fraction)):
-            value = self.F.ground(value)
-        elif not isinstance(value, self.F.dtype):
-            raise TypeError(f"expected an element of {self.F!r}, got {value!r}")
-        return TowerElement(value, self)
+        return TowerElement(_in_field(self.F, value), self)
 
     def diff(self, f):
         """The tower derivation ' = d/dx + sum(t_i' * d/dt_i), canonical.
@@ -440,7 +449,7 @@ def normalize_generators(T: Tower):
     new_specs = []
     # incrementally rebuilt tower prefix used for Hermite at each level
     for i in range(1, T.n + 1):
-        prefix = _prefix_tower(T.names, new_specs, builder.F)
+        prefix = Tower(builder.F, T.names, new_specs)
         d_old = T.derivs[i - 1]
         values = [builder.gens[0]] + [
             builder.gens[j] + shifts[j - 1][1] for j in range(1, i)
@@ -467,10 +476,3 @@ def normalize_generators(T: Tower):
             new_specs.append((PRIM, h_total))
     T2 = Tower(builder.F, T.names, new_specs)
     return T2, shifts
-
-
-def _prefix_tower(names, specs, F) -> Tower:
-    """Tower over the full field but with only the first len(specs) generators
-    carrying derivatives; enough for differentiation of prefix elements."""
-    padded = list(specs) + [(PRIM, F.zero)] * (len(names) - 1 - len(specs))
-    return Tower(F, names, padded)

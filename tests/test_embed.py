@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, strategies as st
 
 from towerdecomp import (
     FormalProduct,
@@ -11,7 +14,9 @@ from towerdecomp import (
     normalize_tower,
     significant_data,
 )
-from towerdecomp import elem, embed
+from towerdecomp import decomp, elem, embed, tower
+from towerdecomp.cli import main
+from towerdecomp.exprio import render_tower_file
 from towerdecomp.errors import (
     InternalVerificationError,
     NotLogarithmic,
@@ -19,7 +24,14 @@ from towerdecomp.errors import (
     TowerNotSPrimitive,
 )
 
-from conftest import coupled_tower, random_element, random_log_tower
+from conftest import (
+    coupled_tower,
+    nested_tower,
+    random_element,
+    random_log_tower,
+    seeds,
+    u_tower,
+)
 
 
 @pytest.fixture
@@ -246,6 +258,57 @@ def test_w_bound_on_random_towers(rng):
         assert is_well_generated(E.target)[0]
 
 
+PAPER_SOURCES = [nested_tower(), u_tower(), normalize_tower(coupled_tower())[0]]
+
+
+def assert_coefficient_identity(E):
+    """t_j' = b_{ell_j} + sum(c_{j,k} * b_k), exactly, for every j."""
+    basis = [b.value for b in E.basis]
+    for d, lj, coeffs in zip(E.source.derivs, E.ell, E.coeffs):
+        assert len(coeffs) == lj - 1
+        combined = basis[lj - 1]
+        for b, c in zip(basis, coeffs):
+            combined += E.source.F.ground(c) * b
+        assert d == combined
+
+
+@pytest.mark.parametrize("T", PAPER_SOURCES, ids=["nested", "u", "coupled-normalized"])
+def test_coefficients_rebuild_the_generator_derivatives(T):
+    assert_coefficient_identity(embed_well_generated(T))
+
+
+@given(n=st.integers(1, 3), seed=seeds)
+def test_coefficients_rebuild_the_generator_derivatives_on_random_towers(n, seed):
+    T = normalize_tower(random_log_tower(random.Random(seed), n))[0]
+    assert_coefficient_identity(embed_well_generated(T))
+
+
+def test_an_embedding_builds_two_towers_and_solves_in_its_scans(tower_nested, monkeypatch):
+    """A warm embedding of nested constructs the primitive tower that
+    recovers the log arguments and the target, and no prefix tower.  The
+    solver runs 2 times in the precondition scan, 6 in the basis scan (one
+    per nonzero entry), 4 in the target's validation and 4 in its
+    well-generation scan; a second solve of the generator derivatives
+    fails here."""
+    embed_well_generated(tower_nested)
+    counts = {"towers": 0, "solves": 0}
+    init, solve = tower.Tower.__init__, decomp.solve_constant_combination_values
+
+    def counting_init(self, *args):
+        counts["towers"] += 1
+        init(self, *args)
+
+    def counting_solve(*args):
+        counts["solves"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(tower.Tower, "__init__", counting_init)
+    monkeypatch.setattr(decomp, "solve_constant_combination_values", counting_solve)
+    monkeypatch.setattr(embed, "solve_constant_combination_values", counting_solve)
+    embed_well_generated(tower_nested)
+    assert counts == {"towers": 2, "solves": 16}
+
+
 def _moved_significant_vector(sv):
     """Report the significant vector sv for the real matrix, past the
     precondition scan that would reject it first."""
@@ -299,7 +362,7 @@ TAMPERED_EMBEDDINGS = {
     ),
     "no-combination-found": (
         _patch(embed, "solve_constant_combination_values", lambda F, target, basis: None),
-        "^generator derivative not spanned by earlier basis entries$",
+        "^target is not S-primitive: derivative of u2 depends on earlier derivatives$",
     ),
     "target-derivative-with-later-generators": (
         _leaky_substitute, "^target derivative involves later generators$"
@@ -338,3 +401,43 @@ def test_a_normalization_step_that_changes_nothing_is_an_internal_error(
     monkeypatch.setattr(embed, "_rebuild", lambda names, args, base: tower_coupled)
     with pytest.raises(InternalVerificationError, match="^significant vector failed to decrease$"):
         normalize_tower(tower_coupled)
+
+
+def _rejected_rebuild(names, args, base):
+    """A rebuilt tower whose t3' = 2/x is twice t1'."""
+    b = TowerBuilder(names, base_name=base)
+    return b.log(b.x).log(b.x + 1).log(FormalProduct([(b.x, 2)])).build()
+
+
+def test_a_rebuilt_tower_that_fails_validation_is_an_internal_error(
+    tower_coupled, monkeypatch
+):
+    monkeypatch.setattr(embed, "_rebuild", _rejected_rebuild)
+    with pytest.raises(
+        InternalVerificationError,
+        match="^rebuilt tower is not S-primitive: derivative of t3 depends on earlier derivatives$",
+    ):
+        normalize_tower(tower_coupled)
+
+
+@pytest.mark.parametrize(
+    "make, tamper, message",
+    [
+        (
+            nested_tower,
+            _patch(embed, "solve_constant_combination_values", lambda F, target, basis: None),
+            "target is not S-primitive",
+        ),
+        (coupled_tower, _patch(embed, "_rebuild", _rejected_rebuild), "rebuilt tower is not S-primitive"),
+    ],
+    ids=["target", "rebuilt-tower"],
+)
+def test_a_built_tower_that_fails_validation_exits_3(make, tamper, message, tmp_path, monkeypatch, capsys):
+    """A tower the package built itself is never the user's fault: the
+    command ends as an internal error, not as a validation error."""
+    path = tmp_path / "source.tower"
+    path.write_text(render_tower_file(make()))
+    tamper(monkeypatch, None)
+    assert main(["embed", "--tower", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"internal error: {message}: derivative of ")

@@ -16,7 +16,7 @@ from towerdecomp import (
 from towerdecomp.arith import make_field
 from towerdecomp.errors import HeadMonomialNotOne, TowerDecompError
 from towerdecomp.exprio import parse_tower_file, render_tower_file
-from towerdecomp.tower import PRIM, _prefix_tower, normalize_generators
+from towerdecomp.tower import PRIM, Tower, normalize_generators
 
 from conftest import (
     coupled_tower,
@@ -191,6 +191,46 @@ def test_builder_rejects_duplicate_names_and_a_wrong_declaration_count():
         b.log(b.x).build()
 
 
+@pytest.mark.parametrize(
+    "declare, reason",
+    [
+        (lambda b: b.prim(1), "derivative of t is not simple"),
+        (lambda b: b.prim(Fraction(1, 2)), "derivative of t is not simple"),
+        (lambda b: b.log(2), "derivative of t is zero"),
+        (lambda b: b.log(FormalProduct([(2, 1), (3, Fraction(1, 2))])), "derivative of t is zero"),
+    ],
+    ids=["prim-int", "prim-fraction", "log-int", "log-int-bases"],
+)
+def test_builder_takes_rational_constants(declare, reason):
+    """An int or a Fraction enters the field as ``Tower.element`` takes it,
+    and validation then rejects the tower as usual."""
+    T = declare(TowerBuilder(["t"])).build()
+    assert all(d.field is T.F for d in T.derivs)
+    result = T.validate_s_primitive()
+    assert not result.ok and result.reason.startswith(reason)
+
+
+def test_builder_takes_an_int_base_next_to_a_field_element():
+    b = TowerBuilder(["t"])
+    T = b.log(FormalProduct([(2, 1), (b.x, 1)])).build()
+    assert T.derivs == [1 / T.gens[0]]
+    assert T.validate_s_primitive().ok
+
+
+@pytest.mark.parametrize(
+    "declare",
+    [
+        lambda b: b.prim(0.5),
+        lambda b: b.prim("x"),
+        lambda b: b.log(FormalProduct([(make_field(["y"])[1][0], 1)])),
+    ],
+    ids=["prim-float", "prim-str", "log-base-of-another-field"],
+)
+def test_builder_rejects_a_value_of_another_field(declare):
+    with pytest.raises(TypeError, match=r"^expected an element of FracField\(\['x', 't'\]\), got "):
+        declare(TowerBuilder(["t"]))
+
+
 FIVE = make_field(["x", "t1", "t2", "t3", "t4"])[1]
 
 
@@ -295,7 +335,7 @@ def test_diff_matches_chain_rule_on_random_towers(n, seed):
 def test_diff_matches_chain_rule_on_targets_and_prefixes(embedding_targets, data, seed):
     E, specs = data.draw(st.sampled_from(embedding_targets))
     k = data.draw(st.integers(0, E.n))
-    prefix = _prefix_tower(E.names, specs[:k], E.F)
+    prefix = Tower(E.F, E.names, specs[:k])
     f = random_element(E, random.Random(seed))
     assert_identical(prefix.diff(f), chain_rule_diff(prefix, f))
     if k == E.n:
