@@ -43,7 +43,8 @@ def _load_tower(args, out):
     """
     with open(args.tower, "r", encoding="utf-8") as fh:
         try:
-            text = fh.read()
+            # the mark goes after decoding, so offsets count from the file's start
+            text = fh.read().removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise ExprSyntaxError(
                 f"{args.tower}: not UTF-8 text (byte {exc.start})"

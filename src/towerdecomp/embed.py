@@ -24,7 +24,6 @@ from .errors import (
 from .matryoshka import derivative_projections
 from .tower import (
     LOG,
-    PRIM,
     FormalProduct,
     Record,
     Tower,
@@ -214,9 +213,10 @@ def normalization_images(normalized: Tower, change_log):
 
 def _recover_log_argument(T, value, level):
     """The FormalProduct argument whose logarithmic derivative is value,
-    checked exactly.  value, a basis entry, is a projection of a generator
-    derivative, so it is a rational combination of logarithmic derivatives
-    at its level, and its residues are its coefficients."""
+    checked exactly in the source T.  value, a basis entry, is a projection
+    of a generator derivative, so it is a rational combination of logarithmic
+    derivatives at its own row's level, and its residues are its
+    coefficients; ``embed_well_generated`` maps the argument by phi."""
     from .elem import _residue_analysis, _witness_from_roots
 
     analysis = _residue_analysis(T, value, level)
@@ -244,7 +244,10 @@ def embed_well_generated(T: Tower) -> Embedding:
     are t_j' over the basis; each element's source row; and ell_j, the index
     of entry (sv_j, j).  Rows above sv_j are zero and rows below it come
     before b_{ell_j}, so t_j' = b_{ell_j} + sum of c_{j,k} b_k, k < ell_j,
-    and phi(t_j) = u_{ell_j} + sum of c_{j,k} u_k."""
+    and phi(t_j) = u_{ell_j} + sum of c_{j,k} u_k.  The log argument of b_k
+    is found in the source, at the level of b_k's row, and mapped by phi; the
+    target, the one tower built, names its generators u1..uw, or v1..vw when
+    the base variable is one of u1..uw."""
     _require_logarithmic(T)
     T.ensure_s_primitive()
     cols, sv = derivative_projections(T)
@@ -290,7 +293,8 @@ def embed_well_generated(T: Tower) -> Embedding:
         raise InternalVerificationError("basis positions are not staircase")
     coeffs_per_gen = [tuple(vec[: lj - 1]) for vec, lj in zip(coords, ell)]
 
-    names = [T.names[0]] + [f"u{k}" for k in range(1, w + 1)]
+    prefix = "v" if T.names[0] in {f"u{k}" for k in range(1, w + 1)} else "u"
+    names = [T.names[0]] + [f"{prefix}{k}" for k in range(1, w + 1)]
     Ft = TowerBuilder(names[1:], base_name=names[0]).F
     images = []
     for lj, coeffs in zip(ell, coeffs_per_gen):
@@ -300,29 +304,22 @@ def embed_well_generated(T: Tower) -> Embedding:
                 img += Ft.ground(c) * Ft.gens[k]
         images.append(img)
     sub_values = [Ft.gens[0]] + images
-    derivs = [substitute(b, Ft, sub_values) for b in basis]
-    for k, val in enumerate(derivs, start=1):
-        if not free_of(val, range(k, w + 1)):
-            raise InternalVerificationError(
-                "target derivative involves later generators"
-            )
-    # phi(b_k) needs no log argument, so one primitive tower carries the
-    # derivation of every level; phi sends t_i to u_{ell_i} plus earlier
-    # u_k, so an entry of source row i lies at target level ell_i
-    prim = Tower(Ft, names, [(PRIM, val) for val in derivs])
-    target = Tower(Ft, names, [
-        (LOG, _recover_log_argument(prim, val, ell[i - 1] if i else 0))
-        for val, i in zip(derivs, rows)
-    ])
+    args = [
+        _recover_log_argument(T, b, i).substitute(Ft, sub_values)
+        for b, i in zip(basis, rows)
+    ]
+    for k, arg in enumerate(args, start=1):
+        if not all(free_of(f, range(k, w + 1)) for f, _ in arg.factors):
+            raise InternalVerificationError("target argument involves later generators")
+    target = Tower(Ft, names, [(LOG, arg) for arg in args])
     _require_built_s_primitive(target, "target")
     ok, why = is_well_generated(target)
     if not ok:
         raise InternalVerificationError(f"target not well generated: {why}")
-    # the homomorphism must commute with the derivations on every generator
-    for j in range(1, n + 1):
-        lhs = target.diff(images[j - 1])
-        rhs = substitute(T.derivs[j - 1], Ft, sub_values)
-        if lhs != rhs:
+    # phi must commute with the derivations on every t_j, and then by the
+    # Leibniz rule on all of phi(K), which gives u_k' = phi(b_k)
+    for img, d in zip(images, T.derivs):
+        if target.diff(img) != substitute(d, Ft, sub_values):
             raise InternalVerificationError(
                 "homomorphism does not commute with derivation"
             )
@@ -337,7 +334,8 @@ def embed_well_generated(T: Tower) -> Embedding:
 
 
 def apply_homomorphism(E: Embedding, f: TowerElement) -> TowerElement:
-    """Image of a source element under the embedding."""
+    """Image of a source element under the embedding, f as read by
+    ``E.source.element``: another tower's element is a TypeError."""
     Ft = E.target.F
     values = [Ft.gens[0]] + [img.value for img in E.images]
-    return TowerElement(substitute(f.value, Ft, values), E.target)
+    return TowerElement(substitute(E.source.element(f).value, Ft, values), E.target)

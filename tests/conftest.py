@@ -26,9 +26,9 @@ def li_tower():
     return b.log(b.x).prim(1 / t1).log(t1).build()
 
 
-def nested_tower():
-    """log x, log(x*t1), log((x+1)(t1+1)t2)."""
-    b = TowerBuilder(["t1", "t2", "t3"])
+def nested_tower(base="x"):
+    """log x, log(x*t1), log((x+1)(t1+1)t2), x named base."""
+    b = TowerBuilder(["t1", "t2", "t3"], base_name=base)
     x, t1, t2 = b.x, b.gens[1], b.gens[2]
     return (
         b.log(x)

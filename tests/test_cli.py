@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from towerdecomp import gcdheu, polys
+from towerdecomp.arith import substitute
 from towerdecomp.cli import main
 from towerdecomp.exprio import (
     MAX_DEGREE,
@@ -365,6 +366,23 @@ def test_embed_a_tower_without_generators(tmp_path, capsys):
     assert payload["target"] == "var x\n" and payload["r"] == "1/(x)"
 
 
+def test_embed_a_tower_whose_base_is_named_u1(tmp_path, capsys):
+    """The target's generators are v1, v2, since u1 names the base."""
+    text = "var u1\ngen t1 : log(u1)\ngen t2 : log(t1)\n"
+    path = tmp_path / "u1.tower"
+    path.write_text(text)
+    assert main(["embed", "--tower", str(path), "--expr", "1/u1", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    target = parse_tower_file(payload["target"])
+    assert target.names == ["u1", "v1", "v2"]
+    assert payload["g"] == "v1" and payload["r"] == "0"
+    source = parse_tower_file(text)
+    images = [parse_expression(payload["images"][t], target).value for t in ("t1", "t2")]
+    values = [target.gens[0]] + images
+    for img, d in zip(images, source.derivs):
+        assert target.diff(img) == substitute(d, target.F, values)
+
+
 def test_normalize_flag(tmp_path, capsys):
     path = tmp_path / "ns.tower"
     path.write_text("var x\ngen t1 : log(x)\ngen t2 : prim 1/t1^2\n")
@@ -469,7 +487,20 @@ def test_exit_code_tower_file_not_utf8(tmp_path, capsys):
     path.write_bytes(b"var x\ngen t1 : log(x)  # \xe9\n")
     assert main(["check", "--tower", str(path)]) == 1
     err = capsys.readouterr().err
-    assert "UTF-8" in err and "Traceback" not in err
+    assert "not UTF-8 text (byte 25)" in err and "Traceback" not in err
+
+
+def test_a_tower_file_may_start_with_a_byte_order_mark(nested_file, tmp_path, capsys):
+    path = tmp_path / "bom.tower"
+    path.write_bytes(b"\xef\xbb\xbf" + NESTED_TOWER.encode())
+    assert main(["embed", "--tower", nested_file, "--expr", "t3/x"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["embed", "--tower", str(path), "--expr", "t3/x"]) == 0
+    assert capsys.readouterr().out == plain
+    # a bad byte after the mark is reported at its offset in the file
+    path.write_bytes(b"\xef\xbb\xbfvar x\n\xe9\n")
+    assert main(["check", "--tower", str(path)]) == 1
+    assert "not UTF-8 text (byte 9)" in capsys.readouterr().err
 
 
 def test_exit_code_deeply_nested_expression(li_file, capsys):
