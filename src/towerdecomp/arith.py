@@ -539,10 +539,10 @@ def substitute(f, target_field, values):
     ``values`` must contain one element of target_field per generator of the
     source field.  Raises ZeroDivisionError if the denominator vanishes.
     The CLI never meets that error, since every map it applies is injective:
-    the ``--normalize`` shift is a triangular automorphism,
-    ``normalization_images`` an invertible rational linear change of
-    generators, and phi sends t_j to u_{l_j} plus earlier u_k with l strictly
-    increasing, so no nonzero denominator maps to zero.
+    each normalization step of ``tower.change_generators``, the shift t_i ->
+    u_i + g_i, the elimination t_j -> t_j + sum(c_k t_k) or a swap, is an
+    automorphism, and so is ``normalization_images``, their composite; phi
+    sends t_j to u_{l_j} plus earlier u_k with l strictly increasing.
 
     With values[i] = p_i/q_i and top_i the highest exponent of variable i in
     f, each term c*prod(x_i^e_i) of f's numerator and of its denominator

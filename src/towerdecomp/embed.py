@@ -4,17 +4,18 @@ The associated matrix collects the projections of the generator derivatives;
 its last nonzero column entries (the significant components) drive two
 constructions: normalization, which eliminates constant-linear dependences
 among significant components and reorders generators until the significant
-vector is monotone, and the embedding proper, which scans the matrix for a
-Q-linearly independent basis b_1, ..., b_w and builds a target tower with
-one generator per basis element, so that every column of the target's
-matrix has exactly one nonzero entry.
+vector is monotone, each step a change of generators that keeps the tower
+the user's up to a checked differential isomorphism, and the embedding
+proper, which scans the matrix for a Q-linearly independent basis b_1, ...,
+b_w and builds a target tower with one generator per basis element, so that
+every column of the target's matrix has exactly one nonzero entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import free_of, substitute
+from .arith import free_of, make_field, substitute
 from .decomp import solve_constant_combination_values
 from .errors import (
     InternalVerificationError,
@@ -27,8 +28,8 @@ from .tower import (
     FormalProduct,
     Record,
     Tower,
-    TowerBuilder,
     TowerElement,
+    change_generators,
 )
 
 
@@ -124,12 +125,21 @@ def _require_logarithmic(T: Tower):
         raise NotLogarithmic("every generator must be logarithmic")
 
 
-def _rebuild(names, args, base_name):
-    builder = TowerBuilder(names, base_name=base_name)
-    values = list(builder.F.gens)
-    for arg in args:
-        builder.log(arg.substitute(builder.F, values))
-    return builder.build()
+def _step_values(F, step):
+    """The image in F, the field after ``step``, of x and of each generator
+    before it: an ("eliminate", j, coeffs) step replaced t_j by t_j -
+    sum(c_k t_k), so the old t_j goes to t_j + sum(c_k t_k); a ("swap", j)
+    step exchanged the generators at positions j and j + 1."""
+    values = list(F.gens)
+    if step[0] == "eliminate":
+        _, j, coeffs = step
+        for k, c in enumerate(coeffs, start=1):
+            if c:
+                values[j] += F.ground(c) * F.gens[k]
+    else:
+        j = step[1]
+        values[j], values[j + 1] = values[j + 1], values[j]
+    return values
 
 
 def normalize_tower(T: Tower):
@@ -137,7 +147,9 @@ def normalize_tower(T: Tower):
     Q-linearly independent and its significant vector is monotone.  Returns
     the new tower and a change log of ("eliminate", j, coeffs) and
     ("swap", j) steps.  The significant vector strictly decreases
-    lexicographically at every step, which guarantees termination."""
+    lexicographically at every step, which guarantees termination.  Each
+    step is one ``change_generators`` by ``_step_values``, and the images of
+    T's generators are checked to commute with the derivations."""
     _require_logarithmic(T)
     T.ensure_s_primitive()
     change_log = []
@@ -154,7 +166,7 @@ def normalize_tower(T: Tower):
         if found is None:
             break
         j, coeffs = found
-        names = [g.name for g in current.generators]
+        names = list(current.names)
         args = [g.argument for g in current.generators]
         if coeffs is not None:
             # replace t_{j+1} by t_{j+1} - sum(c_k t_k); on arguments this is
@@ -164,50 +176,28 @@ def normalize_tower(T: Tower):
                     args[j] = args[j].combine(args[k], -c)
             step = ("eliminate", j + 1, tuple(coeffs))
         else:
-            names[j - 1], names[j] = names[j], names[j - 1]
+            names[j], names[j + 1] = names[j + 1], names[j]
             args[j - 1], args[j] = args[j], args[j - 1]
-            # the swapped arguments live in the old coordinates; positions of
-            # the two generators trade places in the field as well
-            perm = list(current.F.gens)
-            perm[j], perm[j + 1] = perm[j + 1], perm[j]
-            args = [a.substitute(current.F, perm) for a in args]
             step = ("swap", j)
-        current = _rebuild(names, args, current.names[0])
+        F, _ = make_field(names)
+        current = change_generators([(LOG, a) for a in args], F, _step_values(F, step))
         _require_built_s_primitive(current, "rebuilt tower")
         change_log.append(step)
+    if change_log:
+        _require_commuting(T, current, normalization_images(current, change_log), "normalization")
     return current, change_log
 
 
 def normalization_images(normalized: Tower, change_log):
     """The images in ``normalized`` of x, t_1, ..., t_n of the tower that
-    ``normalize_tower`` rewrote into it, a differential homomorphism.
-
-    An ("eliminate", j, coeffs) step replaced t_j by t_j - sum(c_k t_k), so
-    the old t_j goes to t_j + sum(c_k t_k); a ("swap", j) step exchanged the
-    generators at positions j and j + 1.  Both are linear, so the composite
-    sends each old generator to a rational combination of the new ones.
-    """
-    n = normalized.n
-    # rows[i][k]: coefficient of the current t_{k+1} in the image of t_{i+1}
-    rows = [[Fraction(int(i == k)) for k in range(n)] for i in range(n)]
-    for step in change_log:
-        if step[0] == "eliminate":
-            _, j, coeffs = step
-            for row in rows:
-                for k, c in enumerate(coeffs):
-                    row[k] += row[j - 1] * c
-        else:
-            j = step[1]
-            for row in rows:
-                row[j - 1], row[j] = row[j], row[j - 1]
+    ``normalize_tower`` rewrote into it, a differential isomorphism: the
+    steps' ``_step_values`` composed by substitution, by position in the
+    field of ``normalized``, which every step's field permutes."""
     F = normalized.F
-    images = [F.gens[0]]
-    for row in rows:
-        img = F.zero
-        for k, c in enumerate(row, start=1):
-            if c:
-                img += F.ground(c) * F.gens[k]
-        images.append(img)
+    images = list(F.gens)
+    for step in change_log:
+        values = _step_values(F, step)
+        images = [substitute(img, F, values) for img in images]
     return images
 
 
@@ -232,6 +222,15 @@ def _require_built_s_primitive(T, what):
     result = T.validate_s_primitive()
     if not result.ok:
         raise InternalVerificationError(f"{what} is not S-primitive: {result.reason}")
+
+
+def _require_commuting(T, target, values, what):
+    """values, the images in ``target`` of x, t_1, ..., t_n of T, must commute
+    with the derivations on every t_j, and then by the Leibniz rule on all
+    of T's field."""
+    for img, d in zip(values[1:], T.derivs):
+        if target.diff(img) != substitute(d, target.F, values):
+            raise InternalVerificationError(f"{what} does not commute with derivation")
 
 
 def embed_well_generated(T: Tower) -> Embedding:
@@ -295,7 +294,7 @@ def embed_well_generated(T: Tower) -> Embedding:
 
     prefix = "v" if T.names[0] in {f"u{k}" for k in range(1, w + 1)} else "u"
     names = [T.names[0]] + [f"{prefix}{k}" for k in range(1, w + 1)]
-    Ft = TowerBuilder(names[1:], base_name=names[0]).F
+    Ft, _ = make_field(names)
     images = []
     for lj, coeffs in zip(ell, coeffs_per_gen):
         img = Ft.gens[lj]
@@ -316,13 +315,8 @@ def embed_well_generated(T: Tower) -> Embedding:
     ok, why = is_well_generated(target)
     if not ok:
         raise InternalVerificationError(f"target not well generated: {why}")
-    # phi must commute with the derivations on every t_j, and then by the
-    # Leibniz rule on all of phi(K), which gives u_k' = phi(b_k)
-    for img, d in zip(images, T.derivs):
-        if target.diff(img) != substitute(d, Ft, sub_values):
-            raise InternalVerificationError(
-                "homomorphism does not commute with derivation"
-            )
+    # commuting on all of phi(K) gives u_k' = phi(b_k)
+    _require_commuting(T, target, sub_values, "homomorphism")
     return Embedding(
         source=T,
         target=target,

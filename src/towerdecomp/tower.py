@@ -428,6 +428,19 @@ def differentiate(f: TowerElement) -> TowerElement:
     return TowerElement(f.tower.diff(f.value), f.tower)
 
 
+def change_generators(specs, F, values):
+    """The tower on the field F of ``specs``, (kind, payload) pairs over
+    another field, mapped by ``values``, the image in F of each of its
+    generators: a LOG argument by ``FormalProduct.substitute``, an explicit
+    derivative by ``arith.substitute``.  Each normalization step is one such
+    change of generators, the rewritten generator's spec replaced, so every
+    later spec reads the new generators."""
+    return Tower(F, list(F.names), [
+        (kind, payload.substitute(F, values) if kind == LOG else substitute(payload, F, values))
+        for kind, payload in specs
+    ])
+
+
 def normalize_generators(T: Tower):
     """Shift each generator so that its derivative becomes simple.
 
@@ -437,42 +450,32 @@ def normalize_generators(T: Tower):
     t_j.  Returns the new tower and the list of (index, shift) pairs,
     the shifts expressed in the new coordinates.
 
-    A logarithm that needs no shift stays a logarithm, its argument
-    rewritten through the shifts below it; every other generator becomes
-    an explicit primitive with derivative h_i.
+    Each nonzero shift is one ``change_generators`` step, so a simple tower
+    comes back as it is.  A logarithm that needs no shift stays a
+    logarithm, its argument rewritten through the shifts below it; every
+    other generator becomes an explicit primitive with derivative h_i.
     """
     from .hermite import hermite_reduce_proper_value
     from .matryoshka import project_value
 
-    builder = TowerBuilder(T.names[1:], base_name=T.names[0])
+    F = T.F
     shifts = []
-    new_specs = []
-    # incrementally rebuilt tower prefix used for Hermite at each level
     for i in range(1, T.n + 1):
-        prefix = Tower(builder.F, T.names, new_specs)
-        d_old = T.derivs[i - 1]
-        values = [builder.gens[0]] + [
-            builder.gens[j] + shifts[j - 1][1] for j in range(1, i)
-        ]
-        values += list(builder.gens[i:])  # higher gens never occur in d_old
-        d_new = substitute(d_old, builder.F, values)
-        proj = project_value(prefix, d_new)
+        proj = project_value(T, T.derivs[i - 1])
         # a generator above level lvl in pi_lvl is a head monomial above 1
         if not all(free_of(p, range(lvl + 1, T.n + 1)) for lvl, p in enumerate(proj)):
             raise HeadMonomialNotOne(i)
-        g_total = builder.F.zero
-        h_total = builder.F.zero
+        g_total = h_total = F.zero
         for lvl, piece in enumerate(proj):
-            if not piece:
-                continue
-            b, h = hermite_reduce_proper_value(prefix, piece, lvl)
-            g_total += b
-            h_total += h
+            if piece:
+                b, h = hermite_reduce_proper_value(T, piece, lvl)
+                g_total += b
+                h_total += h
         shifts.append((i, g_total))
-        argument = T.generators[i - 1].argument
-        if argument is not None and not g_total:
-            new_specs.append((LOG, argument.substitute(builder.F, values)))
-        else:
-            new_specs.append((PRIM, h_total))
-    T2 = Tower(builder.F, T.names, new_specs)
-    return T2, shifts
+        if g_total:
+            specs = [(g.kind, g.argument if g.kind == LOG else g.derivative) for g in T.generators]
+            specs[i - 1] = (PRIM, h_total)
+            values = list(F.gens)
+            values[i] += g_total
+            T = change_generators(specs, F, values)
+    return T, shifts

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from towerdecomp import FormalProduct, TowerBuilder
+from towerdecomp.arith import substitute
 from towerdecomp.polys import Poly
 
 # Property tests draw from a fixed derandomized stream, so that every run of
@@ -134,6 +135,13 @@ def random_s_primitive_tower(rng, n):
             continue
         if T.validate_s_primitive().ok:
             return T
+
+
+def assert_images_commute(T, N, images):
+    """images, those in the tower N of x, t_1, ..., t_n of T, commute with
+    the derivations on every generator."""
+    for j, d in enumerate(T.derivs, start=1):
+        assert N.diff(images[j]) == substitute(d, N.F, images)
 
 
 def quotient_rule_pair(T, N, D, level=None):

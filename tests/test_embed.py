@@ -17,7 +17,9 @@ from towerdecomp import (
 from towerdecomp import decomp, elem, embed, tower
 from towerdecomp.arith import free_of, substitute
 from towerdecomp.cli import main
-from towerdecomp.exprio import render_tower_file
+from towerdecomp.embed import normalization_images
+from towerdecomp.exprio import parse_tower_file, render_tower_file
+from towerdecomp.tower import LOG, Tower
 from towerdecomp.errors import (
     InternalVerificationError,
     NotLogarithmic,
@@ -26,6 +28,7 @@ from towerdecomp.errors import (
 )
 
 from conftest import (
+    assert_images_commute,
     coupled_tower,
     nested_tower,
     random_element,
@@ -106,6 +109,36 @@ def test_normalize_rejects_dependent_input():
     T = b.log(x).log(FormalProduct([(x, 2)])).build()
     with pytest.raises(TowerNotSPrimitive):
         normalize_tower(T)
+
+
+# t4 reads t3, which the elimination t3 -> t3 - 2*t1 replaces
+ELIMINATED_FILE = """var x
+gen t1 : log((x^2+1)^2)
+gen t2 : log(t1*(x+1))
+gen t3 : log(t1^2)
+gen t4 : log((x+t3)^2*(x+t1)^2)
+"""
+
+
+def test_an_elimination_rewrites_the_later_arguments():
+    T = parse_tower_file(ELIMINATED_FILE)
+    N, change_log = normalize_tower(T)
+    assert change_log == [("eliminate", 3, (0, 2)), ("swap", 2)]
+    assert_images_commute(T, N, normalization_images(N, change_log))
+
+
+def test_embed_reads_the_expression_in_the_tower_of_the_file(tmp_path, capsys):
+    path = tmp_path / "eliminated.tower"
+    path.write_text(ELIMINATED_FILE)
+    assert main(["embed", "--tower", str(path), "--expr", "t4"]) == 0
+    assert "gen u5 : log((x^2 + 4*x*u3 + 4*u3^2)/(4))" in capsys.readouterr().out.splitlines()
+
+
+@given(n=st.integers(2, 4), seed=seeds)
+def test_normalization_images_commute_with_the_derivation(n, seed):
+    T = random_log_tower(random.Random(seed), n)
+    N, change_log = normalize_tower(T)
+    assert_images_commute(T, N, normalization_images(N, change_log))
 
 
 def test_embed_nested(tower_nested):
@@ -455,21 +488,37 @@ def test_a_normalization_step_that_changes_nothing_is_an_internal_error(
 ):
     """Every step must lower the significant vector; a rebuild that gives
     back the same tower does not."""
-    monkeypatch.setattr(embed, "_rebuild", lambda names, args, base: tower_coupled)
+    monkeypatch.setattr(embed, "change_generators", lambda specs, F, values: tower_coupled)
     with pytest.raises(InternalVerificationError, match="^significant vector failed to decrease$"):
         normalize_tower(tower_coupled)
 
 
-def _rejected_rebuild(names, args, base):
+def test_normalization_images_that_do_not_commute_are_an_internal_error(
+    tower_coupled, tmp_path, monkeypatch, capsys
+):
+    """normalize_tower checks its composite images before it returns; the
+    identity misses the elimination t3 -> t3 - t2."""
+    monkeypatch.setattr(embed, "normalization_images", lambda N, change_log: list(N.F.gens))
+    message = "normalization does not commute with derivation"
+    with pytest.raises(InternalVerificationError, match=f"^{message}$"):
+        normalize_tower(tower_coupled)
+    path = tmp_path / "coupled.tower"
+    path.write_text(render_tower_file(tower_coupled))
+    assert main(["embed", "--tower", str(path)]) == 3
+    assert capsys.readouterr().err == f"internal error: {message}\n"
+
+
+def _rejected_rebuild(specs, F, values):
     """A rebuilt tower whose t3' = 2/x is twice t1'."""
-    b = TowerBuilder(names, base_name=base)
-    return b.log(b.x).log(b.x + 1).log(FormalProduct([(b.x, 2)])).build()
+    x = F.gens[0]
+    args = [FormalProduct.single(x), FormalProduct.single(x + 1), FormalProduct([(x, 2)])]
+    return Tower(F, list(F.names), [(LOG, a) for a in args])
 
 
 def test_a_rebuilt_tower_that_fails_validation_is_an_internal_error(
     tower_coupled, monkeypatch
 ):
-    monkeypatch.setattr(embed, "_rebuild", _rejected_rebuild)
+    monkeypatch.setattr(embed, "change_generators", _rejected_rebuild)
     with pytest.raises(
         InternalVerificationError,
         match="^rebuilt tower is not S-primitive: derivative of t3 depends on earlier derivatives$",
@@ -485,7 +534,11 @@ def test_a_rebuilt_tower_that_fails_validation_is_an_internal_error(
             _patch(embed, "solve_constant_combination_values", lambda F, target, basis: None),
             "target is not S-primitive",
         ),
-        (coupled_tower, _patch(embed, "_rebuild", _rejected_rebuild), "rebuilt tower is not S-primitive"),
+        (
+            coupled_tower,
+            _patch(embed, "change_generators", _rejected_rebuild),
+            "rebuilt tower is not S-primitive",
+        ),
     ],
     ids=["target", "rebuilt-tower"],
 )

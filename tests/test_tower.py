@@ -19,6 +19,7 @@ from towerdecomp.exprio import parse_tower_file, render_tower_file
 from towerdecomp.tower import PRIM, Tower, normalize_generators
 
 from conftest import (
+    assert_images_commute,
     coupled_tower,
     li_tower,
     nested_tower,
@@ -167,6 +168,72 @@ def test_normalize_generators_rewrites_log_arguments_through_lower_shifts():
     assert [g.kind for g in T2.generators] == ["log", PRIM, "log"]
     assert T2.generators[2].argument == FormalProduct.single(u2 - x2 / u1)
     assert T2.validate_s_primitive().ok
+
+
+def random_shifted_tower(rng, n):
+    """A random tower whose explicit generators have derivatives c/d^e +
+    c'/t_k, d one of x, x + 1 or a lower generator; for e = 2 they are not
+    simple, so ``normalize_generators`` shifts them."""
+    while True:
+        b = TowerBuilder([f"t{i}" for i in range(1, n + 1)])
+        x = b.x
+        try:
+            for i in range(n):
+                lower = list(b.gens[1 : i + 1])
+                if i == 0 or rng.random() < 0.5:
+                    b.log(rng.choice([x, x + 1, x + 2] + lower + [g + 1 for g in lower]))
+                else:
+                    den = rng.choice([x, x + 1] + lower)
+                    b.prim(
+                        rng.randint(1, 3) / den ** rng.randint(1, 2)
+                        + rng.randint(0, 2) / rng.choice(lower)
+                    )
+            return b.build()
+        except TowerDecompError:
+            continue
+
+
+def assert_shift_images_commute(T):
+    """The ``--normalize`` images x, u_i + shift_i of x, t_i commute with
+    the derivations."""
+    T2, shifts = normalize_generators(T)
+    assert_images_commute(T, T2, [T2.gens[0]] + [T2.gens[i] + shift for i, shift in shifts])
+
+
+@given(n=st.integers(1, 4), seed=seeds)
+def test_shift_images_commute_on_s_primitive_towers(n, seed):
+    assert_shift_images_commute(random_s_primitive_tower(random.Random(seed), n))
+
+
+@given(n=st.integers(1, 4), seed=seeds)
+def test_shift_images_commute_on_towers_with_shifts(n, seed):
+    assert_shift_images_commute(random_shifted_tower(random.Random(seed), n))
+
+
+def _shifted_li():
+    """log x, t2' = 1/t1^2 and t3' = 1/t2^2, both shifted."""
+    b = TowerBuilder(["t1", "t2", "t3"])
+    t1, t2 = b.gens[1], b.gens[2]
+    return b.log(b.x).prim(1 / t1**2).prim(1 / t2**2).build()
+
+
+@pytest.mark.parametrize(
+    "make, built",
+    [(li_tower, 0), (nested_tower, 0), (u_tower, 0), (coupled_tower, 0), (_shifted_li, 2)],
+)
+def test_normalize_generators_builds_a_tower_per_nonzero_shift(make, built, monkeypatch):
+    T = make()
+    towers = []
+    init = Tower.__init__
+
+    def counting(self, *args):
+        towers.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Tower, "__init__", counting)
+    T2, shifts = normalize_generators(T)
+    assert len(towers) == sum(1 for _, shift in shifts if shift) == built
+    assert (T2 is T) == (built == 0)
 
 
 def test_normalize_generators_rejects_monomial_head():
