@@ -86,11 +86,6 @@ def free_of(f, indices) -> bool:
     return f.numer.free_of(indices) and f.denom.free_of(indices)
 
 
-def _degree(p, v) -> int:
-    """Degree of the polynomial p in variable index v; -1 for zero."""
-    return p.degree(v) if p else -1
-
-
 def _lc(p, v):
     """Leading coefficient of p in v, a polynomial free of v."""
     return p.coeff_wrt(v, p.degree(v))
@@ -169,7 +164,7 @@ class UniPoly:
     @property
     def degree(self) -> int:
         # degree of the zero polynomial is -1 by convention
-        return _degree(self.num, self.v)
+        return self.num.degree(self.v) if self.num else -1
 
     @property
     def coeffs(self) -> dict:
@@ -242,13 +237,19 @@ class UniPoly:
         return self.F.new(self.num, self.den)
 
 
-def sum_pairs(F, pairs):
-    """The sum of unreduced (numerator, denominator) polynomial pairs as one
-    field element: denominators with the same primitive part share the lcm
-    of their integer contents, numerators over it add as polynomials, and
-    each distinct primitive part costs one ``F.new``."""
+def sum_pairs(F, pieces):
+    """The sum of pieces, unreduced (numerator, denominator) polynomial
+    pairs or canonical elements of F, as one element of F.  A lone element
+    is the sum as it is, with no cancel.  Otherwise denominators with the
+    same primitive part share the lcm of their integer contents, numerators
+    over it add as polynomials, and each distinct primitive part costs one
+    ``F.new``."""
+    pieces = list(pieces)
+    if len(pieces) == 1 and isinstance(pieces[0], F.dtype):
+        return pieces[0]
     groups = {}
-    for num, den in pairs:
+    for piece in pieces:
+        num, den = (piece.numer, piece.denom) if isinstance(piece, F.dtype) else piece
         content, prim = den.primitive()
         groups.setdefault(prim, []).append((num, content))
     total = F.zero

@@ -7,13 +7,14 @@ integration by parts, everything else times M joins the remainder.  The
 (denominator degree, head monomial) key strictly decreases each pass, which
 is the termination measure and is asserted.  Each pass builds its update of
 the current element as one polynomial pair over one denominator, with one
-``F.new``; g and r collect (numerator, denominator) terms and become field
-elements once, before the self-checks.  A pass at the unit monomial with
-no span term adds its Hermite part to g and its remainder to r as the
-canonical elements they are, so a lone such piece is not cancelled
-again.  The span coefficients c_j that a
-pass absorbs are rational constants, but the field's polynomials have
-integer coefficients: the pass multiplies the absorbed sum(c_j * t_j) and
+``F.new``; g and r collect pieces and become field elements once, each
+by one ``arith.sum_pairs``, before the self-checks.  A piece is a
+(numerator, denominator) pair, or, from a pass at the unit monomial with
+no span term, the Hermite part or the remainder as the canonical element
+it is; ``sum_pairs`` returns a lone element unchanged, so it is not
+cancelled again.  The span coefficients c_j that a pass absorbs are
+rational constants, but the field's polynomials have integer
+coefficients: the pass multiplies the absorbed sum(c_j * t_j) and
 the term c_m/(d + 1) * t_m through by the lcm of their denominators and puts
 that integer into its one denominator, so g gains one pair per pass.
 
@@ -133,7 +134,7 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
     R = F.ring
     n = T.n
     cur = f.value
-    g_terms = []  # the pieces of g, and of r, for _sum_pieces
+    g_terms = []  # pairs and canonical elements, g's and r's, for sum_pairs
     r_terms = []
     prev_key = None
     while cur:
@@ -216,8 +217,8 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
         cur = F.new(num, den)
         if H:
             r_terms.append(H if unit else (H.numer * Mpoly, H.denom))
-    g = _sum_pieces(F, g_terms)
-    r = _sum_pieces(F, r_terms)
+    g = sum_pairs(F, g_terms)
+    r = sum_pairs(F, r_terms)
     # g' = f - r with g' left unreduced; when they are equal, the reduced
     # denominator of f - r divides that of g' in Z[x, t]: f - r is coprime
     # over Z, content included, so the division over Z is exact
@@ -230,15 +231,6 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
     if not ok:
         raise InternalVerificationError(f"output fails the remainder test: {why}")
     return Decomposition(TowerElement(g, T), TowerElement(r, T), f)
-
-
-def _sum_pieces(F, pieces):
-    """The sum of g's or r's pieces: unreduced (numerator, denominator)
-    pairs and canonical field elements.  A lone field element is the sum as
-    it is, with no cancel; otherwise ``sum_pairs`` adds them all."""
-    if len(pieces) == 1 and isinstance(pieces[0], F.dtype):
-        return pieces[0]
-    return sum_pairs(F, [(p.numer, p.denom) if isinstance(p, F.dtype) else p for p in pieces])
 
 
 def _is_remainder_value(T, r):

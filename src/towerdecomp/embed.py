@@ -310,7 +310,7 @@ def embed_well_generated(T: Tower) -> Embedding:
     for k, arg in enumerate(args, start=1):
         if not all(free_of(f, range(k, w + 1)) for f, _ in arg.factors):
             raise InternalVerificationError("target argument involves later generators")
-    target = Tower(Ft, names, [(LOG, arg) for arg in args])
+    target = Tower(Ft, [(LOG, arg) for arg in args])
     _require_built_s_primitive(target, "target")
     ok, why = is_well_generated(target)
     if not ok:

@@ -630,7 +630,9 @@ class Frac:
 
     An int or a Fraction operand of ``== + - * /`` acts as its element
     ``field.ground(c)``; any other operand that is not of the same field's
-    class, an element of another field included, is NotImplemented.
+    class, an element of another field included, is NotImplemented.  An
+    element is built by its field: ``field.new`` cancels, ``field.raw_new``
+    takes the pair as given.
     """
 
     __slots__ = ("numer", "denom")
@@ -641,12 +643,6 @@ class Frac:
             raise ZeroDivisionError("zero denominator")
         self.numer = numer
         self.denom = denom
-
-    def raw_new(f, numer, denom):
-        return f.__class__(numer, denom)
-
-    def new(f, numer, denom):
-        return f.__class__(*numer.cancel(denom))
 
     def set_field(self, field):
         """The same element in a field whose variables include its own,
@@ -678,7 +674,7 @@ class Frac:
         return bool(f.numer)
 
     def __neg__(f):
-        return f.raw_new(-f.numer, f.denom)
+        return f.__class__(-f.numer, f.denom)
 
     def __add__(f, g):
         if g.__class__ is not f.__class__ and (g := f.field.ground(g)) is None:
@@ -688,15 +684,15 @@ class Frac:
         if not f:
             return g
         if f.denom == g.denom:
-            return f.new(f.numer + g.numer, f.denom)
+            return f.__class__(*(f.numer + g.numer).cancel(f.denom))
         # Henrici: with e = gcd(b, d), a/b + c/d = (a*(d/e) + c*(b/e))/(b*(d/e)),
         # and that numerator can share a factor only with e
         e, b1, d1 = f.denom.cofactors(g.denom)
         numer = f.numer * d1 + g.numer * b1
         if e.is_one:
-            return f.raw_new(numer, f.denom * d1)
+            return f.__class__(numer, f.denom * d1)
         _, numer, e1 = numer.cofactors(e)
-        return f.raw_new(numer, b1 * d1 * e1)
+        return f.__class__(numer, b1 * d1 * e1)
 
     __radd__ = __add__
 
@@ -715,7 +711,7 @@ class Frac:
             return NotImplemented
         if not f or not g:
             return f.field.zero
-        return f.new(f.numer * g.numer, f.denom * g.denom)
+        return f.__class__(*(f.numer * g.numer).cancel(f.denom * g.denom))
 
     __rmul__ = __mul__
 
@@ -724,7 +720,7 @@ class Frac:
             return NotImplemented
         if not g:
             raise ZeroDivisionError
-        return f.new(f.numer * g.denom, f.denom * g.numer)
+        return f.__class__(*(f.numer * g.denom).cancel(f.denom * g.numer))
 
     def __rtruediv__(f, c):
         if (c := f.field.ground(c)) is None:
@@ -737,10 +733,10 @@ class Frac:
         coefficient is negative, so a canonical f gives a canonical power;
         sympy's ``FracElement`` keeps ``1/(-x)``."""
         if n >= 0:
-            return f.raw_new(f.numer**n, f.denom**n)
+            return f.__class__(f.numer**n, f.denom**n)
         if not f:
             raise ZeroDivisionError
         numer, denom = f.denom**-n, f.numer**-n
         if denom.LC < 0:
             numer, denom = -numer, -denom
-        return f.raw_new(numer, denom)
+        return f.__class__(numer, denom)

@@ -201,14 +201,14 @@ def _in_field(F, value):
 
 class TowerBuilder:
     """Incremental construction: the field exists up front so that generator
-    arguments can be written in terms of earlier generators."""
+    arguments can be written in terms of earlier generators.  ``build``
+    hands the declarations to ``Tower``, which checks their count."""
 
     def __init__(self, gen_names, base_name="x"):
         names = [base_name] + list(gen_names)
         if len(set(names)) != len(names):
             raise TowerDecompError("duplicate variable names in tower")
         self.F, self.gens = make_field(names)
-        self.names = names
         self._specs = []
 
     @property
@@ -229,24 +229,23 @@ class TowerBuilder:
         return self
 
     def build(self) -> "Tower":
-        if len(self._specs) != len(self.names) - 1:
-            raise TowerDecompError(
-                f"expected {len(self.names) - 1} generator declarations, "
-                f"got {len(self._specs)}"
-            )
-        return Tower(self.F, self.names, self._specs)
+        return Tower(self.F, self._specs)
 
 
 class Tower:
-    """An ordered primitive tower.  Use :class:`TowerBuilder` to construct.
-    ``specs`` may be a prefix; the generators past it get derivative zero."""
+    """An ordered primitive tower on the field F = Q(x, t_1, ..., t_n), with
+    F's names.  ``specs`` holds one (kind, payload) per generator of F:
+    (LOG, a FormalProduct argument) or (PRIM, a derivative in F); a list of
+    another length is a TowerDecompError.  :class:`TowerBuilder` builds the
+    field and the specs together."""
 
-    def __init__(self, F, names, specs):
-        specs = list(specs) + [(PRIM, F.zero)] * (len(names) - 1 - len(specs))
+    def __init__(self, F, specs):
+        self.n = n = F.ngens - 1
+        if len(specs) != n:
+            raise TowerDecompError(f"expected {n} generator declarations, got {len(specs)}")
         self.F = F
-        self.names = names
+        self.names = names = list(F.names)
         self.gens = list(F.gens)
-        self.n = len(names) - 1
         self.generators: list[Generator] = []
         self.derivs = []  # derivative of generator i at index i-1
         self._validation = None
@@ -435,7 +434,7 @@ def change_generators(specs, F, values):
     derivative by ``arith.substitute``.  Each normalization step is one such
     change of generators, the rewritten generator's spec replaced, so every
     later spec reads the new generators."""
-    return Tower(F, list(F.names), [
+    return Tower(F, [
         (kind, payload.substitute(F, values) if kind == LOG else substitute(payload, F, values))
         for kind, payload in specs
     ])

@@ -528,8 +528,8 @@ def test_tampered_output_fails_the_reconstruction_check(which, monkeypatch):
     denominator Q of g' lacks, so the exact division of Q by it fails.  On nested 1/(t3+x)^3, g's denominator D is
     2*(t3+x)^2*Q^3, so g' is taken over L*D*R with R smaller than D, and
     g + 1/(x+7)^2 brings a repeated factor of its own; it fails the product.
-    The tamper hooks the sum of the pieces, which li's g reaches through
-    ``sum_pairs`` and nested's g and every r as one canonical piece."""
+    The tamper hooks ``sum_pairs``, which adds li's g from its pieces and
+    returns nested's g and every r, one canonical piece each, unchanged."""
     if which == "g-over-a-power":
         T = nested_tower()
         x, t3 = T.gens[0], T.gens[3]
@@ -541,13 +541,13 @@ def test_tampered_output_fails_the_reconstruction_check(which, monkeypatch):
         extra = {"g": t1, "r": 1 / (x + 7)}[which]
     sums = []
 
-    def tampered(F, pieces, _sum=decomp._sum_pieces):
+    def tampered(F, pieces, _sum=decomp.sum_pairs):
         # g's pieces are summed first, then r's; a lone canonical piece
         # passes here too
         sums.append(_sum(F, pieces))
         return sums[-1] + (extra if "gr"[len(sums) - 1] == which[0] else 0)
 
-    monkeypatch.setattr(decomp, "_sum_pieces", tampered)
+    monkeypatch.setattr(decomp, "sum_pairs", tampered)
     with pytest.raises(InternalVerificationError, match="does not reconstruct"):
         add_decomp_in_field(T.element(f))
     assert len(sums) == 2

@@ -512,7 +512,7 @@ def _rejected_rebuild(specs, F, values):
     """A rebuilt tower whose t3' = 2/x is twice t1'."""
     x = F.gens[0]
     args = [FormalProduct.single(x), FormalProduct.single(x + 1), FormalProduct([(x, 2)])]
-    return Tower(F, list(F.names), [(LOG, a) for a in args])
+    return Tower(F, [(LOG, a) for a in args])
 
 
 def test_a_rebuilt_tower_that_fails_validation_is_an_internal_error(

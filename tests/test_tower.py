@@ -5,18 +5,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from towerdecomp import (
+    YES,
     FormalProduct,
     TowerBuilder,
     TowerNotSPrimitive,
     ZeroArgument,
+    add_decomp_in_field,
     differentiate,
+    elementary_integrability,
     embed_well_generated,
     normalize_tower,
 )
 from towerdecomp.arith import make_field
 from towerdecomp.errors import HeadMonomialNotOne, TowerDecompError
 from towerdecomp.exprio import parse_tower_file, render_tower_file
-from towerdecomp.tower import PRIM, Tower, normalize_generators
+from towerdecomp.tower import LOG, PRIM, Tower, normalize_generators
 
 from conftest import (
     assert_images_commute,
@@ -258,6 +261,30 @@ def test_builder_rejects_duplicate_names_and_a_wrong_declaration_count():
         b.log(b.x).build()
 
 
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_tower_takes_one_spec_per_generator_of_its_field(count):
+    """A short spec list is not padded and a long one is not read past the
+    field's generators: either is the one count error."""
+    F, (x, t1, t2) = make_field(["x", "t1", "t2"])
+    specs = [(LOG, FormalProduct.single(x)), (PRIM, 1 / t1), (PRIM, 1 / x)][:count]
+    with pytest.raises(
+        TowerDecompError, match=f"^expected 2 generator declarations, got {count}$"
+    ):
+        Tower(F, specs)
+
+
+def test_a_tower_built_on_a_field_takes_its_names():
+    """Q(y, s) with s = log(y): the names are the field's, and the residue
+    ring and the exponent vectors of the entry points are read from them."""
+    F, (y, s) = make_field(["y", "s"])
+    T = Tower(F, [(LOG, FormalProduct.single(y))])
+    assert T.names == list(F.names) == ["y", "s"]
+    verdict = elementary_integrability(T.element(1 / (y * s)))
+    assert verdict.status == YES and verdict.witness == ((1, T.element(s)),)
+    dec = add_decomp_in_field(T.element(1 / (y * s) + s))
+    assert (dec.g.value, dec.r.value) == (y * s - y, 1 / (y * s))
+
+
 @pytest.mark.parametrize(
     "declare, reason",
     [
@@ -402,7 +429,7 @@ def test_diff_matches_chain_rule_on_random_towers(n, seed):
 def test_diff_matches_chain_rule_on_targets_and_prefixes(embedding_targets, data, seed):
     E, specs = data.draw(st.sampled_from(embedding_targets))
     k = data.draw(st.integers(0, E.n))
-    prefix = Tower(E.F, E.names, specs[:k])
+    prefix = Tower(E.F, specs[:k] + [(PRIM, E.F.zero)] * (E.n - k))
     f = random_element(E, random.Random(seed))
     assert_identical(prefix.diff(f), chain_rule_diff(prefix, f))
     if k == E.n:
