@@ -39,12 +39,12 @@ numerator, and the squarefree part and root multiplicities of
 fraction-free subresultant PRS on two ring polynomials, itself a ring
 polynomial: ``elem``'s residue polynomial, and the discriminant whose
 smallest non-dividing prime is the root finder's Hensel prime.  The
-extended gcd is the one Euclidean loop over the field, and the one
-exception to the heuristic gcd; it carries only the cofactor of its first
-argument, (g, s) with s*a = g (mod b), stops at the first zero remainder,
-and makes both monic without a gcd.  Canonical field elements are built
-only for outputs, one ``F.new`` each: ``UniPoly.coeffs`` and ``to_frac``
-and the proper part of ``split_proper_poly``.
+extended gcd is the one exception to the heuristic gcd: Euclid's loop
+on the numerators by pseudo-division, which carries only the cofactor of
+its first argument and reduces it with one gcd at the end.  Canonical
+field elements are built only for outputs, one ``F.new`` each:
+``UniPoly.coeffs`` and ``to_frac`` and the proper part of
+``split_proper_poly``.
 """
 
 from __future__ import annotations
@@ -288,31 +288,25 @@ def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 def unipoly_xgcd(a: UniPoly, b: UniPoly):
     """Half-extended gcd: (g, s) with s*a = g (mod b) and g monic, for a
-    nonzero b.  The cofactor of b is never formed, and the loop stops at the
-    first zero remainder, before the quotient that would only build the
-    cofactor s with s*a = 0 (mod b).  g is made monic by folding lc(g) into
-    its denominator, without a gcd.  s is returned in lowest terms, with one
-    gcd: the sums s0 - q*s1 leave its numerator uncancelled, several times
-    its reduced size, and a caller multiplies by s once per power it strips
-    (``hermite``), each product with a gcd of its own."""
-    r0, r1 = a, b
-    s0, s1 = UniPoly.constant(a.F, a.v, a.F.one), UniPoly(a.F, a.v, a.F.ring.zero)
-    while not r1.is_zero():
-        if r0.degree < r1.degree:
-            r0, r1 = r1, r0
-            s0, s1 = s1, s0
+    nonzero b.  Euclid runs on the numerators A and B by pseudo-division:
+    each remainder R = L*r0 - Q*r1 is S_R*A mod B, with a's cofactor
+    carried as S_R = L*S0 - Q*S1 and b's never formed, up to the first zero
+    remainder.  For the last nonzero r = S*A (mod B), g = r/lc(r) needs no
+    gcd, and s = S*a.den/lc(r) is reduced once, for the caller multiplies
+    by it once per power it strips (``hermite``)."""
+    v, r0, r1 = a.v, a.num, b.num
+    s0, s1 = r0.ring.one, r0.ring.zero
+    while r1:
+        if r0.degree(v) < r1.degree(v):
+            r0, r1, s0, s1 = r1, r0, s1, s0
             continue
-        (qnum, qden), (rnum, rden) = r0._divide(r1)
-        if not rnum:
+        Q, R, L = pseudo_divmod(r0, r1, v)
+        if not R:
             r0, s0 = r1, s1
             break
-        q = r0._new(*_reduce(qnum, qden))
-        r0, r1 = r1, r0._new(*_reduce(rnum, rden))
-        s0, s1 = s1, s0 - q * s1
-    # r0 = r0.num/r0.den with lc_v(r0) = lc/r0.den: dividing by it leaves
-    # r0.num/lc and s0 * r0.den/lc
-    lc = _lc(r0.num, r0.v)
-    return r0._new(r0.num, lc), s0._new(*_reduce(s0.num * r0.den, s0.den * lc))
+        r0, r1, s0, s1 = r1, R, s1, s0 * L - Q * s1
+    lc = _lc(r0, v)
+    return a._new(r0, lc), a._new(*_reduce(s0 * a.den, lc))
 
 
 def squarefree_decomposition(p, v):

@@ -5,14 +5,16 @@ coefficient is Hermite-reduced level by level, absorbable pieces (those that
 are constant combinations of generator derivatives) move into g via
 integration by parts, everything else times M joins the remainder.  The
 (denominator degree, head monomial) key strictly decreases each pass, which
-is the termination measure and is asserted.  Each pass builds its update of
-the current element as one polynomial pair over one denominator, with one
-``F.new``; g and r collect pieces and become field elements once, each
-by one ``arith.sum_pairs``, before the self-checks.  A piece is a
-(numerator, denominator) pair, or, from a pass at the unit monomial with
-no span term, the Hermite part or the remainder as the canonical element
-it is; ``sum_pairs`` returns a lone element unchanged, so it is not
-cancelled again.  The span coefficients c_j that a pass absorbs are
+is the termination measure and is asserted.  The current element is
+never built: the tower is a direct sum of its level pieces (``matryoshka``),
+so the loop holds the pieces, read once from f, and each pass deletes its
+head entries and merges in the pieces of its update, one polynomial pair
+over one denominator, with no cancel.  g and r collect pieces and become
+field elements once, each by one ``arith.sum_pairs``, before the
+self-checks.  A piece is a (numerator, denominator) pair, or, from a pass
+at the unit monomial with no span term, the Hermite part or the remainder
+as the canonical element it is; ``sum_pairs`` returns a lone element
+unchanged, so it is not cancelled again.  The span coefficients c_j that a pass absorbs are
 rational constants, but the field's polynomials have integer
 coefficients: the pass multiplies the absorbed sum(c_j * t_j) and
 the term c_m/(d + 1) * t_m through by the lcm of their denominators and puts
@@ -133,18 +135,17 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
     F = T.F
     R = F.ring
     n = T.n
-    cur = f.value
+    pieces = level_pieces(T, f.value)
     g_terms = []  # pairs and canonical elements, g's and r's, for sum_pairs
     r_terms = []
     prev_key = None
-    while cur:
-        key = order_key_value(T, cur)
+    while any(pieces):
+        key = order_key_value(T, pieces)
         if prev_key is not None and not key < prev_key:
             raise InternalVerificationError("order key failed to decrease")
         prev_key = key
         hd = key.head
         M = hd.hm
-        a = hd.hc
         m = indicator(M, n)
         d = M[m - 1] if n else 0
         span_basis = T.derivative_basis(m)
@@ -183,10 +184,10 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
                 else:
                     H += total
 
-        # cur - a*M - B*M' - cc*t_m^(d+1)*N' over one denominator, with M and
-        # N = M/t_m^d ring monomials and M', N' over the tower's L; the last
-        # two terms vanish on most passes, and L with them.  B is the Hermite
-        # part plus sum(c_j * t_j, j < m), and cc = c_m/(d + 1); the rational
+        # the update -(B*M' + cc*t_m^(d+1)*N') over one denominator, with M
+        # and N = M/t_m^d ring monomials and M', N' over the tower's L; it
+        # vanishes on most passes, and L with it.  B is the Hermite part
+        # plus sum(c_j * t_j, j < m), and cc = c_m/(d + 1); the rational
         # constants share the integer denominator k, so B = Bnum/Bden with
         # Bden = B.denom * k and k*cc an integer
         cc = absorbed[m - 1] / (d + 1) if m else Fraction(0)
@@ -210,11 +211,18 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
         if gnum:
             # at the unit monomial with no span term, gnum/Bden is B itself
             g_terms.append(B if unit and not any(absorbed) else (gnum * Mpoly, Bden))
-        num = cur.numer * a.denom - a.numer * Mpoly * cur.denom
-        den = cur.denom * a.denom
+        # the head entries a*M leave, and the update's own pieces merge in:
+        # pairs at one monomial add unreduced, and a zero sum is dropped
+        for i in hd.index_set:
+            del pieces[i][M]
         if rest:
-            num, den = num * Bden * L - rest * den, den * Bden * L
-        cur = F.new(num, den)
+            for level, update in zip(pieces, level_pieces(T, (-rest, Bden * L))):
+                for mono, (un, ud) in update.items():
+                    old = level.pop(mono, None)
+                    if old is None:
+                        level[mono] = (un, ud)
+                    elif num := old[0] * ud + un * old[1]:
+                        level[mono] = (num, old[1] * ud)
         if H:
             r_terms.append(H if unit else (H.numer * Mpoly, H.denom))
     g = sum_pairs(F, g_terms)
@@ -262,8 +270,11 @@ def _is_remainder_value(T, r):
         why = not_simple_reason(T, c, i)
         if why:
             return False, f"head coefficient not simple: projection {i} {why}"
+    hc = T.F.zero
+    for c in head.hc_i.values():
+        hc += c
     m = indicator(head.hm, n)
-    coeffs = solve_constant_combination_values(T.F, head.hc, T.derivative_basis(m))
+    coeffs = solve_constant_combination_values(T.F, hc, T.derivative_basis(m))
     if coeffs is not None and any(coeffs):
         return False, "head coefficient lies in the span of generator derivatives"
     return True, ""

@@ -94,7 +94,8 @@ def _residue_polynomial(T, value, i):
     of q0 are sigma/c, where sigma = p*dd/dn there and dn/dd = D(q0) in
     lowest terms (x + 1 cancels on u), as D(q) = c*D(q0) at a root of q0.
     So the PRS runs on R(w) = res_{t_i}(p*dd - w*dn, q0), whose roots are
-    the sigmas, and coefficient k is R_k/(R_d*c^(d-k)).
+    the sigmas, and coefficient k is R_k/(R_d*c^(d-k)), cancelled against
+    R_d and then against each copy of c in turn (``_quotient``).
     """
     F = T.F
     p, q = value.numer, value.denom
@@ -111,11 +112,9 @@ def _residue_polynomial(T, value, i):
         raise InternalVerificationError("residue resultant vanished")
     Rz = {k: r.set_ring(F.ring) for k, r in R.coeff_polys(T.n + 1).items()}
     d = max(Rz)
-    dens = [Rz[d]]  # R_d*c^(d-k) for k = d, d-1, ..., 0
-    for _ in range(d):
-        dens.append(dens[-1] * c)
+    copies = [] if c.is_one else [c]
     for k in range(d + 1):
-        yield _quotient(F, Rz[k], dens[d - k]) if k in Rz else F.zero
+        yield _quotient(F, Rz[k], [Rz[d]] + copies * (d - k)) if k in Rz else F.zero
 
 
 def _content(q, i):
@@ -133,13 +132,25 @@ def _content(q, i):
     return c
 
 
-def _quotient(F, num, den):
-    """num/den in canonical form: a rational constant, read off the leading
-    coefficients with no gcd, when num is a constant multiple of den."""
+def _quotient(F, num, factors):
+    """num/(product of factors) in canonical form, cancelled against one
+    factor at a time: with num/den in lowest terms and h = gcd(num, c),
+    num/h is coprime to den and to c/h, so num/h over den*(c/h) is in lowest
+    terms again, each gcd against one factor and not against the product.
+    The first quotient is a rational constant, read off the leading
+    coefficients with no gcd, when num is a constant multiple of the first
+    factor."""
+    den = factors[0]
     a, b = den.LC, num.LC
     if num.mul_ground(a) == den.mul_ground(b):
-        return F.ground(Fraction(b, a))
-    return F.new(num, den)
+        q = F.ground(Fraction(b, a))
+        num, den = q.numer, q.denom
+    else:
+        num, den = num.cancel(den)
+    for c in factors[1:]:
+        num, c = num.cancel(c)
+        den *= c
+    return F.raw_new(num, den)
 
 
 def _witness_from_roots(T, value, i, roots):

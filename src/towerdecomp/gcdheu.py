@@ -17,14 +17,16 @@ Gonnet (J. Symbolic Comput., 1989) in the form of sympy's ``heugcd`` (Liao
 and Fateman, ISSAC 1995): the same content extraction, evaluation points,
 growth rule, symmetric-remainder interpolation and trial divisions, so it
 returns the same (h, cff, cfg).  It evaluates the first variable, the top
-field, and recurses on dicts keyed by the fields below it.
+field, and recurses on dicts keyed by the fields below it.  A level whose
+variable neither operand holds is skipped: its one call below is the
+call the level's first evaluation would make, and the gcd is unique.
 
 :func:`_exquo` is the one exact division of the package: the gcd's trial
 divisions and :meth:`towerdecomp.polys.Poly.exact_quo` both run it.
 
 When none of ``HEU_GCD_MAX`` evaluation points succeeds,
 ``HeuristicGCDFailed`` propagates, with sympy's bound, so the heuristic
-fails on exactly the inputs on which sympy's fails.
+fails only where sympy's fails.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ def guard_mask(n):
 def heugcd(f, g, n):
     """gcd and cofactors of nonzero dicts f, g in n >= 1 variables; raises
     ``HeuristicGCDFailed`` when no evaluation point succeeds."""
+    if n > 1 and not (max(f) | max(g)) >> W * (n - 1):
+        return heugcd(f, g, n - 1)
     c = gcd(_content(f), _content(g))
     if c != 1:
         f = {m: a // c for m, a in f.items()}

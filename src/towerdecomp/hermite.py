@@ -6,8 +6,8 @@ applies (Bronstein, *Symbolic Integration I*, section 2.2).  It runs Yun's
 algorithm once.  For each factor V of multiplicity m >= 2, with D = U*V^m,
 one extended gcd gives the inverse of U*V' modulo V, and each of the m - 1
 steps j = m-1, ..., 1 strips one power of V with that inverse divided by j,
-so the work is linear in the multiplicities.  The inverse is reduced once
-per repeated factor: the extended gcd leaves its numerator uncancelled,
+so the work is linear in the multiplicities.  The extended gcd runs on
+numerators and reduces the inverse once, at its end: unreduced, it is
 often several times the reduced size (310/223 terms against 46/43 on a
 level-3 factor of the nested tower), and every step multiplies by it.  The
 steps add over Henrici's denominators and differentiate over L*D*R, not

@@ -8,18 +8,19 @@ used by the decomposition, and the simplicity predicate are all defined on
 top of these projections; the level tests behind the predicate are shared
 with Hermite reduction and the residue method.  Projections and head data
 come from one recursion on unreduced (numerator, denominator) pairs of
-polynomials: ``project_value`` builds each level with one ``F.new`` per
-distinct denominator, while ``head_monomials`` reads every level's head
-monomial from the monomials of the pairs without building a field element,
-and ``head_data_from_pieces`` builds field elements only for the head
-coefficients of the index set.  A caller that needs several of these reads
-runs the recursion once: the remainder test takes pi_n(r) from the single
-level-n piece and the head data of r - pi_n(r) from the levels below, with
-no projection and no subtraction.  The functions on elements take the
-tower and a raw field element (``T, f.value``).  Monomials over
-t1..tn are exponent tuples; the comparison is pure lex with t1 below t2
-below ... below tn, and None stands for the head monomial of the zero
-element.
+polynomials, ``level_pieces``: ``project_value`` builds each level with one
+``F.new`` per distinct denominator, while ``head_monomials`` reads every
+level's head monomial from the monomials of the pairs without building a
+field element, and ``head_data_value`` builds field elements only for the
+head coefficients of the index set.  The head data and the order key take
+the pieces, not the element: the pieces are linear in the element, so the
+decomposition runs the recursion once at its entry and then only on each
+pass's update, and the remainder test takes pi_n(r) from the single level-n
+piece and the head data of r - pi_n(r) from the levels below, with no
+projection and no subtraction.  A caller that holds an element passes
+``level_pieces(T, f.value)``.  Monomials over t1..tn are exponent tuples;
+the comparison is pure lex with t1 below t2 below ... below tn, and None
+stands for the head monomial of the zero element.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ class HeadData(Record):
     """Head data of an element: per projection the head monomial ``hm_i``,
     an exponent tuple or None; ``hc_i``, level -> head coefficient (a field
     element) over ``index_set``; and the overall head monomial ``hm``, or
-    None, with its head coefficient ``hc``."""
+    None.  The head coefficient is the sum of the ``hc_i``."""
 
-    __slots__ = ("hm_i", "hc_i", "hm", "hc", "index_set")
+    __slots__ = ("hm_i", "hc_i", "hm", "index_set")
 
 
 @total_ordering
@@ -81,7 +82,8 @@ class OrderKey(Record):
 
 
 def level_pieces(T: Tower, f) -> list:
-    """Per level i, {higher monomial: (numerator, denominator)}: the
+    """Per level i, {higher monomial: (numerator, denominator)} for a field
+    element f or an unreduced (numerator, denominator) pair f: the
     projection pi_i(f) is the sum of numerator/denominator * monomial, each
     quotient proper in t_i and free of t_{i+1}, ..., t_n, each monomial an
     exponent tuple over t1..tn in t_{i+1}, ..., t_n alone.
@@ -111,8 +113,9 @@ def level_pieces(T: Tower, f) -> list:
         elif N:
             descend(N, D, level - 1, mono)
 
-    if f:
-        descend(f.numer, f.denom, T.n, (0,) * T.n)
+    N, D = f if isinstance(f, tuple) else (f.numer, f.denom)
+    if N:
+        descend(N, D, T.n, (0,) * T.n)
     return pieces
 
 
@@ -160,25 +163,34 @@ def head_data_from_pieces(F, pieces) -> HeadData:
     """Head data of the element whose level pieces are given, with one
     ``F.new`` per head coefficient of the index set."""
     hm_i, hm, index_set = head_monomials(pieces)
-    hc_i = {i: F.new(*pieces[i][hm]) for i in index_set}
-    hc = F.zero
-    for c in hc_i.values():
-        hc += c
-    return HeadData(hm_i, hc_i, hm, hc, index_set)
+    return HeadData(hm_i, {i: F.new(*pieces[i][hm]) for i in index_set}, hm, index_set)
 
 
-def head_data_value(T: Tower, f) -> HeadData:
+def head_data_value(T: Tower, pieces) -> HeadData:
     """Head monomials of every projection, read from the monomials of the
     unreduced level pieces, and head coefficients built only for the levels
     in the index set."""
-    return head_data_from_pieces(T.F, level_pieces(T, f))
+    return head_data_from_pieces(T.F, pieces)
 
 
-def order_key_value(T: Tower, f) -> OrderKey:
-    if not f:
+def order_key_value(T: Tower, pieces) -> OrderKey:
+    """The order key of the element whose level pieces are given.
+
+    Its den_degree is the degree in t_n of the element's reduced
+    denominator.  Only the level-n piece, at the unit monomial, can hold
+    t_n there: every other piece's denominator is free of t_n, and a sum
+    with a t_n-free denominator cancels no factor that involves t_n.  So
+    the degree is read from the reduced level-n piece, the head coefficient
+    hc_i[n] when level n attains the head monomial and one ``F.new``
+    otherwise."""
+    if not any(pieces):
         return OrderKey(0, 0, ())
-    head = head_data_value(T, f)
-    return OrderKey(f.denom.degree(T.n) if T.n else 0, 1, mono_key(head.hm), head)
+    head = head_data_value(T, pieces)
+    n = T.n
+    top = pieces[n].get((0,) * n) if n else None
+    if top:
+        top = head.hc_i[n] if n in head.index_set else T.F.new(*top)
+    return OrderKey(top.denom.degree(n) if top else 0, 1, mono_key(head.hm), head)
 
 
 def improper_reason(T: Tower, f, level) -> str:

@@ -202,7 +202,7 @@ def _in_field(F, value):
 class TowerBuilder:
     """Incremental construction: the field exists up front so that generator
     arguments can be written in terms of earlier generators.  ``build``
-    hands the declarations to ``Tower``, which checks their count."""
+    hands the declarations to ``Tower``, which checks them."""
 
     def __init__(self, gen_names, base_name="x"):
         names = [base_name] + list(gen_names)
@@ -216,16 +216,13 @@ class TowerBuilder:
         return self.gens[0]
 
     def log(self, argument):
-        """Declare the next generator as log(argument), each base by ``_in_field``."""
-        if not isinstance(argument, FormalProduct):
-            argument = FormalProduct.single(argument)
-        factors = [(_in_field(self.F, b), e) for b, e in argument.factors]
-        self._specs.append((LOG, FormalProduct(factors)))
+        """Declare the next generator as log(argument)."""
+        self._specs.append((LOG, argument))
         return self
 
     def prim(self, derivative):
-        """Declare the next generator with an explicit derivative, by ``_in_field``."""
-        self._specs.append((PRIM, _in_field(self.F, derivative)))
+        """Declare the next generator with an explicit derivative."""
+        self._specs.append((PRIM, derivative))
         return self
 
     def build(self) -> "Tower":
@@ -235,9 +232,11 @@ class TowerBuilder:
 class Tower:
     """An ordered primitive tower on the field F = Q(x, t_1, ..., t_n), with
     F's names.  ``specs`` holds one (kind, payload) per generator of F:
-    (LOG, a FormalProduct argument) or (PRIM, a derivative in F); a list of
-    another length is a TowerDecompError.  :class:`TowerBuilder` builds the
-    field and the specs together."""
+    (LOG, an argument) or (PRIM, a derivative).  An argument is a
+    FormalProduct or a lone base; every base and derivative is read by
+    ``_in_field``, so a value of another field is a TypeError.  Another
+    kind, or a list of another length, is a TowerDecompError.
+    :class:`TowerBuilder` builds the field and the specs together."""
 
     def __init__(self, F, specs):
         self.n = n = F.ngens - 1
@@ -259,14 +258,18 @@ class Tower:
         self._levels = [(L, multipliers)]
         for idx, (kind, payload) in enumerate(specs, start=1):
             if kind == LOG:
-                argument = payload
+                if not isinstance(payload, FormalProduct):
+                    payload = FormalProduct.single(payload)
+                argument = FormalProduct([(_in_field(F, b), e) for b, e in payload.factors])
                 for base, _ in argument.factors:
                     self._check_level(base, idx, f"argument of {names[idx]}")
                 deriv = self.diff_log_combination(argument.factors)
-            else:
+            elif kind == PRIM:
                 argument = None
-                deriv = payload
+                deriv = _in_field(F, payload)
                 self._check_level(deriv, idx, f"derivative of {names[idx]}")
+            else:
+                raise TowerDecompError(f"unknown generator kind {kind!r} for {names[idx]}")
             self.generators.append(
                 Generator(name=names[idx], kind=kind, derivative=deriv, argument=argument)
             )

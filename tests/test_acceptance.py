@@ -21,7 +21,7 @@ from towerdecomp import (
 from towerdecomp.arith import UniPoly
 from towerdecomp.decomp import _is_remainder_value
 from towerdecomp.hermite import hermite_reduce_proper_value
-from towerdecomp.matryoshka import is_simple_value, order_key_value
+from towerdecomp.matryoshka import is_simple_value, level_pieces, order_key_value
 from towerdecomp.tower import normalize_generators
 
 from conftest import random_element, random_log_tower, random_s_primitive_tower
@@ -85,7 +85,9 @@ def test_criterion_03_remainder_drops_below_the_input():
     f = T.element((u2 + u3) / (x * u1))
     dec = add_decomp_in_field(f)
     assert dec.r.value == u2 / (x * u1)
-    assert order_key_value(T, dec.r.value) < order_key_value(T, f.value)
+    assert order_key_value(T, level_pieces(T, dec.r.value)) < order_key_value(
+        T, level_pieces(T, f.value)
+    )
 
 
 def test_criterion_04_significant_data_and_failed_precondition():

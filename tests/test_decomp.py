@@ -13,7 +13,7 @@ from towerdecomp import (
     differentiate,
     integrate_in_field,
 )
-from towerdecomp import decomp
+from towerdecomp import decomp, matryoshka
 from towerdecomp.arith import ClearedBasis, solve_linear_system
 from towerdecomp.decomp import _is_remainder_value, solve_constant_combination_values
 from towerdecomp.errors import InternalVerificationError
@@ -21,6 +21,7 @@ from towerdecomp.exprio import parse_expression
 from towerdecomp.matryoshka import (
     head_data_value,
     indicator,
+    level_pieces,
     not_simple_reason,
     order_key_value,
     project_value,
@@ -375,7 +376,9 @@ def test_finer_remainder_tower(tower_u):
     f = (u2 + u3) / (x * u1)
     dec = add_decomp_in_field(T.element(f))
     assert dec.r.value == u2 / (x * u1)
-    assert order_key_value(T, dec.r.value) < order_key_value(T, f)
+    assert order_key_value(T, level_pieces(T, dec.r.value)) < order_key_value(
+        T, level_pieces(T, f)
+    )
 
 
 def test_zero_input(tower_li):
@@ -461,7 +464,8 @@ def test_shift_by_derivative_keeps_projection_and_order(rng):
         for g in gs or [random_element(T, rng) for _ in range(4)]:
             r2 = add_decomp_in_field(T.element(f + T.diff(g))).r
             assert project_value(T, r1.value)[T.n] == project_value(T, r2.value)[T.n]
-            assert order_key_value(T, r1.value) == order_key_value(T, r2.value)
+            key1 = order_key_value(T, level_pieces(T, r1.value))
+            assert key1 == order_key_value(T, level_pieces(T, r2.value))
             assert _is_remainder_value(T, r2.value)[0]
             difference = r2.value - r1.value
             basis = T.derivative_basis(T.n)
@@ -491,34 +495,46 @@ def test_nested_head_monomial_one_keeps_level_n_out_of_the_span(tower_nested):
     assert dec.g.value == t3 and dec.r.value == 1 / t3
 
 
-def test_one_field_element_per_pass_for_the_update(tower_li, tower_u, monkeypatch):
-    """The pass update is built as one polynomial pair; the only F.new that
-    add_decomp_in_field makes itself turns it into a field element."""
+def test_no_whole_element_is_cancelled_in_a_pass(tower_li, tower_u, monkeypatch):
+    """The passes carry the element as its level pieces: add_decomp_in_field
+    makes no ``F.new`` itself, and the only one the key read makes is the
+    den_degree read of a level-n piece outside the index set.  On li,
+    (t1*t2)' + 1/(t3 + 1) = t2/x + 1 + 1/(t3 + 1) has such a piece in its
+    first pass, whose update -1 cancels the level-0 piece 1 to zero, so
+    that its second pass sees level 3 alone."""
     x, t1, t2, t3 = tower_li.gens
     xu, u1, u2, u3 = tower_u.gens
-    for T, f in [
-        (tower_li, 1 / (t1 * t2) + (t2 - 2 * x * t1) / t1**2 + t3),
-        (tower_u, (u2 + u3) / (xu * u1) + u3**2 / (xu + 1)),
+    for T, f, reads in [
+        (tower_li, 1 / (t1 * t2) + (t2 - 2 * x * t1) / t1**2 + t3, 0),
+        (tower_u, (u2 + u3) / (xu * u1) + u3**2 / (xu + 1), 0),
+        (tower_li, tower_li.diff(t1 * t2) + 1 / (t3 + 1), 1),
     ]:
-        F = T.F
-        counts = {"new": 0, "passes": 0}
+        F, n = T.F, T.n
+        counts = {"own": 0, "key": 0, "reads": 0}
+        seen = []
         new = F.new
 
         def counting_new(*args):
-            if sys._getframe(1).f_code is decomp.add_decomp_in_field.__code__:
-                counts["new"] += 1
+            code = sys._getframe(1).f_code
+            counts["own"] += code is decomp.add_decomp_in_field.__code__
+            counts["key"] += code is matryoshka.order_key_value.__code__
             return new(*args)
 
-        def counting_key(T, f, _key=decomp.order_key_value):
-            counts["passes"] += 1
-            return _key(T, f)
+        def counting_key(T, pieces, _key=decomp.order_key_value):
+            key = _key(T, pieces)
+            counts["reads"] += bool(pieces[n]) and n not in key.head.index_set
+            seen.append([dict(level) for level in pieces])
+            return key
 
         monkeypatch.setattr(F, "new", counting_new)
         monkeypatch.setattr(decomp, "order_key_value", counting_key)
         dec = add_decomp_in_field(T.element(f))
         monkeypatch.undo()
-        assert counts["passes"] > 1 and counts["new"] == counts["passes"]
+        assert len(seen) > 1 and counts["own"] == 0
+        assert counts["key"] == counts["reads"] == reads
         assert T.diff(dec.g.value) + dec.r.value == f
+    # the last input's passes
+    assert len(seen) == 2 and not any(seen[1][:n])
 
 
 @pytest.mark.parametrize("which", ["g", "r", "g-over-a-power"])
@@ -575,8 +591,8 @@ def test_an_order_key_that_does_not_decrease_is_an_internal_error(tower_li, monk
     x, t1, t2, t3 = tower_li.gens
     keys = []
 
-    def frozen(T, value, _key=decomp.order_key_value):
-        keys.append(_key(T, value))
+    def frozen(T, pieces, _key=decomp.order_key_value):
+        keys.append(_key(T, pieces))
         return keys[0]
 
     monkeypatch.setattr(decomp, "order_key_value", frozen)
@@ -586,24 +602,25 @@ def test_an_order_key_that_does_not_decrease_is_an_internal_error(tower_li, monk
 
 
 def test_readme_decomposition_cancel_count(tower_li, gcds):
-    """The README decomposition cancels 17 times once the tower's caches are
-    warm: 14 in its passes, two to sum g's three pieces, and one in the
-    checks, for the head coefficient the remainder test reads; r is one
-    canonical piece at the unit monomial, taken as it is.  A sum over two
-    denominators is Henrici's and runs no cancel: f - r in the
-    reconstruction check, one sum of head coefficients and one sum of g's
-    pieces.  g' is never cancelled, and no rational constant is cancelled
-    on its way into the field.  It runs 32 gcds (``cofactors``), those
-    behind the cancels among them.  A check that canonicalizes more fails
-    here."""
+    """The README decomposition cancels 14 times once the tower's caches are
+    warm: 11 in its passes, 4 for head coefficients and 7 in Hermite
+    reduction, two to sum g's three pieces, and one in the checks, for the
+    head coefficient the remainder test reads; r is one canonical piece at
+    the unit monomial, taken as it is.  The passes carry the element as its
+    level pieces and never cancel it whole.  A sum over two denominators is
+    Henrici's and runs no cancel: f - r in the reconstruction check and one
+    sum of g's pieces.  g' is never cancelled, and no rational constant is
+    cancelled on its way into the field.  It runs 27 gcds (``cofactors``),
+    those behind the cancels among them.  A check that canonicalizes more
+    fails here."""
     T = tower_li
     x, t1, t2, t3 = T.gens
     f = T.element(1 / (t1 * t2) + (t2 - 2 * x * t1) / t1**2 + t3)
     add_decomp_in_field(f)
     gcds.clear()
     add_decomp_in_field(f)
-    assert gcds["cancel"] == 17
-    assert gcds["cofactors"] == 31
+    assert gcds["cancel"] == 14
+    assert gcds["cofactors"] == 27
 
 
 def _reference_is_remainder(T, r):
@@ -619,16 +636,84 @@ def _reference_is_remainder(T, r):
     rest = r - pi_n
     if not rest:
         return True, ""
-    head = head_data_value(T, rest)
+    head = head_data_value(T, level_pieces(T, rest))
     for i, c in sorted(head.hc_i.items()):
         why = not_simple_reason(T, c, i)
         if why:
             return False, f"head coefficient not simple: projection {i} {why}"
     m = indicator(head.hm, n)
-    coeffs = solve_constant_combination_values(T.F, head.hc, T.derivative_basis(m))
+    hc = sum(head.hc_i.values(), T.F.zero)
+    coeffs = solve_constant_combination_values(T.F, hc, T.derivative_basis(m))
     if coeffs is not None and any(coeffs):
         return False, "head coefficient lies in the span of generator derivatives"
     return True, ""
+
+
+def _reference_decomp(T, f):
+    """The decomposition loop as whole elements: each pass reads the key of
+    the current element from a level recursion on all of it, and cancels
+    cur - a*M - B*M' - cc*t_m^(d+1)*N' as one field element.  Returns (g, r)
+    with no self-check."""
+    F, R, n = T.F, T.F.ring, T.n
+    cur, g_terms, r_terms = f, [], []
+    while cur:
+        hd = order_key_value(T, level_pieces(T, cur)).head
+        M = hd.hm
+        a = sum(hd.hc_i.values(), F.zero)
+        m = indicator(M, n)
+        d = M[m - 1] if n else 0
+        span_basis = T.derivative_basis(m)
+        B, H, absorbed, unabsorbed = F.zero, F.zero, [Fraction(0)] * m, []
+        for i in sorted(hd.index_set):
+            b_i, h_i = decomp.hermite_reduce_proper_value(T, hd.hc_i[i], i)
+            B += b_i
+            if not h_i:
+                continue
+            coeffs = solve_constant_combination_values(F, h_i, span_basis)
+            if coeffs is not None:
+                absorbed = [u + c for u, c in zip(absorbed, coeffs)]
+            elif i == n and not any(M):
+                H = h_i
+            else:
+                unabsorbed.append(h_i)
+        total = sum(unabsorbed, F.zero)
+        if total:
+            coeffs = solve_constant_combination_values(F, total, span_basis)
+            if coeffs is not None:
+                absorbed = [u + c for u, c in zip(absorbed, coeffs)]
+            else:
+                H += total
+        Mv = F.new(R.term_new((0,) + M, 1), R.one)
+        cc = absorbed[m - 1] / (d + 1) if m else Fraction(0)
+        Bt = B + sum((c * T.gens[j] for j, c in enumerate(absorbed[: m - 1], 1)), F.zero)
+        g_k = Bt * Mv + cc * T.gens[m] * Mv if m else Bt * Mv
+        g_terms.append(g_k)
+        cur = cur - a * Mv - Bt * T.diff(Mv)
+        if cc:
+            N = Mv / T.gens[m] ** d
+            cur -= cc * T.gens[m] ** (d + 1) * T.diff(N)
+        r_terms.append(H * Mv)
+    return sum(g_terms, F.zero), sum(r_terms, F.zero)
+
+
+@given(seed=seeds)
+def test_pieces_loop_matches_whole_element_loop(seed):
+    """Carrying the pieces gives the (g, r) of the whole-element loop, on
+    random elements of the paper towers and of a random S-primitive tower.
+    (t_n*t_(n-1))' + 1/(t_n + 1) takes several passes with a level-n piece
+    outside the head, and on li its first update cancels a piece to zero."""
+    rng = random.Random(seed)
+    towers = [li_tower(), nested_tower(), u_tower(), coupled_tower()]
+    for T in towers + [random_s_primitive_tower(rng, rng.randint(1, 3))]:
+        F, top = T.F, T.gens[T.n]
+        below = T.gens[T.n - 1]
+        for f in [
+            random_element(T, rng),
+            random_element(T, rng) * top + random_element(T, rng),
+            T.diff(top * below) + 1 / (top + 1),
+        ]:
+            dec = add_decomp_in_field(T.element(f))
+            assert (dec.g.value, dec.r.value) == _reference_decomp(T, f)
 
 
 @given(seed=seeds)

@@ -165,21 +165,50 @@ def test_constant_certificate_is_an_internal_error(monkeypatch):
 
 def test_true_no_cancel_count(tower_li, gcds):
     """1/(t1 + x) has the non-constant residue at t1 = -x; once the tower's
-    caches are warm its verdict cancels 5 times: 4 in the decomposition
+    caches are warm its verdict cancels 4 times: 3 in the decomposition
     and its checks, and 1 in the residue analysis, the certificate
     -x/(x + 1), the monic residue polynomial's z^0 coefficient (the
     resultant is a ring polynomial, and the certificate's derivative is
-    never formed).  The remainder lies in one level and is its own
-    projection, with no cancel.  A check that canonicalizes more fails
-    here."""
+    never formed).  The decomposition's one pass removes the head entry
+    from the level pieces and cancels no whole element.  The remainder
+    lies in one level and is its own projection, with no cancel.  It runs
+    8 gcds (``cofactors``).  A check that canonicalizes more fails here."""
     T = tower_li
     x, t1, t2, t3 = T.gens
     f = T.element(1 / (t1 + x))
     elementary_integrability(f)
     gcds.clear()
     verdict = elementary_integrability(f)
-    assert gcds["cancel"] == 5
+    assert gcds["cancel"] == 4
+    assert gcds["cofactors"] == 8
     assert verdict.status == NO and verdict.certificate.value == -x / (x + 1)
+
+
+@given(seed=seeds)
+def test_quotient_by_factors_is_the_canonical_quotient_by_their_product(seed):
+    """Cancelling num against each factor in turn gives exactly F.new of num
+    over the product, on factors that share parts with num and with each
+    other, with integer content, and with num a constant multiple of the
+    first factor."""
+    rng = random.Random(seed)
+    F = li_tower().F
+
+    def poly():
+        return random_element(li_tower(), rng).numer or F.ring.one
+
+    for _ in range(4):
+        factors = [poly() for _ in range(rng.randint(1, 4))]
+        factors += [rng.choice(factors).mul_ground(rng.choice([1, -2, 3]))]
+        num = poly()
+        for p in rng.sample(factors, rng.randint(0, 2)):
+            num *= p
+        for num in [num, factors[0].mul_ground(rng.choice([-3, 2]))]:
+            product = F.ring.one
+            for p in factors:
+                product *= p
+            got = elem._quotient(F, num, factors)
+            want = F.new(num, product)
+            assert (got.numer, got.denom) == (want.numer, want.denom)
 
 
 def test_content_bearing_denominators_are_elementary(tower_nested):

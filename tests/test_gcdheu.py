@@ -1,5 +1,6 @@
 """The ring-free heuristic gcd of the tower field against sympy's heugcd."""
 
+import pytest
 from hypothesis import given, strategies as st
 from sympy import ZZ, Integer
 from sympy.core.cache import clear_cache
@@ -8,6 +9,7 @@ from sympy.polys.rings import ring
 
 from towerdecomp import elementary_integrability, gcdheu
 from towerdecomp.arith import make_field
+from towerdecomp.errors import HeuristicGCDFailed
 from towerdecomp.exprio import parse_expression
 from towerdecomp.polys import PolyRing
 
@@ -26,10 +28,15 @@ def poly_pairs(draw, kinds=("common", "coprime", "equal")):
     a shared factor c, integer contents k and m (negative ones flip the
     leading coefficient) and, at times, every exponent scaled by a common
     step (deflatable), b = -a (equal up to sign) or c = 1 (coprime, in
-    general)."""
+    general).  At times neither f nor g holds the first variable, an inner
+    one, or any variable but one, so that the gcd skips those levels."""
     n = draw(st.integers(1, 5))
     step = draw(st.sampled_from([1, 1, 2, 3]))
     R = ring(names(n), ZZ)[0]
+    absent = draw(
+        st.sampled_from([set(), set(), {0}, {draw(st.integers(0, n - 1))}])
+        | st.integers(0, n - 1).map(lambda kept: set(range(n)) - {kept})
+    )
 
     def poly(max_terms):
         terms = draw(
@@ -44,7 +51,7 @@ def poly_pairs(draw, kinds=("common", "coprime", "equal")):
         )
         p = R.zero
         for mono, c in terms:
-            p += R({tuple(e * step for e in mono): c})
+            p += R({tuple(0 if i in absent else e * step for i, e in enumerate(mono)): c})
         return p or R.one
 
     kind = draw(st.sampled_from(kinds))
@@ -68,6 +75,17 @@ def kernel_heugcd(f, g, n):
 def test_kernel_matches_sympy_heugcd(pair):
     n, f, g = pair
     assert kernel_heugcd(f, g, n) == sympy_heugcd(f, g)
+
+
+def test_no_evaluation_point_fails_also_below_skipped_levels(monkeypatch):
+    """A level whose variable neither operand holds is skipped, and the
+    level below it still raises when it has no evaluation point to try."""
+    monkeypatch.setattr(gcdheu, "HEU_GCD_MAX", 0)
+    x, t1, t2 = make_field(names(3))[0].ring.gens
+    one = t1.ring.one
+    for f, g in [(t1 + one, t1 * t2 - one), (t2 + one, t2 - one * 3), (x + t2, x - one)]:
+        with pytest.raises(HeuristicGCDFailed):
+            gcdheu.heugcd(dict(f), dict(g), 3)
 
 
 def test_exquo_by_one_returns_a_copy():

@@ -25,7 +25,7 @@ RECORDS = {
     AssociatedMatrix: (("tower", "entries"), {}),
     SignificantData: (("sv", "sc"), {}),
     Embedding: (("source", "target", "basis", "ell", "coeffs", "images"), {}),
-    HeadData: (("hm_i", "hc_i", "hm", "hc", "index_set"), {}),
+    HeadData: (("hm_i", "hc_i", "hm", "index_set"), {}),
     OrderKey: (("den_degree", "hm_marker", "hm_rev", "head"), {"head": None}),
     Generator: (("name", "kind", "derivative", "argument"), {"argument": None}),
     ValidationResult: (
@@ -85,7 +85,7 @@ def test_equality_and_hash_read_the_compared_fields(cls):
 
 def test_records_with_unhashable_fields_refuse_hash():
     with pytest.raises(TypeError):
-        hash(HeadData((), {}, None, 0, frozenset()))
+        hash(HeadData((), {}, None, frozenset()))
     with pytest.raises(TypeError):
         hash(Decomposition([], 1, 2))
 
@@ -162,10 +162,10 @@ def test_repr_text():
         "Embedding(source=1, target=2, basis=(TowerElement(x),), ell=(1,), "
         "coeffs=((),), images=(TowerElement(0),))"
     )
-    assert repr(HeadData((None,), {}, (1,), 2, frozenset({1}))) == (
-        "HeadData(hm_i=(None,), hc_i={}, hm=(1,), hc=2, index_set=frozenset({1}))"
+    assert repr(HeadData((None,), {}, (1,), frozenset({1}))) == (
+        "HeadData(hm_i=(None,), hc_i={}, hm=(1,), index_set=frozenset({1}))"
     )
-    head = HeadData((), {}, None, 0, frozenset())
+    head = HeadData((), {}, None, frozenset())
     assert repr(OrderKey(1, 1, (0, 2), head)) == "OrderKey(den_degree=1, hm_marker=1, hm_rev=(0, 2))"
     assert repr(Generator("t1", "log", 1)) == "Generator(name='t1', kind='log', derivative=1, argument=None)"
     assert repr(ValidationResult("rejected", "why", 2, (1, 2))) == (
@@ -174,8 +174,8 @@ def test_repr_text():
 
 
 def test_order_key_orders_by_its_fields_and_ignores_head():
-    h1 = HeadData((), {}, None, 0, frozenset())
-    h2 = HeadData((1,), {}, (1,), 1, frozenset({1}))
+    h1 = HeadData((), {}, None, frozenset())
+    h2 = HeadData((1,), {}, (1,), frozenset({1}))
     a, b = OrderKey(1, 1, (0, 2), h1), OrderKey(1, 1, (0, 2), h2)
     assert a == b and not a < b and not b < a and a <= b and a >= b
     assert OrderKey(0, 1, (5,), h2) < OrderKey(1, 0, (), None) < OrderKey(1, 1, (0,), h1)

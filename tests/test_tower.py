@@ -322,7 +322,30 @@ def test_builder_takes_an_int_base_next_to_a_field_element():
 )
 def test_builder_rejects_a_value_of_another_field(declare):
     with pytest.raises(TypeError, match=r"^expected an element of FracField\(\['x', 't'\]\), got "):
-        declare(TowerBuilder(["t"]))
+        declare(TowerBuilder(["t"])).build()
+
+
+def test_tower_reads_every_spec_through_its_field():
+    """The public constructor is the one gate.  A value of another field
+    read by position once gave a wrong answer: (PRIM, 1/y) with y from
+    Q(y, s) validated as t' = 1/x, and 1/x then decomposed as g = t, r = 0.
+    Another kind was read as PRIM.  An int and a bare log argument are taken
+    as the builder takes them."""
+    F, (x, t) = make_field(["x", "t"])
+    y = make_field(["y", "s"])[1][0]
+    for spec in [(PRIM, 1 / y), (LOG, FormalProduct.single(y)), (LOG, y)]:
+        with pytest.raises(TypeError, match=r"^expected an element of FracField\(\['x', 't'\]\), got "):
+            Tower(F, [spec])
+    with pytest.raises(TowerDecompError, match="^unknown generator kind 'exp' for t$"):
+        Tower(F, [("exp", 1 / x)])
+    with pytest.raises(TowerNotSPrimitive, match="not proper"):
+        add_decomp_in_field(Tower(F, [(PRIM, 1)]).element(1 / x))
+    with pytest.raises(TowerNotSPrimitive, match="is zero"):
+        add_decomp_in_field(Tower(F, [(LOG, FormalProduct.single(2))]).element(1 / x))
+    T = Tower(F, [(LOG, x + 1)])
+    assert T.generators[0].argument.factors == ((x + 1, 1),)
+    dec = add_decomp_in_field(T.element(1 / (x + 1)))
+    assert dec.g.value == t and not dec.r
 
 
 FIVE = make_field(["x", "t1", "t2", "t3", "t4"])[1]

@@ -22,7 +22,12 @@ from towerdecomp.arith import (
     unipoly_resultant,
     unipoly_xgcd,
 )
-from towerdecomp.matryoshka import head_data_value, not_simple_reason, project_value
+from towerdecomp.matryoshka import (
+    head_data_value,
+    level_pieces,
+    not_simple_reason,
+    project_value,
+)
 from towerdecomp.polys import Poly
 from towerdecomp.tower import normalize_generators
 
@@ -441,7 +446,7 @@ def test_projections_and_head_data_match_reference(seed):
     for f in [f, T.diff(f), f * T.gens[-1] ** 2]:
         proj = project_value(T, f)
         assert [exact(p) for p in proj] == [exact(p) for p in ref_project_value(T, f)]
-        hd = head_data_value(T, f)
+        hd = head_data_value(T, level_pieces(T, f))
         hm_i, hc_i = ref_head_coefficients(T, f)
         assert list(hd.hm_i) == hm_i
         # head coefficients are built for the index set only
@@ -467,6 +472,42 @@ def test_gcd_and_xgcd_match_reference(seed):
     ref_g, ref_s, _ = ref_unipoly_xgcd(ref_from(a), ref_from(b))
     assert same_poly(g, ref_g) and same_poly(s, ref_s)
     assert ((s * a - g) % b).is_zero()
+
+
+def ring_unipoly(rng, v, degree):
+    """A random UniPoly of the given degree in v whose coefficients are
+    polynomials, each an integer or an integer times another variable."""
+    gen = F3.gens[v]
+    others = [g for i, g in enumerate(F3.gens) if i != v]
+    f = F3.zero
+    for k in range(degree + 1):
+        c = F3.one * (rng.choice([1, -1, 2, 3]) if k == degree else rng.randint(-3, 3))
+        if rng.random() < 0.5:
+            c *= rng.choice(others)
+        f += c * gen**k
+    return UniPoly(F3, v, f.numer, f.denom)
+
+
+@REFERENCE_EXAMPLES
+@given(seed=seeds)
+def test_xgcd_matches_reference_on_longer_remainder_sequences(seed):
+    """Euclid on the numerators carries a's cofactor unreduced over several
+    steps and reduces it once; s and g still equal the reference's, on
+    moduli of degree 3 and 4 and on a pair whose gcd has positive degree.
+    The moduli have polynomial coefficients, which keeps the reference's
+    field arithmetic fast."""
+    rng = random.Random(seed)
+    v = rng.randint(1, 2)
+    common = random_unipoly(rng, v, 1)
+    for a, b in [
+        (random_unipoly(rng, v, 2), ring_unipoly(rng, v, 3)),
+        (ring_unipoly(rng, v, 3), ring_unipoly(rng, v, 4)),
+        (random_unipoly(rng, v, 2) * common, random_unipoly(rng, v, 2) * common),
+    ]:
+        g, s = unipoly_xgcd(a, b)
+        ref_g, ref_s, _ = ref_unipoly_xgcd(ref_from(a), ref_from(b))
+        assert same_poly(g, ref_g) and same_poly(s, ref_s)
+    assert g.degree > 0
 
 
 @REFERENCE_EXAMPLES
