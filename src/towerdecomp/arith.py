@@ -33,8 +33,9 @@ power of the divisor's leading coefficient folded into the denominator.  One
 never per coefficient; ``%`` and ``//`` reduce only the part they return.
 Every gcd is the ring's heuristic gcd (``Poly.gcd`` and ``cofactors``), with
 exact divisions: the monic gcd over the coefficient field is the gcd of the
-numerators made monic, Yun's squarefree decomposition runs on the
-numerator, and the squarefree part and root multiplicities of
+numerators made monic, Yun's squarefree decomposition runs on a ring
+polynomial and returns ring factors, whose product divides it exactly, and
+the squarefree part and root multiplicities of
 :func:`rational_roots` are taken in Z[z].  The resultant is the
 fraction-free subresultant PRS on two ring polynomials, itself a ring
 polynomial: ``elem``'s residue polynomial, and the discriminant whose
@@ -153,11 +154,6 @@ class UniPoly:
         self.num = num
         self.den = F.ring.one if den is None else den
 
-    @classmethod
-    def constant(cls, F, v, c):
-        """The constant polynomial c, a field element free of v."""
-        return cls(F, v, c.numer, c.denom)
-
     def is_zero(self) -> bool:
         return not self.num
 
@@ -197,27 +193,14 @@ class UniPoly:
         """Multiply by a field element free of the main variable."""
         return self._new(self.num * c.numer, self.den * c.denom)
 
-    def pow(self, e: int):
-        return self._new(self.num**e, self.den**e)
-
     def _divide(self, other):
         """Unreduced quotient and remainder pairs, ((qnum, qden), (rnum,
         rden)): one pseudo-division of the numerators, L*num = Q*other.num +
         R, gives quotient Q*other.den/(L*den) and remainder R/(L*den).
-        Every divisor is nonzero: a squarefree factor, their product or a
-        unit."""
-        ring = self.num.ring
-        if other.degree == 0:
-            return (self.num * other.den, self.den * other.num), (ring.zero, ring.one)
+        Every divisor is nonzero: Hermite's squarefree factors."""
         Q, R, L = pseudo_divmod(self.num, other.num, self.v)
         den = L * self.den
         return (Q * other.den, den), (R, den)
-
-    def divmod(self, other):
-        """Euclidean division over the coefficient field, each part reduced
-        with one gcd."""
-        q, r = self._divide(other)
-        return self._new(*_reduce(*q)), self._new(*_reduce(*r))
 
     def __floordiv__(self, other):
         return self._new(*_reduce(*self._divide(other)[0]))
@@ -309,37 +292,37 @@ def unipoly_xgcd(a: UniPoly, b: UniPoly):
     return a._new(r0, lc), a._new(*_reduce(s0 * a.den, lc))
 
 
-def squarefree_decomposition(p, v):
-    """Yun's algorithm in characteristic zero, for a UniPoly p in v.
+def squarefree_decomposition(P, v):
+    """Yun's algorithm in characteristic zero, for a ring polynomial P in v.
 
-    Returns a list of (monic factor, multiplicity) pairs with strictly
-    increasing multiplicities such that p equals a unit times the product of
-    factor**multiplicity, for p of degree at least 1 in v.  Runs on the
-    numerator polynomial with multivariate gcds and exact divisions: these
-    agree with the gcds over the coefficient field up to factors free of v,
-    so each factor is the same once made monic, at the end.  Each ``exquo``
-    divides by a gcd over Z of its argument, so it is exact in Z[x, t].
+    Returns a list of (factor, multiplicity) pairs, each factor a ring
+    polynomial of positive degree in v, with strictly increasing
+    multiplicities, such that P is c times the product of
+    factor**multiplicity for a c free of v, for P of degree at least 1 in
+    v.  Runs with multivariate gcds and exact divisions: these agree with
+    the gcds over the coefficient field up to factors free of v, so the
+    factors are the squarefree factors over the field, each with its
+    content in v removed.  Each ``exquo`` divides by a gcd over Z of its
+    argument, so it is exact in Z[x, t].
     """
-    P = p.num
     dP = P.diff(v)
     g = P.gcd(dP)
     w = P.exquo(g)
     if g.degree(v) == 0:
-        out = [(w, 1)]
-    else:
-        out = []
-        z = dP.exquo(g) - w.diff(v)
-        mult = 1
-        while z:
-            fac = w.gcd(z)
-            if fac.degree(v) > 0:
-                out.append((fac, mult))
-            w = w.exquo(fac)
-            z = z.exquo(fac) - w.diff(v)
-            mult += 1
-        if w.degree(v) > 0:
-            out.append((w, mult))
-    return [(UniPoly(p.F, v, fac, _lc(fac, v)), m) for fac, m in out]
+        return [(w, 1)]
+    out = []
+    z = dP.exquo(g) - w.diff(v)
+    mult = 1
+    while z:
+        fac = w.gcd(z)
+        if fac.degree(v) > 0:
+            out.append((fac, mult))
+        w = w.exquo(fac)
+        z = z.exquo(fac) - w.diff(v)
+        mult += 1
+    if w.degree(v) > 0:
+        out.append((w, mult))
+    return out
 
 
 def unipoly_resultant(A, B, v):

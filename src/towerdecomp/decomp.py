@@ -50,7 +50,7 @@ from .matryoshka import (
     order_key_value,
     own_piece,
 )
-from .tower import Record, Tower, TowerElement
+from .tower import Record, Tower, TowerElement, expect
 
 
 # -- constant-combination solver ------------------------------------------
@@ -130,7 +130,7 @@ class Decomposition(Record):
 def add_decomp_in_field(f: TowerElement) -> Decomposition:
     """Decompose f as differentiate(g) + r where r is a remainder: no element
     congruent to f modulo derivatives has lower order."""
-    T = f.tower
+    T = expect(f, TowerElement).tower
     T.ensure_s_primitive()
     F = T.F
     R = F.ring

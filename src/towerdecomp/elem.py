@@ -170,10 +170,9 @@ def _witness_from_roots(T, value, i, roots):
 
 def elementary_integrability(f: TowerElement) -> ElementaryVerdict:
     """Decide whether f has an elementary integral over its tower."""
-    T = f.tower
-    T.ensure_s_primitive()
-    F = T.F
     dec = add_decomp_in_field(f)
+    T = f.tower
+    F = T.F
     r = dec.r.value
     if not r:
         return ElementaryVerdict(YES, decomposition=dec)

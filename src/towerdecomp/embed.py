@@ -30,6 +30,7 @@ from .tower import (
     Tower,
     TowerElement,
     change_generators,
+    expect,
 )
 
 
@@ -121,7 +122,7 @@ def is_well_generated(T: Tower):
 
 
 def _require_logarithmic(T: Tower):
-    if not T.is_logarithmic:
+    if not expect(T, Tower).is_logarithmic:
         raise NotLogarithmic("every generator must be logarithmic")
 
 
@@ -329,7 +330,8 @@ def embed_well_generated(T: Tower) -> Embedding:
 
 def apply_homomorphism(E: Embedding, f: TowerElement) -> TowerElement:
     """Image of a source element under the embedding, f as read by
-    ``E.source.element``: another tower's element is a TypeError."""
-    Ft = E.target.F
+    ``E.source.element``: another tower's element is a TypeError, and so is
+    an E that is not an ``Embedding``."""
+    Ft = expect(E, Embedding).target.F
     values = [Ft.gens[0]] + [img.value for img in E.images]
     return TowerElement(substitute(E.source.element(f).value, Ft, values), E.target)

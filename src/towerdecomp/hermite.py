@@ -3,12 +3,16 @@
 At level i the derivation acts on K_{i-1}(t_i) with t_i primitive, so
 Hermite reduction over the squarefree decomposition of the denominator
 applies (Bronstein, *Symbolic Integration I*, section 2.2).  It runs Yun's
-algorithm once.  For each factor V of multiplicity m >= 2, with D = U*V^m,
-one extended gcd gives the inverse of U*V' modulo V, and each of the m - 1
-steps j = m-1, ..., 1 strips one power of V with that inverse divided by j,
-so the work is linear in the multiplicities.  The extended gcd runs on
-numerators and reduces the inverse once, at its end: unreduced, it is
-often several times the reduced size (310/223 terms against 46/43 on a
+algorithm once, on the denominator D in Z[x, t_1, ..., t_i], and keeps its
+integer factors: D = c * prod V**m with c free of t_i, checked by one exact
+division of D by the product.  No factor is made monic and A is never
+divided by c, which stays in D.  For each factor V of multiplicity m >= 2,
+U = D/V^m is an exact division in the ring, one extended gcd gives the
+inverse of U*V' modulo V, and each of the m - 1 steps j = m-1, ..., 1
+strips one power of V with that inverse divided by j, so the work is linear
+in the multiplicities; D then becomes the product U*V.  The extended gcd
+runs on numerators and reduces the inverse once, at its end: unreduced, it
+is often several times the reduced size (310/223 terms against 46/43 on a
 level-3 factor of the nested tower), and every step multiplies by it.  The
 steps add over Henrici's denominators and differentiate over L*D*R, not
 L*D^2.  At level 0, Q(x), the polynomial part integrates by the power rule.
@@ -77,41 +81,39 @@ def _hermite_core(T, f, level):
     F = T.F
     if not f:
         return F.zero, F.zero
-    A, D = UniPoly(F, level, f.numer), UniPoly(F, level, f.denom)
+    A, D = UniPoly(F, level, f.numer), f.denom
     sqf = squarefree_decomposition(D, level)
     if sqf[-1][1] == 1:
         if improper_reason(T, f, level):
             raise InternalVerificationError("Hermite output is not proper")
         return F.zero, f
-    prod = UniPoly.constant(F, level, F.one)
-    for fac, mult in sqf:
-        prod = prod * fac.pow(mult)
-    unit, rem = D.divmod(prod)
-    if not rem.is_zero() or unit.degree != 0:
+    prod = D.ring.one
+    for V, m in sqf:
+        prod *= V**m
+    c = D.exact_quo(prod)
+    if c is None or c.degree(level) > 0:
         raise InternalVerificationError("squarefree product mismatch")
-    A = A // unit
-    D = prod
     g = F.zero
     for V, m in reversed(sqf):
         if m == 1:
             break
         # A/(U*V^(j+1)) = (B/V^j)' + A_new/(U*V^j) when j*B*U*V' = -A (mod V),
         # for j = m-1, ..., 1; one inverse of U*V' mod V serves every j
-        U = D // V.pow(m)
-        Vd = tower_derivative_unipoly(T, V, level)
-        UVd = U * Vd
-        gg, inv = unipoly_xgcd(UVd % V, V)
+        U = UniPoly(F, level, D.exquo(V**m))
+        Vu = UniPoly(F, level, V)
+        UVd = U * tower_derivative_unipoly(T, Vu, level)
+        gg, inv = unipoly_xgcd(UVd % Vu, Vu)
         if gg.degree != 0:
             raise InternalVerificationError(
                 "repeated factor is not normal at its level"
             )
         for j in range(m - 1, 0, -1):
-            B = (inv * (-(A % V))).scale(F.ground(Fraction(1, j))) % V
-            g += F.new(B.num * V.den**j, B.den * V.num**j)
-            A = (A + (B * UVd).scale(F.ground(j))) // V
+            B = (inv * (-(A % Vu))).scale(F.ground(Fraction(1, j))) % Vu
+            g += F.new(B.num, B.den * V**j)
+            A = (A + (B * UVd).scale(F.ground(j))) // Vu
             A = A - U * tower_derivative_unipoly(T, B, level)
-        D = U * V
-    h = F.new(A.num * D.den, A.den * D.num)
+        D = U.num * V
+    h = F.new(A.num, A.den * D)
     why = not_simple_reason(T, h, level)
     if why == NOT_SQUAREFREE:
         raise InternalVerificationError("Hermite output denominator not squarefree")

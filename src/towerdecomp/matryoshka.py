@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import total_ordering
 
 from .arith import free_of, pseudo_divmod, sum_pairs
-from .tower import Record, Tower
+from .tower import Record, Tower, expect
 
 NOT_SQUAREFREE = "has a non-squarefree denominator"
 
@@ -238,7 +238,7 @@ def derivative_projections(T: Tower):
     """(cols, sv): cols[j-1] is project_value of t_j', and sv[j-1] its
     significant level, the highest level with a nonzero projection (-1 when
     t_j' = 0).  Computed once per tower and cached on it."""
-    if T._derivative_projections is None:
+    if expect(T, Tower)._derivative_projections is None:
         cols = tuple(tuple(project_value(T, d)) for d in T.derivs)
         sv = tuple(max((i for i, p in enumerate(col) if p), default=-1) for col in cols)
         T._derivative_projections = (cols, sv)

@@ -27,9 +27,11 @@ vol. 2, 4.5.1): with e = gcd(b, d) from one ``cofactors``, a/b + c/d =
 b/e or d/e, so it is cancelled only against e, and not at all when e = 1.
 
 The arithmetic only has to be exact and canonical.  The gcd is unique once
-its leading coefficient is positive, so ``cofactors`` (a zero check and a
+its leading coefficient is positive, and ``cofactors`` (a zero check and a
 one-term shortcut ahead of the heuristic gcd of :mod:`towerdecomp.gcdheu`)
-returns the (h, cff, cfg) sympy 1.14's ``PolyElement`` gives, and so every
+returns it so, negating h and both cofactors where the heuristic, as sympy
+1.14's ``PolyElement`` does, finds -h as f/cff or g/cfg; the Henrici sum
+and ``Tower.diff`` take a denominator cofactor from it unchecked.  Every
 canonical form is sympy's.  The one division is exact: ``exact_quo`` runs
 the gcd's own trial division, :func:`towerdecomp.gcdheu._exquo`.  A
 negative power of a fraction is made canonical, where sympy's keeps the
@@ -497,7 +499,9 @@ class Poly(dict):
             return h, cff, cfg
         dtype = f.ring.dtype
         h, cff, cfg = heugcd(f, g, f.ring.ngens)
-        return dtype(h), dtype(cff), dtype(cfg)
+        h, cff, cfg = dtype(h), dtype(cff), dtype(cfg)
+        # the heuristic finds h as f/cff or g/cfg, of their sign
+        return (-h, -cff, -cfg) if h.LC < 0 else (h, cff, cfg)
 
     def _gcd_zero(f, g):
         one, zero = f.ring.one, f.ring.zero

@@ -189,6 +189,15 @@ class TowerElement(Record):
         return f"TowerElement({self.value})"
 
 
+def expect(value, cls):
+    """value when it is a cls, else a TypeError naming cls: the one gate of
+    the public functions' tower and element arguments."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"expected {article} {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _in_field(F, value):
     """value as an element of the field F: an int or a Fraction through
     ``F.ground``, an element of F as it is, anything else a TypeError."""
@@ -427,7 +436,8 @@ class Tower:
 
 
 def differentiate(f: TowerElement) -> TowerElement:
-    return TowerElement(f.tower.diff(f.value), f.tower)
+    T = expect(f, TowerElement).tower
+    return TowerElement(T.diff(f.value), T)
 
 
 def change_generators(specs, F, values):

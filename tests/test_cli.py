@@ -775,3 +775,50 @@ def test_cli_text_ends_with_exit_0_or_1(text, minus, fuzz_argvs):
     for argv in fuzz_argvs:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv + ["--expr", expr]) in (0, 1), (argv, expr)
+
+
+# the tower-file grammar's alphabet: keywords, the separator, names, digits,
+# operators, a comment mark, newlines, spaces and a byte-order mark
+_TOWER_FILE_TOKENS = [
+    "var", "gen", ":", "log(", "prim", "x", "t1", "t2", "y",
+    *"0123456789", *"+-*/^()", "#", "\n", " ", "\ufeff",
+]
+_NAMES = ["x", "t1", "t2", "y"]
+
+
+@st.composite
+def tower_file_texts(draw):
+    """A header and up to three generator lines of distinct names, each a
+    log or a prim of a short expression over the names above, with up to
+    four tokens of the alphabet spliced in anywhere; one-digit exponents."""
+    token = st.sampled_from(_TOWER_FILE_TOKENS)
+    atom = st.sampled_from(_NAMES + ["1", "2", "(x+1)", "(t1-3)"])
+    op = st.sampled_from(["+", "-", "*", "/", "^2", ""])
+    lines = [draw(st.sampled_from(["var x", "var x", "var x", "var y", "var"]))]
+    names = draw(st.permutations(["t1", "t2", "y", "x"]))
+    for name in names[: draw(st.integers(0, 3))]:
+        body = draw(atom) + "".join(
+            draw(op) + draw(atom) for _ in range(draw(st.integers(0, 3)))
+        )
+        if draw(st.booleans()):
+            lines.append(f"gen {name} : log({body})")
+        else:
+            lines.append(f"gen {name} : prim {body}")
+    text = "\n".join(lines)
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(token) + text[at:]
+    return _one_digit_exponents(text)
+
+
+@given(text=tower_file_texts())
+def test_tower_file_text_ends_with_exit_0_to_3(text, tmp_path_factory):
+    """Any short tower-file text over the file grammar's alphabet ends
+    ``check`` and ``decomp --expr x`` with an exit code in 0-3 and no
+    escaping exception.  Exponents keep one digit, as in the text fuzz
+    above."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.tower"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["check"], ["decomp", "--expr", "x"]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv + ["--tower", str(path)]) in (0, 1, 2, 3), (argv, text)

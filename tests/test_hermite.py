@@ -2,7 +2,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from towerdecomp import hermite
 from towerdecomp.arith import (
@@ -128,7 +128,7 @@ def test_random_reconstruction(tower_li, rng):
             # denominator divisibility holds per level: coefficients of the
             # Bezout solutions may bring in lower-variable denominators
             df, dh = UniPoly(T.F, level, f.denom), UniPoly(T.F, level, h.denom)
-            assert df.divmod(dh)[1].is_zero()
+            assert (df % dh).is_zero()
         count += 1
 
 
@@ -151,30 +151,43 @@ def test_squarefree_denominator_costs_one_gcd_and_returns_f(tower_li, gcds):
         assert gcds == {"gcd": 1, "cofactors": 1}
 
 
+def _monic_factors(D, level):
+    """Yun's factors of the UniPoly D, each made monic over K_{level-1}."""
+    return [
+        (UniPoly(D.F, level, fac, fac.coeff_wrt(level, fac.degree(level))), m)
+        for fac, m in squarefree_decomposition(D.num, level)
+    ]
+
+
+def _power(p, e):
+    return UniPoly(p.F, p.v, p.num**e, p.den**e)
+
+
 def _quadratic_hermite_core(T, f, level):
-    """Reference: the earlier multiplicity loop.  It strips the factor of
-    highest multiplicity one power at a time with a fresh Bezout inverse per
-    power, then rebuilds the denominator and runs Yun on it again."""
+    """Reference: the earlier multiplicity loop over monic factors.  It
+    strips the factor of highest multiplicity one power at a time with a
+    fresh Bezout inverse per power, then rebuilds the denominator and runs
+    Yun on it again."""
     F = T.F
     if not f:
         return F.zero, F.zero
     A, D = UniPoly(F, level, f.numer), UniPoly(F, level, f.denom)
-    sqf = squarefree_decomposition(D, level)
+    sqf = _monic_factors(D, level)
     if not sqf or sqf[-1][1] == 1:
         return F.zero, f
     g = F.zero
     while True:
-        prod = UniPoly.constant(F, level, F.one)
+        prod = UniPoly(F, level, F.ring.one)
         for fac, mult in sqf:
-            prod = prod * fac.pow(mult)
-        unit, rem = D.divmod(prod)
-        assert rem.is_zero() and unit.degree == 0
-        A = A // unit
+            prod = prod * _power(fac, mult)
+        unit = D // prod
+        assert (D % prod).is_zero() and unit.degree == 0
+        A = A.scale(1 / unit.to_frac())
         D = prod
         if sqf[-1][1] <= 1:
             break
         V, m = sqf[-1]
-        U = D // V.pow(m)
+        U = D // _power(V, m)
         for j in range(m - 1, 0, -1):
             Vd = tower_derivative_unipoly(T, V, level)
             s = (U * Vd).scale(F.ground(j)) % V
@@ -185,7 +198,7 @@ def _quadratic_hermite_core(T, f, level):
             A = (A + (B * U * Vd).scale(F.ground(j))) // V
             A = A - U * tower_derivative_unipoly(T, B, level)
         D = U * V
-        sqf = squarefree_decomposition(D, level)
+        sqf = _monic_factors(D, level)
     return g, F.new(A.num * D.den, A.den * D.num)
 
 
@@ -218,6 +231,58 @@ def test_linear_loop_matches_quadratic_reference(rng):
             while f is None:
                 f = _repeated_proper(T, level, rng)
             assert _hermite_core(T, f, level) == _quadratic_hermite_core(T, f, level)
+
+
+_PAPER_TOWERS = []
+
+
+def _non_monic_repeated_proper(T, level, rng):
+    """A proper element at level over c*V^m*W^k: V = a*t_level + b with a
+    not a unit and gcd(a, b) = 1, m in 2..3, W = t_level + s with k in 0..2,
+    and c != 0 free of t_level, all over Z[x, t_1, ..., t_{level-1}]; or
+    None when the numerator cancels a power of V."""
+    F = T.F
+    v = T.gens[level]
+    lower = list(T.gens[:level]) + [F.one]
+    while True:
+        a = rng.choice(lower) * rng.choice([2, 3, -2]) + rng.choice(lower) * rng.randint(0, 1)
+        b = rng.choice(lower) * rng.randint(-2, 2) + rng.choice([1, -1, 2, 3])
+        if a.numer.gcd(b.numer).is_ground:
+            break
+    if a.numer.is_ground and abs(a.numer.LC) == 1:
+        return None
+    V = a * v + b
+    c = rng.choice(lower) * rng.randint(1, 3) + rng.randint(1, 2)
+    m = rng.randint(2, 3)
+    den = c * V**m * (v + rng.choice(lower) * rng.randint(-1, 1)) ** rng.randint(0, 2)
+    num = F.zero
+    for k in range(den.numer.degree(level)):
+        num += rng.choice(lower) * rng.randint(-3, 3) * v**k
+    f = num / den
+    if not f or f.denom.exact_quo(V.numer**2) is None:
+        return None
+    return f
+
+
+@settings(max_examples=10)
+@given(seed=seeds)
+def test_integer_factors_match_the_monic_reference(seed):
+    """On denominators whose repeated factor has a leading coefficient in
+    t_level that is not a unit and whose content is free of t_level, the
+    reduction on Yun's integer factors equals the earlier loop over monic
+    factors, at a random level of each paper tower and of a random
+    S-primitive tower, and g' + h = f."""
+    rng = random.Random(seed)
+    if not _PAPER_TOWERS:
+        _PAPER_TOWERS.extend([li_tower(), nested_tower(), u_tower(), coupled_tower()])
+    for T in _PAPER_TOWERS + [random_s_primitive_tower(rng, 3)]:
+        level = rng.randint(0, T.n)
+        f = None
+        while f is None:
+            f = _non_monic_repeated_proper(T, level, rng)
+        g, h = _hermite_core(T, f, level)
+        assert (g, h) == _quadratic_hermite_core(T, f, level)
+        assert T.diff(g) + h == f
 
 
 def test_one_yun_and_one_inverse_per_repeated_factor(tower_li, monkeypatch):
@@ -258,8 +323,8 @@ def test_repeated_factor_that_is_not_normal_is_rejected(tower_li, monkeypatch):
 
 
 def test_a_wrong_squarefree_decomposition_is_rejected(tower_li, monkeypatch):
-    """The product of the factors must divide the denominator with a unit
-    quotient; t1^3 does not divide t1^2."""
+    """The product of the factors must divide the denominator exactly;
+    t1^3 does not divide t1^2."""
     t1 = tower_li.gens[1]
 
     def bumped(p, v, _sqf=squarefree_decomposition):
@@ -268,6 +333,21 @@ def test_a_wrong_squarefree_decomposition_is_rejected(tower_li, monkeypatch):
     monkeypatch.setattr(hermite, "squarefree_decomposition", bumped)
     with pytest.raises(InternalVerificationError, match="^squarefree product mismatch$"):
         hermite_reduce_proper_value(tower_li, 1 / t1**2, 1)
+
+
+def test_a_factor_product_that_leaves_t_in_the_quotient_is_rejected(
+    tower_li, monkeypatch
+):
+    """The quotient of the denominator by the product of the factors must
+    be free of t_level; a decomposition that drops t1 + 1 leaves it."""
+    t1 = tower_li.gens[1]
+
+    def dropped(p, v, _sqf=squarefree_decomposition):
+        return [(fac, m) for fac, m in _sqf(p, v) if m > 1]
+
+    monkeypatch.setattr(hermite, "squarefree_decomposition", dropped)
+    with pytest.raises(InternalVerificationError, match="^squarefree product mismatch$"):
+        hermite_reduce_proper_value(tower_li, 1 / (t1**2 * (t1 + 1)), 1)
 
 
 @pytest.mark.parametrize(
@@ -291,21 +371,22 @@ def test_division_reduces_only_the_part_it_returns(tower_li, gcds):
     a = UniPoly(T.F, 1, (t1**3 + x * t1 + 1).numer)
     # lc x: pseudo-division folds a power of x into both denominators
     b = UniPoly(T.F, 1, (x * t1 + 1).numer)
-    for op, reduced in [(operator.mod, 1), (operator.floordiv, 1), (UniPoly.divmod, 2)]:
+    for op in [operator.mod, operator.floordiv]:
         gcds.clear()
         op(a, b)
-        assert gcds == {"cofactors": reduced}
-    q, r = a.divmod(b)
-    assert (a // b).to_frac() == q.to_frac() and (a % b).to_frac() == r.to_frac()
+        assert gcds == {"cofactors": 1}
+    q, r = a // b, a % b
     assert (q * b + r).to_frac() == a.to_frac()
 
 
-def test_inverse_is_reduced_before_the_products(monkeypatch):
+def test_inverse_is_reduced_before_the_products(monkeypatch, gcds):
     """The derivative of (5*t3 - x^2*t3^2)/(-2*t3^2 + 2*t2*t3 + 5*t2^2) on
     the nested tower has a repeated factor in t3 whose Bezout inverse the
     extended gcd's sums leave at 310/223 terms over a reduced pair of
     46/43.  Every product by the inverse takes it in lowest terms, and the
-    output is the earlier loop's."""
+    output is the earlier loop's.  On Yun's integer factors the reduction
+    makes 11 gcds; over monic factors, with the unit divided out of A, it
+    made 18."""
     T = nested_tower()
     x, t1, t2, t3 = T.gens
     f = T.diff(((5 * t3 - x**2 * t3**2) / (-2 * t3**2 + 2 * t2 * t3 + 5 * t2**2)))
@@ -324,8 +405,10 @@ def test_inverse_is_reduced_before_the_products(monkeypatch):
 
     monkeypatch.setattr(hermite, "unipoly_xgcd", xgcd)
     monkeypatch.setattr(UniPoly, "__mul__", mul)
+    gcds.clear()
     g, h = _hermite_core(T, proper, 3)
     monkeypatch.undo()
+    assert gcds["cofactors"] == 11
     assert len(inverses) == 1
     inv = inverses[0]
     used = [

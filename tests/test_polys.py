@@ -284,11 +284,28 @@ def test_cofactors_through_deflation_match_sympys(pair):
     tf, tg = R(dict(f)), R(dict(g))
     before = dict(tf), dict(tg)
     got = tf.cofactors(tg)
-    assert tuple(map(sympy_dict, got)) == tuple(map(dict, f.cofactors(g)))
+    want = f.cofactors(g)
+    if want[0].LC < 0:
+        want = tuple(-p for p in want)
+    assert tuple(map(sympy_dict, got)) == tuple(map(dict, want))
     for p in got:
         assert p is not tf and p is not tg
         p[0] = p.get(0, 0) + 7
     assert (dict(tf), dict(tg)) == before
+
+
+def test_cofactors_gcd_has_a_positive_leading_coefficient():
+    """Here the heuristic, ours as sympy's, finds the gcd as f/cff with
+    f's negative sign; ``cofactors`` negates all three, so that a cofactor
+    taken as a denominator keeps a positive leading coefficient."""
+    R, S = rings(1)
+    x = S.gens[0]
+    f = -2 * (3 * x + 1) ** 2 * (3 * x + 4) ** 2 * (9 * x**2 - 3 * x + 1) ** 3
+    g = 2 * (3 * x + 1) ** 2 * (3 * x + 4) ** 3 * (9 * x**2 - 3 * x + 1) ** 4
+    assert f.cofactors(g)[0] == f
+    h, cff, cfg = R(dict(f)).cofactors(R(dict(g)))
+    assert sympy_dict(h) == dict(-f)
+    assert sympy_dict(cff) == {(0,): -1} and sympy_dict(cfg) == dict(g.exquo(-f))
 
 
 @st.composite

@@ -515,14 +515,20 @@ def test_xgcd_matches_reference_on_longer_remainder_sequences(seed):
 def test_squarefree_decomposition_matches_reference(seed):
     rng = random.Random(seed)
     v = rng.randint(1, 2)
-    p = UniPoly.constant(F3, v, random_coeff(rng, v, allow_zero=False))
+    p = random_coeff(rng, v, allow_zero=False)
     for mult in rng.choice([[1], [2], [3], [1, 2], [1, 3], [2, 1]]):
-        p = p * random_unipoly(rng, v, 1).pow(mult)
-    got = squarefree_decomposition(p, v)
-    ref = ref_squarefree_decomposition(ref_from(p))
+        p *= random_unipoly(rng, v, 1).to_frac() ** mult
+    P = p.numer
+    got = squarefree_decomposition(P, v)
+    ref = ref_squarefree_decomposition(ref_from(UniPoly(F3, v, P)))
     assert [m for _, m in got] == [m for _, m in ref]
-    for (fac, _), (ref_fac, _) in zip(got, ref):
-        assert same_poly(fac, ref_fac)
+    # ring factors: each is the reference's monic factor times a factor
+    # free of v, and their product leaves a quotient free of v
+    product = P.ring.one
+    for (fac, m), (ref_fac, _) in zip(got, ref):
+        assert same_poly(UniPoly(F3, v, fac, fac.coeff_wrt(v, fac.degree(v))), ref_fac)
+        product *= fac**m
+    assert P.exquo(product).degree(v) == 0
 
 
 def sylvester_resultant(A, B, v):
