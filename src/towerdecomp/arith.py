@@ -30,7 +30,8 @@ others, held as one fraction: a ring polynomial ``num`` over a ring polynomial
 ``den`` free of v.  Division is pseudo-division of the numerators, with the
 power of the divisor's leading coefficient folded into the denominator.  One
 ``gcd`` reduces each pair that a division, ``monic`` or product returns,
-never per coefficient; ``%`` and ``//`` reduce only the part they return.
+never per coefficient; ``%`` and ``exact_quo`` reduce only the part they
+return, and ``exact_quo`` returns None for a nonzero remainder.
 Every gcd is the ring's heuristic gcd (``Poly.gcd`` and ``cofactors``), with
 exact divisions: the monic gcd over the coefficient field is the gcd of the
 numerators made monic, Yun's squarefree decomposition runs on a ring
@@ -202,8 +203,10 @@ class UniPoly:
         den = L * self.den
         return (Q * other.den, den), (R, den)
 
-    def __floordiv__(self, other):
-        return self._new(*_reduce(*self._divide(other)[0]))
+    def exact_quo(self, other):
+        """self/other reduced, or None when the remainder is not zero."""
+        (qnum, qden), (rnum, _) = self._divide(other)
+        return None if rnum else self._new(*_reduce(qnum, qden))
 
     def __mod__(self, other):
         if self.degree < other.degree:
@@ -223,26 +226,38 @@ class UniPoly:
 def sum_pairs(F, pieces):
     """The sum of pieces, unreduced (numerator, denominator) polynomial
     pairs or canonical elements of F, as one element of F.  A lone element
-    is the sum as it is, with no cancel.  Otherwise denominators with the
-    same primitive part share the lcm of their integer contents, numerators
-    over it add as polynomials, and each distinct primitive part costs one
-    ``F.new``."""
+    is the sum as it is, with no cancel, and a lone pair costs one
+    ``F.new``.  Otherwise each pair of ``common_denominators`` costs one."""
     pieces = list(pieces)
-    if len(pieces) == 1 and isinstance(pieces[0], F.dtype):
-        return pieces[0]
-    groups = {}
-    for piece in pieces:
-        num, den = (piece.numer, piece.denom) if isinstance(piece, F.dtype) else piece
-        content, prim = den.primitive()
-        groups.setdefault(prim, []).append((num, content))
+    if len(pieces) == 1:
+        piece = pieces[0]
+        return piece if isinstance(piece, F.dtype) else F.new(*piece)
     total = F.zero
-    for prim, terms in groups.items():
-        k = math.lcm(*(c for _, c in terms))
-        num = prim.ring.zero
-        for n, c in terms:
-            num += n.mul_ground(k // c)
-        total += F.new(num, prim.mul_ground(k))
+    for num, den in common_denominators(
+        (p.numer, p.denom) if isinstance(p, F.dtype) else p for p in pieces
+    ):
+        total += F.new(num, den)
     return total
+
+
+def common_denominators(pairs):
+    """(numerator, denominator) pairs with the same sum, one per distinct
+    primitive part of the denominators: numerators over the lcm of their
+    integer contents add as polynomials, with no gcd.  A pair alone at its
+    primitive part is passed on as it is."""
+    groups = {}
+    for num, den in pairs:
+        content, prim = den.primitive()
+        groups.setdefault(prim, []).append((num, content, den))
+    for prim, terms in groups.items():
+        if len(terms) == 1:
+            yield terms[0][0], terms[0][2]
+            continue
+        k = math.lcm(*(c for _, c, _ in terms))
+        num = prim.ring.zero
+        for n, c, _ in terms:
+            num += n if c == k else n.mul_ground(k // c)
+        yield num, prim.mul_ground(k)
 
 
 def split_proper_poly(f, v):

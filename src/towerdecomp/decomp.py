@@ -11,25 +11,35 @@ so the loop holds the pieces, read once from f, and each pass deletes its
 head entries and merges in the pieces of its update, one polynomial pair
 over one denominator, with no cancel.  g and r collect pieces and become
 field elements once, each by one ``arith.sum_pairs``, before the
-self-checks.  A piece is a (numerator, denominator) pair, or, from a pass
-at the unit monomial with no span term, the Hermite part or the remainder
-as the canonical element it is; ``sum_pairs`` returns a lone element
-unchanged, so it is not cancelled again.  The span coefficients c_j that a pass absorbs are
+self-checks.  A pass sums its Hermite pieces, all levels, into its
+Hermite part B with one ``sum_pairs``.  A piece of g or r is a
+(numerator, denominator) pair, or, from a pass at the unit monomial with
+no span term, B or the remainder as the canonical element it is;
+``sum_pairs`` returns a lone element unchanged, so it is not cancelled
+again.  The span coefficients c_j that a pass absorbs are
 rational constants, but the field's polynomials have integer
 coefficients: the pass multiplies the absorbed sum(c_j * t_j) and
 the term c_m/(d + 1) * t_m through by the lcm of their denominators and puts
 that integer into its one denominator, so g gains one pair per pass.
 
-Every result is checked exactly before it is returned.  The reconstruction
-check compares g' with f - r and cancels neither g' nor a sum with it:
-g' = P/Q is the unreduced pair of ``Tower.diff_pair_radical`` and f - r =
-A/B is reduced, so P/Q = A/B exactly when B divides Q and P = A * (Q/B).
-One exact division and one product replace the gcd of a cancel; the
-product A * (Q/B) is far smaller than the cross-multiplied P * B = A * Q,
-which costs more than the gcd.  Q is L * D * R, with D the denominator of
-g and R = D / gcd(D, L * D'), not L * D^2: Hermite reduction leaves D with
-repeated factors, so R is about the size of D's radical, and on such a D
-one gcd of D with L * D' costs far less than squaring D and dividing by B.
+Every result is checked exactly before it is returned, and g is never
+differentiated whole.  The reconstruction check proves g' + r = f from
+identities that the reduction already has.  Hermite's steps each proved
+their own (``hermite``), so the pieces b_i of a level's head coefficient
+hc_i satisfy b_i' = hc_i - h_i, and (b_i*M)' = (hc_i - h_i)*M + b_i*M',
+with M' from the ``Tower.diff_pair`` of M that the pass makes anyway.
+The solver's own self-check covers each h_i that the span absorbs.  Only
+the span terms (sum(c_j * t_j, j < m) + cc*t_m) * M and a level-0 power
+rule that is its level's only piece, each a polynomial over an integer,
+are differentiated here, with no gcd.  The check then makes two
+comparisons, each of unreduced pairs against a canonical element
+(``_is_sum``): g against the pieces that Hermite and the span terms
+checked, a path apart from the ``sum_pairs`` that built g; and those
+pieces' derivatives plus r against f.  Each sums its pairs over Henrici's
+lcm and compares by one exact division and one product, with no cancel;
+a pass's update never enters them, so an update that is wrong leaves g
+and r apart from them.
+
 The remainder test reads pi_n(r) and the head data of r - pi_n(r) from one
 level recursion on r.
 """
@@ -39,7 +49,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import ClearedBasis, solve_linear_system, sum_pairs
+from .arith import ClearedBasis, common_denominators, solve_linear_system, sum_pairs
 from .errors import InternalVerificationError
 from .hermite import hermite_reduce_proper_value
 from .matryoshka import (
@@ -138,6 +148,8 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
     pieces = level_pieces(T, f.value)
     g_terms = []  # pairs and canonical elements, g's and r's, for sum_pairs
     r_terms = []
+    g_parts = []  # g as its checked pieces, and g' piece by piece
+    dg_parts = []
     prev_key = None
     while any(pieces):
         key = order_key_value(T, pieces)
@@ -148,8 +160,16 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
         M = hd.hm
         m = indicator(M, n)
         d = M[m - 1] if n else 0
+        unit = not any(M)
+        Mpoly = R.term_new((0,) + M, 1)
+        Mp, L = T.diff_pair(Mpoly)
+        mono = R.pack((0,) + M)
+
+        def times_M(p):
+            return p if unit else p.mul_monom(mono)
+
         span_basis = T.derivative_basis(m)
-        B = F.zero
+        steps = []  # the pass's Hermite pieces, all levels
         absorbed = [Fraction(0)] * m  # span coefficients of t_1', ..., t_m'
         H = F.zero
         unabsorbed = []
@@ -159,14 +179,31 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
                 absorbed[j] += c
 
         for i in sorted(hd.index_set):
-            b_i, h_i = hermite_reduce_proper_value(T, hd.hc_i[i], i)
-            B += b_i
+            hc_i = hd.hc_i[i]
+            b_i, h_i = hermite_reduce_proper_value(T, hc_i, i)
+            steps += b_i
+            for num, den in b_i:
+                g_parts.append((times_M(num), den))
+            if all(den.is_ground for _, den in b_i):
+                # the level-0 power rule alone, a polynomial over an
+                # integer, is differentiated here, as the span terms are
+                for num, den in b_i:
+                    dg_parts.append((T.diff_pair(times_M(num))[0], L * den))
+            else:
+                # Hermite proved b_i' = hc_i - h_i, so (b_i*M)' = (hc_i -
+                # h_i)*M + b_i*M'
+                dg_parts.append((times_M(hc_i.numer), hc_i.denom))
+                if h_i:
+                    dg_parts.append((-times_M(h_i.numer), h_i.denom))
+                if Mp:
+                    for num, den in b_i:
+                        dg_parts.append((num * Mp, den * L))
             if not h_i:
                 continue
             coeffs = solve_constant_combination_values(F, h_i, span_basis)
             if coeffs is not None:
                 absorb(coeffs)
-            elif i == n and not any(M):
+            elif i == n and unit:
                 # head monomial 1: t_j' lies in K_{j-1}, so a nonzero level-n
                 # part never joins the span, and the remainder test reads
                 # the levels below n apart from it
@@ -190,27 +227,32 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
         # plus sum(c_j * t_j, j < m), and cc = c_m/(d + 1); the rational
         # constants share the integer denominator k, so B = Bnum/Bden with
         # Bden = B.denom * k and k*cc an integer
+        B = sum_pairs(F, steps)
         cc = absorbed[m - 1] / (d + 1) if m else Fraction(0)
         k = math.lcm(cc.denominator, *(c.denominator for c in absorbed[: m - 1]))
         B_poly = R.zero
         for j, c in enumerate(absorbed[: m - 1], start=1):
             if c:
                 B_poly += R.gens[j].mul_ground(c.numerator * (k // c.denominator))
-        Mpoly = R.term_new((0,) + M, 1)
-        Mp, L = T.diff_pair(Mpoly)
         Bnum, Bden = B.numer * k + B_poly * B.denom, B.denom * k
         rest = Bnum * Mp  # (B*M' + cc*t_m^(d+1)*N') * Bden * L
-        gnum = Bnum  # (B + cc*t_m) * Bden
+        span = B_poly  # (sum(c_j * t_j, j < m) + cc*t_m) * k
         if cc:
             tm = R.gens[m]
-            ccB = B.denom.mul_ground(cc.numerator * (k // cc.denominator))
+            cck = cc.numerator * (k // cc.denominator)
             Np, _ = T.diff_pair(Mpoly.exquo(tm**d))
-            rest += ccB * tm ** (d + 1) * Np
-            gnum += ccB * tm
-        unit = not any(M)
+            rest += B.denom.mul_ground(cck) * tm ** (d + 1) * Np
+            span += tm.mul_ground(cck)
+        gnum = B.numer * k + span * B.denom  # (B + span/k) * Bden
         if gnum:
             # at the unit monomial with no span term, gnum/Bden is B itself
-            g_terms.append(B if unit and not any(absorbed) else (gnum * Mpoly, Bden))
+            g_terms.append(B if unit and not span else (gnum.mul_monom(mono), Bden))
+        if span:
+            # the span terms are differentiated here, a polynomial over k
+            kpoly = R.ground_new(k)
+            span = span.mul_monom(mono)
+            g_parts.append((span, kpoly))
+            dg_parts.append((T.diff_pair(span)[0], L * kpoly))
         # the head entries a*M leave, and the update's own pieces merge in:
         # pairs at one monomial add unreduced, and a zero sum is dropped
         for i in hd.index_set:
@@ -227,18 +269,37 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
             r_terms.append(H if unit else (H.numer * Mpoly, H.denom))
     g = sum_pairs(F, g_terms)
     r = sum_pairs(F, r_terms)
-    # g' = f - r with g' left unreduced; when they are equal, the reduced
-    # denominator of f - r divides that of g' in Z[x, t]: f - r is coprime
-    # over Z, content included, so the division over Z is exact
-    Pg, Qg = T.diff_pair_radical(g.numer, g.denom)
-    target = f.value - r
-    scale = Qg.exact_quo(target.denom)
-    if scale is None or Pg != target.numer * scale:
+    # g is the sum of the pieces that Hermite's steps and the span terms
+    # checked, and their derivatives and r sum to f
+    dg_parts.append((r.numer, r.denom))
+    if not (_is_sum(g_parts, g) and _is_sum(dg_parts, f.value)):
         raise InternalVerificationError("decomposition does not reconstruct input")
     ok, why = _is_remainder_value(T, r)
     if not ok:
         raise InternalVerificationError(f"output fails the remainder test: {why}")
     return Decomposition(TowerElement(g, T), TowerElement(r, T), f)
+
+
+def _is_sum(pairs, value):
+    """Whether the unreduced (numerator, denominator) pairs sum to the
+    canonical value.  The ``common_denominators`` of the pairs add to one
+    pair P/Q over Henrici's lcm of their denominators, with no cancel, and a
+    zero numerator drops out.  value = A/B is coprime over Z, content
+    included, so P/Q = A/B exactly when B divides Q and P = A * (Q/B): one
+    exact division and one product, far smaller than P * B = A * Q."""
+    P = Q = None
+    for num, den in common_denominators(pairs):
+        if not num:
+            continue
+        if Q is None:
+            P, Q = num, den
+        else:
+            _, q1, d1 = Q.cofactors(den)
+            P, Q = P * d1 + num * q1, Q * d1
+    if Q is None:
+        return not value
+    scale = Q.exact_quo(value.denom)
+    return scale is not None and P == value.numer * scale
 
 
 def _is_remainder_value(T, r):

@@ -16,10 +16,20 @@ is often several times the reduced size (310/223 terms against 46/43 on a
 level-3 factor of the nested tower), and every step multiplies by it.  The
 steps add over Henrici's denominators and differentiate over L*D*R, not
 L*D^2.  At level 0, Q(x), the polynomial part integrates by the power rule.
+
+Each step checks itself.  It needs B', and it divides A + j*B*U*V' by V;
+the division's remainder must be zero ("Hermite step does not
+reconstruct"), and with B' that proves A/(U*V^(j+1)) = (B/V^j)' +
+A_new/(U*V^j) exactly.  The chain of steps then proves f = g' + h for g
+the sum of the steps' pieces, which the reduction hands out as unreduced
+(B.num, B.den * V^j) pairs, uncancelled; the output check proves h
+simple.  A caller that needs g' has it as f - h, and never differentiates
+g (``decomp``).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .arith import (
@@ -44,26 +54,34 @@ def tower_derivative_unipoly(T, p: UniPoly, level) -> UniPoly:
 
 
 def hermite_reduce_proper_value(T, f, level):
-    """Raw-value Hermite reduction: f = diff(g) + h with h simple at level.
+    """Raw-value Hermite reduction: (pieces, h) with f = g' + h, h simple at
+    level and g the sum of the pieces, unreduced (numerator, denominator)
+    pairs, each checked where it is made.
 
     For level >= 1 the input must be proper at that level.  For level 0 any
-    element of Q(x) is accepted; its polynomial part is integrated by the
-    power rule.
+    element of Q(x) is accepted: its polynomial part integrates by the power
+    rule to P/k, P in Z[x] and k an integer, which is the first piece, and
+    the reduction runs on f - (P/k)', so that a wrong P leaves a polynomial
+    part that the output check rejects.
     """
     F = T.F
     if not f:
-        return F.zero, F.zero
+        return [], F.zero
     if level == 0:
         if not free_of(f, range(1, T.n + 1)):
             raise NotProper(0, "level-0 input must be free of all generators")
-        proper, poly = split_proper_poly(f, 0)
-        g = F.zero
-        x = T.gens[0]
-        # f lies in Q(x), so each coefficient c is a rational constant
-        for k, c in poly.coeffs.items():
-            g += c * x ** (k + 1) / (k + 1)
-        gp, h = _hermite_core(T, proper, 0)
-        return g + gp, h
+        _, poly = split_proper_poly(f, 0)
+        if poly.is_zero():
+            return _hermite_core(T, f, 0)
+        # f lies in Q(x), so poly.den is an integer and each coefficient of
+        # poly.num one too; x^(e+1)*K/(e+1) integrates x^e over K
+        K = math.lcm(*range(1, poly.degree + 2))
+        P = F.ring.zero
+        for e, c in poly.num.coeff_polys(0).items():
+            P += c.mul_gen(0, e + 1).mul_ground(K // (e + 1))
+        k = poly.den.mul_ground(K)
+        pieces, h = _hermite_core(T, f - F.new(P.diff(0), k), 0)
+        return [(P, k)] + pieces, h
     if improper_reason(T, f, level):
         raise NotProper(level)
     return _hermite_core(T, f, level)
@@ -73,32 +91,35 @@ def _hermite_core(T, f, level):
     """Reduction of a proper element; denominator multiplicities drop to 1.
 
     When Yun's first gcd finds the denominator squarefree in t_level, f is
-    its own output, (0, f): that gcd is the squarefree half of the output
+    its own output, ([], f): that gcd is the squarefree half of the output
     check, and ``improper_reason`` is the other half.  Otherwise the
     factors are stripped from the highest multiplicity down, so that the
     highest power leaves D before the other factors' U = D/V^m are formed.
+    Each step hands out its piece B/V^j as the pair (B.num, B.den * V^j).
     """
     F = T.F
     if not f:
-        return F.zero, F.zero
+        return [], F.zero
     A, D = UniPoly(F, level, f.numer), f.denom
     sqf = squarefree_decomposition(D, level)
     if sqf[-1][1] == 1:
         if improper_reason(T, f, level):
             raise InternalVerificationError("Hermite output is not proper")
-        return F.zero, f
+        return [], f
     prod = D.ring.one
     for V, m in sqf:
         prod *= V**m
     c = D.exact_quo(prod)
     if c is None or c.degree(level) > 0:
         raise InternalVerificationError("squarefree product mismatch")
-    g = F.zero
+    pieces = []
     for V, m in reversed(sqf):
         if m == 1:
             break
-        # A/(U*V^(j+1)) = (B/V^j)' + A_new/(U*V^j) when j*B*U*V' = -A (mod V),
-        # for j = m-1, ..., 1; one inverse of U*V' mod V serves every j
+        # A/(U*V^(j+1)) = (B/V^j)' + A_new/(U*V^j) with A_new = (A +
+        # j*B*U*V')/V - U*B', exactly when V divides A + j*B*U*V'; j*B*U*V'
+        # = -A (mod V) makes it so, for j = m-1, ..., 1, and one inverse of
+        # U*V' mod V serves every j
         U = UniPoly(F, level, D.exquo(V**m))
         Vu = UniPoly(F, level, V)
         UVd = U * tower_derivative_unipoly(T, Vu, level)
@@ -109,8 +130,10 @@ def _hermite_core(T, f, level):
             )
         for j in range(m - 1, 0, -1):
             B = (inv * (-(A % Vu))).scale(F.ground(Fraction(1, j))) % Vu
-            g += F.new(B.num, B.den * V**j)
-            A = (A + (B * UVd).scale(F.ground(j))) // Vu
+            pieces.append((B.num, B.den * V**j))
+            A = (A + (B * UVd).scale(F.ground(j))).exact_quo(Vu)
+            if A is None:
+                raise InternalVerificationError("Hermite step does not reconstruct")
             A = A - U * tower_derivative_unipoly(T, B, level)
         D = U.num * V
     h = F.new(A.num, A.den * D)
@@ -119,5 +142,4 @@ def _hermite_core(T, f, level):
         raise InternalVerificationError("Hermite output denominator not squarefree")
     if why:
         raise InternalVerificationError("Hermite output is not proper")
-    return g, h
-
+    return pieces, h

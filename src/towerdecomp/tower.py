@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import ClearedBasis, free_of, make_field, substitute
+from .arith import ClearedBasis, free_of, make_field, substitute, sum_pairs
 from .errors import (
     HeadMonomialNotOne,
     TowerDecompError,
     TowerNotSPrimitive,
     ZeroArgument,
 )
+from .polys import FracField
 
 LOG = "log"
 PRIM = "prim"
@@ -240,15 +241,16 @@ class TowerBuilder:
 
 class Tower:
     """An ordered primitive tower on the field F = Q(x, t_1, ..., t_n), with
-    F's names.  ``specs`` holds one (kind, payload) per generator of F:
-    (LOG, an argument) or (PRIM, a derivative).  An argument is a
-    FormalProduct or a lone base; every base and derivative is read by
-    ``_in_field``, so a value of another field is a TypeError.  Another
-    kind, or a list of another length, is a TowerDecompError.
+    F's names.  F that is not a FracField is a TypeError.  ``specs`` holds
+    one (kind, payload) per generator of F: (LOG, an argument) or (PRIM, a
+    derivative).  An argument is a FormalProduct or a lone base; every base
+    and derivative is read by ``_in_field``, so a value of another field is
+    a TypeError.  Another kind, or a list of another length, is a
+    TowerDecompError.
     :class:`TowerBuilder` builds the field and the specs together."""
 
     def __init__(self, F, specs):
-        self.n = n = F.ngens - 1
+        self.n = n = expect(F, FracField).ngens - 1
         if len(specs) != n:
             raise TowerDecompError(f"expected {n} generator declarations, got {len(specs)}")
         self.F = F
@@ -349,9 +351,9 @@ class Tower:
         """(N/D)' as an unreduced pair (num, den) over L*D*R, not L*D^2.
 
         With ``_quotient_rule``'s P and R, the pair is (P, L*D*R), equal to
-        (L*N'*D - N*L*D')/(L*D^2) as a fraction; its callers, the
-        reconstruction check and Hermite's steps, see D with repeated
-        factors, where R is about D's radical and L*D^2 far larger.  A
+        (L*N'*D - N*L*D')/(L*D^2) as a fraction; its caller, Hermite's
+        steps, sees D with repeated factors, where R is about D's radical
+        and L*D^2 far larger.  A
         ground D gives (L*N', L*D).  ``level`` is as for ``diff_pair``.
         """
         P, L, _, R = self._quotient_rule(N, D, level)
@@ -477,12 +479,13 @@ def normalize_generators(T: Tower):
         # a generator above level lvl in pi_lvl is a head monomial above 1
         if not all(free_of(p, range(lvl + 1, T.n + 1)) for lvl, p in enumerate(proj)):
             raise HeadMonomialNotOne(i)
-        g_total = h_total = F.zero
+        steps, h_total = [], F.zero
         for lvl, piece in enumerate(proj):
             if piece:
                 b, h = hermite_reduce_proper_value(T, piece, lvl)
-                g_total += b
+                steps += b
                 h_total += h
+        g_total = sum_pairs(F, steps)
         shifts.append((i, g_total))
         if g_total:
             specs = [(g.kind, g.argument if g.kind == LOG else g.derivative) for g in T.generators]

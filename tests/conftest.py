@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from towerdecomp import FormalProduct, TowerBuilder
-from towerdecomp.arith import substitute
+from towerdecomp.arith import substitute, sum_pairs
 from towerdecomp.polys import Poly
 
 # Property tests draw from a fixed derandomized stream, so that every run of
@@ -142,6 +142,13 @@ def assert_images_commute(T, N, images):
     the derivations on every generator."""
     for j, d in enumerate(T.derivs, start=1):
         assert N.diff(images[j]) == substitute(d, N.F, images)
+
+
+def summed(F, reduction):
+    """(g, h) from a Hermite reduction's (pieces, h), g the sum of the
+    pieces as one element of F."""
+    pieces, h = reduction
+    return sum_pairs(F, pieces), h
 
 
 def quotient_rule_pair(T, N, D, level=None):

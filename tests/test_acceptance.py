@@ -24,7 +24,7 @@ from towerdecomp.hermite import hermite_reduce_proper_value
 from towerdecomp.matryoshka import is_simple_value, level_pieces, order_key_value
 from towerdecomp.tower import normalize_generators
 
-from conftest import random_element, random_log_tower, random_s_primitive_tower
+from conftest import random_element, random_log_tower, random_s_primitive_tower, summed
 
 
 def _li_tower():
@@ -225,7 +225,7 @@ def test_criterion_09_hermite_reduction_reconstructs_inputs(rng):
         f = num / den
         if not f:
             continue
-        g, h = hermite_reduce_proper_value(T, f, level)
+        g, h = summed(T.F, hermite_reduce_proper_value(T, f, level))
         assert T.diff(g) + h == f
         if h:
             ok, why = is_simple_value(T, h)

@@ -94,6 +94,9 @@ ARGUMENT = {
     "is_well_generated": TOWER,
 }
 
+# the class of __all__ whose first argument goes through the same gate
+CONSTRUCTOR = {"Tower": "a FracField"}
+
 _BOUNDARY = {}
 
 
@@ -127,7 +130,7 @@ def test_every_public_function_has_its_argument_kind():
 
 
 @given(
-    name=st.sampled_from(sorted(ARGUMENT)),
+    name=st.sampled_from(sorted(ARGUMENT) + sorted(CONSTRUCTOR)),
     value=st.one_of(
         st.integers(),
         st.text(max_size=4),
@@ -141,10 +144,11 @@ def test_a_value_of_the_wrong_kind_is_a_type_error(name, value):
     element where a tower is, raises TypeError naming what it expected and
     returns no answer.  apply_homomorphism refuses each value as its
     embedding, and reads its element as ``E.source.element`` does, so an int
-    or an element of the source is valid there.  Draws that are valid
-    arguments are skipped."""
+    or an element of the source is valid there.  The ``Tower`` constructor
+    refuses each value as its field F.  Draws that are valid arguments are
+    skipped."""
     b = _boundary()
-    kind = ARGUMENT[name]
+    kind = ARGUMENT.get(name) or CONSTRUCTOR[name]
     is_element = isinstance(value, towerdecomp.TowerElement)
     if kind == ELEMENT:
         assume(not is_element)
@@ -157,6 +161,8 @@ def test_a_value_of_the_wrong_kind_is_a_type_error(name, value):
         source = is_element and value.tower is b["T"]
         assume(not (source or isinstance(value, (int, b["T"].F.dtype))))
         args, expected = (b["E"], value), "an element"
+    elif name in CONSTRUCTOR:
+        args, expected = (value, []), kind
     else:
         args, expected = (value,), kind
     with pytest.raises(TypeError, match="^expected " + expected):

@@ -71,7 +71,8 @@ def test_unipoly_divmod_and_gcd(F2):
     a = uni(t1**2 + (1 - x) * t1 - x)
     b = uni(t1 - x)
     assert (a % b).is_zero()
-    assert (a // b).to_frac() == t1 + 1
+    assert a.exact_quo(b).to_frac() == t1 + 1
+    assert uni(t1 + 2).exact_quo(b) is None
     g = unipoly_gcd(a, b)
     assert g.to_frac() == b.monic().to_frac()
 

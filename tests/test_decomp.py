@@ -4,9 +4,10 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from towerdecomp import (
+    Tower,
     TowerBuilder,
     TowerNotSPrimitive,
     add_decomp_in_field,
@@ -35,6 +36,7 @@ from conftest import (
     random_fraction,
     random_s_primitive_tower,
     seeds,
+    summed,
     u_tower,
 )
 
@@ -537,16 +539,21 @@ def test_no_whole_element_is_cancelled_in_a_pass(tower_li, tower_u, monkeypatch)
     assert len(seen) == 2 and not any(seen[1][:n])
 
 
-@pytest.mark.parametrize("which", ["g", "r", "g-over-a-power"])
+@pytest.mark.parametrize(
+    "which", ["g", "r", "g-over-a-power", "piece-over-a-higher-power", "update-off-by-a-term"]
+)
 def test_tampered_output_fails_the_reconstruction_check(which, monkeypatch):
     """On li, g + t1 keeps the denominator of g' and fails the product;
-    r + 1/(x+7) puts a factor into the denominator of f - r that the
-    denominator Q of g' lacks, so the exact division of Q by it fails.  On nested 1/(t3+x)^3, g's denominator D is
-    2*(t3+x)^2*Q^3, so g' is taken over L*D*R with R smaller than D, and
-    g + 1/(x+7)^2 brings a repeated factor of its own; it fails the product.
-    The tamper hooks ``sum_pairs``, which adds li's g from its pieces and
-    returns nested's g and every r, one canonical piece each, unchanged."""
-    if which == "g-over-a-power":
+    r + 1/(x+7) puts a factor into the denominator of g' + r that f lacks,
+    so the exact division fails.  On nested 1/(t3+x)^3, g's denominator D is
+    2*(t3+x)^2*Q^3, and g + 1/(x+7)^2 brings a repeated factor of its own.
+    These three hook ``sum_pairs`` at the sums of g and of r.  On the same
+    input, a Hermite piece B/(t3+x)^j moved over (t3+x)^(j+1) as the pass
+    sums its pieces leaves g unequal to the pieces that Hermite's steps
+    checked.  On li, a pass update short of its leading term leaves the
+    pieces of the next pass, and so g and r, apart from the derivatives
+    that the check sums, which never read the update."""
+    if which in ("g-over-a-power", "piece-over-a-higher-power"):
         T = nested_tower()
         x, t3 = T.gens[0], T.gens[3]
         f, extra = 1 / (t3 + x) ** 3, 1 / (x + 7) ** 2
@@ -554,26 +561,96 @@ def test_tampered_output_fails_the_reconstruction_check(which, monkeypatch):
         T = li_tower()
         x, t1, t2, t3 = T.gens
         f = 1 / (t1 * t2) + (t2 - 2 * x * t1) / t1**2 + t3
-        extra = {"g": t1, "r": 1 / (x + 7)}[which]
-    sums = []
+        extra = {"g": t1, "r": 1 / (x + 7)}.get(which)
+    sums, moved, updates = {}, [], []
 
     def tampered(F, pieces, _sum=decomp.sum_pairs):
-        # g's pieces are summed first, then r's; a lone canonical piece
-        # passes here too
-        sums.append(_sum(F, pieces))
-        return sums[-1] + (extra if "gr"[len(sums) - 1] == which[0] else 0)
+        caller = sys._getframe(1).f_locals
+        if which == "piece-over-a-higher-power" and pieces is caller["steps"] and not moved:
+            num, den = pieces[0]
+            moved.append(den)
+            pieces = [(num, den * (t3 + x).numer)] + pieces[1:]
+        total = _sum(F, pieces)
+        for name in ("g", "r"):
+            if pieces is caller[name + "_terms"]:
+                sums[name] = total
+                if which.startswith(name):
+                    total += extra
+        return total
+
+    def short_update(T, f, _pieces=decomp.level_pieces):
+        if isinstance(f, tuple) and which == "update-off-by-a-term":
+            num, den = f
+            updates.append(num)
+            f = (num - num.ring.dtype([max(num.items())]), den)
+        return _pieces(T, f)
 
     monkeypatch.setattr(decomp, "sum_pairs", tampered)
-    with pytest.raises(InternalVerificationError, match="does not reconstruct"):
+    monkeypatch.setattr(decomp, "level_pieces", short_update)
+    with pytest.raises(InternalVerificationError, match="^decomposition does not reconstruct input$"):
         add_decomp_in_field(T.element(f))
-    assert len(sums) == 2
+    assert set(sums) == {"g", "r"}
     if which == "r":
-        g, r = sums[0], sums[1] + extra
-        _, Q = T.diff_pair_radical(g.numer, g.denom)
-        assert Q.exact_quo((f - r).denom) is None
+        g, r = sums["g"], sums["r"] + extra
+        assert f.denom.exact_quo((T.diff(g) + r).denom) is None
     if which == "g-over-a-power":
-        D = sums[0].denom
+        D = sums["g"].denom
         assert D.cofactors(D.diff(3))[0].degree(3) == 1
+    if which == "piece-over-a-higher-power":
+        # the first piece is B/(t3+x)^2, over 2*(t3+x)^2*Q^3 as g is
+        assert moved and moved[0].exact_quo((t3 + x).numer ** 2) is not None
+    if which == "update-off-by-a-term":
+        # the first update, -x, loses its one term
+        assert updates[0] == -x.numer
+
+
+def _repeated_factor_input(T, rng):
+    """a*M/q^k plus a random element: q = t_i + c of multiplicity k in 2..3
+    at a random level i < n, c and a in K_(i-1), and M a monomial above 1
+    in the generators above t_i."""
+    F, n = T.F, T.n
+    i = rng.randint(0, n - 1)
+    lower = list(T.gens[:i]) + [F.one]
+    q = T.gens[i] + rng.choice(lower) * rng.randint(-2, 2) + rng.randint(1, 3)
+    a = rng.choice(lower) * rng.randint(1, 3) + rng.randint(-2, 2) or F.one
+    M = F.one
+    for j in rng.sample(range(i + 1, n + 1), rng.randint(1, n - i)):
+        M *= T.gens[j] ** rng.randint(1, 2)
+    return a * M / q ** rng.randint(2, 3) + random_element(T, rng)
+
+
+@settings(max_examples=10)
+@given(seed=seeds)
+def test_decomposition_reconstructs_by_differentiation(seed):
+    """The check proves g' + r = f piece by piece; differentiating the
+    assembled g, as the check did before, is the referee here.  Inputs
+    have a denominator factor of multiplicity 2-3 at some level and a head
+    monomial above 1, on the paper towers and a random S-primitive tower."""
+    rng = random.Random(seed)
+    towers = [li_tower(), nested_tower(), u_tower(), coupled_tower()]
+    for T in towers + [random_s_primitive_tower(rng, rng.randint(2, 3))]:
+        f = _repeated_factor_input(T, rng)
+        dec = add_decomp_in_field(T.element(f))
+        assert T.diff(dec.g.value) + dec.r.value == f
+
+
+def test_the_check_differentiates_no_assembled_g(tower_li, monkeypatch):
+    """On li, (t2 + x)/(t3^2 + t1*t3 + x)^3 is reduced by Hermite's steps,
+    which differentiate their pieces B over the radical; the decomposition
+    itself, its check included, makes no such call."""
+    T = tower_li
+    x, t1, t2, t3 = T.gens
+    callers = []
+    radical = Tower.diff_pair_radical
+
+    def counted(self, *args):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return radical(self, *args)
+
+    monkeypatch.setattr(Tower, "diff_pair_radical", counted)
+    add_decomp_in_field(T.element((t2 + x) / (t3**2 + t1 * t3 + x) ** 3))
+    assert callers and "towerdecomp.hermite" in callers
+    assert "towerdecomp.decomp" not in callers
 
 
 def test_a_wrong_solution_fails_the_solver_self_check(tower_li, monkeypatch):
@@ -603,16 +680,19 @@ def test_an_order_key_that_does_not_decrease_is_an_internal_error(tower_li, monk
 
 def test_readme_decomposition_cancel_count(tower_li, gcds):
     """The README decomposition cancels 14 times once the tower's caches are
-    warm: 11 in its passes, 4 for head coefficients and 7 in Hermite
-    reduction, two to sum g's three pieces, and one in the checks, for the
-    head coefficient the remainder test reads; r is one canonical piece at
-    the unit monomial, taken as it is.  The passes carry the element as its
-    level pieces and never cancel it whole.  A sum over two denominators is
-    Henrici's and runs no cancel: f - r in the reconstruction check and one
-    sum of g's pieces.  g' is never cancelled, and no rational constant is
-    cancelled on its way into the field.  It runs 27 gcds (``cofactors``),
-    those behind the cancels among them.  A check that canonicalizes more
-    fails here."""
+    warm: 4 for head coefficients in its passes; 4 in Hermite reduction, two
+    for the level-0 power rule's f - (P/k)' and two for the outputs h; 3
+    to sum each pass's one Hermite piece; 2 to sum g's pieces over their
+    two primitive denominators; and 1 in the checks, for the head
+    coefficient the remainder test reads.  r is one canonical piece at the
+    unit monomial, taken as it is, and Hermite hands its pieces out
+    uncancelled.  The passes carry the element as its level pieces and
+    never cancel it whole.  The reconstruction check adds unreduced pairs
+    over Henrici's lcm, one gcd per distinct primitive denominator after
+    the first (5 here, where differentiating g and forming f - r took 3),
+    and cancels nothing: g' is never formed.  It runs 29 gcds
+    (``cofactors``), those behind the cancels among them.  A check that
+    canonicalizes more fails here."""
     T = tower_li
     x, t1, t2, t3 = T.gens
     f = T.element(1 / (t1 * t2) + (t2 - 2 * x * t1) / t1**2 + t3)
@@ -620,7 +700,7 @@ def test_readme_decomposition_cancel_count(tower_li, gcds):
     gcds.clear()
     add_decomp_in_field(f)
     assert gcds["cancel"] == 14
-    assert gcds["cofactors"] == 27
+    assert gcds["cofactors"] == 29
 
 
 def _reference_is_remainder(T, r):
@@ -665,7 +745,7 @@ def _reference_decomp(T, f):
         span_basis = T.derivative_basis(m)
         B, H, absorbed, unabsorbed = F.zero, F.zero, [Fraction(0)] * m, []
         for i in sorted(hd.index_set):
-            b_i, h_i = decomp.hermite_reduce_proper_value(T, hd.hc_i[i], i)
+            b_i, h_i = summed(F, decomp.hermite_reduce_proper_value(T, hd.hc_i[i], i))
             B += b_i
             if not h_i:
                 continue

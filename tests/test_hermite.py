@@ -1,4 +1,3 @@
-import operator
 import random
 
 import pytest
@@ -26,12 +25,13 @@ from conftest import (
     quotient_rule_pair,
     random_s_primitive_tower,
     seeds,
+    summed,
     u_tower,
 )
 
 
 def _check(T, f, level):
-    g, h = hermite_reduce_proper_value(T, f, level)
+    g, h = summed(T.F, hermite_reduce_proper_value(T, f, level))
     assert T.diff(g) + h == f
     return g, h
 
@@ -86,7 +86,7 @@ def test_hermitian_part_splits_three_ways(tower_li):
     T = tower_li
     x, t1, t2, t3 = T.gens
     proper, poly = split_proper_poly(1 / t2**2 + t2, 2)
-    g, h = hermite_reduce_proper_value(T, proper, 2)
+    g, h = summed(T.F, hermite_reduce_proper_value(T, proper, 2))
     p = poly.to_frac()
     assert h == 1 / (x * t2)
     assert g == -t1 / t2
@@ -120,7 +120,7 @@ def test_random_reconstruction(tower_li, rng):
         f = num / den
         if not f:
             continue
-        g, h = hermite_reduce_proper_value(T, f, level)
+        g, h = summed(T.F, hermite_reduce_proper_value(T, f, level))
         assert T.diff(g) + h == f
         if h:
             ok, why = is_simple_value(T, h)
@@ -145,8 +145,8 @@ def test_squarefree_denominator_costs_one_gcd_and_returns_f(tower_li, gcds):
     ]
     for f, level in cases:
         gcds.clear()
-        g, h = _hermite_core(T, f, level)
-        assert not g and h is f
+        pieces, h = _hermite_core(T, f, level)
+        assert not pieces and h is f
         # the one gcd is Yun's gcd(D, dD/dt_level), found constant in t_level
         assert gcds == {"gcd": 1, "cofactors": 1}
 
@@ -180,14 +180,14 @@ def _quadratic_hermite_core(T, f, level):
         prod = UniPoly(F, level, F.ring.one)
         for fac, mult in sqf:
             prod = prod * _power(fac, mult)
-        unit = D // prod
-        assert (D % prod).is_zero() and unit.degree == 0
+        unit = D.exact_quo(prod)
+        assert unit is not None and unit.degree == 0
         A = A.scale(1 / unit.to_frac())
         D = prod
         if sqf[-1][1] <= 1:
             break
         V, m = sqf[-1]
-        U = D // _power(V, m)
+        U = D.exact_quo(_power(V, m))
         for j in range(m - 1, 0, -1):
             Vd = tower_derivative_unipoly(T, V, level)
             s = (U * Vd).scale(F.ground(j)) % V
@@ -195,7 +195,7 @@ def _quadratic_hermite_core(T, f, level):
             assert gg.degree == 0
             B = (sinv * (-(A % V))) % V
             g += F.new(B.num * V.den**j, B.den * V.num**j)
-            A = (A + (B * U * Vd).scale(F.ground(j))) // V
+            A = (A + (B * U * Vd).scale(F.ground(j))).exact_quo(V)
             A = A - U * tower_derivative_unipoly(T, B, level)
         D = U * V
         sqf = _monic_factors(D, level)
@@ -230,7 +230,7 @@ def test_linear_loop_matches_quadratic_reference(rng):
             f = None
             while f is None:
                 f = _repeated_proper(T, level, rng)
-            assert _hermite_core(T, f, level) == _quadratic_hermite_core(T, f, level)
+            assert summed(T.F, _hermite_core(T, f, level)) == _quadratic_hermite_core(T, f, level)
 
 
 _PAPER_TOWERS = []
@@ -280,7 +280,7 @@ def test_integer_factors_match_the_monic_reference(seed):
         f = None
         while f is None:
             f = _non_monic_repeated_proper(T, level, rng)
-        g, h = _hermite_core(T, f, level)
+        g, h = summed(T.F, _hermite_core(T, f, level))
         assert (g, h) == _quadratic_hermite_core(T, f, level)
         assert T.diff(g) + h == f
 
@@ -320,6 +320,36 @@ def test_repeated_factor_that_is_not_normal_is_rejected(tower_li, monkeypatch):
     monkeypatch.setattr(hermite, "tower_derivative_unipoly", lambda T, p, level: zero)
     with pytest.raises(InternalVerificationError, match="not normal"):
         _hermite_core(T, 1 / (t1 * (t1 + 1) ** 2), 1)
+
+
+def test_a_step_whose_piece_is_perturbed_is_rejected(tower_li, monkeypatch):
+    """Each step divides A + j*B*U*V' by V and keeps the remainder: with
+    the inverse of U*V' mod V off by one, B is -(x + 1) for 1/t1^2 in place
+    of -x, and 1 - (x + 1)/x leaves a remainder."""
+    t1 = tower_li.gens[1]
+
+    def off_by_one(a, b, _xgcd=unipoly_xgcd):
+        gg, inv = _xgcd(a, b)
+        return gg, inv + UniPoly(inv.F, inv.v, inv.den)
+
+    monkeypatch.setattr(hermite, "unipoly_xgcd", off_by_one)
+    with pytest.raises(InternalVerificationError, match="^Hermite step does not reconstruct$"):
+        hermite_reduce_proper_value(tower_li, 1 / t1**2, 1)
+
+
+def test_a_wrong_power_rule_leaves_an_improper_output(tower_li, monkeypatch):
+    """At level 0 the reduction runs on f - (P/k)', so a polynomial part
+    that the power rule integrates wrongly is left in the output: here the
+    part of x^2 + 1/x^2 is read as x^2 + 1, and 1/x^2 - 1 is not proper."""
+    x = tower_li.gens[0]
+
+    def plus_one(f, v, _split=split_proper_poly):
+        proper, poly = _split(f, v)
+        return proper, poly + UniPoly(poly.F, poly.v, poly.den)
+
+    monkeypatch.setattr(hermite, "split_proper_poly", plus_one)
+    with pytest.raises(InternalVerificationError, match="^Hermite output is not proper$"):
+        hermite_reduce_proper_value(tower_li, x**2 + 1 / x**2, 0)
 
 
 def test_a_wrong_squarefree_decomposition_is_rejected(tower_li, monkeypatch):
@@ -371,12 +401,17 @@ def test_division_reduces_only_the_part_it_returns(tower_li, gcds):
     a = UniPoly(T.F, 1, (t1**3 + x * t1 + 1).numer)
     # lc x: pseudo-division folds a power of x into both denominators
     b = UniPoly(T.F, 1, (x * t1 + 1).numer)
-    for op in [operator.mod, operator.floordiv]:
-        gcds.clear()
-        op(a, b)
-        assert gcds == {"cofactors": 1}
-    q, r = a // b, a % b
+    gcds.clear()
+    r = a % b
+    assert gcds == {"cofactors": 1}
+    c = a - r
+    gcds.clear()
+    q = c.exact_quo(b)
+    assert gcds == {"cofactors": 1}
     assert (q * b + r).to_frac() == a.to_frac()
+    # a nonzero remainder answers None before any gcd
+    gcds.clear()
+    assert a.exact_quo(b) is None and not gcds
 
 
 def test_inverse_is_reduced_before_the_products(monkeypatch, gcds):
@@ -385,8 +420,9 @@ def test_inverse_is_reduced_before_the_products(monkeypatch, gcds):
     extended gcd's sums leave at 310/223 terms over a reduced pair of
     46/43.  Every product by the inverse takes it in lowest terms, and the
     output is the earlier loop's.  On Yun's integer factors the reduction
-    makes 11 gcds; over monic factors, with the unit divided out of A, it
-    made 18."""
+    makes 10 gcds, and hands out its one piece uncancelled; it made 11 when
+    it cancelled the piece itself, and 18 over monic factors, with the unit
+    divided out of A."""
     T = nested_tower()
     x, t1, t2, t3 = T.gens
     f = T.diff(((5 * t3 - x**2 * t3**2) / (-2 * t3**2 + 2 * t2 * t3 + 5 * t2**2)))
@@ -406,9 +442,10 @@ def test_inverse_is_reduced_before_the_products(monkeypatch, gcds):
     monkeypatch.setattr(hermite, "unipoly_xgcd", xgcd)
     monkeypatch.setattr(UniPoly, "__mul__", mul)
     gcds.clear()
-    g, h = _hermite_core(T, proper, 3)
+    reduction = _hermite_core(T, proper, 3)
     monkeypatch.undo()
-    assert gcds["cofactors"] == 11
+    assert gcds["cofactors"] == 10
+    g, h = summed(T.F, reduction)
     assert len(inverses) == 1
     inv = inverses[0]
     used = [
