@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 parse, file or usage error, 2 validation error, 3
 internal verification failure or a heuristic gcd that found no evaluation
 point.  Every printed decomposition has been
-verified by exact differentiation, piece by piece, in
-``add_decomp_in_field`` before output.
+verified piece by piece in ``add_decomp_in_field`` before output, taking
+Hermite reduction's identity for its pieces as given.
 
 Every command runs one path: load the tower, validate it, read ``--expr``,
 run the command, emit its lines or its JSON payload.  A command that runs a

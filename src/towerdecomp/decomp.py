@@ -23,22 +23,24 @@ the term c_m/(d + 1) * t_m through by the lcm of their denominators and puts
 that integer into its one denominator, so g gains one pair per pass.
 
 Every result is checked exactly before it is returned, and g is never
-differentiated whole.  The reconstruction check proves g' + r = f from
-identities that the reduction already has.  Hermite's steps each proved
-their own (``hermite``), so the pieces b_i of a level's head coefficient
-hc_i satisfy b_i' = hc_i - h_i, and (b_i*M)' = (hc_i - h_i)*M + b_i*M',
-with M' from the ``Tower.diff_pair`` of M that the pass makes anyway.
-The solver's own self-check covers each h_i that the span absorbs.  Only
-the span terms (sum(c_j * t_j, j < m) + cc*t_m) * M and a level-0 power
-rule that is its level's only piece, each a polynomial over an integer,
+differentiated whole.  The reconstruction check takes Hermite reduction's
+identity hc_i = sum(b') + h_i, for the pieces b of a level's head
+coefficient hc_i, as given: Hermite checks that each of its steps lowers
+a multiplicity, not that its pieces differentiate to hc_i - h_i
+(``hermite``), and differentiating every piece to check that costs what
+differentiating g did.  So (b*M)' sums to (hc_i - h_i)*M + sum(b*M'),
+with M' from the ``Tower.diff_pair`` of M that the pass makes anyway.  The
+solver's own self-check covers each h_i that the span absorbs.  The span
+terms (sum(c_j * t_j, j < m) + cc*t_m) * M, a polynomial over an integer,
 are differentiated here, with no gcd.  The check then makes two
 comparisons, each of unreduced pairs against a canonical element
-(``_is_sum``): g against the pieces that Hermite and the span terms
-checked, a path apart from the ``sum_pairs`` that built g; and those
-pieces' derivatives plus r against f.  Each sums its pairs over Henrici's
-lcm and compares by one exact division and one product, with no cancel;
-a pass's update never enters them, so an update that is wrong leaves g
-and r apart from them.
+(``_is_sum``): g against its pieces, Hermite's and the span terms', a
+path apart from the ``sum_pairs`` that built g; and the pieces'
+derivatives plus r against f.  Each sums its pairs over Henrici's lcm and
+compares by one exact division and one product, with no cancel.  A pass's
+update never enters them, so a wrong update, span term or sum leaves g and
+r apart from them; a Hermite piece or h that is wrong together with the
+step that made it is not seen.
 
 The remainder test reads pi_n(r) and the head data of r - pi_n(r) from one
 level recursion on r.
@@ -163,10 +165,10 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
         unit = not any(M)
         Mpoly = R.term_new((0,) + M, 1)
         Mp, L = T.diff_pair(Mpoly)
-        mono = R.pack((0,) + M)
+        head_mono = R.pack((0,) + M)
 
         def times_M(p):
-            return p if unit else p.mul_monom(mono)
+            return p if unit else p.mul_monom(head_mono)
 
         span_basis = T.derivative_basis(m)
         steps = []  # the pass's Hermite pieces, all levels
@@ -182,22 +184,16 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
             hc_i = hd.hc_i[i]
             b_i, h_i = hermite_reduce_proper_value(T, hc_i, i)
             steps += b_i
-            for num, den in b_i:
-                g_parts.append((times_M(num), den))
-            if all(den.is_ground for _, den in b_i):
-                # the level-0 power rule alone, a polynomial over an
-                # integer, is differentiated here, as the span terms are
-                for num, den in b_i:
-                    dg_parts.append((T.diff_pair(times_M(num))[0], L * den))
-            else:
-                # Hermite proved b_i' = hc_i - h_i, so (b_i*M)' = (hc_i -
-                # h_i)*M + b_i*M'
+            if b_i:
+                # Hermite reduction gives hc_i = sum(b') + h_i, so the
+                # derivatives (b*M)' sum to (hc_i - h_i)*M + sum(b*M')
                 dg_parts.append((times_M(hc_i.numer), hc_i.denom))
                 if h_i:
                     dg_parts.append((-times_M(h_i.numer), h_i.denom))
+            for num, den in b_i:
+                g_parts.append((times_M(num), den))
                 if Mp:
-                    for num, den in b_i:
-                        dg_parts.append((num * Mp, den * L))
+                    dg_parts.append((num * Mp, den * L))
             if not h_i:
                 continue
             coeffs = solve_constant_combination_values(F, h_i, span_basis)
@@ -246,11 +242,11 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
         gnum = B.numer * k + span * B.denom  # (B + span/k) * Bden
         if gnum:
             # at the unit monomial with no span term, gnum/Bden is B itself
-            g_terms.append(B if unit and not span else (gnum.mul_monom(mono), Bden))
+            g_terms.append(B if unit and not span else (gnum.mul_monom(head_mono), Bden))
         if span:
             # the span terms are differentiated here, a polynomial over k
             kpoly = R.ground_new(k)
-            span = span.mul_monom(mono)
+            span = span.mul_monom(head_mono)
             g_parts.append((span, kpoly))
             dg_parts.append((T.diff_pair(span)[0], L * kpoly))
         # the head entries a*M leave, and the update's own pieces merge in:
@@ -284,15 +280,19 @@ def _is_sum(pairs, value):
     """Whether the unreduced (numerator, denominator) pairs sum to the
     canonical value.  The ``common_denominators`` of the pairs add to one
     pair P/Q over Henrici's lcm of their denominators, with no cancel, and a
-    zero numerator drops out.  value = A/B is coprime over Z, content
-    included, so P/Q = A/B exactly when B divides Q and P = A * (Q/B): one
-    exact division and one product, far smaller than P * B = A * Q."""
+    zero numerator drops out; where either denominator is one term, an
+    integer or a monomial, the two are multiplied, with no gcd.
+    value = A/B is coprime over Z, content included, so P/Q = A/B exactly
+    when B divides Q and P = A * (Q/B): one exact division and one product,
+    far smaller than P * B = A * Q."""
     P = Q = None
     for num, den in common_denominators(pairs):
         if not num:
             continue
         if Q is None:
             P, Q = num, den
+        elif len(Q) == 1 or len(den) == 1:
+            P, Q = P * den + num * Q, Q * den
         else:
             _, q1, d1 = Q.cofactors(den)
             P, Q = P * d1 + num * q1, Q * d1

@@ -17,14 +17,17 @@ level-3 factor of the nested tower), and every step multiplies by it.  The
 steps add over Henrici's denominators and differentiate over L*D*R, not
 L*D^2.  At level 0, Q(x), the polynomial part integrates by the power rule.
 
-Each step checks itself.  It needs B', and it divides A + j*B*U*V' by V;
-the division's remainder must be zero ("Hermite step does not
-reconstruct"), and with B' that proves A/(U*V^(j+1)) = (B/V^j)' +
-A_new/(U*V^j) exactly.  The chain of steps then proves f = g' + h for g
-the sum of the steps' pieces, which the reduction hands out as unreduced
-(B.num, B.den * V^j) pairs, uncancelled; the output check proves h
-simple.  A caller that needs g' has it as f - h, and never differentiates
-g (``decomp``).
+Each step checks that it lowers the multiplicity: it divides A +
+j*B*U*V' by V and raises "Hermite step does not reconstruct" unless the
+remainder is zero, which catches a wrong inverse of U*V' mod V.  The
+step's identity A/(U*V^(j+1)) = (B/V^j)' + A_new/(U*V^j), with A_new =
+(A + j*B*U*V')/V - U*B', holds for any B, given B' and the step's
+arithmetic, and nothing here re-derives it: the chain of steps gives f =
+g' + h for g the sum of the pieces, which the reduction hands out as
+unreduced (B.num, B.den * V^j) pairs, uncancelled.  At level 0 the power
+rule's (P/k)' is compared with the polynomial part exactly, and the
+output check proves h simple.  A piece recorded wrongly, or a wrong B',
+passes these checks; ``decomp`` takes the identity as given too.
 """
 
 from __future__ import annotations
@@ -56,13 +59,13 @@ def tower_derivative_unipoly(T, p: UniPoly, level) -> UniPoly:
 def hermite_reduce_proper_value(T, f, level):
     """Raw-value Hermite reduction: (pieces, h) with f = g' + h, h simple at
     level and g the sum of the pieces, unreduced (numerator, denominator)
-    pairs, each checked where it is made.
+    pairs.
 
     For level >= 1 the input must be proper at that level.  For level 0 any
-    element of Q(x) is accepted: its polynomial part integrates by the power
-    rule to P/k, P in Z[x] and k an integer, which is the first piece, and
-    the reduction runs on f - (P/k)', so that a wrong P leaves a polynomial
-    part that the output check rejects.
+    element of Q(x) is accepted: the reduction runs on its proper part, and
+    its polynomial part integrates by the power rule to P/k, P in Z[x] and
+    k an integer, the first piece, whose derivative must be that part
+    exactly.
     """
     F = T.F
     if not f:
@@ -70,17 +73,14 @@ def hermite_reduce_proper_value(T, f, level):
     if level == 0:
         if not free_of(f, range(1, T.n + 1)):
             raise NotProper(0, "level-0 input must be free of all generators")
-        _, poly = split_proper_poly(f, 0)
+        proper, poly = split_proper_poly(f, 0)
+        pieces, h = _hermite_core(T, proper, 0)
         if poly.is_zero():
-            return _hermite_core(T, f, 0)
-        # f lies in Q(x), so poly.den is an integer and each coefficient of
-        # poly.num one too; x^(e+1)*K/(e+1) integrates x^e over K
-        K = math.lcm(*range(1, poly.degree + 2))
-        P = F.ring.zero
-        for e, c in poly.num.coeff_polys(0).items():
-            P += c.mul_gen(0, e + 1).mul_ground(K // (e + 1))
-        k = poly.den.mul_ground(K)
-        pieces, h = _hermite_core(T, f - F.new(P.diff(0), k), 0)
+            return pieces, h
+        P, k = _power_rule(poly)
+        # (P/k)' = poly, compared as polynomials over their integers
+        if P.diff(0) * poly.den != poly.num * k:
+            raise InternalVerificationError("power rule does not reconstruct")
         return [(P, k)] + pieces, h
     if improper_reason(T, f, level):
         raise NotProper(level)
@@ -117,9 +117,9 @@ def _hermite_core(T, f, level):
         if m == 1:
             break
         # A/(U*V^(j+1)) = (B/V^j)' + A_new/(U*V^j) with A_new = (A +
-        # j*B*U*V')/V - U*B', exactly when V divides A + j*B*U*V'; j*B*U*V'
-        # = -A (mod V) makes it so, for j = m-1, ..., 1, and one inverse of
-        # U*V' mod V serves every j
+        # j*B*U*V')/V - U*B', a polynomial exactly when V divides A +
+        # j*B*U*V'; j*B*U*V' = -A (mod V) makes it so, for j = m-1, ..., 1,
+        # and one inverse of U*V' mod V serves every j
         U = UniPoly(F, level, D.exquo(V**m))
         Vu = UniPoly(F, level, V)
         UVd = U * tower_derivative_unipoly(T, Vu, level)
@@ -143,3 +143,14 @@ def _hermite_core(T, f, level):
     if why:
         raise InternalVerificationError("Hermite output is not proper")
     return pieces, h
+
+
+def _power_rule(poly):
+    """(P, k), P in Z[x] and k an integer, with P/k an antiderivative of
+    poly, a polynomial in x over an integer: with K = lcm(1, ..., deg + 1),
+    x^(e+1)*K/(e+1) integrates x^e over K."""
+    K = math.lcm(*range(1, poly.degree + 2))
+    P = poly.num.ring.zero
+    for e, c in poly.num.coeff_polys(0).items():
+        P += c.mul_gen(0, e + 1).mul_ground(K // (e + 1))
+    return P, poly.den.mul_ground(K)

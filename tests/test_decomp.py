@@ -549,8 +549,8 @@ def test_tampered_output_fails_the_reconstruction_check(which, monkeypatch):
     2*(t3+x)^2*Q^3, and g + 1/(x+7)^2 brings a repeated factor of its own.
     These three hook ``sum_pairs`` at the sums of g and of r.  On the same
     input, a Hermite piece B/(t3+x)^j moved over (t3+x)^(j+1) as the pass
-    sums its pieces leaves g unequal to the pieces that Hermite's steps
-    checked.  On li, a pass update short of its leading term leaves the
+    sums its pieces leaves g unequal to the pieces that the check sums.
+    On li, a pass update short of its leading term leaves the
     pieces of the next pass, and so g and r, apart from the derivatives
     that the check sums, which never read the update."""
     if which in ("g-over-a-power", "piece-over-a-higher-power"):
@@ -622,8 +622,9 @@ def _repeated_factor_input(T, rng):
 @settings(max_examples=10)
 @given(seed=seeds)
 def test_decomposition_reconstructs_by_differentiation(seed):
-    """The check proves g' + r = f piece by piece; differentiating the
-    assembled g, as the check did before, is the referee here.  Inputs
+    """The check proves g' + r = f piece by piece, Hermite's identity
+    taken as given; differentiating the assembled g, as the check did
+    before, is the referee here, of Hermite reduction too.  Inputs
     have a denominator factor of multiplicity 2-3 at some level and a head
     monomial above 1, on the paper towers and a random S-primitive tower."""
     rng = random.Random(seed)
@@ -636,7 +637,7 @@ def test_decomposition_reconstructs_by_differentiation(seed):
 
 def test_the_check_differentiates_no_assembled_g(tower_li, monkeypatch):
     """On li, (t2 + x)/(t3^2 + t1*t3 + x)^3 is reduced by Hermite's steps,
-    which differentiate their pieces B over the radical; the decomposition
+    which differentiate their B over the radical; the decomposition
     itself, its check included, makes no such call."""
     T = tower_li
     x, t1, t2, t3 = T.gens
@@ -679,28 +680,29 @@ def test_an_order_key_that_does_not_decrease_is_an_internal_error(tower_li, monk
 
 
 def test_readme_decomposition_cancel_count(tower_li, gcds):
-    """The README decomposition cancels 14 times once the tower's caches are
-    warm: 4 for head coefficients in its passes; 4 in Hermite reduction, two
-    for the level-0 power rule's f - (P/k)' and two for the outputs h; 3
-    to sum each pass's one Hermite piece; 2 to sum g's pieces over their
-    two primitive denominators; and 1 in the checks, for the head
-    coefficient the remainder test reads.  r is one canonical piece at the
-    unit monomial, taken as it is, and Hermite hands its pieces out
-    uncancelled.  The passes carry the element as its level pieces and
-    never cancel it whole.  The reconstruction check adds unreduced pairs
-    over Henrici's lcm, one gcd per distinct primitive denominator after
-    the first (5 here, where differentiating g and forming f - r took 3),
-    and cancels nothing: g' is never formed.  It runs 29 gcds
-    (``cofactors``), those behind the cancels among them.  A check that
-    canonicalizes more fails here."""
+    """The README decomposition cancels 12 times once the tower's caches are
+    warm: 4 for head coefficients in its passes; 2 in Hermite reduction,
+    for the outputs h, which hands its pieces out uncancelled and
+    integrates the level-0 polynomial part in Z[x]; 3 to sum each pass's
+    one Hermite piece; 2 to sum g's pieces over their two primitive
+    denominators; and 1 in the checks, for the head coefficient the
+    remainder test reads.  r is one canonical piece at the unit monomial,
+    taken as it is.  The passes carry the element as its level pieces and
+    never cancel it whole.  The reconstruction check adds unreduced pairs,
+    over Henrici's lcm for denominators of more than one term, and cancels
+    nothing: g' is never formed.  Here every denominator it meets is an
+    integer or a monomial, so it runs no gcd at all, where differentiating
+    g and forming f - r took 3.  It runs 24 gcds (``cofactors``), those
+    behind the cancels among them.  A check that canonicalizes more fails
+    here."""
     T = tower_li
     x, t1, t2, t3 = T.gens
     f = T.element(1 / (t1 * t2) + (t2 - 2 * x * t1) / t1**2 + t3)
     add_decomp_in_field(f)
     gcds.clear()
     add_decomp_in_field(f)
-    assert gcds["cancel"] == 14
-    assert gcds["cofactors"] == 29
+    assert gcds["cancel"] == 12
+    assert gcds["cofactors"] == 24
 
 
 def _reference_is_remainder(T, r):

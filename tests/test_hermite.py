@@ -337,19 +337,19 @@ def test_a_step_whose_piece_is_perturbed_is_rejected(tower_li, monkeypatch):
         hermite_reduce_proper_value(tower_li, 1 / t1**2, 1)
 
 
-def test_a_wrong_power_rule_leaves_an_improper_output(tower_li, monkeypatch):
-    """At level 0 the reduction runs on f - (P/k)', so a polynomial part
-    that the power rule integrates wrongly is left in the output: here the
-    part of x^2 + 1/x^2 is read as x^2 + 1, and 1/x^2 - 1 is not proper."""
+def test_a_wrong_power_rule_is_rejected(tower_li, monkeypatch):
+    """At level 0 the power rule's P/k must differentiate to the polynomial
+    part exactly: x^3/3 + x, the antiderivative of x^2 + 1 in 1/x^2 + x^2 + 1,
+    read as x^3/3 + 2*x, is not."""
     x = tower_li.gens[0]
 
-    def plus_one(f, v, _split=split_proper_poly):
-        proper, poly = _split(f, v)
-        return proper, poly + UniPoly(poly.F, poly.v, poly.den)
+    def plus_x(poly, _rule=hermite._power_rule):
+        P, k = _rule(poly)
+        return P + x.numer.mul_ground(k.LC), k
 
-    monkeypatch.setattr(hermite, "split_proper_poly", plus_one)
-    with pytest.raises(InternalVerificationError, match="^Hermite output is not proper$"):
-        hermite_reduce_proper_value(tower_li, x**2 + 1 / x**2, 0)
+    monkeypatch.setattr(hermite, "_power_rule", plus_x)
+    with pytest.raises(InternalVerificationError, match="^power rule does not reconstruct$"):
+        hermite_reduce_proper_value(tower_li, 1 / x**2 + x**2 + 1, 0)
 
 
 def test_a_wrong_squarefree_decomposition_is_rejected(tower_li, monkeypatch):
