@@ -31,7 +31,8 @@ others, held as one fraction: a ring polynomial ``num`` over a ring polynomial
 power of the divisor's leading coefficient folded into the denominator.  One
 ``gcd`` reduces each pair that a division, ``monic`` or product returns,
 never per coefficient; ``%`` and ``exact_quo`` reduce only the part they
-return, and ``exact_quo`` returns None for a nonzero remainder.
+return, ``exact_quo`` returns None for a nonzero remainder, and ``mulmod``
+reduces a product modulo a divisor once, after the division.
 Every gcd is the ring's heuristic gcd (``Poly.gcd`` and ``cofactors``), with
 exact divisions: the monic gcd over the coefficient field is the gcd of the
 numerators made monic, Yun's squarefree decomposition runs on a ring
@@ -46,7 +47,9 @@ on the numerators by pseudo-division, which carries only the cofactor of
 its first argument and reduces it with one gcd at the end.  Canonical
 field elements are built only for outputs, one ``F.new`` each:
 ``UniPoly.coeffs`` and ``to_frac`` and the proper part of
-``split_proper_poly``.
+``split_proper_poly``, which is f itself, with no cancel, when f is
+proper already.  ``sum_pairs`` cancels only what it must: an element that
+a producer has proven canonical (``coprime_element``) is kept.
 """
 
 from __future__ import annotations
@@ -213,6 +216,15 @@ class UniPoly:
             return self
         return self._new(*_reduce(*self._divide(other)[1]))
 
+    def mulmod(self, other, mod):
+        """self*other modulo mod, in lowest terms: the product is left
+        unreduced, and one gcd reduces the remainder, or the product when
+        its degree is already below mod's."""
+        prod = self._new(self.num * other.num, self.den * other.den)
+        if prod.degree < mod.degree:
+            return self._new(*_reduce(prod.num, prod.den))
+        return self._new(*_reduce(*prod._divide(mod)[1]))
+
     def monic(self):
         if self.is_zero():
             return self
@@ -225,33 +237,48 @@ class UniPoly:
 
 def sum_pairs(F, pieces):
     """The sum of pieces, unreduced (numerator, denominator) polynomial
-    pairs or canonical elements of F, as one element of F.  A lone element
-    is the sum as it is, with no cancel, and a lone pair costs one
-    ``F.new``.  Otherwise each pair of ``common_denominators`` costs one."""
-    pieces = list(pieces)
-    if len(pieces) == 1:
-        piece = pieces[0]
-        return piece if isinstance(piece, F.dtype) else F.new(*piece)
+    pairs or canonical elements of F, as one element of F.  Each sum of
+    ``common_denominators`` that is more than one piece costs one
+    ``F.new``, and so does a lone pair; a canonical element alone at its
+    primitive denominator is kept as it is, with no cancel.  Producers hand
+    in an element where a cheap proof makes it canonical
+    (``coprime_element``): ``hermite``'s pieces B/V^j, once gcd(B.num, V) =
+    1, and the power rule's P/k, once gcd(content(P), k) = 1; ``decomp``'s
+    r terms H*M, whose denominator is free of M's generators; and its g
+    terms, once the integer gcd of their contents is divided out."""
     total = F.zero
-    for num, den in common_denominators(
-        (p.numer, p.denom) if isinstance(p, F.dtype) else p for p in pieces
-    ):
-        total += F.new(num, den)
+    for piece in common_denominators(pieces):
+        total += F.new(*piece) if isinstance(piece, tuple) else piece
     return total
 
 
-def common_denominators(pairs):
-    """(numerator, denominator) pairs with the same sum, one per distinct
-    primitive part of the denominators: numerators over the lcm of their
-    integer contents add as polynomials, with no gcd.  A pair alone at its
-    primitive part is passed on as it is."""
+def coprime_element(F, num, den):
+    """num/den as an element of F with no gcd, for num and den that the
+    caller has proven coprime over Z: only the sign is fixed, so that the
+    denominator's leading coefficient is positive."""
+    return F.raw_new(-num, -den) if den.LC < 0 else F.raw_new(num, den)
+
+
+def as_pair(piece):
+    """(numerator, denominator) of a piece: a pair as it is, or the pair of
+    a field element."""
+    return piece if isinstance(piece, tuple) else (piece.numer, piece.denom)
+
+
+def common_denominators(pieces):
+    """Pieces with the same sum, one per distinct primitive part of the
+    denominators: numerators over the lcm of their integer contents add as
+    polynomials, with no gcd, into one (numerator, denominator) pair.  A
+    piece alone at its primitive part, a pair or a field element, is passed
+    on as it is."""
     groups = {}
-    for num, den in pairs:
+    for piece in pieces:
+        num, den = as_pair(piece)
         content, prim = den.primitive()
-        groups.setdefault(prim, []).append((num, content, den))
+        groups.setdefault(prim, []).append((num, content, piece))
     for prim, terms in groups.items():
         if len(terms) == 1:
-            yield terms[0][0], terms[0][2]
+            yield terms[0][2]
             continue
         k = math.lcm(*(c for _, c, _ in terms))
         num = prim.ring.zero
@@ -266,12 +293,15 @@ def split_proper_poly(f, v):
     ``proper`` is a field element whose numerator degree in v is below its
     denominator degree; ``poly`` is a UniPoly in v over the remaining
     variables.  One pseudo-division L*N = Q*D + R of f = N/D gives
-    proper = R/(L*D) and poly = Q/L; when D is free of v, poly = N/D.
+    proper = R/(L*D) and poly = Q/L; when D is free of v, poly = N/D, and
+    when f is proper already, proper is f itself, with no cancel.
     """
     F = f.field
     N, D = f.numer, f.denom
     if D.degree(v) <= 0:
         return F.zero, UniPoly(F, v, N, D)
+    if N.degree(v) < D.degree(v):
+        return f, UniPoly(F, v, N.ring.zero)
     Q, R, L = pseudo_divmod(N, D, v)
     proper = F.new(R, L * D) if R else F.zero
     return proper, UniPoly(F, v, Q, L)

@@ -71,41 +71,38 @@ def _load_tower(args, out):
     return tower, read
 
 
-def _render(value, T, latex=False):
-    return (render_latex if latex else render_expression)(value, T.names)
+def _render(value, T, latex):
+    """(shown, text): the value as its output line shows it, LaTeX or plain
+    text, and as plain text for ``--json``; without LaTeX both are the one
+    rendering."""
+    text = render_expression(value, T.names)
+    return (render_latex(value, T.names) if latex else text), text
 
 
 def _decomp(T, f, args, read):
     dec = add_decomp_in_field(f)
     integrable = not dec.r
-    lines = [
-        f"g = {_render(dec.g.value, T, args.as_latex)}",
-        f"r = {_render(dec.r.value, T, args.as_latex)}",
-        f"integrable: {'yes' if integrable else 'no'}",
-    ]
-    return lines, {
-        "g": render_expression(dec.g.value, T.names),
-        "r": render_expression(dec.r.value, T.names),
-        "integrable": integrable,
-        "verified": True,
-    }
+    g_shown, g = _render(dec.g.value, T, args.as_latex)
+    r_shown, r = _render(dec.r.value, T, args.as_latex)
+    lines = [f"g = {g_shown}", f"r = {r_shown}"]
+    lines.append(f"integrable: {'yes' if integrable else 'no'}")
+    return lines, {"g": g, "r": r, "integrable": integrable, "verified": True}
 
 
 def _integrate(T, f, args, read):
     res = integrate_in_field(f)
+    integral = None
     if res.integrable:
-        lines = [f"integral = {_render(res.antiderivative.value, T, args.as_latex)}"]
+        g_shown, integral = _render(res.antiderivative.value, T, args.as_latex)
+        lines = [f"integral = {g_shown}"]
+        remainder = "0"
     else:
-        lines = [
-            "not integrable in the tower",
-            f"remainder = {_render(res.certificate.value, T, args.as_latex)}",
-        ]
+        r_shown, remainder = _render(res.certificate.value, T, args.as_latex)
+        lines = ["not integrable in the tower", f"remainder = {r_shown}"]
     return lines, {
         "integrable": res.integrable,
-        "integral": render_expression(res.antiderivative.value, T.names)
-        if res.integrable
-        else None,
-        "remainder": render_expression(res.certificate.value, T.names),
+        "integral": integral,
+        "remainder": remainder,
         "verified": True,
     }
 
@@ -121,16 +118,16 @@ def _elementary(T, f, args, read):
             if c:
                 lines.append(f"  {c} * {T.names[j + 1]}")
         for c, arg in verdict.witness:
-            lines.append(f"  {c} * log({_render(arg.value, T, args.as_latex)})")
-            witness.append(
-                {"coefficient": str(c), "argument": render_expression(arg.value, T.names)}
-            )
+            shown, text = _render(arg.value, T, args.as_latex)
+            lines.append(f"  {c} * log({shown})")
+            witness.append({"coefficient": str(c), "argument": text})
     elif verdict.reason:
         lines.append(f"reason: {verdict.reason}")
         if verdict.certificate is not None:
+            render = render_latex if args.as_latex else render_expression
             lines.append(
                 "certificate (non-constant residue): "
-                f"{_render(verdict.certificate.value, T, args.as_latex)}"
+                f"{render(verdict.certificate.value, T.names)}"
             )
     return lines, {
         "status": verdict.status,
@@ -181,14 +178,15 @@ def _embed(T, f, args, read):
         )
         image = apply_homomorphism(emb, f)
         dec = add_decomp_in_field(image)
-        lines.append(f"phi(f) = {_render(image.value, tgt, args.as_latex)}")
-        lines.append(f"g = {_render(dec.g.value, tgt, args.as_latex)}")
-        lines.append(f"r = {_render(dec.r.value, tgt, args.as_latex)}")
+        image_shown, image_text = _render(image.value, tgt, args.as_latex)
+        g_shown, g = _render(dec.g.value, tgt, args.as_latex)
+        r_shown, r = _render(dec.r.value, tgt, args.as_latex)
+        lines += [f"phi(f) = {image_shown}", f"g = {g_shown}", f"r = {r_shown}"]
         fields.update(
             input=render_expression(f.value, normalized.names),
-            image=render_expression(image.value, tgt.names),
-            g=render_expression(dec.g.value, tgt.names),
-            r=render_expression(dec.r.value, tgt.names),
+            image=image_text,
+            g=g,
+            r=r,
             verified=True,
         )
     return lines, fields
@@ -204,7 +202,8 @@ def _matrix(T, f, args, read):
     rows = [[render_expression(v, T.names) for v in row] for row in cells]
     if not args.as_latex:
         return ["[ " + ", ".join(row) + " ]" for row in rows], {"matrix": rows}
-    body = " \\\\\n".join(" & ".join(_render(v, T, True) for v in row) for row in cells)
+    latex = [[render_latex(v, T.names) for v in row] for row in cells]
+    body = " \\\\\n".join(" & ".join(row) for row in latex)
     return [f"\\begin{{pmatrix}}\n{body}\n\\end{{pmatrix}}"], {"matrix": rows}
 
 

@@ -12,15 +12,26 @@ head entries and merges in the pieces of its update, one polynomial pair
 over one denominator, with no cancel.  g and r collect pieces and become
 field elements once, each by one ``arith.sum_pairs``, before the
 self-checks.  A pass sums its Hermite pieces, all levels, into its
-Hermite part B with one ``sum_pairs``.  A piece of g or r is a
-(numerator, denominator) pair, or, from a pass at the unit monomial with
-no span term, B or the remainder as the canonical element it is;
-``sum_pairs`` returns a lone element unchanged, so it is not cancelled
-again.  The span coefficients c_j that a pass absorbs are
-rational constants, but the field's polynomials have integer
-coefficients: the pass multiplies the absorbed sum(c_j * t_j) and
-the term c_m/(d + 1) * t_m through by the lcm of their denominators and puts
-that integer into its one denominator, so g gains one pair per pass.
+Hermite part B with one ``sum_pairs``.  The span coefficients c_j that a
+pass absorbs are rational constants, but the field's polynomials have
+integer coefficients: the pass multiplies the absorbed sum(c_j * t_j) and
+the term c_m/(d + 1) * t_m through by the lcm k of their denominators and
+puts that integer into its one denominator, so g gains one term per pass.
+
+No gcd runs whose answer is already known.  ``sum_pairs`` keeps a
+canonical element alone at its primitive denominator, and each term of g
+and r is one by a proof in place of a cancel.  A pass's g term is
+gnum*M/(B.denom*k) with gnum = B.numer*k + span*B.denom: B is canonical,
+so a factor of B.denom that divides gnum divides B.numer*k, and only an
+integer can, and B.denom is free of M's generators; so only the integer
+gcd of the contents is divided out.  A pass's r term is H*M over H.denom,
+with no gcd, as H is canonical and H.denom free of M's generators.
+Hermite's pieces come as canonical elements where its own proofs hold,
+and a head coefficient that is f's own pair is taken as it is
+(``matryoshka.piece_value``).  The remainder test reads Hermite's
+gcd(D, dD/dt_i) for a projection of r that is the very h Hermite returned
+at that level in this call, so no element is tested for squarefreeness
+twice.
 
 Every result is checked exactly before it is returned, and g is never
 differentiated whole.  The reconstruction check takes Hermite reduction's
@@ -51,7 +62,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import ClearedBasis, common_denominators, solve_linear_system, sum_pairs
+from .arith import (
+    ClearedBasis,
+    as_pair,
+    common_denominators,
+    solve_linear_system,
+    sum_pairs,
+)
 from .errors import InternalVerificationError
 from .hermite import hermite_reduce_proper_value
 from .matryoshka import (
@@ -152,6 +169,7 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
     r_terms = []
     g_parts = []  # g as its checked pieces, and g' piece by piece
     dg_parts = []
+    simple = []  # (level, h): Hermite's outputs, each proven simple at its level
     prev_key = None
     while any(pieces):
         key = order_key_value(T, pieces)
@@ -184,13 +202,15 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
             hc_i = hd.hc_i[i]
             b_i, h_i = hermite_reduce_proper_value(T, hc_i, i)
             steps += b_i
+            if h_i:
+                simple.append((i, h_i))
             if b_i:
                 # Hermite reduction gives hc_i = sum(b') + h_i, so the
                 # derivatives (b*M)' sum to (hc_i - h_i)*M + sum(b*M')
                 dg_parts.append((times_M(hc_i.numer), hc_i.denom))
                 if h_i:
                     dg_parts.append((-times_M(h_i.numer), h_i.denom))
-            for num, den in b_i:
+            for num, den in map(as_pair, b_i):
                 g_parts.append((times_M(num), den))
                 if Mp:
                     dg_parts.append((num * Mp, den * L))
@@ -240,9 +260,14 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
             rest += B.denom.mul_ground(cck) * tm ** (d + 1) * Np
             span += tm.mul_ground(cck)
         gnum = B.numer * k + span * B.denom  # (B + span/k) * Bden
-        if gnum:
-            # at the unit monomial with no span term, gnum/Bden is B itself
-            g_terms.append(B if unit and not span else (gnum.mul_monom(head_mono), Bden))
+        if gnum and unit and not span:
+            g_terms.append(B)  # gnum/Bden is B itself
+        elif gnum:
+            # gnum*M and Bden share only an integer, B being canonical
+            c = math.gcd(gnum.content(), Bden.content())
+            g_terms.append(
+                F.raw_new(gnum.mul_monom(head_mono).quo_ground(c), Bden.quo_ground(c))
+            )
         if span:
             # the span terms are differentiated here, a polynomial over k
             kpoly = R.ground_new(k)
@@ -262,7 +287,8 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
                     elif num := old[0] * ud + un * old[1]:
                         level[mono] = (num, old[1] * ud)
         if H:
-            r_terms.append(H if unit else (H.numer * Mpoly, H.denom))
+            # canonical, as H is and H.denom is free of M's generators
+            r_terms.append(H if unit else F.raw_new(times_M(H.numer), H.denom))
     g = sum_pairs(F, g_terms)
     r = sum_pairs(F, r_terms)
     # g is the sum of the pieces that Hermite's steps and the span terms
@@ -270,7 +296,7 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
     dg_parts.append((r.numer, r.denom))
     if not (_is_sum(g_parts, g) and _is_sum(dg_parts, f.value)):
         raise InternalVerificationError("decomposition does not reconstruct input")
-    ok, why = _is_remainder_value(T, r)
+    ok, why = _is_remainder_value(T, r, simple)
     if not ok:
         raise InternalVerificationError(f"output fails the remainder test: {why}")
     return Decomposition(TowerElement(g, T), TowerElement(r, T), f)
@@ -302,12 +328,23 @@ def _is_sum(pairs, value):
     return scale is not None and P == value.numer * scale
 
 
-def _is_remainder_value(T, r):
+def _is_remainder_value(T, r, simple=()):
     """(ok, reason): whether r is already minimal modulo derivatives.
 
     One level recursion serves both reads: pi_n(r) is the single level-n
-    piece, and the levels below n are the pieces of r - pi_n(r).
+    piece, and the levels below n are the pieces of r - pi_n(r).  ``simple``
+    holds (level, h) pairs of elements already proven simple at their level,
+    Hermite's outputs in the decomposition that made r: a projection that is
+    one of them, the same numerator and denominator objects, is not tested
+    for squarefreeness again.
     """
+
+    def reason(c, i):
+        for level, h in simple:
+            if level == i and c.numer is h.numer and c.denom is h.denom:
+                return ""
+        return not_simple_reason(T, c, i)
+
     if not r:
         return True, ""
     n = T.n
@@ -319,7 +356,7 @@ def _is_remainder_value(T, r):
         pi_n = T.F.new(*top) if top else T.F.zero
     # pi_n(r) is its own only projection, and the head coefficient's
     # projections are its per-level parts hc_i
-    why = not_simple_reason(T, pi_n, n)
+    why = reason(pi_n, n)
     if why:
         return False, f"top projection not simple: projection {n} {why}"
     # pi_n(r) holds only the unit monomial, the lowest, so hm(r - pi_n(r))
@@ -328,7 +365,7 @@ def _is_remainder_value(T, r):
     if head.hm is None:
         return True, ""
     for i, c in sorted(head.hc_i.items()):
-        why = not_simple_reason(T, c, i)
+        why = reason(c, i)
         if why:
             return False, f"head coefficient not simple: projection {i} {why}"
     hc = T.F.zero

@@ -137,14 +137,17 @@ def _quotient(F, num, factors):
     factor at a time: with num/den in lowest terms and h = gcd(num, c),
     num/h is coprime to den and to c/h, so num/h over den*(c/h) is in lowest
     terms again, each gcd against one factor and not against the product.
-    The first quotient is a rational constant, read off the leading
-    coefficients with no gcd, when num is a constant multiple of the first
-    factor."""
+    The first quotient runs no gcd when it is a rational constant, read off
+    the leading coefficients when num is a constant multiple of the first
+    factor, or a polynomial, when one exact division by that factor
+    succeeds."""
     den = factors[0]
     a, b = den.LC, num.LC
     if num.mul_ground(a) == den.mul_ground(b):
         q = F.ground(Fraction(b, a))
         num, den = q.numer, q.denom
+    elif (q := num.exact_quo(den)) is not None:
+        num, den = q, num.ring.one
     else:
         num, den = num.cancel(den)
     for c in factors[1:]:

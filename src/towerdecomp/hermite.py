@@ -17,14 +17,23 @@ level-3 factor of the nested tower), and every step multiplies by it.  The
 steps add over Henrici's denominators and differentiate over L*D*R, not
 L*D^2.  At level 0, Q(x), the polynomial part integrates by the power rule.
 
+No piece is cancelled that a cheap proof shows canonical.  A step's B is
+the inverse times -A/j modulo V, whose product is left unreduced and
+reduced once, with its remainder (``UniPoly.mulmod``), so B is in lowest
+terms; the piece B/V^j is then in lowest terms exactly when gcd(B.num, V)
+= 1, a gcd against V's few terms in place of a cancel against
+B.den * V^j, and it is handed out as a canonical element.  The power
+rule's P/k, P in Z[x] and k an integer, is canonical when gcd(content(P),
+k) = 1, an integer gcd.  Where either proof fails, the piece is handed out
+as its unreduced pair, which ``sum_pairs`` cancels as before.
+
 Each step checks that it lowers the multiplicity: it divides A +
 j*B*U*V' by V and raises "Hermite step does not reconstruct" unless the
 remainder is zero, which catches a wrong inverse of U*V' mod V.  The
 step's identity A/(U*V^(j+1)) = (B/V^j)' + A_new/(U*V^j), with A_new =
 (A + j*B*U*V')/V - U*B', holds for any B, given B' and the step's
 arithmetic, and nothing here re-derives it: the chain of steps gives f =
-g' + h for g the sum of the pieces, which the reduction hands out as
-unreduced (B.num, B.den * V^j) pairs, uncancelled.  At level 0 the power
+g' + h for g the sum of the pieces.  At level 0 the power
 rule's (P/k)' is compared with the polynomial part exactly, and the
 output check proves h simple.  A piece recorded wrongly, or a wrong B',
 passes these checks; ``decomp`` takes the identity as given too.
@@ -37,6 +46,7 @@ from fractions import Fraction
 
 from .arith import (
     UniPoly,
+    coprime_element,
     free_of,
     split_proper_poly,
     squarefree_decomposition,
@@ -58,8 +68,8 @@ def tower_derivative_unipoly(T, p: UniPoly, level) -> UniPoly:
 
 def hermite_reduce_proper_value(T, f, level):
     """Raw-value Hermite reduction: (pieces, h) with f = g' + h, h simple at
-    level and g the sum of the pieces, unreduced (numerator, denominator)
-    pairs.
+    level and g the sum of the pieces, each a canonical element or an
+    unreduced (numerator, denominator) pair.
 
     For level >= 1 the input must be proper at that level.  For level 0 any
     element of Q(x) is accepted: the reduction runs on its proper part, and
@@ -81,7 +91,9 @@ def hermite_reduce_proper_value(T, f, level):
         # (P/k)' = poly, compared as polynomials over their integers
         if P.diff(0) * poly.den != poly.num * k:
             raise InternalVerificationError("power rule does not reconstruct")
-        return [(P, k)] + pieces, h
+        # P is in Z[x] and k an integer: they are coprime when their contents are
+        coprime = math.gcd(P.content(), k.LC) == 1
+        return [coprime_element(T.F, P, k) if coprime else (P, k)] + pieces, h
     if improper_reason(T, f, level):
         raise NotProper(level)
     return _hermite_core(T, f, level)
@@ -95,7 +107,10 @@ def _hermite_core(T, f, level):
     check, and ``improper_reason`` is the other half.  Otherwise the
     factors are stripped from the highest multiplicity down, so that the
     highest power leaves D before the other factors' U = D/V^m are formed.
-    Each step hands out its piece B/V^j as the pair (B.num, B.den * V^j).
+    Each step hands out its piece B/V^j (``_piece``).  h is simple at
+    level, proven by its own gcd(D, dD/dt_level) in either case; the
+    remainder test of ``decomp`` reads that result for an h that it meets
+    again as the same element.
     """
     F = T.F
     if not f:
@@ -129,8 +144,8 @@ def _hermite_core(T, f, level):
                 "repeated factor is not normal at its level"
             )
         for j in range(m - 1, 0, -1):
-            B = (inv * (-(A % Vu))).scale(F.ground(Fraction(1, j))) % Vu
-            pieces.append((B.num, B.den * V**j))
+            B = inv.mulmod((A % Vu).scale(F.ground(Fraction(-1, j))), Vu)
+            pieces.append(_piece(F, B, V, j))
             A = (A + (B * UVd).scale(F.ground(j))).exact_quo(Vu)
             if A is None:
                 raise InternalVerificationError("Hermite step does not reconstruct")
@@ -143,6 +158,17 @@ def _hermite_core(T, f, level):
     if why:
         raise InternalVerificationError("Hermite output is not proper")
     return pieces, h
+
+
+def _piece(F, B, V, j):
+    """The piece B/V^j for B in lowest terms: a canonical element when
+    gcd(B.num, V) = 1, a gcd against V's few terms that proves B.num coprime
+    to B.den * V^j, and otherwise the unreduced pair, which ``sum_pairs``
+    cancels."""
+    den = B.den * V**j
+    if B.num and B.num.cofactors(V)[0].is_one:
+        return coprime_element(F, B.num, den)
+    return B.num, den
 
 
 def _power_rule(poly):

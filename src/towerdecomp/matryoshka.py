@@ -81,6 +81,20 @@ class OrderKey(Record):
         return NotImplemented
 
 
+class CanonicalPair(tuple):
+    """A level piece (numerator, denominator) that is a canonical element's
+    own pair, as ``level_pieces`` hands it on untouched: it becomes an
+    element with no cancel (``piece_value``)."""
+
+    __slots__ = ()
+
+
+def piece_value(F, pair):
+    """The element of a level piece: a ``CanonicalPair`` as it is, any
+    other pair with one ``F.new``."""
+    return F.raw_new(*pair) if isinstance(pair, CanonicalPair) else F.new(*pair)
+
+
 def level_pieces(T: Tower, f) -> list:
     """Per level i, {higher monomial: (numerator, denominator)} for a field
     element f or an unreduced (numerator, denominator) pair f: the
@@ -94,28 +108,32 @@ def level_pieces(T: Tower, f) -> list:
     which is free of t_i.  The path down fixes the monomial, so each level
     holds one pair per monomial.  A pair that no division has touched is
     passed on as the same objects, so f that lies in one level is held
-    there as f's own numerator and denominator (``own_piece``).
+    there as f's own numerator and denominator (``own_piece``), a
+    ``CanonicalPair`` when f is a field element.
     """
     pieces = [{} for _ in range(T.n + 1)]
 
-    def descend(N, D, level, mono):
+    def descend(N, D, level, mono, own):
+        # own: (N, D) is the field element f's own pair, untouched
         if level == 0:
-            pieces[0][mono] = (N, D)
+            pieces[0][mono] = CanonicalPair((N, D)) if own else (N, D)
             return
         if D.degree(level) > 0:
             Q, R, L = pseudo_divmod(N, D, level)
             if R:
-                pieces[level][mono] = (R, D if L.is_one else L * D)
-            N, D = Q, L
+                # with no quotient, R/(L*D) is N/D itself
+                pair = (R, D if L.is_one else L * D)
+                pieces[level][mono] = CanonicalPair(pair) if own and not Q else pair
+            N, D, own = Q, L, False
         if N.degree(level) > 0:
             for k, c in N.coeff_polys(level).items():
-                descend(c, D, level - 1, mono[: level - 1] + (k,) + mono[level:])
+                descend(c, D, level - 1, mono[: level - 1] + (k,) + mono[level:], False)
         elif N:
-            descend(N, D, level - 1, mono)
+            descend(N, D, level - 1, mono, own)
 
     N, D = f if isinstance(f, tuple) else (f.numer, f.denom)
     if N:
-        descend(N, D, T.n, (0,) * T.n)
+        descend(N, D, T.n, (0,) * T.n, not isinstance(f, tuple))
     return pieces
 
 
@@ -161,9 +179,14 @@ def head_monomials(pieces):
 
 def head_data_from_pieces(F, pieces) -> HeadData:
     """Head data of the element whose level pieces are given, with one
-    ``F.new`` per head coefficient of the index set."""
+    ``F.new`` per head coefficient of the index set, and none for a
+    coefficient whose piece is an element's own canonical pair (a
+    ``CanonicalPair``, as f's is when f lies in that level alone): its gcd
+    would find 1, since a canonical numerator and denominator are coprime,
+    so the pair is taken as it is."""
     hm_i, hm, index_set = head_monomials(pieces)
-    return HeadData(hm_i, {i: F.new(*pieces[i][hm]) for i in index_set}, hm, index_set)
+    hc_i = {i: piece_value(F, pieces[i][hm]) for i in index_set}
+    return HeadData(hm_i, hc_i, hm, index_set)
 
 
 def head_data_value(T: Tower, pieces) -> HeadData:

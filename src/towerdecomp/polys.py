@@ -399,9 +399,14 @@ class Poly(dict):
     def primitive(self):
         """(content, primitive part); the part keeps the sign of f."""
         cont = self.content()
-        if cont < 2:
-            return cont, self
-        return cont, self.ring.dtype({m: c // cont for m, c in self.items()})
+        return cont, self.quo_ground(cont)
+
+    def quo_ground(self, x):
+        """self divided by a positive integer x that divides every
+        coefficient; self itself when x is 0 or 1."""
+        if x < 2:
+            return self
+        return self.ring.dtype({m: c // x for m, c in self.items()})
 
     def diff(self, i):
         """Partial derivative in variable index i."""

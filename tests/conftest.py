@@ -173,14 +173,19 @@ def rng():
 @pytest.fixture
 def gcds(monkeypatch):
     """Counts of the tower polynomials' gcd, lcm, cancel and cofactors
-    calls; every multivariate gcd goes through cofactors."""
+    calls; every multivariate gcd goes through cofactors.  ``coprime``
+    counts the cofactors calls whose gcd is a constant, each of which
+    proves its operands coprime up to an integer."""
     counts = {}
     for name in ["gcd", "lcm", "cancel", "cofactors"]:
         orig = getattr(Poly, name)
 
         def counting(self, *args, _orig=orig, _name=name):
             counts[_name] = counts.get(_name, 0) + 1
-            return _orig(self, *args)
+            result = _orig(self, *args)
+            if _name == "cofactors" and result[0].is_ground:
+                counts["coprime"] = counts.get("coprime", 0) + 1
+            return result
 
         monkeypatch.setattr(Poly, name, counting)
     return counts

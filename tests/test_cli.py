@@ -103,6 +103,25 @@ def test_decomp_command_text(li_file, capsys):
     assert "integrable: no" in out
 
 
+def test_decomp_renders_g_and_r_once(li_file, monkeypatch, capsys):
+    """Without --latex the text lines and the --json fields are the same
+    strings, so each of g and r is rendered once, not twice."""
+    from towerdecomp import cli
+
+    rendered = []
+
+    def counting(value, names, _render=cli.render_expression):
+        rendered.append(value)
+        return _render(value, names)
+
+    monkeypatch.setattr(cli, "render_expression", counting)
+    expr = "1/(t1*t2) + (t2 - 2*x*t1)/t1^2 + t3"
+    assert main(["decomp", "--tower", li_file, "--expr", expr]) == 0
+    assert len(rendered) == 2
+    out = capsys.readouterr().out
+    assert "r = 1/(t1*t2)" in out
+
+
 def test_decomp_command_json_schema(li_file, capsys):
     code = main(["decomp", "--tower", li_file, "--expr", "1/x", "--json"])
     assert code == 0
@@ -537,7 +556,7 @@ def test_log_argument_must_be_one_parenthesized_expression(tmp_path, capsys):
 def test_exit_code_internal_verification(argv, nested_file, monkeypatch, capsys):
     # the library's remainder check is the one that guards printed results
     monkeypatch.setattr(
-        "towerdecomp.decomp._is_remainder_value", lambda T, r: (False, "forced")
+        "towerdecomp.decomp._is_remainder_value", lambda T, r, simple: (False, "forced")
     )
     assert main(argv + ["--tower", nested_file]) == 3
     captured = capsys.readouterr()

@@ -12,13 +12,15 @@ from towerdecomp import (
     TowerNotSPrimitive,
     add_decomp_in_field,
     differentiate,
+    elementary_integrability,
     integrate_in_field,
 )
-from towerdecomp import decomp, matryoshka
-from towerdecomp.arith import ClearedBasis, solve_linear_system
+from towerdecomp import arith, decomp, hermite, matryoshka
+from towerdecomp.arith import ClearedBasis, as_pair, solve_linear_system
 from towerdecomp.decomp import _is_remainder_value, solve_constant_combination_values
 from towerdecomp.errors import InternalVerificationError
 from towerdecomp.exprio import parse_expression
+from towerdecomp.polys import FracField, Poly
 from towerdecomp.matryoshka import (
     head_data_value,
     indicator,
@@ -567,7 +569,7 @@ def test_tampered_output_fails_the_reconstruction_check(which, monkeypatch):
     def tampered(F, pieces, _sum=decomp.sum_pairs):
         caller = sys._getframe(1).f_locals
         if which == "piece-over-a-higher-power" and pieces is caller["steps"] and not moved:
-            num, den = pieces[0]
+            num, den = as_pair(pieces[0])
             moved.append(den)
             pieces = [(num, den * (t3 + x).numer)] + pieces[1:]
         total = _sum(F, pieces)
@@ -635,6 +637,101 @@ def test_decomposition_reconstructs_by_differentiation(seed):
         assert T.diff(dec.g.value) + dec.r.value == f
 
 
+def _one_level_input(T, rng):
+    """a/q^k at a random level i, q = t_i + c and a, c in K_(i-1), plus a
+    polynomial in x with rational coefficients: an element that lies in
+    level i alone when i > 0, and a level-0 polynomial part for the power
+    rule."""
+    F, n = T.F, T.n
+    i = rng.randint(0, n)
+    lower = list(T.gens[:i]) + [F.one]
+    q = T.gens[i] + rng.choice(lower) * rng.randint(-2, 2) + rng.randint(1, 3)
+    a = rng.choice(lower) * rng.randint(1, 3) + rng.randint(-2, 2) or F.one
+    poly = sum(Fraction(rng.randint(-4, 4), rng.randint(1, 6)) * T.gens[0] ** e for e in range(3))
+    return a / q ** rng.randint(1, 3) + poly
+
+
+def _shared_factor_input(T, rng):
+    """(a/(q1*q2)^2)' + b/(q1*q2^2) at a random level i >= 1, q1 and q2
+    distinct t_i + c, a, b and c in K_(i-1): Hermite's factor V = q1*q2 has
+    multiplicity 3, and after its first step the numerator shares q1 with
+    V, so the second step's B has a numerator that is not coprime to V."""
+    F = T.F
+    i = rng.randint(1, T.n)
+    lower = list(T.gens[:i]) + [F.one]
+    c1, c2 = rng.sample(range(-3, 4), 2)
+    q1, q2 = T.gens[i] + c1 * rng.choice(lower), T.gens[i] + c2 * rng.choice(lower) + 1
+    a, b = (rng.choice(lower) * rng.randint(1, 3) + rng.randint(1, 2) for _ in range(2))
+    return T.diff(a / (q1 * q2) ** 2) + b / (q1 * q2**2)
+
+
+@settings(max_examples=10)
+@given(seed=seeds)
+def test_values_built_without_a_cancel_are_canonical(seed):
+    """Every element built with no cancel, by ``F.raw_new`` (Hermite's
+    pieces and the power rule's P/k, a pass's g and r terms, head
+    coefficients read from an element's own pair, the residue quotients,
+    ``Tower.diff``), every element that ``sum_pairs`` keeps as it is, and
+    every proper part that ``split_proper_poly`` hands to Hermite, f itself
+    when f is proper, equals ``F.new`` of its own numerator and denominator,
+    field by field.  A skipped cancel whose proof does not hold fails
+    here."""
+    rng = random.Random(seed)
+    built = []
+    raw_new, split, groups = FracField.raw_new, hermite.split_proper_poly, arith.common_denominators
+
+    def recording_raw_new(F, numer, denom):
+        built.append(raw_new(F, numer, denom))
+        return built[-1]
+
+    def recording_split(f, v):
+        proper, poly = split(f, v)
+        built.append(proper)
+        return proper, poly
+
+    def recording_groups(pieces):
+        pieces = list(pieces)
+        built.extend(p for p in pieces if not isinstance(p, tuple))
+        return groups(pieces)
+
+    towers = [li_tower(), nested_tower(), u_tower(), coupled_tower()]
+    towers.append(random_s_primitive_tower(rng, rng.randint(2, 3)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FracField, "raw_new", recording_raw_new)
+        mp.setattr(hermite, "split_proper_poly", recording_split)
+        mp.setattr(arith, "common_denominators", recording_groups)
+        for T in towers:
+            inputs = (_repeated_factor_input, _one_level_input, _shared_factor_input)
+            for make in inputs + (random_element,):
+                elementary_integrability(T.element(make(T, rng)))
+    assert built
+    for e in built:
+        c = e.field.new(e.numer, e.denom)
+        assert (e.numer, e.denom) == (c.numer, c.denom)
+
+
+def test_the_remainder_denominator_is_tested_for_squarefreeness_once(tower_li, monkeypatch):
+    """On li, (t2 + x)/(t3^2 + t1*t3 + x)^2 leaves the remainder Hermite's
+    h at level 3, which Hermite's output check proves squarefree with
+    gcd(D, dD/dt3); the remainder test reads that result instead of running
+    the gcd again."""
+    T = tower_li
+    x, t1, t2, t3 = T.gens
+    f = T.element((t2 + x) / (t3**2 + t1 * t3 + x) ** 2)
+    D = elementary_integrability(f).remainder.value.denom
+    dD = D.diff(3)
+    calls = []
+    cofactors = Poly.cofactors
+
+    def counting(p, q):
+        calls.append(p == D and q == dD)
+        return cofactors(p, q)
+
+    monkeypatch.setattr(Poly, "cofactors", counting)
+    elementary_integrability(f)
+    assert sum(calls) == 1
+
+
 def test_the_check_differentiates_no_assembled_g(tower_li, monkeypatch):
     """On li, (t2 + x)/(t3^2 + t1*t3 + x)^3 is reduced by Hermite's steps,
     which differentiate their B over the radical; the decomposition
@@ -680,29 +777,29 @@ def test_an_order_key_that_does_not_decrease_is_an_internal_error(tower_li, monk
 
 
 def test_readme_decomposition_cancel_count(tower_li, gcds):
-    """The README decomposition cancels 12 times once the tower's caches are
+    """The README decomposition cancels 7 times once the tower's caches are
     warm: 4 for head coefficients in its passes; 2 in Hermite reduction,
-    for the outputs h, which hands its pieces out uncancelled and
-    integrates the level-0 polynomial part in Z[x]; 3 to sum each pass's
-    one Hermite piece; 2 to sum g's pieces over their two primitive
-    denominators; and 1 in the checks, for the head coefficient the
-    remainder test reads.  r is one canonical piece at the unit monomial,
-    taken as it is.  The passes carry the element as its level pieces and
-    never cancel it whole.  The reconstruction check adds unreduced pairs,
-    over Henrici's lcm for denominators of more than one term, and cancels
-    nothing: g' is never formed.  Here every denominator it meets is an
-    integer or a monomial, so it runs no gcd at all, where differentiating
-    g and forming f - r took 3.  It runs 24 gcds (``cofactors``), those
-    behind the cancels among them.  A check that canonicalizes more fails
-    here."""
+    for the outputs h; and 1 to sum g's pieces over their one primitive
+    denominator that holds two.  Nothing is cancelled twice: Hermite's
+    pieces B/V are canonical once gcd(B.num, V) = 1, a gcd against V, and
+    the level-0 power-rule part P/k once gcd(content(P), k) = 1, so no pass
+    cancels its Hermite part; a pass's g term is canonical once its
+    integer content is divided out; r is one canonical piece at the unit
+    monomial, and the remainder test takes its head coefficient from r's
+    own pair and reads Hermite's gcd(D, dD/dt2) on it, the same element,
+    instead of running it again.  The passes carry the element as its level
+    pieces and never cancel it whole, and the reconstruction check adds
+    unreduced pairs and cancels nothing.  It runs 22 gcds (``cofactors``),
+    12 of them constant, those behind the cancels among them.  A check that
+    canonicalizes more fails here."""
     T = tower_li
     x, t1, t2, t3 = T.gens
     f = T.element(1 / (t1 * t2) + (t2 - 2 * x * t1) / t1**2 + t3)
     add_decomp_in_field(f)
     gcds.clear()
     add_decomp_in_field(f)
-    assert gcds["cancel"] == 12
-    assert gcds["cofactors"] == 24
+    assert gcds["cancel"] == 7
+    assert gcds["cofactors"] == 22 and gcds["coprime"] == 12
 
 
 def _reference_is_remainder(T, r):

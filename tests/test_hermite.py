@@ -135,20 +135,21 @@ def test_random_reconstruction(tower_li, rng):
 def test_squarefree_denominator_costs_one_gcd_and_returns_f(tower_li, gcds):
     T = tower_li
     x, t1, t2, t3 = T.gens
+    # (f, level, whether gcd(D, dD/dt_level) is a constant over Z)
     cases = [
-        (1 / (x * t1), 1),
-        ((x + t1) / (t1 * (t1 + 1)), 1),
-        (1 / (t1 * t2), 2),
-        ((t1 * t2 + x) / (x * (t2**2 + t1)), 2),
-        (t2 / (x * t3 + 1), 3),
-        (1 / (x**2 - 1), 0),
+        (1 / (x * t1), 1, False),
+        ((x + t1) / (t1 * (t1 + 1)), 1, True),
+        (1 / (t1 * t2), 2, False),
+        ((t1 * t2 + x) / (x * (t2**2 + t1)), 2, False),
+        (t2 / (x * t3 + 1), 3, True),
+        (1 / (x**2 - 1), 0, True),
     ]
-    for f, level in cases:
+    for f, level, coprime in cases:
         gcds.clear()
         pieces, h = _hermite_core(T, f, level)
         assert not pieces and h is f
         # the one gcd is Yun's gcd(D, dD/dt_level), found constant in t_level
-        assert gcds == {"gcd": 1, "cofactors": 1}
+        assert gcds == {"gcd": 1, "cofactors": 1, **({"coprime": 1} if coprime else {})}
 
 
 def _monic_factors(D, level):
@@ -403,7 +404,7 @@ def test_division_reduces_only_the_part_it_returns(tower_li, gcds):
     b = UniPoly(T.F, 1, (x * t1 + 1).numer)
     gcds.clear()
     r = a % b
-    assert gcds == {"cofactors": 1}
+    assert gcds == {"cofactors": 1, "coprime": 1}
     c = a - r
     gcds.clear()
     q = c.exact_quo(b)
@@ -420,9 +421,13 @@ def test_inverse_is_reduced_before_the_products(monkeypatch, gcds):
     extended gcd's sums leave at 310/223 terms over a reduced pair of
     46/43.  Every product by the inverse takes it in lowest terms, and the
     output is the earlier loop's.  On Yun's integer factors the reduction
-    makes 10 gcds, and hands out its one piece uncancelled; it made 11 when
-    it cancelled the piece itself, and 18 over monic factors, with the unit
-    divided out of A."""
+    makes 10 gcds, 6 of them constant.  The product by the inverse is
+    reduced once, with its remainder mod V, and one gcd against V's 3
+    terms proves the one piece B/V canonical, so it is handed out as an
+    element that ``sum_pairs`` does not cancel; it made 10 and handed the
+    piece out uncancelled when the product was reduced before its
+    remainder, 11 when it cancelled the piece itself, and 18 over monic
+    factors, with the unit divided out of A."""
     T = nested_tower()
     x, t1, t2, t3 = T.gens
     f = T.diff(((5 * t3 - x**2 * t3**2) / (-2 * t3**2 + 2 * t2 * t3 + 5 * t2**2)))
@@ -439,12 +444,18 @@ def test_inverse_is_reduced_before_the_products(monkeypatch, gcds):
         operands.append((self, other))
         return product(self, other)
 
+    def mulmod(self, other, mod, _mulmod=UniPoly.mulmod):
+        operands.append((self, other))
+        return _mulmod(self, other, mod)
+
     monkeypatch.setattr(hermite, "unipoly_xgcd", xgcd)
     monkeypatch.setattr(UniPoly, "__mul__", mul)
+    monkeypatch.setattr(UniPoly, "mulmod", mulmod)
     gcds.clear()
     reduction = _hermite_core(T, proper, 3)
     monkeypatch.undo()
-    assert gcds["cofactors"] == 10
+    assert gcds["cofactors"] == 10 and gcds["coprime"] == 6
+    assert [type(p) for p in reduction[0]] == [T.F.dtype]
     g, h = summed(T.F, reduction)
     assert len(inverses) == 1
     inv = inverses[0]

@@ -497,5 +497,5 @@ def test_henrici_sum_cancels_only_against_the_common_factor(gcds):
     f, g = 1 / (x + 1), 1 / (x - 1)
     gcds.clear()
     h = f + g
-    assert gcds == {"cofactors": 1}
+    assert gcds == {"cofactors": 1, "coprime": 1}
     assert (h.numer, h.denom) == ((2 * x).numer, (x**2 - 1).numer)

@@ -480,6 +480,7 @@ def test_diff_cancels_once(tower_nested, rng, gcds):
     for f in elements:
         gcds.clear()
         T.diff(f)
+        gcds.pop("coprime", None)  # how many are constant varies with f
         if not f.denom.is_ground:
             assert gcds == {"cofactors": 2}
         else:

@@ -644,6 +644,24 @@ def test_split_proper_poly_cancel_count(cancels):
             assert len(cancels) <= 1 + len(coeffs)
 
 
+def test_split_proper_poly_of_a_proper_element_runs_no_gcd(gcds):
+    """An element already proper in v is its own proper part, with no
+    cancel and no gcd, and its polynomial part is zero."""
+    T = nested_tower()
+    x, t1, t2, t3 = T.gens
+    cases = [
+        (1 / (x**2 + 1), 0),
+        ((x + t1) / (t1**2 + x), 1),
+        (t1 / (t2 * x + 1), 2),
+        ((t2 * t3 + x) / (3 * t3**2 + t1), 3),
+    ]
+    for f, v in cases:
+        gcds.clear()
+        proper, poly = split_proper_poly(f, v)
+        assert proper is f and poly.is_zero()
+        assert not gcds
+
+
 # -- normalize_generators projects each generator derivative once -----------
 
 
