@@ -243,7 +243,8 @@ def sum_pairs(F, pieces):
     primitive denominator is kept as it is, with no cancel.  Producers hand
     in an element where a cheap proof makes it canonical
     (``coprime_element``): ``hermite``'s pieces B/V^j, once gcd(B.num, V) =
-    1, and the power rule's P/k, once gcd(content(P), k) = 1; ``decomp``'s
+    1, and the power rule's P/k, after the integer gcd(content(P), k) is
+    divided out, since k is a constant; ``decomp``'s
     r terms H*M, whose denominator is free of M's generators; and its g
     terms, once the integer gcd of their contents is divided out."""
     total = F.zero

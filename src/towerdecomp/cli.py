@@ -71,12 +71,17 @@ def _load_tower(args, out):
     return tower, read
 
 
+def _shown(value, T, latex):
+    """The value as its output line shows it, LaTeX or plain text."""
+    return (render_latex if latex else render_expression)(value, T.names)
+
+
 def _render(value, T, latex):
-    """(shown, text): the value as its output line shows it, LaTeX or plain
-    text, and as plain text for ``--json``; without LaTeX both are the one
+    """(shown, text): the value as its output line shows it (``_shown``)
+    and as plain text for ``--json``; without LaTeX both are the one
     rendering."""
     text = render_expression(value, T.names)
-    return (render_latex(value, T.names) if latex else text), text
+    return (_shown(value, T, latex) if latex else text), text
 
 
 def _decomp(T, f, args, read):
@@ -124,11 +129,8 @@ def _elementary(T, f, args, read):
     elif verdict.reason:
         lines.append(f"reason: {verdict.reason}")
         if verdict.certificate is not None:
-            render = render_latex if args.as_latex else render_expression
-            lines.append(
-                "certificate (non-constant residue): "
-                f"{render(verdict.certificate.value, T.names)}"
-            )
+            shown = _shown(verdict.certificate.value, T, args.as_latex)
+            lines.append(f"certificate (non-constant residue): {shown}")
     return lines, {
         "status": verdict.status,
         "witness": witness,
@@ -199,11 +201,11 @@ def _matrix(T, f, args, read):
 
     M = associated_matrix(T)
     cells = [[M.entry(i, j).value for j in range(1, T.n + 1)] for i in range(T.n)]
-    rows = [[render_expression(v, T.names) for v in row] for row in cells]
+    pairs = [[_render(v, T, args.as_latex) for v in row] for row in cells]
+    rows = [[text for _, text in row] for row in pairs]
     if not args.as_latex:
         return ["[ " + ", ".join(row) + " ]" for row in rows], {"matrix": rows}
-    latex = [[render_latex(v, T.names) for v in row] for row in cells]
-    body = " \\\\\n".join(" & ".join(row) for row in latex)
+    body = " \\\\\n".join(" & ".join(shown for shown, _ in row) for row in pairs)
     return [f"\\begin{{pmatrix}}\n{body}\n\\end{{pmatrix}}"], {"matrix": rows}
 
 

@@ -22,10 +22,11 @@ the inverse times -A/j modulo V, whose product is left unreduced and
 reduced once, with its remainder (``UniPoly.mulmod``), so B is in lowest
 terms; the piece B/V^j is then in lowest terms exactly when gcd(B.num, V)
 = 1, a gcd against V's few terms in place of a cancel against
-B.den * V^j, and it is handed out as a canonical element.  The power
-rule's P/k, P in Z[x] and k an integer, is canonical when gcd(content(P),
-k) = 1, an integer gcd.  Where either proof fails, the piece is handed out
-as its unreduced pair, which ``sum_pairs`` cancels as before.
+B.den * V^j, and it is handed out as a canonical element; where that
+proof fails, the piece is handed out as its unreduced pair, which
+``sum_pairs`` cancels as before.  The power rule's P/k, P in Z[x] and k
+an integer, shares only an integer with its constant k: once the integer
+gcd(content(P), k) is divided out, it is always a canonical element.
 
 Each step checks that it lowers the multiplicity: it divides A +
 j*B*U*V' by V and raises "Hermite step does not reconstruct" unless the
@@ -74,8 +75,8 @@ def hermite_reduce_proper_value(T, f, level):
     For level >= 1 the input must be proper at that level.  For level 0 any
     element of Q(x) is accepted: the reduction runs on its proper part, and
     its polynomial part integrates by the power rule to P/k, P in Z[x] and
-    k an integer, the first piece, whose derivative must be that part
-    exactly.
+    k an integer coprime to it, the first piece, a canonical element whose
+    derivative must be that part exactly.
     """
     F = T.F
     if not f:
@@ -91,9 +92,7 @@ def hermite_reduce_proper_value(T, f, level):
         # (P/k)' = poly, compared as polynomials over their integers
         if P.diff(0) * poly.den != poly.num * k:
             raise InternalVerificationError("power rule does not reconstruct")
-        # P is in Z[x] and k an integer: they are coprime when their contents are
-        coprime = math.gcd(P.content(), k.LC) == 1
-        return [coprime_element(T.F, P, k) if coprime else (P, k)] + pieces, h
+        return [coprime_element(T.F, P, k)] + pieces, h
     if improper_reason(T, f, level):
         raise NotProper(level)
     return _hermite_core(T, f, level)
@@ -172,11 +171,15 @@ def _piece(F, B, V, j):
 
 
 def _power_rule(poly):
-    """(P, k), P in Z[x] and k an integer, with P/k an antiderivative of
-    poly, a polynomial in x over an integer: with K = lcm(1, ..., deg + 1),
-    x^(e+1)*K/(e+1) integrates x^e over K."""
+    """(P, k), P in Z[x] and k an integer, coprime over Z, with P/k an
+    antiderivative of poly, a polynomial in x over an integer: with K =
+    lcm(1, ..., deg + 1), x^(e+1)*K/(e+1) integrates x^e over K.  k is a
+    constant, so P and k share only an integer, gcd(content(P), k), which
+    is divided out with no polynomial gcd."""
     K = math.lcm(*range(1, poly.degree + 2))
     P = poly.num.ring.zero
     for e, c in poly.num.coeff_polys(0).items():
         P += c.mul_gen(0, e + 1).mul_ground(K // (e + 1))
-    return P, poly.den.mul_ground(K)
+    k = poly.den.mul_ground(K)
+    c = math.gcd(P.content(), k.LC)
+    return P.quo_ground(c), k.quo_ground(c)

@@ -782,7 +782,8 @@ def test_readme_decomposition_cancel_count(tower_li, gcds):
     for the outputs h; and 1 to sum g's pieces over their one primitive
     denominator that holds two.  Nothing is cancelled twice: Hermite's
     pieces B/V are canonical once gcd(B.num, V) = 1, a gcd against V, and
-    the level-0 power-rule part P/k once gcd(content(P), k) = 1, so no pass
+    the level-0 power-rule part P/k once the integer gcd(content(P), k) is
+    divided out, so no pass
     cancels its Hermite part; a pass's g term is canonical once its
     integer content is divided out; r is one canonical piece at the unit
     monomial, and the remainder test takes its head coefficient from r's

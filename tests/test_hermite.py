@@ -57,6 +57,23 @@ def test_level_zero_polynomial_part(tower_li):
     assert g2 == x**3 and not h2
 
 
+def test_power_rule_piece_is_canonical_with_no_gcd(tower_li, gcds):
+    """The power rule's P/k, with k a constant, shares only the integer
+    gcd(content(P), k) with it, which is divided out: for 2*x, P = 2*x^2 and
+    k = 2 share 2.  The piece is a canonical element in every case, built
+    with no polynomial gcd."""
+    T = tower_li
+    x = T.gens[0]
+    for f, P in [(2 * x, x**2), (x**2 * 3 + 1, x**3 + x), (x / 3, x**2 / 6), (-x * 4, -2 * x**2)]:
+        gcds.clear()
+        pieces, h = hermite_reduce_proper_value(T, f, 0)
+        assert not gcds and not h
+        (piece,) = pieces
+        assert piece == P
+        c = T.F.new(piece.numer, piece.denom)
+        assert (piece.numer, piece.denom) == (c.numer, c.denom)
+
+
 def test_higher_multiplicity_factors(tower_li):
     T = tower_li
     x, t1, t2, t3 = T.gens
