@@ -46,10 +46,13 @@ extended gcd is the one exception to the heuristic gcd: Euclid's loop
 on the numerators by pseudo-division, which carries only the cofactor of
 its first argument and reduces it with one gcd at the end.  Canonical
 field elements are built only for outputs, one ``F.new`` each:
-``UniPoly.coeffs`` and ``to_frac`` and the proper part of
-``split_proper_poly``, which is f itself, with no cancel, when f is
-proper already.  ``sum_pairs`` cancels only what it must: an element that
-a producer has proven canonical (``coprime_element``) is kept.
+``to_frac`` and the proper part of ``split_proper_poly``, which is f
+itself, with no cancel, when f is proper already.  A value in flight, a
+piece, is either a canonical field element, used as it is, or an
+unreduced (numerator, denominator) pair; ``as_element`` is the one place
+a piece becomes an element, cancelling a pair once, and ``as_pair`` the
+way back.  ``sum_pairs`` cancels only what it must: an element that a
+producer has proven canonical (``coprime_element``) is kept.
 """
 
 from __future__ import annotations
@@ -146,8 +149,8 @@ class UniPoly:
     pair need not be in lowest terms: a sum over denominators b != d is over
     b*(d/gcd(b, d)), one ``cofactors``, its numerator uncancelled; scalings
     cross-multiply; division, ``monic`` and products reduce with one
-    ``gcd``.  ``coeffs`` and ``to_frac`` build canonical field elements, one
-    ``F.new`` each.  Instances are treated as immutable.
+    ``gcd``.  ``to_frac`` builds the canonical field element, with one
+    ``F.new``.  Instances are treated as immutable.
     """
 
     __slots__ = ("F", "v", "num", "den")
@@ -165,14 +168,6 @@ class UniPoly:
     def degree(self) -> int:
         # degree of the zero polynomial is -1 by convention
         return self.num.degree(self.v) if self.num else -1
-
-    @property
-    def coeffs(self) -> dict:
-        """{k: coefficient of v**k}, as canonical field elements."""
-        return {
-            k: self.F.new(c, self.den)
-            for k, c in self.num.coeff_polys(self.v).items()
-        }
 
     def _new(self, num, den):
         return UniPoly(self.F, self.v, num, den)
@@ -238,18 +233,21 @@ class UniPoly:
 def sum_pairs(F, pieces):
     """The sum of pieces, unreduced (numerator, denominator) polynomial
     pairs or canonical elements of F, as one element of F.  Each sum of
-    ``common_denominators`` that is more than one piece costs one
-    ``F.new``, and so does a lone pair; a canonical element alone at its
-    primitive denominator is kept as it is, with no cancel.  Producers hand
-    in an element where a cheap proof makes it canonical
+    ``common_denominators`` becomes an element through ``as_element``: one
+    that is more than one piece costs one ``F.new``, and so does a lone
+    pair; a canonical element alone at its primitive denominator is
+    returned as it is, the same object, with no cancel.  Producers hand in
+    an element where a cheap proof makes it canonical
     (``coprime_element``): ``hermite``'s pieces B/V^j, once gcd(B.num, V) =
     1, and the power rule's P/k, after the integer gcd(content(P), k) is
     divided out, since k is a constant; ``decomp``'s
     r terms H*M, whose denominator is free of M's generators; and its g
-    terms, once the integer gcd of their contents is divided out."""
+    terms, once the integer gcd of their contents is divided out.
+    ``matryoshka.level_pieces`` hands on an element f itself where f lies
+    in one level alone."""
     total = F.zero
     for piece in common_denominators(pieces):
-        total += F.new(*piece) if isinstance(piece, tuple) else piece
+        total += as_element(F, piece)
     return total
 
 
@@ -258,6 +256,12 @@ def coprime_element(F, num, den):
     caller has proven coprime over Z: only the sign is fixed, so that the
     denominator's leading coefficient is positive."""
     return F.raw_new(-num, -den) if den.LC < 0 else F.raw_new(num, den)
+
+
+def as_element(F, piece):
+    """The element of a piece, the inverse of ``as_pair``: a field element
+    as it is, with no cancel, or a pair cancelled by one ``F.new``."""
+    return F.new(*piece) if isinstance(piece, tuple) else piece
 
 
 def as_pair(piece):

@@ -27,11 +27,11 @@ integer can, and B.denom is free of M's generators; so only the integer
 gcd of the contents is divided out.  A pass's r term is H*M over H.denom,
 with no gcd, as H is canonical and H.denom free of M's generators.
 Hermite's pieces come as canonical elements where its own proofs hold,
-and a head coefficient that is f's own pair is taken as it is
-(``matryoshka.piece_value``).  The remainder test reads Hermite's
-gcd(D, dD/dt_i) for a projection of r that is the very h Hermite returned
-at that level in this call, so no element is tested for squarefreeness
-twice.
+and a head coefficient whose level piece is an element, f itself where f
+lies in one level alone, is taken as it is (``arith.as_element``).  The
+remainder test reads Hermite's gcd(D, dD/dt_i) for a projection of r that
+is the very h Hermite returned at that level in this call, the same
+object, so no element is tested for squarefreeness twice.
 
 Every result is checked exactly before it is returned, and g is never
 differentiated whole.  The reconstruction check takes Hermite reduction's
@@ -64,6 +64,7 @@ from fractions import Fraction
 
 from .arith import (
     ClearedBasis,
+    as_element,
     as_pair,
     common_denominators,
     solve_linear_system,
@@ -72,12 +73,11 @@ from .arith import (
 from .errors import InternalVerificationError
 from .hermite import hermite_reduce_proper_value
 from .matryoshka import (
-    head_data_from_pieces,
+    head_data_value,
     indicator,
     level_pieces,
     not_simple_reason,
     order_key_value,
-    own_piece,
 )
 from .tower import Record, Tower, TowerElement, expect
 
@@ -260,9 +260,7 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
             rest += B.denom.mul_ground(cck) * tm ** (d + 1) * Np
             span += tm.mul_ground(cck)
         gnum = B.numer * k + span * B.denom  # (B + span/k) * Bden
-        if gnum and unit and not span:
-            g_terms.append(B)  # gnum/Bden is B itself
-        elif gnum:
+        if gnum:
             # gnum*M and Bden share only an integer, B being canonical
             c = math.gcd(gnum.content(), Bden.content())
             g_terms.append(
@@ -284,8 +282,10 @@ def add_decomp_in_field(f: TowerElement) -> Decomposition:
                     old = level.pop(mono, None)
                     if old is None:
                         level[mono] = (un, ud)
-                    elif num := old[0] * ud + un * old[1]:
-                        level[mono] = (num, old[1] * ud)
+                        continue
+                    on, od = as_pair(old)
+                    if num := on * ud + un * od:
+                        level[mono] = (num, od * ud)
         if H:
             # canonical, as H is and H.denom is free of M's generators
             r_terms.append(H if unit else F.raw_new(times_M(H.numer), H.denom))
@@ -335,13 +335,12 @@ def _is_remainder_value(T, r, simple=()):
     piece, and the levels below n are the pieces of r - pi_n(r).  ``simple``
     holds (level, h) pairs of elements already proven simple at their level,
     Hermite's outputs in the decomposition that made r: a projection that is
-    one of them, the same numerator and denominator objects, is not tested
-    for squarefreeness again.
+    one of them, the same object, is not tested for squarefreeness again.
     """
 
     def reason(c, i):
         for level, h in simple:
-            if level == i and c.numer is h.numer and c.denom is h.denom:
+            if level == i and c is h:
                 return ""
         return not_simple_reason(T, c, i)
 
@@ -350,10 +349,7 @@ def _is_remainder_value(T, r, simple=()):
     n = T.n
     pieces = level_pieces(T, r)
     top = pieces[n].get((0,) * n)
-    if own_piece(T, r, pieces[n]):
-        pi_n = r  # r lies in level n alone
-    else:
-        pi_n = T.F.new(*top) if top else T.F.zero
+    pi_n = T.F.zero if top is None else as_element(T.F, top)
     # pi_n(r) is its own only projection, and the head coefficient's
     # projections are its per-level parts hc_i
     why = reason(pi_n, n)
@@ -361,7 +357,7 @@ def _is_remainder_value(T, r, simple=()):
         return False, f"top projection not simple: projection {n} {why}"
     # pi_n(r) holds only the unit monomial, the lowest, so hm(r - pi_n(r))
     # is read from the levels below n alone
-    head = head_data_from_pieces(T.F, pieces[:n])
+    head = head_data_value(T, pieces[:n])
     if head.hm is None:
         return True, ""
     for i, c in sorted(head.hc_i.items()):

@@ -8,11 +8,13 @@ used by the decomposition, and the simplicity predicate are all defined on
 top of these projections; the level tests behind the predicate are shared
 with Hermite reduction and the residue method.  Projections and head data
 come from one recursion on unreduced (numerator, denominator) pairs of
-polynomials, ``level_pieces``: ``project_value`` builds each level with one
-``F.new`` per distinct denominator, while ``head_monomials`` reads every
-level's head monomial from the monomials of the pairs without building a
-field element, and ``head_data_value`` builds field elements only for the
-head coefficients of the index set.  The head data and the order key take
+polynomials, ``level_pieces``, whose pieces are unreduced pairs or, where
+f lies in one level alone, f itself: ``project_value`` builds each level
+with one ``F.new`` per distinct denominator, while ``head_monomials``
+reads every level's head monomial from the monomials of the pieces
+without building a field element, and ``head_data_value`` builds field
+elements only for the head coefficients of the index set, each through
+``arith.as_element``.  The head data and the order key take
 the pieces, not the element: the pieces are linear in the element, so the
 decomposition runs the recursion once at its entry and then only on each
 pass's update, and the remainder test takes pi_n(r) from the single level-n
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from functools import total_ordering
 
-from .arith import free_of, pseudo_divmod, sum_pairs
+from .arith import as_element, free_of, pseudo_divmod, sum_pairs
 from .tower import Record, Tower, expect
 
 NOT_SQUAREFREE = "has a non-squarefree denominator"
@@ -81,49 +83,36 @@ class OrderKey(Record):
         return NotImplemented
 
 
-class CanonicalPair(tuple):
-    """A level piece (numerator, denominator) that is a canonical element's
-    own pair, as ``level_pieces`` hands it on untouched: it becomes an
-    element with no cancel (``piece_value``)."""
-
-    __slots__ = ()
-
-
-def piece_value(F, pair):
-    """The element of a level piece: a ``CanonicalPair`` as it is, any
-    other pair with one ``F.new``."""
-    return F.raw_new(*pair) if isinstance(pair, CanonicalPair) else F.new(*pair)
-
-
 def level_pieces(T: Tower, f) -> list:
-    """Per level i, {higher monomial: (numerator, denominator)} for a field
-    element f or an unreduced (numerator, denominator) pair f: the
-    projection pi_i(f) is the sum of numerator/denominator * monomial, each
-    quotient proper in t_i and free of t_{i+1}, ..., t_n, each monomial an
-    exponent tuple over t1..tn in t_{i+1}, ..., t_n alone.
+    """Per level i, {higher monomial: piece} for a field element f or an
+    unreduced (numerator, denominator) pair f: the projection pi_i(f) is
+    the sum of piece * monomial, each piece proper in t_i and free of
+    t_{i+1}, ..., t_n, each monomial an exponent tuple over t1..tn in
+    t_{i+1}, ..., t_n alone.  A piece is an unreduced (numerator,
+    denominator) tuple, or f itself: a field element f that lies in one
+    level alone is that level's one piece, at the unit monomial, and is
+    canonical already (``arith.as_element`` uses it as it is).
 
     The recursion runs on unreduced pairs of polynomials.  At level i one
     pseudo-division in t_i splits off the proper part, and each coefficient
     of the quotient descends to level i - 1 over the quotient's denominator,
     which is free of t_i.  The path down fixes the monomial, so each level
     holds one pair per monomial.  A pair that no division has touched is
-    passed on as the same objects, so f that lies in one level is held
-    there as f's own numerator and denominator (``own_piece``), a
-    ``CanonicalPair`` when f is a field element.
+    passed on as the same objects, so f that lies in one level reaches it
+    as f's own numerator and denominator, and is stored there as f.
     """
     pieces = [{} for _ in range(T.n + 1)]
 
     def descend(N, D, level, mono, own):
         # own: (N, D) is the field element f's own pair, untouched
         if level == 0:
-            pieces[0][mono] = CanonicalPair((N, D)) if own else (N, D)
+            pieces[0][mono] = f if own else (N, D)
             return
         if D.degree(level) > 0:
             Q, R, L = pseudo_divmod(N, D, level)
             if R:
                 # with no quotient, R/(L*D) is N/D itself
-                pair = (R, D if L.is_one else L * D)
-                pieces[level][mono] = CanonicalPair(pair) if own and not Q else pair
+                pieces[level][mono] = f if own and not Q else (R, D if L.is_one else L * D)
             N, D, own = Q, L, False
         if N.degree(level) > 0:
             for k, c in N.coeff_polys(level).items():
@@ -142,26 +131,21 @@ def project_value(T: Tower, f) -> list:
 
     Each level's pieces are summed per distinct denominator as polynomials
     and become field elements with one ``F.new`` per denominator; f that
-    lies in one level is its own projection there, with no ``F.new``.
+    lies in one level is its own projection there, with no ``F.new``, as
+    ``sum_pairs`` returns a lone element as it is.
     """
     pack = T.F.ring.pack
     return [
-        f
-        if own_piece(T, f, level)
-        else sum_pairs(
+        sum_pairs(
             T.F,
-            ((num.mul_monom(pack((0,) + mono)), den) for mono, (num, den) in level.items()),
+            # a piece that is an element sits at the unit monomial
+            (
+                (piece[0].mul_monom(pack((0,) + mono)), piece[1]) if any(mono) else piece
+                for mono, piece in level.items()
+            ),
         )
         for level in level_pieces(T, f)
     ]
-
-
-def own_piece(T: Tower, f, level) -> bool:
-    """Whether the level holds f's own numerator and denominator at the
-    unit monomial, as ``level_pieces`` hands them on when f lies in that
-    level alone: the level's projection is then f, canonical already."""
-    pair = level.get((0,) * T.n)
-    return pair is not None and pair[0] is f.numer and pair[1] is f.denom
 
 
 def head_monomials(pieces):
@@ -177,23 +161,17 @@ def head_monomials(pieces):
     return hm_i, hm, frozenset(i for i, m in enumerate(hm_i) if m == hm)
 
 
-def head_data_from_pieces(F, pieces) -> HeadData:
-    """Head data of the element whose level pieces are given, with one
-    ``F.new`` per head coefficient of the index set, and none for a
-    coefficient whose piece is an element's own canonical pair (a
-    ``CanonicalPair``, as f's is when f lies in that level alone): its gcd
-    would find 1, since a canonical numerator and denominator are coprime,
-    so the pair is taken as it is."""
-    hm_i, hm, index_set = head_monomials(pieces)
-    hc_i = {i: piece_value(F, pieces[i][hm]) for i in index_set}
-    return HeadData(hm_i, hc_i, hm, index_set)
-
-
 def head_data_value(T: Tower, pieces) -> HeadData:
-    """Head monomials of every projection, read from the monomials of the
-    unreduced level pieces, and head coefficients built only for the levels
-    in the index set."""
-    return head_data_from_pieces(T.F, pieces)
+    """Head data of the element whose level pieces are given: the head
+    monomials of every projection, read from the monomials of the pieces,
+    and head coefficients built only for the levels in the index set, one
+    ``arith.as_element`` each.  That is one ``F.new`` for a pair, and none
+    for a piece that is an element, as f is where it lies in one level
+    alone.  ``pieces`` may be a prefix of the levels, as the remainder
+    test's levels below n are."""
+    hm_i, hm, index_set = head_monomials(pieces)
+    hc_i = {i: as_element(T.F, pieces[i][hm]) for i in index_set}
+    return HeadData(hm_i, hc_i, hm, index_set)
 
 
 def order_key_value(T: Tower, pieces) -> OrderKey:
@@ -204,16 +182,16 @@ def order_key_value(T: Tower, pieces) -> OrderKey:
     t_n there: every other piece's denominator is free of t_n, and a sum
     with a t_n-free denominator cancels no factor that involves t_n.  So
     the degree is read from the reduced level-n piece, the head coefficient
-    hc_i[n] when level n attains the head monomial and one ``F.new``
-    otherwise."""
+    hc_i[n] when level n attains the head monomial and its
+    ``arith.as_element`` otherwise."""
     if not any(pieces):
         return OrderKey(0, 0, ())
     head = head_data_value(T, pieces)
     n = T.n
     top = pieces[n].get((0,) * n) if n else None
-    if top:
-        top = head.hc_i[n] if n in head.index_set else T.F.new(*top)
-    return OrderKey(top.denom.degree(n) if top else 0, 1, mono_key(head.hm), head)
+    if top is not None:
+        top = head.hc_i[n] if n in head.index_set else as_element(T.F, top)
+    return OrderKey(top.denom.degree(n) if top is not None else 0, 1, mono_key(head.hm), head)
 
 
 def improper_reason(T: Tower, f, level) -> str:

@@ -171,10 +171,10 @@ def test_true_no_cancel_count(tower_li, gcds):
     the certificate -x/(x + 1), the monic residue polynomial's z^0
     coefficient (the resultant is a ring polynomial, and the certificate's
     derivative is never formed).  f lies in level 1 alone, so the
-    decomposition's one pass takes its head coefficient from f's own pair,
-    and Hermite's gcd(D, dD/dt1) proves it simple; the remainder is that
-    same element, whose head coefficient the remainder test takes from its
-    own pair and whose squarefreeness it reads from Hermite's gcd.  The
+    decomposition's one pass takes f itself for its head coefficient, and
+    Hermite's gcd(D, dD/dt1) proves it simple; the remainder is that same
+    element, which the remainder test takes as it is for its head
+    coefficient and whose squarefreeness it reads from Hermite's gcd.  The
     reconstruction check adds f, -h and r over their one denominator, with
     no f - r.  It runs 5 gcds (``cofactors``), 4 of them constant.  A check
     that canonicalizes more fails here."""

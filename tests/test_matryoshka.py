@@ -16,7 +16,7 @@ from towerdecomp.matryoshka import (
     project_value,
 )
 
-from conftest import li_tower, summed
+from conftest import li_tower, nested_tower, summed, u_tower
 
 
 def test_projections_of_running_example(tower_li):
@@ -54,6 +54,37 @@ def test_head_data(tower_li):
     assert hd2.hm == (0, 1, 0)
     assert hd2.index_set == frozenset({0, 1})
     assert sum(hd2.hc_i.values()) == 1 / x + 1 / t1
+
+
+@pytest.mark.parametrize("make", [li_tower, nested_tower, u_tower])
+def test_an_element_in_one_level_is_handed_on_as_itself(make, monkeypatch):
+    """An element that lies in one level alone is that level's one piece,
+    at the unit monomial, and its projection and head coefficient there are
+    the element itself, with no cancel; an element over two levels has
+    unreduced pairs for pieces."""
+    T = make()
+    x, gens = T.gens[0], T.gens[1:]
+    unit = (0,) * T.n
+    cases = [(0, 1 / (x + 1))] + [(i, 1 / (t + x)) for i, t in enumerate(gens, start=1)]
+    spread = 1 / (x + 1) + 1 / (gens[0] + x)
+    news = []
+    new = T.F.new
+
+    def counting_new(*args):
+        news.append(args)
+        return new(*args)
+
+    monkeypatch.setattr(T.F, "new", counting_new)
+    for i, f in cases:
+        pieces = level_pieces(T, f)
+        assert pieces[i][unit] is f
+        assert project_value(T, f)[i] is f
+        assert head_data_value(T, pieces).hc_i[i] is f
+    assert not news
+    monkeypatch.undo()
+    pieces = level_pieces(T, spread)
+    assert [len(level) for level in pieces[:2]] == [1, 1]
+    assert all(isinstance(piece, tuple) for level in pieces for piece in level.values())
 
 
 def test_monomial_order_reversed_lex():

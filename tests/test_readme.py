@@ -1,7 +1,9 @@
 """The README's examples run as shown: its six command lines exit 0, the
 first prints exactly the three lines the README shows, and the library
-snippet runs."""
+snippet runs.  Every finer-grained name the README documents resolves in
+its module."""
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -38,3 +40,27 @@ def test_readme_library_snippet_runs():
     namespace = {}
     exec(_block("python", "from towerdecomp"), namespace)
     assert namespace["dec"].r and namespace["verdict"].status == "yes"
+
+
+# the finer-grained names the README documents, by module
+DOCUMENTED = {
+    "hermite": ["hermite_reduce_proper_value"],
+    "matryoshka": ["project_value", "head_data_value", "order_key_value", "is_simple_value"],
+    "exprio": [
+        "parse_tower_file",
+        "parse_expression",
+        "render_expression",
+        "render_latex",
+        "render_tower_file",
+    ],
+    "embed": ["normalization_images"],
+}
+
+
+def test_readme_finer_grained_names_resolve():
+    for module, names in DOCUMENTED.items():
+        mod = importlib.import_module(f"towerdecomp.{module}")
+        assert f"`towerdecomp.{module}" in README, module
+        for name in names:
+            assert re.search(rf"`[\w.]*\b{name}\b", README), name
+            assert callable(getattr(mod, name, None)), f"towerdecomp.{module}.{name}"
