@@ -53,6 +53,14 @@ unreduced (numerator, denominator) pair; ``as_element`` is the one place
 a piece becomes an element, cancelling a pair once, and ``as_pair`` the
 way back.  ``sum_pairs`` cancels only what it must: an element that a
 producer has proven canonical (``coprime_element``) is kept.
+
+The span solver's linear algebra lives here: ``solve_linear_system`` is
+Gauss-Jordan elimination over Q, row by row up to full rank.  A
+:class:`ClearedBasis`, elements over one common denominator such as
+``Tower.derivative_basis(m)``, finds its pivot rows by that same
+elimination once, on the first solve against it, and keeps them on the
+object, so that every later solve reads only those rows
+(``decomp.solve_constant_combination_values``).
 """
 
 from __future__ import annotations
@@ -60,7 +68,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple
 
 from .polys import FracField, PolyRing
 
@@ -499,33 +506,53 @@ def _scaled_integer_roots(S):
     return roots
 
 
-class ClearedBasis(NamedTuple):
+class ClearedBasis:
     """Field elements b_1, ..., b_k over one common denominator: ``den`` is
-    a polynomial and ``polys[j]`` the polynomial b_{j+1} * den."""
+    a polynomial and ``polys[j]`` the polynomial b_{j+1} * den.  It unpacks
+    as ``den, polys = basis``, and keeps its span data (``span``) once
+    built."""
 
-    den: object
-    polys: tuple
+    __slots__ = ("den", "polys", "_span")
+
+    def __init__(self, den, polys):
+        self.den = den
+        self.polys = tuple(polys)
+        self._span = None
+
+    def __iter__(self):
+        return iter((self.den, self.polys))
+
+    def span(self):
+        """(monomials, pivot monomials, pivot rows), built on the first call.
+        A monomial's row holds the k polynomials' coefficients there, in
+        ascending monomial order, the solver's; the pivot rows are the
+        first that reach the basis's rank, the rows that
+        ``solve_linear_system``'s elimination makes pivot rows, and every
+        other row is a combination of theirs."""
+        if self._span is None:
+            monos = set().union(*(p.keys() for p in self.polys))
+            order = sorted(monos)
+            rows = [[p.get(m, 0) for p in self.polys] for m in order]
+            used = _pivot_rows(rows)
+            self._span = monos, [order[i] for i in used], [rows[i] for i in used]
+        return self._span
 
 
-def solve_linear_system(rows, rhs):
-    """Solve A c = rhs exactly over Q by Gauss-Jordan elimination.
+def _eliminate(rows, rhs):
+    """Gauss-Jordan elimination of the equations in order, up to full rank.
 
-    ``rows`` is a list of lists of Fractions or ints (one list per
-    equation), ``rhs`` a list of the same.  Returns a solution as a list of
-    Fractions (free variables set to zero) or None when the system is
-    inconsistent.
-
-    The rows are eliminated one at a time, in order: each is reduced by the
-    pivot rows found so far; a row that reduces to 0 = b returns None at once
-    when b is nonzero and is dropped otherwise, and any other row becomes a
-    pivot row, clearing its pivot column from the others.  Once every column
-    has a pivot, the rows read span the row space, so their reduced form is
-    the reduced row echelon form of the whole matrix and the solution is
-    fixed: each remaining row is only checked by substitution, over the
-    integers when its entries are integers, with no row operation.
+    Each row is reduced by the pivot rows found so far; a row that reduces
+    to 0 = b returns None at once when b is nonzero and is dropped
+    otherwise, and any other row becomes a pivot row, clearing its pivot
+    column from the others.  Returns (pivots, used, done): pivots maps each
+    pivot column to its reduced row, 1 at that column and the right-hand
+    side last, used lists the indices of the rows that became pivot rows,
+    and done is the number of rows read, which stops once every column has
+    a pivot.
     """
     ncols = len(rows[0]) if rows else 0
-    pivots = {}  # pivot column -> reduced row, 1 at its column, rhs last
+    pivots = {}
+    used = []
     done = 0
     for row, b in zip(rows, rhs):
         if len(pivots) == ncols:
@@ -549,6 +576,37 @@ def solve_linear_system(rows, rhs):
             if f:
                 pivots[col] = [a - f * c for a, c in zip(p, r)]
         pivots[lead] = r
+        used.append(done - 1)
+    return pivots, used, done
+
+
+def _pivot_rows(rows):
+    """The indices of the first rows, in order, whose rows reach the rank of
+    the matrix: the rows that ``solve_linear_system`` makes pivot rows, by
+    the same elimination."""
+    return _eliminate(rows, [0] * len(rows))[1]
+
+
+def solve_linear_system(rows, rhs):
+    """Solve A c = rhs exactly over Q by Gauss-Jordan elimination.
+
+    ``rows`` is a list of lists of Fractions or ints (one list per
+    equation), ``rhs`` a list of the same.  Returns a solution as a list of
+    Fractions (free variables set to zero) or None when the system is
+    inconsistent.
+
+    The rows are eliminated one at a time, in order (``_eliminate``).  Once
+    every column has a pivot, the rows read span the row space, so their
+    reduced form is the reduced row echelon form of the whole matrix and
+    the solution is fixed: each remaining row is only checked by
+    substitution, over the integers when its entries are integers, with no
+    row operation.
+    """
+    reduced = _eliminate(rows, rhs)
+    if reduced is None:
+        return None
+    pivots, _, done = reduced
+    ncols = len(rows[0]) if rows else 0
     sol = [Fraction(0)] * ncols
     for col, p in pivots.items():
         sol[col] = p[ncols]

@@ -288,7 +288,12 @@ class _CommandParser(argparse.ArgumentParser):
                 dest="show_matrix",
                 help="also print both associated matrices",
             )
-        return super().parse_known_args(args, namespace)
+        args, rest = super().parse_known_args(args, namespace)
+        if args.expr == []:
+            # argparse drops a lone "--" from an option's value, the one
+            # value that it leaves empty
+            args.expr = "--"
+        return args, rest
 
 
 def _build_parser():

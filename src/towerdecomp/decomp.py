@@ -40,8 +40,10 @@ coefficient hc_i, as given: Hermite checks that each of its steps lowers
 a multiplicity, not that its pieces differentiate to hc_i - h_i
 (``hermite``), and differentiating every piece to check that costs what
 differentiating g did.  So (b*M)' sums to (hc_i - h_i)*M + sum(b*M'),
-with M' from the ``Tower.diff_pair`` of M that the pass makes anyway.  The
-solver's own self-check covers each h_i that the span absorbs.  The span
+with M' from the ``Tower.diff_pair`` of M that the pass makes anyway.  Each
+h_i that the span absorbs is checked by the solver: its coefficients must
+solve the basis's pivot rows, and the identity sum(c_j * t_j') = h_i over
+Z decides that h_i is in the span at all.  The span
 terms (sum(c_j * t_j, j < m) + cc*t_m) * M, a polynomial over an integer,
 are differentiated here, with no gcd.  The check then makes two
 comparisons, each of unreduced pairs against a canonical element
@@ -61,6 +63,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .arith import (
     ClearedBasis,
@@ -98,23 +101,25 @@ def solve_constant_combination_values(F, target, basis):
     primitive part), the system sum(c'_j * polys_j) = lhs has one integer
     row per monomial, and c = c' / content, the content of target.denom.
 
-    The basis has k <= n elements and usually many more monomials.  The
-    rows are eliminated in monomial order only until the columns reach full
-    rank, at the k-th pivot row when the basis is independent, as a
-    tower's derivatives are; each later row is checked by substitution with integer
-    products and no row operation, and a row that contradicts the solution
-    means the target is not in the span (``solve_linear_system``).  A
-    dependent basis has all its rows eliminated, and its free variables are
-    zero.  The solution is then checked as a polynomial identity over Z,
-    both sides multiplied through by the lcm of the denominators of the
-    c'_j: it must hold, so a mismatch is an internal error.
+    The basis finds its pivot monomials once, on its first solve
+    (``ClearedBasis.span``): the first r rows, in monomial order, that
+    reach its rank r <= k.  Each call then makes one set test, that lhs
+    has no monomial outside the basis's, and solves the r pivot rows
+    alone; the solution must satisfy them, so a mismatch there is an
+    internal error.  The identity sum(c'_j * polys_j) = lhs over Z, both
+    sides multiplied through by the lcm of the denominators of the c'_j,
+    then decides: every other row is a combination of the pivot rows, so
+    once any solution exists every solution of the pivot rows is one, and
+    a failed identity means the target is not in the span.  The solution
+    is the one full elimination gives, with the free variables of a
+    dependent basis zero.
     """
     if not isinstance(basis, ClearedBasis):
         den = F.ring.one
         for e in basis:
             # the lcm over Z is a multiple of each denominator in Z[x, t]
             den = den.lcm(e.denom)
-        basis = ClearedBasis(den, tuple(e.numer * den.exquo(e.denom) for e in basis))
+        basis = ClearedBasis(den, (e.numer * den.exquo(e.denom) for e in basis))
     den, polys = basis
     if not target:
         return [Fraction(0)] * len(polys)
@@ -125,21 +130,21 @@ def solve_constant_combination_values(F, target, basis):
     if scale is None:
         return None
     lhs = target.numer * scale
-    monos = set(lhs.keys())
-    for p in polys:
-        monos.update(p.keys())
-    monos = sorted(monos)
-    rows = [[p.get(m, 0) for p in polys] for m in monos]
-    sol = solve_linear_system(rows, [lhs.get(m, 0) for m in monos])
-    if sol is None:
+    monos, pivots, rows = basis.span()
+    if not monos.issuperset(lhs):
         return None
-    common = math.lcm(*(c.denominator for c in sol))
-    acc = lhs.ring.zero
-    for c, p in zip(sol, polys):
-        if c:
-            acc += p.mul_ground(c.numerator * (common // c.denominator))
-    if acc != lhs.mul_ground(common):
+    rhs = [lhs.get(m, 0) for m in pivots]
+    sol = solve_linear_system(rows, rhs)
+    if sol is None or any(sum(map(mul, row, sol)) != b for row, b in zip(rows, rhs)):
         raise InternalVerificationError("combination solver self-check failed")
+    common = math.lcm(*(c.denominator for c in sol))
+    nums = [c.numerator * (common // c.denominator) for c in sol]
+    acc = lhs.ring.zero
+    for c, p in zip(nums, polys):
+        if c:
+            acc += p.mul_ground(c)
+    if acc != lhs.mul_ground(common):
+        return None
     return [c / content for c in sol]
 
 

@@ -119,14 +119,12 @@ def _residue_polynomial(T, value, i):
 
 def _content(q, i):
     """The content of q in t_i, the gcd of its coefficients, or 1 when that
-    gcd is an integer.  A coefficient that the gcd so far divides costs one
-    exact division, not a gcd."""
+    gcd is an integer.  The coefficients are taken shortest first, so a
+    coefficient that the gcd so far divides costs the gcd's one exact
+    division (``Poly.cofactors``), not a heuristic gcd."""
     c = None
     for a in sorted(q.coeff_polys(i).values(), key=len):
-        if c is None:
-            c = a
-        elif a.exact_quo(c) is None:
-            c = c.gcd(a)
+        c = a if c is None else c.gcd(a)
         if c.is_ground:
             return q.ring.one
     return c
@@ -137,19 +135,10 @@ def _quotient(F, num, factors):
     factor at a time: with num/den in lowest terms and h = gcd(num, c),
     num/h is coprime to den and to c/h, so num/h over den*(c/h) is in lowest
     terms again, each gcd against one factor and not against the product.
-    The first quotient runs no gcd when it is a rational constant, read off
-    the leading coefficients when num is a constant multiple of the first
-    factor, or a polynomial, when one exact division by that factor
-    succeeds."""
-    den = factors[0]
-    a, b = den.LC, num.LC
-    if num.mul_ground(a) == den.mul_ground(b):
-        q = F.ground(Fraction(b, a))
-        num, den = q.numer, q.denom
-    elif (q := num.exact_quo(den)) is not None:
-        num, den = q, num.ring.one
-    else:
-        num, den = num.cancel(den)
+    Each cancel tries one exact division by the primitive part of the
+    smaller operand before any heuristic gcd (``Poly.cofactors``), so a
+    rational constant or a polynomial quotient runs no heuristic gcd."""
+    num, den = num.cancel(factors[0])
     for c in factors[1:]:
         num, c = num.cancel(c)
         den *= c

@@ -22,7 +22,9 @@ variable neither operand holds is skipped: its one call below is the
 call the level's first evaluation would make, and the gcd is unique.
 
 :func:`_exquo` is the one exact division of the package: the gcd's trial
-divisions and :meth:`towerdecomp.polys.Poly.exact_quo` both run it.
+divisions, :meth:`towerdecomp.polys.Poly.exact_quo` and the division that
+:meth:`towerdecomp.polys.Poly.cofactors` tries ahead of the heuristic all
+run it.
 
 When none of ``HEU_GCD_MAX`` evaluation points succeeds,
 ``HeuristicGCDFailed`` propagates, with sympy's bound, so the heuristic

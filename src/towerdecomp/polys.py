@@ -27,18 +27,23 @@ vol. 2, 4.5.1): with e = gcd(b, d) from one ``cofactors``, a/b + c/d =
 b/e or d/e, so it is cancelled only against e, and not at all when e = 1.
 
 The arithmetic only has to be exact and canonical.  The gcd is unique once
-its leading coefficient is positive, and ``cofactors`` (a zero check and a
-one-term shortcut ahead of the heuristic gcd of :mod:`towerdecomp.gcdheu`)
-returns it so, negating h and both cofactors where the heuristic, as sympy
-1.14's ``PolyElement`` does, finds -h as f/cff or g/cfg; the Henrici sum
-and ``Tower.diff`` take a denominator cofactor from it unchecked.  Every
-canonical form is sympy's.  The one division is exact: ``exact_quo`` runs
-the gcd's own trial division, :func:`towerdecomp.gcdheu._exquo`.  A
-negative power of a fraction is made canonical, where sympy's keeps the
-sign of the swapped denominator.  A ring's polynomials are a subclass that
-holds the ring as a class attribute.  Nothing here imports sympy, except
-:meth:`FracField.from_expr` and :attr:`FracField.symbols`, for callers
-that hold sympy expressions.
+its leading coefficient is positive, and ``cofactors`` returns it so: a
+zero check, a one-term shortcut, then one exact division, whether the
+primitive part of the operand with fewer terms (either, at equal counts)
+divides the other, and only then the heuristic gcd of
+:mod:`towerdecomp.gcdheu`, with h and both cofactors negated where the
+heuristic, as sympy 1.14's ``PolyElement`` does, finds -h as f/cff or
+g/cfg.  The division runs only when the divisor's leading and trailing
+monomials divide the other's and its value at (1, ..., 1) divides the
+other's, and a hit is the gcd that the heuristic would return; the
+Henrici sum and ``Tower.diff`` take a denominator cofactor from it
+unchecked.  Every canonical form is sympy's.  The one division is exact:
+``exact_quo`` and ``cofactors`` run the gcd's own trial division,
+:func:`towerdecomp.gcdheu._exquo`.  A negative power of a fraction is
+made canonical, where sympy's keeps the sign of the swapped denominator.
+A ring's polynomials are a subclass that holds the ring as a class
+attribute.  Nothing here imports sympy, except :meth:`FracField.from_expr`
+and :attr:`FracField.symbols`, for callers that hold sympy expressions.
 """
 
 from __future__ import annotations
@@ -502,11 +507,42 @@ class Poly(dict):
         if len(g) == 1:
             h, cfg, cff = g._gcd_monom(f)
             return h, cff, cfg
+        if len(f) <= len(g) and (out := f._gcd_divisor(g)):
+            return out
+        if len(g) <= len(f) and (out := g._gcd_divisor(f)):
+            h, cfg, cff = out
+            return h, cff, cfg
         dtype = f.ring.dtype
         h, cff, cfg = heugcd(f, g, f.ring.ngens)
         h, cff, cfg = dtype(h), dtype(cff), dtype(cfg)
         # the heuristic finds h as f/cff or g/cfg, of their sign
         return (-h, -cff, -cfg) if h.LC < 0 else (h, cff, cfg)
+
+    def _gcd_divisor(f, g):
+        """(h, cff, cfg) when the primitive part pf of f divides g, else
+        None.  A divisor's leading and trailing monomials divide g's, and
+        pf(1, ..., 1) divides g(1, ..., 1), which must be 0 when pf(1, ...,
+        1) is: three integer tests ahead of the one exact division.  On a
+        hit the gcd is gcd(content(f), content(g)) * pf, its leading
+        coefficient made positive, where content(g) is the quotient's, as
+        pf is primitive (Gauss's lemma)."""
+        lm = max(f)
+        guard = f.ring.guard
+        if (max(g) - lm) & guard or (min(g) - min(f)) & guard:
+            return None
+        cf = f.content()
+        f1, g1 = sum(f.values()) // cf, sum(g.values())
+        if g1 % f1 if f1 else g1:
+            return None
+        pf = f.quo_ground(cf)
+        q = _exquo(g, pf, f.ring.ngens)
+        if q is None:
+            return None
+        c = gcd(cf, *q.values())
+        if f[lm] < 0:
+            c = -c
+        dtype = f.ring.dtype
+        return pf.mul_ground(c), dtype({0: cf // c}), dtype({m: a // c for m, a in q.items()})
 
     def _gcd_zero(f, g):
         one, zero = f.ring.one, f.ring.zero

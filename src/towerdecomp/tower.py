@@ -295,6 +295,13 @@ class Tower:
                 )
                 L = lcm
             self._levels.append((L, multipliers))
+        # one basis per level, so that every solve against it shares its
+        # pivots (``ClearedBasis.span``)
+        zero = F.ring.zero
+        self._bases = [
+            ClearedBasis(L, tuple(dict(mults).get(j, zero) for j in range(1, m + 1)))
+            for m, (L, mults) in enumerate(self._levels)
+        ]
 
     def _check_level(self, value, idx, what):
         if not free_of(value, range(idx, self.n + 1)):
@@ -378,11 +385,9 @@ class Tower:
 
     def derivative_basis(self, m):
         """t_1', ..., t_m' over their common denominator L_m, the lcm of
-        their denominators: ClearedBasis(L_m, (t_1' * L_m, ..., t_m' * L_m))."""
-        L, multipliers = self._levels[m]
-        cleared = dict(multipliers)
-        zero = self.F.ring.zero
-        return ClearedBasis(L, tuple(cleared.get(j, zero) for j in range(1, m + 1)))
+        their denominators: ClearedBasis(L_m, (t_1' * L_m, ..., t_m' * L_m)),
+        the same object on every call."""
+        return self._bases[m]
 
     def diff_log_combination(self, pairs):
         """The derivative sum(c * b'/b) of sum(c * log b), for (b, c) pairs."""

@@ -678,6 +678,15 @@ def test_expr_may_start_with_minus(li_file, capsys):
     assert json.loads(capsys.readouterr().out)["integral"] == "-t2"
 
 
+@pytest.mark.parametrize("argv", [["--expr", "--"], ["--expr=--"]], ids=["apart", "joined"])
+def test_a_lone_double_dash_is_the_expression(argv, li_file, capsys):
+    """argparse drops a lone "--" from an option's value; the text "--" is
+    still what is parsed, and its error is where that text ends."""
+    assert main(["decomp", "--tower", li_file] + argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unexpected end of input at offset 2\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -270,7 +270,9 @@ def _pivot_first_basis(F, rng, k):
 @given(seed=seeds)
 def test_span_solver_matches_full_elimination(seed):
     """Cleared bases with many more monomials than elements, at times a
-    dependent element, against every row eliminated."""
+    dependent element, against every row eliminated.  Each draw solves
+    several targets against one basis object, in the span and out of it, so
+    that pivots found on one solve and used on the next must be right."""
     rng = random.Random(seed)
     F = li_tower().F
     k = rng.randint(1, 3)
@@ -280,15 +282,54 @@ def test_span_solver_matches_full_elimination(seed):
         polys += (polys[0].mul_ground(a) + polys[-1].mul_ground(b),)
         polys = tuple(rng.sample(polys, len(polys)))
     basis = ClearedBasis(den, polys)
-    c = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in polys]
-    combo = F.zero
-    for cj, p in zip(c, polys):
-        combo += F.ground(cj) * F.new(p, den)
+    targets = []
+    for _ in range(3):
+        c = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in polys]
+        combo = F.zero
+        for cj, p in zip(c, polys):
+            combo += F.ground(cj) * F.new(p, den)
+        targets += [combo, combo / 5]
+    last = F.ring.one.mul_monom(max(set().union(*(p.keys() for p in polys))))
     other = F.new(polys[0] + F.ring.gens[3] ** 3, den)
-    for target in (combo, combo + other, combo / 5, other):
+    targets += [combo + other, other, combo + F.new(last, den)]
+    rng.shuffle(targets)
+    for target in targets:
         want = _full_elimination_solver(F, target, basis)
         assert solve_constant_combination_values(F, target, basis) == want
     assert solve_constant_combination_values(F, combo, basis) is not None
+
+
+def test_each_paper_tower_keeps_one_basis_per_level():
+    for T in (li_tower(), nested_tower(), u_tower(), coupled_tower()):
+        for m in range(T.n + 1):
+            assert T.derivative_basis(m) is T.derivative_basis(m)
+
+
+def test_a_basis_finds_its_pivots_once(monkeypatch):
+    """Fifty solves against one basis, a dependent one whose 4 elements
+    have rank 3, run the pivot search once, and each agrees with full
+    elimination, free variable zero."""
+    searches = []
+    search = arith._pivot_rows
+
+    def spy(rows):
+        searches.append(rows)
+        return search(rows)
+
+    monkeypatch.setattr(arith, "_pivot_rows", spy)
+    T = li_tower()
+    F = T.F
+    x, t1, t2, t3 = T.gens
+    den, polys = T.derivative_basis(3)
+    basis = ClearedBasis(den, polys + (polys[0].mul_ground(2) - polys[2],))
+    rng = random.Random(5)
+    for _ in range(50):
+        target = F.ground(rng.randint(-3, 3)) / x + F.ground(rng.randint(-3, 3)) / t1
+        target += rng.choice([F.zero, F.one / (x * t1), t2 / t1, F.one / x**2])
+        want = _full_elimination_solver(F, target, basis)
+        assert solve_constant_combination_values(F, target, basis) == want
+    assert len(searches) == 1
+    assert len(basis.span()[1]) == 3
 
 
 @given(seed=seeds)

@@ -7,7 +7,7 @@ from sympy.core.cache import clear_cache
 from sympy.polys.heuristicgcd import heugcd as sympy_heugcd
 from sympy.polys.rings import ring
 
-from towerdecomp import elementary_integrability, gcdheu
+from towerdecomp import elementary_integrability, gcdheu, polys
 from towerdecomp.arith import make_field
 from towerdecomp.errors import HeuristicGCDFailed
 from towerdecomp.exprio import parse_expression
@@ -149,3 +149,84 @@ def test_a_request_builds_no_ring():
     with sympy_calls() as calls:
         elementary_integrability(f)
     assert calls == []
+
+
+# -- exact division ahead of the heuristic ------------------------------------
+
+LI_RING = make_field(names(4))[0].ring
+
+
+@st.composite
+def li_polys(draw, min_terms=1):
+    """A polynomial over Z[x, t1, t2, t3] with 1-4 terms, or min_terms and
+    more, of exponents up to 2."""
+    terms = draw(
+        st.lists(
+            st.tuples(st.tuples(*[st.integers(0, 2)] * 4), st.integers(-5, 5).filter(bool)),
+            min_size=min_terms,
+            max_size=4,
+            unique_by=lambda term: term[0],
+        )
+    )
+    return LI_RING({mono: c for mono, c in terms})
+
+
+def normalized_heugcd(a, b):
+    """gcdheu's (h, cff, cfg) with h's leading coefficient made positive."""
+    h, cff, cfg = (LI_RING.dtype(p) for p in gcdheu.heugcd(dict(a), dict(b), 4))
+    return (-h, -cff, -cfg) if h.LC < 0 else (h, cff, cfg)
+
+
+@given(
+    li_polys(min_terms=2),
+    li_polys(),
+    st.sampled_from([1, 2, 6, -1, -3]),
+    st.sampled_from([1, 4, -2, -6]),
+)
+def test_a_divisible_pair_gives_the_heuristics_triple(f, q, k, m):
+    """f*q and f, each with an integer content and sign of its own: the
+    exact division by f's primitive part returns the unique gcd, the
+    triple that the heuristic gives made positive, in either order."""
+    a, b = f.mul_ground(k), (f * q).mul_ground(m)
+    assert a.cofactors(b) == normalized_heugcd(a, b)
+    assert b.cofactors(a) == normalized_heugcd(b, a)
+
+
+def test_a_divisible_pair_runs_no_heuristic_gcd(monkeypatch):
+    """Divisible pairs, x - t1 among the divisors although it vanishes at
+    (1, ..., 1), take the exact division alone."""
+    calls = []
+    monkeypatch.setattr(polys, "heugcd", lambda *args: calls.append(args))
+    x, t1, t2, t3 = LI_RING.gens
+    one = LI_RING.one
+    for f, q in [
+        (x - t1, x + t2 + one),
+        ((x - t1).mul_ground(-6), (t1 * t3 - one).mul_ground(4)),
+        (x * t2 + t1.mul_ground(3), x - one),
+        (t2 + one, t3.mul_ground(-2)),  # equal term counts, f*q first
+    ]:
+        for a, b in [(f, f * q), (f * q, f)]:
+            h, cff, cfg = a.cofactors(b)
+            assert h.LC > 0 and h * cff == a and h * cfg == b
+    assert not calls
+
+
+def test_the_value_at_one_rejects_before_any_division(monkeypatch):
+    """x + 2 takes the value 3 at (1, ..., 1) and x^2 + t1 the value 2, so
+    x + 2 cannot divide it: no exact division runs ahead of the heuristic.
+    x + 1 and x^2 + 1 pass that test, and the division runs and misses."""
+    divisions = []
+    exquo = polys._exquo
+
+    def spy(*args):
+        divisions.append(args)
+        return exquo(*args)
+
+    monkeypatch.setattr(polys, "_exquo", spy)
+    x, t1, t2, t3 = LI_RING.gens
+    one = LI_RING.one
+    a, b = x + one.mul_ground(2), x**2 + t1
+    assert a.cofactors(b) == normalized_heugcd(a, b) and not divisions
+    a, b = x + one, x**2 + one
+    assert a.cofactors(b) == normalized_heugcd(a, b) == (one, a, b)
+    assert len(divisions) == 1
