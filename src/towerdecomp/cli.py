@@ -130,7 +130,7 @@ def _elementary(T, f, args, read):
         lines.append(f"reason: {verdict.reason}")
         if verdict.certificate is not None:
             shown = _shown(verdict.certificate.value, T, args.as_latex)
-            lines.append(f"certificate (non-constant residue): {shown}")
+            lines.append(f"certificate (non-constant coefficient of the residue polynomial): {shown}")
     return lines, {
         "status": verdict.status,
         "witness": witness,
@@ -256,68 +256,44 @@ _EXITS = {
 }
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """A command's parser, given its arguments only when argparse picks it to
-    parse the rest of the command line: all six names are registered, so the
-    usage, the help and an invalid choice read as before, but a run builds
-    the arguments of one command."""
-
-    def __init__(self, command, **kwargs):
-        self.command = command
-        super().__init__(**kwargs)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self.add_argument("--tower", required=True, help="tower file path")
-        self.add_argument(
-            "--expr",
-            required=_COMMANDS[self.command][2],
-            default=None,
-            help="expression over the tower variables",
-        )
-        self.add_argument("--json", action="store_true", dest="as_json")
-        self.add_argument("--latex", action="store_true", dest="as_latex")
-        self.add_argument(
-            "--normalize",
-            action="store_true",
-            help="shift generators to simple derivatives before validating",
-        )
-        if self.command == "embed":
-            self.add_argument(
-                "--matrix",
-                action="store_true",
-                dest="show_matrix",
-                help="also print both associated matrices",
-            )
-        args, rest = super().parse_known_args(args, namespace)
-        if args.expr == []:
-            # argparse drops a lone "--" from an option's value, the one
-            # value that it leaves empty
-            args.expr = "--"
-        return args, rest
-
-
-def _build_parser():
+def _parse(argv):
+    """The arguments of the command line argv, read by one parser: --expr is
+    required where the command reads it, and --matrix is ``embed``'s alone."""
     parser = argparse.ArgumentParser(
         prog="towerdecomp",
         description="Additive decomposition and integrability in "
         "primitive differential towers over Q(x).",
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True, parser_class=_CommandParser
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--tower", required=True, help="tower file path")
+    parser.add_argument("--expr", help="expression over the tower variables")
+    parser.add_argument("--json", action="store_true", dest="as_json")
+    parser.add_argument("--latex", action="store_true", dest="as_latex")
+    parser.add_argument(
+        "--normalize",
+        action="store_true",
+        help="shift generators to simple derivatives before validating",
     )
-    for name in _COMMANDS:
-        sub.add_parser(name, command=name)
-    return parser
-
-
-def _fold_expr(argv):
-    """argv with each "--expr", v pair written "--expr=v", so that an
-    expression that starts with "-" is not taken for an option."""
-    out, rest = [], iter(argv)
+    parser.add_argument(
+        "--matrix",
+        action="store_true",
+        dest="show_matrix",
+        help="embed only: also print both associated matrices",
+    )
+    # each "--expr", v pair is passed as "--expr=v", so that an expression
+    # that starts with "-" is not taken for an option
+    folded, rest = [], iter(argv)
     for arg in rest:
         value = next(rest, None) if arg == "--expr" else None
-        out.append(arg if value is None else f"--expr={value}")
-    return out
+        folded.append(arg if value is None else f"--expr={value}")
+    args = parser.parse_args(folded)
+    if args.expr == []:  # argparse drops a lone "--" from an option's value
+        args.expr = "--"
+    if args.expr is None and _COMMANDS[args.command][2]:
+        parser.error("the following arguments are required: --expr")
+    if args.show_matrix and args.command != "embed":
+        parser.error(f"argument --matrix: embed takes it, not {args.command}")
+    return args
 
 
 def _run(args):
@@ -344,7 +320,7 @@ def main(argv=None) -> int:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     set_limit(0)
     try:
-        _run(_build_parser().parse_args(_fold_expr(sys.argv[1:] if argv is None else argv)))
+        _run(_parse(sys.argv[1:] if argv is None else argv))
         return 0
     except SystemExit as exc:  # argparse has printed the usage or the help
         return 1 if exc.code else 0

@@ -47,8 +47,9 @@ UNDECIDED = "undecided"
 class ElementaryVerdict(Record):
     """The ``status``, YES, NO or UNDECIDED.  ``witness`` holds (rational
     coefficient, argument TowerElement) pairs, ``span_coeffs`` the rational
-    coefficients over t_1', ..., t_n', and ``certificate``, when NO, a
-    non-constant residue as a TowerElement."""
+    coefficients over t_1', ..., t_n', and ``certificate``, when NO, the
+    first non-constant coefficient of a monic residue polynomial, z^0 first,
+    as a TowerElement (see ``_residue_analysis``)."""
 
     __slots__ = ("status", "witness", "span_coeffs", "reason", "certificate", "decomposition")
     _defaults = {

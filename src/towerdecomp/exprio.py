@@ -30,8 +30,6 @@ import re
 from .errors import ExprSyntaxError, UnknownName
 from .tower import LOG, Tower, TowerBuilder
 
-NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()]))")
 
 # Parentheses nest through five parser frames each; this cap keeps the

@@ -1,6 +1,7 @@
 import contextlib
 import os
 import random
+import signal
 import sys
 
 import pytest
@@ -135,6 +136,31 @@ def random_s_primitive_tower(rng, n):
             continue
         if T.validate_s_primitive().ok:
             return T
+
+
+class DrawTimeout(Exception):
+    """A draw ran past its time limit."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise DrawTimeout in the block once it has run for seconds."""
+
+    def expire(signum, frame):
+        raise DrawTimeout(f"a draw ran past its limit of {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+# a draw whose inputs hold more terms than this is not run, whatever it
+# would answer; the bound is read before the program runs
+MAX_DRAW_TERMS = 40
 
 
 def assert_images_commute(T, N, images):

@@ -159,6 +159,16 @@ def test_elementary_command(li_file, capsys):
     assert "1 * log(t2)" in out
 
 
+def test_elementary_certificate_is_named_as_a_coefficient(li_file, capsys):
+    """The residue of 1/(t1 + x) at t1 = -x is 1/t1' there, x/(x + 1); the
+    certificate printed is the z^0 coefficient of the monic residue
+    polynomial z - x/(x + 1), and the line calls it that."""
+    assert main(["elementary", "--tower", li_file, "--expr", "1/(t1+x)"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "certificate (non-constant coefficient of the residue polynomial): (-x)/(x + 1)"
+    )
+
+
 def test_elementary_command_spans_after_the_witness(tmp_path, capsys):
     path = tmp_path / "prim.tower"
     path.write_text("var x\ngen t1 : prim 1/(x^2-2)\n")
@@ -692,10 +702,19 @@ def test_a_lone_double_dash_is_the_expression(argv, li_file, capsys):
     [
         ["decomp", "--expr", "1/x"],
         ["decomp", "--tower", "li.tower", "--expr"],
+        ["decomp", "--tower", "li.tower"],
+        ["check", "--tower", "li.tower", "--matrix"],
         ["differentiate", "--tower", "li.tower"],
         [],
     ],
-    ids=["missing-tower", "missing-expr-value", "unknown-command", "no-command"],
+    ids=[
+        "missing-tower",
+        "missing-expr-value",
+        "missing-expr",
+        "matrix-outside-embed",
+        "unknown-command",
+        "no-command",
+    ],
 )
 def test_usage_errors_exit_1(argv, capsys):
     assert main(argv) == 1
@@ -713,33 +732,12 @@ def test_the_module_run_exits_with_mains_code(tmp_path):
 
 
 def test_help_exits_0(capsys):
-    assert main(["--help"]) == 0
-    out = capsys.readouterr().out
-    assert "{decomp,integrate,elementary,embed,matrix,check}" in out
-    assert main(["embed", "--help"]) == 0
-    out = capsys.readouterr().out
-    for flag in ["--tower", "--expr", "--json", "--latex", "--normalize", "--matrix"]:
-        assert flag in out
-
-
-def test_a_run_adds_options_to_its_own_command_only(li_file, monkeypatch, capsys):
-    """All six commands are registered, but only the one that runs gets its
-    options."""
-    from towerdecomp import cli
-
-    seen = []
-    add = cli._CommandParser.add_argument
-
-    def recording(self, *names, **kwargs):
-        seen.append((self.command, names[0]))
-        return add(self, *names, **kwargs)
-
-    monkeypatch.setattr(cli._CommandParser, "add_argument", recording)
-    assert main(["check", "--tower", str(li_file)]) == 0
-    assert {c for c, _ in seen} == set(cli._COMMANDS)
-    assert [(c, name) for c, name in seen if name != "-h"] == [
-        ("check", name) for name in ["--tower", "--expr", "--json", "--latex", "--normalize"]
-    ]
+    for argv in (["--help"], ["embed", "--help"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "{decomp,integrate,elementary,embed,matrix,check}" in out
+        for flag in ["--tower", "--expr", "--json", "--latex", "--normalize", "--matrix"]:
+            assert flag in out
 
 
 def test_results_above_the_digit_limit_print_in_full(li_file, capsys):

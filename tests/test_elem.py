@@ -1,7 +1,5 @@
-import contextlib
 import importlib
 import random
-import signal
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +21,7 @@ from towerdecomp.matryoshka import not_simple_reason, project_value
 from towerdecomp.tower import Tower
 
 from conftest import (
+    MAX_DRAW_TERMS,
     coupled_tower,
     li_tower,
     nested_tower,
@@ -30,6 +29,7 @@ from conftest import (
     random_s_primitive_tower,
     seeds,
     sympy_calls,
+    time_limit,
     u_tower,
 )
 
@@ -497,31 +497,6 @@ def test_residue_polynomial_on_random_towers(seed):
 
 
 # -- metamorphic: adding a derivative keeps the verdict ----------------------
-
-
-class DrawTimeout(Exception):
-    """A draw ran past its time limit."""
-
-
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Raise DrawTimeout in the block once it has run for seconds."""
-
-    def expire(signum, frame):
-        raise DrawTimeout(f"a draw ran past its limit of {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-
-
-# a draw whose inputs hold more terms than this is not run, whatever it
-# would answer; the bound is read before the program runs
-MAX_DRAW_TERMS = 40
 
 
 @given(seed=seeds)

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from towerdecomp import (
     add_decomp_in_field,
     apply_homomorphism,
     associated_matrix,
+    elementary_integrability,
     embed_well_generated,
     is_well_generated,
     normalize_tower,
@@ -28,12 +30,14 @@ from towerdecomp.errors import (
 )
 
 from conftest import (
+    MAX_DRAW_TERMS,
     assert_images_commute,
     coupled_tower,
     nested_tower,
     random_element,
     random_log_tower,
     seeds,
+    time_limit,
     u_tower,
 )
 
@@ -324,6 +328,33 @@ def test_w_bound_on_random_towers(rng):
         m = normalized.n
         assert m <= E.w <= m * (m + 1) // 2
         assert is_well_generated(E.target)[0]
+
+
+@functools.cache
+def embedded_source(index):
+    """(N, E) for source tower index, normalized and embedded once: nested,
+    u and coupled, then six random logarithmic towers of 2 and 3
+    generators."""
+    named = [nested_tower, u_tower, coupled_tower]
+    T = named[index]() if index < 3 else random_log_tower(random.Random(index), 2 + index % 2)
+    N = normalize_tower(T)[0]
+    return N, embed_well_generated(N)
+
+
+@given(index=st.integers(0, 8), seed=seeds)
+def test_the_verdict_and_integrability_are_invariant_under_phi(index, seed):
+    """phi is an injective differential homomorphism, so a verdict or an
+    r = 0 that moved between f and phi(f) would be wrong on one side: both
+    get the same status, and r(f) = 0 exactly when r(phi(f)) = 0."""
+    N, E = embedded_source(index)
+    f = random_element(N, random.Random(seed))
+    if len(f.numer) + len(f.denom) > MAX_DRAW_TERMS:
+        return
+    with time_limit(10):
+        before = elementary_integrability(N.element(f))
+        after = elementary_integrability(apply_homomorphism(E, N.element(f)))
+    assert before.status == after.status, (index, f)
+    assert (not before.decomposition.r) == (not after.decomposition.r), (index, f)
 
 
 PAPER_SOURCES = [nested_tower(), u_tower(), normalize_tower(coupled_tower())[0]]
